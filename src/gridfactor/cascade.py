@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcpf import FlowState, build_laplacian, solve_flow
-from .errors import MaxStagesError, UnknownEdgeError, ValidationError
+from .errors import MaxStagesError, ValidationError
 from .factors import PtdfMatrix
 from .graph_algos import BlockDecomposition, is_cut_set
 from .net_model import Network, injection_vector
@@ -63,10 +63,9 @@ class CascadeTrace:
         return frozenset(out)
 
 
-def _embedded_flow(network: Network, surviving: Network, state: FlowState) -> FlowState:
+def _embedded_flow(network: Network, alive: np.ndarray, state: FlowState) -> FlowState:
     flows = np.zeros(network.m)
-    for k, edge in enumerate(surviving.edges):
-        flows[network.edge_index(edge.id)] = state.flows[k]
+    flows[alive] = state.flows
     return FlowState(theta=state.theta, flows=flows)
 
 
@@ -87,14 +86,13 @@ def run_cascade(
     initial = frozenset(int(v) for v in initial_outage)
     if not initial:
         raise ValidationError("initial outage must be nonempty")
-    known = {edge.id for edge in network.edges}
-    unknown = initial - known
-    if unknown:
-        raise UnknownEdgeError(f"unknown edge ids {sorted(unknown)}")
+    alive = np.ones(network.m, dtype=bool)
+    alive[network.edge_positions(initial)] = False
     if max_stages is None:
         max_stages = network.m
 
-    capacities = {edge.id: edge.capacity for edge in network.edges}
+    ids = np.array(network.edge_ids())
+    capacities = network.capacities()
     cumulative = set(initial)
 
     if is_cut_set(network, cumulative):
@@ -106,15 +104,12 @@ def run_cascade(
         )
 
     surviving = network.without_edges(cumulative)
-    state = _embedded_flow(network, surviving, solve_flow(build_laplacian(surviving), surviving, p))
+    state = _embedded_flow(network, alive, solve_flow(build_laplacian(surviving), surviving, p))
     stages = [Stage(tripped=initial, flow=state)]
 
     while True:
-        overloaded = frozenset(
-            edge.id
-            for edge in surviving.edges
-            if abs(state.flows[network.edge_index(edge.id)]) > capacities[edge.id]
-        )
+        over = alive & (np.abs(state.flows) > capacities)
+        overloaded = frozenset(ids[over].tolist())
         if not overloaded:
             status = "no_initial_overload" if len(stages) == 1 else "converged"
             return CascadeTrace(
@@ -129,6 +124,7 @@ def run_cascade(
             )
 
         cumulative |= overloaded
+        alive &= ~over
         if is_cut_set(network, cumulative):
             stages.append(Stage(tripped=overloaded, flow=None))
             return CascadeTrace(
@@ -140,7 +136,7 @@ def run_cascade(
 
         surviving = network.without_edges(cumulative)
         state = _embedded_flow(
-            network, surviving, solve_flow(build_laplacian(surviving), surviving, p)
+            network, alive, solve_flow(build_laplacian(surviving), surviving, p)
         )
         stages.append(Stage(tripped=overloaded, flow=state))
 

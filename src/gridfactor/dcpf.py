@@ -74,7 +74,9 @@ class LaplacianBundle:
         A = np.zeros((network.n, network.n))
         A[np.ix_(keep, keep)] = inverse
         self.A = A
-        self._reduced_det = float(np.prod(np.diag(lu))) * _permutation_sign(piv)
+        with np.errstate(over="ignore"):
+            # Past float range the determinant is reported as +-inf.
+            self._reduced_det = float(np.prod(np.diag(lu))) * _permutation_sign(piv)
 
     @property
     def reduced_determinant(self) -> float:
@@ -90,11 +92,7 @@ class LaplacianBundle:
 
 
 def _permutation_sign(piv: np.ndarray) -> float:
-    sign = 1.0
-    for k, p in enumerate(piv):
-        if p != k:
-            sign = -sign
-    return sign
+    return -1.0 if np.count_nonzero(piv != np.arange(piv.size)) % 2 else 1.0
 
 
 def build_laplacian(network: Network) -> LaplacianBundle:

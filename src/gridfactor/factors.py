@@ -69,19 +69,16 @@ class OutageSet:
 
     def __init__(self, network: Network, lines):
         lines = sorted(set(int(v) for v in lines))
-        known = {edge.id for edge in network.edges}
-        unknown = set(lines) - known
-        if unknown:
-            raise UnknownEdgeError(f"unknown edge ids {sorted(unknown)}")
+        outaged_idx = network.edge_positions(lines)
         if not lines:
             raise ValidationError("outage set must be nonempty")
         if len(lines) == network.m:
             raise ValidationError("outage set must be a proper subset of the lines")
         self.network = network
         self.outaged = tuple(lines)
-        self.surviving = tuple(e.id for e in network.edges if e.id not in set(lines))
-        self.outaged_idx = np.array([network.edge_index(v) for v in self.outaged])
-        self.surviving_idx = np.array([network.edge_index(v) for v in self.surviving])
+        self.outaged_idx = outaged_idx
+        self.surviving_idx = np.delete(np.arange(network.m), outaged_idx)
+        self.surviving = tuple(network.edges[k].id for k in self.surviving_idx.tolist())
 
     @property
     def size(self) -> int:
@@ -161,8 +158,7 @@ def lodf_stack(ptdf: PtdfMatrix, outage: OutageSet) -> np.ndarray:
     Each column is the line's individual outage factor; this is not the
     simultaneous-outage sensitivity (see :func:`glodf`).
     """
-    rows = np.array([ptdf.index(line) for line in outage.surviving])
-    cols = np.array([ptdf.index(line) for line in outage.outaged])
+    rows, cols = outage.surviving_idx, outage.outaged_idx
     diag = np.diag(ptdf.matrix)[cols]
     gaps = 1.0 - diag
     if np.any(gaps <= BRIDGE_DIAG_TOL):
@@ -202,8 +198,7 @@ def glodf(
     if is_cut_set(network, outage.outaged):
         raise CutSetError(f"outage {outage.outaged} disconnects the network")
 
-    rows = np.array([ptdf.index(line) for line in outage.surviving])
-    cols = np.array([ptdf.index(line) for line in outage.outaged])
+    rows, cols = outage.surviving_idx, outage.outaged_idx
     d_kept_out = ptdf.matrix[np.ix_(rows, cols)]
     d_out_out = ptdf.matrix[np.ix_(cols, cols)]
     eye = np.eye(outage.size)
@@ -304,7 +299,7 @@ def detect_islanding(ptdf: PtdfMatrix, outage: OutageSet) -> bool:
     keeps one-line (1x1) bridge outages detectable, where both singular
     values vanish together.
     """
-    cols = np.array([ptdf.index(line) for line in outage.outaged])
+    cols = outage.outaged_idx
     system = np.eye(outage.size) - ptdf.matrix[np.ix_(cols, cols)]
     singular_values = np.linalg.svd(system, compute_uv=False)
     largest = float(singular_values[0])

@@ -9,7 +9,6 @@ answers the query without enumerating cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import DisconnectedError, UnknownEdgeError
@@ -46,7 +45,6 @@ def _adjacency(network: Network) -> dict[int, list[tuple[int, int]]]:
     return adj
 
 
-@lru_cache(maxsize=4096)
 def block_decomposition(network: Network) -> BlockDecomposition:
     """Unique block decomposition of a connected network.
 
@@ -112,13 +110,10 @@ def block_decomposition(network: Network) -> BlockDecomposition:
 
     bridges = frozenset(next(iter(b)) for b in blocks if len(b) == 1)
 
-    by_id = {edge.id: edge for edge in network.edges}
     touched: dict[int, set[int]] = {node: set() for node in network.nodes}
-    for index, members in enumerate(blocks):
-        for edge_id in members:
-            edge = by_id[edge_id]
-            touched[edge.source].add(index)
-            touched[edge.target].add(index)
+    for edge in network.edges:
+        touched[edge.source].add(block_of[edge.id])
+        touched[edge.target].add(block_of[edge.id])
     cut_vertices = frozenset(node for node, owners in touched.items() if len(owners) >= 2)
 
     return BlockDecomposition(
@@ -132,32 +127,10 @@ def block_decomposition(network: Network) -> BlockDecomposition:
 def is_cut_set(network: Network, outage) -> bool:
     """True when removing the given lines disconnects the network.
 
-    Union-find connectivity over the surviving edges; every node counts, so
-    isolating a single bus is detected.
+    Every node counts, so isolating a single bus is detected.  Raises
+    UnknownEdgeError naming every id that is not a line of the network.
     """
-    outage = set(outage)
-    known = {edge.id for edge in network.edges}
-    unknown = outage - known
-    if unknown:
-        raise UnknownEdgeError(f"unknown edge ids {sorted(unknown)}")
-
-    parent = {node: node for node in network.nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    components = network.n
-    for edge in network.edges:
-        if edge.id in outage:
-            continue
-        a, b = find(edge.source), find(edge.target)
-        if a != b:
-            parent[a] = b
-            components -= 1
-    return components > 1
+    return not _is_connected(network.without_edges(outage))
 
 
 def shares_simple_cycle(network: Network, line: int, other: int) -> bool:
@@ -166,9 +139,12 @@ def shares_simple_cycle(network: Network, line: int, other: int) -> bool:
     Answered through block equality: two distinct edges lie on a common
     simple cycle exactly when they share a non-bridge block.
     """
+    return _shares_block(block_decomposition(network), line, other)
+
+
+def _shares_block(decomposition: BlockDecomposition, line: int, other: int) -> bool:
     if line == other:
         raise ValueError("lines must be distinct")
-    decomposition = block_decomposition(network)
     for edge_id in (line, other):
         if edge_id not in decomposition.block_of:
             raise UnknownEdgeError(f"unknown edge id {edge_id}")

@@ -26,7 +26,7 @@ from .factors import (
     lodf_single,
     ptdf_matrix,
 )
-from .graph_algos import BlockDecomposition, block_decomposition, is_cut_set, shares_simple_cycle
+from .graph_algos import BlockDecomposition, _shares_block, block_decomposition, is_cut_set
 from .net_model import Network
 
 __all__ = [
@@ -57,7 +57,7 @@ def simple_cycle_criterion(network: Network, line: int, outaged: int) -> str:
     decomposition = block_decomposition(network)
     if outaged in decomposition.bridges:
         raise BridgeOutageError(f"line {outaged} is a bridge; outage factors are undefined")
-    return "possibly_nonzero" if shares_simple_cycle(network, line, outaged) else "zero"
+    return "possibly_nonzero" if _shares_block(decomposition, line, outaged) else "zero"
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,33 +111,29 @@ def block_structure_report(
 
     ptdf = result.ptdf
     K = result.k_matrix
-    scale = float(np.max(np.abs(K))) if K.size else 0.0
+    magnitude = np.abs(K)
+    scale = float(np.max(magnitude, initial=0.0))
     tol = ZERO_RTOL * max(1.0, scale)
 
-    block_of = decomposition.block_of
-    cross_max = 0.0
-    zero_count = 0
-    for r, line in enumerate(outage.surviving):
-        for c, tripped in enumerate(outage.outaged):
-            value = abs(float(K[r, c]))
-            if block_of[line] != block_of[tripped]:
-                cross_max = max(cross_max, value)
-            elif value < tol:
-                zero_count += 1
+    row_block = np.array([decomposition.block_of[line] for line in outage.surviving], dtype=int)
+    col_block = np.array([decomposition.block_of[line] for line in outage.outaged], dtype=int)
+    same_block = row_block[:, None] == col_block[None, :]
+    cross_max = float(np.max(magnitude[~same_block], initial=0.0))
+    zero_count = int(np.count_nonzero(magnitude[same_block] < tol))
 
     C = result.bundle.incidence
     A = result.bundle.A
     b = network.susceptances()
 
     blocks = []
-    for index, members in enumerate(decomposition.blocks):
-        col_ids = tuple(line for line in outage.outaged if line in members)
-        if not col_ids:
-            continue
-        row_ids = tuple(line for line in outage.surviving if line in members)
+    for index in np.unique(col_block).tolist():
+        full_cols = np.flatnonzero(col_block == index)
+        full_rows = np.flatnonzero(row_block == index)
+        col_ids = tuple(outage.outaged[k] for k in full_cols.tolist())
+        row_ids = tuple(outage.surviving[k] for k in full_rows.tolist())
 
-        rows = np.array([ptdf.index(line) for line in row_ids], dtype=int)
-        cols = np.array([ptdf.index(line) for line in col_ids], dtype=int)
+        rows = outage.surviving_idx[full_rows]
+        cols = outage.outaged_idx[full_cols]
         d_kept = ptdf.matrix[np.ix_(rows, cols)] if rows.size else np.zeros((0, cols.size))
         d_out = ptdf.matrix[np.ix_(cols, cols)]
         eye = np.eye(len(col_ids))
@@ -148,21 +144,15 @@ def block_structure_report(
             np.linalg.solve((eye - d_out).T, d_kept.T).T if rows.size else np.zeros((0, cols.size))
         )
 
-        row_edge_idx = np.array([network.edge_index(line) for line in row_ids], dtype=int)
-        col_edge_idx = np.array([network.edge_index(line) for line in col_ids], dtype=int)
-        c_kept = C[:, row_edge_idx]
-        c_out = C[:, col_edge_idx]
-        inner = np.eye(len(col_ids)) - (b[col_edge_idx][:, None] * (c_out.T @ A @ c_out))
-        if row_edge_idx.size:
-            lead = b[row_edge_idx][:, None] * (c_kept.T @ A @ c_out)
+        c_kept = C[:, rows]
+        c_out = C[:, cols]
+        inner = eye - (b[cols][:, None] * (c_out.T @ A @ c_out))
+        if rows.size:
+            lead = b[rows][:, None] * (c_kept.T @ A @ c_out)
             k_parts = np.linalg.solve(inner.T, lead.T).T
         else:
             k_parts = np.zeros((0, cols.size))
 
-        full_rows = np.array(
-            [outage.surviving.index(line) for line in row_ids], dtype=int
-        )
-        full_cols = np.array([outage.outaged.index(line) for line in col_ids], dtype=int)
         restricted = (
             K[np.ix_(full_rows, full_cols)] if full_rows.size else np.zeros((0, cols.size))
         )

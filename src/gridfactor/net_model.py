@@ -12,7 +12,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,9 @@ class Network:
     which fixes both the line indexing and the edge orientation.
     ``injections`` is the optional per-node real power vector aligned with
     ``nodes``.
+
+    The id-to-position index of nodes and edges is built once per instance,
+    on first use, and is not part of equality, hashing or ``repr``.
     """
 
     nodes: tuple[int, ...]
@@ -73,17 +77,37 @@ class Network:
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def _node_lookup(self) -> dict[int, int]:
+        return {node: k for k, node in enumerate(self.nodes)}
+
+    @cached_property
+    def _edge_lookup(self) -> dict[int, int]:
+        return {edge.id: k for k, edge in enumerate(self.edges)}
+
     def node_index(self, node: int) -> int:
         try:
-            return _node_positions(self)[node]
+            return self._node_lookup[node]
         except KeyError:
             raise ValidationError(f"unknown node {node}") from None
 
     def edge_index(self, edge_id: int) -> int:
         try:
-            return _edge_positions(self)[edge_id]
+            return self._edge_lookup[edge_id]
         except KeyError:
             raise UnknownEdgeError(f"unknown edge id {edge_id}") from None
+
+    def edge_positions(self, edge_ids) -> np.ndarray:
+        """Positions of the given edge ids, in iteration order.
+
+        Raises UnknownEdgeError naming every id that is not a line here.
+        """
+        ids = list(edge_ids)
+        lookup = self._edge_lookup
+        missing = {v for v in ids if v not in lookup}
+        if missing:
+            raise UnknownEdgeError(f"unknown edge ids {sorted(missing)}")
+        return np.array([lookup[v] for v in ids], dtype=int)
 
     def edge_by_id(self, edge_id: int) -> Edge:
         return self.edges[self.edge_index(edge_id)]
@@ -122,23 +146,9 @@ class Network:
 
     def without_edges(self, edge_ids) -> "Network":
         """Copy with the given lines removed; surviving edges keep their ids."""
-        drop = set(edge_ids)
-        known = {edge.id for edge in self.edges}
-        missing = drop - known
-        if missing:
-            raise UnknownEdgeError(f"unknown edge ids {sorted(missing)}")
-        edges = tuple(edge for edge in self.edges if edge.id not in drop)
-        return replace(self, edges=edges)
-
-
-@lru_cache(maxsize=4096)
-def _node_positions(network: Network) -> dict[int, int]:
-    return {node: k for k, node in enumerate(network.nodes)}
-
-
-@lru_cache(maxsize=4096)
-def _edge_positions(network: Network) -> dict[int, int]:
-    return {edge.id: k for k, edge in enumerate(network.edges)}
+        keep = np.ones(self.m, dtype=bool)
+        keep[self.edge_positions(set(edge_ids))] = False
+        return replace(self, edges=tuple(compress(self.edges, keep)))
 
 
 @dataclass(frozen=True)
@@ -317,7 +327,7 @@ def network_to_document(network: Network) -> dict:
 def incidence_matrix(network: Network) -> np.ndarray:
     """Signed node-edge incidence matrix C (+1 at each source, -1 at each target)."""
     C = np.zeros((network.n, network.m))
-    positions = {node: k for k, node in enumerate(network.nodes)}
+    positions = network._node_lookup
     for col, edge in enumerate(network.edges):
         C[positions[edge.source], col] = 1.0
         C[positions[edge.target], col] = -1.0

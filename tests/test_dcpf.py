@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -166,3 +168,20 @@ def test_singular_error_on_disconnected_graph():
     )
     with pytest.raises(SingularError):
         build_laplacian(net)
+
+
+def test_large_grid_builds_without_overflow_warning():
+    # With b=2 the reduced determinant of a 25x25 grid (n=625) is 2^624 times
+    # its ~1e297 spanning trees, past float range: it reads +inf, with no
+    # warning on every build.
+    k = 25
+    node = lambda r, c: r * k + c + 1  # noqa: E731
+    edges = [{"from": node(r, c), "to": node(r, c + 1), "b": 2.0}
+             for r in range(k) for c in range(k - 1)]
+    edges += [{"from": node(r, c), "to": node(r + 1, c), "b": 2.0}
+              for r in range(k - 1) for c in range(k)]
+    net = build({"nodes": list(range(1, k * k + 1)), "edges": edges})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        bundle = build_laplacian(net)
+    assert bundle.reduced_determinant == np.inf

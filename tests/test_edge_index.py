@@ -1,0 +1,110 @@
+"""The network's id-to-position index and the callers that rely on it."""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridfactor import (
+    OutageSet,
+    UnknownEdgeError,
+    block_decomposition,
+    build_laplacian,
+    glodf,
+    is_cut_set,
+    ptdf_matrix,
+    run_cascade,
+    solve_flow,
+)
+
+from conftest import (
+    build,
+    random_balanced_injection,
+    random_network,
+    sample_non_cut_outage,
+    triangle_doc,
+)
+
+
+def _use_and_forget(doc):
+    net = build(doc)
+    net.edge_index(2)
+    bundle = build_laplacian(net)
+    glodf(bundle, ptdf_matrix(bundle, net), net, OutageSet(net, [1]))
+    block_decomposition(net)
+    run_cascade(net, net.injections, [1])
+    return weakref.ref(net)
+
+
+def test_network_is_collected_after_use():
+    ref = _use_and_forget(triangle_doc())
+    gc.collect()
+    assert ref() is None
+
+
+def test_index_is_not_part_of_equality(triangle):
+    fresh = build(triangle_doc())
+    triangle.edge_index(1)
+    triangle.node_index(1)
+    assert triangle == fresh
+    assert hash(triangle) == hash(fresh)
+    assert repr(triangle) == repr(fresh)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda net, ids: OutageSet(net, ids), id="OutageSet"),
+    pytest.param(lambda net, ids: net.without_edges(ids), id="without_edges"),
+    pytest.param(lambda net, ids: is_cut_set(net, ids), id="is_cut_set"),
+    pytest.param(lambda net, ids: run_cascade(net, net.injections, ids), id="run_cascade"),
+])
+def test_unknown_ids_are_all_named(triangle, call):
+    with pytest.raises(UnknownEdgeError, match=r"unknown edge ids \[0, 7, 9\]"):
+        call(triangle, [9, 1, 7, 0])
+
+
+def _loop_embedded(network, cumulative, p):
+    surviving = network.without_edges(cumulative)
+    state = solve_flow(build_laplacian(surviving), surviving, p)
+    flows = np.zeros(network.m)
+    for k, edge in enumerate(surviving.edges):
+        flows[network.edge_index(edge.id)] = state.flows[k]
+    return state.theta, flows
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_positions_and_cascade_flows_match_per_id_loops(seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_nodes=10, max_extra=10, min_extra=3)
+    outage = sample_non_cut_outage(rng, net)
+    if outage is None:
+        return
+
+    split = OutageSet(net, outage)
+    positions = np.concatenate([split.outaged_idx, split.surviving_idx])
+    assert sorted(positions.tolist()) == list(range(net.m))
+    assert split.outaged_idx.tolist() == [net.edge_index(v) for v in split.outaged]
+    assert split.surviving_idx.tolist() == [net.edge_index(v) for v in split.surviving]
+    assert set(split.surviving).isdisjoint(split.outaged)
+
+    p = random_balanced_injection(rng, net.n)
+    base = solve_flow(build_laplacian(net), net, p).flows
+    armed = net.with_capacities(np.abs(base) * rng.uniform(1.0, 2.0, net.m) + 1e-3)
+    trace = run_cascade(armed, p, outage)
+    cumulative = set()
+    for stage, following in zip(trace.stages, trace.stages[1:] + (None,)):
+        cumulative |= stage.tripped
+        if stage.flow is None:
+            continue
+        theta, flows = _loop_embedded(armed, cumulative, p)
+        assert np.array_equal(stage.flow.theta, theta)
+        assert np.array_equal(stage.flow.flows, flows)
+        overloaded = {
+            edge.id for edge in armed.edges
+            if edge.id not in cumulative
+            and abs(flows[armed.edge_index(edge.id)]) > edge.capacity
+        }
+        assert overloaded == (set() if following is None else set(following.tripped))
