@@ -18,8 +18,8 @@ import numpy as np
 from .dcpf import FlowState, build_laplacian, solve_flow
 from .errors import MaxStagesError, ValidationError
 from .factors import PtdfMatrix
-from .graph_algos import BlockDecomposition, is_cut_set
-from .net_model import Network, injection_vector
+from .graph_algos import BlockDecomposition
+from .net_model import Network, injection_vector, is_connected
 
 __all__ = ["Stage", "CascadeTrace", "run_cascade", "influence_graph"]
 
@@ -63,12 +63,6 @@ class CascadeTrace:
         return frozenset(out)
 
 
-def _embedded_flow(network: Network, alive: np.ndarray, state: FlowState) -> FlowState:
-    flows = np.zeros(network.m)
-    flows[alive] = state.flows
-    return FlowState(theta=state.theta, flows=flows)
-
-
 def run_cascade(
     network: Network,
     p,
@@ -93,24 +87,28 @@ def run_cascade(
 
     ids = np.array(network.edge_ids())
     capacities = network.capacities()
-    cumulative = set(initial)
-
-    if is_cut_set(network, cumulative):
-        return CascadeTrace(
-            stages=(Stage(tripped=initial, flow=None),),
-            status="islanded",
-            initial_outage=initial,
-            islanded_at_stage=0,
-        )
-
-    surviving = network.without_edges(cumulative)
-    state = _embedded_flow(network, alive, solve_flow(build_laplacian(surviving), surviving, p))
-    stages = [Stage(tripped=initial, flow=state)]
+    stages: list[Stage] = []
+    tripped = initial
 
     while True:
-        over = alive & (np.abs(state.flows) > capacities)
-        overloaded = frozenset(ids[over].tolist())
-        if not overloaded:
+        surviving = network.without_edges(ids[~alive].tolist())
+        if not is_connected(surviving):
+            stages.append(Stage(tripped=tripped, flow=None))
+            return CascadeTrace(
+                stages=tuple(stages),
+                status="islanded",
+                initial_outage=initial,
+                # 0 when the initial outage islands, else the stage count.
+                islanded_at_stage=len(stages) if len(stages) > 1 else 0,
+            )
+
+        state = solve_flow(build_laplacian(surviving), surviving, p)
+        flows = np.zeros(network.m)
+        flows[alive] = state.flows
+        stages.append(Stage(tripped=tripped, flow=FlowState(theta=state.theta, flows=flows)))
+        over = alive & (np.abs(flows) > capacities)
+        tripped = frozenset(ids[over].tolist())
+        if not tripped:
             status = "no_initial_overload" if len(stages) == 1 else "converged"
             return CascadeTrace(
                 stages=tuple(stages),
@@ -122,23 +120,7 @@ def run_cascade(
             raise MaxStagesError(
                 f"cascade still propagating after {len(stages)} stages", stages=stages
             )
-
-        cumulative |= overloaded
         alive &= ~over
-        if is_cut_set(network, cumulative):
-            stages.append(Stage(tripped=overloaded, flow=None))
-            return CascadeTrace(
-                stages=tuple(stages),
-                status="islanded",
-                initial_outage=initial,
-                islanded_at_stage=len(stages),
-            )
-
-        surviving = network.without_edges(cumulative)
-        state = _embedded_flow(
-            network, alive, solve_flow(build_laplacian(surviving), surviving, p)
-        )
-        stages.append(Stage(tripped=overloaded, flow=state))
 
 
 def influence_graph(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -272,6 +273,16 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _env_tolerance() -> float:
+    raw = os.environ.get("GRIDFACTOR_TOL")
+    if raw is None:
+        return DEFAULT_TOL
+    try:
+        return float(raw)
+    except ValueError:
+        raise InputError(f"bad GRIDFACTOR_TOL value {raw!r}; expected a real number") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridfactor",
@@ -286,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--tol",
             type=float,
-            default=float(os.environ.get("GRIDFACTOR_TOL", DEFAULT_TOL)),
+            default=None,
             help="identity-check tolerance (env GRIDFACTOR_TOL; flag wins)",
         )
         p.add_argument("--seed", type=int, default=0, help="seed for randomized statistics")
@@ -349,6 +360,10 @@ def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.tol is None:
+            args.tol = _env_tolerance()
+        if not 0.0 <= args.tol < math.inf:
+            raise InputError(f"tolerance must be finite and nonnegative, got {args.tol}")
         return args.handler(args)
     except InputError as exc:
         print(f"gridfactor: {exc}", file=sys.stderr)

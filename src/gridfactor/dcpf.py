@@ -1,11 +1,11 @@
-"""Laplacian assembly, reduced-Laplacian inversion, and DC power-flow solving.
+"""Laplacian assembly, reduced-Laplacian LU factorization, and DC power-flow solving.
 
-The weighted Laplacian is L = C B C^T.  Deleting the reference row and
-column gives the reduced Laplacian, whose dense LU inverse is padded back
-with a zero row and column at the reference position to form the matrix A
-that maps balanced injections to phase angles with a zero reference angle.
-Everything here is dense; the target networks are a few thousand buses at
-most.
+The weighted Laplacian L = C B C^T is assembled edge by edge.  Deleting the
+reference row and column gives the reduced Laplacian, factored once by a
+dense LU; each DC solve is one pair of triangular solves with a zero
+reference angle.  The matrix A, the reduced inverse padded with a zero row
+and column at the reference, is built from the same factors only when a
+caller reads it.  Networks of a few thousand buses at most are the target.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SingularError
-from .net_model import Network, incidence_matrix, injection_vector
+from .net_model import Network, endpoint_positions, injection_vector
 
 __all__ = ["LaplacianBundle", "FlowState", "build_laplacian", "solve_flow", "pseudo_inverse_flow"]
 
@@ -41,22 +41,26 @@ class FlowState:
 
 
 class LaplacianBundle:
-    """Laplacian L, its padded reduced inverse A, and the pseudo-inverse.
+    """Laplacian L, the LU factors of its reduced form, and lazy inverses.
 
-    Immutable after construction; the pseudo-inverse is computed on first
-    access.  Raising SingularError on a vanished pivot doubles as a
-    disconnection signal, independent of the graph-side connectivity check.
+    Immutable after construction; :meth:`solve` applies A without forming
+    it, and A and the pseudo-inverse are computed on first access.
+    ``source`` and ``target`` hold each edge's endpoint positions.  Raising
+    SingularError on a vanished pivot doubles as a disconnection signal,
+    independent of the graph-side connectivity check.
     """
 
     def __init__(self, network: Network):
         self.network = network
-        self.incidence = incidence_matrix(network)
+        n = network.n
+        self.source, self.target = endpoint_positions(network)
         b = network.susceptances()
-        self.L = self.incidence @ (b[:, None] * self.incidence.T)
+        s, t = self.source, self.target
+        flat = np.concatenate([s * (n + 1), t * (n + 1), s * n + t, t * n + s])
+        self.L = np.bincount(flat, np.concatenate([b, b, -b, -b]), minlength=n * n).reshape(n, n)
 
-        ref = network.reference_index()
-        keep = [k for k in range(network.n) if k != ref]
-        reduced = self.L[np.ix_(keep, keep)]
+        self._keep = np.delete(np.arange(n), network.reference_index())
+        reduced = self.L[np.ix_(self._keep, self._keep)]
 
         with warnings.catch_warnings():
             # The pivot check below is the singularity detector; silence
@@ -69,14 +73,21 @@ class LaplacianBundle:
             raise SingularError(
                 "reduced Laplacian is numerically singular (graph likely disconnected)"
             )
-        inverse = scipy.linalg.lu_solve((lu, piv), np.eye(len(keep)), check_finite=False)
-
-        A = np.zeros((network.n, network.n))
-        A[np.ix_(keep, keep)] = inverse
-        self.A = A
+        self._factor = (lu, piv)
         with np.errstate(over="ignore"):
             # Past float range the determinant is reported as +-inf.
             self._reduced_det = float(np.prod(np.diag(lu))) * _permutation_sign(piv)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A @ rhs, for one column or several, from the LU factors."""
+        out = np.zeros(rhs.shape)
+        out[self._keep] = scipy.linalg.lu_solve(self._factor, rhs[self._keep], check_finite=False)
+        return out
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        """Reduced inverse padded with a zero row and column at the reference."""
+        return self.solve(np.eye(self.network.n))
 
     @property
     def reduced_determinant(self) -> float:
@@ -96,18 +107,19 @@ def _permutation_sign(piv: np.ndarray) -> float:
 
 
 def build_laplacian(network: Network) -> LaplacianBundle:
-    """Assemble L and A for a connected network."""
+    """Assemble L and factor its reduced form for a connected network."""
     return LaplacianBundle(network)
 
 
 def solve_flow(bundle: LaplacianBundle, network: Network, p) -> FlowState:
     """DC power flow with the reference angle pinned at zero.
 
-    theta = A p and f = B C^T theta.  The injections must be balanced.
+    theta = A p, solved with the bundle's LU factors, and f = B C^T theta.
+    The injections must be balanced.
     """
     p = injection_vector(network, p)
-    theta = bundle.A @ p
-    flows = network.susceptances() * (bundle.incidence.T @ theta)
+    theta = bundle.solve(p)
+    flows = network.susceptances() * (theta[bundle.source] - theta[bundle.target])
     return FlowState(theta=theta, flows=flows)
 
 
@@ -119,5 +131,5 @@ def pseudo_inverse_flow(bundle: LaplacianBundle, network: Network, p) -> FlowSta
     """
     p = injection_vector(network, p)
     theta = bundle.ldag @ p
-    flows = network.susceptances() * (bundle.incidence.T @ theta)
+    flows = network.susceptances() * (theta[bundle.source] - theta[bundle.target])
     return FlowState(theta=theta, flows=flows)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .dcpf import FlowState, LaplacianBundle, build_laplacian, solve_flow
 from .errors import BridgeOutageError, CutSetError, SingularError, UnknownEdgeError, ValidationError
-from .graph_algos import BlockDecomposition, is_cut_set
-from .net_model import Network, incidence_matrix, injection_vector
+from .graph_algos import BlockDecomposition
+from .net_model import Network, incidence_matrix, injection_vector, is_connected
 
 __all__ = [
     "PtdfMatrix",
@@ -84,17 +84,11 @@ class OutageSet:
     def size(self) -> int:
         return len(self.outaged)
 
-    def susceptance_out(self) -> np.ndarray:
-        return self.network.susceptances()[self.outaged_idx]
-
     def susceptance_kept(self) -> np.ndarray:
         return self.network.susceptances()[self.surviving_idx]
 
     def incidence_out(self) -> np.ndarray:
         return incidence_matrix(self.network)[:, self.outaged_idx]
-
-    def incidence_kept(self) -> np.ndarray:
-        return incidence_matrix(self.network)[:, self.surviving_idx]
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,9 +122,10 @@ class GlodfResult:
 
 def ptdf_matrix(bundle: LaplacianBundle, network: Network) -> PtdfMatrix:
     """Full m-by-m sensitivity matrix D = B C^T A C."""
-    C = bundle.incidence
+    C = incidence_matrix(network)
     b = network.susceptances()
-    matrix = b[:, None] * (C.T @ bundle.A @ C)
+    matrix = C.T @ bundle.A @ C
+    matrix *= b[:, None]  # in place: the m-by-m product is the peak allocation
     return PtdfMatrix(matrix=matrix, line_ids=network.edge_ids())
 
 
@@ -175,6 +170,14 @@ def _solve_right(numerator: np.ndarray, system: np.ndarray) -> np.ndarray:
         raise SingularError(f"I - D_FF is numerically singular: {exc}") from None
 
 
+def _surviving_network(network: Network, outage: OutageSet) -> Network:
+    """The network without the outaged lines; raises CutSetError if it splits."""
+    surviving = network.without_edges(outage.outaged)
+    if not is_connected(surviving):
+        raise CutSetError(f"outage {outage.outaged} disconnects the network")
+    return surviving
+
+
 def glodf(
     bundle: LaplacianBundle,
     ptdf: PtdfMatrix,
@@ -186,7 +189,7 @@ def glodf(
 
     Methods:
       pre_contingency   D_-FF (I - D_FF)^-1, reusing the factored network
-      post_contingency  B_-F C_-F^T A' C_F with A' from the surviving graph
+      post_contingency  B_-F C_-F^T A' C_F, solving A' C_F with the surviving graph's factor
       via_stack         K_-FF (I - diag D_FF) (I - D_FF)^-1
       cross_check       all three, recording the max pairwise disagreement
 
@@ -195,8 +198,7 @@ def glodf(
     """
     if method not in GLODF_METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {GLODF_METHODS}")
-    if is_cut_set(network, outage.outaged):
-        raise CutSetError(f"outage {outage.outaged} disconnects the network")
+    surviving = _surviving_network(network, outage)
 
     rows, cols = outage.surviving_idx, outage.outaged_idx
     d_kept_out = ptdf.matrix[np.ix_(rows, cols)]
@@ -207,11 +209,9 @@ def glodf(
         return _solve_right(d_kept_out, eye - d_out_out)
 
     def post_contingency():
-        surviving = network.without_edges(outage.outaged)
         sub_bundle = build_laplacian(surviving)
-        c_full = bundle.incidence
-        b_kept = outage.susceptance_kept()
-        return b_kept[:, None] * (c_full[:, outage.surviving_idx].T @ sub_bundle.A @ c_full[:, outage.outaged_idx])
+        theta = sub_bundle.solve(outage.incidence_out())
+        return outage.susceptance_kept()[:, None] * (theta[sub_bundle.source] - theta[sub_bundle.target])
 
     def via_stack():
         stack = lodf_stack(ptdf, outage)
@@ -262,14 +262,10 @@ def apply_outage(
     vector keeps full length with zeros at the tripped lines.
     """
     p = injection_vector(network, p)
-    if is_cut_set(network, outage.outaged):
-        raise CutSetError(f"outage {outage.outaged} disconnects the network")
+    surviving = _surviving_network(network, outage)
 
     pre = solve_flow(bundle, network, p)
-
-    surviving = network.without_edges(outage.outaged)
-    sub_bundle = build_laplacian(surviving)
-    post_sub = solve_flow(sub_bundle, surviving, p)
+    post_sub = solve_flow(build_laplacian(surviving), surviving, p)
 
     flows = np.zeros(network.m)
     flows[outage.surviving_idx] = post_sub.flows

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import DisconnectedError, UnknownEdgeError
-from .net_model import Network, _is_connected
+from .net_model import Network, is_connected
 
 __all__ = ["BlockDecomposition", "block_decomposition", "is_cut_set", "shares_simple_cycle"]
 
@@ -51,7 +51,7 @@ def block_decomposition(network: Network) -> BlockDecomposition:
     Iterative depth-first search with an edge stack (linear in nodes plus
     edges).  Raises DisconnectedError when the graph is not connected.
     """
-    if not _is_connected(network):
+    if not is_connected(network):
         raise DisconnectedError("block decomposition requires a connected network")
 
     adj = _adjacency(network)
@@ -130,7 +130,7 @@ def is_cut_set(network: Network, outage) -> bool:
     Every node counts, so isolating a single bus is detected.  Raises
     UnknownEdgeError naming every id that is not a line of the network.
     """
-    return not _is_connected(network.without_edges(outage))
+    return not is_connected(network.without_edges(outage))
 
 
 def shares_simple_cycle(network: Network, line: int, other: int) -> bool:

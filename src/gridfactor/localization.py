@@ -27,7 +27,7 @@ from .factors import (
     ptdf_matrix,
 )
 from .graph_algos import BlockDecomposition, _shares_block, block_decomposition, is_cut_set
-from .net_model import Network
+from .net_model import Network, incidence_matrix
 
 __all__ = [
     "PerturbationSpec",
@@ -121,7 +121,7 @@ def block_structure_report(
     cross_max = float(np.max(magnitude[~same_block], initial=0.0))
     zero_count = int(np.count_nonzero(magnitude[same_block] < tol))
 
-    C = result.bundle.incidence
+    C = incidence_matrix(network)
     A = result.bundle.A
     b = network.susceptances()
 

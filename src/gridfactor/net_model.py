@@ -27,7 +27,9 @@ __all__ = [
     "ValidationReport",
     "load_network",
     "network_to_document",
+    "endpoint_positions",
     "incidence_matrix",
+    "is_connected",
     "validate",
     "injection_vector",
 ]
@@ -324,17 +326,24 @@ def network_to_document(network: Network) -> dict:
     return doc
 
 
+def endpoint_positions(network: Network) -> tuple[np.ndarray, np.ndarray]:
+    """Node positions of every edge's source and of its target, in edge order."""
+    positions = network._node_lookup
+    pairs = [(positions[edge.source], positions[edge.target]) for edge in network.edges]
+    return tuple(np.array(pairs, dtype=int).reshape(-1, 2).T)
+
+
 def incidence_matrix(network: Network) -> np.ndarray:
     """Signed node-edge incidence matrix C (+1 at each source, -1 at each target)."""
     C = np.zeros((network.n, network.m))
-    positions = network._node_lookup
-    for col, edge in enumerate(network.edges):
-        C[positions[edge.source], col] = 1.0
-        C[positions[edge.target], col] = -1.0
+    source, target = endpoint_positions(network)
+    C[source, np.arange(network.m)] = 1.0
+    C[target, np.arange(network.m)] = -1.0
     return C
 
 
-def _is_connected(network: Network) -> bool:
+def is_connected(network: Network) -> bool:
+    """True when every node is reachable from every other through the edges."""
     if network.n == 0:
         return True
     parent = {node: node for node in network.nodes}
@@ -391,7 +400,9 @@ def validate(network: Network) -> ValidationReport:
         for endpoint in (edge.source, edge.target):
             if endpoint not in node_set:
                 findings.append(Finding("unknown_endpoint", f"edge {edge.id} uses unknown node {endpoint}"))
-        if not edge.susceptance > 0:
+        if not math.isfinite(edge.susceptance):
+            findings.append(Finding("nonfinite_susceptance", f"edge {edge.id} has b={edge.susceptance}"))
+        elif not edge.susceptance > 0:
             findings.append(Finding("nonpositive_susceptance", f"edge {edge.id} has b={edge.susceptance}"))
         if not edge.capacity > 0:
             findings.append(Finding("nonpositive_capacity", f"edge {edge.id} has cap={edge.capacity}"))
@@ -403,7 +414,7 @@ def validate(network: Network) -> ValidationReport:
         ))
 
     clean_endpoints = not any(f.code in ("unknown_endpoint", "duplicate_node") for f in findings)
-    if clean_endpoints and network.n >= 2 and not _is_connected(network):
+    if clean_endpoints and network.n >= 2 and not is_connected(network):
         findings.append(Finding("disconnected", "network is not connected"))
 
     return ValidationReport(tuple(findings))
@@ -413,6 +424,7 @@ def injection_vector(network: Network, values=None) -> np.ndarray:
     """Validated balanced injection vector aligned with ``network.nodes``.
 
     Uses ``network.injections`` when ``values`` is omitted.  Raises
+    ValidationError when an entry is NaN or infinite, and
     UnbalancedInjectionError when the entries do not sum to zero within
     ``BALANCE_RTOL * max(1, max|p|)``.
     """
@@ -423,6 +435,8 @@ def injection_vector(network: Network, values=None) -> np.ndarray:
     p = np.asarray(values, dtype=float)
     if p.shape != (network.n,):
         raise ValidationError(f"expected {network.n} injections, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise ValidationError("injections must be finite")
     scale = max(1.0, float(np.max(np.abs(p))) if p.size else 1.0)
     if abs(float(p.sum())) > BALANCE_RTOL * scale:
         raise UnbalancedInjectionError(f"injections sum to {p.sum():.3e}, not zero")

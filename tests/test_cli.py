@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -147,3 +148,48 @@ def test_tol_env_override(monkeypatch, capsys, triangle_path):
     assert run(["verify", triangle_path, "--tol", "1e-6"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["tolerance"] == 1e-6
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "-1", "inf"])
+def test_bad_tol_is_input_error(monkeypatch, capsys, triangle_path, value):
+    monkeypatch.setenv("GRIDFACTOR_TOL", value)
+    assert run(["flow", triangle_path]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err
+    # The explicit flag still wins; the variable is not read.
+    assert run(["verify", triangle_path, "--tol", "1e-6"]) == 0
+    monkeypatch.delenv("GRIDFACTOR_TOL")
+    if value != "abc":
+        assert run(["verify", triangle_path, "--tol", value]) == 1
+
+
+def _set_b(doc, value):
+    doc["edges"][0]["b"] = value
+
+
+def _set_cap(doc, value):
+    doc["edges"][0]["cap"] = value
+
+
+def _set_injection(doc, value):
+    doc["injections"]["1"] = value
+
+
+@pytest.mark.parametrize("edit, value, code", [
+    pytest.param(_set_b, math.inf, 1, id="b=inf"),
+    pytest.param(_set_b, math.nan, 1, id="b=nan"),
+    pytest.param(_set_injection, math.nan, 1, id="injection=nan"),
+    pytest.param(_set_injection, math.inf, 1, id="injection=inf"),
+    pytest.param(_set_cap, math.inf, 0, id="cap=inf"),
+])
+def test_nonfinite_document_values(tmp_path, capsys, edit, value, code):
+    doc = triangle_doc()
+    edit(doc, value)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))  # writes the JSON extensions Infinity / NaN
+    assert run(["flow", str(path)]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err
+    else:
+        assert all(math.isfinite(v) for v in json.loads(out)["flows"].values())

@@ -5,14 +5,20 @@ import pytest
 
 from gridfactor import (
     Edge,
+    LaplacianBundle,
     Network,
+    OutageSet,
     SingularError,
     UnbalancedInjectionError,
+    apply_outage,
     build_laplacian,
     enumerate_spanning_trees,
+    glodf,
     incidence_matrix,
     injection_vector,
+    ptdf_matrix,
     pseudo_inverse_flow,
+    run_cascade,
     solve_flow,
 )
 
@@ -185,3 +191,21 @@ def test_large_grid_builds_without_overflow_warning():
         warnings.simplefilter("error", RuntimeWarning)
         bundle = build_laplacian(net)
     assert bundle.reduced_determinant == np.inf
+
+
+def test_solves_never_build_the_inverse(monkeypatch, k4):
+    bundle = build_laplacian(k4)
+    ptdf = ptdf_matrix(bundle, k4)
+
+    def refuse(self):
+        raise AssertionError("the dense inverse A was built")
+
+    monkeypatch.setattr(LaplacianBundle, "A", property(refuse), raising=False)
+    p = [1.0, 0.5, -0.5, -1.0]
+    outage = OutageSet(k4, [1, 2])
+    solve_flow(bundle, k4, p)
+    apply_outage(bundle, k4, p, outage)
+    glodf(bundle, ptdf, k4, outage, method="post_contingency")
+    # Trips line 2, then line 4, then settles: three re-solves.
+    armed = k4.with_capacities([0.3, 0.3, 1.0, 0.3, 0.6, 0.6])
+    assert run_cascade(armed, p, [1]).tripped_by_stage() == ({1}, {2}, {4})

@@ -14,6 +14,7 @@ from gridfactor import (
     block_decomposition,
     build_laplacian,
     glodf,
+    incidence_matrix,
     is_cut_set,
     ptdf_matrix,
     run_cascade,
@@ -91,7 +92,13 @@ def test_positions_and_cascade_flows_match_per_id_loops(seed):
     assert set(split.surviving).isdisjoint(split.outaged)
 
     p = random_balanced_injection(rng, net.n)
-    base = solve_flow(build_laplacian(net), net, p).flows
+    bundle = build_laplacian(net)
+    C = incidence_matrix(net)
+    assert np.max(np.abs(bundle.L - C @ np.diag(net.susceptances()) @ C.T)) <= 1e-12
+    state = solve_flow(bundle, net, p)
+    dense = bundle.A @ p
+    assert np.max(np.abs(state.theta - dense)) <= 1e-12 * max(1.0, np.max(np.abs(dense)))
+    base = state.flows
     armed = net.with_capacities(np.abs(base) * rng.uniform(1.0, 2.0, net.m) + 1e-3)
     trace = run_cascade(armed, p, outage)
     cumulative = set()
