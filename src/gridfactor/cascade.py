@@ -19,7 +19,7 @@ from .dcpf import FlowState, build_laplacian, solve_flow
 from .errors import MaxStagesError, ValidationError
 from .factors import PtdfMatrix
 from .graph_algos import BlockDecomposition
-from .net_model import Network, injection_vector, is_connected
+from .net_model import Network, injection_vector
 
 __all__ = ["Stage", "CascadeTrace", "run_cascade", "influence_graph"]
 
@@ -74,7 +74,10 @@ def run_cascade(
     ``max_stages`` bounds the number of recorded stages (default: the line
     count, which the cascade can never exceed since every stage trips at
     least one line).  Exceeding it raises MaxStagesError carrying the
-    stages simulated so far.
+    stages simulated so far.  Islanding is decided at every stage near the
+    tripped lines (:meth:`Network.disconnected_by` on the cumulative
+    outage), and the surviving network is built only for a connected
+    stage's re-solve.
     """
     p = injection_vector(network, p)
     initial = frozenset(int(v) for v in initial_outage)
@@ -91,8 +94,7 @@ def run_cascade(
     tripped = initial
 
     while True:
-        surviving = network.without_edges(ids[~alive].tolist())
-        if not is_connected(surviving):
+        if network.disconnected_by(np.flatnonzero(~alive)):
             stages.append(Stage(tripped=tripped, flow=None))
             return CascadeTrace(
                 stages=tuple(stages),
@@ -102,6 +104,7 @@ def run_cascade(
                 islanded_at_stage=len(stages) if len(stages) > 1 else 0,
             )
 
+        surviving = network.without_edges(ids[~alive].tolist())
         state = solve_flow(build_laplacian(surviving), surviving, p)
         flows = np.zeros(network.m)
         flows[alive] = state.flows
@@ -142,13 +145,11 @@ def influence_graph(
     for members in decomposition.blocks:
         if len(members) < 2:
             continue
-        ordered = sorted(members)
-        for a_pos, a in enumerate(ordered):
-            ia = ptdf.index(a)
-            for b in ordered[a_pos + 1:]:
-                ib = ptdf.index(b)
-                k_b_after_a = ptdf.matrix[ib, ia] / (1.0 - diag[ia])
-                k_a_after_b = ptdf.matrix[ia, ib] / (1.0 - diag[ib])
-                if abs(k_b_after_a) >= threshold or abs(k_a_after_b) >= threshold:
-                    pairs.append((a, b))
+        ordered = np.array(sorted(members))
+        positions = np.array([ptdf.index(line) for line in ordered.tolist()])
+        # factor[i, j]: flow change on line i per unit pre-outage flow on tripped line j.
+        factor = ptdf.matrix[np.ix_(positions, positions)] / (1.0 - diag[positions])[None, :]
+        strong = np.maximum(np.abs(factor), np.abs(factor.T)) >= threshold
+        rows, cols = np.nonzero(np.triu(strong, 1))
+        pairs.extend(zip(ordered[rows].tolist(), ordered[cols].tolist()))
     return tuple(sorted(pairs))

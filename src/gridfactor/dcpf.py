@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SingularError
-from .net_model import Network, endpoint_positions, injection_vector
+from .net_model import Network, injection_vector
 
 __all__ = ["LaplacianBundle", "FlowState", "build_laplacian", "solve_flow", "pseudo_inverse_flow"]
 
@@ -53,7 +53,7 @@ class LaplacianBundle:
     def __init__(self, network: Network):
         self.network = network
         n = network.n
-        self.source, self.target = endpoint_positions(network)
+        self.source, self.target = network.endpoints
         b = network.susceptances()
         s, t = self.source, self.target
         flat = np.concatenate([s * (n + 1), t * (n + 1), s * n + t, t * n + s])

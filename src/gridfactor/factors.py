@@ -10,13 +10,14 @@ cross-check mode evaluates all of them and records their disagreement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .dcpf import FlowState, LaplacianBundle, build_laplacian, solve_flow
 from .errors import BridgeOutageError, CutSetError, SingularError, UnknownEdgeError, ValidationError
 from .graph_algos import BlockDecomposition
-from .net_model import Network, incidence_matrix, injection_vector, is_connected
+from .net_model import Network, incidence_matrix, injection_vector
 
 __all__ = [
     "PtdfMatrix",
@@ -78,7 +79,10 @@ class OutageSet:
         self.outaged = tuple(lines)
         self.outaged_idx = outaged_idx
         self.surviving_idx = np.delete(np.arange(network.m), outaged_idx)
-        self.surviving = tuple(network.edges[k].id for k in self.surviving_idx.tolist())
+
+    @cached_property
+    def surviving(self) -> tuple[int, ...]:
+        return tuple(self.network.edges[k].id for k in self.surviving_idx.tolist())
 
     @property
     def size(self) -> int:
@@ -170,14 +174,6 @@ def _solve_right(numerator: np.ndarray, system: np.ndarray) -> np.ndarray:
         raise SingularError(f"I - D_FF is numerically singular: {exc}") from None
 
 
-def _surviving_network(network: Network, outage: OutageSet) -> Network:
-    """The network without the outaged lines; raises CutSetError if it splits."""
-    surviving = network.without_edges(outage.outaged)
-    if not is_connected(surviving):
-        raise CutSetError(f"outage {outage.outaged} disconnects the network")
-    return surviving
-
-
 def glodf(
     bundle: LaplacianBundle,
     ptdf: PtdfMatrix,
@@ -194,11 +190,14 @@ def glodf(
       cross_check       all three, recording the max pairwise disagreement
 
     Raises CutSetError when the outage disconnects the grid; the inverse of
-    I - D_FF exists whenever it does not.
+    I - D_FF exists whenever it does not.  Islanding is decided near the
+    tripped lines (:meth:`Network.disconnected_by`); only
+    ``post_contingency`` builds the surviving network, for its solve.
     """
     if method not in GLODF_METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {GLODF_METHODS}")
-    surviving = _surviving_network(network, outage)
+    if network.disconnected_by(outage.outaged_idx):
+        raise CutSetError(f"outage {outage.outaged} disconnects the network")
 
     rows, cols = outage.surviving_idx, outage.outaged_idx
     d_kept_out = ptdf.matrix[np.ix_(rows, cols)]
@@ -209,7 +208,7 @@ def glodf(
         return _solve_right(d_kept_out, eye - d_out_out)
 
     def post_contingency():
-        sub_bundle = build_laplacian(surviving)
+        sub_bundle = build_laplacian(network.without_edges(outage.outaged))
         theta = sub_bundle.solve(outage.incidence_out())
         return outage.susceptance_kept()[:, None] * (theta[sub_bundle.source] - theta[sub_bundle.target])
 
@@ -262,7 +261,9 @@ def apply_outage(
     vector keeps full length with zeros at the tripped lines.
     """
     p = injection_vector(network, p)
-    surviving = _surviving_network(network, outage)
+    if network.disconnected_by(outage.outaged_idx):
+        raise CutSetError(f"outage {outage.outaged} disconnects the network")
+    surviving = network.without_edges(outage.outaged)
 
     pre = solve_flow(bundle, network, p)
     post_sub = solve_flow(build_laplacian(surviving), surviving, p)

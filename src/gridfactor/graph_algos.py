@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import DisconnectedError, UnknownEdgeError
-from .net_model import Network, is_connected
+from .net_model import Network
 
 __all__ = ["BlockDecomposition", "block_decomposition", "is_cut_set", "shares_simple_cycle"]
 
@@ -37,53 +37,47 @@ class BlockDecomposition:
         return edge_id in self.bridges
 
 
-def _adjacency(network: Network) -> dict[int, list[tuple[int, int]]]:
-    adj: dict[int, list[tuple[int, int]]] = {node: [] for node in network.nodes}
-    for edge in network.edges:
-        adj[edge.source].append((edge.target, edge.id))
-        adj[edge.target].append((edge.source, edge.id))
-    return adj
-
-
 def block_decomposition(network: Network) -> BlockDecomposition:
     """Unique block decomposition of a connected network.
 
     Iterative depth-first search with an edge stack (linear in nodes plus
-    edges).  Raises DisconnectedError when the graph is not connected.
+    edges) over the network's position-space adjacency.  Raises
+    DisconnectedError when the graph is not connected, found as the search
+    needing a second root.
     """
-    if not is_connected(network):
-        raise DisconnectedError("block decomposition requires a connected network")
-
-    adj = _adjacency(network)
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
+    ids = network.edge_ids()
+    adjacency = network._adjacency
+    disc = [-1] * network.n
+    low = [-1] * network.n
     raw_blocks: list[frozenset[int]] = []
     edge_stack: list[int] = []
     clock = 0
 
-    for root in network.nodes:
-        if root in disc:
+    for root in range(network.n):
+        if disc[root] >= 0:
             continue
-        # Each frame: (node, parent edge id, iterator over incident edges).
+        if clock:
+            raise DisconnectedError("block decomposition requires a connected network")
+        # Each frame: (node, parent edge position, iterator over incident edges).
         disc[root] = low[root] = clock
         clock += 1
-        frames = [(root, -1, iter(adj[root]))]
+        frames = [(root, -1, iter(adjacency[root]))]
         while frames:
             node, parent_edge, it = frames[-1]
             advanced = False
-            for other, edge_id in it:
-                if edge_id == parent_edge:
+            for other, edge in it:
+                if edge == parent_edge:
                     continue
-                if other not in disc:
+                if disc[other] < 0:
                     disc[other] = low[other] = clock
                     clock += 1
-                    edge_stack.append(edge_id)
-                    frames.append((other, edge_id, iter(adj[other])))
+                    edge_stack.append(edge)
+                    frames.append((other, edge, iter(adjacency[other])))
                     advanced = True
                     break
                 if disc[other] < disc[node]:
                     # Back edge to an ancestor.
-                    edge_stack.append(edge_id)
+                    edge_stack.append(edge)
                     low[node] = min(low[node], disc[other])
             if advanced:
                 continue
@@ -96,7 +90,7 @@ def block_decomposition(network: Network) -> BlockDecomposition:
                     members = []
                     while edge_stack:
                         popped = edge_stack.pop()
-                        members.append(popped)
+                        members.append(ids[popped])
                         if popped == parent_edge:
                             break
                     raw_blocks.append(frozenset(members))
@@ -127,10 +121,12 @@ def block_decomposition(network: Network) -> BlockDecomposition:
 def is_cut_set(network: Network, outage) -> bool:
     """True when removing the given lines disconnects the network.
 
-    Every node counts, so isolating a single bus is detected.  Raises
-    UnknownEdgeError naming every id that is not a line of the network.
+    Every node counts, so isolating a single bus is detected.  Decided near
+    the outage by :meth:`Network.disconnected_by`, which searches from both
+    ends of each removed line.  Raises UnknownEdgeError naming every id that
+    is not a line of the network.
     """
-    return not is_connected(network.without_edges(outage))
+    return network.disconnected_by(network.edge_positions(set(outage)))
 
 
 def shares_simple_cycle(network: Network, line: int, other: int) -> bool:

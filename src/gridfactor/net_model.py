@@ -4,6 +4,11 @@ A network is an oriented simple graph.  Edge orientation is taken from the
 order the endpoints appear in the input document, so loading is fully
 deterministic.  The reference bus defaults to the highest-numbered node and
 can be overridden per document.
+
+Islanding is decided near the outage: a connected network stays connected
+without a set of lines exactly when the two ends of every removed line are
+still joined, which :meth:`Network.disconnected_by` checks by a search from
+both ends at once.  The whole-network pass runs once, in :func:`validate`.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress
@@ -27,7 +33,6 @@ __all__ = [
     "ValidationReport",
     "load_network",
     "network_to_document",
-    "endpoint_positions",
     "incidence_matrix",
     "is_connected",
     "validate",
@@ -62,8 +67,11 @@ class Network:
     ``injections`` is the optional per-node real power vector aligned with
     ``nodes``.
 
-    The id-to-position index of nodes and edges is built once per instance,
-    on first use, and is not part of equality, hashing or ``repr``.
+    The topology index (the id-to-position maps of nodes and edges, the
+    edge endpoint positions, the position-space adjacency lists and whether
+    the network is connected) is built once per instance, on first use, and
+    is not part of equality, hashing or ``repr``.  Copies that change only
+    line parameters share it.
     """
 
     nodes: tuple[int, ...]
@@ -86,6 +94,28 @@ class Network:
     @cached_property
     def _edge_lookup(self) -> dict[int, int]:
         return {edge.id: k for k, edge in enumerate(self.edges)}
+
+    @cached_property
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only node positions of every edge's source and target, in edge order."""
+        lookup = self._node_lookup
+        pairs = [(lookup[edge.source], lookup[edge.target]) for edge in self.edges]
+        source, target = np.array(pairs, dtype=int).reshape(-1, 2).T
+        source.flags.writeable = target.flags.writeable = False
+        return source, target
+
+    @cached_property
+    def _adjacency(self) -> list[list[tuple[int, int]]]:
+        """Per node position, the (neighbour position, edge position) pairs."""
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in self.nodes]
+        for k, (s, t) in enumerate(zip(*(ends.tolist() for ends in self.endpoints))):
+            adjacency[s].append((t, k))
+            adjacency[t].append((s, k))
+        return adjacency
+
+    @cached_property
+    def _connected(self) -> bool:
+        return is_connected(self)
 
     def node_index(self, node: int) -> int:
         try:
@@ -128,29 +158,69 @@ class Network:
 
     def with_susceptances(self, values) -> "Network":
         """Copy of the network with per-edge susceptances replaced."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.m,):
-            raise ValidationError(f"expected {self.m} susceptances, got {values.shape}")
-        edges = tuple(
-            replace(edge, susceptance=float(b)) for edge, b in zip(self.edges, values)
-        )
-        return replace(self, edges=edges)
+        return self._with_line_values("susceptance", "susceptances", values)
 
     def with_capacities(self, values) -> "Network":
         """Copy of the network with per-edge capacities replaced."""
+        return self._with_line_values("capacity", "capacities", values)
+
+    def _with_line_values(self, name: str, plural: str, values) -> "Network":
+        """Copy with one per-edge parameter replaced; it shares the topology index."""
         values = np.asarray(values, dtype=float)
         if values.shape != (self.m,):
-            raise ValidationError(f"expected {self.m} capacities, got {values.shape}")
-        edges = tuple(
-            replace(edge, capacity=float(c)) for edge, c in zip(self.edges, values)
-        )
-        return replace(self, edges=edges)
+            raise ValidationError(f"expected {self.m} {plural}, got {values.shape}")
+        edges = tuple(replace(edge, **{name: float(v)}) for edge, v in zip(self.edges, values))
+        copy = replace(self, edges=edges)
+        copy.__dict__.update((k, v) for k, v in self.__dict__.items() if k in _TOPOLOGY_INDEX)
+        return copy
 
     def without_edges(self, edge_ids) -> "Network":
         """Copy with the given lines removed; surviving edges keep their ids."""
         keep = np.ones(self.m, dtype=bool)
         keep[self.edge_positions(set(edge_ids))] = False
         return replace(self, edges=tuple(compress(self.edges, keep)))
+
+    def disconnected_by(self, positions) -> bool:
+        """True when removing the lines at these edge positions disconnects the network.
+
+        Every node counts, so isolating a single bus is detected, and a
+        network disconnected to begin with always reports True.  The cost is
+        local to the outage when it is not a cut and bounded by the smaller
+        side when it is.
+        """
+        if not self._connected:
+            return True
+        removed = set(np.asarray(positions, dtype=int).tolist())
+        source, target = self.endpoints
+        return not all(
+            _joined(self._adjacency, removed, int(source[k]), int(target[k])) for k in removed
+        )
+
+
+#: The per-instance caches that depend only on node ids, edge ids and endpoints.
+_TOPOLOGY_INDEX = ("_node_lookup", "_edge_lookup", "endpoints", "_adjacency", "_connected")
+
+
+def _joined(adjacency, removed: set[int], u: int, v: int) -> bool:
+    """True when some path from u to v avoids the removed edge positions.
+
+    Grows the search that has reached fewer nodes, so a side that runs out
+    was the smaller one.  The two ends of a self-loop are joined.
+    """
+    seen = ({u}, {v})
+    queues = (deque([u]), deque([v]))
+    while queues[0] and queues[1]:
+        side = int(len(seen[0]) > len(seen[1]))
+        mine, theirs = seen[side], seen[1 - side]
+        queue = queues[side]
+        for other, k in adjacency[queue.popleft()]:
+            if k in removed or other in mine:
+                continue
+            if other in theirs:
+                return True
+            mine.add(other)
+            queue.append(other)
+    return u == v
 
 
 @dataclass(frozen=True)
@@ -326,17 +396,10 @@ def network_to_document(network: Network) -> dict:
     return doc
 
 
-def endpoint_positions(network: Network) -> tuple[np.ndarray, np.ndarray]:
-    """Node positions of every edge's source and of its target, in edge order."""
-    positions = network._node_lookup
-    pairs = [(positions[edge.source], positions[edge.target]) for edge in network.edges]
-    return tuple(np.array(pairs, dtype=int).reshape(-1, 2).T)
-
-
 def incidence_matrix(network: Network) -> np.ndarray:
     """Signed node-edge incidence matrix C (+1 at each source, -1 at each target)."""
     C = np.zeros((network.n, network.m))
-    source, target = endpoint_positions(network)
+    source, target = network.endpoints
     C[source, np.arange(network.m)] = 1.0
     C[target, np.arange(network.m)] = -1.0
     return C
@@ -414,7 +477,7 @@ def validate(network: Network) -> ValidationReport:
         ))
 
     clean_endpoints = not any(f.code in ("unknown_endpoint", "duplicate_node") for f in findings)
-    if clean_endpoints and network.n >= 2 and not is_connected(network):
+    if clean_endpoints and network.n >= 2 and not network._connected:
         findings.append(Finding("disconnected", "network is not connected"))
 
     return ValidationReport(tuple(findings))

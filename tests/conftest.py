@@ -95,6 +95,16 @@ def four_cycle():
     })
 
 
+def grid_doc(k, b=1.0):
+    """k-by-k grid graph with uniform susceptance b; buses numbered row by row."""
+    node = lambda r, c: r * k + c + 1  # noqa: E731
+    edges = [{"from": node(r, c), "to": node(r, c + 1), "b": b}
+             for r in range(k) for c in range(k - 1)]
+    edges += [{"from": node(r, c), "to": node(r + 1, c), "b": b}
+              for r in range(k - 1) for c in range(k)]
+    return {"nodes": list(range(1, k * k + 1)), "edges": edges}
+
+
 def random_network(rng, max_nodes=8, b_range=(0.5, 2.0), max_extra=5, min_extra=0):
     """Random connected simple network: a spanning tree plus extra chords."""
     n = int(rng.integers(2, max_nodes + 1))

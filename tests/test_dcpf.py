@@ -22,7 +22,13 @@ from gridfactor import (
     solve_flow,
 )
 
-from conftest import build, random_balanced_injection, random_network, reference_separates_oracle
+from conftest import (
+    build,
+    grid_doc,
+    random_balanced_injection,
+    random_network,
+    reference_separates_oracle,
+)
 
 
 def test_triangle_a_matrix(triangle):
@@ -180,13 +186,7 @@ def test_large_grid_builds_without_overflow_warning():
     # With b=2 the reduced determinant of a 25x25 grid (n=625) is 2^624 times
     # its ~1e297 spanning trees, past float range: it reads +inf, with no
     # warning on every build.
-    k = 25
-    node = lambda r, c: r * k + c + 1  # noqa: E731
-    edges = [{"from": node(r, c), "to": node(r, c + 1), "b": 2.0}
-             for r in range(k) for c in range(k - 1)]
-    edges += [{"from": node(r, c), "to": node(r + 1, c), "b": 2.0}
-              for r in range(k - 1) for c in range(k)]
-    net = build({"nodes": list(range(1, k * k + 1)), "edges": edges})
+    net = build(grid_doc(25, b=2.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         bundle = build_laplacian(net)

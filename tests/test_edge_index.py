@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridfactor import (
+    Network,
+    CutSetError,
     OutageSet,
     UnknownEdgeError,
     block_decomposition,
@@ -21,8 +23,11 @@ from gridfactor import (
     solve_flow,
 )
 
+from gridfactor import net_model
+
 from conftest import (
     build,
+    grid_doc,
     random_balanced_injection,
     random_network,
     sample_non_cut_outage,
@@ -64,6 +69,36 @@ def test_index_is_not_part_of_equality(triangle):
 def test_unknown_ids_are_all_named(triangle, call):
     with pytest.raises(UnknownEdgeError, match=r"unknown edge ids \[0, 7, 9\]"):
         call(triangle, [9, 1, 7, 0])
+
+
+def test_screening_builds_no_surviving_network(monkeypatch):
+    net = build(grid_doc(20))
+    bundle = build_laplacian(net)
+    ptdf = ptdf_matrix(bundle, net)
+
+    def refuse(*args):
+        raise AssertionError("a whole-network pass ran")
+
+    monkeypatch.setattr(net_model, "is_connected", refuse)
+    monkeypatch.setattr(Network, "without_edges", refuse)
+    # Three of the four lines at the centre bus 211, then both lines at corner bus 1.
+    outage = OutageSet(net, [200, 571, 591])
+    for method in ("pre_contingency", "via_stack"):
+        assert glodf(bundle, ptdf, net, outage, method=method).k_matrix.shape == (757, 3)
+    corner = OutageSet(net, [1, 381])
+    with pytest.raises(CutSetError):
+        glodf(bundle, ptdf, net, corner)
+
+
+def test_parameter_copies_share_the_topology_index(triangle):
+    assert not is_cut_set(triangle, [1])
+    for copy in (triangle.with_susceptances([2.0, 3.0, 4.0]),
+                 triangle.with_capacities([1.0, 1.0, 1.0])):
+        for name in ("_node_lookup", "_edge_lookup", "endpoints", "_adjacency", "_connected"):
+            assert getattr(copy, name) is getattr(triangle, name)
+    reduced = triangle.without_edges([1])
+    assert reduced.endpoints is not triangle.endpoints
+    assert len(reduced._adjacency[0]) == 1
 
 
 def _loop_embedded(network, cumulative, p):

@@ -2,17 +2,27 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfactor import (
+    CutSetError,
     DisconnectedError,
     Edge,
     Network,
+    OutageSet,
     UnknownEdgeError,
     block_decomposition,
+    build_laplacian,
+    detect_islanding,
+    glodf,
     is_cut_set,
     load_network,
+    ptdf_matrix,
+    run_cascade,
     shares_simple_cycle,
 )
+from gridfactor.net_model import is_connected
 
 from conftest import (
     connected_after_removal_oracle,
@@ -100,8 +110,64 @@ def test_is_cut_set_examples(triangle, path3):
 
 
 def test_is_cut_set_unknown_edge(triangle):
-    with pytest.raises(UnknownEdgeError):
+    with pytest.raises(UnknownEdgeError, match=r"\[9\]"):
         is_cut_set(triangle, {9})
+
+
+def test_is_cut_set_on_directly_built_networks():
+    split = Network(
+        nodes=(1, 2, 3, 4),
+        edges=(Edge(1, 1, 2, 1.0), Edge(2, 3, 4, 1.0)),
+        reference=4,
+    )
+    assert is_cut_set(split, {1})
+    assert is_cut_set(split, {2})
+    ring = Network(
+        nodes=(1, 2, 3),
+        edges=(Edge(1, 1, 2, 1.0), Edge(2, 2, 3, 1.0), Edge(3, 3, 1, 1.0)),
+        reference=3,
+    )
+    assert not is_cut_set(ring, {2})
+    assert is_cut_set(ring, {1, 2})
+
+
+def test_is_cut_set_isolating_one_bus(k4, fig2):
+    # Lines 1, 2 and 3 are every line at bus 1 of K4.
+    assert is_cut_set(k4, {1, 2, 3})
+    assert not is_cut_set(k4, {1, 2})
+    assert not is_cut_set(k4, {1, 2, 6})
+    # Bus 6 of fig2 hangs on line 4 alone.
+    assert is_cut_set(fig2, {4})
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(0, 0), (2, 0), (12, 4)]),  # trees, bridge-heavy, meshed
+)
+def test_is_cut_set_matches_whole_network_oracle(seed, extra):
+    max_extra, min_extra = extra
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_nodes=10, max_extra=max_extra, min_extra=min_extra)
+    if net.m < 2:
+        return
+    bundle = build_laplacian(net)
+    ptdf = ptdf_matrix(bundle, net)
+    ids = net.edge_ids()
+    for _ in range(6):
+        size = int(rng.integers(1, min(4, net.m - 1) + 1))
+        outage = sorted(int(v) for v in rng.choice(ids, size=size, replace=False))
+        cut = not is_connected(net.without_edges(outage))
+        assert is_cut_set(net, outage) == cut
+        split = OutageSet(net, outage)
+        assert detect_islanding(ptdf, split) == cut
+        if cut:
+            with pytest.raises(CutSetError):
+                glodf(bundle, ptdf, net, split)
+        else:
+            glodf(bundle, ptdf, net, split)
+        trace = run_cascade(net, np.zeros(net.n), outage)
+        assert (trace.status == "islanded") == cut
 
 
 def test_is_cut_set_agrees_with_connectivity_oracle():
