@@ -3,12 +3,16 @@
 The injection-shift sensitivity matrix is D = B C^T A C.  Single-line
 outage factors follow as K = D / (1 - D_ll) for non-bridge lines, and a
 simultaneous non-cut outage couples the tripped lines through the inverse
-of I - D_FF.  Three equivalent GLODF formulas are implemented; the
-cross-check mode evaluates all of them and records their disagreement.
+of I - D_FF.  Every simultaneous-outage factor, here and in the
+localization report and perturbation test, is one call of the GLODF
+kernel ``_glodf_kernel(numerator, D_FF) = numerator (I - D_FF)^-1``.
+Three equivalent GLODF formulas are implemented; the cross-check mode
+evaluates all of them and records their disagreement.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -101,19 +105,23 @@ class GlodfResult:
 
     ``k_matrix`` maps pre-outage flows on the tripped lines (columns, by
     ascending id) to flow changes on the surviving lines (rows, ascending).
-    ``k_stack`` holds the single-outage columns for comparison; they agree
-    with ``k_matrix`` only for singleton outages.  ``residuals`` records the
-    max entrywise disagreement between formula pairs in cross-check mode.
-    The generating ptdf/bundle/network ride along for downstream reports.
+    ``k_stack`` holds the single-outage columns for comparison, computed on
+    first read; they agree with ``k_matrix`` only for singleton outages.
+    ``residuals`` records the max entrywise disagreement between formula
+    pairs in cross-check mode.  The generating ptdf/bundle/network ride
+    along for downstream reports.
     """
 
     outage: OutageSet
     k_matrix: np.ndarray
-    k_stack: np.ndarray
     method: str
     residuals: dict | None
     ptdf: PtdfMatrix = field(repr=False)
     bundle: LaplacianBundle = field(repr=False)
+
+    @cached_property
+    def k_stack(self) -> np.ndarray:
+        return lodf_stack(self.ptdf, self.outage)
 
     @property
     def surviving(self) -> tuple[int, ...]:
@@ -142,13 +150,9 @@ def lodf_single(ptdf: PtdfMatrix, decomposition: BlockDecomposition, outaged: in
     col = ptdf.index(outaged)
     if outaged in decomposition.bridges:
         raise BridgeOutageError(f"line {outaged} is a bridge; outage factors are undefined")
-    denominator = 1.0 - ptdf.matrix[col, col]
-    result = {}
-    for k, line in enumerate(ptdf.line_ids):
-        if line == outaged:
-            continue
-        result[line] = float(ptdf.matrix[k, col] / denominator)
-    return result
+    values = ptdf.matrix[:, col] / (1.0 - ptdf.matrix[col, col])
+    ids = ptdf.line_ids[:col] + ptdf.line_ids[col + 1:]
+    return dict(zip(ids, np.delete(values, col).tolist()))
 
 
 def lodf_stack(ptdf: PtdfMatrix, outage: OutageSet) -> np.ndarray:
@@ -166,8 +170,13 @@ def lodf_stack(ptdf: PtdfMatrix, outage: OutageSet) -> np.ndarray:
     return ptdf.matrix[np.ix_(rows, cols)] / gaps[None, :]
 
 
-def _solve_right(numerator: np.ndarray, system: np.ndarray) -> np.ndarray:
-    """numerator @ inv(system) via a linear solve."""
+def _glodf_kernel(numerator: np.ndarray, d_ff: np.ndarray) -> np.ndarray:
+    """numerator @ inv(I - d_ff) via a linear solve: the one GLODF solve.
+
+    With numerator = D_-F,F this is the simultaneous-outage factor of a
+    non-cut outage F; any row subset of it (one block's lines) works too.
+    """
+    system = np.eye(d_ff.shape[0]) - d_ff
     try:
         return np.linalg.solve(system.T, numerator.T).T
     except np.linalg.LinAlgError as exc:
@@ -200,12 +209,10 @@ def glodf(
         raise CutSetError(f"outage {outage.outaged} disconnects the network")
 
     rows, cols = outage.surviving_idx, outage.outaged_idx
-    d_kept_out = ptdf.matrix[np.ix_(rows, cols)]
     d_out_out = ptdf.matrix[np.ix_(cols, cols)]
-    eye = np.eye(outage.size)
 
     def pre_contingency():
-        return _solve_right(d_kept_out, eye - d_out_out)
+        return _glodf_kernel(ptdf.matrix[np.ix_(rows, cols)], d_out_out)
 
     def post_contingency():
         sub_bundle = build_laplacian(network.without_edges(outage.outaged))
@@ -214,34 +221,23 @@ def glodf(
 
     def via_stack():
         stack = lodf_stack(ptdf, outage)
-        return _solve_right(stack @ (eye - np.diag(np.diag(d_out_out))), eye - d_out_out)
+        return _glodf_kernel(stack @ (np.eye(outage.size) - np.diag(np.diag(d_out_out))), d_out_out)
 
-    k_stack = lodf_stack(ptdf, outage)
+    formulas = {f.__name__: f for f in (pre_contingency, post_contingency, via_stack)}
     residuals = None
     if method == "cross_check":
-        candidates = {
-            "pre_contingency": pre_contingency(),
-            "post_contingency": post_contingency(),
-            "via_stack": via_stack(),
+        candidates = {name: formula() for name, formula in formulas.items()}
+        residuals = {
+            f"{a}_vs_{b}": float(np.max(np.abs(candidates[a] - candidates[b])))
+            for a, b in itertools.combinations(sorted(candidates), 2)
         }
-        names = sorted(candidates)
-        residuals = {}
-        for a_idx in range(len(names)):
-            for b_idx in range(a_idx + 1, len(names)):
-                a, b = names[a_idx], names[b_idx]
-                residuals[f"{a}_vs_{b}"] = float(np.max(np.abs(candidates[a] - candidates[b])))
         k_matrix = candidates["pre_contingency"]
-    elif method == "pre_contingency":
-        k_matrix = pre_contingency()
-    elif method == "post_contingency":
-        k_matrix = post_contingency()
     else:
-        k_matrix = via_stack()
+        k_matrix = formulas[method]()
 
     return GlodfResult(
         outage=outage,
         k_matrix=k_matrix,
-        k_stack=k_stack,
         method=method,
         residuals=residuals,
         ptdf=ptdf,

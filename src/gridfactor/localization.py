@@ -11,18 +11,19 @@ injection/capacity pair that forces a chosen follow-on trip.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .dcpf import LaplacianBundle, build_laplacian
-from .errors import BridgeOutageError, CutSetError, ZeroFactorError
+from .errors import BridgeOutageError, CutSetError, ValidationError, ZeroFactorError
 from .factors import (
     GlodfResult,
     OutageSet,
+    _glodf_kernel,
     characteristic_injection_flow,
-    glodf,
     lodf_single,
     ptdf_matrix,
 )
@@ -60,6 +61,13 @@ def simple_cycle_criterion(network: Network, line: int, outaged: int) -> str:
     return "possibly_nonzero" if _shares_block(decomposition, line, outaged) else "zero"
 
 
+def _line_blocks(decomposition: BlockDecomposition, outage: OutageSet):
+    """Block ids of the surviving and tripped lines, and their same-block mask."""
+    row_block = np.array([decomposition.block_of[line] for line in outage.surviving], dtype=int)
+    col_block = np.array([decomposition.block_of[line] for line in outage.outaged], dtype=int)
+    return row_block, col_block, row_block[:, None] == col_block[None, :]
+
+
 @dataclass(frozen=True, eq=False)
 class BlockFactors:
     """Per-block factor submatrices and their reassembly residuals.
@@ -73,9 +81,6 @@ class BlockFactors:
     block_index: int
     row_ids: tuple[int, ...]
     col_ids: tuple[int, ...]
-    d_kept: np.ndarray
-    d_out: np.ndarray
-    k_stacked: np.ndarray
     k_direct: np.ndarray
     k_from_parts: np.ndarray
     reassembly_err_direct: float
@@ -115,9 +120,7 @@ def block_structure_report(
     scale = float(np.max(magnitude, initial=0.0))
     tol = ZERO_RTOL * max(1.0, scale)
 
-    row_block = np.array([decomposition.block_of[line] for line in outage.surviving], dtype=int)
-    col_block = np.array([decomposition.block_of[line] for line in outage.outaged], dtype=int)
-    same_block = row_block[:, None] == col_block[None, :]
+    row_block, col_block, same_block = _line_blocks(decomposition, outage)
     cross_max = float(np.max(magnitude[~same_block], initial=0.0))
     zero_count = int(np.count_nonzero(magnitude[same_block] < tol))
 
@@ -127,50 +130,26 @@ def block_structure_report(
 
     blocks = []
     for index in np.unique(col_block).tolist():
-        full_cols = np.flatnonzero(col_block == index)
         full_rows = np.flatnonzero(row_block == index)
-        col_ids = tuple(outage.outaged[k] for k in full_cols.tolist())
-        row_ids = tuple(outage.surviving[k] for k in full_rows.tolist())
-
+        full_cols = np.flatnonzero(col_block == index)
         rows = outage.surviving_idx[full_rows]
         cols = outage.outaged_idx[full_cols]
-        d_kept = ptdf.matrix[np.ix_(rows, cols)] if rows.size else np.zeros((0, cols.size))
-        d_out = ptdf.matrix[np.ix_(cols, cols)]
-        eye = np.eye(len(col_ids))
-
-        gaps = 1.0 - np.diag(d_out)
-        k_stacked = d_kept / gaps[None, :] if rows.size else np.zeros((0, cols.size))
-        k_direct = (
-            np.linalg.solve((eye - d_out).T, d_kept.T).T if rows.size else np.zeros((0, cols.size))
-        )
-
-        c_kept = C[:, rows]
+        k_direct = _glodf_kernel(ptdf.matrix[np.ix_(rows, cols)], ptdf.matrix[np.ix_(cols, cols)])
         c_out = C[:, cols]
-        inner = eye - (b[cols][:, None] * (c_out.T @ A @ c_out))
-        if rows.size:
-            lead = b[rows][:, None] * (c_kept.T @ A @ c_out)
-            k_parts = np.linalg.solve(inner.T, lead.T).T
-        else:
-            k_parts = np.zeros((0, cols.size))
-
-        restricted = (
-            K[np.ix_(full_rows, full_cols)] if full_rows.size else np.zeros((0, cols.size))
+        k_parts = _glodf_kernel(
+            b[rows][:, None] * (C[:, rows].T @ A @ c_out),
+            b[cols][:, None] * (c_out.T @ A @ c_out),
         )
-        err_direct = float(np.max(np.abs(k_direct - restricted))) if restricted.size else 0.0
-        err_parts = float(np.max(np.abs(k_parts - restricted))) if restricted.size else 0.0
-
+        restricted = K[np.ix_(full_rows, full_cols)]
         blocks.append(
             BlockFactors(
                 block_index=index,
-                row_ids=row_ids,
-                col_ids=col_ids,
-                d_kept=d_kept,
-                d_out=d_out,
-                k_stacked=k_stacked,
+                row_ids=tuple(outage.surviving[k] for k in full_rows.tolist()),
+                col_ids=tuple(outage.outaged[k] for k in full_cols.tolist()),
                 k_direct=k_direct,
                 k_from_parts=k_parts,
-                reassembly_err_direct=err_direct,
-                reassembly_err_parts=err_parts,
+                reassembly_err_direct=float(np.max(np.abs(k_direct - restricted), initial=0.0)),
+                reassembly_err_parts=float(np.max(np.abs(k_parts - restricted), initial=0.0)),
             )
         )
 
@@ -189,12 +168,19 @@ class PerturbationSpec:
 
     Each trial rescales every susceptance by (1 + w) with w uniform on
     [-relative_magnitude, +relative_magnitude], which keeps susceptances
-    positive for any magnitude below one.
+    positive for any magnitude below one.  ValidationError unless
+    ``trials >= 1``, ``0 <= relative_magnitude < 1`` and ``seed >= 0``.
     """
 
     relative_magnitude: float = 1e-3
     trials: int = 100
     seed: int = 0
+
+    def __post_init__(self):
+        if not (self.trials >= 1 and 0.0 <= self.relative_magnitude < 1.0 and self.seed >= 0):
+            raise ValidationError(
+                f"perturbation needs trials >= 1, magnitude in [0, 1) and seed >= 0: {self}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,45 +217,31 @@ def almost_sure_nonzero_test(
     within-block entry nonzero in essentially every trial, while
     cross-block entries stay zero in all of them.  One independent random
     substream is derived per trial index, so results are reproducible for
-    a given seed regardless of execution order.
+    a given seed regardless of execution order.  A trial solves only the
+    |F| outage columns of its perturbed network; it builds no PTDF.
     """
     if is_cut_set(network, outage.outaged):
         # Any bridge in the outage also lands here: a bridge is a cut set.
         raise CutSetError(f"outage {outage.outaged} disconnects the network")
-    decomposition = block_decomposition(network)
-
+    _, _, same_block = _line_blocks(block_decomposition(network), outage)
+    rows, cols = outage.surviving_idx, outage.outaged_idx
+    c_out = outage.incidence_out()
     base = network.susceptances()
-    block_of = decomposition.block_of
 
-    within: dict[tuple[int, int], int] = {}
-    cross: dict[tuple[int, int], int] = {}
-    for r, line in enumerate(outage.surviving):
-        for c, tripped in enumerate(outage.outaged):
-            key = (line, tripped)
-            if block_of[line] == block_of[tripped]:
-                within[key] = 0
-            else:
-                cross[key] = 0
-
+    counts = np.zeros(same_block.shape, dtype=int)
     for trial in range(spec.trials):
         rng = np.random.default_rng([spec.seed, trial])
         omega = rng.uniform(-spec.relative_magnitude, spec.relative_magnitude, network.m)
-        factors = np.maximum(1.0 + omega, 1e-12)
-        perturbed = network.with_susceptances(base * factors)
+        b = base * (1.0 + omega)
+        bundle = build_laplacian(network.with_susceptances(b))
+        theta = bundle.solve(c_out)
+        d_cols = b[:, None] * (theta[bundle.source] - theta[bundle.target])
+        counts += np.abs(_glodf_kernel(d_cols[rows], d_cols[cols])) > NONZERO_ATOL
 
-        bundle = build_laplacian(perturbed)
-        ptdf = ptdf_matrix(bundle, perturbed)
-        sub_outage = OutageSet(perturbed, outage.outaged)
-        K = glodf(bundle, ptdf, perturbed, sub_outage, method="pre_contingency").k_matrix
-
-        for r, line in enumerate(outage.surviving):
-            for c, tripped in enumerate(outage.outaged):
-                if abs(float(K[r, c])) > NONZERO_ATOL:
-                    key = (line, tripped)
-                    if key in within:
-                        within[key] += 1
-                    else:
-                        cross[key] += 1
+    within, cross = {}, {}
+    pairs = itertools.product(outage.surviving, outage.outaged)
+    for key, same, count in zip(pairs, same_block.flat, counts.flat):
+        (within if same else cross)[key] = int(count)
 
     return PerturbationStats(
         trials=spec.trials,
@@ -306,22 +278,22 @@ def adversarial_capacity(
     if tripped in decomposition.bridges:
         raise BridgeOutageError(f"line {tripped} is a bridge")
 
+    target_idx = network.edge_index(target)
     ptdf = ptdf_matrix(bundle, network)
     column = lodf_single(ptdf, decomposition, tripped)
-    factor = column[target]
-    if abs(factor) < ZERO_RTOL * max(1.0, max(abs(v) for v in column.values())):
+    k_norm = max(abs(v) for v in column.values())
+    if abs(column[target]) < ZERO_RTOL * max(1.0, k_norm):
         raise ZeroFactorError(
             f"outage factor between lines {tripped} and {target} vanishes; "
             "no capacity choice makes the failure propagate"
         )
 
     flows = characteristic_injection_flow(bundle, network, tripped)
-    k_norm = max(abs(v) for v in column.values())
     f_norm = float(np.max(np.abs(flows)))
     slack_level = (1.0 + k_norm) * f_norm
 
     capacities = np.full(network.m, slack_level)
-    capacities[network.edge_index(target)] = abs(flows[network.edge_index(target)])
+    capacities[target_idx] = abs(flows[target_idx])
 
     edge = network.edge_by_id(tripped)
     injections = np.zeros(network.n)

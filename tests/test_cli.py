@@ -163,6 +163,16 @@ def test_bad_tol_is_input_error(monkeypatch, capsys, triangle_path, value):
         assert run(["verify", triangle_path, "--tol", value]) == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--trials", "-3"], ["--trials", "0"], ["--eps", "nan"], ["--eps", "-0.5"], ["--eps", "2"],
+    ["--eps", "1"], ["--eps", "inf"], ["--seed", "-1"],
+])
+def test_bad_perturbation_is_input_error(capsys, triangle_path, flags):
+    assert run(["localize", triangle_path, "--lines", "1", "--perturb"] + flags) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("gridfactor: perturbation")
+
+
 def _set_b(doc, value):
     doc["edges"][0]["b"] = value
 

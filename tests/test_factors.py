@@ -25,7 +25,11 @@ from gridfactor import (
     solve_flow,
 )
 
+from gridfactor import factors
+
 from conftest import (
+    build,
+    grid_doc,
     random_balanced_injection,
     random_network,
     sample_non_cut_outage,
@@ -98,6 +102,21 @@ def test_lodf_single_bridge_raises(path3):
     ptdf = ptdf_matrix(bundle, path3)
     with pytest.raises(BridgeOutageError):
         lodf_single(ptdf, block_decomposition(path3), 1)
+
+
+def test_lodf_single_equals_the_per_line_division():
+    net = random_network(np.random.default_rng(29), max_nodes=9, min_extra=3)
+    ptdf = ptdf_matrix(build_laplacian(net), net)
+    decomposition = block_decomposition(net)
+    for tripped in set(net.edge_ids()) - set(decomposition.bridges):
+        col = ptdf.index(tripped)
+        expected = {
+            line: float(ptdf.matrix[k, col] / (1.0 - ptdf.matrix[col, col]))
+            for k, line in enumerate(ptdf.line_ids)
+            if line != tripped
+        }
+        column = lodf_single(ptdf, decomposition, tripped)
+        assert list(column) == list(expected) and column == expected
 
 
 def test_lodf_stack_singleton_matches_single(triangle_setup):
@@ -323,3 +342,19 @@ def test_lodf_is_injection_independent():
                 empirical = (post.flows[idx] - pre.flows[idx]) / f_hat
                 assert abs(empirical - factor) < 1e-8
         tested += 1
+
+
+def test_glodf_computes_the_stacked_factors_only_when_read(monkeypatch):
+    net = build(grid_doc(20))
+    bundle = build_laplacian(net)
+    ptdf = ptdf_matrix(bundle, net)
+    outage = OutageSet(net, [200, 571, 591])
+
+    def refuse(*args):
+        raise AssertionError("lodf_stack ran")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(factors, "lodf_stack", refuse)
+        result = glodf(bundle, ptdf, net, outage, method="pre_contingency")
+    assert np.array_equal(result.k_stack, lodf_stack(ptdf, outage))
+    assert result.k_stack is result.k_stack

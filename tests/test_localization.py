@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfactor import (
     BridgeOutageError,
     CutSetError,
+    LaplacianBundle,
     OutageSet,
     PerturbationSpec,
+    UnknownEdgeError,
     ZeroFactorError,
     adversarial_capacity,
     almost_sure_nonzero_test,
@@ -19,6 +23,8 @@ from gridfactor import (
     simple_cycle_criterion,
     solve_flow,
 )
+
+from gridfactor import factors, localization
 
 from conftest import build, random_network, sample_non_cut_outage
 
@@ -271,3 +277,82 @@ def test_adversarial_instance_drives_cascade(triangle):
     trace = run_cascade(armed, instance.injections, [1])
     assert trace.status == "islanded"
     assert trace.stages[1].tripped == frozenset({3})
+
+
+def test_adversarial_capacity_unknown_target_is_named(triangle):
+    bundle = build_laplacian(triangle)
+    with pytest.raises(UnknownEdgeError, match="99"):
+        adversarial_capacity(bundle, triangle, 1, 99)
+
+
+def _dense_perturbation_counts(network, outage, spec):
+    """Per-trial dense route: full PTDF of each perturbed network, then glodf."""
+    block_of = block_decomposition(network).block_of
+    base = network.susceptances()
+    within, cross = {}, {}
+    for line in outage.surviving:
+        for tripped in outage.outaged:
+            (within if block_of[line] == block_of[tripped] else cross)[(line, tripped)] = 0
+    for trial in range(spec.trials):
+        rng = np.random.default_rng([spec.seed, trial])
+        omega = rng.uniform(-spec.relative_magnitude, spec.relative_magnitude, network.m)
+        perturbed = network.with_susceptances(base * np.maximum(1.0 + omega, 1e-12))
+        bundle = build_laplacian(perturbed)
+        ptdf = ptdf_matrix(bundle, perturbed)
+        K = glodf(bundle, ptdf, perturbed, OutageSet(perturbed, outage.outaged)).k_matrix
+        for r, line in enumerate(outage.surviving):
+            for c, tripped in enumerate(outage.outaged):
+                if abs(float(K[r, c])) > localization.NONZERO_ATOL:
+                    key = (line, tripped)
+                    (within if key in within else cross)[key] += 1
+    return within, cross
+
+
+def _random_non_cut_case(seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_nodes=10, max_extra=8, min_extra=1)
+    outage_ids = sample_non_cut_outage(rng, net)
+    return rng, net, None if outage_ids is None else OutageSet(net, outage_ids)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 0.1, 0.6]))
+def test_perturbation_counts_match_dense_oracle(seed, magnitude):
+    _, net, outage = _random_non_cut_case(seed)
+    if outage is None:
+        return
+    spec = PerturbationSpec(relative_magnitude=magnitude, trials=4, seed=seed % 1000)
+    stats = almost_sure_nonzero_test(net, outage, spec)
+    within, cross = _dense_perturbation_counts(net, outage, spec)
+    assert stats.within_block == within
+    assert stats.cross_block == cross
+    assert stats.max_cross_count() == 0
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_block_structure_report_property(seed):
+    _, net, outage = _random_non_cut_case(seed)
+    if outage is None:
+        return
+    bundle, ptdf = make_factors(net)
+    result = glodf(bundle, ptdf, net, outage)
+    report = block_structure_report(result, block_decomposition(net), outage)
+    bound = 1e-9 * max(1.0, report.matrix_scale)
+    assert report.cross_block_max <= bound
+    assert sum(len(block.col_ids) for block in report.blocks) == outage.size
+    for block in report.blocks:
+        assert block.k_direct.shape == block.k_from_parts.shape
+        assert block.reassembly_err_direct <= bound
+        assert block.reassembly_err_parts <= bound
+
+
+def test_perturbation_never_builds_the_inverse(monkeypatch, fig2):
+    def refuse(*args):
+        raise AssertionError("a dense inverse or full PTDF was built")
+
+    monkeypatch.setattr(LaplacianBundle, "A", property(refuse), raising=False)
+    monkeypatch.setattr(factors, "ptdf_matrix", refuse)
+    monkeypatch.setattr(localization, "ptdf_matrix", refuse)
+    stats = almost_sure_nonzero_test(fig2, OutageSet(fig2, [1, 6]), PerturbationSpec(trials=5))
+    assert stats.min_within_count() == 5 and stats.max_cross_count() == 0
