@@ -146,7 +146,7 @@ def influence_graph(
         if len(members) < 2:
             continue
         ordered = np.array(sorted(members))
-        positions = np.array([ptdf.index(line) for line in ordered.tolist()])
+        positions = ptdf.network.edge_positions(ordered.tolist())
         # factor[i, j]: flow change on line i per unit pre-outage flow on tripped line j.
         factor = ptdf.matrix[np.ix_(positions, positions)] / (1.0 - diag[positions])[None, :]
         strong = np.maximum(np.abs(factor), np.abs(factor.T)) >= threshold

@@ -128,6 +128,11 @@ def _cmd_glodf(args) -> int:
 
 
 def _cmd_localize(args) -> int:
+    spec = None
+    if args.perturb:
+        spec = localization_mod.PerturbationSpec(
+            relative_magnitude=args.eps, trials=args.trials, seed=args.seed
+        )
     network = load_network(args.network, reference=args.reference)
     bundle = build_laplacian(network)
     ptdf = factors_mod.ptdf_matrix(bundle, network)
@@ -153,10 +158,7 @@ def _cmd_localize(args) -> int:
             for b in report.blocks
         ],
     }
-    if args.perturb:
-        spec = localization_mod.PerturbationSpec(
-            relative_magnitude=args.eps, trials=args.trials, seed=args.seed
-        )
+    if spec is not None:
         stats = localization_mod.almost_sure_nonzero_test(network, outage, spec)
         payload["perturbation"] = {
             "trials": stats.trials,

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .dcpf import FlowState, LaplacianBundle, build_laplacian, solve_flow
-from .errors import BridgeOutageError, CutSetError, SingularError, UnknownEdgeError, ValidationError
+from .errors import BridgeOutageError, CutSetError, SingularError, ValidationError
 from .graph_algos import BlockDecomposition
 from .net_model import Network, incidence_matrix, injection_vector
 
@@ -45,18 +45,15 @@ BRIDGE_DIAG_TOL = 1e-9
 
 
 class PtdfMatrix:
-    """Dense m-by-m injection-shift sensitivity matrix with line id maps."""
+    """Dense m-by-m injection-shift sensitivity matrix, indexed by the network's line ids."""
 
-    def __init__(self, matrix: np.ndarray, line_ids):
+    def __init__(self, matrix: np.ndarray, network: Network):
         self.matrix = matrix
-        self.line_ids = tuple(line_ids)
-        self._positions = {line: k for k, line in enumerate(self.line_ids)}
+        self.network = network
+        self.line_ids = network.edge_ids()
 
     def index(self, line: int) -> int:
-        try:
-            return self._positions[line]
-        except KeyError:
-            raise UnknownEdgeError(f"unknown edge id {line}") from None
+        return self.network.edge_index(line)
 
     def entry(self, line: int, shifted: int) -> float:
         return float(self.matrix[self.index(line), self.index(shifted)])
@@ -106,7 +103,8 @@ class GlodfResult:
     ``k_matrix`` maps pre-outage flows on the tripped lines (columns, by
     ascending id) to flow changes on the surviving lines (rows, ascending).
     ``k_stack`` holds the single-outage columns for comparison, computed on
-    first read; they agree with ``k_matrix`` only for singleton outages.
+    first read unless the formula already did; they agree with ``k_matrix``
+    only for singleton outages.
     ``residuals`` records the max entrywise disagreement between formula
     pairs in cross-check mode.  The generating ptdf/bundle/network ride
     along for downstream reports.
@@ -138,7 +136,7 @@ def ptdf_matrix(bundle: LaplacianBundle, network: Network) -> PtdfMatrix:
     b = network.susceptances()
     matrix = C.T @ bundle.A @ C
     matrix *= b[:, None]  # in place: the m-by-m product is the peak allocation
-    return PtdfMatrix(matrix=matrix, line_ids=network.edge_ids())
+    return PtdfMatrix(matrix=matrix, network=network)
 
 
 def lodf_single(ptdf: PtdfMatrix, decomposition: BlockDecomposition, outaged: int) -> dict[int, float]:
@@ -219,7 +217,10 @@ def glodf(
         theta = sub_bundle.solve(outage.incidence_out())
         return outage.susceptance_kept()[:, None] * (theta[sub_bundle.source] - theta[sub_bundle.target])
 
+    stack = None
+
     def via_stack():
+        nonlocal stack
         stack = lodf_stack(ptdf, outage)
         return _glodf_kernel(stack @ (np.eye(outage.size) - np.diag(np.diag(d_out_out))), d_out_out)
 
@@ -235,7 +236,7 @@ def glodf(
     else:
         k_matrix = formulas[method]()
 
-    return GlodfResult(
+    result = GlodfResult(
         outage=outage,
         k_matrix=k_matrix,
         method=method,
@@ -243,6 +244,9 @@ def glodf(
         ptdf=ptdf,
         bundle=bundle,
     )
+    if stack is not None:
+        result.__dict__["k_stack"] = stack  # the formula's stack, so k_stack is not computed again
+    return result
 
 
 def apply_outage(

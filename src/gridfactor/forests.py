@@ -4,7 +4,15 @@ This module is the independent oracle for the distribution-factor algebra:
 matrix entries, PTDF, LODF, and effective reactance are all recomputed here
 as ratios of weighted forest sums and compared against the dense
 linear-algebra routes elsewhere.  Enumeration is deliberately naive so that
-it is obviously correct; everything is capped to keep runtimes bounded.
+it is obviously correct, and capped to keep runtimes bounded.
+
+Each network's spanning trees are enumerated once, by contraction and
+deletion, and every other family is read from that one list.  The trees
+avoiding a line are a filter of it.  The two-tree spanning forests are its
+trees less one line each: removing a line of a spanning tree leaves two
+trees, and every two-tree forest of a connected network grows back into a
+spanning tree by one line.  The enumeration lives as long as its network
+and no longer.
 
 When every line susceptance is a ratio of small integers, the weight sums
 are accumulated in exact rational arithmetic, which removes rounding slack
@@ -15,9 +23,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -39,8 +48,6 @@ __all__ = [
 
 #: Hard cap on enumerated members.
 MAX_MEMBERS = 10**7
-#: Hard cap on candidate subsets examined during forest enumeration.
-MAX_CANDIDATES = 2 * 10**7
 #: Largest numerator/denominator for the exact rational weight mode.
 MAX_RATIONAL = 10**6
 #: Identity tolerance used by :func:`matrix_tree_check`.
@@ -107,29 +114,8 @@ def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
 def _estimate_tree_count(n: int, edge_list) -> float:
-    """Unweighted spanning-tree count of the (possibly sub-) graph."""
+    """Unweighted spanning-tree count of the graph."""
     if n <= 1:
         return 1.0
     L = np.zeros((n, n))
@@ -201,94 +187,102 @@ def _enumerate_tree_sets(n: int, edge_list) -> list[frozenset[int]]:
     return trees
 
 
-@lru_cache(maxsize=1024)
-def _tree_index(network: Network, allowed: frozenset[int] | None):
-    """Spanning trees (restricted to ``allowed`` edge ids) with weights."""
-    positions = {node: k for k, node in enumerate(network.nodes)}
-    edge_list = [
-        (edge.id, positions[edge.source], positions[edge.target])
-        for edge in network.edges
-        if allowed is None or edge.id in allowed
-    ]
-    raw = _enumerate_tree_sets(network.n, edge_list)
+@dataclass(frozen=True)
+class _Weighted:
+    """Enumerated members in lexicographic order with their weight products.
 
-    weights = {eid: network.edge_by_id(eid).susceptance for eid, _, _ in edge_list}
-    exact_weights = {eid: _nice_fraction(w) for eid, w in weights.items()}
-    exact_mode = all(v is not None for v in exact_weights.values())
-
-    members = sorted(tuple(sorted(tree)) for tree in raw)
-    betas = []
-    betas_exact = [] if exact_mode else None
-    for member in members:
-        beta = 1.0
-        for eid in member:
-            beta *= weights[eid]
-        betas.append(beta)
-        if exact_mode:
-            acc = Fraction(1)
-            for eid in member:
-                acc *= exact_weights[eid]
-            betas_exact.append(acc)
-
-    total = math.fsum(betas)
-    total_exact = sum(betas_exact, Fraction(0)) if exact_mode else None
-    return tuple(members), tuple(betas), (tuple(betas_exact) if exact_mode else None), total, total_exact
-
-
-@lru_cache(maxsize=1024)
-def _forest_index(network: Network):
-    """Every two-tree spanning forest with component labels and weights.
-
-    A forest is any acyclic choice of n-2 edges; acyclicity forces exactly
-    two components.  ``labels[k]`` maps each node position to 0 or 1
-    according to the component containing it, normalized so position 0 is
-    component 0.
+    In exact mode member k weighs ``numerators[k] / denominator``: every
+    member has the same number of lines and every exact line weight is an
+    integer over one common denominator, so exact sums are integer sums.
     """
-    n, m = network.n, network.m
-    take = n - 2
-    if take < 0:
-        return (), (), None, ()
-    if math.comb(m, take) > MAX_CANDIDATES:
-        raise TooLargeError("two-tree forest enumeration exceeds the candidate cap")
 
-    positions = {node: k for k, node in enumerate(network.nodes)}
-    edge_list = [
-        (edge.id, positions[edge.source], positions[edge.target]) for edge in network.edges
-    ]
+    members: tuple[tuple[int, ...], ...]
+    betas: np.ndarray
+    numerators: tuple[int, ...] | None
+    denominator: int = 1
 
-    weights = {edge.id: edge.susceptance for edge in network.edges}
-    exact_weights = {eid: _nice_fraction(w) for eid, w in weights.items()}
-    exact_mode = all(v is not None for v in exact_weights.values())
-
-    entries = []
-    for combo in itertools.combinations(edge_list, take):
-        uf = _UnionFind(n)
-        acyclic = True
-        for _, u, v in combo:
-            if not uf.union(u, v):
-                acyclic = False
-                break
-        if not acyclic:
-            continue
-        root0 = uf.find(0)
-        labels = tuple(0 if uf.find(k) == root0 else 1 for k in range(n))
-        member = tuple(sorted(eid for eid, _, _ in combo))
-        beta = 1.0
-        for eid in member:
-            beta *= weights[eid]
+    def select(self, mask) -> tuple[tuple[tuple[int, ...], ...], float, Fraction | None]:
+        """(members, float sum, exact sum) over the members the mask keeps."""
+        mask = np.asarray(mask, dtype=bool)
         exact = None
-        if exact_mode:
-            exact = Fraction(1)
-            for eid in member:
-                exact *= exact_weights[eid]
-        entries.append((member, labels, beta, exact))
+        if self.numerators is not None:
+            exact = Fraction(sum(itertools.compress(self.numerators, mask)), self.denominator)
+        return tuple(itertools.compress(self.members, mask)), math.fsum(self.betas[mask]), exact
 
-    entries.sort(key=lambda item: item[0])
-    members = tuple(item[0] for item in entries)
-    labels = tuple(item[1] for item in entries)
-    betas = tuple(item[2] for item in entries)
-    betas_exact = tuple(item[3] for item in entries) if exact_mode else None
-    return members, labels, betas_exact, betas
+
+class _Oracle:
+    """One network's spanning trees, and the two-tree forests read from them.
+
+    Keeps no reference to the network, so the memo holding it keeps none
+    alive.  Exact mode is decided once, over every line.
+    """
+
+    def __init__(self, network: Network):
+        ids = network.edge_ids()
+        source, target = (ends.tolist() for ends in network.endpoints)
+        self.n = network.n
+        self.ends = dict(zip(ids, zip(source, target)))
+        self.weights = {edge.id: edge.susceptance for edge in network.edges}
+        exact = {eid: _nice_fraction(w) for eid, w in self.weights.items()}
+        self.scaled = None
+        if all(v is not None for v in exact.values()):
+            self.common = math.lcm(*(f.denominator for f in exact.values()))
+            self.scaled = {eid: f.numerator * (self.common // f.denominator) for eid, f in exact.items()}
+        raw = _enumerate_tree_sets(network.n, list(zip(ids, source, target)))
+        self.trees = self._weigh(sorted(tuple(sorted(tree)) for tree in raw))
+
+    def _weigh(self, members) -> _Weighted:
+        members = tuple(members)
+        # Float products run in ascending line id, the order of each member.
+        betas = np.array([math.prod(self.weights[e] for e in member) for member in members],
+                         dtype=float)
+        if self.scaled is None:
+            return _Weighted(members, betas, None)
+        numerators = tuple(math.prod(self.scaled[e] for e in member) for member in members)
+        size = len(members[0]) if members else 0
+        return _Weighted(members, betas, numerators, self.common**size)
+
+    def trees_within(self, allowed: frozenset[int] | None):
+        """(members, float sum, exact sum) over the trees using only allowed lines."""
+        if allowed is None:
+            return self.trees.select(np.ones(len(self.trees.members), dtype=bool))
+        return self.trees.select([allowed.issuperset(tree) for tree in self.trees.members])
+
+    @cached_property
+    def forests(self) -> _Weighted:
+        """Every two-tree spanning forest: a spanning tree less one of its lines."""
+        return self._weigh(sorted({tree[:k] + tree[k + 1:]
+                                   for tree in self.trees.members for k in range(len(tree))}))
+
+    @cached_property
+    def far(self) -> np.ndarray:
+        """Forest x node-position mask of the nodes outside the tree holding position 0."""
+        far = np.ones((len(self.forests.members), self.n), dtype=bool)
+        for row, member in zip(far, self.forests.members):
+            adjacency = [[] for _ in range(self.n)]
+            for eid in member:
+                u, v = self.ends[eid]
+                adjacency[u].append(v)
+                adjacency[v].append(u)
+            near, stack = {0}, [0]
+            while stack:
+                for other in adjacency[stack.pop()]:
+                    if other not in near:
+                        near.add(other)
+                        stack.append(other)
+            row[list(near)] = False
+        return far
+
+
+#: Each live network's oracle; an entry goes when its network is collected.
+_ORACLES: weakref.WeakKeyDictionary[Network, _Oracle] = weakref.WeakKeyDictionary()
+
+
+def _oracle(network: Network) -> _Oracle:
+    oracle = _ORACLES.get(network)
+    if oracle is None:
+        oracle = _ORACLES[network] = _Oracle(network)
+    return oracle
 
 
 def _forest_sum(network: Network, group_a, group_b):
@@ -299,26 +293,11 @@ def _forest_sum(network: Network, group_a, group_b):
         raise ValueError("node groups must be nonempty")
     if group_a & group_b:
         return (), 0.0, Fraction(0)
-    members, labels, betas_exact, betas = _forest_index(network)
-    pos_a = [network.node_index(v) for v in group_a]
-    pos_b = [network.node_index(v) for v in group_b]
-
-    hits = []
-    acc = []
-    acc_exact = Fraction(0) if betas_exact is not None else None
-    for k in range(len(members)):
-        lab = labels[k]
-        side_a = lab[pos_a[0]]
-        if any(lab[p] != side_a for p in pos_a[1:]):
-            continue
-        side_b = lab[pos_b[0]]
-        if side_b == side_a or any(lab[p] != side_b for p in pos_b[1:]):
-            continue
-        hits.append(members[k])
-        acc.append(betas[k])
-        if acc_exact is not None:
-            acc_exact += betas_exact[k]
-    return tuple(hits), math.fsum(acc), acc_exact
+    oracle = _oracle(network)
+    a = oracle.far[:, [network.node_index(v) for v in group_a]]
+    b = oracle.far[:, [network.node_index(v) for v in group_b]]
+    # Each group sits whole in one of the two trees, and not in the same one.
+    return oracle.forests.select((a.all(axis=1) & ~b.any(axis=1)) | (b.all(axis=1) & ~a.any(axis=1)))
 
 
 def _ratio(num: float, num_exact, den: float, den_exact) -> float:
@@ -339,7 +318,7 @@ def enumerate_spanning_trees(network: Network, allowed_edges=None) -> ForestFami
         unknown = allowed - known
         if unknown:
             raise UnknownEdgeError(f"unknown edge ids {sorted(unknown)}")
-    members, _, betas_exact, total, total_exact = _tree_index(network, allowed)
+    members, total, total_exact = _oracle(network).trees_within(allowed)
     return ForestFamily(
         kind="spanning_trees",
         members=members,
@@ -375,7 +354,7 @@ def a_entry_via_forests(network: Network, i: int, j: int) -> float:
     if i == network.reference or j == network.reference:
         return 0.0
     _, num, num_exact = _forest_sum(network, {i, j}, {network.reference})
-    _, _, _, den, den_exact = _tree_index(network, None)
+    _, den, den_exact = _oracle(network).trees_within(None)
     return _ratio(num, num_exact, den, den_exact)
 
 
@@ -392,7 +371,7 @@ def ptdf_via_forests(network: Network, line: int, inject_at: int, withdraw_at: i
     i, j = edge.source, edge.target
     _, pos, pos_exact = _forest_sum(network, {i, inject_at}, {j, withdraw_at})
     _, neg, neg_exact = _forest_sum(network, {i, withdraw_at}, {j, inject_at})
-    _, _, _, den, den_exact = _tree_index(network, None)
+    _, den, den_exact = _oracle(network).trees_within(None)
     if pos_exact is not None and neg_exact is not None and den_exact:
         return float(Fraction(edge.susceptance) * (pos_exact - neg_exact) / den_exact)
     return edge.susceptance * (pos - neg) / den
@@ -412,7 +391,7 @@ def lodf_via_forests(network: Network, line: int, outaged: int) -> float:
     i, j = edge.source, edge.target
 
     allowed = frozenset(e.id for e in network.edges if e.id != outaged)
-    _, _, _, den, den_exact = _tree_index(network, allowed)
+    _, den, den_exact = _oracle(network).trees_within(allowed)
     if den == 0.0:
         raise BridgeError(f"line {outaged} is a bridge; no spanning tree avoids it")
 
@@ -437,7 +416,7 @@ def matrix_tree_check(network: Network, tolerance: float = CHECK_RTOL) -> Matrix
     reduced = L[np.ix_(keep, keep)]
     non_ref_nodes = [network.nodes[k] for k in keep]
 
-    _, _, _, tree_total, tree_total_exact = _tree_index(network, None)
+    _, tree_total, tree_total_exact = _oracle(network).trees_within(None)
     forest_weight = float(tree_total_exact) if tree_total_exact is not None else tree_total
 
     determinant = float(np.linalg.det(reduced)) if reduced.size else 1.0
@@ -475,11 +454,11 @@ def effective_reactance(network: Network, line: int) -> ReactanceReport:
     """
     edge = network.edge_by_id(line)
     _, num, num_exact = _forest_sum(network, {edge.source}, {edge.target})
-    _, _, _, den, den_exact = _tree_index(network, None)
+    _, den, den_exact = _oracle(network).trees_within(None)
     effective = _ratio(num, num_exact, den, den_exact)
 
     allowed = frozenset(e.id for e in network.edges if e.id != line)
-    _, _, _, avoid, avoid_exact = _tree_index(network, allowed)
+    _, avoid, avoid_exact = _oracle(network).trees_within(allowed)
     ratio = _ratio(avoid, avoid_exact, den, den_exact)
 
     return ReactanceReport(

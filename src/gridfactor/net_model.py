@@ -406,22 +406,20 @@ def incidence_matrix(network: Network) -> np.ndarray:
 
 
 def is_connected(network: Network) -> bool:
-    """True when every node is reachable from every other through the edges."""
+    """True when every node is reachable from every other through the edges.
+
+    One search of the network's adjacency; every edge endpoint must be a
+    known node, which :func:`validate` checks before it asks.
+    """
     if network.n == 0:
         return True
-    parent = {node: node for node in network.nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for edge in network.edges:
-        if edge.source in parent and edge.target in parent:
-            parent[find(edge.source)] = find(edge.target)
-    roots = {find(node) for node in network.nodes}
-    return len(roots) == 1
+    reached, stack = {0}, [0]
+    while stack:
+        for other, _ in network._adjacency[stack.pop()]:
+            if other not in reached:
+                reached.add(other)
+                stack.append(other)
+    return len(reached) == network.n
 
 
 def validate(network: Network) -> ValidationReport:

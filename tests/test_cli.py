@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from gridfactor import cli, factors
 from gridfactor.cli import run
 
 from conftest import fig2_doc, triangle_doc
@@ -82,6 +83,20 @@ def test_glodf_cross_check(capsys, triangle_path):
     assert payload["outaged"] == [1]
     assert payload["surviving"] == [2, 3]
     assert max(payload["residuals"].values()) < 1e-9
+
+
+def test_glodf_cross_check_computes_the_stack_once(monkeypatch, capsys, triangle_path):
+    calls = []
+    original = factors.lodf_stack
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(factors, "lodf_stack", counted)
+    assert run(["glodf", triangle_path, "--lines", "1", "--method", "cross_check"]) == 0
+    assert len(calls) == 1
+    assert len(json.loads(capsys.readouterr().out)["k_stack"]) == 2
 
 
 def test_localize(capsys, fig2_path):
@@ -167,7 +182,11 @@ def test_bad_tol_is_input_error(monkeypatch, capsys, triangle_path, value):
     ["--trials", "-3"], ["--trials", "0"], ["--eps", "nan"], ["--eps", "-0.5"], ["--eps", "2"],
     ["--eps", "1"], ["--eps", "inf"], ["--seed", "-1"],
 ])
-def test_bad_perturbation_is_input_error(capsys, triangle_path, flags):
+def test_bad_perturbation_is_input_error(monkeypatch, capsys, triangle_path, flags):
+    def refuse(*args):
+        raise AssertionError("the network was factored before the spec was checked")
+
+    monkeypatch.setattr(cli, "build_laplacian", refuse)
     assert run(["localize", triangle_path, "--lines", "1", "--perturb"] + flags) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("gridfactor: perturbation")

@@ -14,10 +14,14 @@ from gridfactor import (
     OutageSet,
     UnknownEdgeError,
     block_decomposition,
+    a_entry_via_forests,
     build_laplacian,
+    effective_reactance,
+    enumerate_two_tree_forests,
     glodf,
     incidence_matrix,
     is_cut_set,
+    lodf_via_forests,
     ptdf_matrix,
     run_cascade,
     solve_flow,
@@ -42,6 +46,10 @@ def _use_and_forget(doc):
     glodf(bundle, ptdf_matrix(bundle, net), net, OutageSet(net, [1]))
     block_decomposition(net)
     run_cascade(net, net.injections, [1])
+    a_entry_via_forests(net, 1, 2)
+    lodf_via_forests(net, 2, 1)
+    enumerate_two_tree_forests(net, {1}, {3})
+    effective_reactance(net, 1)
     return weakref.ref(net)
 
 

@@ -1,5 +1,11 @@
+import itertools
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfactor import (
     BridgeError,
@@ -14,8 +20,10 @@ from gridfactor import (
     ptdf_matrix,
     ptdf_via_forests,
 )
+from gridfactor import forests
+from gridfactor.cli import run
 
-from conftest import build, random_network
+from conftest import build, grid_doc, random_network
 
 
 def test_triangle_spanning_trees(triangle):
@@ -289,3 +297,80 @@ def test_forest_lodf_matches_ptdf_route():
                 algebraic = ptdf.entry(edge.id, hat.id) / gap
                 oracle = lodf_via_forests(net, edge.id, hat.id)
                 assert abs(algebraic - oracle) < 1e-9 * max(1.0, abs(algebraic))
+
+
+def _scanned_forests(net):
+    """Every acyclic choice of n - 2 lines, found by scanning all such subsets.
+
+    Maps each forest (ascending line ids) to its node sides: True where a
+    node position is outside the tree holding position 0.
+    """
+    index = {node: k for k, node in enumerate(net.nodes)}
+    found = {}
+    for combo in itertools.combinations(net.edges, net.n - 2):
+        parent = list(range(net.n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for edge in combo:
+            ru, rv = find(index[edge.source]), find(index[edge.target])
+            if ru == rv:
+                break
+            parent[ru] = rv
+        else:
+            root = find(0)
+            found[tuple(sorted(edge.id for edge in combo))] = [find(k) != root for k in range(net.n)]
+    return found
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(0, 0), (2, 0), (12, 4)]),  # trees, bridge-heavy, meshed
+    st.booleans(),
+)
+def test_derived_forests_match_the_subset_scan(seed, extra, exact):
+    max_extra, min_extra = extra
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_nodes=7, max_extra=max_extra, min_extra=min_extra)
+    if exact:
+        net = net.with_susceptances(np.round(net.susceptances() * 8) / 8)
+    scanned = _scanned_forests(net)
+    oracle = forests._oracle(net)
+    derived = oracle.forests
+
+    assert derived.members == tuple(sorted(scanned))
+    assert oracle.far.tolist() == [scanned[member] for member in derived.members]
+    weights = {edge.id: edge.susceptance for edge in net.edges}
+    for k, member in enumerate(derived.members):
+        beta = 1.0
+        for eid in member:
+            beta *= weights[eid]
+        assert derived.betas[k] == beta
+        if exact:
+            product = Fraction(1)
+            for eid in member:
+                product *= Fraction(weights[eid])
+            assert Fraction(derived.numerators[k], derived.denominator) == product
+        else:
+            assert derived.numerators is None
+
+
+def test_verify_enumerates_the_spanning_trees_once(monkeypatch, tmp_path, capsys):
+    calls = []
+    original = forests._enumerate_tree_sets
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(forests, "_enumerate_tree_sets", counted)
+    # Susceptance 1.25 keeps this grid apart from the networks other tests build.
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid_doc(3, b=1.25)))
+    assert run(["verify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert len(calls) == 1
