@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcpf import FlowState, build_laplacian, solve_flow
+from .dcpf import FlowState, surviving_flow
 from .errors import MaxStagesError, ValidationError
-from .factors import PtdfMatrix
+from .factors import PtdfMatrix, _lodf_columns
 from .graph_algos import BlockDecomposition
 from .net_model import Network, injection_vector
 
@@ -94,7 +94,8 @@ def run_cascade(
     tripped = initial
 
     while True:
-        if network.disconnected_by(np.flatnonzero(~alive)):
+        out = np.flatnonzero(~alive)
+        if network.disconnected_by(out):
             stages.append(Stage(tripped=tripped, flow=None))
             return CascadeTrace(
                 stages=tuple(stages),
@@ -104,12 +105,9 @@ def run_cascade(
                 islanded_at_stage=len(stages) if len(stages) > 1 else 0,
             )
 
-        surviving = network.without_edges(ids[~alive].tolist())
-        state = solve_flow(build_laplacian(surviving), surviving, p)
-        flows = np.zeros(network.m)
-        flows[alive] = state.flows
-        stages.append(Stage(tripped=tripped, flow=FlowState(theta=state.theta, flows=flows)))
-        over = alive & (np.abs(flows) > capacities)
+        state = surviving_flow(network, p, out)
+        stages.append(Stage(tripped=tripped, flow=state))
+        over = alive & (np.abs(state.flows) > capacities)
         tripped = frozenset(ids[over].tolist())
         if not tripped:
             status = "no_initial_overload" if len(stages) == 1 else "converged"
@@ -148,7 +146,7 @@ def influence_graph(
         ordered = np.array(sorted(members))
         positions = ptdf.network.edge_positions(ordered.tolist())
         # factor[i, j]: flow change on line i per unit pre-outage flow on tripped line j.
-        factor = ptdf.matrix[np.ix_(positions, positions)] / (1.0 - diag[positions])[None, :]
+        factor = _lodf_columns(ptdf.matrix[np.ix_(positions, positions)], diag[positions])
         strong = np.maximum(np.abs(factor), np.abs(factor.T)) >= threshold
         rows, cols = np.nonzero(np.triu(strong, 1))
         pairs.extend(zip(ordered[rows].tolist(), ordered[cols].tolist()))

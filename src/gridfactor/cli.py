@@ -37,15 +37,15 @@ def _emit_json(payload) -> None:
 def _emit_matrix_csv(rows, cols, values) -> None:
     out = sys.stdout
     out.write("line," + ",".join(str(c) for c in cols) + "\n")
-    for row_id, row in zip(rows, values):
-        out.write(str(row_id) + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    for row_id, row in zip(rows, values.tolist()):
+        out.write(str(row_id) + "," + ",".join(repr(v) for v in row) + "\n")
 
 
 def _matrix_payload(rows, cols, values) -> dict:
     return {
         "rows": [int(r) for r in rows],
         "cols": [int(c) for c in cols],
-        "values": [[float(v) for v in row] for row in values],
+        "values": values.tolist(),
     }
 
 
@@ -58,8 +58,8 @@ def _parse_lines(text: str) -> list[int]:
 
 def _flow_payload(network, state) -> dict:
     return {
-        "theta": {str(node): float(v) for node, v in zip(network.nodes, state.theta)},
-        "flows": {str(edge.id): float(v) for edge, v in zip(network.edges, state.flows)},
+        "theta": {str(node): v for node, v in zip(network.nodes, state.theta.tolist())},
+        "flows": {str(edge.id): v for edge, v in zip(network.edges, state.flows.tolist())},
     }
 
 
@@ -117,8 +117,8 @@ def _cmd_glodf(args) -> int:
         "method": result.method,
         "outaged": [int(v) for v in result.outaged],
         "surviving": [int(v) for v in result.surviving],
-        "k": [[float(v) for v in row] for row in result.k_matrix],
-        "k_stack": [[float(v) for v in row] for row in result.k_stack],
+        "k": result.k_matrix.tolist(),
+        "k_stack": result.k_stack.tolist(),
         "residuals": (
             {key: float(v) for key, v in result.residuals.items()} if result.residuals else None
         ),
@@ -151,7 +151,7 @@ def _cmd_localize(args) -> int:
                 "block": int(b.block_index),
                 "rows": [int(v) for v in b.row_ids],
                 "cols": [int(v) for v in b.col_ids],
-                "k": [[float(v) for v in row] for row in b.k_direct],
+                "k": b.k_direct.tolist(),
                 "reassembly_err_direct": float(b.reassembly_err_direct),
                 "reassembly_err_parts": float(b.reassembly_err_parts),
             }

@@ -20,7 +20,8 @@ import scipy.linalg
 from .errors import SingularError
 from .net_model import Network, injection_vector
 
-__all__ = ["LaplacianBundle", "FlowState", "build_laplacian", "solve_flow", "pseudo_inverse_flow"]
+__all__ = ["LaplacianBundle", "FlowState", "build_laplacian", "solve_flow", "pseudo_inverse_flow",
+           "surviving_flow"]
 
 #: A reduced-Laplacian pivot below this fraction of max|reduced L| is singular.
 PIVOT_RTOL = 1e-12
@@ -45,16 +46,17 @@ class LaplacianBundle:
 
     Immutable after construction; :meth:`solve` applies A without forming
     it, and A and the pseudo-inverse are computed on first access.
-    ``source`` and ``target`` hold each edge's endpoint positions.  Raising
-    SingularError on a vanished pivot doubles as a disconnection signal,
-    independent of the graph-side connectivity check.
+    ``source``, ``target`` and ``b`` hold each edge's endpoint positions and
+    susceptance, for :meth:`branch_flows`.  Raising SingularError on a
+    vanished pivot doubles as a disconnection signal, independent of the
+    graph-side connectivity check.
     """
 
     def __init__(self, network: Network):
         self.network = network
         n = network.n
         self.source, self.target = network.endpoints
-        b = network.susceptances()
+        self.b = b = network.susceptances()
         s, t = self.source, self.target
         flat = np.concatenate([s * (n + 1), t * (n + 1), s * n + t, t * n + s])
         self.L = np.bincount(flat, np.concatenate([b, b, -b, -b]), minlength=n * n).reshape(n, n)
@@ -83,6 +85,11 @@ class LaplacianBundle:
         out = np.zeros(rhs.shape)
         out[self._keep] = scipy.linalg.lu_solve(self._factor, rhs[self._keep], check_finite=False)
         return out
+
+    def branch_flows(self, theta: np.ndarray) -> np.ndarray:
+        """f = B C^T theta, for one angle vector or a stack of angle columns."""
+        b = self.b if theta.ndim == 1 else self.b[:, None]
+        return b * (theta[self.source] - theta[self.target])
 
     @cached_property
     def A(self) -> np.ndarray:
@@ -117,10 +124,8 @@ def solve_flow(bundle: LaplacianBundle, network: Network, p) -> FlowState:
     theta = A p, solved with the bundle's LU factors, and f = B C^T theta.
     The injections must be balanced.
     """
-    p = injection_vector(network, p)
-    theta = bundle.solve(p)
-    flows = network.susceptances() * (theta[bundle.source] - theta[bundle.target])
-    return FlowState(theta=theta, flows=flows)
+    theta = bundle.solve(injection_vector(network, p))
+    return FlowState(theta=theta, flows=bundle.branch_flows(theta))
 
 
 def pseudo_inverse_flow(bundle: LaplacianBundle, network: Network, p) -> FlowState:
@@ -129,7 +134,21 @@ def pseudo_inverse_flow(bundle: LaplacianBundle, network: Network, p) -> FlowSta
     Branch flows coincide with :func:`solve_flow`; the angle vector differs
     from the reference-pinned one by a constant shift.
     """
-    p = injection_vector(network, p)
-    theta = bundle.ldag @ p
-    flows = network.susceptances() * (theta[bundle.source] - theta[bundle.target])
-    return FlowState(theta=theta, flows=flows)
+    theta = bundle.ldag @ injection_vector(network, p)
+    return FlowState(theta=theta, flows=bundle.branch_flows(theta))
+
+
+def surviving_flow(network: Network, p, tripped) -> FlowState:
+    """DC power flow on the network without the lines at the ``tripped`` edge positions.
+
+    The surviving grid must be connected; it is factored afresh.  The flow
+    vector keeps the full network's edge order with zeros at the tripped
+    lines; the angles cover every node.
+    """
+    alive = np.ones(network.m, dtype=bool)
+    alive[tripped] = False
+    surviving = network.without_edges(network.edges[k].id for k in tripped)
+    state = solve_flow(build_laplacian(surviving), surviving, p)
+    flows = np.zeros(network.m)
+    flows[alive] = state.flows
+    return FlowState(theta=state.theta, flows=flows)

@@ -1,11 +1,12 @@
 """PTDF, LODF, stacked LODF, and multi-line GLODF computation.
 
 The injection-shift sensitivity matrix is D = B C^T A C.  Single-line
-outage factors follow as K = D / (1 - D_ll) for non-bridge lines, and a
-simultaneous non-cut outage couples the tripped lines through the inverse
-of I - D_FF.  Every simultaneous-outage factor, here and in the
-localization report and perturbation test, is one call of the GLODF
-kernel ``_glodf_kernel(numerator, D_FF) = numerator (I - D_FF)^-1``.
+outage factors follow as K = D / (1 - D_ll) for non-bridge lines, always
+through ``_lodf_columns``, and a simultaneous non-cut outage couples the
+tripped lines through the inverse of I - D_FF.  Every simultaneous-outage
+factor, here and in the localization report and perturbation test, is one
+call of the GLODF kernel ``_glodf_kernel(numerator, D_FF) = numerator
+(I - D_FF)^-1``.
 Three equivalent GLODF formulas are implemented; the cross-check mode
 evaluates all of them and records their disagreement.
 """
@@ -18,10 +19,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .dcpf import FlowState, LaplacianBundle, build_laplacian, solve_flow
+from .dcpf import FlowState, LaplacianBundle, build_laplacian, solve_flow, surviving_flow
 from .errors import BridgeOutageError, CutSetError, SingularError, ValidationError
 from .graph_algos import BlockDecomposition
-from .net_model import Network, incidence_matrix, injection_vector
+from .net_model import Network, incidence_columns, incidence_matrix, injection_vector
 
 __all__ = [
     "PtdfMatrix",
@@ -89,11 +90,8 @@ class OutageSet:
     def size(self) -> int:
         return len(self.outaged)
 
-    def susceptance_kept(self) -> np.ndarray:
-        return self.network.susceptances()[self.surviving_idx]
-
     def incidence_out(self) -> np.ndarray:
-        return incidence_matrix(self.network)[:, self.outaged_idx]
+        return incidence_columns(self.network, self.outaged_idx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +146,7 @@ def lodf_single(ptdf: PtdfMatrix, decomposition: BlockDecomposition, outaged: in
     col = ptdf.index(outaged)
     if outaged in decomposition.bridges:
         raise BridgeOutageError(f"line {outaged} is a bridge; outage factors are undefined")
-    values = ptdf.matrix[:, col] / (1.0 - ptdf.matrix[col, col])
+    values = _lodf_columns(ptdf.matrix[:, col], ptdf.matrix[col, col])
     ids = ptdf.line_ids[:col] + ptdf.line_ids[col + 1:]
     return dict(zip(ids, np.delete(values, col).tolist()))
 
@@ -160,12 +158,20 @@ def lodf_stack(ptdf: PtdfMatrix, outage: OutageSet) -> np.ndarray:
     simultaneous-outage sensitivity (see :func:`glodf`).
     """
     rows, cols = outage.surviving_idx, outage.outaged_idx
-    diag = np.diag(ptdf.matrix)[cols]
-    gaps = 1.0 - diag
-    if np.any(gaps <= BRIDGE_DIAG_TOL):
-        offenders = [outage.outaged[k] for k in np.nonzero(gaps <= BRIDGE_DIAG_TOL)[0]]
+    diag = ptdf.matrix[cols, cols]
+    bridges = 1.0 - diag <= BRIDGE_DIAG_TOL
+    if np.any(bridges):
+        offenders = [outage.outaged[k] for k in np.flatnonzero(bridges)]
         raise BridgeOutageError(f"lines {offenders} are bridges; outage factors are undefined")
-    return ptdf.matrix[np.ix_(rows, cols)] / gaps[None, :]
+    return _lodf_columns(ptdf.matrix[np.ix_(rows, cols)], diag)
+
+
+def _lodf_columns(d_cols: np.ndarray, d_kk) -> np.ndarray:
+    """Single-line outage factors D[:, k] / (1 - D_kk) of sensitivity columns (any rows).
+
+    ``d_kk`` holds each column's own diagonal entry; callers rule out bridges, where it is 1.
+    """
+    return d_cols / (1.0 - d_kk)
 
 
 def _glodf_kernel(numerator: np.ndarray, d_ff: np.ndarray) -> np.ndarray:
@@ -214,8 +220,7 @@ def glodf(
 
     def post_contingency():
         sub_bundle = build_laplacian(network.without_edges(outage.outaged))
-        theta = sub_bundle.solve(outage.incidence_out())
-        return outage.susceptance_kept()[:, None] * (theta[sub_bundle.source] - theta[sub_bundle.target])
+        return sub_bundle.branch_flows(sub_bundle.solve(outage.incidence_out()))
 
     stack = None
 
@@ -263,15 +268,7 @@ def apply_outage(
     p = injection_vector(network, p)
     if network.disconnected_by(outage.outaged_idx):
         raise CutSetError(f"outage {outage.outaged} disconnects the network")
-    surviving = network.without_edges(outage.outaged)
-
-    pre = solve_flow(bundle, network, p)
-    post_sub = solve_flow(build_laplacian(surviving), surviving, p)
-
-    flows = np.zeros(network.m)
-    flows[outage.surviving_idx] = post_sub.flows
-    post = FlowState(theta=post_sub.theta, flows=flows)
-    return pre, post
+    return solve_flow(bundle, network, p), surviving_flow(network, p, outage.outaged_idx)
 
 
 def characteristic_injection_flow(bundle: LaplacianBundle, network: Network, line: int) -> np.ndarray:
@@ -281,10 +278,7 @@ def characteristic_injection_flow(bundle: LaplacianBundle, network: Network, lin
     line's sensitivity column: the flow on every line u equals D_u,line,
     and the flow on the line itself is positive.
     """
-    edge = network.edge_by_id(line)
-    p = np.zeros(network.n)
-    p[network.node_index(edge.source)] = 1.0
-    p[network.node_index(edge.target)] = -1.0
+    p = incidence_columns(network, [network.edge_index(line)])[:, 0]
     return solve_flow(bundle, network, p).flows
 
 

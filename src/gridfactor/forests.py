@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BridgeError, TooLargeError, UnknownEdgeError
+from .errors import BridgeError, TooLargeError
 from .net_model import Network, incidence_matrix
 
 __all__ = [
@@ -314,10 +314,7 @@ def enumerate_spanning_trees(network: Network, allowed_edges=None) -> ForestFami
     allowed = None
     if allowed_edges is not None:
         allowed = frozenset(allowed_edges)
-        known = {edge.id for edge in network.edges}
-        unknown = allowed - known
-        if unknown:
-            raise UnknownEdgeError(f"unknown edge ids {sorted(unknown)}")
+        network.edge_positions(allowed)  # UnknownEdgeError naming every unknown id
     members, total, total_exact = _oracle(network).trees_within(allowed)
     return ForestFamily(
         kind="spanning_trees",

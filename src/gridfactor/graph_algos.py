@@ -30,12 +30,6 @@ class BlockDecomposition:
     cut_vertices: frozenset[int]
     block_of: MappingProxyType
 
-    def block_edges(self, index: int) -> frozenset[int]:
-        return self.blocks[index]
-
-    def is_bridge(self, edge_id: int) -> bool:
-        return edge_id in self.bridges
-
 
 def block_decomposition(network: Network) -> BlockDecomposition:
     """Unique block decomposition of a connected network.

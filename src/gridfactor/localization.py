@@ -17,18 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dcpf import LaplacianBundle, build_laplacian
+from .dcpf import LaplacianBundle, build_laplacian, solve_flow
 from .errors import BridgeOutageError, CutSetError, ValidationError, ZeroFactorError
-from .factors import (
-    GlodfResult,
-    OutageSet,
-    _glodf_kernel,
-    characteristic_injection_flow,
-    lodf_single,
-    ptdf_matrix,
-)
+from .factors import GlodfResult, OutageSet, _glodf_kernel, _lodf_columns
 from .graph_algos import BlockDecomposition, _shares_block, block_decomposition, is_cut_set
-from .net_model import Network, incidence_matrix
+from .net_model import Network, incidence_columns, incidence_matrix
 
 __all__ = [
     "PerturbationSpec",
@@ -234,8 +227,7 @@ def almost_sure_nonzero_test(
         omega = rng.uniform(-spec.relative_magnitude, spec.relative_magnitude, network.m)
         b = base * (1.0 + omega)
         bundle = build_laplacian(network.with_susceptances(b))
-        theta = bundle.solve(c_out)
-        d_cols = b[:, None] * (theta[bundle.source] - theta[bundle.target])
+        d_cols = bundle.branch_flows(bundle.solve(c_out))
         counts += np.abs(_glodf_kernel(d_cols[rows], d_cols[cols])) > NONZERO_ATOL
 
     within, cross = {}, {}
@@ -270,33 +262,30 @@ def adversarial_capacity(
     capacity vector that is exactly tight on the target line and generously
     slack elsewhere: the common slack level is (1 + max|K|) * max|f|, which
     the triangle-inequality bound on post-outage flows can never exceed.
-    Requires a nonzero outage factor between the two lines.
+    Requires a nonzero outage factor between the two lines.  One solve of
+    the unit injection gives both the flows and the tripped line's
+    sensitivity column, from which its outage factors follow.
     """
     if tripped == target:
         raise ValueError("lines must be distinct")
-    decomposition = block_decomposition(network)
-    if tripped in decomposition.bridges:
+    if tripped in block_decomposition(network).bridges:
         raise BridgeOutageError(f"line {tripped} is a bridge")
 
     target_idx = network.edge_index(target)
-    ptdf = ptdf_matrix(bundle, network)
-    column = lodf_single(ptdf, decomposition, tripped)
-    k_norm = max(abs(v) for v in column.values())
-    if abs(column[target]) < ZERO_RTOL * max(1.0, k_norm):
+    tripped_idx = network.edge_index(tripped)
+    injections = incidence_columns(network, [tripped_idx])[:, 0]
+    flows = solve_flow(bundle, network, injections).flows
+    column = _lodf_columns(flows, flows[tripped_idx])
+    k_norm = float(np.max(np.abs(np.delete(column, tripped_idx))))
+    if abs(column[target_idx]) < ZERO_RTOL * max(1.0, k_norm):
         raise ZeroFactorError(
             f"outage factor between lines {tripped} and {target} vanishes; "
             "no capacity choice makes the failure propagate"
         )
 
-    flows = characteristic_injection_flow(bundle, network, tripped)
     f_norm = float(np.max(np.abs(flows)))
     slack_level = (1.0 + k_norm) * f_norm
 
     capacities = np.full(network.m, slack_level)
     capacities[target_idx] = abs(flows[target_idx])
-
-    edge = network.edge_by_id(tripped)
-    injections = np.zeros(network.n)
-    injections[network.node_index(edge.source)] = 1.0
-    injections[network.node_index(edge.target)] = -1.0
     return AdversarialInstance(injections=injections, capacities=capacities)

@@ -34,6 +34,7 @@ __all__ = [
     "load_network",
     "network_to_document",
     "incidence_matrix",
+    "incidence_columns",
     "is_connected",
     "validate",
     "injection_vector",
@@ -398,11 +399,16 @@ def network_to_document(network: Network) -> dict:
 
 def incidence_matrix(network: Network) -> np.ndarray:
     """Signed node-edge incidence matrix C (+1 at each source, -1 at each target)."""
-    C = np.zeros((network.n, network.m))
-    source, target = network.endpoints
-    C[source, np.arange(network.m)] = 1.0
-    C[target, np.arange(network.m)] = -1.0
-    return C
+    return incidence_columns(network, np.arange(network.m))
+
+
+def incidence_columns(network: Network, positions) -> np.ndarray:
+    """Columns of C at the given edge positions: the unit injection across each of those lines."""
+    source, target = (ends[positions] for ends in network.endpoints)
+    columns = np.zeros((network.n, len(source)))
+    columns[source, np.arange(len(source))] = 1.0
+    columns[target, np.arange(len(source))] = -1.0
+    return columns
 
 
 def is_connected(network: Network) -> bool:

@@ -16,7 +16,9 @@ from gridfactor import (
     block_decomposition,
     block_structure_report,
     build_laplacian,
+    characteristic_injection_flow,
     glodf,
+    incidence_matrix,
     lodf_single,
     ptdf_matrix,
     run_cascade,
@@ -353,6 +355,62 @@ def test_perturbation_never_builds_the_inverse(monkeypatch, fig2):
 
     monkeypatch.setattr(LaplacianBundle, "A", property(refuse), raising=False)
     monkeypatch.setattr(factors, "ptdf_matrix", refuse)
-    monkeypatch.setattr(localization, "ptdf_matrix", refuse)
     stats = almost_sure_nonzero_test(fig2, OutageSet(fig2, [1, 6]), PerturbationSpec(trials=5))
     assert stats.min_within_count() == 5 and stats.max_cross_count() == 0
+
+
+def test_adversarial_capacity_builds_no_dense_matrix(monkeypatch, fig2):
+    bundle = build_laplacian(fig2)
+
+    def refuse(*args):
+        raise AssertionError("a dense inverse or full PTDF was built")
+
+    monkeypatch.setattr(LaplacianBundle, "A", property(refuse), raising=False)
+    monkeypatch.setattr(factors, "ptdf_matrix", refuse)
+    instance = adversarial_capacity(bundle, fig2, 1, 2)
+    assert instance.capacities.shape == (fig2.m,)
+
+
+def _adversarial_by_full_ptdf(bundle, net, tripped, target):
+    """The dense route: the full PTDF's outage column, then a second solve for the flows."""
+    D = ptdf_matrix(bundle, net).matrix
+    k = net.edge_index(tripped)
+    column = D[:, k] / (1.0 - D[k, k])
+    k_norm = float(np.max(np.abs(np.delete(column, k))))
+    if abs(column[net.edge_index(target)]) < localization.ZERO_RTOL * max(1.0, k_norm):
+        return None
+    flows = characteristic_injection_flow(bundle, net, tripped)
+    capacities = np.full(net.m, (1.0 + k_norm) * float(np.max(np.abs(flows))))
+    capacities[net.edge_index(target)] = abs(flows[net.edge_index(target)])
+    edge = net.edge_by_id(tripped)
+    injections = np.zeros(net.n)
+    injections[net.node_index(edge.source)] = 1.0
+    injections[net.node_index(edge.target)] = -1.0
+    return injections, capacities
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_unit_injection_matches_the_full_ptdf_route(seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_nodes=10, max_extra=8, min_extra=1)
+    ids = net.edge_ids()
+    if net.m > 1:
+        lines = rng.choice(ids, size=int(rng.integers(1, net.m)), replace=False).tolist()
+        outage = OutageSet(net, lines)
+        assert np.array_equal(outage.incidence_out(), incidence_matrix(net)[:, outage.outaged_idx])
+
+    inner = [line for line in ids if line not in block_decomposition(net).bridges]
+    if not inner:
+        return
+    tripped = int(rng.choice(inner))
+    target = int(rng.choice([line for line in ids if line != tripped]))
+    bundle = build_laplacian(net)
+    expected = _adversarial_by_full_ptdf(bundle, net, tripped, target)
+    if expected is None:
+        with pytest.raises(ZeroFactorError):
+            adversarial_capacity(bundle, net, tripped, target)
+        return
+    instance = adversarial_capacity(bundle, net, tripped, target)
+    assert np.array_equal(instance.injections, expected[0])
+    np.testing.assert_allclose(instance.capacities, expected[1], rtol=1e-12, atol=0)

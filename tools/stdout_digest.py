@@ -1,7 +1,8 @@
-"""Digest the gridfactor CLI's output over a fixed corpus of runs.
+"""Digest the gridfactor CLI's output over a fixed corpus of runs, and each demo's.
 
 Each run prints one line: the sha256 of its stdout and stderr, its exit
-code and its argv.  Two source trees are compared by diffing their digests:
+code and its argv (for a demo, its path).  Two source trees are compared by
+diffing their digests:
 
     python3 tools/stdout_digest.py --src src > change.txt
     python3 tools/stdout_digest.py --src /path/to/other/src > other.txt
@@ -12,7 +13,10 @@ methods, ``localize`` with and without ``--perturb``, bridge, cut-set and
 bad-input refusals, cascades and ``verify``.  Its networks are the test
 fixtures of ``tests/conftest.py`` and the ``perfbench/gen.py`` block trees
 and oracle grids for seeds 2 and 7.  Runs share one process, as a caller of
-``gridfactor.cli.run`` would.
+``gridfactor.cli.run`` would.  The ``demos/*.py`` scripts then run in the same
+process through ``runpy``; they reach library calls no CLI run makes
+(``pseudo_inverse_flow``, ``apply_outage``, ``adversarial_capacity``), and
+their exit code is 0, or 1 when one raises.
 """
 
 from __future__ import annotations
@@ -23,9 +27,11 @@ import csv
 import hashlib
 import io
 import os
+import runpy
 import shlex
 import sys
 import tempfile
+import traceback
 from collections import deque
 from pathlib import Path
 
@@ -148,15 +154,31 @@ def main(argv=None) -> int:
         corpus += [["flow", "triangle_csv"], ["flow", "triangle_csv/edges.csv"], ["blocks", "missing.json"]]
 
         for run_argv in corpus:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = run(run_argv)
-            digest = hashlib.sha256()
-            for stream in (out.getvalue(), err.getvalue()):
-                data = stream.encode()
-                digest.update(len(data).to_bytes(8, "big") + data)
-            print(digest.hexdigest(), code, shlex.join(run_argv), flush=True)
+            _digest(shlex.join(run_argv), lambda: run(run_argv))
+        for demo in sorted((ROOT / "demos").glob("*.py")):
+            _digest(demo.relative_to(ROOT).as_posix(), lambda: _run_demo(demo))
     return 0
+
+
+def _run_demo(path: Path) -> int:
+    try:
+        runpy.run_path(str(path), run_name="__main__")
+    except Exception:  # noqa: BLE001 - the traceback is part of the digested stderr
+        traceback.print_exc()
+        return 1
+    return 0
+
+
+def _digest(label: str, call) -> None:
+    """Run ``call`` with its output captured; print the digest, the exit code and the label."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = call()
+    digest = hashlib.sha256()
+    for stream in (out.getvalue(), err.getvalue()):
+        data = stream.encode()
+        digest.update(len(data).to_bytes(8, "big") + data)
+    print(digest.hexdigest(), code, label, flush=True)
 
 
 if __name__ == "__main__":
