@@ -76,8 +76,8 @@ def run_cascade(
     least one line).  Exceeding it raises MaxStagesError carrying the
     stages simulated so far.  Islanding is decided at every stage near the
     tripped lines (:meth:`Network.disconnected_by` on the cumulative
-    outage), and the surviving network is built only for a connected
-    stage's re-solve.
+    outage), and the network is factored again, with the tripped lines'
+    weights zeroed, only for a connected stage's re-solve.
     """
     p = injection_vector(network, p)
     initial = frozenset(int(v) for v in initial_outage)

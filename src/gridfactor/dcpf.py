@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import SingularError
+from .errors import SingularError, ValidationError
 from .net_model import Network, injection_vector
 
 __all__ = ["LaplacianBundle", "FlowState", "build_laplacian", "solve_flow", "pseudo_inverse_flow",
@@ -47,16 +47,20 @@ class LaplacianBundle:
     Immutable after construction; :meth:`solve` applies A without forming
     it, and A and the pseudo-inverse are computed on first access.
     ``source``, ``target`` and ``b`` hold each edge's endpoint positions and
-    susceptance, for :meth:`branch_flows`.  Raising SingularError on a
-    vanished pivot doubles as a disconnection signal, independent of the
-    graph-side connectivity check.
+    weight: its susceptance, or ``susceptances`` when given (copied, shape
+    ``(m,)``), where a zero weight is a line that is out.  Raising
+    SingularError on a vanished pivot doubles as a disconnection signal,
+    independent of the graph-side connectivity check.
     """
 
-    def __init__(self, network: Network):
+    def __init__(self, network: Network, susceptances=None):
         self.network = network
         n = network.n
         self.source, self.target = network.endpoints
-        self.b = b = network.susceptances()
+        given = network.susceptances() if susceptances is None else susceptances
+        self.b = b = np.array(given, dtype=float)
+        if b.shape != (network.m,):
+            raise ValidationError(f"expected {network.m} susceptances, got {b.shape}")
         s, t = self.source, self.target
         flat = np.concatenate([s * (n + 1), t * (n + 1), s * n + t, t * n + s])
         self.L = np.bincount(flat, np.concatenate([b, b, -b, -b]), minlength=n * n).reshape(n, n)
@@ -77,8 +81,8 @@ class LaplacianBundle:
             )
         self._factor = (lu, piv)
         with np.errstate(over="ignore"):
-            # Past float range the determinant is reported as +-inf.
-            self._reduced_det = float(np.prod(np.diag(lu))) * _permutation_sign(piv)
+            # det of the reduced Laplacian; past float range it reads +-inf.
+            self.reduced_determinant = float(np.prod(np.diag(lu))) * _permutation_sign(piv)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A @ rhs, for one column or several, from the LU factors."""
@@ -91,15 +95,20 @@ class LaplacianBundle:
         b = self.b if theta.ndim == 1 else self.b[:, None]
         return b * (theta[self.source] - theta[self.target])
 
+    def sensitivity(self, rows, cols) -> np.ndarray:
+        """D[rows, cols] of D = B C^T A C, gathered from A; bitwise equal to the product."""
+        A = self.A
+        shifts = A[self.source[rows]] - A[self.target[rows]]
+        out = shifts[:, self.source[cols]]
+        out -= shifts[:, self.target[cols]]
+        out *= self.b[rows][:, None]
+        out += 0.0  # the product gives 0.0 where the gather gives -0.0
+        return out
+
     @cached_property
     def A(self) -> np.ndarray:
         """Reduced inverse padded with a zero row and column at the reference."""
         return self.solve(np.eye(self.network.n))
-
-    @property
-    def reduced_determinant(self) -> float:
-        """det of the reduced Laplacian, from the LU factors."""
-        return self._reduced_det
 
     @cached_property
     def ldag(self) -> np.ndarray:
@@ -113,9 +122,9 @@ def _permutation_sign(piv: np.ndarray) -> float:
     return -1.0 if np.count_nonzero(piv != np.arange(piv.size)) % 2 else 1.0
 
 
-def build_laplacian(network: Network) -> LaplacianBundle:
-    """Assemble L and factor its reduced form for a connected network."""
-    return LaplacianBundle(network)
+def build_laplacian(network: Network, susceptances=None) -> LaplacianBundle:
+    """Assemble L and factor its reduced form, under ``susceptances`` if given."""
+    return LaplacianBundle(network, susceptances)
 
 
 def solve_flow(bundle: LaplacianBundle, network: Network, p) -> FlowState:
@@ -141,14 +150,12 @@ def pseudo_inverse_flow(bundle: LaplacianBundle, network: Network, p) -> FlowSta
 def surviving_flow(network: Network, p, tripped) -> FlowState:
     """DC power flow on the network without the lines at the ``tripped`` edge positions.
 
-    The surviving grid must be connected; it is factored afresh.  The flow
-    vector keeps the full network's edge order with zeros at the tripped
-    lines; the angles cover every node.
+    The network is factored afresh with the tripped weights zeroed; the
+    surviving grid must be connected.  The flow vector keeps full length
+    with zeros at the tripped lines; the angles cover every node.
     """
-    alive = np.ones(network.m, dtype=bool)
-    alive[tripped] = False
-    surviving = network.without_edges(network.edges[k].id for k in tripped)
-    state = solve_flow(build_laplacian(surviving), surviving, p)
-    flows = np.zeros(network.m)
-    flows[alive] = state.flows
-    return FlowState(theta=state.theta, flows=flows)
+    b = network.susceptances()
+    b[tripped] = 0.0
+    state = solve_flow(build_laplacian(network, b), network, p)
+    state.flows[tripped] = 0.0  # b = 0 leaves -0.0 where the angle difference is negative
+    return state

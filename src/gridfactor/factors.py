@@ -22,7 +22,7 @@ import numpy as np
 from .dcpf import FlowState, LaplacianBundle, build_laplacian, solve_flow, surviving_flow
 from .errors import BridgeOutageError, CutSetError, SingularError, ValidationError
 from .graph_algos import BlockDecomposition
-from .net_model import Network, incidence_columns, incidence_matrix, injection_vector
+from .net_model import Network, incidence_columns, injection_vector
 
 __all__ = [
     "PtdfMatrix",
@@ -130,11 +130,8 @@ class GlodfResult:
 
 def ptdf_matrix(bundle: LaplacianBundle, network: Network) -> PtdfMatrix:
     """Full m-by-m sensitivity matrix D = B C^T A C."""
-    C = incidence_matrix(network)
-    b = network.susceptances()
-    matrix = C.T @ bundle.A @ C
-    matrix *= b[:, None]  # in place: the m-by-m product is the peak allocation
-    return PtdfMatrix(matrix=matrix, network=network)
+    lines = np.arange(network.m)
+    return PtdfMatrix(matrix=bundle.sensitivity(lines, lines), network=network)
 
 
 def lodf_single(ptdf: PtdfMatrix, decomposition: BlockDecomposition, outaged: int) -> dict[int, float]:
@@ -198,14 +195,14 @@ def glodf(
 
     Methods:
       pre_contingency   D_-FF (I - D_FF)^-1, reusing the factored network
-      post_contingency  B_-F C_-F^T A' C_F, solving A' C_F with the surviving graph's factor
+      post_contingency  B_-F C_-F^T A' C_F, solving A' C_F with the tripped weights zeroed
       via_stack         K_-FF (I - diag D_FF) (I - D_FF)^-1
       cross_check       all three, recording the max pairwise disagreement
 
     Raises CutSetError when the outage disconnects the grid; the inverse of
     I - D_FF exists whenever it does not.  Islanding is decided near the
     tripped lines (:meth:`Network.disconnected_by`); only
-    ``post_contingency`` builds the surviving network, for its solve.
+    ``post_contingency`` factors the network again, for its solve.
     """
     if method not in GLODF_METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {GLODF_METHODS}")
@@ -219,8 +216,10 @@ def glodf(
         return _glodf_kernel(ptdf.matrix[np.ix_(rows, cols)], d_out_out)
 
     def post_contingency():
-        sub_bundle = build_laplacian(network.without_edges(outage.outaged))
-        return sub_bundle.branch_flows(sub_bundle.solve(outage.incidence_out()))
+        b = network.susceptances()
+        b[cols] = 0.0
+        sub_bundle = build_laplacian(network, b)
+        return sub_bundle.branch_flows(sub_bundle.solve(outage.incidence_out()))[rows]
 
     stack = None
 

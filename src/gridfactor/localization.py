@@ -20,8 +20,8 @@ import numpy as np
 from .dcpf import LaplacianBundle, build_laplacian, solve_flow
 from .errors import BridgeOutageError, CutSetError, ValidationError, ZeroFactorError
 from .factors import GlodfResult, OutageSet, _glodf_kernel, _lodf_columns
-from .graph_algos import BlockDecomposition, _shares_block, block_decomposition, is_cut_set
-from .net_model import Network, incidence_columns, incidence_matrix
+from .graph_algos import BlockDecomposition, _shares_block, block_decomposition
+from .net_model import Network, incidence_columns
 
 __all__ = [
     "PerturbationSpec",
@@ -66,8 +66,8 @@ class BlockFactors:
     """Per-block factor submatrices and their reassembly residuals.
 
     ``k_direct`` is the block factor computed from the sensitivity
-    submatrices alone, ``k_from_parts`` the same block rebuilt from the raw
-    susceptance/incidence/inverse product; both must match the rows and
+    submatrices alone, ``k_from_parts`` the same block rebuilt from A by
+    :meth:`LaplacianBundle.sensitivity`; both must match the rows and
     columns that the full factor matrix assigns to this block.
     """
 
@@ -99,12 +99,12 @@ def block_structure_report(
     """Verify the block-diagonal structure of a simultaneous-outage factor.
 
     For every block containing tripped lines the factor submatrix is
-    recomputed two independent ways and compared against the matching slice
+    recomputed from the PTDF and from A, and compared against the matching slice
     of the full matrix; entries pairing lines from different blocks are
     collected into ``cross_block_max``, which the theory pins at zero.
     """
     network = outage.network
-    if is_cut_set(network, outage.outaged):
+    if network.disconnected_by(outage.outaged_idx):
         raise CutSetError(f"outage {outage.outaged} disconnects the network")
 
     ptdf = result.ptdf
@@ -117,10 +117,7 @@ def block_structure_report(
     cross_max = float(np.max(magnitude[~same_block], initial=0.0))
     zero_count = int(np.count_nonzero(magnitude[same_block] < tol))
 
-    C = incidence_matrix(network)
-    A = result.bundle.A
-    b = network.susceptances()
-
+    bundle = result.bundle
     blocks = []
     for index in np.unique(col_block).tolist():
         full_rows = np.flatnonzero(row_block == index)
@@ -128,11 +125,7 @@ def block_structure_report(
         rows = outage.surviving_idx[full_rows]
         cols = outage.outaged_idx[full_cols]
         k_direct = _glodf_kernel(ptdf.matrix[np.ix_(rows, cols)], ptdf.matrix[np.ix_(cols, cols)])
-        c_out = C[:, cols]
-        k_parts = _glodf_kernel(
-            b[rows][:, None] * (C[:, rows].T @ A @ c_out),
-            b[cols][:, None] * (c_out.T @ A @ c_out),
-        )
+        k_parts = _glodf_kernel(bundle.sensitivity(rows, cols), bundle.sensitivity(cols, cols))
         restricted = K[np.ix_(full_rows, full_cols)]
         blocks.append(
             BlockFactors(
@@ -213,7 +206,7 @@ def almost_sure_nonzero_test(
     a given seed regardless of execution order.  A trial solves only the
     |F| outage columns of its perturbed network; it builds no PTDF.
     """
-    if is_cut_set(network, outage.outaged):
+    if network.disconnected_by(outage.outaged_idx):
         # Any bridge in the outage also lands here: a bridge is a cut set.
         raise CutSetError(f"outage {outage.outaged} disconnects the network")
     _, _, same_block = _line_blocks(block_decomposition(network), outage)
@@ -226,7 +219,7 @@ def almost_sure_nonzero_test(
         rng = np.random.default_rng([spec.seed, trial])
         omega = rng.uniform(-spec.relative_magnitude, spec.relative_magnitude, network.m)
         b = base * (1.0 + omega)
-        bundle = build_laplacian(network.with_susceptances(b))
+        bundle = build_laplacian(network, b)
         d_cols = bundle.branch_flows(bundle.solve(c_out))
         counts += np.abs(_glodf_kernel(d_cols[rows], d_cols[cols])) > NONZERO_ATOL
 

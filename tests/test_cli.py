@@ -127,6 +127,30 @@ def test_verify_passes(capsys, triangle_path):
     assert payload["matrix_tree"]["pass"] is True
 
 
+def test_two_bus_one_line_network(capsys, tmp_path):
+    path = tmp_path / "two_bus.json"
+    path.write_text(json.dumps({
+        "nodes": [1, 2],
+        "edges": [{"from": 1, "to": 2, "b": 2.0, "cap": 1.0}],
+        "injections": {"1": 1.5, "2": -1.5},
+    }))
+    net = str(path)
+    assert run(["flow", net]) == 0
+    assert json.loads(capsys.readouterr().out)["flows"] == {"1": 1.5}
+    assert run(["ptdf", net]) == 0
+    assert json.loads(capsys.readouterr().out)["values"] == [[1.0]]
+    assert run(["lodf", net, "--line", "1"]) == 2
+    assert "bridge" in capsys.readouterr().err
+    for argv in (["glodf", net, "--lines", "1"], ["localize", net, "--lines", "1"]):
+        assert run(argv) == 1
+        assert "proper subset" in capsys.readouterr().err
+    assert run(["cascade", net, "--trip", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["status"], payload["islanded_at_stage"]) == ("islanded", 0)
+    assert run(["verify", net]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -2,14 +2,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfactor import (
     Edge,
     LaplacianBundle,
     Network,
     OutageSet,
+    PerturbationSpec,
     SingularError,
     UnbalancedInjectionError,
+    ValidationError,
+    almost_sure_nonzero_test,
     apply_outage,
     build_laplacian,
     enumerate_spanning_trees,
@@ -21,6 +26,7 @@ from gridfactor import (
     run_cascade,
     solve_flow,
 )
+from gridfactor.dcpf import surviving_flow
 
 from conftest import (
     build,
@@ -28,6 +34,7 @@ from conftest import (
     random_balanced_injection,
     random_network,
     reference_separates_oracle,
+    sample_non_cut_outage,
 )
 
 
@@ -209,3 +216,89 @@ def test_solves_never_build_the_inverse(monkeypatch, k4):
     # Trips line 2, then line 4, then settles: three re-solves.
     armed = k4.with_capacities([0.3, 0.3, 1.0, 0.3, 0.6, 0.6])
     assert run_cascade(armed, p, [1]).tripped_by_stage() == ({1}, {2}, {4})
+
+
+def _copied_network_flow(net, p, tripped_ids):
+    """The reference re-solve: factor a copy of the network without the tripped lines."""
+    surviving = net.without_edges(tripped_ids)
+    state = solve_flow(build_laplacian(surviving), surviving, p)
+    flows = np.zeros(net.m)
+    flows[[net.edge_index(edge.id) for edge in surviving.edges]] = state.flows
+    return state.theta, flows
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_zeroed_weights_match_the_copied_network(seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_nodes=10, max_extra=8, min_extra=1)
+    lines = sample_non_cut_outage(rng, net)
+    if lines is None:
+        return
+    outage = OutageSet(net, lines)
+    p = random_balanced_injection(rng, net.n)
+
+    state = surviving_flow(net, p, outage.outaged_idx)
+    theta, flows = _copied_network_flow(net, p, outage.outaged)
+    assert np.array_equal(state.theta, theta)
+    assert np.array_equal(state.flows, flows)
+    assert not np.any(np.signbit(state.flows[outage.outaged_idx]))
+
+    bundle = build_laplacian(net)
+    k_matrix = glodf(bundle, ptdf_matrix(bundle, net), net, outage, "post_contingency").k_matrix
+    reduced = build_laplacian(net.without_edges(outage.outaged))
+    assert np.array_equal(k_matrix, reduced.branch_flows(reduced.solve(outage.incidence_out())))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_sensitivity_is_the_incidence_product_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_nodes=12, max_extra=10)
+    bundle = build_laplacian(net)
+    C = incidence_matrix(net)
+    product = net.susceptances()[:, None] * (C.T @ bundle.A @ C)
+    rows = rng.integers(0, net.m, size=int(rng.integers(1, net.m + 1)))
+    cols = rng.integers(0, net.m, size=int(rng.integers(1, net.m + 1)))
+    gathered = bundle.sensitivity(rows, cols)
+    assert np.array_equal(gathered.view(np.int64), product[np.ix_(rows, cols)].view(np.int64))
+    assert np.array_equal(ptdf_matrix(bundle, net).matrix.view(np.int64), product.view(np.int64))
+
+
+@pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])
+def test_susceptances_of_the_wrong_shape_are_refused(triangle, shape):
+    with pytest.raises(ValidationError, match="expected 3 susceptances"):
+        build_laplacian(triangle, np.ones(shape))
+    with pytest.raises(ValidationError, match="expected 3 susceptances"):
+        LaplacianBundle(triangle, np.ones(shape))
+
+
+def test_given_susceptances_are_copied(triangle):
+    weights = np.array([2.0, 3.0, 4.0])
+    bundle = build_laplacian(triangle, weights)
+    weights[:] = 1.0
+    assert bundle.b.tolist() == [2.0, 3.0, 4.0]
+    assert np.array_equal(bundle.L, build_laplacian(triangle.with_susceptances([2.0, 3.0, 4.0])).L)
+
+
+def test_outage_paths_copy_no_network(monkeypatch):
+    net = build(grid_doc(3))
+    p = random_balanced_injection(np.random.default_rng(4), net.n)
+    armed = net.with_capacities(np.abs(solve_flow(build_laplacian(net), net, p).flows) + 1e-3)
+    bundle = build_laplacian(armed)
+    ptdf = ptdf_matrix(bundle, armed)
+    outage = OutageSet(armed, [1, 12])
+
+    def refuse(*args):
+        raise AssertionError("a network copy was built")
+
+    monkeypatch.setattr(Network, "without_edges", refuse)
+    monkeypatch.setattr(Network, "with_susceptances", refuse)
+    _, post = apply_outage(bundle, armed, p, outage)
+    assert np.array_equal(post.flows[outage.outaged_idx], [0.0, 0.0])
+    trace = run_cascade(armed, p, [1])
+    assert len(trace.stages) > 1 and trace.stages[0].flow is not None
+    k_matrix = glodf(bundle, ptdf, armed, outage, method="post_contingency").k_matrix
+    assert k_matrix.shape == (armed.m - 2, 2)
+    stats = almost_sure_nonzero_test(armed, outage, PerturbationSpec(trials=3))
+    assert stats.trials == 3

@@ -35,6 +35,11 @@ import traceback
 from collections import deque
 from pathlib import Path
 
+# One BLAS thread, set before numpy loads: threaded BLAS sums in another
+# order, which moves the last bits of some results and so their digests.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (2, 7)
 
