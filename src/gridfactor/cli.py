@@ -21,11 +21,10 @@ from . import localization as localization_mod
 from .dcpf import build_laplacian, solve_flow
 from .errors import AnalysisError, GridFactorError, InputError
 from .graph_algos import block_decomposition
-from .net_model import injection_vector, load_network
+from .net_model import RTOL, injection_vector, load_network
 
 __all__ = ["main", "run"]
 
-DEFAULT_TOL = 1e-9
 DEFAULT_INFLUENCE_THRESHOLD = 0.005
 
 
@@ -278,7 +277,7 @@ def _cmd_verify(args) -> int:
 def _env_tolerance() -> float:
     raw = os.environ.get("GRIDFACTOR_TOL")
     if raw is None:
-        return DEFAULT_TOL
+        return RTOL
     try:
         return float(raw)
     except ValueError:
@@ -335,8 +334,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_localize)
     p_localize.add_argument("--lines", required=True, help="comma-separated line ids")
     p_localize.add_argument("--perturb", action="store_true", help="add perturbation statistics")
-    p_localize.add_argument("--trials", type=int, default=100)
-    p_localize.add_argument("--eps", type=float, default=1e-3)
+    defaults = localization_mod.PerturbationSpec
+    p_localize.add_argument("--trials", type=int, default=defaults.trials)
+    p_localize.add_argument("--eps", type=float, default=defaults.relative_magnitude)
     p_localize.set_defaults(handler=_cmd_localize)
 
     p_cascade = sub.add_parser("cascade", help="stage-wise cascading failure simulation")

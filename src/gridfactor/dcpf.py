@@ -18,13 +18,10 @@ import numpy as np
 import scipy.linalg
 
 from .errors import SingularError, ValidationError
-from .net_model import Network, injection_vector
+from .net_model import PIVOT_RTOL, Network, incidence_columns, injection_vector
 
 __all__ = ["LaplacianBundle", "FlowState", "build_laplacian", "solve_flow", "pseudo_inverse_flow",
            "surviving_flow"]
-
-#: A reduced-Laplacian pivot below this fraction of max|reduced L| is singular.
-PIVOT_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,9 +45,9 @@ class LaplacianBundle:
     it, and A and the pseudo-inverse are computed on first access.
     ``source``, ``target`` and ``b`` hold each edge's endpoint positions and
     weight: its susceptance, or ``susceptances`` when given (copied, shape
-    ``(m,)``), where a zero weight is a line that is out.  Raising
-    SingularError on a vanished pivot doubles as a disconnection signal,
-    independent of the graph-side connectivity check.
+    ``(m,)``), where a zero weight is a line that is out.  SingularError on a
+    pivot below PIVOT_RTOL x max|reduced L| flags a disconnected network, or
+    a connected one whose susceptances spread too widely to factor.
     """
 
     def __init__(self, network: Network, susceptances=None):
@@ -73,12 +70,13 @@ class LaplacianBundle:
             # scipy's advisory warning for the intentionally-fed bad cases.
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             lu, piv = scipy.linalg.lu_factor(reduced, check_finite=False)
-        pivots = np.abs(np.diag(lu))
-        scale = np.abs(reduced).max() if reduced.size else 0.0
-        if reduced.size and pivots.min() < PIVOT_RTOL * scale:
-            raise SingularError(
-                "reduced Laplacian is numerically singular (graph likely disconnected)"
-            )
+        if reduced.size:
+            smallest, bound = np.abs(np.diag(lu)).min(), PIVOT_RTOL * np.abs(reduced).max()
+            if smallest < bound:
+                raise SingularError(
+                    f"reduced Laplacian is numerically singular: smallest pivot {smallest:.3e}"
+                    f" is below {bound:.3e} (PIVOT_RTOL x max|reduced L|)"
+                )
         self._factor = (lu, piv)
         with np.errstate(over="ignore"):
             # det of the reduced Laplacian; past float range it reads +-inf.
@@ -94,6 +92,10 @@ class LaplacianBundle:
         """f = B C^T theta, for one angle vector or a stack of angle columns."""
         b = self.b if theta.ndim == 1 else self.b[:, None]
         return b * (theta[self.source] - theta[self.target])
+
+    def sensitivity_columns(self, positions) -> np.ndarray:
+        """D[:, positions] of D = B C^T A C by |positions| solves, without A."""
+        return self.branch_flows(self.solve(incidence_columns(self.network, positions)))
 
     def sensitivity(self, rows, cols) -> np.ndarray:
         """D[rows, cols] of D = B C^T A C, gathered from A; bitwise equal to the product."""

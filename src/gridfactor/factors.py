@@ -22,7 +22,7 @@ import numpy as np
 from .dcpf import FlowState, LaplacianBundle, build_laplacian, solve_flow, surviving_flow
 from .errors import BridgeOutageError, CutSetError, SingularError, ValidationError
 from .graph_algos import BlockDecomposition
-from .net_model import Network, incidence_columns, injection_vector
+from .net_model import RTOL, Network, injection_vector, scaled_tolerance
 
 __all__ = [
     "PtdfMatrix",
@@ -38,11 +38,6 @@ __all__ = [
 ]
 
 GLODF_METHODS = ("post_contingency", "pre_contingency", "via_stack", "cross_check")
-
-#: Smallest-singular-value ratio below which I - D_FF counts as singular.
-ISLANDING_RTOL = 1e-9
-#: 1 - D_ll below this counts the line as a bridge in diagonal-based checks.
-BRIDGE_DIAG_TOL = 1e-9
 
 
 class PtdfMatrix:
@@ -89,9 +84,6 @@ class OutageSet:
     @property
     def size(self) -> int:
         return len(self.outaged)
-
-    def incidence_out(self) -> np.ndarray:
-        return incidence_columns(self.network, self.outaged_idx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +148,7 @@ def lodf_stack(ptdf: PtdfMatrix, outage: OutageSet) -> np.ndarray:
     """
     rows, cols = outage.surviving_idx, outage.outaged_idx
     diag = ptdf.matrix[cols, cols]
-    bridges = 1.0 - diag <= BRIDGE_DIAG_TOL
+    bridges = 1.0 - diag <= RTOL
     if np.any(bridges):
         offenders = [outage.outaged[k] for k in np.flatnonzero(bridges)]
         raise BridgeOutageError(f"lines {offenders} are bridges; outage factors are undefined")
@@ -218,8 +210,7 @@ def glodf(
     def post_contingency():
         b = network.susceptances()
         b[cols] = 0.0
-        sub_bundle = build_laplacian(network, b)
-        return sub_bundle.branch_flows(sub_bundle.solve(outage.incidence_out()))[rows]
+        return build_laplacian(network, b).sensitivity_columns(cols)[rows]
 
     stack = None
 
@@ -277,21 +268,18 @@ def characteristic_injection_flow(bundle: LaplacianBundle, network: Network, lin
     line's sensitivity column: the flow on every line u equals D_u,line,
     and the flow on the line itself is positive.
     """
-    p = incidence_columns(network, [network.edge_index(line)])[:, 0]
-    return solve_flow(bundle, network, p).flows
+    return bundle.sensitivity_columns([network.edge_index(line)])[:, 0]
 
 
 def detect_islanding(ptdf: PtdfMatrix, outage: OutageSet) -> bool:
     """True when I - D_FF is numerically singular, signalling a cut set.
 
-    The smallest singular value is compared against ``ISLANDING_RTOL``
-    times the larger of 1 and the largest singular value; the unit floor
+    The smallest singular value is compared against
+    ``scaled_tolerance(largest singular value)``; its unit floor
     keeps one-line (1x1) bridge outages detectable, where both singular
     values vanish together.
     """
     cols = outage.outaged_idx
     system = np.eye(outage.size) - ptdf.matrix[np.ix_(cols, cols)]
     singular_values = np.linalg.svd(system, compute_uv=False)
-    largest = float(singular_values[0])
-    smallest = float(singular_values[-1])
-    return smallest < ISLANDING_RTOL * max(1.0, largest)
+    return float(singular_values[-1]) < scaled_tolerance(float(singular_values[0]))

@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BridgeError, TooLargeError
-from .net_model import Network, incidence_matrix
+from .net_model import RTOL, Network, incidence_matrix
 
 __all__ = [
     "ForestFamily",
@@ -50,8 +50,6 @@ __all__ = [
 MAX_MEMBERS = 10**7
 #: Largest numerator/denominator for the exact rational weight mode.
 MAX_RATIONAL = 10**6
-#: Identity tolerance used by :func:`matrix_tree_check`.
-CHECK_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -399,7 +397,7 @@ def lodf_via_forests(network: Network, line: int, outaged: int) -> float:
     return edge.susceptance * (pos - neg) / den
 
 
-def matrix_tree_check(network: Network, tolerance: float = CHECK_RTOL) -> MatrixTreeReport:
+def matrix_tree_check(network: Network, tolerance: float = RTOL) -> MatrixTreeReport:
     """Compare reduced-Laplacian determinants against forest weight sums.
 
     Checks the determinant against the total spanning-tree weight and every

@@ -21,7 +21,7 @@ from .dcpf import LaplacianBundle, build_laplacian, solve_flow
 from .errors import BridgeOutageError, CutSetError, ValidationError, ZeroFactorError
 from .factors import GlodfResult, OutageSet, _glodf_kernel, _lodf_columns
 from .graph_algos import BlockDecomposition, _shares_block, block_decomposition
-from .net_model import Network, incidence_columns
+from .net_model import NONZERO_ATOL, Network, incidence_columns, scaled_tolerance
 
 __all__ = [
     "PerturbationSpec",
@@ -34,11 +34,6 @@ __all__ = [
     "almost_sure_nonzero_test",
     "adversarial_capacity",
 ]
-
-#: Relative tolerance declaring a factor entry "zero" in structure checks.
-ZERO_RTOL = 1e-9
-#: Absolute threshold for "nonzero" in the perturbation statistics.
-NONZERO_ATOL = 1e-12
 
 
 def simple_cycle_criterion(network: Network, line: int, outaged: int) -> str:
@@ -65,10 +60,11 @@ def _line_blocks(decomposition: BlockDecomposition, outage: OutageSet):
 class BlockFactors:
     """Per-block factor submatrices and their reassembly residuals.
 
-    ``k_direct`` is the block factor computed from the sensitivity
-    submatrices alone, ``k_from_parts`` the same block rebuilt from A by
-    :meth:`LaplacianBundle.sensitivity`; both must match the rows and
-    columns that the full factor matrix assigns to this block.
+    ``k_direct`` is the block factor computed from the PTDF submatrices,
+    ``k_from_parts`` the same block from its outage columns solved afresh by
+    :meth:`LaplacianBundle.sensitivity_columns`, without the PTDF or A; both
+    must match the rows and columns that the full factor matrix assigns to
+    this block.
     """
 
     block_index: int
@@ -99,9 +95,10 @@ def block_structure_report(
     """Verify the block-diagonal structure of a simultaneous-outage factor.
 
     For every block containing tripped lines the factor submatrix is
-    recomputed from the PTDF and from A, and compared against the matching slice
-    of the full matrix; entries pairing lines from different blocks are
-    collected into ``cross_block_max``, which the theory pins at zero.
+    recomputed from the PTDF and from fresh column solves, and compared
+    against the matching slice of the full matrix; entries pairing lines
+    from different blocks are collected into ``cross_block_max``, which the
+    theory pins at zero.
     """
     network = outage.network
     if network.disconnected_by(outage.outaged_idx):
@@ -111,7 +108,7 @@ def block_structure_report(
     K = result.k_matrix
     magnitude = np.abs(K)
     scale = float(np.max(magnitude, initial=0.0))
-    tol = ZERO_RTOL * max(1.0, scale)
+    tol = scaled_tolerance(scale)
 
     row_block, col_block, same_block = _line_blocks(decomposition, outage)
     cross_max = float(np.max(magnitude[~same_block], initial=0.0))
@@ -125,7 +122,8 @@ def block_structure_report(
         rows = outage.surviving_idx[full_rows]
         cols = outage.outaged_idx[full_cols]
         k_direct = _glodf_kernel(ptdf.matrix[np.ix_(rows, cols)], ptdf.matrix[np.ix_(cols, cols)])
-        k_parts = _glodf_kernel(bundle.sensitivity(rows, cols), bundle.sensitivity(cols, cols))
+        d_cols = bundle.sensitivity_columns(cols)
+        k_parts = _glodf_kernel(d_cols[rows], d_cols[cols])
         restricted = K[np.ix_(full_rows, full_cols)]
         blocks.append(
             BlockFactors(
@@ -211,7 +209,6 @@ def almost_sure_nonzero_test(
         raise CutSetError(f"outage {outage.outaged} disconnects the network")
     _, _, same_block = _line_blocks(block_decomposition(network), outage)
     rows, cols = outage.surviving_idx, outage.outaged_idx
-    c_out = outage.incidence_out()
     base = network.susceptances()
 
     counts = np.zeros(same_block.shape, dtype=int)
@@ -219,8 +216,7 @@ def almost_sure_nonzero_test(
         rng = np.random.default_rng([spec.seed, trial])
         omega = rng.uniform(-spec.relative_magnitude, spec.relative_magnitude, network.m)
         b = base * (1.0 + omega)
-        bundle = build_laplacian(network, b)
-        d_cols = bundle.branch_flows(bundle.solve(c_out))
+        d_cols = build_laplacian(network, b).sensitivity_columns(cols)
         counts += np.abs(_glodf_kernel(d_cols[rows], d_cols[cols])) > NONZERO_ATOL
 
     within, cross = {}, {}
@@ -270,7 +266,7 @@ def adversarial_capacity(
     flows = solve_flow(bundle, network, injections).flows
     column = _lodf_columns(flows, flows[tripped_idx])
     k_norm = float(np.max(np.abs(np.delete(column, tripped_idx))))
-    if abs(column[target_idx]) < ZERO_RTOL * max(1.0, k_norm):
+    if abs(column[target_idx]) < scaled_tolerance(k_norm):
         raise ZeroFactorError(
             f"outage factor between lines {tripped} and {target} vanishes; "
             "no capacity choice makes the failure propagate"

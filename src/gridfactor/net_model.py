@@ -40,8 +40,23 @@ __all__ = [
     "injection_vector",
 ]
 
-#: Relative tolerance for the injection balance check.
-BALANCE_RTOL = 1e-9
+#: The one relative tolerance.  Injection balance, islanding by I - D_FF and
+#: "zero" factor entries decide against :func:`scaled_tolerance`; the bridge
+#: test on 1 - D_ll and the identity checks use it unscaled.
+RTOL = 1e-9
+#: Factorization floor: a reduced-Laplacian pivot below this fraction of
+#: max|reduced L| is singular.  It sits below RTOL so that a connected network
+#: whose susceptances spread over about nine decades still factors.
+PIVOT_RTOL = 1e-12
+#: Absolute floor above which a perturbed factor entry counts as nonzero.
+#: Each trial's factor has its own scale; an absolute floor below RTOL counts
+#: small genuine entries and still rejects rounding noise on exact zeros.
+NONZERO_ATOL = 1e-12
+
+
+def scaled_tolerance(scale: float) -> float:
+    """The bound RTOL * max(1, scale): relative above unit scale, absolute below it."""
+    return RTOL * max(1.0, scale)
 
 
 @dataclass(frozen=True)
@@ -493,7 +508,7 @@ def injection_vector(network: Network, values=None) -> np.ndarray:
     Uses ``network.injections`` when ``values`` is omitted.  Raises
     ValidationError when an entry is NaN or infinite, and
     UnbalancedInjectionError when the entries do not sum to zero within
-    ``BALANCE_RTOL * max(1, max|p|)``.
+    ``scaled_tolerance(max|p|)``.
     """
     if values is None:
         if network.injections is None:
@@ -504,7 +519,6 @@ def injection_vector(network: Network, values=None) -> np.ndarray:
         raise ValidationError(f"expected {network.n} injections, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise ValidationError("injections must be finite")
-    scale = max(1.0, float(np.max(np.abs(p))) if p.size else 1.0)
-    if abs(float(p.sum())) > BALANCE_RTOL * scale:
+    if abs(float(p.sum())) > scaled_tolerance(float(np.max(np.abs(p), initial=0.0))):
         raise UnbalancedInjectionError(f"injections sum to {p.sum():.3e}, not zero")
     return p

@@ -95,6 +95,33 @@ def four_cycle():
     })
 
 
+def stiff_leaf_doc():
+    """Connected, valid, yet too stiff to factor: a b=1e6 triangle with a b=1e-6 leaf line."""
+    return {
+        "nodes": [1, 2, 3, 4],
+        "edges": [
+            {"from": 1, "to": 2, "b": 1e6},
+            {"from": 2, "to": 3, "b": 1e6},
+            {"from": 1, "to": 3, "b": 1e6},
+            {"from": 3, "to": 4, "b": 1e-6},
+        ],
+        "injections": {"1": 1.0, "2": 0.0, "3": 0.0, "4": -1.0},
+    }
+
+
+def parallel_lines_doc(reverse=False):
+    """A triangle whose line 1-2 is repeated, the repeat reversed when ``reverse``."""
+    return {
+        "nodes": [1, 2, 3],
+        "edges": [
+            {"from": 1, "to": 2, "b": 1.0},
+            {"from": 2, "to": 3, "b": 1.0},
+            {"from": 1, "to": 3, "b": 1.0},
+            {"from": 2, "to": 1, "b": 2.0} if reverse else {"from": 1, "to": 2, "b": 2.0},
+        ],
+    }
+
+
 def grid_doc(k, b=1.0):
     """k-by-k grid graph with uniform susceptance b; buses numbered row by row."""
     node = lambda r, c: r * k + c + 1  # noqa: E731

@@ -3,10 +3,13 @@ import math
 
 import pytest
 
-from gridfactor import cli, factors
+from gridfactor import (
+    Edge, Network, SingularError, ValidationError, build_laplacian, cli, factors, load_network,
+    validate,
+)
 from gridfactor.cli import run
 
-from conftest import fig2_doc, triangle_doc
+from conftest import fig2_doc, parallel_lines_doc, stiff_leaf_doc, triangle_doc
 
 
 @pytest.fixture
@@ -149,6 +152,32 @@ def test_two_bus_one_line_network(capsys, tmp_path):
     assert (payload["status"], payload["islanded_at_stage"]) == ("islanded", 0)
     assert run(["verify", net]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def test_stiff_connected_network_is_not_called_disconnected(capsys, tmp_path):
+    doc = stiff_leaf_doc()
+    for reference in doc["nodes"]:
+        with pytest.raises(SingularError, match="smallest pivot") as caught:
+            build_laplacian(load_network(doc, reference=reference))
+        assert "disconnected" not in str(caught.value)
+    path = tmp_path / "stiff_leaf.json"
+    path.write_text(json.dumps(doc))
+    assert run(["flow", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "smallest pivot" in err and "disconnected" not in err
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_parallel_lines_are_refused(capsys, tmp_path, reverse):
+    doc = parallel_lines_doc(reverse)
+    edges = tuple(Edge(k + 1, e["from"], e["to"], e["b"]) for k, e in enumerate(doc["edges"]))
+    assert validate(Network(nodes=(1, 2, 3), edges=edges, reference=3)).codes() == ("duplicate_edge",)
+    with pytest.raises(ValidationError, match="duplicate_edge"):
+        load_network(doc)
+    path = tmp_path / "parallel.json"
+    path.write_text(json.dumps(doc))
+    assert run(["blocks", str(path)]) == 1
+    assert "duplicate_edge" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

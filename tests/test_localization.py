@@ -27,6 +27,7 @@ from gridfactor import (
 )
 
 from gridfactor import factors, localization
+from gridfactor.net_model import RTOL, incidence_columns
 
 from conftest import build, random_network, sample_non_cut_outage
 
@@ -349,6 +350,20 @@ def test_block_structure_report_property(seed):
         assert block.reassembly_err_parts <= bound
 
 
+def test_parts_are_solved_without_the_ptdf_or_a(monkeypatch, fig2):
+    bundle, ptdf = make_factors(fig2)
+    outage = OutageSet(fig2, [1, 6])
+    result = glodf(bundle, ptdf, fig2, outage)
+
+    def refuse(*args):
+        raise AssertionError("k_from_parts read A or the gathered sensitivity")
+
+    monkeypatch.setattr(LaplacianBundle, "A", property(refuse))
+    monkeypatch.setattr(LaplacianBundle, "sensitivity", refuse)
+    report = block_structure_report(result, block_decomposition(fig2), outage)
+    assert all(block.reassembly_err_parts <= 1e-9 for block in report.blocks)
+
+
 def test_perturbation_never_builds_the_inverse(monkeypatch, fig2):
     def refuse(*args):
         raise AssertionError("a dense inverse or full PTDF was built")
@@ -377,7 +392,7 @@ def _adversarial_by_full_ptdf(bundle, net, tripped, target):
     k = net.edge_index(tripped)
     column = D[:, k] / (1.0 - D[k, k])
     k_norm = float(np.max(np.abs(np.delete(column, k))))
-    if abs(column[net.edge_index(target)]) < localization.ZERO_RTOL * max(1.0, k_norm):
+    if abs(column[net.edge_index(target)]) < RTOL * max(1.0, k_norm):
         return None
     flows = characteristic_injection_flow(bundle, net, tripped)
     capacities = np.full(net.m, (1.0 + k_norm) * float(np.max(np.abs(flows))))
@@ -398,7 +413,8 @@ def test_unit_injection_matches_the_full_ptdf_route(seed):
     if net.m > 1:
         lines = rng.choice(ids, size=int(rng.integers(1, net.m)), replace=False).tolist()
         outage = OutageSet(net, lines)
-        assert np.array_equal(outage.incidence_out(), incidence_matrix(net)[:, outage.outaged_idx])
+        c_out = incidence_columns(net, outage.outaged_idx)
+        assert np.array_equal(c_out, incidence_matrix(net)[:, outage.outaged_idx])
 
     inner = [line for line in ids if line not in block_decomposition(net).bridges]
     if not inner:

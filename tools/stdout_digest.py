@@ -10,7 +10,8 @@ diffing their digests:
 
 The corpus covers every subcommand and output format, all four ``glodf``
 methods, ``localize`` with and without ``--perturb``, bridge, cut-set and
-bad-input refusals, cascades and ``verify``.  Its networks are the test
+bad-input refusals (parallel lines among them), a connected network too stiff
+to factor, cascades and ``verify``.  Its networks are the test
 fixtures of ``tests/conftest.py`` and the ``perfbench/gen.py`` block trees
 and oracle grids for seeds 2 and 7.  Runs share one process, as a caller of
 ``gridfactor.cli.run`` would.  The ``demos/*.py`` scripts then run in the same
@@ -157,6 +158,9 @@ def main(argv=None) -> int:
             corpus += _runs(name, doc, small)
         _write_csv(conftest.triangle_doc(), Path("triangle_csv"))
         corpus += [["flow", "triangle_csv"], ["flow", "triangle_csv/edges.csv"], ["blocks", "missing.json"]]
+        gen.write(conftest.stiff_leaf_doc(), Path("stiff_leaf.json"))
+        gen.write(conftest.parallel_lines_doc(reverse=True), Path("parallel.json"))
+        corpus += [["flow", "stiff_leaf.json"], ["blocks", "parallel.json"]]
 
         for run_argv in corpus:
             _digest(shlex.join(run_argv), lambda: run(run_argv))
