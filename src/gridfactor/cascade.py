@@ -74,11 +74,14 @@ def run_cascade(
     ``max_stages`` bounds the number of recorded stages (default: the line
     count, which the cascade can never exceed since every stage trips at
     least one line).  Exceeding it raises MaxStagesError carrying the
-    stages simulated so far.  Islanding is decided at every stage near the
+    stages simulated so far; a ``max_stages`` below one raises
+    ValidationError.  Islanding is decided at every stage near the
     tripped lines (:meth:`Network.disconnected_by` on the cumulative
     outage), and the network is factored again, with the tripped lines'
     weights zeroed, only for a connected stage's re-solve.
     """
+    if max_stages is not None and max_stages < 1:
+        raise ValidationError(f"max_stages must be at least 1, got {max_stages}")
     p = injection_vector(network, p)
     initial = frozenset(int(v) for v in initial_outage)
     if not initial:
@@ -134,10 +137,11 @@ def influence_graph(
     Pairs are drawn only from within non-bridge blocks, where the factors
     are defined in both directions; a pair qualifies when either direction
     reaches the threshold.  Cross-block factors are exactly zero, so the
-    result can never join two blocks.
+    result can never join two blocks.  ValidationError unless the threshold
+    is finite and nonnegative.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not 0.0 <= threshold < np.inf:
+        raise ValidationError(f"threshold must be finite and nonnegative, got {threshold}")
     diag = np.diag(ptdf.matrix)
     pairs = []
     for members in decomposition.blocks:

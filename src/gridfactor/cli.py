@@ -2,8 +2,9 @@
 
 Machine-readable results go to stdout (JSON by default, keys sorted so a
 fixed input and seed produce byte-identical output); diagnostics go to
-stderr.  Exit codes: 0 success, 1 parse/validation problems, 2 analysis
-problems (bridge outages, cut sets, failed identity checks).
+stderr.  Exit codes: 0 success, 1 usage errors and parse/validation
+problems, 2 analysis problems (bridge outages, cut sets, failed identity
+checks).
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ def _flow_payload(network, state) -> dict:
     }
 
 
-def _cmd_blocks(args) -> int:
-    network = load_network(args.network, reference=args.reference)
+def _cmd_blocks(network, args) -> int:
     decomposition = block_decomposition(network)
     _emit_json({
         "blocks": [sorted(block) for block in decomposition.blocks],
@@ -73,16 +73,14 @@ def _cmd_blocks(args) -> int:
     return 0
 
 
-def _cmd_flow(args) -> int:
-    network = load_network(args.network, reference=args.reference)
+def _cmd_flow(network, args) -> int:
     p = injection_vector(network)
     state = solve_flow(build_laplacian(network), network, p)
     _emit_json(_flow_payload(network, state))
     return 0
 
 
-def _cmd_ptdf(args) -> int:
-    network = load_network(args.network, reference=args.reference)
+def _cmd_ptdf(network, args) -> int:
     ptdf = factors_mod.ptdf_matrix(build_laplacian(network), network)
     if args.format == "csv":
         _emit_matrix_csv(ptdf.line_ids, ptdf.line_ids, ptdf.matrix)
@@ -91,8 +89,7 @@ def _cmd_ptdf(args) -> int:
     return 0
 
 
-def _cmd_lodf(args) -> int:
-    network = load_network(args.network, reference=args.reference)
+def _cmd_lodf(network, args) -> int:
     ptdf = factors_mod.ptdf_matrix(build_laplacian(network), network)
     decomposition = block_decomposition(network)
     column = factors_mod.lodf_single(ptdf, decomposition, args.line)
@@ -103,8 +100,7 @@ def _cmd_lodf(args) -> int:
     return 0
 
 
-def _cmd_glodf(args) -> int:
-    network = load_network(args.network, reference=args.reference)
+def _cmd_glodf(network, args) -> int:
     bundle = build_laplacian(network)
     ptdf = factors_mod.ptdf_matrix(bundle, network)
     outage = factors_mod.OutageSet(network, _parse_lines(args.lines))
@@ -126,13 +122,12 @@ def _cmd_glodf(args) -> int:
     return 0
 
 
-def _cmd_localize(args) -> int:
+def _cmd_localize(network, args) -> int:
     spec = None
     if args.perturb:
         spec = localization_mod.PerturbationSpec(
             relative_magnitude=args.eps, trials=args.trials, seed=args.seed
         )
-    network = load_network(args.network, reference=args.reference)
     bundle = build_laplacian(network)
     ptdf = factors_mod.ptdf_matrix(bundle, network)
     decomposition = block_decomposition(network)
@@ -175,8 +170,7 @@ def _cmd_localize(args) -> int:
     return 0
 
 
-def _cmd_cascade(args) -> int:
-    network = load_network(args.network, reference=args.reference)
+def _cmd_cascade(network, args) -> int:
     p = injection_vector(network)
     trace = cascade_mod.run_cascade(
         network, p, _parse_lines(args.trip), max_stages=args.max_stages
@@ -197,8 +191,7 @@ def _cmd_cascade(args) -> int:
     return 0
 
 
-def _cmd_influence(args) -> int:
-    network = load_network(args.network, reference=args.reference)
+def _cmd_influence(network, args) -> int:
     ptdf = factors_mod.ptdf_matrix(build_laplacian(network), network)
     decomposition = block_decomposition(network)
     pairs = cascade_mod.influence_graph(ptdf, decomposition, args.threshold)
@@ -211,14 +204,13 @@ def _cmd_influence(args) -> int:
         return 0
     _emit_json({
         "threshold": args.threshold,
-        "pairs": [[int(a), int(b)] for a, b in pairs],
+        "pairs": pairs,
     })
     return 0
 
 
-def _cmd_verify(args) -> int:
-    network = load_network(args.network, reference=args.reference)
-    tol = args.tol
+def _cmd_verify(network, args) -> int:
+    tol = _verify_tolerance(args.tol)
     bundle = build_laplacian(network)
     ptdf = factors_mod.ptdf_matrix(bundle, network)
     decomposition = block_decomposition(network)
@@ -274,99 +266,93 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _env_tolerance() -> float:
-    raw = os.environ.get("GRIDFACTOR_TOL")
-    if raw is None:
-        return RTOL
-    try:
-        return float(raw)
-    except ValueError:
-        raise InputError(f"bad GRIDFACTOR_TOL value {raw!r}; expected a real number") from None
+def _verify_tolerance(tol: float | None) -> float:
+    """``--tol``, else the ``GRIDFACTOR_TOL`` variable, else ``RTOL``; finite and nonnegative."""
+    if tol is None:
+        raw = os.environ.get("GRIDFACTOR_TOL", RTOL)
+        try:
+            tol = float(raw)
+        except ValueError:
+            raise InputError(f"bad GRIDFACTOR_TOL value {raw!r}; expected a real number") from None
+    if not 0.0 <= tol < math.inf:
+        raise InputError(f"tolerance must be finite and nonnegative, got {tol}")
+    return tol
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an InputError, so it exits 1 like any other bad input."""
+
+    def error(self, message):
+        raise InputError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gridfactor",
         description="DC power-flow distribution factors and failure localization",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name, handler, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("network", help="network document (.json, .csv, or directory)")
-        p.add_argument("--format", choices=("json", "csv", "dot"), default="json")
         p.add_argument("--reference", type=int, default=None, help="override reference bus")
-        p.add_argument(
-            "--tol",
-            type=float,
-            default=None,
-            help="identity-check tolerance (env GRIDFACTOR_TOL; flag wins)",
-        )
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized statistics")
+        p.set_defaults(handler=handler)
+        return p
 
-    p_blocks = sub.add_parser("blocks", help="block decomposition, bridges, cut vertices")
-    add_common(p_blocks)
-    p_blocks.set_defaults(handler=_cmd_blocks)
+    add_command("blocks", _cmd_blocks, "block decomposition, bridges, cut vertices")
+    add_command("flow", _cmd_flow, "DC power flow from document injections")
 
-    p_flow = sub.add_parser("flow", help="DC power flow from document injections")
-    add_common(p_flow)
-    p_flow.set_defaults(handler=_cmd_flow)
+    p_ptdf = add_command("ptdf", _cmd_ptdf, "full injection-shift sensitivity matrix")
+    p_ptdf.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p_ptdf = sub.add_parser("ptdf", help="full injection-shift sensitivity matrix")
-    add_common(p_ptdf)
-    p_ptdf.set_defaults(handler=_cmd_ptdf)
-
-    p_lodf = sub.add_parser("lodf", help="single-line outage factors")
-    add_common(p_lodf)
+    p_lodf = add_command("lodf", _cmd_lodf, "single-line outage factors")
     p_lodf.add_argument("--line", type=int, required=True, help="line to trip")
-    p_lodf.set_defaults(handler=_cmd_lodf)
 
-    p_glodf = sub.add_parser("glodf", help="simultaneous-outage factors")
-    add_common(p_glodf)
+    p_glodf = add_command("glodf", _cmd_glodf, "simultaneous-outage factors")
     p_glodf.add_argument("--lines", required=True, help="comma-separated line ids")
     p_glodf.add_argument(
         "--method",
         choices=factors_mod.GLODF_METHODS,
         default="pre_contingency",
     )
-    p_glodf.set_defaults(handler=_cmd_glodf)
+    p_glodf.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p_localize = sub.add_parser("localize", help="block-diagonal localization report")
-    add_common(p_localize)
+    p_localize = add_command("localize", _cmd_localize, "block-diagonal localization report")
     p_localize.add_argument("--lines", required=True, help="comma-separated line ids")
     p_localize.add_argument("--perturb", action="store_true", help="add perturbation statistics")
     defaults = localization_mod.PerturbationSpec
     p_localize.add_argument("--trials", type=int, default=defaults.trials)
     p_localize.add_argument("--eps", type=float, default=defaults.relative_magnitude)
-    p_localize.set_defaults(handler=_cmd_localize)
+    p_localize.add_argument(
+        "--seed", type=int, default=defaults.seed, help="seed for the perturbation trials"
+    )
 
-    p_cascade = sub.add_parser("cascade", help="stage-wise cascading failure simulation")
-    add_common(p_cascade)
+    p_cascade = add_command("cascade", _cmd_cascade, "stage-wise cascading failure simulation")
     p_cascade.add_argument("--trip", required=True, help="comma-separated initial outage ids")
     p_cascade.add_argument("--max-stages", type=int, default=None)
-    p_cascade.set_defaults(handler=_cmd_cascade)
 
-    p_influence = sub.add_parser("influence", help="influence-graph pair list")
-    add_common(p_influence)
+    p_influence = add_command("influence", _cmd_influence, "influence-graph pair list")
     p_influence.add_argument("--threshold", type=float, default=DEFAULT_INFLUENCE_THRESHOLD)
-    p_influence.set_defaults(handler=_cmd_influence)
+    p_influence.add_argument("--format", choices=("json", "dot"), default="json")
 
-    p_verify = sub.add_parser("verify", help="forest-oracle identity checks")
-    add_common(p_verify)
-    p_verify.set_defaults(handler=_cmd_verify)
+    p_verify = add_command("verify", _cmd_verify, "forest-oracle identity checks")
+    p_verify.add_argument(
+        "--tol",
+        type=float,
+        default=None,
+        help="identity-check tolerance (env GRIDFACTOR_TOL; flag wins)",
+    )
 
     return parser
 
 
 def run(argv=None) -> int:
     """Parse arguments and execute one subcommand, returning the exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.tol is None:
-            args.tol = _env_tolerance()
-        if not 0.0 <= args.tol < math.inf:
-            raise InputError(f"tolerance must be finite and nonnegative, got {args.tol}")
-        return args.handler(args)
+        args = _build_parser().parse_args(argv)
+        network = load_network(args.network, reference=args.reference)
+        return args.handler(network, args)
     except InputError as exc:
         print(f"gridfactor: {exc}", file=sys.stderr)
         return 1

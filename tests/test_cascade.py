@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from gridfactor import (
     MaxStagesError,
     OutageSet,
     UnknownEdgeError,
+    ValidationError,
     adversarial_capacity,
     block_decomposition,
     build_laplacian,
@@ -63,6 +66,13 @@ def test_max_stages_error(triangle):
     assert len(info.value.stages) == 1
 
 
+@pytest.mark.parametrize("max_stages", [0, -3])
+def test_max_stages_below_one_is_refused(triangle, max_stages):
+    armed, instance = armed_triangle(triangle)
+    with pytest.raises(ValidationError, match="max_stages"):
+        run_cascade(armed, instance.injections, [1], max_stages=max_stages)
+
+
 def test_flow_conservation_each_stage():
     rng = np.random.default_rng(211)
     ran = 0
@@ -119,6 +129,13 @@ def test_influence_graph_triangle(triangle):
     decomposition = block_decomposition(triangle)
     assert influence_graph(ptdf, decomposition, 0.005) == ((1, 2), (1, 3), (2, 3))
     assert influence_graph(ptdf, decomposition, 2.0) == ()
+
+
+@pytest.mark.parametrize("threshold", [-1.0, math.nan, math.inf])
+def test_influence_graph_refuses_bad_threshold(triangle, threshold):
+    ptdf = ptdf_matrix(build_laplacian(triangle), triangle)
+    with pytest.raises(ValidationError, match="threshold"):
+        influence_graph(ptdf, block_decomposition(triangle), threshold)
 
 
 def test_influence_graph_never_crosses_blocks(fig2):

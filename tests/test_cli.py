@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -221,9 +222,11 @@ def test_tol_env_override(monkeypatch, capsys, triangle_path):
 @pytest.mark.parametrize("value", ["abc", "nan", "-1", "inf"])
 def test_bad_tol_is_input_error(monkeypatch, capsys, triangle_path, value):
     monkeypatch.setenv("GRIDFACTOR_TOL", value)
-    assert run(["flow", triangle_path]) == 1
+    assert run(["verify", triangle_path]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err
+    # Only verify reads the variable.
+    assert run(["flow", triangle_path]) == 0
     # The explicit flag still wins; the variable is not read.
     assert run(["verify", triangle_path, "--tol", "1e-6"]) == 0
     monkeypatch.delenv("GRIDFACTOR_TOL")
@@ -275,3 +278,61 @@ def test_nonfinite_document_values(tmp_path, capsys, edit, value, code):
         assert out == "" and err
     else:
         assert all(math.isfinite(v) for v in json.loads(out)["flows"].values())
+
+
+#: The options each subcommand declares besides the network and --reference.
+SUBCOMMAND_OPTIONS = {
+    "blocks": set(),
+    "flow": set(),
+    "ptdf": {"--format"},
+    "lodf": {"--line"},
+    "glodf": {"--lines", "--method", "--format"},
+    "localize": {"--lines", "--perturb", "--trials", "--eps", "--seed"},
+    "cascade": {"--trip", "--max-stages"},
+    "influence": {"--threshold", "--format"},
+    "verify": {"--tol"},
+}
+
+
+def test_each_subcommand_declares_only_the_options_it_reads(capsys, triangle_path):
+    (commands,) = [
+        action for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    declared = {
+        name: {option for action in parser._actions for option in action.option_strings}
+        for name, parser in commands.choices.items()
+    }
+    assert declared == {
+        name: options | {"-h", "--help", "--reference"}
+        for name, options in SUBCOMMAND_OPTIONS.items()
+    }
+    # Every --format value a subcommand accepts changes what it prints.
+    for name, parser in commands.choices.items():
+        for action in parser._actions:
+            if "--format" not in action.option_strings:
+                continue
+            required = ["--lines", "1"] if name == "glodf" else []
+            outputs = set()
+            for choice in action.choices:
+                assert run([name, triangle_path, "--format", choice] + required) == 0
+                outputs.add(capsys.readouterr().out)
+            assert len(outputs) == len(action.choices) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["lodf"], id="missing-line"),
+    pytest.param(["localize", "--lines", "1", "--perturb", "--trials", "abc"], id="trials=abc"),
+    pytest.param(["solve"], id="unknown-subcommand"),
+    pytest.param(["flow", "--tol", "1e-6"], id="flow-tol"),
+    pytest.param(["blocks", "--format", "csv"], id="blocks-format"),
+    pytest.param(["ptdf", "--format", "dot"], id="ptdf-dot"),
+    pytest.param(["influence", "--threshold", "-1"], id="threshold=-1"),
+    pytest.param(["influence", "--threshold", "nan"], id="threshold=nan"),
+    pytest.param(["influence", "--threshold", "inf"], id="threshold=inf"),
+    pytest.param(["cascade", "--trip", "1", "--max-stages", "0"], id="max-stages=0"),
+])
+def test_usage_and_range_errors_exit_1(capsys, triangle_path, argv):
+    assert run(argv[:1] + [triangle_path] + argv[1:]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("gridfactor: ")

@@ -10,14 +10,15 @@ diffing their digests:
 
 The corpus covers every subcommand and output format, all four ``glodf``
 methods, ``localize`` with and without ``--perturb``, bridge, cut-set and
-bad-input refusals (parallel lines among them), a connected network too stiff
-to factor, cascades and ``verify``.  Its networks are the test
-fixtures of ``tests/conftest.py`` and the ``perfbench/gen.py`` block trees
-and oracle grids for seeds 2 and 7.  Runs share one process, as a caller of
-``gridfactor.cli.run`` would.  The ``demos/*.py`` scripts then run in the same
-process through ``runpy``; they reach library calls no CLI run makes
-(``pseudo_inverse_flow``, ``apply_outage``, ``adversarial_capacity``), and
-their exit code is 0, or 1 when one raises.
+bad-input refusals (parallel lines among them), usage and range errors, a
+connected network too stiff to factor, cascades and ``verify``.  Its
+networks are the test fixtures of ``tests/conftest.py`` and the
+``perfbench/gen.py`` block trees and oracle grids for seeds 2 and 7.  Runs
+share one process, as a caller of ``gridfactor.cli.run`` would.  The
+``demos/*.py`` scripts then run in the same process through ``runpy``; they
+reach library calls no CLI run makes (``pseudo_inverse_flow``,
+``apply_outage``, ``adversarial_capacity``), and their exit code is 0, or 1
+when one raises.
 """
 
 from __future__ import annotations
@@ -161,6 +162,14 @@ def main(argv=None) -> int:
         gen.write(conftest.stiff_leaf_doc(), Path("stiff_leaf.json"))
         gen.write(conftest.parallel_lines_doc(reverse=True), Path("parallel.json"))
         corpus += [["flow", "stiff_leaf.json"], ["blocks", "parallel.json"]]
+        corpus += [  # options a subcommand does not take, and out-of-range values
+            ["blocks", "triangle.json", "--format", "csv"],
+            ["ptdf", "triangle.json", "--format", "dot"],
+            ["flow", "triangle.json", "--tol", "1e-6"],
+            ["lodf", "triangle.json"],
+            ["influence", "triangle.json", "--threshold", "-1"],
+            ["cascade", "triangle.json", "--trip", "1", "--max-stages", "0"],
+        ]
 
         for run_argv in corpus:
             _digest(shlex.join(run_argv), lambda: run(run_argv))
@@ -170,19 +179,27 @@ def main(argv=None) -> int:
 
 
 def _run_demo(path: Path) -> int:
-    try:
-        runpy.run_path(str(path), run_name="__main__")
-    except Exception:  # noqa: BLE001 - the traceback is part of the digested stderr
-        traceback.print_exc()
-        return 1
+    runpy.run_path(str(path), run_name="__main__")
     return 0
 
 
 def _digest(label: str, call) -> None:
-    """Run ``call`` with its output captured; print the digest, the exit code and the label."""
+    """Run ``call`` with its output captured; print the digest, the exit code and the label.
+
+    The exit code is the one a process running ``call`` would end with: its
+    return value, the code of a ``SystemExit`` it raises (as a parser that
+    exits on a usage error does), or 1 after any other exception, whose
+    traceback is part of the digested stderr.
+    """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = call()
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:  # noqa: BLE001
+            traceback.print_exc()
+            code = 1
     digest = hashlib.sha256()
     for stream in (out.getvalue(), err.getvalue()):
         data = stream.encode()
