@@ -1,11 +1,12 @@
 """Laplacian assembly, reduced-Laplacian LU factorization, and DC power-flow solving.
 
-The weighted Laplacian L = C B C^T is assembled edge by edge.  Deleting the
-reference row and column gives the reduced Laplacian, factored once by a
-dense LU; each DC solve is one pair of triangular solves with a zero
-reference angle.  The matrix A, the reduced inverse padded with a zero row
-and column at the reference, is built from the same factors only when a
-caller reads it.  Networks of a few thousand buses at most are the target.
+The weighted Laplacian L = C B C^T is assembled edge by edge, here and
+nowhere else.  Deleting the reference row and column gives the reduced
+Laplacian, factored once by a dense LU; each DC solve is one pair of
+triangular solves with a zero reference angle.  The matrix A, the reduced
+inverse padded with a zero row and column at the reference, is built from
+the same factors only when a caller reads it.  Networks of a few thousand
+buses at most are the target.
 """
 
 from __future__ import annotations
@@ -79,8 +80,9 @@ class LaplacianBundle:
                 )
         self._factor = (lu, piv)
         with np.errstate(over="ignore"):
-            # det of the reduced Laplacian; past float range it reads +-inf.
-            self.reduced_determinant = float(np.prod(np.diag(lu))) * _permutation_sign(piv)
+            # det of the reduced Laplacian, which is positive definite on a
+            # connected network: |product of pivots|; past float range, +inf.
+            self.reduced_determinant = float(np.abs(np.prod(np.diag(lu))))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A @ rhs, for one column or several, from the LU factors."""
@@ -118,10 +120,6 @@ class LaplacianBundle:
         n = self.network.n
         ones = np.full((n, n), 1.0 / n)
         return np.linalg.inv(self.L + ones) - ones
-
-
-def _permutation_sign(piv: np.ndarray) -> float:
-    return -1.0 if np.count_nonzero(piv != np.arange(piv.size)) % 2 else 1.0
 
 
 def build_laplacian(network: Network, susceptances=None) -> LaplacianBundle:

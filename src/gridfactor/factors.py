@@ -130,7 +130,8 @@ def lodf_single(ptdf: PtdfMatrix, decomposition: BlockDecomposition, outaged: in
     """Single-line outage factors K for every surviving line.
 
     Raises BridgeOutageError when the outaged line is a bridge (the factor
-    denominator 1 - D_ll vanishes exactly there).
+    denominator 1 - D_ll vanishes exactly there), and SingularError when
+    1 - D_ll is at most RTOL on a line that is not one.
     """
     col = ptdf.index(outaged)
     if outaged in decomposition.bridges:
@@ -144,23 +145,27 @@ def lodf_stack(ptdf: PtdfMatrix, outage: OutageSet) -> np.ndarray:
     """Stacked single-line outage factors K_-FF, one column per tripped line.
 
     Each column is the line's individual outage factor; this is not the
-    simultaneous-outage sensitivity (see :func:`glodf`).
+    simultaneous-outage sensitivity (see :func:`glodf`).  Bridges are
+    decided by the graph.
     """
     rows, cols = outage.surviving_idx, outage.outaged_idx
-    diag = ptdf.matrix[cols, cols]
-    bridges = 1.0 - diag <= RTOL
-    if np.any(bridges):
-        offenders = [outage.outaged[k] for k in np.flatnonzero(bridges)]
+    offenders = [line for line, k in zip(outage.outaged, cols) if outage.network.disconnected_by([k])]
+    if offenders:
         raise BridgeOutageError(f"lines {offenders} are bridges; outage factors are undefined")
-    return _lodf_columns(ptdf.matrix[np.ix_(rows, cols)], diag)
+    return _lodf_columns(ptdf.matrix[np.ix_(rows, cols)], ptdf.matrix[cols, cols])
 
 
 def _lodf_columns(d_cols: np.ndarray, d_kk) -> np.ndarray:
     """Single-line outage factors D[:, k] / (1 - D_kk) of sensitivity columns (any rows).
 
-    ``d_kk`` holds each column's own diagonal entry; callers rule out bridges, where it is 1.
+    ``d_kk`` holds each column's own diagonal entry.  Callers rule out bridges, where
+    D_kk = 1; SingularError when 1 - D_kk is at most RTOL on a line that is not one.
     """
-    return d_cols / (1.0 - d_kk)
+    gap = 1.0 - d_kk
+    if np.any(gap <= RTOL):
+        raise SingularError(f"1 - D_kk = {np.min(gap):.3e} is at most RTOL on a line that is not"
+                            " a bridge; the susceptances spread too widely for outage factors")
+    return d_cols / gap
 
 
 def _glodf_kernel(numerator: np.ndarray, d_ff: np.ndarray) -> np.ndarray:

@@ -30,8 +30,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .dcpf import build_laplacian
 from .errors import BridgeError, TooLargeError
-from .net_model import RTOL, Network, incidence_matrix
+from .net_model import RTOL, Network
 
 __all__ = [
     "ForestFamily",
@@ -112,19 +113,6 @@ def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def _estimate_tree_count(n: int, edge_list) -> float:
-    """Unweighted spanning-tree count of the graph."""
-    if n <= 1:
-        return 1.0
-    L = np.zeros((n, n))
-    for _, u, v in edge_list:
-        L[u, u] += 1.0
-        L[v, v] += 1.0
-        L[u, v] -= 1.0
-        L[v, u] -= 1.0
-    return abs(float(np.linalg.det(L[1:, 1:])))
-
-
 def _enumerate_tree_sets(n: int, edge_list) -> list[frozenset[int]]:
     """All spanning trees of the graph given as (edge_id, u, v) triples.
 
@@ -132,9 +120,6 @@ def _enumerate_tree_sets(n: int, edge_list) -> list[frozenset[int]]:
     branches whose residual graph is disconnected, so the work is
     proportional to the output.
     """
-    if _estimate_tree_count(n, edge_list) > MAX_MEMBERS:
-        raise TooLargeError("estimated spanning-tree count exceeds the enumeration cap")
-
     trees: list[frozenset[int]] = []
 
     def connected(vertices: frozenset[int], edges) -> bool:
@@ -212,10 +197,13 @@ class _Oracle:
     """One network's spanning trees, and the two-tree forests read from them.
 
     Keeps no reference to the network, so the memo holding it keeps none
-    alive.  Exact mode is decided once, over every line.
+    alive.  Exact mode is decided once, over every line.  The tree count
+    checked against the cap is the determinant of the unit-weight factor.
     """
 
     def __init__(self, network: Network):
+        if build_laplacian(network, np.ones(network.m)).reduced_determinant > MAX_MEMBERS:
+            raise TooLargeError("estimated spanning-tree count exceeds the enumeration cap")
         ids = network.edge_ids()
         source, target = (ends.tolist() for ends in network.endpoints)
         self.n = network.n
@@ -400,21 +388,20 @@ def lodf_via_forests(network: Network, line: int, outaged: int) -> float:
 def matrix_tree_check(network: Network, tolerance: float = RTOL) -> MatrixTreeReport:
     """Compare reduced-Laplacian determinants against forest weight sums.
 
-    Checks the determinant against the total spanning-tree weight and every
-    first minor against the signed weight of the matching two-tree family.
+    Checks the factor's determinant (:class:`LaplacianBundle`) against the
+    total spanning-tree weight and every first minor of its reduced L
+    against the signed weight of the matching two-tree family.
     """
-    C = incidence_matrix(network)
-    b = network.susceptances()
-    L = C @ (b[:, None] * C.T)
+    bundle = build_laplacian(network)
     ref = network.reference_index()
     keep = [k for k in range(network.n) if k != ref]
-    reduced = L[np.ix_(keep, keep)]
+    reduced = bundle.L[np.ix_(keep, keep)]
     non_ref_nodes = [network.nodes[k] for k in keep]
 
     _, tree_total, tree_total_exact = _oracle(network).trees_within(None)
     forest_weight = float(tree_total_exact) if tree_total_exact is not None else tree_total
 
-    determinant = float(np.linalg.det(reduced)) if reduced.size else 1.0
+    determinant = bundle.reduced_determinant
     det_err = _rel_err(determinant, forest_weight)
 
     minor_max = 0.0

@@ -41,8 +41,8 @@ __all__ = [
 ]
 
 #: The one relative tolerance.  Injection balance, islanding by I - D_FF and
-#: "zero" factor entries decide against :func:`scaled_tolerance`; the bridge
-#: test on 1 - D_ll and the identity checks use it unscaled.
+#: "zero" factor entries decide against :func:`scaled_tolerance`; the guard on
+#: 1 - D_ll of a line that is not a bridge and the identity checks use it unscaled.
 RTOL = 1e-9
 #: Factorization floor: a reduced-Laplacian pivot below this fraction of
 #: max|reduced L| is singular.  It sits below RTOL so that a connected network
@@ -86,8 +86,7 @@ class Network:
     The topology index (the id-to-position maps of nodes and edges, the
     edge endpoint positions, the position-space adjacency lists and whether
     the network is connected) is built once per instance, on first use, and
-    is not part of equality, hashing or ``repr``.  Copies that change only
-    line parameters share it.
+    is not part of equality, hashing or ``repr``.
     """
 
     nodes: tuple[int, ...]
@@ -181,14 +180,12 @@ class Network:
         return self._with_line_values("capacity", "capacities", values)
 
     def _with_line_values(self, name: str, plural: str, values) -> "Network":
-        """Copy with one per-edge parameter replaced; it shares the topology index."""
+        """Copy with one per-edge parameter replaced."""
         values = np.asarray(values, dtype=float)
         if values.shape != (self.m,):
             raise ValidationError(f"expected {self.m} {plural}, got {values.shape}")
         edges = tuple(replace(edge, **{name: float(v)}) for edge, v in zip(self.edges, values))
-        copy = replace(self, edges=edges)
-        copy.__dict__.update((k, v) for k, v in self.__dict__.items() if k in _TOPOLOGY_INDEX)
-        return copy
+        return replace(self, edges=edges)
 
     def without_edges(self, edge_ids) -> "Network":
         """Copy with the given lines removed; surviving edges keep their ids."""
@@ -211,10 +208,6 @@ class Network:
         return not all(
             _joined(self._adjacency, removed, int(source[k]), int(target[k])) for k in removed
         )
-
-
-#: The per-instance caches that depend only on node ids, edge ids and endpoints.
-_TOPOLOGY_INDEX = ("_node_lookup", "_edge_lookup", "endpoints", "_adjacency", "_connected")
 
 
 def _joined(adjacency, removed: set[int], u: int, v: int) -> bool:

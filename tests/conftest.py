@@ -109,6 +109,19 @@ def stiff_leaf_doc():
     }
 
 
+def stiff_triangle_doc():
+    """A triangle with one b=3e4 line (id 1): not a bridge, yet 1 - D_11 rounds below RTOL."""
+    return {
+        "nodes": [1, 2, 3],
+        "edges": [
+            {"from": 1, "to": 2, "b": 3e4},
+            {"from": 2, "to": 3, "b": 3e-5},
+            {"from": 1, "to": 3, "b": 3e-5},
+        ],
+        "injections": {"1": 1.0, "2": 0.0, "3": -1.0},
+    }
+
+
 def parallel_lines_doc(reverse=False):
     """A triangle whose line 1-2 is repeated, the repeat reversed when ``reverse``."""
     return {

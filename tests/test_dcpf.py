@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,12 +173,16 @@ def test_quadratic_form_identity_between_pseudo_inverse_and_a():
 
 
 def test_reduced_determinant_matches_tree_weight():
+    # At every reference bus: the reduced Laplacian is positive definite, so
+    # |product of pivots| is its determinant.
     rng = np.random.default_rng(41)
     for _ in range(12):
         net = random_network(rng)
-        bundle = build_laplacian(net)
         total = enumerate_spanning_trees(net).weight_sum
-        assert abs(bundle.reduced_determinant - total) < 1e-9 * max(1.0, total)
+        for node in net.nodes:
+            determinant = build_laplacian(replace(net, reference=node)).reduced_determinant
+            assert determinant > 0
+            assert abs(determinant - total) < 1e-9 * max(1.0, total)
 
 
 def test_singular_error_on_disconnected_graph():

@@ -102,8 +102,9 @@ def test_parameter_copies_share_the_topology_index(triangle):
     assert not is_cut_set(triangle, [1])
     for copy in (triangle.with_susceptances([2.0, 3.0, 4.0]),
                  triangle.with_capacities([1.0, 1.0, 1.0])):
-        for name in ("_node_lookup", "_edge_lookup", "endpoints", "_adjacency", "_connected"):
-            assert getattr(copy, name) is getattr(triangle, name)
+        for name in ("_node_lookup", "_edge_lookup", "_adjacency", "_connected"):
+            assert getattr(copy, name) == getattr(triangle, name)
+        assert all(map(np.array_equal, copy.endpoints, triangle.endpoints))
     reduced = triangle.without_edges([1])
     assert reduced.endpoints is not triangle.endpoints
     assert len(reduced._adjacency[0]) == 1

@@ -7,14 +7,17 @@ from gridfactor import (
     BridgeOutageError,
     CutSetError,
     OutageSet,
+    SingularError,
     UnknownEdgeError,
     ValidationError,
+    adversarial_capacity,
     apply_outage,
     block_decomposition,
     build_laplacian,
     characteristic_injection_flow,
     detect_islanding,
     glodf,
+    influence_graph,
     injection_vector,
     is_cut_set,
     lodf_single,
@@ -33,6 +36,7 @@ from conftest import (
     random_balanced_injection,
     random_network,
     sample_non_cut_outage,
+    stiff_triangle_doc,
 )
 
 
@@ -145,6 +149,25 @@ def test_lodf_stack_bridge_raises(path3):
     ptdf = ptdf_matrix(bundle, path3)
     with pytest.raises(BridgeOutageError):
         lodf_stack(ptdf, OutageSet(path3, [1]))
+
+
+@pytest.mark.parametrize("caller", ["lodf_single", "lodf_stack", "influence_graph",
+                                    "adversarial_capacity"])
+def test_stiff_line_that_is_not_a_bridge_is_singular(caller):
+    # 1 - D_11 rounds to -1.1e-8 on this triangle, which has no bridges.
+    net = build(stiff_triangle_doc())
+    bundle = build_laplacian(net)
+    ptdf = ptdf_matrix(bundle, net)
+    decomposition = block_decomposition(net)
+    assert not decomposition.bridges
+    call = {
+        "lodf_single": lambda: lodf_single(ptdf, decomposition, 1),
+        "lodf_stack": lambda: lodf_stack(ptdf, OutageSet(net, [1])),
+        "influence_graph": lambda: influence_graph(ptdf, decomposition, 0.05),
+        "adversarial_capacity": lambda: adversarial_capacity(bundle, net, 1, 2),
+    }[caller]
+    with pytest.raises(SingularError, match="not a bridge"):
+        call()
 
 
 def test_outage_set_validation(triangle):

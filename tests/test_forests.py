@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from gridfactor import (
     BridgeError,
+    Edge,
+    Network,
+    SingularError,
     TooLargeError,
     a_entry_via_forests,
     build_laplacian,
@@ -23,7 +26,7 @@ from gridfactor import (
 from gridfactor import forests
 from gridfactor.cli import run
 
-from conftest import build, grid_doc, random_network
+from conftest import build, grid_doc, k4_doc, random_network
 
 
 def test_triangle_spanning_trees(triangle):
@@ -206,6 +209,27 @@ def test_matrix_tree_random_graphs():
         assert matrix_tree_check(net).passed
 
 
+def test_matrix_tree_determinant_is_the_factors(triangle):
+    rng = np.random.default_rng(71)
+    for net in [triangle] + [random_network(rng, max_nodes=8) for _ in range(12)]:
+        assert matrix_tree_check(net).determinant == build_laplacian(net).reduced_determinant
+
+
+def test_unit_weight_determinant_counts_the_spanning_trees(triangle):
+    rng = np.random.default_rng(73)
+    nets = [triangle, build(k4_doc()), build(grid_doc(3))]
+    nets += [random_network(rng, max_nodes=8, max_extra=10) for _ in range(12)]
+    for net in nets:
+        count = build_laplacian(net, np.ones(net.m)).reduced_determinant
+        assert round(count) == len(enumerate_spanning_trees(net))
+
+
+def test_disconnected_network_is_refused_by_the_unit_weight_factor():
+    net = Network(nodes=(1, 2, 3, 4), edges=(Edge(1, 1, 2, 1.0), Edge(2, 3, 4, 1.0)), reference=4)
+    with pytest.raises(SingularError):
+        enumerate_spanning_trees(net)
+
+
 def test_effective_reactance_triangle(triangle):
     report = effective_reactance(triangle, 1)
     assert report.effective == pytest.approx(2.0 / 3.0, abs=1e-15)
@@ -274,6 +298,7 @@ def test_enumeration_cap():
         ],
     }
     k10 = build(doc)
+    assert build_laplacian(k10, np.ones(k10.m)).reduced_determinant == pytest.approx(1e8)
     with pytest.raises(TooLargeError):
         enumerate_spanning_trees(k10)
     with pytest.raises(TooLargeError):

@@ -11,7 +11,8 @@ diffing their digests:
 The corpus covers every subcommand and output format, all four ``glodf``
 methods, ``localize`` with and without ``--perturb``, bridge, cut-set and
 bad-input refusals (parallel lines among them), usage and range errors, a
-connected network too stiff to factor, cascades and ``verify``.  Its
+connected network too stiff to factor, a line that is not a bridge yet too
+stiff for its outage factors, cascades and ``verify``.  Its
 networks are the test fixtures of ``tests/conftest.py`` and the
 ``perfbench/gen.py`` block trees and oracle grids for seeds 2 and 7.  Runs
 share one process, as a caller of ``gridfactor.cli.run`` would.  The
@@ -161,7 +162,13 @@ def main(argv=None) -> int:
         corpus += [["flow", "triangle_csv"], ["flow", "triangle_csv/edges.csv"], ["blocks", "missing.json"]]
         gen.write(conftest.stiff_leaf_doc(), Path("stiff_leaf.json"))
         gen.write(conftest.parallel_lines_doc(reverse=True), Path("parallel.json"))
+        gen.write(conftest.stiff_triangle_doc(), Path("stiff_triangle.json"))
         corpus += [["flow", "stiff_leaf.json"], ["blocks", "parallel.json"]]
+        corpus += [
+            ["lodf", "stiff_triangle.json", "--line", "1"],
+            ["glodf", "stiff_triangle.json", "--lines", "1", "--method", "post_contingency"],
+            ["influence", "stiff_triangle.json"],
+        ]
         corpus += [  # options a subcommand does not take, and out-of-range values
             ["blocks", "triangle.json", "--format", "csv"],
             ["ptdf", "triangle.json", "--format", "dot"],
