@@ -1,22 +1,22 @@
-"""Laplacian assembly, reduced-Laplacian LU factorization, and DC power-flow solving.
+"""Laplacian assembly, reduced-Laplacian sparse LU factorization, and DC power-flow solving.
 
-The weighted Laplacian L = C B C^T is assembled edge by edge, here and
-nowhere else.  Deleting the reference row and column gives the reduced
-Laplacian, factored once by a dense LU; each DC solve is one pair of
-triangular solves with a zero reference angle.  The matrix A, the reduced
-inverse padded with a zero row and column at the reference, is built from
-the same factors only when a caller reads it.  Networks of a few thousand
-buses at most are the target.
+The weighted Laplacian L = C B C^T is assembled edge by edge as a sparse
+matrix, here and nowhere else.  Deleting the reference row and column gives
+the reduced Laplacian, factored once by a sparse LU (SuperLU); each DC solve
+is one pair of sparse triangular solves with a zero reference angle.  The
+dense L, the matrix A (the reduced inverse padded with a zero row and column
+at the reference) and the pseudo-inverse are built only when a caller reads
+them, so a solve costs memory in the lines, not in the square of the buses.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import SingularError, ValidationError
 from .net_model import PIVOT_RTOL, Network, incidence_columns, injection_vector
@@ -40,54 +40,54 @@ class FlowState:
 
 
 class LaplacianBundle:
-    """Laplacian L, the LU factors of its reduced form, and lazy inverses.
+    """Laplacian L, the sparse LU factor of its reduced form, and lazy dense views.
 
     Immutable after construction; :meth:`solve` applies A without forming
-    it, and A and the pseudo-inverse are computed on first access.
+    it, and the dense L, A and pseudo-inverse are computed on first access.
     ``source``, ``target`` and ``b`` hold each edge's endpoint positions and
     weight: its susceptance, or ``susceptances`` when given (copied, shape
-    ``(m,)``), where a zero weight is a line that is out.  SingularError on a
-    pivot below PIVOT_RTOL x max|reduced L| flags a disconnected network, or
-    a connected one whose susceptances spread too widely to factor.
+    ``(m,)``, finite, >= 0), where a zero weight is a line that is out.
+    SingularError on a pivot below PIVOT_RTOL x max|reduced L| flags a
+    disconnected network, or one whose susceptances spread too widely to factor.
     """
 
     def __init__(self, network: Network, susceptances=None):
         self.network = network
-        n = network.n
         self.source, self.target = network.endpoints
         given = network.susceptances() if susceptances is None else susceptances
         self.b = b = np.array(given, dtype=float)
         if b.shape != (network.m,):
             raise ValidationError(f"expected {network.m} susceptances, got {b.shape}")
-        s, t = self.source, self.target
-        flat = np.concatenate([s * (n + 1), t * (n + 1), s * n + t, t * n + s])
-        self.L = np.bincount(flat, np.concatenate([b, b, -b, -b]), minlength=n * n).reshape(n, n)
-
-        self._keep = np.delete(np.arange(n), network.reference_index())
-        reduced = self.L[np.ix_(self._keep, self._keep)]
-
-        with warnings.catch_warnings():
-            # The pivot check below is the singularity detector; silence
-            # scipy's advisory warning for the intentionally-fed bad cases.
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(reduced, check_finite=False)
-        if reduced.size:
-            smallest, bound = np.abs(np.diag(lu)).min(), PIVOT_RTOL * np.abs(reduced).max()
-            if smallest < bound:
-                raise SingularError(
-                    f"reduced Laplacian is numerically singular: smallest pivot {smallest:.3e}"
-                    f" is below {bound:.3e} (PIVOT_RTOL x max|reduced L|)"
-                )
-        self._factor = (lu, piv)
+        bad = np.flatnonzero(~np.isfinite(b) | (b < 0))
+        if bad.size:
+            raise ValidationError(f"susceptances must be finite and non-negative;"
+                                  f" line {network.edges[bad[0]].id} has {b[bad[0]]}")
+        s, t, w = self.source[b > 0], self.target[b > 0], b[b > 0]  # a line that is out stores nothing
+        ends = np.concatenate([s, t, s, t]), np.concatenate([s, t, t, s])
+        self._sparse = scipy.sparse.csc_array((np.concatenate([w, w, -w, -w]), ends), shape=(network.n,) * 2)
+        self._keep = np.delete(np.arange(network.n), network.reference_index())
+        reduced = self._sparse[self._keep][:, self._keep]
+        try:  # L is symmetric and diagonally dominant: a symmetric ordering, diagonal pivots
+            self._factor = scipy.sparse.linalg.splu(
+                reduced, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        except RuntimeError as exc:  # SuperLU met an exactly zero column
+            raise SingularError(f"reduced Laplacian is singular: {exc}") from None
+        pivots = np.abs(self._factor.U.diagonal())
+        smallest, bound = pivots.min(initial=np.inf), PIVOT_RTOL * np.abs(reduced.data).max(initial=0.0)
+        if smallest < bound:
+            raise SingularError(
+                f"reduced Laplacian is numerically singular: smallest pivot {smallest:.3e}"
+                f" is below {bound:.3e} (PIVOT_RTOL x max|reduced L|)"
+            )
         with np.errstate(over="ignore"):
             # det of the reduced Laplacian, which is positive definite on a
             # connected network: |product of pivots|; past float range, +inf.
-            self.reduced_determinant = float(np.abs(np.prod(np.diag(lu))))
+            self.reduced_determinant = float(np.prod(pivots))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """A @ rhs, for one column or several, from the LU factors."""
+        """A @ rhs, for one column or several, from the sparse LU factor."""
         out = np.zeros(rhs.shape)
-        out[self._keep] = scipy.linalg.lu_solve(self._factor, rhs[self._keep], check_finite=False)
+        out[self._keep] = self._factor.solve(rhs[self._keep])
         return out
 
     def branch_flows(self, theta: np.ndarray) -> np.ndarray:
@@ -110,6 +110,11 @@ class LaplacianBundle:
         return out
 
     @cached_property
+    def L(self) -> np.ndarray:
+        """Dense weighted Laplacian C B C^T, from the sparse assembly."""
+        return self._sparse.toarray()
+
+    @cached_property
     def A(self) -> np.ndarray:
         """Reduced inverse padded with a zero row and column at the reference."""
         return self.solve(np.eye(self.network.n))
@@ -130,7 +135,7 @@ def build_laplacian(network: Network, susceptances=None) -> LaplacianBundle:
 def solve_flow(bundle: LaplacianBundle, network: Network, p) -> FlowState:
     """DC power flow with the reference angle pinned at zero.
 
-    theta = A p, solved with the bundle's LU factors, and f = B C^T theta.
+    theta = A p, solved with the bundle's sparse LU factor, and f = B C^T theta.
     The injections must be balanced.
     """
     theta = bundle.solve(injection_vector(network, p))

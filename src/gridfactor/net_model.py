@@ -252,18 +252,36 @@ class ValidationReport:
         return tuple(f.code for f in self.findings)
 
 
-def _parse_capacity(raw) -> float:
+def _parse_real(raw, what: str) -> float:
+    """A real number: a JSON number or the text of one, as CSV gives; never a boolean."""
+    if isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
+        try:
+            return float(raw)
+        except ValueError:
+            pass
+    raise ParseError(f"{what} must be a number, got {raw!r}")
+
+
+def _parse_id(raw, what: str) -> int:
+    """A node id: an integral number or the text of one, as CSV gives; never a boolean."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return raw
+    if isinstance(raw, (float, str)):
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if value.is_integer():
+            return int(value)
+    raise ParseError(f"{what} must be an integer, got {raw!r}")
+
+
+def _parse_capacity(raw, what: str) -> float:
     if raw is None:
         return math.inf
-    if isinstance(raw, str):
-        text = raw.strip().lower()
-        if text in ("", "inf", "+inf", "infinity"):
-            return math.inf
-        try:
-            return float(text)
-        except ValueError:
-            raise ParseError(f"bad capacity value {raw!r}") from None
-    return float(raw)
+    if isinstance(raw, str) and raw.strip().lower() in ("", "inf", "+inf", "infinity"):
+        return math.inf
+    return _parse_real(raw, what)
 
 
 def _network_from_document(doc: dict) -> Network:
@@ -278,36 +296,34 @@ def _network_from_document(doc: dict) -> Network:
 
     edges = []
     for k, item in enumerate(raw_edges):
-        try:
-            source = int(item["from"])
-            target = int(item["to"])
-            susceptance = float(item["b"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"edge #{k + 1} is malformed: {exc}") from None
-        capacity = _parse_capacity(item.get("cap"))
-        edges.append(Edge(id=k + 1, source=source, target=target,
-                          susceptance=susceptance, capacity=capacity))
+        name = f"edge #{k + 1}"
+        if not isinstance(item, dict) or not {"from", "to", "b"} <= item.keys():
+            raise ParseError(f"{name} is malformed: expected an object with 'from', 'to' and 'b'")
+        edges.append(Edge(id=k + 1, source=_parse_id(item["from"], f"{name} 'from'"),
+                          target=_parse_id(item["to"], f"{name} 'to'"),
+                          susceptance=_parse_real(item["b"], f"{name} 'b'"),
+                          capacity=_parse_capacity(item.get("cap"), f"{name} 'cap'")))
 
     if "nodes" in doc:
-        try:
-            nodes = tuple(sorted(int(v) for v in doc["nodes"]))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"'nodes' is malformed: {exc}") from None
+        if not isinstance(doc["nodes"], list):
+            raise ParseError("'nodes' must be a list of node ids")
+        nodes = tuple(sorted(_parse_id(v, "a node id in 'nodes'") for v in doc["nodes"]))
     else:
         seen = {e.source for e in edges} | {e.target for e in edges}
         nodes = tuple(sorted(seen))
 
-    reference = int(doc.get("reference", nodes[-1] if nodes else 0))
+    if "reference" in doc:
+        reference = _parse_id(doc["reference"], "'reference'")
+    else:
+        reference = nodes[-1] if nodes else 0
 
     injections = None
     if "injections" in doc:
         raw_inj = doc["injections"]
         if not isinstance(raw_inj, dict):
             raise ParseError("'injections' must map node ids to reals")
-        try:
-            by_node = {int(k): float(v) for k, v in raw_inj.items()}
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"'injections' is malformed: {exc}") from None
+        by_node = {_parse_id(k, "a node id in 'injections'"): _parse_real(v, f"the injection at node {k}")
+                   for k, v in raw_inj.items()}
         unknown = set(by_node) - set(nodes)
         if unknown:
             raise ParseError(f"injections name unknown nodes {sorted(unknown)}")
@@ -374,7 +390,7 @@ def load_network(source, reference: int | None = None) -> Network:
 
     network = _network_from_document(doc)
     if reference is not None:
-        network = replace(network, reference=int(reference))
+        network = replace(network, reference=_parse_id(reference, "reference"))
 
     report = validate(network)
     if not report.ok:

@@ -5,8 +5,8 @@ import math
 import pytest
 
 from gridfactor import (
-    Edge, Network, SingularError, ValidationError, build_laplacian, cli, factors, load_network,
-    validate,
+    Edge, LaplacianBundle, Network, ParseError, SingularError, ValidationError, build_laplacian, cli,
+    factors, load_network, validate,
 )
 from gridfactor.cli import run
 
@@ -336,3 +336,69 @@ def test_usage_and_range_errors_exit_1(capsys, triangle_path, argv):
     assert run(argv[:1] + [triangle_path] + argv[1:]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("gridfactor: ")
+
+
+def _set_edge(k, key, value):
+    def change(doc):
+        doc["edges"][k][key] = value
+    return change
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param(lambda doc: doc.update(reference="x"), id="reference=x"),
+    pytest.param(lambda doc: doc.update(reference=None), id="reference=null"),
+    pytest.param(lambda doc: doc.update(reference=1.7), id="reference=1.7"),
+    pytest.param(lambda doc: doc.update(reference=True), id="reference=true"),
+    pytest.param(_set_edge(0, "cap", [1]), id="cap=[1]"),
+    pytest.param(_set_edge(0, "cap", True), id="cap=true"),
+    pytest.param(_set_edge(1, "from", 1.5), id="from=1.5"),
+    pytest.param(_set_edge(0, "from", True), id="from=true"),
+    pytest.param(_set_edge(0, "b", True), id="b=true"),
+    pytest.param(lambda doc: doc.update(nodes=[1, 2.9, 3]), id="nodes=[1,2.9,3]"),
+    pytest.param(lambda doc: doc.update(nodes="123"), id="nodes=123"),
+    pytest.param(lambda doc: doc["injections"].update({"1": True}), id="injection=true"),
+    pytest.param(lambda doc: doc.update(injections={"1.5": 0.0}), id="injection-node=1.5"),
+    pytest.param(lambda doc: doc["edges"].append([1, 2, 1.0]), id="edge=list"),
+])
+def test_malformed_values_are_parse_errors(capsys, tmp_path, change):
+    doc = triangle_doc()
+    change(doc)
+    with pytest.raises(ParseError):
+        load_network(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["flow", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("gridfactor: ") and "Traceback" not in err
+
+
+def test_integral_values_and_their_text_load_as_ids(triangle):
+    doc = triangle_doc()
+    doc.update(reference="3", nodes=[1.0, "2", 3])
+    doc["edges"][0].update({"from": 1.0, "to": "2", "b": "1.0", "cap": "inf"})
+    assert load_network(doc) == triangle
+
+
+_BLOCK_TREE_RUNS = [
+    ["blocks"], ["flow"], ["ptdf"], ["lodf", "--line", "1"], ["glodf", "--lines", "1,7"],
+    ["localize", "--lines", "1,7", "--perturb", "--trials", "3"], ["cascade", "--trip", "1"],
+    ["influence"],
+]
+
+
+@pytest.mark.parametrize("dense, argvs", [
+    pytest.param(("L", "ldag"), _BLOCK_TREE_RUNS, id="L-ldag"),
+    pytest.param(("L", "ldag", "A"), [["flow"], ["cascade", "--trip", "1"]], id="L-ldag-A"),
+])
+def test_subcommands_build_no_dense_matrix_they_do_not_read(monkeypatch, capsys, tmp_path,
+                                                            dense, argvs):
+    def refuse(self):
+        raise AssertionError("a dense matrix was built")
+
+    for name in dense:
+        monkeypatch.setattr(LaplacianBundle, name, property(refuse))
+    path = tmp_path / "fig2.json"
+    path.write_text(json.dumps({**fig2_doc(), "injections": {"1": 1.0, "5": -1.0}}))
+    for argv in argvs:
+        assert run(argv[:1] + [str(path)] + argv[1:]) == 0, argv
+        capsys.readouterr()

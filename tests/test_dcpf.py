@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -309,3 +310,23 @@ def test_outage_paths_copy_no_network(monkeypatch):
     assert k_matrix.shape == (armed.m - 2, 2)
     stats = almost_sure_nonzero_test(armed, outage, PerturbationSpec(trials=3))
     assert stats.trials == 3
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 1.0, 1.0], [np.inf, 1.0, 1.0], [-1.0, 1.0, 1.0]])
+def test_nonfinite_or_negative_weights_are_refused(triangle, weights):
+    with pytest.raises(ValidationError, match="finite and non-negative"):
+        build_laplacian(triangle, weights)
+
+
+def test_factor_and_solve_hold_no_dense_matrix():
+    # n = 1600: one dense n x n array is 20 MB, the sparse factor well under 1 MB.
+    net = build(grid_doc(40))
+    p = random_balanced_injection(np.random.default_rng(2), net.n)
+    net.endpoints  # the network's own topology index, built before tracing
+    tracemalloc.start()
+    try:
+        solve_flow(build_laplacian(net), net, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

@@ -8,16 +8,20 @@ diffing their digests:
     python3 tools/stdout_digest.py --src /path/to/other/src > other.txt
     diff other.txt change.txt
 
+or, naming each run whose text differs and the size of the numeric drift,
+by ``tools/stdout_compare.py``, which runs the same corpus through
+:func:`outputs`.
+
 The corpus covers every subcommand and output format, all four ``glodf``
 methods, ``localize`` with and without ``--perturb``, bridge, cut-set and
-bad-input refusals (parallel lines among them), usage and range errors, a
-connected network too stiff to factor, a line that is not a bridge yet too
-stiff for its outage factors, cascades and ``verify``.  Its
-networks are the test fixtures of ``tests/conftest.py`` and the
-``perfbench/gen.py`` block trees and oracle grids for seeds 2 and 7.  Runs
-share one process, as a caller of ``gridfactor.cli.run`` would.  The
-``demos/*.py`` scripts then run in the same process through ``runpy``; they
-reach library calls no CLI run makes (``pseudo_inverse_flow``,
+bad-input refusals (parallel lines and a malformed reference among them),
+usage and range errors, a connected network too stiff to factor, a line
+that is not a bridge yet too stiff for its outage factors, cascades and
+``verify``.  Its networks are the test fixtures of ``tests/conftest.py``
+and the ``perfbench/gen.py`` block trees and oracle grids for seeds 2 and
+7.  Runs share one process, as a caller of ``gridfactor.cli.run`` would.
+The ``demos/*.py`` scripts then run in the same process through ``runpy``;
+they reach library calls no CLI run makes (``pseudo_inverse_flow``,
 ``apply_outage``, ``adversarial_capacity``), and their exit code is 0, or 1
 when one raises.
 """
@@ -36,6 +40,7 @@ import sys
 import tempfile
 import traceback
 from collections import deque
+from collections.abc import Iterator
 from pathlib import Path
 
 # One BLAS thread, set before numpy loads: threaded BLAS sums in another
@@ -132,11 +137,14 @@ def _write_csv(doc: dict, folder: Path) -> None:
         writer.writerows(doc["injections"].items())
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", required=True, help="directory holding the gridfactor package")
-    args = parser.parse_args(argv)
-    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "tests"), str(ROOT / "perfbench")]
+def outputs(src) -> Iterator[tuple[str, int, str, str]]:
+    """Run the corpus on the gridfactor package in ``src``.
+
+    Yields each run's label, exit code, stdout and stderr, in corpus order.
+    ``src`` must be the first gridfactor this process imports: a second
+    tree needs a process of its own.
+    """
+    sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
     import conftest
     import gen
@@ -163,7 +171,8 @@ def main(argv=None) -> int:
         gen.write(conftest.stiff_leaf_doc(), Path("stiff_leaf.json"))
         gen.write(conftest.parallel_lines_doc(reverse=True), Path("parallel.json"))
         gen.write(conftest.stiff_triangle_doc(), Path("stiff_triangle.json"))
-        corpus += [["flow", "stiff_leaf.json"], ["blocks", "parallel.json"]]
+        gen.write({**conftest.triangle_doc(), "reference": "x"}, Path("bad_reference.json"))
+        corpus += [["flow", "stiff_leaf.json"], ["blocks", "parallel.json"], ["flow", "bad_reference.json"]]
         corpus += [
             ["lodf", "stiff_triangle.json", "--line", "1"],
             ["glodf", "stiff_triangle.json", "--lines", "1", "--method", "post_contingency"],
@@ -179,9 +188,21 @@ def main(argv=None) -> int:
         ]
 
         for run_argv in corpus:
-            _digest(shlex.join(run_argv), lambda: run(run_argv))
+            yield (shlex.join(run_argv), *_capture(lambda: run(run_argv)))
         for demo in sorted((ROOT / "demos").glob("*.py")):
-            _digest(demo.relative_to(ROOT).as_posix(), lambda: _run_demo(demo))
+            yield (demo.relative_to(ROOT).as_posix(), *_capture(lambda: _run_demo(demo)))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", required=True, help="directory holding the gridfactor package")
+    args = parser.parse_args(argv)
+    for label, code, out, err in outputs(args.src):
+        digest = hashlib.sha256()
+        for stream in (out, err):
+            data = stream.encode()
+            digest.update(len(data).to_bytes(8, "big") + data)
+        print(digest.hexdigest(), code, label, flush=True)
     return 0
 
 
@@ -190,13 +211,13 @@ def _run_demo(path: Path) -> int:
     return 0
 
 
-def _digest(label: str, call) -> None:
-    """Run ``call`` with its output captured; print the digest, the exit code and the label.
+def _capture(call) -> tuple[int, str, str]:
+    """Run ``call`` with its output captured; return the exit code, stdout and stderr.
 
     The exit code is the one a process running ``call`` would end with: its
     return value, the code of a ``SystemExit`` it raises (as a parser that
     exits on a usage error does), or 1 after any other exception, whose
-    traceback is part of the digested stderr.
+    traceback is part of the captured stderr.
     """
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -207,11 +228,7 @@ def _digest(label: str, call) -> None:
         except Exception:  # noqa: BLE001
             traceback.print_exc()
             code = 1
-    digest = hashlib.sha256()
-    for stream in (out.getvalue(), err.getvalue()):
-        data = stream.encode()
-        digest.update(len(data).to_bytes(8, "big") + data)
-    print(digest.hexdigest(), code, label, flush=True)
+    return code, out.getvalue(), err.getvalue()
 
 
 if __name__ == "__main__":
