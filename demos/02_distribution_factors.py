@@ -37,7 +37,7 @@ decomposition = block_decomposition(k4)
 
 np.set_printoptions(precision=4, suppress=True)
 print("PTDF matrix D = B C^T A C:\n", ptdf.matrix)
-print("\ndiagonal (0 < D_ll < 1 for non-bridges):", ptdf.diagonal())
+print("\ndiagonal (0 < D_ll < 1 for non-bridges):", np.diag(ptdf.matrix))
 
 # Single-line outage factors: flow change per unit of pre-outage flow on
 # the tripped line.  Note the exact zero between non-adjacent lines of a

@@ -137,20 +137,21 @@ def influence_graph(
     Pairs are drawn only from within non-bridge blocks, where the factors
     are defined in both directions; a pair qualifies when either direction
     reaches the threshold.  Cross-block factors are exactly zero, so the
-    result can never join two blocks.  ValidationError unless the threshold
-    is finite and nonnegative.
+    result can never join two blocks, and each block reads only its own
+    PTDF columns.  ValidationError unless the threshold is finite and
+    nonnegative.
     """
     if not 0.0 <= threshold < np.inf:
         raise ValidationError(f"threshold must be finite and nonnegative, got {threshold}")
-    diag = np.diag(ptdf.matrix)
     pairs = []
     for members in decomposition.blocks:
         if len(members) < 2:
             continue
         ordered = np.array(sorted(members))
         positions = ptdf.network.edge_positions(ordered.tolist())
+        d_block = ptdf.columns(positions)[positions]
         # factor[i, j]: flow change on line i per unit pre-outage flow on tripped line j.
-        factor = _lodf_columns(ptdf.matrix[np.ix_(positions, positions)], diag[positions])
+        factor = _lodf_columns(d_block, np.diag(d_block))
         strong = np.maximum(np.abs(factor), np.abs(factor.T)) >= threshold
         rows, cols = np.nonzero(np.triu(strong, 1))
         pairs.extend(zip(ordered[rows].tolist(), ordered[cols].tolist()))

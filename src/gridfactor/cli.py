@@ -90,9 +90,8 @@ def _cmd_ptdf(network, args) -> int:
 
 
 def _cmd_lodf(network, args) -> int:
-    ptdf = factors_mod.ptdf_matrix(build_laplacian(network), network)
-    decomposition = block_decomposition(network)
-    column = factors_mod.lodf_single(ptdf, decomposition, args.line)
+    ptdf = factors_mod.PtdfMatrix(build_laplacian(network), network)
+    column = factors_mod.lodf_single(ptdf, ptdf.decomposition, args.line)
     _emit_json({
         "outaged": args.line,
         "factors": {str(line): float(v) for line, v in column.items()},
@@ -102,16 +101,16 @@ def _cmd_lodf(network, args) -> int:
 
 def _cmd_glodf(network, args) -> int:
     bundle = build_laplacian(network)
-    ptdf = factors_mod.ptdf_matrix(bundle, network)
+    ptdf = factors_mod.PtdfMatrix(bundle, network)
     outage = factors_mod.OutageSet(network, _parse_lines(args.lines))
     result = factors_mod.glodf(bundle, ptdf, network, outage, method=args.method)
     if args.format == "csv":
-        _emit_matrix_csv(result.surviving, result.outaged, result.k_matrix)
+        _emit_matrix_csv(outage.surviving, outage.outaged, result.k_matrix)
         return 0
     payload = {
         "method": result.method,
-        "outaged": [int(v) for v in result.outaged],
-        "surviving": [int(v) for v in result.surviving],
+        "outaged": [int(v) for v in outage.outaged],
+        "surviving": [int(v) for v in outage.surviving],
         "k": result.k_matrix.tolist(),
         "k_stack": result.k_stack.tolist(),
         "residuals": (
@@ -129,11 +128,10 @@ def _cmd_localize(network, args) -> int:
             relative_magnitude=args.eps, trials=args.trials, seed=args.seed
         )
     bundle = build_laplacian(network)
-    ptdf = factors_mod.ptdf_matrix(bundle, network)
-    decomposition = block_decomposition(network)
+    ptdf = factors_mod.PtdfMatrix(bundle, network)
     outage = factors_mod.OutageSet(network, _parse_lines(args.lines))
     result = factors_mod.glodf(bundle, ptdf, network, outage, method="pre_contingency")
-    report = localization_mod.block_structure_report(result, decomposition, outage)
+    report = localization_mod.block_structure_report(result, ptdf.decomposition, outage)
 
     payload = {
         "cross_block_max": float(report.cross_block_max),
@@ -192,9 +190,8 @@ def _cmd_cascade(network, args) -> int:
 
 
 def _cmd_influence(network, args) -> int:
-    ptdf = factors_mod.ptdf_matrix(build_laplacian(network), network)
-    decomposition = block_decomposition(network)
-    pairs = cascade_mod.influence_graph(ptdf, decomposition, args.threshold)
+    ptdf = factors_mod.PtdfMatrix(build_laplacian(network), network)
+    pairs = cascade_mod.influence_graph(ptdf, ptdf.decomposition, args.threshold)
     if args.format == "dot":
         lines = ["graph influence {"]
         for a, b in pairs:
@@ -213,7 +210,6 @@ def _cmd_verify(network, args) -> int:
     tol = _verify_tolerance(args.tol)
     bundle = build_laplacian(network)
     ptdf = factors_mod.ptdf_matrix(bundle, network)
-    decomposition = block_decomposition(network)
 
     tree_report = forests_mod.matrix_tree_check(network, tolerance=tol)
 
@@ -233,9 +229,9 @@ def _cmd_verify(network, args) -> int:
 
     lodf_err = 0.0
     for outaged in network.edge_ids():
-        if outaged in decomposition.bridges:
+        if outaged in ptdf.decomposition.bridges:
             continue
-        column = factors_mod.lodf_single(ptdf, decomposition, outaged)
+        column = factors_mod.lodf_single(ptdf, ptdf.decomposition, outaged)
         for line, value in column.items():
             oracle = forests_mod.lodf_via_forests(network, line, outaged)
             lodf_err = max(lodf_err, abs(value - oracle))

@@ -1,12 +1,14 @@
 """Laplacian assembly, reduced-Laplacian sparse LU factorization, and DC power-flow solving.
 
-The weighted Laplacian L = C B C^T is assembled edge by edge as a sparse
-matrix, here and nowhere else.  Deleting the reference row and column gives
-the reduced Laplacian, factored once by a sparse LU (SuperLU); each DC solve
-is one pair of sparse triangular solves with a zero reference angle.  The
-dense L, the matrix A (the reduced inverse padded with a zero row and column
-at the reference) and the pseudo-inverse are built only when a caller reads
-them, so a solve costs memory in the lines, not in the square of the buses.
+The weighted Laplacian L = C B C^T is assembled edge by edge as sparse
+triplets, here and nowhere else.  The triplets off the reference row and
+column give the reduced Laplacian, factored once by a sparse LU (SuperLU);
+each DC solve is one pair of sparse triangular solves with a zero reference
+angle, and the sensitivity columns D[:, k] of D = B C^T A C are the one
+formula for D.  The dense L, the matrix A (the reduced inverse padded with a
+zero row and column at the reference; only ``verify`` reads it) and the
+pseudo-inverse are built only when a caller reads them, so a solve costs
+memory in the lines, not in the square of the buses.
 """
 
 from __future__ import annotations
@@ -63,10 +65,15 @@ class LaplacianBundle:
             raise ValidationError(f"susceptances must be finite and non-negative;"
                                   f" line {network.edges[bad[0]].id} has {b[bad[0]]}")
         s, t, w = self.source[b > 0], self.target[b > 0], b[b > 0]  # a line that is out stores nothing
-        ends = np.concatenate([s, t, s, t]), np.concatenate([s, t, t, s])
-        self._sparse = scipy.sparse.csc_array((np.concatenate([w, w, -w, -w]), ends), shape=(network.n,) * 2)
-        self._keep = np.delete(np.arange(network.n), network.reference_index())
-        reduced = self._sparse[self._keep][:, self._keep]
+        values = np.concatenate([w, w, -w, -w])
+        rows, cols = np.concatenate([s, t, s, t]), np.concatenate([s, t, t, s])
+        self._triplets = values, rows, cols
+        ref = network.reference_index()
+        self._keep = np.delete(np.arange(network.n), ref)
+        kept = (rows != ref) & (cols != ref)  # reduced L: no reference row or column, later indices shift down
+        rows, cols = rows[kept], cols[kept]
+        reduced = scipy.sparse.csc_array((values[kept], (rows - (rows > ref), cols - (cols > ref))),
+                                         shape=(network.n - 1,) * 2)
         try:  # L is symmetric and diagonally dominant: a symmetric ordering, diagonal pivots
             self._factor = scipy.sparse.linalg.splu(
                 reduced, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
@@ -99,20 +106,11 @@ class LaplacianBundle:
         """D[:, positions] of D = B C^T A C by |positions| solves, without A."""
         return self.branch_flows(self.solve(incidence_columns(self.network, positions)))
 
-    def sensitivity(self, rows, cols) -> np.ndarray:
-        """D[rows, cols] of D = B C^T A C, gathered from A; bitwise equal to the product."""
-        A = self.A
-        shifts = A[self.source[rows]] - A[self.target[rows]]
-        out = shifts[:, self.source[cols]]
-        out -= shifts[:, self.target[cols]]
-        out *= self.b[rows][:, None]
-        out += 0.0  # the product gives 0.0 where the gather gives -0.0
-        return out
-
     @cached_property
     def L(self) -> np.ndarray:
-        """Dense weighted Laplacian C B C^T, from the sparse assembly."""
-        return self._sparse.toarray()
+        """Dense weighted Laplacian C B C^T, from the assembly's triplets."""
+        values, rows, cols = self._triplets
+        return scipy.sparse.csc_array((values, (rows, cols)), shape=(self.network.n,) * 2).toarray()
 
     @cached_property
     def A(self) -> np.ndarray:

@@ -1,6 +1,7 @@
 """PTDF, LODF, stacked LODF, and multi-line GLODF computation.
 
-The injection-shift sensitivity matrix is D = B C^T A C.  Single-line
+The injection-shift sensitivity matrix D = B C^T A C is read by columns
+(:class:`PtdfMatrix`) and is zero across line blocks by construction.  Single-line
 outage factors follow as K = D / (1 - D_ll) for non-bridge lines, always
 through ``_lodf_columns``, and a simultaneous non-cut outage couples the
 tripped lines through the inverse of I - D_FF.  Every simultaneous-outage
@@ -21,7 +22,7 @@ import numpy as np
 
 from .dcpf import FlowState, LaplacianBundle, build_laplacian, solve_flow, surviving_flow
 from .errors import BridgeOutageError, CutSetError, SingularError, ValidationError
-from .graph_algos import BlockDecomposition
+from .graph_algos import BlockDecomposition, block_decomposition
 from .net_model import RTOL, Network, injection_vector, scaled_tolerance
 
 __all__ = [
@@ -41,21 +42,36 @@ GLODF_METHODS = ("post_contingency", "pre_contingency", "via_stack", "cross_chec
 
 
 class PtdfMatrix:
-    """Dense m-by-m injection-shift sensitivity matrix, indexed by the network's line ids."""
+    """The sensitivity D = B C^T A C of one factor, read by columns, indexed by line ids.
 
-    def __init__(self, matrix: np.ndarray, network: Network):
-        self.matrix = matrix
+    A unit injection across a line's ends moves flow only inside that line's
+    block (Part I of the paper), so D is block-diagonal in the network's
+    ``decomposition``.  :meth:`columns` solves only the columns asked for and
+    writes 0.0 in every row outside each column's block; :attr:`matrix` holds
+    all m columns with the same bits, and once it is built, :meth:`columns` slices it.
+    """
+
+    def __init__(self, bundle: LaplacianBundle, network: Network):
+        self.bundle = bundle
         self.network = network
         self.line_ids = network.edge_ids()
+        self.decomposition = block_decomposition(network)
+        self._block = np.array([self.decomposition.block_of[line] for line in self.line_ids])
 
-    def index(self, line: int) -> int:
-        return self.network.edge_index(line)
+    def columns(self, positions) -> np.ndarray:
+        """D[:, positions], with exact zeros outside each column's block."""
+        if "matrix" in self.__dict__:
+            return self.matrix[:, positions]
+        d_cols = self.bundle.sensitivity_columns(positions)
+        d_cols[self._block[:, None] != self._block[positions]] = 0.0
+        return d_cols
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self.columns(np.arange(self.network.m))
 
     def entry(self, line: int, shifted: int) -> float:
-        return float(self.matrix[self.index(line), self.index(shifted)])
-
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.matrix).copy()
+        return float(self.matrix[self.network.edge_index(line), self.network.edge_index(shifted)])
 
 
 class OutageSet:
@@ -96,8 +112,8 @@ class GlodfResult:
     first read unless the formula already did; they agree with ``k_matrix``
     only for singleton outages.
     ``residuals`` records the max entrywise disagreement between formula
-    pairs in cross-check mode.  The generating ptdf/bundle/network ride
-    along for downstream reports.
+    pairs in cross-check mode.  The generating ptdf (and through it the
+    factor, ``ptdf.bundle``) rides along for downstream reports.
     """
 
     outage: OutageSet
@@ -105,25 +121,17 @@ class GlodfResult:
     method: str
     residuals: dict | None
     ptdf: PtdfMatrix = field(repr=False)
-    bundle: LaplacianBundle = field(repr=False)
 
     @cached_property
     def k_stack(self) -> np.ndarray:
         return lodf_stack(self.ptdf, self.outage)
 
-    @property
-    def surviving(self) -> tuple[int, ...]:
-        return self.outage.surviving
-
-    @property
-    def outaged(self) -> tuple[int, ...]:
-        return self.outage.outaged
-
 
 def ptdf_matrix(bundle: LaplacianBundle, network: Network) -> PtdfMatrix:
-    """Full m-by-m sensitivity matrix D = B C^T A C."""
-    lines = np.arange(network.m)
-    return PtdfMatrix(matrix=bundle.sensitivity(lines, lines), network=network)
+    """The sensitivity D = B C^T A C with its full m-by-m ``matrix`` built up front."""
+    ptdf = PtdfMatrix(bundle, network)
+    ptdf.matrix  # callers that slice many column sets from one network read it
+    return ptdf
 
 
 def lodf_single(ptdf: PtdfMatrix, decomposition: BlockDecomposition, outaged: int) -> dict[int, float]:
@@ -133,10 +141,11 @@ def lodf_single(ptdf: PtdfMatrix, decomposition: BlockDecomposition, outaged: in
     denominator 1 - D_ll vanishes exactly there), and SingularError when
     1 - D_ll is at most RTOL on a line that is not one.
     """
-    col = ptdf.index(outaged)
+    col = ptdf.network.edge_index(outaged)
     if outaged in decomposition.bridges:
         raise BridgeOutageError(f"line {outaged} is a bridge; outage factors are undefined")
-    values = _lodf_columns(ptdf.matrix[:, col], ptdf.matrix[col, col])
+    column = ptdf.columns([col])[:, 0]
+    values = _lodf_columns(column, column[col])
     ids = ptdf.line_ids[:col] + ptdf.line_ids[col + 1:]
     return dict(zip(ids, np.delete(values, col).tolist()))
 
@@ -149,10 +158,11 @@ def lodf_stack(ptdf: PtdfMatrix, outage: OutageSet) -> np.ndarray:
     decided by the graph.
     """
     rows, cols = outage.surviving_idx, outage.outaged_idx
-    offenders = [line for line, k in zip(outage.outaged, cols) if outage.network.disconnected_by([k])]
+    offenders = [line for line in outage.outaged if line in ptdf.decomposition.bridges]
     if offenders:
         raise BridgeOutageError(f"lines {offenders} are bridges; outage factors are undefined")
-    return _lodf_columns(ptdf.matrix[np.ix_(rows, cols)], ptdf.matrix[cols, cols])
+    d_cols = ptdf.columns(cols)
+    return _lodf_columns(d_cols[rows], d_cols[cols, np.arange(len(cols))])
 
 
 def _lodf_columns(d_cols: np.ndarray, d_kk) -> np.ndarray:
@@ -199,7 +209,8 @@ def glodf(
     Raises CutSetError when the outage disconnects the grid; the inverse of
     I - D_FF exists whenever it does not.  Islanding is decided near the
     tripped lines (:meth:`Network.disconnected_by`); only
-    ``post_contingency`` factors the network again, for its solve.
+    ``post_contingency`` factors the network again, for its solve.  The other
+    formulas read only the |F| outage columns of ``ptdf``, whose factor is ``bundle``.
     """
     if method not in GLODF_METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {GLODF_METHODS}")
@@ -207,15 +218,14 @@ def glodf(
         raise CutSetError(f"outage {outage.outaged} disconnects the network")
 
     rows, cols = outage.surviving_idx, outage.outaged_idx
-    d_out_out = ptdf.matrix[np.ix_(cols, cols)]
+    d_cols = ptdf.columns(cols)
+    d_out_out = d_cols[cols]
 
     def pre_contingency():
-        return _glodf_kernel(ptdf.matrix[np.ix_(rows, cols)], d_out_out)
+        return _glodf_kernel(d_cols[rows], d_out_out)
 
     def post_contingency():
-        b = network.susceptances()
-        b[cols] = 0.0
-        return build_laplacian(network, b).sensitivity_columns(cols)[rows]
+        return _post_contingency_columns(network, cols)[rows]
 
     stack = None
 
@@ -242,11 +252,20 @@ def glodf(
         method=method,
         residuals=residuals,
         ptdf=ptdf,
-        bundle=bundle,
     )
     if stack is not None:
         result.__dict__["k_stack"] = stack  # the formula's stack, so k_stack is not computed again
     return result
+
+
+def _post_contingency_columns(network: Network, cols) -> np.ndarray:
+    """D[:, cols] of the network factored afresh with the weights at ``cols`` zeroed.
+
+    Its surviving rows are the outage's K, from a factor that shares nothing with the pre-outage one.
+    """
+    b = network.susceptances()
+    b[cols] = 0.0
+    return build_laplacian(network, b).sensitivity_columns(cols)
 
 
 def apply_outage(
@@ -285,6 +304,6 @@ def detect_islanding(ptdf: PtdfMatrix, outage: OutageSet) -> bool:
     values vanish together.
     """
     cols = outage.outaged_idx
-    system = np.eye(outage.size) - ptdf.matrix[np.ix_(cols, cols)]
+    system = np.eye(outage.size) - ptdf.columns(cols)[cols]
     singular_values = np.linalg.svd(system, compute_uv=False)
     return float(singular_values[-1]) < scaled_tolerance(float(singular_values[0]))

@@ -17,9 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dcpf import LaplacianBundle, build_laplacian, solve_flow
+from .dcpf import LaplacianBundle, build_laplacian
 from .errors import BridgeOutageError, CutSetError, ValidationError, ZeroFactorError
-from .factors import GlodfResult, OutageSet, _glodf_kernel, _lodf_columns
+from .factors import (GlodfResult, OutageSet, _glodf_kernel, _lodf_columns, _post_contingency_columns,
+                      characteristic_injection_flow)
 from .graph_algos import BlockDecomposition, _shares_block, block_decomposition
 from .net_model import NONZERO_ATOL, Network, incidence_columns, scaled_tolerance
 
@@ -60,11 +61,10 @@ def _line_blocks(decomposition: BlockDecomposition, outage: OutageSet):
 class BlockFactors:
     """Per-block factor submatrices and their reassembly residuals.
 
-    ``k_direct`` is the block factor computed from the PTDF submatrices,
-    ``k_from_parts`` the same block from its outage columns solved afresh by
-    :meth:`LaplacianBundle.sensitivity_columns`, without the PTDF or A; both
-    must match the rows and columns that the full factor matrix assigns to
-    this block.
+    ``k_direct`` is the block kernel on the block's PTDF columns; ``k_from_parts``
+    the block of the post-contingency solve (the network factored afresh with
+    the outage's weights zeroed), which reads neither the PTDF nor A.  Each
+    reassembly error compares one of them with the whole-network K of the report.
     """
 
     block_index: int
@@ -94,18 +94,21 @@ def block_structure_report(
 ) -> LocalizationReport:
     """Verify the block-diagonal structure of a simultaneous-outage factor.
 
-    For every block containing tripped lines the factor submatrix is
-    recomputed from the PTDF and from fresh column solves, and compared
-    against the matching slice of the full matrix; entries pairing lines
-    from different blocks are collected into ``cross_block_max``, which the
-    theory pins at zero.
+    The report's K is the GLODF kernel on the outage columns of the factor of
+    ``result.ptdf``, solved without the PTDF's block mask, so ``cross_block_max``
+    (which the theory pins at zero) reads computed entries, never written
+    zeros.  For every block containing tripped lines, ``k_direct`` and
+    ``k_from_parts`` (see :class:`BlockFactors`) are compared against K
+    restricted to the block.
     """
     network = outage.network
     if network.disconnected_by(outage.outaged_idx):
         raise CutSetError(f"outage {outage.outaged} disconnects the network")
 
     ptdf = result.ptdf
-    K = result.k_matrix
+    rows, cols = outage.surviving_idx, outage.outaged_idx
+    whole = ptdf.bundle.sensitivity_columns(cols)
+    K = _glodf_kernel(whole[rows], whole[cols])
     magnitude = np.abs(K)
     scale = float(np.max(magnitude, initial=0.0))
     tol = scaled_tolerance(scale)
@@ -114,16 +117,15 @@ def block_structure_report(
     cross_max = float(np.max(magnitude[~same_block], initial=0.0))
     zero_count = int(np.count_nonzero(magnitude[same_block] < tol))
 
-    bundle = result.bundle
+    d_cols = ptdf.columns(cols)
+    post = _post_contingency_columns(network, cols)
     blocks = []
     for index in np.unique(col_block).tolist():
         full_rows = np.flatnonzero(row_block == index)
         full_cols = np.flatnonzero(col_block == index)
-        rows = outage.surviving_idx[full_rows]
-        cols = outage.outaged_idx[full_cols]
-        k_direct = _glodf_kernel(ptdf.matrix[np.ix_(rows, cols)], ptdf.matrix[np.ix_(cols, cols)])
-        d_cols = bundle.sensitivity_columns(cols)
-        k_parts = _glodf_kernel(d_cols[rows], d_cols[cols])
+        block_rows, block_cols = rows[full_rows], cols[full_cols]
+        k_direct = _glodf_kernel(d_cols[np.ix_(block_rows, full_cols)], d_cols[np.ix_(block_cols, full_cols)])
+        k_parts = post[np.ix_(block_rows, full_cols)]
         restricted = K[np.ix_(full_rows, full_cols)]
         blocks.append(
             BlockFactors(
@@ -263,7 +265,7 @@ def adversarial_capacity(
     target_idx = network.edge_index(target)
     tripped_idx = network.edge_index(tripped)
     injections = incidence_columns(network, [tripped_idx])[:, 0]
-    flows = solve_flow(bundle, network, injections).flows
+    flows = characteristic_injection_flow(bundle, network, tripped)
     column = _lodf_columns(flows, flows[tripped_idx])
     k_norm = float(np.max(np.abs(np.delete(column, tripped_idx))))
     if abs(column[target_idx]) < scaled_tolerance(k_norm):

@@ -379,24 +379,26 @@ def test_integral_values_and_their_text_load_as_ids(triangle):
     assert load_network(doc) == triangle
 
 
-_BLOCK_TREE_RUNS = [
-    ["blocks"], ["flow"], ["ptdf"], ["lodf", "--line", "1"], ["glodf", "--lines", "1,7"],
-    ["localize", "--lines", "1,7", "--perturb", "--trials", "3"], ["cascade", "--trip", "1"],
+_COLUMN_RUNS = [
+    ["lodf", "--line", "1"],
+    *(["glodf", "--lines", "1,7", "--method", method] for method in factors.GLODF_METHODS),
+    ["localize", "--lines", "1,7"], ["localize", "--lines", "1,7", "--perturb", "--trials", "3"],
     ["influence"],
 ]
+_BLOCK_TREE_RUNS = [["blocks"], ["flow"], ["ptdf"], *_COLUMN_RUNS, ["cascade", "--trip", "1"]]
 
 
-@pytest.mark.parametrize("dense, argvs", [
-    pytest.param(("L", "ldag"), _BLOCK_TREE_RUNS, id="L-ldag"),
-    pytest.param(("L", "ldag", "A"), [["flow"], ["cascade", "--trip", "1"]], id="L-ldag-A"),
+@pytest.mark.parametrize("owner, dense, argvs", [
+    pytest.param(LaplacianBundle, ("L", "ldag", "A"), _BLOCK_TREE_RUNS, id="L-ldag-A"),
+    pytest.param(factors.PtdfMatrix, ("matrix",), _COLUMN_RUNS, id="ptdf-matrix"),
 ])
 def test_subcommands_build_no_dense_matrix_they_do_not_read(monkeypatch, capsys, tmp_path,
-                                                            dense, argvs):
+                                                            owner, dense, argvs):
     def refuse(self):
         raise AssertionError("a dense matrix was built")
 
     for name in dense:
-        monkeypatch.setattr(LaplacianBundle, name, property(refuse))
+        monkeypatch.setattr(owner, name, property(refuse))
     path = tmp_path / "fig2.json"
     path.write_text(json.dumps({**fig2_doc(), "injections": {"1": 1.0, "5": -1.0}}))
     for argv in argvs:

@@ -13,11 +13,13 @@ from gridfactor import (
     Network,
     OutageSet,
     PerturbationSpec,
+    PtdfMatrix,
     SingularError,
     UnbalancedInjectionError,
     ValidationError,
     almost_sure_nonzero_test,
     apply_outage,
+    block_decomposition,
     build_laplacian,
     enumerate_spanning_trees,
     glodf,
@@ -29,7 +31,7 @@ from gridfactor import (
     solve_flow,
 )
 from gridfactor.dcpf import surviving_flow
-from gridfactor.net_model import incidence_columns
+from gridfactor.net_model import incidence_columns, scaled_tolerance
 
 from conftest import (
     build,
@@ -260,17 +262,21 @@ def test_zeroed_weights_match_the_copied_network(seed):
 
 @settings(max_examples=80, deadline=None, database=None)
 @given(st.integers(0, 2**32 - 1))
-def test_sensitivity_is_the_incidence_product_bit_for_bit(seed):
+def test_ptdf_is_zero_across_blocks_and_its_columns_are_its_matrix(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, max_nodes=12, max_extra=10)
     bundle = build_laplacian(net)
+    D = ptdf_matrix(bundle, net).matrix
+    block = np.array([block_decomposition(net).block_of[line] for line in net.edge_ids()])
+    across = block[:, None] != block[None, :]
+    assert np.array_equal(D[across].view(np.int64), np.zeros(np.count_nonzero(across), dtype=np.int64))
     C = incidence_matrix(net)
     product = net.susceptances()[:, None] * (C.T @ bundle.A @ C)
-    rows = rng.integers(0, net.m, size=int(rng.integers(1, net.m + 1)))
-    cols = rng.integers(0, net.m, size=int(rng.integers(1, net.m + 1)))
-    gathered = bundle.sensitivity(rows, cols)
-    assert np.array_equal(gathered.view(np.int64), product[np.ix_(rows, cols)].view(np.int64))
-    assert np.array_equal(ptdf_matrix(bundle, net).matrix.view(np.int64), product.view(np.int64))
+    error = np.max(np.abs(D - product)[~across])
+    assert error <= scaled_tolerance(float(np.max(np.abs(product))))
+    positions = rng.integers(0, net.m, size=int(rng.integers(1, net.m + 1)))
+    columns = PtdfMatrix(bundle, net).columns(positions)
+    assert np.array_equal(columns.view(np.int64), D[:, positions].view(np.int64))
 
 
 @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])

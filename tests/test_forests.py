@@ -311,7 +311,7 @@ def test_forest_lodf_matches_ptdf_route():
         net = random_network(rng, max_nodes=6, min_extra=1)
         bundle = build_laplacian(net)
         ptdf = ptdf_matrix(bundle, net)
-        diag = ptdf.diagonal()
+        diag = np.diag(ptdf.matrix)
         for hat in net.edges:
             gap = 1.0 - diag[net.edge_index(hat.id)]
             if gap < 1e-9:

@@ -9,6 +9,7 @@ from gridfactor import (
     LaplacianBundle,
     OutageSet,
     PerturbationSpec,
+    PtdfMatrix,
     UnknownEdgeError,
     ZeroFactorError,
     adversarial_capacity,
@@ -356,12 +357,65 @@ def test_parts_are_solved_without_the_ptdf_or_a(monkeypatch, fig2):
     result = glodf(bundle, ptdf, fig2, outage)
 
     def refuse(*args):
-        raise AssertionError("k_from_parts read A or the gathered sensitivity")
+        raise AssertionError("k_from_parts read A")
 
     monkeypatch.setattr(LaplacianBundle, "A", property(refuse))
-    monkeypatch.setattr(LaplacianBundle, "sensitivity", refuse)
     report = block_structure_report(result, block_decomposition(fig2), outage)
     assert all(block.reassembly_err_parts <= 1e-9 for block in report.blocks)
+
+
+def _multi_block_outages(count):
+    """Random networks with two or more cycle blocks, each outage one line per such block.
+
+    A cycle block stays connected without any one of its lines, so no such
+    outage is a cut set.
+    """
+    rng = np.random.default_rng(29)
+    while count:
+        net = random_network(rng, max_nodes=12, max_extra=4, min_extra=2)
+        blocks = [sorted(b) for b in block_decomposition(net).blocks if len(b) > 1]
+        if len(blocks) > 1:
+            count -= 1
+            yield net, [int(rng.choice(b)) for b in blocks]
+
+
+def test_cross_block_max_reads_no_structural_zero(monkeypatch, fig2):
+    columns = PtdfMatrix.columns
+
+    def filled(self, positions):
+        block = np.array([block_decomposition(self.network).block_of[line] for line in self.line_ids])
+        d_cols = columns(self, positions)
+        d_cols[block[:, None] != block[positions]] = 1.0
+        return d_cols
+
+    monkeypatch.setattr(PtdfMatrix, "columns", filled)
+    for net, lines in [(fig2, [1, 6]), *_multi_block_outages(20)]:
+        bundle = build_laplacian(net)
+        outage = OutageSet(net, lines)
+        result = glodf(bundle, PtdfMatrix(bundle, net), net, outage, method="post_contingency")
+        report = block_structure_report(result, block_decomposition(net), outage)
+        assert report.cross_block_max < 1e-9 * max(1.0, report.matrix_scale)
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_parts_come_from_the_post_contingency_factor_not_the_ptdf(fig2):
+    fig2_outages = [(fig2, [line]) for line in (1, 2, 3, 6, 7, 8)] + [(fig2, [1, 6]), (fig2, [2, 8])]
+    for net, lines in fig2_outages + list(_multi_block_outages(30)):
+        bundle, ptdf = make_factors(net)
+        outage = OutageSet(net, lines)
+        post = glodf(bundle, ptdf, net, outage, method="post_contingency")
+        report = block_structure_report(post, block_decomposition(net), outage)
+        for block in report.blocks:
+            rows = [outage.surviving.index(line) for line in block.row_ids]
+            cols = [outage.outaged.index(line) for line in block.col_ids]
+            assert _bitwise_equal(block.k_from_parts, post.k_matrix[np.ix_(rows, cols)])
+        same = [_bitwise_equal(block.k_from_parts, block.k_direct) for block in report.blocks]
+        # On a random network a small block can round to the same bits by both
+        # routes (about 2% of blocks), but no whole report does.
+        assert not any(same) if net is fig2 else not all(same)
 
 
 def test_perturbation_never_builds_the_inverse(monkeypatch, fig2):

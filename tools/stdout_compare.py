@@ -8,8 +8,10 @@ of a run's output, integers (ids, counts) included, is its text.  The report
 prints every run whose exit code or text differs, then for each subcommand
 (and each demo) the worst numeric drift of its runs: the largest
 |parent - change| over a run's floats divided by max(1, max|value|) over both
-sides of that run, and how many of its runs differ at all.  It exits 1 when
-some run's exit code or text differs, else 0.
+sides of that run, and how many of its runs differ at all.  It also counts,
+over the subcommand's runs, the floats that became exact zeros and the exact
+zeros that stopped being zero.  It exits 1 when some run's exit code or text
+differs, else 0.
 """
 
 from __future__ import annotations
@@ -45,9 +47,8 @@ def split(text: str) -> tuple[str, list[str]]:
     return FLOAT.sub("#", text), FLOAT.findall(text)
 
 
-def drift(parent: list[str], change: list[str]) -> float:
+def drift(a: np.ndarray, b: np.ndarray) -> float:
     """max|parent - change| / max(1, max|value|) over the floats of one run."""
-    a, b = (np.array(values, dtype=float) for values in (parent, change))
     if not a.size:
         return 0.0
     return float(np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(a)), np.max(np.abs(b))))
@@ -63,7 +64,8 @@ def main(argv=None) -> int:
         raise SystemExit("the two trees ran different corpora")
 
     text_differs = 0
-    worst: dict[str, list] = {}  # subcommand -> [worst drift, its run, runs whose floats differ]
+    # subcommand -> [worst drift, its run, runs whose floats differ, new zeros, lost zeros]
+    worst: dict[str, list] = {}
     for (label, code_a, out_a, err_a), (_, code_b, out_b, err_b) in zip(parent, change):
         text_a, values_a = split(out_a + "\x00" + err_a)
         text_b, values_b = split(out_b + "\x00" + err_b)
@@ -75,16 +77,20 @@ def main(argv=None) -> int:
                     print(f"  {stream} parent: {before.strip()[-300:]!r}")
                     print(f"  {stream} change: {after.strip()[-300:]!r}")
             continue
-        entry = worst.setdefault(label.split()[0], [0.0, "", 0])
-        size = drift(values_a, values_b)
+        entry = worst.setdefault(label.split()[0], [0.0, "", 0, 0, 0])
+        a, b = (np.array(values, dtype=float) for values in (values_a, values_b))
+        size = drift(a, b)
         if size > entry[0]:
             entry[:2] = size, label
         entry[2] += values_a != values_b
+        entry[3] += int(np.count_nonzero((a != 0.0) & (b == 0.0)))
+        entry[4] += int(np.count_nonzero((a == 0.0) & (b != 0.0)))
 
     print(f"{len(parent)} runs; {text_differs} differ in exit code or text")
     print("worst numeric drift per subcommand, over the runs with equal text:")
-    for group, (size, label, count) in sorted(worst.items()):
-        print(f"  {group:32s} {size:.1e}  {count} runs differ  {label}")
+    for group, (size, label, count, gained, lost) in sorted(worst.items()):
+        print(f"  {group:32s} {size:.1e}  {count} runs differ  {gained} new zeros"
+              f"  {lost} zeros lost  {label}")
     return 1 if text_differs else 0
 
 
