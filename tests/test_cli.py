@@ -389,6 +389,7 @@ _BLOCK_TREE_RUNS = [["blocks"], ["flow"], ["ptdf"], *_COLUMN_RUNS, ["cascade", "
 
 
 @pytest.mark.parametrize("owner, dense, argvs", [
+    pytest.param(LaplacianBundle, ("L", "ldag"), _BLOCK_TREE_RUNS, id="L-ldag"),
     pytest.param(LaplacianBundle, ("L", "ldag", "A"), _BLOCK_TREE_RUNS, id="L-ldag-A"),
     pytest.param(factors.PtdfMatrix, ("matrix",), _COLUMN_RUNS, id="ptdf-matrix"),
 ])
