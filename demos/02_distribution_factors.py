@@ -17,6 +17,7 @@ from gridfactor import (
     load_network,
     ptdf_matrix,
 )
+from gridfactor.dcpf import surviving_flow
 
 k4 = load_network({
     "nodes": [1, 2, 3, 4],
@@ -56,9 +57,11 @@ print("max |GLODF - stacked|:", np.max(np.abs(result.k_matrix - result.k_stack))
       " # the outages couple; no superposition")
 print("formula disagreement:", result.residuals)
 
-# The factors really do predict post-contingency flows.
+# The factors really do predict post-contingency flows: compare them with a
+# re-solve on the surviving grid, factored afresh.
 p = np.array([2.0, -1.0, 1.0, -2.0])
-pre, post = apply_outage(bundle, k4, p, outage)
+pre, _ = apply_outage(bundle, k4, p, outage)
+post = surviving_flow(k4, p, outage.outaged_idx)
 predicted = pre.flows[outage.surviving_idx] + result.k_matrix @ pre.flows[outage.outaged_idx]
 print("\npre-outage flows:      ", pre.flows)
 print("re-solved post flows:  ", post.flows[outage.surviving_idx])

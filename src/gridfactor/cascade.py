@@ -1,12 +1,19 @@
 """Stage-wise cascading-failure simulation and influence-graph export.
 
-Stage 0 removes the initial outage and re-solves the DC flow.  Each later
+Stage 0 removes the initial outage and solves the DC flow.  Each later
 stage trips, simultaneously, every line whose flow magnitude strictly
-exceeds its capacity in the previous stage's solution, then re-solves.
+exceeds its capacity in the previous stage's solution, then solves again.
 Flows exactly at capacity survive.  The simulation halts when nothing
 overloads, or when the cumulative outage disconnects the grid; islanding
-is reported at the stage whose re-solve would have run on the split grid,
+is reported at the stage whose solve would have run on the split grid,
 and rebalancing of islands is out of scope.
+
+A connected stage is not factored again: its flow is the base flow plus
+the GLODF update of the cumulative outage F (Part I of the paper), |F|
+solves on the network's own factor (:attr:`Network.factor`, built once
+per instance and so shared by every cascade on it).  Each update is
+certified by its nodal imbalance; a stage whose certificate fails is
+re-solved on the surviving grid (:func:`surviving_flow`).
 """
 
 from __future__ import annotations
@@ -15,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcpf import FlowState, surviving_flow
-from .errors import MaxStagesError, ValidationError
-from .factors import PtdfMatrix, _lodf_columns
+from .dcpf import FlowState, solve_flow, surviving_flow
+from .errors import MaxStagesError, SingularError, ValidationError
+from .factors import PtdfMatrix, _lodf_columns, _outage_flow
 from .graph_algos import BlockDecomposition
 from .net_model import Network, injection_vector
 
@@ -77,8 +84,12 @@ def run_cascade(
     stages simulated so far; a ``max_stages`` below one raises
     ValidationError.  Islanding is decided at every stage near the
     tripped lines (:meth:`Network.disconnected_by` on the cumulative
-    outage), and the network is factored again, with the tripped lines'
-    weights zeroed, only for a connected stage's re-solve.
+    outage).  A connected stage's flow is the certified GLODF update of the
+    base flow on ``network.factor`` (:func:`factors._outage_flow`), so the
+    network is factored once however many stages and cascades run on it;
+    a stage fails over to a re-solve of the surviving grid when its
+    certificate fails, and every stage does when the whole network is too
+    stiff to factor.
     """
     if max_stages is not None and max_stages < 1:
         raise ValidationError(f"max_stages must be at least 1, got {max_stages}")
@@ -91,7 +102,12 @@ def run_cascade(
     if max_stages is None:
         max_stages = network.m
 
-    ids = np.array(network.edge_ids())
+    try:
+        factor = network.factor
+    except SingularError:  # the surviving grids may still factor
+        factor = None
+    else:
+        base = solve_flow(factor, network, p)
     capacities = network.capacities()
     stages: list[Stage] = []
     tripped = initial
@@ -108,10 +124,13 @@ def run_cascade(
                 islanded_at_stage=len(stages) if len(stages) > 1 else 0,
             )
 
-        state = surviving_flow(network, p, out)
+        if factor is None:
+            state = surviving_flow(network, p, out)
+        else:
+            state = _outage_flow(factor, network, p, base, out)
         stages.append(Stage(tripped=tripped, flow=state))
         over = alive & (np.abs(state.flows) > capacities)
-        tripped = frozenset(ids[over].tolist())
+        tripped = frozenset(network.edges[k].id for k in np.flatnonzero(over).tolist())
         if not tripped:
             status = "no_initial_overload" if len(stages) == 1 else "converged"
             return CascadeTrace(

@@ -208,7 +208,7 @@ def _cmd_influence(network, args) -> int:
 
 def _cmd_verify(network, args) -> int:
     tol = _verify_tolerance(args.tol)
-    bundle = build_laplacian(network)
+    bundle = network.factor  # the factor matrix_tree_check reads too
     ptdf = factors_mod.ptdf_matrix(bundle, network)
 
     tree_report = forests_mod.matrix_tree_check(network, tolerance=tol)

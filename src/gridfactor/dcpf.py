@@ -155,7 +155,9 @@ def surviving_flow(network: Network, p, tripped) -> FlowState:
 
     The network is factored afresh with the tripped weights zeroed; the
     surviving grid must be connected.  The flow vector keeps full length
-    with zeros at the tripped lines; the angles cover every node.
+    with zeros at the tripped lines; the angles cover every node.  Outage
+    flows are GLODF updates on the network's own factor; this re-solve is
+    their fallback when an update fails its certificate, and their test oracle.
     """
     b = network.susceptances()
     b[tripped] = 0.0

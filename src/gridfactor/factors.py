@@ -23,7 +23,7 @@ import numpy as np
 from .dcpf import FlowState, LaplacianBundle, build_laplacian, solve_flow, surviving_flow
 from .errors import BridgeOutageError, CutSetError, SingularError, ValidationError
 from .graph_algos import BlockDecomposition, block_decomposition
-from .net_model import RTOL, Network, injection_vector, scaled_tolerance
+from .net_model import RTOL, Network, incidence_columns, injection_vector, scaled_tolerance
 
 __all__ = [
     "PtdfMatrix",
@@ -276,13 +276,40 @@ def apply_outage(
 ) -> tuple[FlowState, FlowState]:
     """Pre- and post-contingency DC solutions for a non-cut outage.
 
-    The post state is solved directly on the surviving graph; its flow
-    vector keeps full length with zeros at the tripped lines.
+    The post state is the GLODF update of the pre state on ``bundle``, the
+    network's factor (:func:`_outage_flow`); its flow vector keeps full
+    length with zeros at the tripped lines.
     """
     p = injection_vector(network, p)
     if network.disconnected_by(outage.outaged_idx):
         raise CutSetError(f"outage {outage.outaged} disconnects the network")
-    return solve_flow(bundle, network, p), surviving_flow(network, p, outage.outaged_idx)
+    pre = solve_flow(bundle, network, p)
+    return pre, _outage_flow(bundle, network, p, pre, outage.outaged_idx)
+
+
+def _outage_flow(bundle: LaplacianBundle, network: Network, p, base: FlowState, tripped) -> FlowState:
+    """DC flow without the lines at the non-cut edge positions ``tripped``, updated from ``base``.
+
+    theta' = theta + A C_F (I - D_FF)^-1 f_F (Part I of the paper) takes |F|
+    solves on ``bundle``, the factor ``base`` was solved on, and no new
+    factorization.  The update is certified by its nodal imbalance r = C f' - p:
+    f' is a potential flow on the surviving grid, so it is off the exact flow
+    by at most ||r||_1 on every line.  When ||r||_1 exceeds
+    ``scaled_tolerance(max|f'|)``, or I - D_FF is singular, the surviving grid
+    is factored afresh instead (:func:`surviving_flow`).
+    """
+    x_f = bundle.solve(incidence_columns(network, tripped))
+    try:
+        theta = base.theta + _glodf_kernel(x_f, bundle.branch_flows(x_f)[tripped]) @ base.flows[tripped]
+    except SingularError:
+        return surviving_flow(network, p, tripped)
+    flows = bundle.branch_flows(theta)
+    flows[tripped] = 0.0
+    n = network.n
+    imbalance = np.bincount(bundle.source, flows, n) - np.bincount(bundle.target, flows, n) - p
+    if not np.abs(imbalance).sum() <= scaled_tolerance(float(np.max(np.abs(flows)))):  # NaN fails too
+        return surviving_flow(network, p, tripped)
+    return FlowState(theta=theta, flows=flows)
 
 
 def characteristic_injection_flow(bundle: LaplacianBundle, network: Network, line: int) -> np.ndarray:

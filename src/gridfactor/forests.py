@@ -392,7 +392,7 @@ def matrix_tree_check(network: Network, tolerance: float = RTOL) -> MatrixTreeRe
     total spanning-tree weight and every first minor of its reduced L
     against the signed weight of the matching two-tree family.
     """
-    bundle = build_laplacian(network)
+    bundle = network.factor
     ref = network.reference_index()
     keep = [k for k in range(network.n) if k != ref]
     reduced = bundle.L[np.ix_(keep, keep)]

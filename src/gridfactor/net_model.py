@@ -85,8 +85,9 @@ class Network:
 
     The topology index (the id-to-position maps of nodes and edges, the
     edge endpoint positions, the position-space adjacency lists and whether
-    the network is connected) is built once per instance, on first use, and
-    is not part of equality, hashing or ``repr``.
+    the network is connected) and the Laplacian :attr:`factor` are built
+    once per instance, on first use, and are not part of equality, hashing
+    or ``repr``.
     """
 
     nodes: tuple[int, ...]
@@ -131,6 +132,18 @@ class Network:
     @cached_property
     def _connected(self) -> bool:
         return is_connected(self)
+
+    @cached_property
+    def factor(self):
+        """The sparse LU factor of this network's Laplacian under its own susceptances.
+
+        Built by :func:`gridfactor.dcpf.build_laplacian` on first read, so
+        every solve under the network's own weights shares one factor; a
+        SingularError is raised again on every read, as nothing is kept.
+        """
+        from . import dcpf  # dcpf imports this module
+
+        return dcpf.build_laplacian(self)
 
     def node_index(self, node: int) -> int:
         try:

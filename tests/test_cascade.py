@@ -1,11 +1,16 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfactor import (
+    LaplacianBundle,
     MaxStagesError,
     OutageSet,
+    SingularError,
     UnknownEdgeError,
     ValidationError,
     adversarial_capacity,
@@ -19,8 +24,18 @@ from gridfactor import (
     run_cascade,
     solve_flow,
 )
+from gridfactor.dcpf import surviving_flow
+from gridfactor.factors import _outage_flow
+from gridfactor.net_model import RTOL, scaled_tolerance
 
-from conftest import random_balanced_injection, random_network, sample_non_cut_outage
+from conftest import (
+    build,
+    k4_doc,
+    random_balanced_injection,
+    random_network,
+    sample_non_cut_outage,
+    stiff_triangle_doc,
+)
 
 
 def armed_triangle(triangle):
@@ -157,3 +172,141 @@ def test_influence_graph_threshold_zero_covers_all_block_pairs(k4):
     decomposition = block_decomposition(k4)
     pairs = influence_graph(ptdf, decomposition, 0.0)
     assert len(pairs) == 15  # C(6, 2): every pair of K4 lines shares the block
+
+
+@pytest.fixture
+def count_factors(monkeypatch):
+    """A list whose length is the number of LaplacianBundle factors built since the fixture ran."""
+    built = []
+    init = LaplacianBundle.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LaplacianBundle, "__init__", counting)
+    return built
+
+
+def test_cascades_on_one_network_share_its_factor(count_factors):
+    # Trips line 2, then line 4, then settles: three connected stages, none a cut.
+    armed = build(k4_doc()).with_capacities([0.3, 0.3, 1.0, 0.3, 0.6, 0.6])
+    p = [1.0, 0.5, -0.5, -1.0]
+    assert run_cascade(armed, p, [1]).tripped_by_stage() == ({1}, {2}, {4})
+    assert len(count_factors) == 1
+    assert run_cascade(armed, p, [1]).tripped_by_stage() == ({1}, {2}, {4})
+    assert run_cascade(armed, p, [3]).stages[0].flow is not None
+    assert len(count_factors) == 1 and count_factors[0] is armed.factor
+
+
+def test_a_network_too_stiff_to_factor_whole_still_cascades():
+    # The b=1e13 line makes the whole triangle singular; without it the grid factors.
+    doc = {**stiff_triangle_doc(), "edges": [{"from": 1, "to": 2, "b": 1e13},
+                                             {"from": 2, "to": 3, "b": 1.0},
+                                             {"from": 1, "to": 3, "b": 1.0}]}
+    net = build(doc)
+    with pytest.raises(SingularError):
+        net.factor
+    state = run_cascade(net, net.injections, [1]).stages[0].flow
+    reference = surviving_flow(net, net.injections, [0])
+    assert np.array_equal(state.flows, reference.flows) and np.array_equal(state.theta, reference.theta)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_stage_balances_and_matches_the_re_solve(seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_nodes=10, max_extra=10, min_extra=2)
+    outage = sample_non_cut_outage(rng, net)
+    if outage is None:
+        return
+    p = random_balanced_injection(rng, net.n)
+    base = solve_flow(build_laplacian(net), net, p).flows
+    armed = net.with_capacities(np.abs(base) * rng.uniform(1.0, 1.5, net.m) + 1e-3)
+    trace = run_cascade(armed, p, outage)
+    source, target = net.endpoints
+    out = []
+    for stage in trace.stages:
+        out += net.edge_positions(stage.tripped).tolist()
+        if stage.flow is None:
+            continue
+        flows = stage.flow.flows
+        bound = scaled_tolerance(float(np.max(np.abs(flows))))
+        imbalance = np.bincount(source, flows, net.n) - np.bincount(target, flows, net.n) - p
+        assert np.max(np.abs(imbalance)) <= bound
+        assert np.max(np.abs(flows - surviving_flow(net, p, out).flows)) <= bound
+        assert np.array_equal(flows[out], np.zeros(len(out)))
+
+
+def _exact_flows(net, p, tripped: int) -> np.ndarray:
+    """Branch flows without the line at position ``tripped``, by elimination over the rationals."""
+    b = [Fraction(float(v)) for v in net.susceptances()]
+    b[tripped] = Fraction(0)
+    ends = list(zip(*(e.tolist() for e in net.endpoints)))
+    keep = [k for k in range(net.n) if k != net.reference_index()]
+    row = {node: r for r, node in enumerate(keep)}
+    size = len(keep)
+    system = [[Fraction(0)] * size + [Fraction(float(p[node]))] for node in keep]
+    for weight, (s, t) in zip(b, ends):
+        for u, v in ((s, t), (t, s)):
+            if u in row:
+                system[row[u]][row[u]] += weight
+                if v in row:
+                    system[row[u]][row[v]] -= weight
+    for c in range(size):
+        pivot = next(r for r in range(c, size) if system[r][c])
+        system[c], system[pivot] = system[pivot], system[c]
+        for r in range(c + 1, size):
+            if system[r][c]:
+                ratio = system[r][c] / system[c][c]
+                system[r] = [a - ratio * x for a, x in zip(system[r], system[c])]
+    theta = [Fraction(0)] * net.n
+    for c in reversed(range(size)):
+        tail = sum(system[c][j] * theta[keep[j]] for j in range(c + 1, size))
+        theta[keep[c]] = (system[c][size] - tail) / system[c][c]
+    return np.array([float(w * (theta[s] - theta[t])) for w, (s, t) in zip(b, ends)])
+
+
+def test_stiff_stages_are_exact_or_re_solved():
+    """Log-uniform susceptances over 1e-6..1e6: the certificate lets no inexact update through."""
+    rng = np.random.default_rng(0)
+    updated = re_solved = 0
+    for _ in range(300):
+        net = random_network(rng)
+        net = net.with_susceptances(10.0 ** rng.uniform(-6, 6, net.m))
+        p = random_balanced_injection(rng, net.n)
+        bridges = block_decomposition(net).bridges
+        for k, line in enumerate(net.edge_ids()):
+            if line in bridges:
+                continue
+            try:
+                state = run_cascade(net, p, [line]).stages[0].flow
+            except SingularError:
+                with pytest.raises(SingularError):
+                    surviving_flow(net, p, [k])
+                continue
+            reference = surviving_flow(net, p, [k])
+            if np.array_equal(state.flows, reference.flows) and np.array_equal(state.theta, reference.theta):
+                re_solved += 1
+                continue
+            exact = _exact_flows(net, p, k)
+            assert np.max(np.abs(state.flows - exact)) <= RTOL * max(1.0, float(np.max(np.abs(exact))))
+            updated += 1
+    assert updated and re_solved  # the sweep reaches both outcomes
+
+
+@pytest.mark.parametrize("line", [1, 2, 3])
+def test_stiff_triangle_stages_are_re_solved(count_factors, line):
+    net = build(stiff_triangle_doc())
+    state = run_cascade(net, net.injections, [line]).stages[0].flow
+    assert len(count_factors) == 2  # the network's factor, then the re-solve's
+    reference = surviving_flow(net, net.injections, [line - 1])
+    assert np.array_equal(state.flows, reference.flows) and np.array_equal(state.theta, reference.theta)
+
+
+def test_an_update_that_is_not_finite_is_re_solved(triangle):
+    p = injection_vector(triangle)
+    base = solve_flow(triangle.factor, triangle, p)
+    broken = type(base)(theta=np.full(triangle.n, np.nan), flows=base.flows)
+    state = _outage_flow(triangle.factor, triangle, p, broken, np.array([0]))
+    assert np.array_equal(state.flows, surviving_flow(triangle, p, [0]).flows)

@@ -10,7 +10,7 @@ from gridfactor import (
 )
 from gridfactor.cli import run
 
-from conftest import fig2_doc, parallel_lines_doc, stiff_leaf_doc, triangle_doc
+from conftest import fig2_doc, grid_doc, parallel_lines_doc, stiff_leaf_doc, triangle_doc
 
 
 @pytest.fixture
@@ -405,3 +405,22 @@ def test_subcommands_build_no_dense_matrix_they_do_not_read(monkeypatch, capsys,
     for argv in argvs:
         assert run(argv[:1] + [str(path)] + argv[1:]) == 0, argv
         capsys.readouterr()
+
+
+def test_verify_factors_the_weighted_network_once(monkeypatch, capsys, tmp_path):
+    built = []
+    init = LaplacianBundle.__init__
+
+    def counting(self, network, susceptances=None):
+        built.append(susceptances is None)
+        init(self, network, susceptances)
+
+    monkeypatch.setattr(LaplacianBundle, "__init__", counting)
+    doc = grid_doc(3)
+    for k, edge in enumerate(doc["edges"]):
+        edge["b"] = float(1 + k % 4)
+    path = tmp_path / "grid3.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path)]) == 0
+    capsys.readouterr()
+    assert sorted(built) == [False, True]  # the network's own factor and the oracle's unit-weight one

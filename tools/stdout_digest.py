@@ -16,14 +16,15 @@ The corpus covers every subcommand and output format, all four ``glodf``
 methods, ``localize`` with and without ``--perturb``, bridge, cut-set and
 bad-input refusals (parallel lines and a malformed reference among them),
 usage and range errors, a connected network too stiff to factor, a line
-that is not a bridge yet too stiff for its outage factors, cascades and
-``verify``.  Its networks are the test fixtures of ``tests/conftest.py``
-and the ``perfbench/gen.py`` block trees and oracle grids for seeds 2 and
-7.  Runs share one process, as a caller of ``gridfactor.cli.run`` would.
-The ``demos/*.py`` scripts then run in the same process through ``runpy``;
-they reach library calls no CLI run makes (``pseudo_inverse_flow``,
-``apply_outage``, ``adversarial_capacity``), and their exit code is 0, or 1
-when one raises.
+that is not a bridge yet too stiff for its outage factors (and a cascade
+from it, whose stage fails the GLODF update's certificate and is
+re-solved), cascades and ``verify``.  Its networks are the test fixtures
+of ``tests/conftest.py`` and the ``perfbench/gen.py`` block trees and
+oracle grids for seeds 2 and 7.  Runs share one process, as a caller of
+``gridfactor.cli.run`` would.  The ``demos/*.py`` scripts then run in the
+same process through ``runpy``; they reach library calls no CLI run makes
+(``pseudo_inverse_flow``, ``apply_outage``, ``adversarial_capacity``), and
+their exit code is 0, or 1 when one raises.
 """
 
 from __future__ import annotations
@@ -177,6 +178,7 @@ def outputs(src) -> Iterator[tuple[str, int, str, str]]:
             ["lodf", "stiff_triangle.json", "--line", "1"],
             ["glodf", "stiff_triangle.json", "--lines", "1", "--method", "post_contingency"],
             ["influence", "stiff_triangle.json"],
+            ["cascade", "stiff_triangle.json", "--trip", "1"],
         ]
         corpus += [  # options a subcommand does not take, and out-of-range values
             ["blocks", "triangle.json", "--format", "csv"],
