@@ -15,6 +15,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import cascade as cascade_mod
 from . import factors as factors_mod
 from . import forests as forests_mod
@@ -29,8 +31,51 @@ __all__ = ["main", "run"]
 DEFAULT_INFLUENCE_THRESHOLD = 0.005
 
 
+_NUMBER = {int, float}  # by exact type: a bool is not written as a number
+
+
+def _encode(value, pad: str = "\n") -> str:
+    """The text of ``json.dumps(value, sort_keys=True, indent=2)``, every number from the C encoder.
+
+    ``indent`` sends the json module to its pure-Python encoder, so number
+    lists, lists of them and str-keyed number dicts are C-encoded whole and
+    re-indented, and a 2-D float array C-encodes only its entries that are
+    not +0.0.  ``pad`` is the newline and indent of the line ``value`` starts on.
+    """
+    inner, deeper = pad + "  ", pad + "    "
+    if isinstance(value, (list, tuple, dict)) and not value:
+        return json.dumps(value)
+    if isinstance(value, np.ndarray):  # 2-D float
+        if not value.size:
+            return _encode(value.tolist(), pad)
+        flat, width = value.ravel(), value.shape[1]
+        text = ["0.0"] * flat.size
+        nonzero = np.flatnonzero((flat != 0) | np.signbit(flat))
+        for k, entry in zip(nonzero.tolist(), json.dumps(flat[nonzero].tolist())[1:-1].split(", ")):
+            text[k] = entry
+        rows = ("[" + deeper + ("," + deeper).join(text[k:k + width]) + inner + "]"
+                for k in range(0, flat.size, width))
+        return "[" + inner + ("," + inner).join(rows) + pad + "]"
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("JSON object keys must be str")
+        if {type(v) for v in value.values()} <= _NUMBER and not any(", " in key for key in value):
+            return "{" + inner + json.dumps(value, sort_keys=True)[1:-1].replace(", ", "," + inner) + pad + "}"
+        items = (json.dumps(key) + ": " + _encode(value[key], inner) for key in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        kinds = {type(v) for v in value}
+        if kinds <= _NUMBER:
+            return "[" + inner + json.dumps(value)[1:-1].replace(", ", "," + inner) + pad + "]"
+        if kinds <= {list, tuple} and all(value) and {type(x) for v in value for x in v} <= _NUMBER:
+            body = json.dumps(value)[2:-2].replace("], [", inner + "]," + inner + "[" + deeper)
+            return "[" + inner + "[" + deeper + body.replace(", ", "," + deeper) + inner + "]" + pad + "]"
+        return "[" + inner + ("," + inner).join(_encode(v, inner) for v in value) + pad + "]"
+    return json.dumps(value)
+
+
 def _emit_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2))
+    sys.stdout.write(_encode(payload))
     sys.stdout.write("\n")
 
 
@@ -39,14 +84,6 @@ def _emit_matrix_csv(rows, cols, values) -> None:
     out.write("line," + ",".join(str(c) for c in cols) + "\n")
     for row_id, row in zip(rows, values.tolist()):
         out.write(str(row_id) + "," + ",".join(repr(v) for v in row) + "\n")
-
-
-def _matrix_payload(rows, cols, values) -> dict:
-    return {
-        "rows": [int(r) for r in rows],
-        "cols": [int(c) for c in cols],
-        "values": values.tolist(),
-    }
 
 
 def _parse_lines(text: str) -> list[int]:
@@ -85,7 +122,8 @@ def _cmd_ptdf(network, args) -> int:
     if args.format == "csv":
         _emit_matrix_csv(ptdf.line_ids, ptdf.line_ids, ptdf.matrix)
     else:
-        _emit_json(_matrix_payload(ptdf.line_ids, ptdf.line_ids, ptdf.matrix))
+        ids = [int(line) for line in ptdf.line_ids]
+        _emit_json({"rows": ids, "cols": ids, "values": ptdf.matrix})
     return 0
 
 
@@ -111,8 +149,8 @@ def _cmd_glodf(network, args) -> int:
         "method": result.method,
         "outaged": [int(v) for v in outage.outaged],
         "surviving": [int(v) for v in outage.surviving],
-        "k": result.k_matrix.tolist(),
-        "k_stack": result.k_stack.tolist(),
+        "k": result.k_matrix,
+        "k_stack": result.k_stack,
         "residuals": (
             {key: float(v) for key, v in result.residuals.items()} if result.residuals else None
         ),
@@ -143,7 +181,7 @@ def _cmd_localize(network, args) -> int:
                 "block": int(b.block_index),
                 "rows": [int(v) for v in b.row_ids],
                 "cols": [int(v) for v in b.col_ids],
-                "k": b.k_direct.tolist(),
+                "k": b.k_direct,
                 "reassembly_err_direct": float(b.reassembly_err_direct),
                 "reassembly_err_parts": float(b.reassembly_err_parts),
             }
@@ -343,10 +381,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def run(argv=None) -> int:
     """Parse arguments and execute one subcommand, returning the exit code."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         network = load_network(args.network, reference=args.reference)
         return args.handler(network, args)
     except InputError as exc:

@@ -46,16 +46,18 @@ class LaplacianBundle:
 
     Immutable after construction; :meth:`solve` applies A without forming
     it, and the dense L, A and pseudo-inverse are computed on first access.
-    ``source``, ``target`` and ``b`` hold each edge's endpoint positions and
-    weight: its susceptance, or ``susceptances`` when given (copied, shape
-    ``(m,)``, finite, >= 0), where a zero weight is a line that is out.
+    ``n`` is the network's node count; ``endpoints`` (``source``, ``target``)
+    and ``b`` hold each edge's endpoint positions and weight: its susceptance,
+    or ``susceptances`` when given (copied, shape ``(m,)``, finite, >= 0),
+    where a zero weight is a line that is out.
     SingularError on a pivot below PIVOT_RTOL x max|reduced L| flags a
     disconnected network, or one whose susceptances spread too widely to factor.
+    It keeps no reference to the network, so ``Network.factor`` makes no cycle.
     """
 
     def __init__(self, network: Network, susceptances=None):
-        self.network = network
-        self.source, self.target = network.endpoints
+        self.n = network.n
+        self.endpoints = self.source, self.target = network.endpoints
         given = network.susceptances() if susceptances is None else susceptances
         self.b = b = np.array(given, dtype=float)
         if b.shape != (network.m,):
@@ -104,23 +106,23 @@ class LaplacianBundle:
 
     def sensitivity_columns(self, positions) -> np.ndarray:
         """D[:, positions] of D = B C^T A C by |positions| solves, without A."""
-        return self.branch_flows(self.solve(incidence_columns(self.network, positions)))
+        return self.branch_flows(self.solve(incidence_columns(self, positions)))
 
     @cached_property
     def L(self) -> np.ndarray:
         """Dense weighted Laplacian C B C^T, from the assembly's triplets."""
         values, rows, cols = self._triplets
-        return scipy.sparse.csc_array((values, (rows, cols)), shape=(self.network.n,) * 2).toarray()
+        return scipy.sparse.csc_array((values, (rows, cols)), shape=(self.n,) * 2).toarray()
 
     @cached_property
     def A(self) -> np.ndarray:
         """Reduced inverse padded with a zero row and column at the reference."""
-        return self.solve(np.eye(self.network.n))
+        return self.solve(np.eye(self.n))
 
     @cached_property
     def ldag(self) -> np.ndarray:
         """Moore-Penrose pseudo-inverse (L + J/n)^-1 - J/n with J = ones."""
-        n = self.network.n
+        n = self.n
         ones = np.full((n, n), 1.0 / n)
         return np.linalg.inv(self.L + ones) - ones
 

@@ -113,7 +113,8 @@ class GlodfResult:
     only for singleton outages.
     ``residuals`` records the max entrywise disagreement between formula
     pairs in cross-check mode.  The generating ptdf (and through it the
-    factor, ``ptdf.bundle``) rides along for downstream reports.
+    factor, ``ptdf.bundle``) rides along for downstream reports, and so do
+    the outage columns D[:, F] the factors were computed from.
     """
 
     outage: OutageSet
@@ -121,10 +122,11 @@ class GlodfResult:
     method: str
     residuals: dict | None
     ptdf: PtdfMatrix = field(repr=False)
+    d_cols: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
     def k_stack(self) -> np.ndarray:
-        return lodf_stack(self.ptdf, self.outage)
+        return lodf_stack(self.ptdf, self.outage, self.d_cols)
 
 
 def ptdf_matrix(bundle: LaplacianBundle, network: Network) -> PtdfMatrix:
@@ -150,18 +152,20 @@ def lodf_single(ptdf: PtdfMatrix, decomposition: BlockDecomposition, outaged: in
     return dict(zip(ids, np.delete(values, col).tolist()))
 
 
-def lodf_stack(ptdf: PtdfMatrix, outage: OutageSet) -> np.ndarray:
+def lodf_stack(ptdf: PtdfMatrix, outage: OutageSet, d_cols: np.ndarray | None = None) -> np.ndarray:
     """Stacked single-line outage factors K_-FF, one column per tripped line.
 
     Each column is the line's individual outage factor; this is not the
     simultaneous-outage sensitivity (see :func:`glodf`).  Bridges are
-    decided by the graph.
+    decided by the graph.  ``d_cols``, when given, is ``ptdf.columns`` of
+    the outaged lines, already solved by the caller.
     """
     rows, cols = outage.surviving_idx, outage.outaged_idx
     offenders = [line for line in outage.outaged if line in ptdf.decomposition.bridges]
     if offenders:
         raise BridgeOutageError(f"lines {offenders} are bridges; outage factors are undefined")
-    d_cols = ptdf.columns(cols)
+    if d_cols is None:
+        d_cols = ptdf.columns(cols)
     return _lodf_columns(d_cols[rows], d_cols[cols, np.arange(len(cols))])
 
 
@@ -231,7 +235,7 @@ def glodf(
 
     def via_stack():
         nonlocal stack
-        stack = lodf_stack(ptdf, outage)
+        stack = lodf_stack(ptdf, outage, d_cols)
         return _glodf_kernel(stack @ (np.eye(outage.size) - np.diag(np.diag(d_out_out))), d_out_out)
 
     formulas = {f.__name__: f for f in (pre_contingency, post_contingency, via_stack)}
@@ -252,6 +256,7 @@ def glodf(
         method=method,
         residuals=residuals,
         ptdf=ptdf,
+        d_cols=d_cols,
     )
     if stack is not None:
         result.__dict__["k_stack"] = stack  # the formula's stack, so k_stack is not computed again

@@ -440,7 +440,10 @@ def incidence_matrix(network: Network) -> np.ndarray:
 
 
 def incidence_columns(network: Network, positions) -> np.ndarray:
-    """Columns of C at the given edge positions: the unit injection across each of those lines."""
+    """Columns of C at the given edge positions: the unit injection across each of those lines.
+
+    Reads only ``network.n`` and ``network.endpoints``, which a ``LaplacianBundle`` also has.
+    """
     source, target = (ends[positions] for ends in network.endpoints)
     columns = np.zeros((network.n, len(source)))
     columns[source, np.arange(len(source))] = 1.0

@@ -2,7 +2,11 @@ import argparse
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from gridfactor import (
     Edge, LaplacianBundle, Network, ParseError, SingularError, ValidationError, build_laplacian, cli,
@@ -101,6 +105,25 @@ def test_glodf_cross_check_computes_the_stack_once(monkeypatch, capsys, triangle
     assert run(["glodf", triangle_path, "--lines", "1", "--method", "cross_check"]) == 0
     assert len(calls) == 1
     assert len(json.loads(capsys.readouterr().out)["k_stack"]) == 2
+
+
+def test_glodf_cross_check_solves_the_outage_columns_once(monkeypatch, capsys, fig2_path):
+    factored = []
+    original = LaplacianBundle.sensitivity_columns
+
+    def counted(self, positions):
+        factored.append(self)
+        return original(self, positions)
+
+    monkeypatch.setattr(LaplacianBundle, "sensitivity_columns", counted)
+    argv = ["glodf", fig2_path, "--lines", "1,7", "--method", "cross_check"]
+    assert run(argv) == 0
+    counted_out = capsys.readouterr().out
+    pre_outage = [bundle for bundle in factored if bundle.b.all()]  # the rest zero the tripped lines
+    assert len(pre_outage) == 1 and len(factored) == 2
+    monkeypatch.undo()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == counted_out
 
 
 def test_localize(capsys, fig2_path):
@@ -424,3 +447,51 @@ def test_verify_factors_the_weighted_network_once(monkeypatch, capsys, tmp_path)
     assert run(["verify", str(path)]) == 0
     capsys.readouterr()
     assert sorted(built) == [False, True]  # the network's own factor and the oracle's unit-weight one
+
+
+_SPECIAL_TEXT = st.sampled_from([", ", "], [", '"', "\\", "é", "a, b", "\n"])
+_FLOATS = st.floats() | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf])
+_NUMBERS = st.integers() | _FLOATS
+_SCALARS = st.none() | st.booleans() | _NUMBERS | st.text(max_size=4) | _SPECIAL_TEXT
+_PAIRS = st.lists(st.lists(_NUMBERS, min_size=1, max_size=3) | st.tuples(_NUMBERS, _NUMBERS), max_size=4)
+_ARRAYS = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=4), elements=_FLOATS)
+_PAYLOADS = st.recursive(
+    _SCALARS | _PAIRS | _ARRAYS | st.dictionaries(st.text(max_size=3) | _SPECIAL_TEXT, _NUMBERS),
+    lambda children: (st.lists(children, max_size=4) | st.tuples(children, children)
+                      | st.dictionaries(st.text(max_size=3) | _SPECIAL_TEXT, children, max_size=4)),
+    max_leaves=12,
+)
+
+
+def _plain(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_PAYLOADS)
+def test_encode_writes_the_stdlib_indented_text(payload):
+    assert cli._encode(payload) == json.dumps(_plain(payload), sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("payload", [{1: 2.0}, {"a": {None: 1}}, {"a": [{"b": 1, 2: "c"}]}])
+def test_encode_refuses_keys_that_are_not_str(payload):
+    with pytest.raises(TypeError):
+        cli._encode(payload)
+
+
+def test_no_subcommand_reaches_the_pure_python_encoder(monkeypatch, capsys, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder was used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    path = tmp_path / "fig2.json"
+    path.write_text(json.dumps({**fig2_doc(), "injections": {"1": 1.0, "5": -1.0}}))
+    for argv in _BLOCK_TREE_RUNS + [["verify"]]:
+        assert run(argv[:1] + [str(path)] + argv[1:]) == 0, argv
+        assert capsys.readouterr().out.endswith("}\n")

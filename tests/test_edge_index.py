@@ -60,6 +60,19 @@ def test_network_is_collected_after_use():
     assert ref() is None
 
 
+def test_a_network_that_read_its_factor_dies_with_its_last_reference():
+    gc.disable()  # freed by reference counting alone: the factor does not point back
+    try:
+        net = build(triangle_doc())
+        run_cascade(net, net.injections, [1])
+        assert "factor" in vars(net)
+        ref = weakref.ref(net)
+        del net
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_index_is_not_part_of_equality(triangle):
     fresh = build(triangle_doc())
     triangle.edge_index(1)
