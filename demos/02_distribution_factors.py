@@ -10,7 +10,6 @@ import numpy as np
 from gridfactor import (
     OutageSet,
     apply_outage,
-    block_decomposition,
     build_laplacian,
     glodf,
     lodf_single,
@@ -34,7 +33,6 @@ k4 = load_network({
 
 bundle = build_laplacian(k4)
 ptdf = ptdf_matrix(bundle, k4)
-decomposition = block_decomposition(k4)
 
 np.set_printoptions(precision=4, suppress=True)
 print("PTDF matrix D = B C^T A C:\n", ptdf.matrix)
@@ -43,7 +41,7 @@ print("\ndiagonal (0 < D_ll < 1 for non-bridges):", np.diag(ptdf.matrix))
 # Single-line outage factors: flow change per unit of pre-outage flow on
 # the tripped line.  Note the exact zero between non-adjacent lines of a
 # fully symmetric network.
-column = lodf_single(ptdf, decomposition, 1)
+column = lodf_single(ptdf, 1)
 print("\nLODF column for tripping line 1 (=(1,2)):")
 for line, value in column.items():
     print(f"  line {line}: {value:+.4f}")

@@ -12,7 +12,6 @@ from gridfactor import (
     OutageSet,
     PerturbationSpec,
     almost_sure_nonzero_test,
-    block_decomposition,
     block_structure_report,
     build_laplacian,
     glodf,
@@ -35,7 +34,7 @@ net = load_network({
     ],
 })
 
-decomposition = block_decomposition(net)
+decomposition = net.decomposition
 print("blocks:", [sorted(b) for b in decomposition.blocks])
 print("bridges:", sorted(decomposition.bridges))
 print("cut vertices:", sorted(decomposition.cut_vertices))
@@ -54,7 +53,7 @@ result = glodf(bundle, ptdf, net, outage)
 np.set_printoptions(precision=4, suppress=True)
 print("\nGLODF (rows = surviving lines, cols = lines 1 and 6):\n", result.k_matrix)
 
-report = block_structure_report(result, decomposition, outage)
+report = block_structure_report(ptdf, outage)
 print("\nmax cross-block magnitude:", report.cross_block_max)
 for block in report.blocks:
     print(f"block {block.block_index}: rows {block.row_ids} cols {block.col_ids} "

@@ -11,7 +11,6 @@ import numpy as np
 
 from gridfactor import (
     adversarial_capacity,
-    block_decomposition,
     build_laplacian,
     influence_graph,
     load_network,
@@ -52,8 +51,7 @@ for k, stage in enumerate(trace.stages):
 
 # The influence graph summarizes which outages can affect which lines.
 ptdf = ptdf_matrix(bundle, triangle)
-decomposition = block_decomposition(triangle)
-pairs = influence_graph(ptdf, decomposition, threshold=0.005)
+pairs = influence_graph(ptdf, threshold=0.005)
 print("\ninfluence pairs at threshold 0.005:", pairs)
 
 print("\nDOT export:")

@@ -25,7 +25,6 @@ import numpy as np
 from .dcpf import FlowState, solve_flow, surviving_flow
 from .errors import MaxStagesError, SingularError, ValidationError
 from .factors import PtdfMatrix, _lodf_columns, _outage_flow
-from .graph_algos import BlockDecomposition
 from .net_model import Network, injection_vector
 
 __all__ = ["Stage", "CascadeTrace", "run_cascade", "influence_graph"]
@@ -146,11 +145,7 @@ def run_cascade(
         alive &= ~over
 
 
-def influence_graph(
-    ptdf: PtdfMatrix,
-    decomposition: BlockDecomposition,
-    threshold: float,
-) -> tuple[tuple[int, int], ...]:
+def influence_graph(ptdf: PtdfMatrix, threshold: float) -> tuple[tuple[int, int], ...]:
     """Unordered line pairs whose outage factor magnitude reaches the threshold.
 
     Pairs are drawn only from within non-bridge blocks, where the factors
@@ -163,7 +158,7 @@ def influence_graph(
     if not 0.0 <= threshold < np.inf:
         raise ValidationError(f"threshold must be finite and nonnegative, got {threshold}")
     pairs = []
-    for members in decomposition.blocks:
+    for members in ptdf.network.decomposition.blocks:
         if len(members) < 2:
             continue
         ordered = np.array(sorted(members))

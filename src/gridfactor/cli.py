@@ -23,7 +23,6 @@ from . import forests as forests_mod
 from . import localization as localization_mod
 from .dcpf import build_laplacian, solve_flow
 from .errors import AnalysisError, GridFactorError, InputError
-from .graph_algos import block_decomposition
 from .net_model import RTOL, injection_vector, load_network
 
 __all__ = ["main", "run"]
@@ -48,13 +47,7 @@ def _encode(value, pad: str = "\n") -> str:
     if isinstance(value, np.ndarray):  # 2-D float
         if not value.size:
             return _encode(value.tolist(), pad)
-        flat, width = value.ravel(), value.shape[1]
-        text = ["0.0"] * flat.size
-        nonzero = np.flatnonzero((flat != 0) | np.signbit(flat))
-        for k, entry in zip(nonzero.tolist(), json.dumps(flat[nonzero].tolist())[1:-1].split(", ")):
-            text[k] = entry
-        rows = ("[" + deeper + ("," + deeper).join(text[k:k + width]) + inner + "]"
-                for k in range(0, flat.size, width))
+        rows = ("[" + deeper + ("," + deeper).join(row) + inner + "]" for row in _entry_rows(value))
         return "[" + inner + ("," + inner).join(rows) + pad + "]"
     if isinstance(value, dict):
         if not all(isinstance(key, str) for key in value):
@@ -74,16 +67,29 @@ def _encode(value, pad: str = "\n") -> str:
     return json.dumps(value)
 
 
+def _entry_rows(values: np.ndarray) -> list[list[str]]:
+    """The JSON text of each entry of a 2-D float array, by row: "0.0" for +0.0, the rest C-encoded."""
+    flat, width = values.ravel(), values.shape[1]
+    text = ["0.0"] * flat.size
+    nonzero = np.flatnonzero((flat != 0) | np.signbit(flat))
+    for k, entry in zip(nonzero.tolist(), json.dumps(flat[nonzero].tolist())[1:-1].split(", ")):
+        text[k] = entry
+    return [text[k:k + width] for k in range(0, flat.size, width)]
+
+
 def _emit_json(payload) -> None:
     sys.stdout.write(_encode(payload))
     sys.stdout.write("\n")
 
 
 def _emit_matrix_csv(rows, cols, values) -> None:
+    text = _entry_rows(values)
+    for i, j in zip(*np.nonzero(~np.isfinite(values))):
+        text[i][j] = repr(float(values[i, j]))  # nan and inf as Python spells them, not as JSON does
     out = sys.stdout
     out.write("line," + ",".join(str(c) for c in cols) + "\n")
-    for row_id, row in zip(rows, values.tolist()):
-        out.write(str(row_id) + "," + ",".join(repr(v) for v in row) + "\n")
+    for row_id, row in zip(rows, text):
+        out.write(str(row_id) + "," + ",".join(row) + "\n")
 
 
 def _parse_lines(text: str) -> list[int]:
@@ -101,7 +107,7 @@ def _flow_payload(network, state) -> dict:
 
 
 def _cmd_blocks(network, args) -> int:
-    decomposition = block_decomposition(network)
+    decomposition = network.decomposition
     _emit_json({
         "blocks": [sorted(block) for block in decomposition.blocks],
         "bridges": sorted(decomposition.bridges),
@@ -129,7 +135,7 @@ def _cmd_ptdf(network, args) -> int:
 
 def _cmd_lodf(network, args) -> int:
     ptdf = factors_mod.PtdfMatrix(build_laplacian(network), network)
-    column = factors_mod.lodf_single(ptdf, ptdf.decomposition, args.line)
+    column = factors_mod.lodf_single(ptdf, args.line)
     _emit_json({
         "outaged": args.line,
         "factors": {str(line): float(v) for line, v in column.items()},
@@ -165,11 +171,9 @@ def _cmd_localize(network, args) -> int:
         spec = localization_mod.PerturbationSpec(
             relative_magnitude=args.eps, trials=args.trials, seed=args.seed
         )
-    bundle = build_laplacian(network)
-    ptdf = factors_mod.PtdfMatrix(bundle, network)
+    ptdf = factors_mod.PtdfMatrix(build_laplacian(network), network)
     outage = factors_mod.OutageSet(network, _parse_lines(args.lines))
-    result = factors_mod.glodf(bundle, ptdf, network, outage, method="pre_contingency")
-    report = localization_mod.block_structure_report(result, ptdf.decomposition, outage)
+    report = localization_mod.block_structure_report(ptdf, outage)
 
     payload = {
         "cross_block_max": float(report.cross_block_max),
@@ -229,7 +233,7 @@ def _cmd_cascade(network, args) -> int:
 
 def _cmd_influence(network, args) -> int:
     ptdf = factors_mod.PtdfMatrix(build_laplacian(network), network)
-    pairs = cascade_mod.influence_graph(ptdf, ptdf.decomposition, args.threshold)
+    pairs = cascade_mod.influence_graph(ptdf, args.threshold)
     if args.format == "dot":
         lines = ["graph influence {"]
         for a, b in pairs:
@@ -247,9 +251,8 @@ def _cmd_influence(network, args) -> int:
 def _cmd_verify(network, args) -> int:
     tol = _verify_tolerance(args.tol)
     bundle = network.factor  # the factor matrix_tree_check reads too
+    tree_report = forests_mod.matrix_tree_check(network, tolerance=tol)  # refuses past the cap first
     ptdf = factors_mod.ptdf_matrix(bundle, network)
-
-    tree_report = forests_mod.matrix_tree_check(network, tolerance=tol)
 
     spectral_err = 0.0
     for i in network.nodes:
@@ -267,9 +270,9 @@ def _cmd_verify(network, args) -> int:
 
     lodf_err = 0.0
     for outaged in network.edge_ids():
-        if outaged in ptdf.decomposition.bridges:
+        if outaged in network.decomposition.bridges:
             continue
-        column = factors_mod.lodf_single(ptdf, ptdf.decomposition, outaged)
+        column = factors_mod.lodf_single(ptdf, outaged)
         for line, value in column.items():
             oracle = forests_mod.lodf_via_forests(network, line, outaged)
             lodf_err = max(lodf_err, abs(value - oracle))

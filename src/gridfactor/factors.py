@@ -22,7 +22,6 @@ import numpy as np
 
 from .dcpf import FlowState, LaplacianBundle, build_laplacian, solve_flow, surviving_flow
 from .errors import BridgeOutageError, CutSetError, SingularError, ValidationError
-from .graph_algos import BlockDecomposition, block_decomposition
 from .net_model import RTOL, Network, incidence_columns, injection_vector, scaled_tolerance
 
 __all__ = [
@@ -45,18 +44,17 @@ class PtdfMatrix:
     """The sensitivity D = B C^T A C of one factor, read by columns, indexed by line ids.
 
     A unit injection across a line's ends moves flow only inside that line's
-    block (Part I of the paper), so D is block-diagonal in the network's
-    ``decomposition``.  :meth:`columns` solves only the columns asked for and
-    writes 0.0 in every row outside each column's block; :attr:`matrix` holds
-    all m columns with the same bits, and once it is built, :meth:`columns` slices it.
+    block (Part I of the paper), so D is block-diagonal in ``network.decomposition``.
+    :meth:`columns` solves only the columns asked for and writes 0.0 in every
+    row outside each column's block; :attr:`matrix` holds all m columns with
+    the same bits, and once it is built, :meth:`columns` slices it.
     """
 
     def __init__(self, bundle: LaplacianBundle, network: Network):
         self.bundle = bundle
         self.network = network
         self.line_ids = network.edge_ids()
-        self.decomposition = block_decomposition(network)
-        self._block = np.array([self.decomposition.block_of[line] for line in self.line_ids])
+        self._block = network.decomposition.block_at
 
     def columns(self, positions) -> np.ndarray:
         """D[:, positions], with exact zeros outside each column's block."""
@@ -136,7 +134,7 @@ def ptdf_matrix(bundle: LaplacianBundle, network: Network) -> PtdfMatrix:
     return ptdf
 
 
-def lodf_single(ptdf: PtdfMatrix, decomposition: BlockDecomposition, outaged: int) -> dict[int, float]:
+def lodf_single(ptdf: PtdfMatrix, outaged: int) -> dict[int, float]:
     """Single-line outage factors K for every surviving line.
 
     Raises BridgeOutageError when the outaged line is a bridge (the factor
@@ -144,7 +142,7 @@ def lodf_single(ptdf: PtdfMatrix, decomposition: BlockDecomposition, outaged: in
     1 - D_ll is at most RTOL on a line that is not one.
     """
     col = ptdf.network.edge_index(outaged)
-    if outaged in decomposition.bridges:
+    if outaged in ptdf.network.decomposition.bridges:
         raise BridgeOutageError(f"line {outaged} is a bridge; outage factors are undefined")
     column = ptdf.columns([col])[:, 0]
     values = _lodf_columns(column, column[col])
@@ -161,7 +159,7 @@ def lodf_stack(ptdf: PtdfMatrix, outage: OutageSet, d_cols: np.ndarray | None = 
     the outaged lines, already solved by the caller.
     """
     rows, cols = outage.surviving_idx, outage.outaged_idx
-    offenders = [line for line in outage.outaged if line in ptdf.decomposition.bridges]
+    offenders = [line for line in outage.outaged if line in ptdf.network.decomposition.bridges]
     if offenders:
         raise BridgeOutageError(f"lines {offenders} are bridges; outage factors are undefined")
     if d_cols is None:

@@ -393,12 +393,13 @@ def matrix_tree_check(network: Network, tolerance: float = RTOL) -> MatrixTreeRe
     against the signed weight of the matching two-tree family.
     """
     bundle = network.factor
+    oracle = _oracle(network)  # refuses a network past the cap before the dense L is read
     ref = network.reference_index()
     keep = [k for k in range(network.n) if k != ref]
     reduced = bundle.L[np.ix_(keep, keep)]
     non_ref_nodes = [network.nodes[k] for k in keep]
 
-    _, tree_total, tree_total_exact = _oracle(network).trees_within(None)
+    _, tree_total, tree_total_exact = oracle.trees_within(None)
     forest_weight = float(tree_total_exact) if tree_total_exact is not None else tree_total
 
     determinant = bundle.reduced_determinant

@@ -8,10 +8,12 @@ answers the query without enumerating cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .errors import DisconnectedError, UnknownEdgeError
+import numpy as np
+
+from .errors import DisconnectedError
 from .net_model import Network
 
 __all__ = ["BlockDecomposition", "block_decomposition", "is_cut_set", "shares_simple_cycle"]
@@ -23,12 +25,14 @@ class BlockDecomposition:
 
     ``blocks`` is ordered by first edge appearance (ascending smallest edge
     id), which makes ``block_of`` deterministic for a given network.
+    ``block_at`` holds the same block index by edge position, read-only.
     """
 
     blocks: tuple[frozenset[int], ...]
     bridges: frozenset[int]
     cut_vertices: frozenset[int]
     block_of: MappingProxyType
+    block_at: np.ndarray = field(compare=False, repr=False)
 
 
 def block_decomposition(network: Network) -> BlockDecomposition:
@@ -37,7 +41,7 @@ def block_decomposition(network: Network) -> BlockDecomposition:
     Iterative depth-first search with an edge stack (linear in nodes plus
     edges) over the network's position-space adjacency.  Raises
     DisconnectedError when the graph is not connected, found as the search
-    needing a second root.
+    needing a second root.  :attr:`Network.decomposition` keeps one per network.
     """
     ids = network.edge_ids()
     adjacency = network._adjacency
@@ -91,24 +95,23 @@ def block_decomposition(network: Network) -> BlockDecomposition:
 
     # Deterministic block order: ascending smallest edge id.
     blocks = tuple(sorted(raw_blocks, key=min))
-    block_of = {}
-    for index, members in enumerate(blocks):
-        for edge_id in members:
-            block_of[edge_id] = index
-
+    block_of = {edge_id: index for index, members in enumerate(blocks) for edge_id in members}
+    block_at = np.array([block_of[edge_id] for edge_id in ids], dtype=int)
+    block_at.flags.writeable = False
     bridges = frozenset(next(iter(b)) for b in blocks if len(b) == 1)
 
-    touched: dict[int, set[int]] = {node: set() for node in network.nodes}
-    for edge in network.edges:
-        touched[edge.source].add(block_of[edge.id])
-        touched[edge.target].add(block_of[edge.id])
-    cut_vertices = frozenset(node for node, owners in touched.items() if len(owners) >= 2)
+    touched: list[set[int]] = [set() for _ in network.nodes]
+    for s, t, index in zip(*(ends.tolist() for ends in network.endpoints), block_at.tolist()):
+        touched[s].add(index)
+        touched[t].add(index)
+    cut_vertices = frozenset(node for node, owners in zip(network.nodes, touched) if len(owners) >= 2)
 
     return BlockDecomposition(
         blocks=blocks,
         bridges=bridges,
         cut_vertices=cut_vertices,
         block_of=MappingProxyType(block_of),
+        block_at=block_at,
     )
 
 
@@ -126,18 +129,11 @@ def is_cut_set(network: Network, outage) -> bool:
 def shares_simple_cycle(network: Network, line: int, other: int) -> bool:
     """True when some simple cycle contains both lines.
 
-    Answered through block equality: two distinct edges lie on a common
-    simple cycle exactly when they share a non-bridge block.
+    Answered through block equality on :attr:`Network.decomposition`: two distinct
+    edges lie on a common simple cycle exactly when they share a non-bridge block.
     """
-    return _shares_block(block_decomposition(network), line, other)
-
-
-def _shares_block(decomposition: BlockDecomposition, line: int, other: int) -> bool:
     if line == other:
         raise ValueError("lines must be distinct")
-    for edge_id in (line, other):
-        if edge_id not in decomposition.block_of:
-            raise UnknownEdgeError(f"unknown edge id {edge_id}")
-    if decomposition.block_of[line] != decomposition.block_of[other]:
-        return False
-    return line not in decomposition.bridges
+    decomposition = network.decomposition
+    first, second = decomposition.block_at[network.edge_positions([line, other])]
+    return bool(first == second) and line not in decomposition.bridges

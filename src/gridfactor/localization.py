@@ -19,9 +19,9 @@ import numpy as np
 
 from .dcpf import LaplacianBundle, build_laplacian
 from .errors import BridgeOutageError, CutSetError, ValidationError, ZeroFactorError
-from .factors import (GlodfResult, OutageSet, _glodf_kernel, _lodf_columns, _post_contingency_columns,
+from .factors import (OutageSet, PtdfMatrix, _glodf_kernel, _lodf_columns, _post_contingency_columns,
                       characteristic_injection_flow)
-from .graph_algos import BlockDecomposition, _shares_block, block_decomposition
+from .graph_algos import shares_simple_cycle
 from .net_model import NONZERO_ATOL, Network, incidence_columns, scaled_tolerance
 
 __all__ = [
@@ -44,16 +44,15 @@ def simple_cycle_criterion(network: Network, line: int, outaged: int) -> str:
     is exactly zero) and ``"possibly_nonzero"`` otherwise; the latter is
     certain only up to symmetry-induced cancellations.
     """
-    decomposition = block_decomposition(network)
-    if outaged in decomposition.bridges:
+    if outaged in network.decomposition.bridges:
         raise BridgeOutageError(f"line {outaged} is a bridge; outage factors are undefined")
-    return "possibly_nonzero" if _shares_block(decomposition, line, outaged) else "zero"
+    return "possibly_nonzero" if shares_simple_cycle(network, line, outaged) else "zero"
 
 
-def _line_blocks(decomposition: BlockDecomposition, outage: OutageSet):
+def _line_blocks(network: Network, outage: OutageSet):
     """Block ids of the surviving and tripped lines, and their same-block mask."""
-    row_block = np.array([decomposition.block_of[line] for line in outage.surviving], dtype=int)
-    col_block = np.array([decomposition.block_of[line] for line in outage.outaged], dtype=int)
+    block_at = network.decomposition.block_at
+    row_block, col_block = block_at[outage.surviving_idx], block_at[outage.outaged_idx]
     return row_block, col_block, row_block[:, None] == col_block[None, :]
 
 
@@ -87,15 +86,11 @@ class LocalizationReport:
     matrix_scale: float
 
 
-def block_structure_report(
-    result: GlodfResult,
-    decomposition: BlockDecomposition,
-    outage: OutageSet,
-) -> LocalizationReport:
+def block_structure_report(ptdf: PtdfMatrix, outage: OutageSet) -> LocalizationReport:
     """Verify the block-diagonal structure of a simultaneous-outage factor.
 
     The report's K is the GLODF kernel on the outage columns of the factor of
-    ``result.ptdf``, solved without the PTDF's block mask, so ``cross_block_max``
+    ``ptdf``, solved without the PTDF's block mask, so ``cross_block_max``
     (which the theory pins at zero) reads computed entries, never written
     zeros.  For every block containing tripped lines, ``k_direct`` and
     ``k_from_parts`` (see :class:`BlockFactors`) are compared against K
@@ -105,7 +100,6 @@ def block_structure_report(
     if network.disconnected_by(outage.outaged_idx):
         raise CutSetError(f"outage {outage.outaged} disconnects the network")
 
-    ptdf = result.ptdf
     rows, cols = outage.surviving_idx, outage.outaged_idx
     whole = ptdf.bundle.sensitivity_columns(cols)
     K = _glodf_kernel(whole[rows], whole[cols])
@@ -113,7 +107,7 @@ def block_structure_report(
     scale = float(np.max(magnitude, initial=0.0))
     tol = scaled_tolerance(scale)
 
-    row_block, col_block, same_block = _line_blocks(decomposition, outage)
+    row_block, col_block, same_block = _line_blocks(network, outage)
     cross_max = float(np.max(magnitude[~same_block], initial=0.0))
     zero_count = int(np.count_nonzero(magnitude[same_block] < tol))
 
@@ -209,7 +203,7 @@ def almost_sure_nonzero_test(
     if network.disconnected_by(outage.outaged_idx):
         # Any bridge in the outage also lands here: a bridge is a cut set.
         raise CutSetError(f"outage {outage.outaged} disconnects the network")
-    _, _, same_block = _line_blocks(block_decomposition(network), outage)
+    _, _, same_block = _line_blocks(network, outage)
     rows, cols = outage.surviving_idx, outage.outaged_idx
     base = network.susceptances()
 
@@ -259,7 +253,7 @@ def adversarial_capacity(
     """
     if tripped == target:
         raise ValueError("lines must be distinct")
-    if tripped in block_decomposition(network).bridges:
+    if tripped in network.decomposition.bridges:
         raise BridgeOutageError(f"line {tripped} is a bridge")
 
     target_idx = network.edge_index(target)

@@ -85,9 +85,9 @@ class Network:
 
     The topology index (the id-to-position maps of nodes and edges, the
     edge endpoint positions, the position-space adjacency lists and whether
-    the network is connected) and the Laplacian :attr:`factor` are built
-    once per instance, on first use, and are not part of equality, hashing
-    or ``repr``.
+    the network is connected), the Laplacian :attr:`factor` and the block
+    :attr:`decomposition` are built once per instance, on first use, and are
+    not part of equality, hashing or ``repr``.
     """
 
     nodes: tuple[int, ...]
@@ -144,6 +144,16 @@ class Network:
         from . import dcpf  # dcpf imports this module
 
         return dcpf.build_laplacian(self)
+
+    @cached_property
+    def decomposition(self):
+        """The blocks, bridges and cut vertices (:func:`gridfactor.graph_algos.block_decomposition`).
+
+        Built on first read; a DisconnectedError is raised again on every read, as nothing is kept.
+        """
+        from . import graph_algos  # graph_algos imports this module
+
+        return graph_algos.block_decomposition(self)
 
     def node_index(self, node: int) -> int:
         try:

@@ -120,7 +120,7 @@ def test_criterion_03_forest_factor_equivalence():
         for outaged in net.edge_ids():
             if outaged in decomposition.bridges:
                 continue
-            column = lodf_single(ptdf, decomposition, outaged)
+            column = lodf_single(ptdf, outaged)
             for line, value in column.items():
                 oracle = lodf_via_forests(net, line, outaged)
                 err = abs(value - oracle) / max(1.0, abs(value), abs(oracle))
@@ -151,8 +151,7 @@ def test_criterion_04_glodf_triple_agreement(outage_instances):
 
 def test_criterion_05_localization_zero_structure(outage_instances):
     for net, bundle, ptdf, outage, result in outage_instances:
-        decomposition = block_decomposition(net)
-        report = block_structure_report(result, decomposition, outage)
+        report = block_structure_report(result.ptdf, outage)
         scale = max(1.0, report.matrix_scale)
         assert report.cross_block_max < 1e-9 * scale
         for block in report.blocks:
@@ -165,10 +164,9 @@ def test_criterion_06_almost_sure_converse():
     k4 = build(k4_doc())
     bundle = build_laplacian(k4)
     ptdf = ptdf_matrix(bundle, k4)
-    decomposition = block_decomposition(k4)
 
     # Unperturbed: non-adjacent line pairs vanish by symmetry.
-    column = lodf_single(ptdf, decomposition, 1)
+    column = lodf_single(ptdf, 1)
     disjoint = [
         e.id
         for e in k4.edges
@@ -193,9 +191,8 @@ def test_criterion_07_triangle_ground_truth():
     triangle = build(triangle_doc())
     bundle = build_laplacian(triangle)
     ptdf = ptdf_matrix(bundle, triangle)
-    decomposition = block_decomposition(triangle)
 
-    column = lodf_single(ptdf, decomposition, 1)
+    column = lodf_single(ptdf, 1)
     assert abs(column[3] - 1.0) < 1e-12
     assert abs(column[2] + 1.0) < 1e-12
     assert abs(lodf_via_forests(triangle, 3, 1) - 1.0) < 1e-12
@@ -233,7 +230,7 @@ def test_criterion_08_bridge_behavior():
         for bridge in decomposition.bridges:
             assert abs(ptdf.entry(bridge, bridge) - 1.0) < 1e-12
             with pytest.raises(BridgeOutageError):
-                lodf_single(ptdf, decomposition, bridge)
+                lodf_single(ptdf, bridge)
         ids = net.edge_ids()
         for size in (1, 2):
             if size >= net.m:
@@ -273,7 +270,7 @@ def test_criterion_10_injection_independence():
         tripped = int(rng.choice(non_bridges))
         bundle = build_laplacian(net)
         ptdf = ptdf_matrix(bundle, net)
-        column = lodf_single(ptdf, decomposition, tripped)
+        column = lodf_single(ptdf, tripped)
         outage = OutageSet(net, [tripped])
         for _ in range(10):
             p = random_balanced_injection(rng, net.n)

@@ -141,23 +141,22 @@ def test_first_stage_matches_glodf_prediction():
 def test_influence_graph_triangle(triangle):
     bundle = build_laplacian(triangle)
     ptdf = ptdf_matrix(bundle, triangle)
-    decomposition = block_decomposition(triangle)
-    assert influence_graph(ptdf, decomposition, 0.005) == ((1, 2), (1, 3), (2, 3))
-    assert influence_graph(ptdf, decomposition, 2.0) == ()
+    assert influence_graph(ptdf, 0.005) == ((1, 2), (1, 3), (2, 3))
+    assert influence_graph(ptdf, 2.0) == ()
 
 
 @pytest.mark.parametrize("threshold", [-1.0, math.nan, math.inf])
 def test_influence_graph_refuses_bad_threshold(triangle, threshold):
     ptdf = ptdf_matrix(build_laplacian(triangle), triangle)
     with pytest.raises(ValidationError, match="threshold"):
-        influence_graph(ptdf, block_decomposition(triangle), threshold)
+        influence_graph(ptdf, threshold)
 
 
 def test_influence_graph_never_crosses_blocks(fig2):
     bundle = build_laplacian(fig2)
     ptdf = ptdf_matrix(bundle, fig2)
     decomposition = block_decomposition(fig2)
-    pairs = influence_graph(ptdf, decomposition, 0.0)
+    pairs = influence_graph(ptdf, 0.0)
     block_of = decomposition.block_of
     assert pairs
     for a, b in pairs:
@@ -169,8 +168,7 @@ def test_influence_graph_never_crosses_blocks(fig2):
 def test_influence_graph_threshold_zero_covers_all_block_pairs(k4):
     bundle = build_laplacian(k4)
     ptdf = ptdf_matrix(bundle, k4)
-    decomposition = block_decomposition(k4)
-    pairs = influence_graph(ptdf, decomposition, 0.0)
+    pairs = influence_graph(ptdf, 0.0)
     assert len(pairs) == 15  # C(6, 2): every pair of K4 lines shares the block
 
 

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 
@@ -449,6 +451,35 @@ def test_verify_factors_the_weighted_network_once(monkeypatch, capsys, tmp_path)
     assert sorted(built) == [False, True]  # the network's own factor and the oracle's unit-weight one
 
 
+def test_verify_refuses_past_the_cap_before_building_a_dense_matrix(monkeypatch, capsys, tmp_path):
+    def refuse(self):
+        raise AssertionError("a dense matrix was built")
+
+    monkeypatch.setattr(factors.PtdfMatrix, "matrix", property(refuse))
+    monkeypatch.setattr(LaplacianBundle, "L", property(refuse))
+    path = tmp_path / "grid5.json"
+    path.write_text(json.dumps(grid_doc(5)))  # 557,568,000 spanning trees
+    assert run(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gridfactor: estimated spanning-tree count exceeds the enumeration cap\n"
+
+
+def test_localize_computes_no_glodf(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "fig2.json"
+    path.write_text(json.dumps(fig2_doc()))
+    argv = ["localize", str(path), "--lines", "1,7", "--perturb", "--trials", "3"]
+    assert run(argv) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("localize computed a GLODF")
+
+    monkeypatch.setattr(factors, "glodf", refuse)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 _SPECIAL_TEXT = st.sampled_from([", ", "], [", '"', "\\", "é", "a, b", "\n"])
 _FLOATS = st.floats() | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf])
 _NUMBERS = st.integers() | _FLOATS
@@ -477,6 +508,17 @@ def _plain(value):
 @given(_PAYLOADS)
 def test_encode_writes_the_stdlib_indented_text(payload):
     assert cli._encode(payload) == json.dumps(_plain(payload), sort_keys=True, indent=2)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=4), elements=_FLOATS))
+def test_matrix_csv_writes_each_entry_as_its_repr(values):
+    rows, cols = range(10, 10 + values.shape[0]), range(1, 1 + values.shape[1])
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._emit_matrix_csv(rows, cols, values)
+    expected = "line," + ",".join(map(str, cols)) + "\n" + "".join(
+        f"{row_id}," + ",".join(repr(v) for v in row) + "\n" for row_id, row in zip(rows, values.tolist()))
+    assert out.getvalue() == expected
 
 
 @pytest.mark.parametrize("payload", [{1: 2.0}, {"a": {None: 1}}, {"a": [{"b": 1, 2: "c"}]}])

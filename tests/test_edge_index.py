@@ -65,7 +65,8 @@ def test_a_network_that_read_its_factor_dies_with_its_last_reference():
     try:
         net = build(triangle_doc())
         run_cascade(net, net.injections, [1])
-        assert "factor" in vars(net)
+        net.decomposition
+        assert "factor" in vars(net) and "decomposition" in vars(net)
         ref = weakref.ref(net)
         del net
         assert ref() is None

@@ -78,7 +78,7 @@ def test_ptdf_diagonal_range():
 
 def test_lodf_single_triangle(triangle_setup):
     triangle, _, ptdf = triangle_setup
-    column = lodf_single(ptdf, block_decomposition(triangle), 1)
+    column = lodf_single(ptdf, 1)
     assert column[3] == pytest.approx(1.0, abs=1e-12)
     assert column[2] == pytest.approx(-1.0, abs=1e-12)
     assert column[3] == pytest.approx(lodf_via_forests(triangle, 3, 1), abs=1e-12)
@@ -88,7 +88,7 @@ def test_lodf_single_triangle(triangle_setup):
 def test_lodf_single_four_cycle(four_cycle):
     bundle = build_laplacian(four_cycle)
     ptdf = ptdf_matrix(bundle, four_cycle)
-    column = lodf_single(ptdf, block_decomposition(four_cycle), 1)
+    column = lodf_single(ptdf, 1)
     assert all(abs(abs(v) - 1.0) < 1e-12 for v in column.values())
     # Cross-check against a direct post-contingency re-solve.
     p = random_balanced_injection(np.random.default_rng(5), 4)
@@ -105,7 +105,7 @@ def test_lodf_single_bridge_raises(path3):
     bundle = build_laplacian(path3)
     ptdf = ptdf_matrix(bundle, path3)
     with pytest.raises(BridgeOutageError):
-        lodf_single(ptdf, block_decomposition(path3), 1)
+        lodf_single(ptdf, 1)
 
 
 def test_lodf_single_equals_the_per_line_division():
@@ -119,7 +119,7 @@ def test_lodf_single_equals_the_per_line_division():
             for k, line in enumerate(ptdf.line_ids)
             if line != tripped
         }
-        column = lodf_single(ptdf, decomposition, tripped)
+        column = lodf_single(ptdf, tripped)
         assert list(column) == list(expected) and column == expected
 
 
@@ -127,7 +127,7 @@ def test_lodf_stack_singleton_matches_single(triangle_setup):
     triangle, _, ptdf = triangle_setup
     outage = OutageSet(triangle, [1])
     stack = lodf_stack(ptdf, outage)
-    column = lodf_single(ptdf, block_decomposition(triangle), 1)
+    column = lodf_single(ptdf, 1)
     for row, line in enumerate(outage.surviving):
         assert stack[row, 0] == pytest.approx(column[line], abs=1e-15)
 
@@ -137,9 +137,8 @@ def test_lodf_stack_columns_are_single_line_factors(triangle_setup):
     outage = OutageSet(triangle, [1, 2])
     stack = lodf_stack(ptdf, outage)
     assert stack.shape == (1, 2)
-    decomposition = block_decomposition(triangle)
     for col, tripped in enumerate(outage.outaged):
-        column = lodf_single(ptdf, decomposition, tripped)
+        column = lodf_single(ptdf, tripped)
         for row, line in enumerate(outage.surviving):
             assert stack[row, col] == pytest.approx(column[line], abs=1e-15)
 
@@ -161,9 +160,9 @@ def test_stiff_line_that_is_not_a_bridge_is_singular(caller):
     decomposition = block_decomposition(net)
     assert not decomposition.bridges
     call = {
-        "lodf_single": lambda: lodf_single(ptdf, decomposition, 1),
+        "lodf_single": lambda: lodf_single(ptdf, 1),
         "lodf_stack": lambda: lodf_stack(ptdf, OutageSet(net, [1])),
-        "influence_graph": lambda: influence_graph(ptdf, decomposition, 0.05),
+        "influence_graph": lambda: influence_graph(ptdf, 0.05),
         "adversarial_capacity": lambda: adversarial_capacity(bundle, net, 1, 2),
     }[caller]
     with pytest.raises(SingularError, match="not a bridge"):
@@ -183,7 +182,7 @@ def test_glodf_singleton_matches_lodf(triangle_setup):
     triangle, bundle, ptdf = triangle_setup
     outage = OutageSet(triangle, [1])
     result = glodf(bundle, ptdf, triangle, outage, method="cross_check")
-    column = lodf_single(ptdf, block_decomposition(triangle), 1)
+    column = lodf_single(ptdf, 1)
     for row, line in enumerate(outage.surviving):
         assert result.k_matrix[row, 0] == pytest.approx(column[line], abs=1e-12)
     assert max(result.residuals.values()) < 1e-12
@@ -352,7 +351,7 @@ def test_lodf_is_injection_independent():
         if not non_bridges:
             continue
         tripped = non_bridges[0]
-        column = lodf_single(ptdf, decomposition, tripped)
+        column = lodf_single(ptdf, tripped)
         outage = OutageSet(net, [tripped])
         for _ in range(10):
             p = random_balanced_injection(rng, net.n)

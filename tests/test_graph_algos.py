@@ -170,6 +170,41 @@ def test_is_cut_set_matches_whole_network_oracle(seed, extra):
         assert (trace.status == "islanded") == cut
 
 
+def _splits_without(net, node):
+    """True when the nodes other than ``node`` are not all joined once it is removed."""
+    rest = [v for v in net.nodes if v != node]
+    adjacency = {v: [] for v in rest}
+    for e in net.edges:
+        if node not in (e.source, e.target):
+            adjacency[e.source].append(e.target)
+            adjacency[e.target].append(e.source)
+    reached, stack = {rest[0]}, [rest[0]]
+    while stack:
+        for other in adjacency[stack.pop()]:
+            if other not in reached:
+                reached.add(other)
+                stack.append(other)
+    return len(reached) < len(rest)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(0, 0), (2, 0), (12, 4)]),  # trees, bridge-heavy, meshed
+)
+def test_cut_vertices_match_brute_force_and_the_cached_decomposition_is_fresh(seed, extra):
+    max_extra, min_extra = extra
+    net = random_network(np.random.default_rng(seed), max_nodes=10, max_extra=max_extra,
+                         min_extra=min_extra)
+    cached = net.decomposition
+    assert cached.cut_vertices == {node for node in net.nodes if _splits_without(net, node)}
+    fresh = block_decomposition(net)
+    assert (cached.blocks, cached.bridges, cached.cut_vertices) == (
+        fresh.blocks, fresh.bridges, fresh.cut_vertices)
+    assert net.decomposition is cached
+    assert cached.block_at.tolist() == [cached.block_of[line] for line in net.edge_ids()]
+
+
 def test_is_cut_set_agrees_with_connectivity_oracle():
     rng = np.random.default_rng(13)
     for _ in range(15):

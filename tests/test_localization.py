@@ -20,6 +20,7 @@ from gridfactor import (
     characteristic_injection_flow,
     glodf,
     incidence_matrix,
+    influence_graph,
     lodf_single,
     ptdf_matrix,
     run_cascade,
@@ -27,10 +28,10 @@ from gridfactor import (
     solve_flow,
 )
 
-from gridfactor import factors, localization
+from gridfactor import factors, graph_algos, localization
 from gridfactor.net_model import RTOL, incidence_columns
 
-from conftest import build, random_network, sample_non_cut_outage
+from conftest import build, fig2_doc, random_network, sample_non_cut_outage
 
 
 def make_factors(net):
@@ -44,14 +45,14 @@ def test_simple_cycle_criterion_fig2(fig2):
     left, right = blocks[0], blocks[1]
     assert simple_cycle_criterion(fig2, right[0], left[0]) == "zero"
     _, ptdf = make_factors(fig2)
-    factor = lodf_single(ptdf, decomposition, left[0])[right[0]]
+    factor = lodf_single(ptdf, left[0])[right[0]]
     assert abs(factor) < 1e-10
 
 
 def test_simple_cycle_criterion_triangle(triangle):
     assert simple_cycle_criterion(triangle, 2, 1) == "possibly_nonzero"
     _, ptdf = make_factors(triangle)
-    column = lodf_single(ptdf, block_decomposition(triangle), 1)
+    column = lodf_single(ptdf, 1)
     assert abs(column[2]) > 0.5
 
 
@@ -80,7 +81,7 @@ def test_criterion_soundness_on_random_graphs():
         for hat in net.edges:
             if hat.id in decomposition.bridges:
                 continue
-            column = lodf_single(ptdf, decomposition, hat.id)
+            column = lodf_single(ptdf, hat.id)
             for line, factor in column.items():
                 if simple_cycle_criterion(net, line, hat.id) == "zero":
                     assert abs(factor) < 1e-10
@@ -88,10 +89,9 @@ def test_criterion_soundness_on_random_graphs():
 
 def test_block_structure_report_fig2_singleton(fig2):
     bundle, ptdf = make_factors(fig2)
-    decomposition = block_decomposition(fig2)
     outage = OutageSet(fig2, [1])
     result = glodf(bundle, ptdf, fig2, outage)
-    report = block_structure_report(result, decomposition, outage)
+    report = block_structure_report(result.ptdf, outage)
 
     scale = max(1.0, report.matrix_scale)
     assert report.cross_block_max < 1e-9 * scale
@@ -134,7 +134,7 @@ def test_block_structure_report_random_instances():
         decomposition = block_decomposition(net)
         outage = OutageSet(net, outage_ids)
         result = glodf(bundle, ptdf, net, outage)
-        report = block_structure_report(result, decomposition, outage)
+        report = block_structure_report(result.ptdf, outage)
         scale = max(1.0, report.matrix_scale)
         assert report.cross_block_max < 1e-9 * scale
         for block in report.blocks:
@@ -151,12 +151,11 @@ def test_block_structure_report_random_instances():
 
 def test_block_structure_cut_set_raises(triangle):
     bundle, ptdf = make_factors(triangle)
-    decomposition = block_decomposition(triangle)
     outage = OutageSet(triangle, [1])
     result = glodf(bundle, ptdf, triangle, outage)
     bad = OutageSet(triangle, [1, 2])
     with pytest.raises(CutSetError):
-        block_structure_report(result, decomposition, bad)
+        block_structure_report(result.ptdf, bad)
 
 
 def test_perturbation_triangle_always_nonzero(triangle):
@@ -171,8 +170,7 @@ def test_perturbation_triangle_always_nonzero(triangle):
 def test_perturbation_k4_symmetry_breaking(k4):
     # Unperturbed: the factor between non-adjacent lines vanishes by symmetry.
     bundle, ptdf = make_factors(k4)
-    decomposition = block_decomposition(k4)
-    column = lodf_single(ptdf, decomposition, 1)
+    column = lodf_single(ptdf, 1)
     assert abs(column[6]) < 1e-12
 
     stats = almost_sure_nonzero_test(
@@ -239,7 +237,7 @@ def test_adversarial_capacity_guarantee_random():
         ]
         hit = None
         for tripped, target in pairs:
-            factor = lodf_single(ptdf, decomposition, tripped).get(target, 0.0)
+            factor = lodf_single(ptdf, tripped).get(target, 0.0)
             if abs(factor) > 1e-6:
                 hit = (tripped, target)
                 break
@@ -341,7 +339,7 @@ def test_block_structure_report_property(seed):
         return
     bundle, ptdf = make_factors(net)
     result = glodf(bundle, ptdf, net, outage)
-    report = block_structure_report(result, block_decomposition(net), outage)
+    report = block_structure_report(result.ptdf, outage)
     bound = 1e-9 * max(1.0, report.matrix_scale)
     assert report.cross_block_max <= bound
     assert sum(len(block.col_ids) for block in report.blocks) == outage.size
@@ -360,7 +358,7 @@ def test_parts_are_solved_without_the_ptdf_or_a(monkeypatch, fig2):
         raise AssertionError("k_from_parts read A")
 
     monkeypatch.setattr(LaplacianBundle, "A", property(refuse))
-    report = block_structure_report(result, block_decomposition(fig2), outage)
+    report = block_structure_report(result.ptdf, outage)
     assert all(block.reassembly_err_parts <= 1e-9 for block in report.blocks)
 
 
@@ -393,7 +391,7 @@ def test_cross_block_max_reads_no_structural_zero(monkeypatch, fig2):
         bundle = build_laplacian(net)
         outage = OutageSet(net, lines)
         result = glodf(bundle, PtdfMatrix(bundle, net), net, outage, method="post_contingency")
-        report = block_structure_report(result, block_decomposition(net), outage)
+        report = block_structure_report(result.ptdf, outage)
         assert report.cross_block_max < 1e-9 * max(1.0, report.matrix_scale)
 
 
@@ -407,7 +405,7 @@ def test_parts_come_from_the_post_contingency_factor_not_the_ptdf(fig2):
         bundle, ptdf = make_factors(net)
         outage = OutageSet(net, lines)
         post = glodf(bundle, ptdf, net, outage, method="post_contingency")
-        report = block_structure_report(post, block_decomposition(net), outage)
+        report = block_structure_report(post.ptdf, outage)
         for block in report.blocks:
             rows = [outage.surviving.index(line) for line in block.row_ids]
             cols = [outage.outaged.index(line) for line in block.col_ids]
@@ -438,6 +436,27 @@ def test_adversarial_capacity_builds_no_dense_matrix(monkeypatch, fig2):
     monkeypatch.setattr(factors, "ptdf_matrix", refuse)
     instance = adversarial_capacity(bundle, fig2, 1, 2)
     assert instance.capacities.shape == (fig2.m,)
+
+
+def test_one_network_builds_its_decomposition_once(monkeypatch):
+    built = []
+    decompose = graph_algos.block_decomposition
+
+    def counting(network):
+        built.append(network)
+        return decompose(network)
+
+    monkeypatch.setattr(graph_algos, "block_decomposition", counting)
+    net = build(fig2_doc())
+    bundle, ptdf = make_factors(net)
+    outage = OutageSet(net, [1, 6])
+    lodf_single(ptdf, 1)
+    influence_graph(ptdf, 0.05)
+    block_structure_report(ptdf, outage)
+    almost_sure_nonzero_test(net, outage, PerturbationSpec(trials=2))
+    adversarial_capacity(bundle, net, 1, 2)
+    assert simple_cycle_criterion(net, 2, 1) == "possibly_nonzero"
+    assert len(built) == 1 and built[0] is net
 
 
 def _adversarial_by_full_ptdf(bundle, net, tripped, target):

@@ -21,8 +21,10 @@ from it, whose stage fails the GLODF update's certificate and is
 re-solved), cascades and ``verify``.  Its networks are the test fixtures
 of ``tests/conftest.py`` and the ``perfbench/gen.py`` block trees and
 oracle grids for seeds 2 and 7.  Runs share one process, as a caller of
-``gridfactor.cli.run`` would.  The ``demos/*.py`` scripts then run in the
-same process through ``runpy``; they reach library calls no CLI run makes
+``gridfactor.cli.run`` would.  The ``demos/*.py`` scripts of the checkout
+that holds ``--src`` (its ``demos`` directory, beside ``src``) then run in
+the same process through ``runpy``, so each tree runs the demos written
+for its own API; they reach library calls no CLI run makes
 (``pseudo_inverse_flow``, ``apply_outage``, ``adversarial_capacity``), and
 their exit code is 0, or 1 when one raises.
 """
@@ -139,13 +141,15 @@ def _write_csv(doc: dict, folder: Path) -> None:
 
 
 def outputs(src) -> Iterator[tuple[str, int, str, str]]:
-    """Run the corpus on the gridfactor package in ``src``.
+    """Run the corpus on the gridfactor package in ``src``, then the demos beside ``src``.
 
-    Yields each run's label, exit code, stdout and stderr, in corpus order.
+    Yields each run's label, exit code, stdout and stderr, in corpus order;
+    a demo's label is ``demos/<name>`` whichever tree it comes from.
     ``src`` must be the first gridfactor this process imports: a second
     tree needs a process of its own.
     """
-    sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "tests"), str(ROOT / "perfbench")]
+    src = Path(src).resolve()
+    sys.path[:0] = [str(src), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
     import conftest
     import gen
@@ -191,8 +195,8 @@ def outputs(src) -> Iterator[tuple[str, int, str, str]]:
 
         for run_argv in corpus:
             yield (shlex.join(run_argv), *_capture(lambda: run(run_argv)))
-        for demo in sorted((ROOT / "demos").glob("*.py")):
-            yield (demo.relative_to(ROOT).as_posix(), *_capture(lambda: _run_demo(demo)))
+        for demo in sorted((src.parent / "demos").glob("*.py")):
+            yield (f"demos/{demo.name}", *_capture(lambda: _run_demo(demo)))
 
 
 def main(argv=None) -> int:
