@@ -7,6 +7,8 @@ and feeds it to the stage-wise simulator, which trips the target and then
 detects islanding.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from gridfactor import (
@@ -41,7 +43,7 @@ pre = solve_flow(bundle, triangle, instance.injections)
 print("pre-outage flows:", pre.flows, "- all within capacity:",
       bool(np.all(np.abs(pre.flows) <= instance.capacities)))
 
-armed = triangle.with_capacities(instance.capacities)
+armed = replace(triangle, cap=tuple(instance.capacities.tolist()))
 trace = run_cascade(armed, instance.injections, initial_outage=[1])
 print(f"\ncascade status: {trace.status} (islanding detected at stage "
       f"{trace.islanded_at_stage})")

@@ -129,7 +129,7 @@ def run_cascade(
             state = _outage_flow(factor, network, p, base, out)
         stages.append(Stage(tripped=tripped, flow=state))
         over = alive & (np.abs(state.flows) > capacities)
-        tripped = frozenset(network.edges[k].id for k in np.flatnonzero(over).tolist())
+        tripped = frozenset(map(network.ids.__getitem__, np.flatnonzero(over).tolist()))
         if not tripped:
             status = "no_initial_overload" if len(stages) == 1 else "converged"
             return CascadeTrace(

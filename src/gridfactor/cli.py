@@ -102,7 +102,7 @@ def _parse_lines(text: str) -> list[int]:
 def _flow_payload(network, state) -> dict:
     return {
         "theta": {str(node): v for node, v in zip(network.nodes, state.theta.tolist())},
-        "flows": {str(edge.id): v for edge, v in zip(network.edges, state.flows.tolist())},
+        "flows": dict(zip(map(str, network.ids), state.flows.tolist())),
     }
 
 

@@ -45,24 +45,27 @@ class PtdfMatrix:
 
     A unit injection across a line's ends moves flow only inside that line's
     block (Part I of the paper), so D is block-diagonal in ``network.decomposition``.
-    :meth:`columns` solves only the columns asked for and writes 0.0 in every
-    row outside each column's block; :attr:`matrix` holds all m columns with
-    the same bits, and once it is built, :meth:`columns` slices it.
+    :meth:`columns` solves only the columns asked for and :meth:`masked` writes
+    0.0 in every row outside each column's block; :attr:`matrix` holds all m
+    columns with the same bits, and once it is built, :meth:`columns` slices it.
     """
 
     def __init__(self, bundle: LaplacianBundle, network: Network):
         self.bundle = bundle
         self.network = network
-        self.line_ids = network.edge_ids()
+        self.line_ids = network.ids
         self._block = network.decomposition.block_at
 
     def columns(self, positions) -> np.ndarray:
         """D[:, positions], with exact zeros outside each column's block."""
         if "matrix" in self.__dict__:
             return self.matrix[:, positions]
-        d_cols = self.bundle.sensitivity_columns(positions)
-        d_cols[self._block[:, None] != self._block[positions]] = 0.0
-        return d_cols
+        return self.masked(self.bundle.sensitivity_columns(positions), positions)
+
+    def masked(self, whole: np.ndarray, positions) -> np.ndarray:
+        """The unmasked D[:, positions] ``whole``, with 0.0 written in place outside each column's block."""
+        whole[self._block[:, None] != self._block[positions]] = 0.0
+        return whole
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -93,7 +96,7 @@ class OutageSet:
 
     @cached_property
     def surviving(self) -> tuple[int, ...]:
-        return tuple(self.network.edges[k].id for k in self.surviving_idx.tolist())
+        return tuple(map(self.network.ids.__getitem__, self.surviving_idx.tolist()))
 
     @property
     def size(self) -> int:

@@ -208,7 +208,7 @@ class _Oracle:
         source, target = (ends.tolist() for ends in network.endpoints)
         self.n = network.n
         self.ends = dict(zip(ids, zip(source, target)))
-        self.weights = {edge.id: edge.susceptance for edge in network.edges}
+        self.weights = dict(zip(ids, network.b))
         exact = {eid: _nice_fraction(w) for eid, w in self.weights.items()}
         self.scaled = None
         if all(v is not None for v in exact.values()):
@@ -373,7 +373,7 @@ def lodf_via_forests(network: Network, line: int, outaged: int) -> float:
     hat = network.edge_by_id(outaged)
     i, j = edge.source, edge.target
 
-    allowed = frozenset(e.id for e in network.edges if e.id != outaged)
+    allowed = frozenset(network.ids) - {outaged}
     _, den, den_exact = _oracle(network).trees_within(allowed)
     if den == 0.0:
         raise BridgeError(f"line {outaged} is a bridge; no spanning tree avoids it")
@@ -440,7 +440,7 @@ def effective_reactance(network: Network, line: int) -> ReactanceReport:
     _, den, den_exact = _oracle(network).trees_within(None)
     effective = _ratio(num, num_exact, den, den_exact)
 
-    allowed = frozenset(e.id for e in network.edges if e.id != line)
+    allowed = frozenset(network.ids) - {line}
     _, avoid, avoid_exact = _oracle(network).trees_within(allowed)
     ratio = _ratio(avoid, avoid_exact, den, den_exact)
 

@@ -26,12 +26,13 @@ class BlockDecomposition:
     ``blocks`` is ordered by first edge appearance (ascending smallest edge
     id), which makes ``block_of`` deterministic for a given network.
     ``block_at`` holds the same block index by edge position, read-only.
+    Both index maps follow from ``blocks``, so neither is compared or hashed.
     """
 
     blocks: tuple[frozenset[int], ...]
     bridges: frozenset[int]
     cut_vertices: frozenset[int]
-    block_of: MappingProxyType
+    block_of: MappingProxyType = field(compare=False)
     block_at: np.ndarray = field(compare=False, repr=False)
 
 

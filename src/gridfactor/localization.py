@@ -111,7 +111,7 @@ def block_structure_report(ptdf: PtdfMatrix, outage: OutageSet) -> LocalizationR
     cross_max = float(np.max(magnitude[~same_block], initial=0.0))
     zero_count = int(np.count_nonzero(magnitude[same_block] < tol))
 
-    d_cols = ptdf.columns(cols)
+    d_cols = ptdf.masked(whole, cols)  # K above read its own copies of the rows
     post = _post_contingency_columns(network, cols)
     blocks = []
     for index in np.unique(col_block).tolist():

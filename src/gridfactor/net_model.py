@@ -19,10 +19,12 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import compress
+from itertools import count, repeat
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ParseError, UnbalancedInjectionError, UnknownEdgeError, ValidationError
 
@@ -35,7 +37,6 @@ __all__ = [
     "network_to_document",
     "incidence_matrix",
     "incidence_columns",
-    "is_connected",
     "validate",
     "injection_vector",
 ]
@@ -76,22 +77,26 @@ class Edge:
 
 @dataclass(frozen=True)
 class Network:
-    """Immutable oriented graph with per-line susceptance and capacity.
+    """Immutable oriented graph held as per-line columns.
 
-    ``nodes`` is kept in ascending order; ``edges`` keeps document order,
-    which fixes both the line indexing and the edge orientation.
-    ``injections`` is the optional per-node real power vector aligned with
-    ``nodes``.
+    ``nodes`` is kept in ascending order.  The line columns ``ids``,
+    ``sources``, ``targets``, ``b`` (susceptance) and ``cap`` (capacity,
+    infinite when the line can never trip) keep document order, which fixes
+    the line indexing and orientation.  ``injections`` is the optional
+    per-node real power vector aligned with ``nodes``.
 
-    The topology index (the id-to-position maps of nodes and edges, the
-    edge endpoint positions, the position-space adjacency lists and whether
-    the network is connected), the Laplacian :attr:`factor` and the block
+    The topology index (id-to-position maps, endpoint positions, adjacency
+    lists, connectedness), the :attr:`edges` view, the :attr:`factor` and the
     :attr:`decomposition` are built once per instance, on first use, and are
     not part of equality, hashing or ``repr``.
     """
 
     nodes: tuple[int, ...]
-    edges: tuple[Edge, ...]
+    ids: tuple[int, ...]
+    sources: tuple[int, ...]
+    targets: tuple[int, ...]
+    b: tuple[float, ...]
+    cap: tuple[float, ...]
     reference: int
     injections: tuple[float, ...] | None = None
 
@@ -101,24 +106,32 @@ class Network:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.ids)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The lines as :class:`Edge` records, in line order."""
+        return tuple(map(Edge, self.ids, self.sources, self.targets, self.b, self.cap))
 
     @cached_property
     def _node_lookup(self) -> dict[int, int]:
-        return {node: k for k, node in enumerate(self.nodes)}
+        return dict(zip(self.nodes, range(self.n)))
 
     @cached_property
     def _edge_lookup(self) -> dict[int, int]:
-        return {edge.id: k for k, edge in enumerate(self.edges)}
+        return dict(zip(self.ids, range(self.m)))
 
     @cached_property
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only node positions of every edge's source and target, in edge order."""
-        lookup = self._node_lookup
-        pairs = [(lookup[edge.source], lookup[edge.target]) for edge in self.edges]
-        source, target = np.array(pairs, dtype=int).reshape(-1, 2).T
-        source.flags.writeable = target.flags.writeable = False
-        return source, target
+        """Read-only node positions of every line's source and target, in line order.
+
+        An end that is not a node is numbered from n on, equal ids alike
+        (:func:`validate` refuses such a network).
+        """
+        position = dict(self._node_lookup).setdefault
+        ends = np.fromiter(map(position, self.sources + self.targets, count(self.n)), int, 2 * self.m)
+        ends.flags.writeable = False
+        return ends[:self.m], ends[self.m:]
 
     @cached_property
     def _adjacency(self) -> list[list[tuple[int, int]]]:
@@ -131,7 +144,10 @@ class Network:
 
     @cached_property
     def _connected(self) -> bool:
-        return is_connected(self)
+        """True when every node is reachable from every other; every line end must be a node."""
+        source, target = self.endpoints
+        graph = scipy.sparse.coo_array((np.ones(self.m), (source, target)), shape=(self.n, self.n))
+        return connected_components(graph, directed=False, return_labels=False) <= 1
 
     @cached_property
     def factor(self):
@@ -183,38 +199,16 @@ class Network:
         return self.edges[self.edge_index(edge_id)]
 
     def edge_ids(self) -> tuple[int, ...]:
-        return tuple(edge.id for edge in self.edges)
+        return self.ids
 
     def susceptances(self) -> np.ndarray:
-        return np.array([edge.susceptance for edge in self.edges], dtype=float)
+        return np.array(self.b, dtype=float)
 
     def capacities(self) -> np.ndarray:
-        return np.array([edge.capacity for edge in self.edges], dtype=float)
+        return np.array(self.cap, dtype=float)
 
     def reference_index(self) -> int:
         return self.node_index(self.reference)
-
-    def with_susceptances(self, values) -> "Network":
-        """Copy of the network with per-edge susceptances replaced."""
-        return self._with_line_values("susceptance", "susceptances", values)
-
-    def with_capacities(self, values) -> "Network":
-        """Copy of the network with per-edge capacities replaced."""
-        return self._with_line_values("capacity", "capacities", values)
-
-    def _with_line_values(self, name: str, plural: str, values) -> "Network":
-        """Copy with one per-edge parameter replaced."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.m,):
-            raise ValidationError(f"expected {self.m} {plural}, got {values.shape}")
-        edges = tuple(replace(edge, **{name: float(v)}) for edge, v in zip(self.edges, values))
-        return replace(self, edges=edges)
-
-    def without_edges(self, edge_ids) -> "Network":
-        """Copy with the given lines removed; surviving edges keep their ids."""
-        keep = np.ones(self.m, dtype=bool)
-        keep[self.edge_positions(set(edge_ids))] = False
-        return replace(self, edges=tuple(compress(self.edges, keep)))
 
     def disconnected_by(self, positions) -> bool:
         """True when removing the lines at these edge positions disconnects the network.
@@ -307,6 +301,45 @@ def _parse_capacity(raw, what: str) -> float:
     return _parse_real(raw, what)
 
 
+def _line_columns(raw_edges: list):
+    """The line columns sources, targets, b and cap.
+
+    Objects with JSON-int ends and a JSON-number ``b`` (by exact type: a
+    boolean is not a number) are read a column at a time, a ``cap`` that is
+    not a JSON number alone through :func:`_parse_capacity`.  Anything else
+    is parsed one item at a time, so a refusal names the first bad item.
+    """
+    try:
+        if set(map(type, raw_edges)) <= {dict}:
+            sources, targets, b = ([item[key] for item in raw_edges] for key in ("from", "to", "b"))
+            if set(map(type, sources)) | set(map(type, targets)) <= {int} and set(map(type, b)) <= {int, float}:
+                cap = [item.get("cap") for item in raw_edges]
+                for k in [k for k, kind in enumerate(map(type, cap)) if kind not in (int, float)]:
+                    cap[k] = math.inf if cap[k] is None else _parse_capacity(cap[k], f"edge #{k + 1} 'cap'")
+                return sources, targets, list(map(float, b)), list(map(float, cap))
+    except KeyError:
+        pass
+    rows = []
+    for k, item in enumerate(raw_edges):
+        name = f"edge #{k + 1}"
+        if not isinstance(item, dict) or not {"from", "to", "b"} <= item.keys():
+            raise ParseError(f"{name} is malformed: expected an object with 'from', 'to' and 'b'")
+        rows.append((_parse_id(item["from"], f"{name} 'from'"), _parse_id(item["to"], f"{name} 'to'"),
+                     _parse_real(item["b"], f"{name} 'b'"), _parse_capacity(item.get("cap"), f"{name} 'cap'")))
+    return list(zip(*rows)) or ([], [], [], [])
+
+
+def _injections_by_node(raw_inj: dict) -> dict[int, float]:
+    """Injection per node id; ids of 1 to 15 ASCII digits with JSON-number values are read in one pass."""
+    digits = set(map(type, raw_inj)) <= {str} and "".join(raw_inj)
+    # Below 10**15 < 2**53, int(text) is the id _parse_id reads through float(text).
+    if (digits and digits.isascii() and digits.isdigit() and all(raw_inj) and max(map(len, raw_inj)) < 16
+            and set(map(type, raw_inj.values())) <= {int, float}):
+        return dict(zip(map(int, raw_inj), map(float, raw_inj.values())))
+    return {_parse_id(k, "a node id in 'injections'"): _parse_real(v, f"the injection at node {k}")
+            for k, v in raw_inj.items()}
+
+
 def _network_from_document(doc: dict) -> Network:
     if not isinstance(doc, dict):
         raise ParseError("network document must be a JSON object")
@@ -316,27 +349,21 @@ def _network_from_document(doc: dict) -> Network:
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):
         raise ParseError("'edges' must be a list")
-
-    edges = []
-    for k, item in enumerate(raw_edges):
-        name = f"edge #{k + 1}"
-        if not isinstance(item, dict) or not {"from", "to", "b"} <= item.keys():
-            raise ParseError(f"{name} is malformed: expected an object with 'from', 'to' and 'b'")
-        edges.append(Edge(id=k + 1, source=_parse_id(item["from"], f"{name} 'from'"),
-                          target=_parse_id(item["to"], f"{name} 'to'"),
-                          susceptance=_parse_real(item["b"], f"{name} 'b'"),
-                          capacity=_parse_capacity(item.get("cap"), f"{name} 'cap'")))
+    sources, targets, b, cap = _line_columns(raw_edges)
 
     if "nodes" in doc:
-        if not isinstance(doc["nodes"], list):
+        raw_nodes = doc["nodes"]
+        if not isinstance(raw_nodes, list):
             raise ParseError("'nodes' must be a list of node ids")
-        nodes = tuple(sorted(_parse_id(v, "a node id in 'nodes'") for v in doc["nodes"]))
+        if not set(map(type, raw_nodes)) <= {int}:
+            raw_nodes = [_parse_id(v, "a node id in 'nodes'") for v in raw_nodes]
+        nodes = tuple(sorted(raw_nodes))
     else:
-        seen = {e.source for e in edges} | {e.target for e in edges}
-        nodes = tuple(sorted(seen))
+        nodes = tuple(sorted(set(sources) | set(targets)))
 
     if "reference" in doc:
-        reference = _parse_id(doc["reference"], "'reference'")
+        raw_ref = doc["reference"]
+        reference = raw_ref if type(raw_ref) is int else _parse_id(raw_ref, "'reference'")
     else:
         reference = nodes[-1] if nodes else 0
 
@@ -345,14 +372,14 @@ def _network_from_document(doc: dict) -> Network:
         raw_inj = doc["injections"]
         if not isinstance(raw_inj, dict):
             raise ParseError("'injections' must map node ids to reals")
-        by_node = {_parse_id(k, "a node id in 'injections'"): _parse_real(v, f"the injection at node {k}")
-                   for k, v in raw_inj.items()}
+        by_node = _injections_by_node(raw_inj)
         unknown = set(by_node) - set(nodes)
         if unknown:
             raise ParseError(f"injections name unknown nodes {sorted(unknown)}")
-        injections = tuple(by_node.get(node, 0.0) for node in nodes)
+        injections = tuple(map(by_node.get, nodes, repeat(0.0)))
 
-    return Network(nodes=nodes, edges=tuple(edges), reference=reference,
+    return Network(nodes=nodes, ids=tuple(range(1, len(sources) + 1)), sources=tuple(sources),
+                   targets=tuple(targets), b=tuple(b), cap=tuple(cap), reference=reference,
                    injections=injections)
 
 
@@ -430,13 +457,8 @@ def network_to_document(network: Network) -> dict:
         "nodes": list(network.nodes),
         "reference": network.reference,
         "edges": [
-            {
-                "from": edge.source,
-                "to": edge.target,
-                "b": edge.susceptance,
-                "cap": "inf" if math.isinf(edge.capacity) else edge.capacity,
-            }
-            for edge in network.edges
+            {"from": s, "to": t, "b": b, "cap": "inf" if math.isinf(c) else c}
+            for s, t, b, c in zip(network.sources, network.targets, network.b, network.cap)
         ],
     }
     if network.injections is not None:
@@ -461,21 +483,13 @@ def incidence_columns(network: Network, positions) -> np.ndarray:
     return columns
 
 
-def is_connected(network: Network) -> bool:
-    """True when every node is reachable from every other through the edges.
-
-    One search of the network's adjacency; every edge endpoint must be a
-    known node, which :func:`validate` checks before it asks.
-    """
-    if network.n == 0:
-        return True
-    reached, stack = {0}, [0]
-    while stack:
-        for other, _ in network._adjacency[stack.pop()]:
-            if other not in reached:
-                reached.add(other)
-                stack.append(other)
-    return len(reached) == network.n
+def _repeats(keys) -> np.ndarray:
+    """Mask of the entries of a sequence that equal an earlier entry."""
+    repeats = np.zeros(len(keys), dtype=bool)
+    if len(set(keys)) < len(keys):
+        repeats[:] = True
+        repeats[np.unique(keys, return_index=True)[1]] = False
+    return repeats
 
 
 def validate(network: Network) -> ValidationReport:
@@ -483,6 +497,9 @@ def validate(network: Network) -> ValidationReport:
 
     Unlike :func:`load_network` this never raises; callers inspect the
     report.  An empty report means the network satisfies all invariants.
+    Each per-line check is one mask over the line columns; findings come
+    per flagged line, in line order.  Connectivity is one
+    ``connected_components`` pass over the endpoint positions.
     """
     findings: list[Finding] = []
     node_set = set(network.nodes)
@@ -499,30 +516,24 @@ def validate(network: Network) -> ValidationReport:
     if network.reference not in node_set:
         findings.append(Finding("bad_reference", f"reference {network.reference} is not a node"))
 
-    seen_ids = set()
-    seen_pairs = set()
-    for edge in network.edges:
-        if edge.id in seen_ids:
-            findings.append(Finding("duplicate_edge_id", f"edge id {edge.id} repeats"))
-        seen_ids.add(edge.id)
-        if edge.source == edge.target:
-            findings.append(Finding("self_loop", f"edge {edge.id} is a self-loop at node {edge.source}"))
-        pair = frozenset((edge.source, edge.target))
-        if pair in seen_pairs:
-            findings.append(Finding(
-                "duplicate_edge",
-                f"edge {edge.id} repeats endpoint pair {tuple(sorted(pair))} (in either orientation)",
-            ))
-        seen_pairs.add(pair)
-        for endpoint in (edge.source, edge.target):
-            if endpoint not in node_set:
-                findings.append(Finding("unknown_endpoint", f"edge {edge.id} uses unknown node {endpoint}"))
-        if not math.isfinite(edge.susceptance):
-            findings.append(Finding("nonfinite_susceptance", f"edge {edge.id} has b={edge.susceptance}"))
-        elif not edge.susceptance > 0:
-            findings.append(Finding("nonpositive_susceptance", f"edge {edge.id} has b={edge.susceptance}"))
-        if not edge.capacity > 0:
-            findings.append(Finding("nonpositive_capacity", f"edge {edge.id} has cap={edge.capacity}"))
+    ids, sources, targets, m = network.ids, network.sources, network.targets, network.m
+    source, target = network.endpoints  # equal ids, equal positions, known or not
+    low, high = np.minimum(source, target), np.maximum(source, target)
+    b, cap = network.susceptances(), network.capacities()
+    checks = (
+        ("duplicate_edge_id", _repeats(ids), lambda k: f"edge id {ids[k]} repeats"),
+        ("self_loop", low == high, lambda k: f"edge {ids[k]} is a self-loop at node {sources[k]}"),
+        ("duplicate_edge", _repeats((low * (network.n + 2 * m) + high).tolist()), lambda k: (
+            f"edge {ids[k]} repeats endpoint pair {tuple(sorted({sources[k], targets[k]}))}"
+            " (in either orientation)")),
+        ("unknown_endpoint", source >= network.n, lambda k: f"edge {ids[k]} uses unknown node {sources[k]}"),
+        ("unknown_endpoint", target >= network.n, lambda k: f"edge {ids[k]} uses unknown node {targets[k]}"),
+        ("nonfinite_susceptance", ~np.isfinite(b), lambda k: f"edge {ids[k]} has b={network.b[k]}"),
+        ("nonpositive_susceptance", np.isfinite(b) & ~(b > 0), lambda k: f"edge {ids[k]} has b={network.b[k]}"),
+        ("nonpositive_capacity", ~(cap > 0), lambda k: f"edge {ids[k]} has cap={network.cap[k]}"),
+    )
+    for k in np.flatnonzero(np.any([mask for _, mask, _ in checks], axis=0)).tolist():
+        findings += [Finding(code, detail(k)) for code, mask, detail in checks if mask[k]]
 
     if network.injections is not None and len(network.injections) != network.n:
         findings.append(Finding(

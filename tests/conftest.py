@@ -1,5 +1,9 @@
 """Shared fixtures: canonical small networks, random corpora, test oracles."""
 
+from dataclasses import replace
+from itertools import compress
+
+import numpy as np
 import pytest
 
 from gridfactor import is_cut_set, load_network
@@ -7,6 +11,24 @@ from gridfactor import is_cut_set, load_network
 
 def build(doc, **kwargs):
     return load_network(doc, **kwargs)
+
+
+def with_susceptances(network, values):
+    """Copy of the network with its line susceptances replaced."""
+    return replace(network, b=tuple(np.asarray(values, dtype=float).tolist()))
+
+
+def with_capacities(network, values):
+    """Copy of the network with its line capacities replaced."""
+    return replace(network, cap=tuple(np.asarray(values, dtype=float).tolist()))
+
+
+def without_edges(network, edge_ids):
+    """Copy of the network without the given lines; the surviving lines keep their ids."""
+    keep = np.ones(network.m, dtype=bool)
+    keep[network.edge_positions(set(edge_ids))] = False
+    return replace(network, **{name: tuple(compress(getattr(network, name), keep))
+                               for name in ("ids", "sources", "targets", "b", "cap")})
 
 
 def triangle_doc():

@@ -44,6 +44,7 @@ from conftest import (
     random_network,
     sample_non_cut_outage,
     triangle_doc,
+    with_capacities,
 )
 
 MTT_CORPUS_SEED = 8011
@@ -250,7 +251,7 @@ def test_criterion_09_adversarial_cascade():
     pre = solve_flow(bundle, triangle, instance.injections)
     assert np.all(np.abs(pre.flows) <= instance.capacities + 1e-15)
 
-    armed = triangle.with_capacities(instance.capacities)
+    armed = with_capacities(triangle, instance.capacities)
     trace = run_cascade(armed, instance.injections, [1])
     assert trace.stages[1].tripped == frozenset({3})
     assert trace.status == "islanded"

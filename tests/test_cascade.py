@@ -35,13 +35,15 @@ from conftest import (
     random_network,
     sample_non_cut_outage,
     stiff_triangle_doc,
+    with_capacities,
+    with_susceptances,
 )
 
 
 def armed_triangle(triangle):
     bundle = build_laplacian(triangle)
     instance = adversarial_capacity(bundle, triangle, 1, 3)
-    return triangle.with_capacities(instance.capacities), instance
+    return with_capacities(triangle, instance.capacities), instance
 
 
 def test_adversarial_trace(triangle):
@@ -98,7 +100,7 @@ def test_flow_conservation_each_stage():
             continue
         p = random_balanced_injection(rng, net.n)
         caps = np.abs(solve_flow(build_laplacian(net), net, p).flows) * 1.05 + 1e-6
-        armed = net.with_capacities(caps)
+        armed = with_capacities(net, caps)
         try:
             trace = run_cascade(armed, p, outage)
         except MaxStagesError:
@@ -188,7 +190,7 @@ def count_factors(monkeypatch):
 
 def test_cascades_on_one_network_share_its_factor(count_factors):
     # Trips line 2, then line 4, then settles: three connected stages, none a cut.
-    armed = build(k4_doc()).with_capacities([0.3, 0.3, 1.0, 0.3, 0.6, 0.6])
+    armed = with_capacities(build(k4_doc()), [0.3, 0.3, 1.0, 0.3, 0.6, 0.6])
     p = [1.0, 0.5, -0.5, -1.0]
     assert run_cascade(armed, p, [1]).tripped_by_stage() == ({1}, {2}, {4})
     assert len(count_factors) == 1
@@ -220,7 +222,7 @@ def test_every_stage_balances_and_matches_the_re_solve(seed):
         return
     p = random_balanced_injection(rng, net.n)
     base = solve_flow(build_laplacian(net), net, p).flows
-    armed = net.with_capacities(np.abs(base) * rng.uniform(1.0, 1.5, net.m) + 1e-3)
+    armed = with_capacities(net, np.abs(base) * rng.uniform(1.0, 1.5, net.m) + 1e-3)
     trace = run_cascade(armed, p, outage)
     source, target = net.endpoints
     out = []
@@ -271,7 +273,7 @@ def test_stiff_stages_are_exact_or_re_solved():
     updated = re_solved = 0
     for _ in range(300):
         net = random_network(rng)
-        net = net.with_susceptances(10.0 ** rng.uniform(-6, 6, net.m))
+        net = with_susceptances(net, 10.0 ** rng.uniform(-6, 6, net.m))
         p = random_balanced_injection(rng, net.n)
         bridges = block_decomposition(net).bridges
         for k, line in enumerate(net.edge_ids()):

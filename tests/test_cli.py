@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from gridfactor import (
-    Edge, LaplacianBundle, Network, ParseError, SingularError, ValidationError, build_laplacian, cli,
+    LaplacianBundle, Network, ParseError, SingularError, ValidationError, build_laplacian, cli,
     factors, load_network, validate,
 )
 from gridfactor.cli import run
@@ -128,6 +128,25 @@ def test_glodf_cross_check_solves_the_outage_columns_once(monkeypatch, capsys, f
     assert capsys.readouterr().out == counted_out
 
 
+def test_localize_solves_the_outage_columns_once_per_factor(monkeypatch, capsys, fig2_path):
+    factored = []
+    original = LaplacianBundle.sensitivity_columns
+
+    def counted(self, positions):
+        factored.append(self)
+        return original(self, positions)
+
+    monkeypatch.setattr(LaplacianBundle, "sensitivity_columns", counted)
+    argv = ["localize", fig2_path, "--lines", "1,7"]
+    assert run(argv) == 0
+    counted_out = capsys.readouterr().out
+    pre_outage = [bundle for bundle in factored if bundle.b.all()]  # the other zeroes the tripped lines
+    assert len(pre_outage) == 1 and len(factored) == 2
+    monkeypatch.undo()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == counted_out
+
+
 def test_localize(capsys, fig2_path):
     assert run(["localize", fig2_path, "--lines", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -196,8 +215,11 @@ def test_stiff_connected_network_is_not_called_disconnected(capsys, tmp_path):
 @pytest.mark.parametrize("reverse", [False, True])
 def test_parallel_lines_are_refused(capsys, tmp_path, reverse):
     doc = parallel_lines_doc(reverse)
-    edges = tuple(Edge(k + 1, e["from"], e["to"], e["b"]) for k, e in enumerate(doc["edges"]))
-    assert validate(Network(nodes=(1, 2, 3), edges=edges, reference=3)).codes() == ("duplicate_edge",)
+    lines = doc["edges"]
+    net = Network(nodes=(1, 2, 3), ids=(1, 2, 3, 4), sources=tuple(e["from"] for e in lines),
+                  targets=tuple(e["to"] for e in lines), b=tuple(e["b"] for e in lines),
+                  cap=(math.inf,) * 4, reference=3)
+    assert validate(net).codes() == ("duplicate_edge",)
     with pytest.raises(ValidationError, match="duplicate_edge"):
         load_network(doc)
     path = tmp_path / "parallel.json"

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridfactor import (
-    Edge,
     LaplacianBundle,
     Network,
     OutageSet,
@@ -40,6 +40,9 @@ from conftest import (
     random_network,
     reference_separates_oracle,
     sample_non_cut_outage,
+    with_capacities,
+    with_susceptances,
+    without_edges,
 )
 
 
@@ -189,11 +192,8 @@ def test_reduced_determinant_matches_tree_weight():
 
 
 def test_singular_error_on_disconnected_graph():
-    net = Network(
-        nodes=(1, 2, 3, 4),
-        edges=(Edge(1, 1, 2, 1.0), Edge(2, 3, 4, 1.0)),
-        reference=4,
-    )
+    net = Network(nodes=(1, 2, 3, 4), ids=(1, 2), sources=(1, 3), targets=(2, 4),
+                  b=(1.0, 1.0), cap=(math.inf, math.inf), reference=4)
     with pytest.raises(SingularError):
         build_laplacian(net)
 
@@ -223,13 +223,13 @@ def test_solves_never_build_the_inverse(monkeypatch, k4):
     apply_outage(bundle, k4, p, outage)
     glodf(bundle, ptdf, k4, outage, method="post_contingency")
     # Trips line 2, then line 4, then settles: three re-solves.
-    armed = k4.with_capacities([0.3, 0.3, 1.0, 0.3, 0.6, 0.6])
+    armed = with_capacities(k4, [0.3, 0.3, 1.0, 0.3, 0.6, 0.6])
     assert run_cascade(armed, p, [1]).tripped_by_stage() == ({1}, {2}, {4})
 
 
 def _copied_network_flow(net, p, tripped_ids):
     """The reference re-solve: factor a copy of the network without the tripped lines."""
-    surviving = net.without_edges(tripped_ids)
+    surviving = without_edges(net, tripped_ids)
     state = solve_flow(build_laplacian(surviving), surviving, p)
     flows = np.zeros(net.m)
     flows[[net.edge_index(edge.id) for edge in surviving.edges]] = state.flows
@@ -255,7 +255,7 @@ def test_zeroed_weights_match_the_copied_network(seed):
 
     bundle = build_laplacian(net)
     k_matrix = glodf(bundle, ptdf_matrix(bundle, net), net, outage, "post_contingency").k_matrix
-    reduced = build_laplacian(net.without_edges(outage.outaged))
+    reduced = build_laplacian(without_edges(net, outage.outaged))
     c_out = incidence_columns(net, outage.outaged_idx)
     assert np.array_equal(k_matrix, reduced.branch_flows(reduced.solve(c_out)))
 
@@ -292,22 +292,21 @@ def test_given_susceptances_are_copied(triangle):
     bundle = build_laplacian(triangle, weights)
     weights[:] = 1.0
     assert bundle.b.tolist() == [2.0, 3.0, 4.0]
-    assert np.array_equal(bundle.L, build_laplacian(triangle.with_susceptances([2.0, 3.0, 4.0])).L)
+    assert np.array_equal(bundle.L, build_laplacian(with_susceptances(triangle, [2.0, 3.0, 4.0])).L)
 
 
 def test_outage_paths_copy_no_network(monkeypatch):
     net = build(grid_doc(3))
     p = random_balanced_injection(np.random.default_rng(4), net.n)
-    armed = net.with_capacities(np.abs(solve_flow(build_laplacian(net), net, p).flows) + 1e-3)
+    armed = with_capacities(net, np.abs(solve_flow(build_laplacian(net), net, p).flows) + 1e-3)
     bundle = build_laplacian(armed)
     ptdf = ptdf_matrix(bundle, armed)
     outage = OutageSet(armed, [1, 12])
 
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("a network copy was built")
 
-    monkeypatch.setattr(Network, "without_edges", refuse)
-    monkeypatch.setattr(Network, "with_susceptances", refuse)
+    monkeypatch.setattr(Network, "__init__", refuse)
     _, post = apply_outage(bundle, armed, p, outage)
     assert np.array_equal(post.flows[outage.outaged_idx], [0.0, 0.0])
     trace = run_cascade(armed, p, [1])

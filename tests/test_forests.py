@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from gridfactor import (
     BridgeError,
-    Edge,
     Network,
     SingularError,
     TooLargeError,
@@ -26,7 +26,7 @@ from gridfactor import (
 from gridfactor import forests
 from gridfactor.cli import run
 
-from conftest import build, grid_doc, k4_doc, random_network
+from conftest import build, grid_doc, k4_doc, random_network, with_susceptances
 
 
 def test_triangle_spanning_trees(triangle):
@@ -225,7 +225,8 @@ def test_unit_weight_determinant_counts_the_spanning_trees(triangle):
 
 
 def test_disconnected_network_is_refused_by_the_unit_weight_factor():
-    net = Network(nodes=(1, 2, 3, 4), edges=(Edge(1, 1, 2, 1.0), Edge(2, 3, 4, 1.0)), reference=4)
+    net = Network(nodes=(1, 2, 3, 4), ids=(1, 2), sources=(1, 3), targets=(2, 4),
+                  b=(1.0, 1.0), cap=(math.inf, math.inf), reference=4)
     with pytest.raises(SingularError):
         enumerate_spanning_trees(net)
 
@@ -362,7 +363,7 @@ def test_derived_forests_match_the_subset_scan(seed, extra, exact):
     rng = np.random.default_rng(seed)
     net = random_network(rng, max_nodes=7, max_extra=max_extra, min_extra=min_extra)
     if exact:
-        net = net.with_susceptances(np.round(net.susceptances() * 8) / 8)
+        net = with_susceptances(net, np.round(net.susceptances() * 8) / 8)
     scanned = _scanned_forests(net)
     oracle = forests._oracle(net)
     derived = oracle.forests

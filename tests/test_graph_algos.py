@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from gridfactor import (
     CutSetError,
     DisconnectedError,
-    Edge,
     Network,
     OutageSet,
     UnknownEdgeError,
@@ -22,7 +22,6 @@ from gridfactor import (
     run_cascade,
     shares_simple_cycle,
 )
-from gridfactor.net_model import is_connected
 
 from conftest import (
     connected_after_removal_oracle,
@@ -93,12 +92,16 @@ def test_decomposition_invariant_under_edge_reordering():
     assert base_blocks == other_blocks
 
 
+def test_equal_networks_have_equal_decompositions_with_equal_hashes():
+    first, second = load_network(fig2_doc()), load_network(fig2_doc())
+    assert first.decomposition is not second.decomposition
+    assert first.decomposition == second.decomposition
+    assert hash(first.decomposition) == hash(second.decomposition)
+
+
 def test_disconnected_graph_rejected():
-    net = Network(
-        nodes=(1, 2, 3, 4),
-        edges=(Edge(1, 1, 2, 1.0), Edge(2, 3, 4, 1.0)),
-        reference=4,
-    )
+    net = Network(nodes=(1, 2, 3, 4), ids=(1, 2), sources=(1, 3), targets=(2, 4),
+                  b=(1.0, 1.0), cap=(math.inf, math.inf), reference=4)
     with pytest.raises(DisconnectedError):
         block_decomposition(net)
 
@@ -115,18 +118,12 @@ def test_is_cut_set_unknown_edge(triangle):
 
 
 def test_is_cut_set_on_directly_built_networks():
-    split = Network(
-        nodes=(1, 2, 3, 4),
-        edges=(Edge(1, 1, 2, 1.0), Edge(2, 3, 4, 1.0)),
-        reference=4,
-    )
+    split = Network(nodes=(1, 2, 3, 4), ids=(1, 2), sources=(1, 3), targets=(2, 4),
+                    b=(1.0, 1.0), cap=(math.inf, math.inf), reference=4)
     assert is_cut_set(split, {1})
     assert is_cut_set(split, {2})
-    ring = Network(
-        nodes=(1, 2, 3),
-        edges=(Edge(1, 1, 2, 1.0), Edge(2, 2, 3, 1.0), Edge(3, 3, 1, 1.0)),
-        reference=3,
-    )
+    ring = Network(nodes=(1, 2, 3), ids=(1, 2, 3), sources=(1, 2, 3), targets=(2, 3, 1),
+                   b=(1.0, 1.0, 1.0), cap=(math.inf,) * 3, reference=3)
     assert not is_cut_set(ring, {2})
     assert is_cut_set(ring, {1, 2})
 
@@ -157,7 +154,7 @@ def test_is_cut_set_matches_whole_network_oracle(seed, extra):
     for _ in range(6):
         size = int(rng.integers(1, min(4, net.m - 1) + 1))
         outage = sorted(int(v) for v in rng.choice(ids, size=size, replace=False))
-        cut = not is_connected(net.without_edges(outage))
+        cut = not connected_after_removal_oracle(net, outage)
         assert is_cut_set(net, outage) == cut
         split = OutageSet(net, outage)
         assert detect_islanding(ptdf, split) == cut

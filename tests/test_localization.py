@@ -31,7 +31,15 @@ from gridfactor import (
 from gridfactor import factors, graph_algos, localization
 from gridfactor.net_model import RTOL, incidence_columns
 
-from conftest import build, fig2_doc, random_network, sample_non_cut_outage
+from conftest import (
+    build,
+    fig2_doc,
+    random_network,
+    sample_non_cut_outage,
+    with_capacities,
+    with_susceptances,
+    without_edges,
+)
 
 
 def make_factors(net):
@@ -213,7 +221,7 @@ def test_adversarial_capacity_triangle(triangle):
     assert np.all(np.abs(pre.flows) <= instance.capacities + 1e-12)
 
     # Post-outage: the target line, and only the target line, overloads.
-    survived = triangle.without_edges([1])
+    survived = without_edges(triangle, [1])
     post = solve_flow(build_laplacian(survived), survived, instance.injections)
     flows = {edge.id: post.flows[k] for k, edge in enumerate(survived.edges)}
     assert abs(flows[3]) > instance.capacities[2]
@@ -247,7 +255,7 @@ def test_adversarial_capacity_guarantee_random():
         instance = adversarial_capacity(bundle, net, tripped, target)
         pre = solve_flow(bundle, net, instance.injections)
         assert np.all(np.abs(pre.flows) <= instance.capacities + 1e-12)
-        survived = net.without_edges([tripped])
+        survived = without_edges(net, [tripped])
         post = solve_flow(build_laplacian(survived), survived, instance.injections)
         for k, edge in enumerate(survived.edges):
             cap = instance.capacities[net.edge_index(edge.id)]
@@ -275,7 +283,7 @@ def test_adversarial_capacity_bridge_raises(path3):
 def test_adversarial_instance_drives_cascade(triangle):
     bundle = build_laplacian(triangle)
     instance = adversarial_capacity(bundle, triangle, 1, 3)
-    armed = triangle.with_capacities(instance.capacities)
+    armed = with_capacities(triangle, instance.capacities)
     trace = run_cascade(armed, instance.injections, [1])
     assert trace.status == "islanded"
     assert trace.stages[1].tripped == frozenset({3})
@@ -298,7 +306,7 @@ def _dense_perturbation_counts(network, outage, spec):
     for trial in range(spec.trials):
         rng = np.random.default_rng([spec.seed, trial])
         omega = rng.uniform(-spec.relative_magnitude, spec.relative_magnitude, network.m)
-        perturbed = network.with_susceptances(base * np.maximum(1.0 + omega, 1e-12))
+        perturbed = with_susceptances(network, base * np.maximum(1.0 + omega, 1e-12))
         bundle = build_laplacian(perturbed)
         ptdf = ptdf_matrix(bundle, perturbed)
         K = glodf(bundle, ptdf, perturbed, OutageSet(perturbed, outage.outaged)).k_matrix
@@ -414,6 +422,21 @@ def test_parts_come_from_the_post_contingency_factor_not_the_ptdf(fig2):
         # On a random network a small block can round to the same bits by both
         # routes (about 2% of blocks), but no whole report does.
         assert not any(same) if net is fig2 else not all(same)
+
+
+def test_k_direct_is_the_kernel_on_the_masked_ptdf_columns(fig2):
+    """The report masks its whole-network columns in place of a second solve, with the same bits."""
+    for net, lines in [(fig2, [1, 7]), (fig2, [2, 8]), *_multi_block_outages(20)]:
+        bundle = build_laplacian(net)
+        outage = OutageSet(net, lines)
+        d_cols = PtdfMatrix(bundle, net).columns(outage.outaged_idx)
+        for ptdf in (PtdfMatrix(bundle, net), ptdf_matrix(bundle, net)):
+            for block in block_structure_report(ptdf, outage).blocks:
+                full_cols = [outage.outaged.index(line) for line in block.col_ids]
+                rows, cols = net.edge_positions(block.row_ids), net.edge_positions(block.col_ids)
+                expected = factors._glodf_kernel(d_cols[np.ix_(rows, full_cols)],
+                                                 d_cols[np.ix_(cols, full_cols)])
+                assert _bitwise_equal(block.k_direct, expected)
 
 
 def test_perturbation_never_builds_the_inverse(monkeypatch, fig2):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfactor import (
-    Edge,
+    GridFactorError,
     Network,
     ParseError,
     UnbalancedInjectionError,
@@ -15,8 +17,9 @@ from gridfactor import (
     network_to_document,
     validate,
 )
+from gridfactor import net_model
 
-from conftest import build, random_network, triangle_doc
+from conftest import build, random_network, triangle_doc, with_susceptances, without_edges
 
 
 def test_triangle_loads(triangle):
@@ -94,21 +97,18 @@ def test_validate_clean_triangle(triangle):
 
 
 def test_validate_reports_disconnection():
-    net = Network(
-        nodes=(1, 2, 3, 4),
-        edges=(Edge(1, 1, 2, 1.0), Edge(2, 3, 4, 1.0)),
-        reference=4,
-    )
+    net = Network(nodes=(1, 2, 3, 4), ids=(1, 2), sources=(1, 3), targets=(2, 4),
+                  b=(1.0, 1.0), cap=(math.inf, math.inf), reference=4)
     assert "disconnected" in validate(net).codes()
 
 
 def test_validate_reports_nonpositive_susceptance():
-    net = Network(nodes=(1, 2), edges=(Edge(1, 1, 2, 0.0),), reference=2)
+    net = Network(nodes=(1, 2), ids=(1,), sources=(1,), targets=(2,), b=(0.0,), cap=(math.inf,), reference=2)
     assert "nonpositive_susceptance" in validate(net).codes()
 
 
 def test_validate_reports_degenerate_sizes():
-    lonely = Network(nodes=(1,), edges=(), reference=1)
+    lonely = Network(nodes=(1,), ids=(), sources=(), targets=(), b=(), cap=(), reference=1)
     codes = validate(lonely).codes()
     assert "too_few_nodes" in codes
     assert "no_edges" in codes
@@ -165,12 +165,88 @@ def test_injection_balance_tolerance_scales(triangle):
 
 
 def test_without_edges_preserves_ids(triangle):
-    survived = triangle.without_edges([2])
+    survived = without_edges(triangle, [2])
     assert survived.edge_ids() == (1, 3)
     assert survived.nodes == triangle.nodes
 
 
 def test_with_susceptances(triangle):
-    scaled = triangle.with_susceptances([2.0, 3.0, 4.0])
+    scaled = with_susceptances(triangle, [2.0, 3.0, 4.0])
     assert scaled.susceptances().tolist() == [2.0, 3.0, 4.0]
     assert scaled.edge_ids() == triangle.edge_ids()
+
+
+DEFECTS = (None, "self_loop", "duplicate_pair", "unknown_endpoint", "duplicate_node", "node_ids",
+           "zero_b", "negative_b", "nan_b", "zero_cap", "disconnected", "unknown_injection")
+
+
+def _document(rng, defect):
+    """A random network's document with injections, and at most one defect put in."""
+    doc = network_to_document(random_network(rng))
+    n, lines = len(doc["nodes"]), doc["edges"]
+    p = rng.normal(size=n)
+    doc["injections"] = {str(node): float(v) for node, v in zip(doc["nodes"], p - p.mean())}
+    line = lines[int(rng.integers(len(lines)))]
+    if defect == "self_loop":
+        line["to"] = line["from"]
+    elif defect == "duplicate_pair":
+        ends = (line["from"], line["to"]) if rng.integers(2) else (line["to"], line["from"])
+        lines.append({"from": ends[0], "to": ends[1], "b": 1.5})
+    elif defect == "unknown_endpoint":
+        line["to"] = n + 5
+    elif defect == "duplicate_node":
+        doc["nodes"].append(doc["nodes"][0])
+    elif defect == "node_ids":
+        doc["nodes"][-1] = n + 3
+    elif defect in ("zero_b", "negative_b", "nan_b"):
+        line["b"] = {"zero_b": 0.0, "negative_b": -float(rng.uniform(0.5, 2.0)), "nan_b": math.nan}[defect]
+    elif defect == "zero_cap":
+        line["cap"] = 0
+    elif defect == "disconnected":
+        doc["nodes"] += [n + 1, n + 2]
+        lines.append({"from": n + 1, "to": n + 2, "b": 1.0})
+    elif defect == "unknown_injection":
+        doc["injections"][str(n + 7)] = 0.0
+    return doc
+
+
+def _stringified(value):
+    """The document with every scalar replaced by its text, as a CSV table gives it (null as "")."""
+    if isinstance(value, dict):
+        return {key: _stringified(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_stringified(v) for v in value]
+    return "" if value is None else str(value)
+
+
+def _outcome(doc):
+    try:
+        return load_network(doc)
+    except GridFactorError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(DEFECTS))
+def test_column_and_per_item_loads_agree(seed, defect):
+    doc = _document(np.random.default_rng(seed), defect)
+    outcome = _outcome(doc)
+    assert outcome == _outcome(_stringified(doc))
+    assert isinstance(outcome, Network) == (defect is None)
+
+
+def test_json_number_document_builds_no_edge_and_calls_no_item_parser(monkeypatch):
+    doc = _document(np.random.default_rng(5), None)
+    for k, line in enumerate(doc["edges"]):
+        line["cap"] = [2, 1.5, None][k % 3]
+    del doc["edges"][-1]["cap"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-line object or a per-item parse")
+
+    for name in ("Edge", "_parse_id", "_parse_real", "_parse_capacity"):
+        monkeypatch.setattr(net_model, name, refuse)
+    network = load_network(doc)
+    monkeypatch.undo()
+    assert network == load_network(_stringified(doc))
+    assert network.cap[:3] == (2.0, 1.5, math.inf) and network.cap[-1] == math.inf

@@ -15,6 +15,8 @@ by ``tools/stdout_compare.py``, which runs the same corpus through
 The corpus covers every subcommand and output format, all four ``glodf``
 methods, ``localize`` with and without ``--perturb``, bridge, cut-set and
 bad-input refusals (parallel lines and a malformed reference among them),
+one refusal per validation code and per loader parse error, documents the
+loader reads one item at a time (float and text ids),
 usage and range errors, a connected network too stiff to factor, a line
 that is not a bridge yet too stiff for its outage factors (and a cascade
 from it, whose stage fails the GLODF update's certificate and is
@@ -127,6 +129,53 @@ def _runs(name: str, doc: dict, small: bool) -> list[list[str]]:
     return runs
 
 
+def _loader_documents(triangle: dict) -> dict[str, tuple[str, dict]]:
+    """The triangle with one defect each: a file name, the subcommand to run and the document.
+
+    One refusal per validation code and per parse error, capacities the
+    loader accepts (null, "Infinity"), and two accepted documents whose ids
+    are not JSON ints (2.0, "2"), so they take the per-item parsers.
+    """
+    def edited(edge=None, **fields):
+        doc = {**triangle, "edges": [dict(e) for e in triangle["edges"]], **fields}
+        if edge:
+            doc["edges"][edge[0] - 1].update(edge[1])
+        return doc
+
+    float_ids = [{**e, "from": float(e["from"]), "to": float(e["to"])} for e in triangle["edges"]]
+    text_ids = [{**e, "from": str(e["from"]), "to": str(e["to"])} for e in triangle["edges"]]
+    return {
+        "bool_b.json": ("flow", edited((1, {"b": True}))),
+        "text_id.json": ("flow", edited((1, {"from": "x"}))),
+        "fraction_id.json": ("blocks", edited((2, {"to": 2.5}))),
+        "null_cap.json": ("flow", edited((1, {"cap": None}))),
+        "infinity_cap.json": ("flow", edited((3, {"cap": "Infinity"}))),
+        "zero_cap.json": ("blocks", edited((2, {"cap": 0}))),
+        "self_loop.json": ("blocks", edited((3, {"to": 1}))),
+        "unknown_endpoint.json": ("blocks", edited((2, {"to": 9}))),
+        "duplicate_nodes.json": ("flow", edited(nodes=[1, 2, 3, 3])),
+        "nodes_not_1_n.json": ("blocks", edited(nodes=[1, 2, 3, 5])),
+        "nan_b.json": ("flow", edited((1, {"b": float("nan")}))),
+        "negative_b.json": ("blocks", edited((3, {"b": -0.5}))),
+        "disconnected.json": ("blocks", {"nodes": [1, 2, 3, 4], "edges": [{"from": 1, "to": 2, "b": 1.0},
+                                                                         {"from": 3, "to": 4, "b": 1.0}]}),
+        "unknown_injection.json": ("flow", edited(injections={**triangle["injections"], "9": 0.0})),
+        "non_object_edge.json": ("blocks", edited(edges=[triangle["edges"][0], [2, 3, 1.0]])),
+        "missing_edges.json": ("blocks", {"nodes": [1, 2, 3]}),
+        "missing_b.json": ("blocks", edited(edges=[{"from": 1, "to": 2, "cap": 1.0}])),
+        "edges_not_list.json": ("blocks", edited(edges={"1": triangle["edges"][0]})),
+        "nodes_not_list.json": ("blocks", edited(nodes="1,2,3")),
+        "text_in_nodes.json": ("blocks", edited(nodes=[1, 2, "three"])),
+        "injections_not_object.json": ("flow", edited(injections=[1.0, -1.0, 0.0])),
+        "text_injection.json": ("flow", edited(injections={"1": "one", "2": -1.0, "3": 0.0})),
+        "not_an_object.json": ("blocks", [triangle]),
+        "no_edges.json": ("blocks", {"nodes": [1], "edges": []}),
+        "unknown_reference.json": ("flow", edited(reference=9)),
+        "float_ids.json": ("flow", edited(edges=float_ids)),
+        "text_ids.json": ("flow", edited(edges=text_ids)),
+    }
+
+
 def _write_csv(doc: dict, folder: Path) -> None:
     folder.mkdir()
     with open(folder / "edges.csv", "w", newline="") as handle:
@@ -178,6 +227,9 @@ def outputs(src) -> Iterator[tuple[str, int, str, str]]:
         gen.write(conftest.stiff_triangle_doc(), Path("stiff_triangle.json"))
         gen.write({**conftest.triangle_doc(), "reference": "x"}, Path("bad_reference.json"))
         corpus += [["flow", "stiff_leaf.json"], ["blocks", "parallel.json"], ["flow", "bad_reference.json"]]
+        for name, (command, doc) in _loader_documents(conftest.triangle_doc()).items():
+            gen.write(doc, Path(name))
+            corpus.append([command, name])
         corpus += [
             ["lodf", "stiff_triangle.json", "--line", "1"],
             ["glodf", "stiff_triangle.json", "--lines", "1", "--method", "post_contingency"],
