@@ -21,7 +21,7 @@ from . import cascade as cascade_mod
 from . import factors as factors_mod
 from . import forests as forests_mod
 from . import localization as localization_mod
-from .dcpf import build_laplacian, solve_flow
+from .dcpf import solve_flow
 from .errors import AnalysisError, GridFactorError, InputError
 from .net_model import RTOL, injection_vector, load_network
 
@@ -118,23 +118,22 @@ def _cmd_blocks(network, args) -> int:
 
 def _cmd_flow(network, args) -> int:
     p = injection_vector(network)
-    state = solve_flow(build_laplacian(network), network, p)
+    state = solve_flow(network.factor, network, p)
     _emit_json(_flow_payload(network, state))
     return 0
 
 
 def _cmd_ptdf(network, args) -> int:
-    ptdf = factors_mod.ptdf_matrix(build_laplacian(network), network)
+    ptdf = factors_mod.ptdf_matrix(network.factor, network)
     if args.format == "csv":
         _emit_matrix_csv(ptdf.line_ids, ptdf.line_ids, ptdf.matrix)
     else:
-        ids = [int(line) for line in ptdf.line_ids]
-        _emit_json({"rows": ids, "cols": ids, "values": ptdf.matrix})
+        _emit_json({"rows": ptdf.line_ids, "cols": ptdf.line_ids, "values": ptdf.matrix})
     return 0
 
 
 def _cmd_lodf(network, args) -> int:
-    ptdf = factors_mod.PtdfMatrix(build_laplacian(network), network)
+    ptdf = factors_mod.PtdfMatrix(network.factor, network)
     column = factors_mod.lodf_single(ptdf, args.line)
     _emit_json({
         "outaged": args.line,
@@ -144,24 +143,20 @@ def _cmd_lodf(network, args) -> int:
 
 
 def _cmd_glodf(network, args) -> int:
-    bundle = build_laplacian(network)
-    ptdf = factors_mod.PtdfMatrix(bundle, network)
+    ptdf = factors_mod.PtdfMatrix(network.factor, network)
     outage = factors_mod.OutageSet(network, _parse_lines(args.lines))
-    result = factors_mod.glodf(bundle, ptdf, network, outage, method=args.method)
+    result = factors_mod.glodf(network.factor, ptdf, network, outage, method=args.method)
     if args.format == "csv":
         _emit_matrix_csv(outage.surviving, outage.outaged, result.k_matrix)
         return 0
-    payload = {
+    _emit_json({
         "method": result.method,
-        "outaged": [int(v) for v in outage.outaged],
-        "surviving": [int(v) for v in outage.surviving],
+        "outaged": outage.outaged,
+        "surviving": outage.surviving,
         "k": result.k_matrix,
         "k_stack": result.k_stack,
-        "residuals": (
-            {key: float(v) for key, v in result.residuals.items()} if result.residuals else None
-        ),
-    }
-    _emit_json(payload)
+        "residuals": result.residuals,
+    })
     return 0
 
 
@@ -171,23 +166,23 @@ def _cmd_localize(network, args) -> int:
         spec = localization_mod.PerturbationSpec(
             relative_magnitude=args.eps, trials=args.trials, seed=args.seed
         )
-    ptdf = factors_mod.PtdfMatrix(build_laplacian(network), network)
+    ptdf = factors_mod.PtdfMatrix(network.factor, network)
     outage = factors_mod.OutageSet(network, _parse_lines(args.lines))
     report = localization_mod.block_structure_report(ptdf, outage)
 
     payload = {
-        "cross_block_max": float(report.cross_block_max),
-        "within_block_zero_count": int(report.within_block_zero_count),
-        "zero_tolerance": float(report.zero_tolerance),
-        "matrix_scale": float(report.matrix_scale),
+        "cross_block_max": report.cross_block_max,
+        "within_block_zero_count": report.within_block_zero_count,
+        "zero_tolerance": report.zero_tolerance,
+        "matrix_scale": report.matrix_scale,
         "blocks": [
             {
-                "block": int(b.block_index),
-                "rows": [int(v) for v in b.row_ids],
-                "cols": [int(v) for v in b.col_ids],
+                "block": b.block_index,
+                "rows": b.row_ids,
+                "cols": b.col_ids,
                 "k": b.k_direct,
-                "reassembly_err_direct": float(b.reassembly_err_direct),
-                "reassembly_err_parts": float(b.reassembly_err_parts),
+                "reassembly_err_direct": b.reassembly_err_direct,
+                "reassembly_err_parts": b.reassembly_err_parts,
             }
             for b in report.blocks
         ],
@@ -232,7 +227,7 @@ def _cmd_cascade(network, args) -> int:
 
 
 def _cmd_influence(network, args) -> int:
-    ptdf = factors_mod.PtdfMatrix(build_laplacian(network), network)
+    ptdf = factors_mod.PtdfMatrix(network.factor, network)
     pairs = cascade_mod.influence_graph(ptdf, args.threshold)
     if args.format == "dot":
         lines = ["graph influence {"]

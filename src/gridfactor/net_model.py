@@ -274,7 +274,7 @@ def _parse_real(raw, what: str) -> float:
     if isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
         try:
             return float(raw)
-        except ValueError:
+        except (ValueError, OverflowError):  # an int past float range is no real either
             pass
     raise ParseError(f"{what} must be a number, got {raw!r}")
 
@@ -294,50 +294,35 @@ def _parse_id(raw, what: str) -> int:
 
 
 def _parse_capacity(raw, what: str) -> float:
-    if raw is None:
-        return math.inf
-    if isinstance(raw, str) and raw.strip().lower() in ("", "inf", "+inf", "infinity"):
+    if raw is None or isinstance(raw, str) and not raw.strip():
         return math.inf
     return _parse_real(raw, what)
 
 
-def _line_columns(raw_edges: list):
-    """The line columns sources, targets, b and cap.
+_IDS = frozenset({int})
+_REALS = frozenset({int, float, str})
+_CAPACITIES = _REALS | {type(None)}
 
-    Objects with JSON-int ends and a JSON-number ``b`` (by exact type: a
-    boolean is not a number) are read a column at a time, a ``cap`` that is
-    not a JSON number alone through :func:`_parse_capacity`.  Anything else
-    is parsed one item at a time, so a refusal names the first bad item.
+
+def _column(values: list, kinds: frozenset, parse, what: str, labels=None) -> list:
+    """One document field, read whole when every value has an exact type in ``kinds``.
+
+    Ids are kept as they are, or read by ``int`` when all are text shorter
+    than 16 characters; reals by ``float``, a null capacity as infinite.
+    Otherwise, or when that fails (no number, an int past float range),
+    ``parse`` reads each value and refuses the first bad one as ``what``
+    formatted with its label: ``labels[k]``, else its 1-based position.
     """
+    present = set(map(type, values))
     try:
-        if set(map(type, raw_edges)) <= {dict}:
-            sources, targets, b = ([item[key] for item in raw_edges] for key in ("from", "to", "b"))
-            if set(map(type, sources)) | set(map(type, targets)) <= {int} and set(map(type, b)) <= {int, float}:
-                cap = [item.get("cap") for item in raw_edges]
-                for k in [k for k, kind in enumerate(map(type, cap)) if kind not in (int, float)]:
-                    cap[k] = math.inf if cap[k] is None else _parse_capacity(cap[k], f"edge #{k + 1} 'cap'")
-                return sources, targets, list(map(float, b)), list(map(float, cap))
-    except KeyError:
+        if present <= kinds:
+            return values if kinds is _IDS else [math.inf if v is None else float(v) for v in values]
+        # Below 10**15 < 2**53, int(text) is the id _parse_id reads through float(text).
+        if kinds is _IDS and present == {str} and max(map(len, values)) < 16:
+            return list(map(int, values))
+    except (ValueError, OverflowError):
         pass
-    rows = []
-    for k, item in enumerate(raw_edges):
-        name = f"edge #{k + 1}"
-        if not isinstance(item, dict) or not {"from", "to", "b"} <= item.keys():
-            raise ParseError(f"{name} is malformed: expected an object with 'from', 'to' and 'b'")
-        rows.append((_parse_id(item["from"], f"{name} 'from'"), _parse_id(item["to"], f"{name} 'to'"),
-                     _parse_real(item["b"], f"{name} 'b'"), _parse_capacity(item.get("cap"), f"{name} 'cap'")))
-    return list(zip(*rows)) or ([], [], [], [])
-
-
-def _injections_by_node(raw_inj: dict) -> dict[int, float]:
-    """Injection per node id; ids of 1 to 15 ASCII digits with JSON-number values are read in one pass."""
-    digits = set(map(type, raw_inj)) <= {str} and "".join(raw_inj)
-    # Below 10**15 < 2**53, int(text) is the id _parse_id reads through float(text).
-    if (digits and digits.isascii() and digits.isdigit() and all(raw_inj) and max(map(len, raw_inj)) < 16
-            and set(map(type, raw_inj.values())) <= {int, float}):
-        return dict(zip(map(int, raw_inj), map(float, raw_inj.values())))
-    return {_parse_id(k, "a node id in 'injections'"): _parse_real(v, f"the injection at node {k}")
-            for k, v in raw_inj.items()}
+    return [parse(value, what.format(label)) for value, label in zip(values, labels or count(1))]
 
 
 def _network_from_document(doc: dict) -> Network:
@@ -349,21 +334,28 @@ def _network_from_document(doc: dict) -> Network:
     raw_edges = doc["edges"]
     if not isinstance(raw_edges, list):
         raise ParseError("'edges' must be a list")
-    sources, targets, b, cap = _line_columns(raw_edges)
+    try:
+        raw_from, raw_to, raw_b = ([item[key] for item in raw_edges] for key in ("from", "to", "b"))
+        raw_cap = [dict.get(item, "cap") for item in raw_edges]  # TypeError unless every item is a dict
+    except (KeyError, TypeError):
+        k = next(k for k, item in enumerate(raw_edges)
+                 if not isinstance(item, dict) or not {"from", "to", "b"} <= item.keys())
+        raise ParseError(f"edge #{k + 1} is malformed: expected an object with 'from', 'to' and 'b'") from None
+    sources = _column(raw_from, _IDS, _parse_id, "edge #{} 'from'")
+    targets = _column(raw_to, _IDS, _parse_id, "edge #{} 'to'")
+    b = _column(raw_b, _REALS, _parse_real, "edge #{} 'b'")
+    cap = _column(raw_cap, _CAPACITIES, _parse_capacity, "edge #{} 'cap'")
 
     if "nodes" in doc:
         raw_nodes = doc["nodes"]
         if not isinstance(raw_nodes, list):
             raise ParseError("'nodes' must be a list of node ids")
-        if not set(map(type, raw_nodes)) <= {int}:
-            raw_nodes = [_parse_id(v, "a node id in 'nodes'") for v in raw_nodes]
-        nodes = tuple(sorted(raw_nodes))
+        nodes = tuple(sorted(_column(raw_nodes, _IDS, _parse_id, "a node id in 'nodes'")))
     else:
         nodes = tuple(sorted(set(sources) | set(targets)))
 
     if "reference" in doc:
-        raw_ref = doc["reference"]
-        reference = raw_ref if type(raw_ref) is int else _parse_id(raw_ref, "'reference'")
+        reference = _column([doc["reference"]], _IDS, _parse_id, "'reference'")[0]
     else:
         reference = nodes[-1] if nodes else 0
 
@@ -372,7 +364,10 @@ def _network_from_document(doc: dict) -> Network:
         raw_inj = doc["injections"]
         if not isinstance(raw_inj, dict):
             raise ParseError("'injections' must map node ids to reals")
-        by_node = _injections_by_node(raw_inj)
+        keys = list(raw_inj)
+        ids = _column(keys, _IDS, _parse_id, "a node id in 'injections'")
+        values = _column(list(raw_inj.values()), _REALS, _parse_real, "the injection at node {}", keys)
+        by_node = dict(zip(ids, values))
         unknown = set(by_node) - set(nodes)
         if unknown:
             raise ParseError(f"injections name unknown nodes {sorted(unknown)}")

@@ -24,6 +24,7 @@ from gridfactor import (
     run_cascade,
     solve_flow,
 )
+from gridfactor import factors
 from gridfactor.dcpf import surviving_flow
 from gridfactor.factors import _outage_flow
 from gridfactor.net_model import RTOL, scaled_tolerance
@@ -302,6 +303,40 @@ def test_stiff_triangle_stages_are_re_solved(count_factors, line):
     assert len(count_factors) == 2  # the network's factor, then the re-solve's
     reference = surviving_flow(net, net.injections, [line - 1])
     assert np.array_equal(state.flows, reference.flows) and np.array_equal(state.theta, reference.theta)
+
+
+def test_empty_initial_outage_is_refused(triangle):
+    with pytest.raises(ValidationError, match="initial outage must be nonempty"):
+        run_cascade(triangle, injection_vector(triangle), [])
+
+
+def test_a_stage_whose_update_is_singular_is_re_solved(monkeypatch):
+    kernel_calls = []
+
+    def singular(*args):
+        kernel_calls.append(args)
+        raise SingularError("I - D_FF is numerically singular")
+
+    monkeypatch.setattr(factors, "_glodf_kernel", singular)
+    rng = np.random.default_rng(11)
+    stages = 0
+    for _ in range(40):
+        net = random_network(rng, max_nodes=10, max_extra=10, min_extra=2)
+        outage = sample_non_cut_outage(rng, net)
+        if outage is None:
+            continue
+        p = random_balanced_injection(rng, net.n)
+        base = solve_flow(build_laplacian(net), net, p).flows
+        armed = with_capacities(net, np.abs(base) * rng.uniform(1.0, 1.5, net.m) + 1e-3)
+        out = []
+        for stage in run_cascade(armed, p, outage).stages:
+            out += net.edge_positions(stage.tripped).tolist()
+            if stage.flow is not None:
+                reference = surviving_flow(net, p, out)
+                assert np.array_equal(stage.flow.flows, reference.flows)
+                assert np.array_equal(stage.flow.theta, reference.theta)
+                stages += 1
+    assert len(kernel_calls) == stages > 40  # every connected stage tried the update first
 
 
 def test_an_update_that_is_not_finite_is_re_solved(triangle):

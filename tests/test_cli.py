@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from gridfactor import (
     LaplacianBundle, Network, ParseError, SingularError, ValidationError, build_laplacian, cli,
-    factors, load_network, validate,
+    dcpf, factors, load_network, validate,
 )
 from gridfactor.cli import run
 
@@ -289,7 +289,7 @@ def test_bad_perturbation_is_input_error(monkeypatch, capsys, triangle_path, fla
     def refuse(*args):
         raise AssertionError("the network was factored before the spec was checked")
 
-    monkeypatch.setattr(cli, "build_laplacian", refuse)
+    monkeypatch.setattr(dcpf, "build_laplacian", refuse)
     assert run(["localize", triangle_path, "--lines", "1", "--perturb"] + flags) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("gridfactor: perturbation")
@@ -378,6 +378,7 @@ def test_each_subcommand_declares_only_the_options_it_reads(capsys, triangle_pat
     pytest.param(["influence", "--threshold", "nan"], id="threshold=nan"),
     pytest.param(["influence", "--threshold", "inf"], id="threshold=inf"),
     pytest.param(["cascade", "--trip", "1", "--max-stages", "0"], id="max-stages=0"),
+    pytest.param(["glodf", "--lines", "1,x"], id="lines=1,x"),
 ])
 def test_usage_and_range_errors_exit_1(capsys, triangle_path, argv):
     assert run(argv[:1] + [triangle_path] + argv[1:]) == 1
@@ -401,6 +402,7 @@ def _set_edge(k, key, value):
     pytest.param(_set_edge(1, "from", 1.5), id="from=1.5"),
     pytest.param(_set_edge(0, "from", True), id="from=true"),
     pytest.param(_set_edge(0, "b", True), id="b=true"),
+    pytest.param(_set_edge(1, "b", "abc"), id="b=abc"),
     pytest.param(lambda doc: doc.update(nodes=[1, 2.9, 3]), id="nodes=[1,2.9,3]"),
     pytest.param(lambda doc: doc.update(nodes="123"), id="nodes=123"),
     pytest.param(lambda doc: doc["injections"].update({"1": True}), id="injection=true"),
@@ -417,6 +419,33 @@ def test_malformed_values_are_parse_errors(capsys, tmp_path, change):
     assert run(["flow", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("gridfactor: ") and "Traceback" not in err
+
+
+def _float_ids_and(change):
+    def float_ids(doc):
+        for line in doc["edges"]:
+            line.update({"from": float(line["from"]), "to": float(line["to"])})
+        change(doc)
+    return float_ids
+
+
+@pytest.mark.parametrize("change, item", [
+    pytest.param(_set_edge(0, "b", 10**400), "edge #1 'b'", id="b"),
+    pytest.param(_set_edge(1, "cap", 10**400), "edge #2 'cap'", id="cap"),
+    pytest.param(lambda doc: doc["injections"].update({"2": 10**400}), "the injection at node 2", id="injection"),
+    pytest.param(_float_ids_and(_set_edge(2, "b", 10**400)), "edge #3 'b'", id="b-float-ids"),
+])
+def test_ints_past_float_range_are_parse_errors(capsys, tmp_path, change, item):
+    doc = triangle_doc()
+    change(doc)
+    with pytest.raises(ParseError) as refusal:
+        load_network(doc)
+    assert str(refusal.value) == f"{item} must be a number, got {10**400}"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert run(["flow", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"gridfactor: {refusal.value}\n"
 
 
 def test_integral_values_and_their_text_load_as_ids(triangle):

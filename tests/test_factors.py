@@ -188,6 +188,12 @@ def test_glodf_singleton_matches_lodf(triangle_setup):
     assert max(result.residuals.values()) < 1e-12
 
 
+def test_glodf_unknown_method_raises(triangle_setup):
+    triangle, bundle, ptdf = triangle_setup
+    with pytest.raises(ValueError, match="unknown method 'nope'"):
+        glodf(bundle, ptdf, triangle, OutageSet(triangle, [1]), method="nope")
+
+
 def test_glodf_cut_set_raises(triangle_setup):
     triangle, bundle, ptdf = triangle_setup
     with pytest.raises(CutSetError):

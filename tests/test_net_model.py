@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,6 +106,13 @@ def test_validate_reports_disconnection():
 def test_validate_reports_nonpositive_susceptance():
     net = Network(nodes=(1, 2), ids=(1,), sources=(1,), targets=(2,), b=(0.0,), cap=(math.inf,), reference=2)
     assert "nonpositive_susceptance" in validate(net).codes()
+
+
+def test_validate_reports_bad_reference_and_injection_length(triangle):
+    report = validate(replace(triangle, reference=9, injections=(1.0, -1.0)))
+    assert report.codes() == ("bad_reference", "injection_length")
+    assert report.findings[0].detail == "reference 9 is not a node"
+    assert report.findings[1].detail == "expected 3 injections, got 2"
 
 
 def test_validate_reports_degenerate_sizes():

@@ -15,9 +15,10 @@ by ``tools/stdout_compare.py``, which runs the same corpus through
 The corpus covers every subcommand and output format, all four ``glodf``
 methods, ``localize`` with and without ``--perturb``, bridge, cut-set and
 bad-input refusals (parallel lines and a malformed reference among them),
-one refusal per validation code and per loader parse error, documents the
-loader reads one item at a time (float and text ids),
-usage and range errors, a connected network too stiff to factor, a line
+one refusal per validation code and per loader parse error (integers past
+float range among them), documents whose ids are not JSON ints (float and
+text ids), one with bad values in two fields of two lines, usage and range
+errors, a connected network too stiff to factor, a line
 that is not a bridge yet too stiff for its outage factors (and a cascade
 from it, whose stage fails the GLODF update's certificate and is
 re-solved), cascades and ``verify``.  Its networks are the test fixtures
@@ -132,9 +133,12 @@ def _runs(name: str, doc: dict, small: bool) -> list[list[str]]:
 def _loader_documents(triangle: dict) -> dict[str, tuple[str, dict]]:
     """The triangle with one defect each: a file name, the subcommand to run and the document.
 
-    One refusal per validation code and per parse error, capacities the
-    loader accepts (null, "Infinity"), and two accepted documents whose ids
-    are not JSON ints (2.0, "2"), so they take the per-item parsers.
+    One refusal per validation code and per parse error, an integer past
+    float range as a ``b``, a ``cap`` and an injection, capacities the
+    loader accepts (null, "Infinity"), two accepted documents whose ids are
+    not JSON ints (2.0, "2"), so their id fields are parsed value by value,
+    and a ``b`` and a ``from`` both bad, on lines 1 and 2, which pins which
+    field the loader refuses first.
     """
     def edited(edge=None, **fields):
         doc = {**triangle, "edges": [dict(e) for e in triangle["edges"]], **fields}
@@ -144,6 +148,7 @@ def _loader_documents(triangle: dict) -> dict[str, tuple[str, dict]]:
 
     float_ids = [{**e, "from": float(e["from"]), "to": float(e["to"])} for e in triangle["edges"]]
     text_ids = [{**e, "from": str(e["from"]), "to": str(e["to"])} for e in triangle["edges"]]
+    two_bad = [{**e, **bad} for e, bad in zip(triangle["edges"], ({"b": "x"}, {"from": "y"}, {}))]
     return {
         "bool_b.json": ("flow", edited((1, {"b": True}))),
         "text_id.json": ("flow", edited((1, {"from": "x"}))),
@@ -173,6 +178,10 @@ def _loader_documents(triangle: dict) -> dict[str, tuple[str, dict]]:
         "unknown_reference.json": ("flow", edited(reference=9)),
         "float_ids.json": ("flow", edited(edges=float_ids)),
         "text_ids.json": ("flow", edited(edges=text_ids)),
+        "huge_b.json": ("flow", edited((1, {"b": 10**400}))),
+        "huge_cap.json": ("flow", edited((2, {"cap": 10**400}))),
+        "huge_injection.json": ("flow", edited(injections={**triangle["injections"], "2": 10**400})),
+        "bad_b_and_from.json": ("flow", edited(edges=two_bad)),
     }
 
 
