@@ -30,7 +30,7 @@ triangle = load_network({
 })
 
 print("nodes:", triangle.nodes)
-print("lines:", [(e.id, e.source, e.target, e.susceptance) for e in triangle.edges])
+print("lines:", list(zip(triangle.ids, triangle.sources, triangle.targets, triangle.b)))
 print("validation findings:", validate(triangle).findings or "none")
 
 # Orientation lives in the incidence matrix: +1 at each source, -1 at each

@@ -59,7 +59,7 @@ print("outage factor on line 2 when line 5 trips:",
       lodf_via_forests(net, 2, 5))
 
 # Effective reactance: the network shortens every line that sits on a cycle.
-for line in net.edge_ids():
+for line in net.ids:
     rep = effective_reactance(net, line)
     print(f"line {line}: X={rep.line_reactance:.4f} R={rep.effective:.4f} "
           f"reduction ratio={rep.reduction_ratio:.4f}")

@@ -66,7 +66,6 @@ from .localization import (
     simple_cycle_criterion,
 )
 from .net_model import (
-    Edge,
     Network,
     ValidationReport,
     incidence_matrix,

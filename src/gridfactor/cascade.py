@@ -93,11 +93,12 @@ def run_cascade(
     if max_stages is not None and max_stages < 1:
         raise ValidationError(f"max_stages must be at least 1, got {max_stages}")
     p = injection_vector(network, p)
-    initial = frozenset(int(v) for v in initial_outage)
+    positions = network.edge_positions(initial_outage)  # an id that names no line is refused
+    initial = frozenset(map(network.ids.__getitem__, positions.tolist()))
     if not initial:
         raise ValidationError("initial outage must be nonempty")
     alive = np.ones(network.m, dtype=bool)
-    alive[network.edge_positions(initial)] = False
+    alive[positions] = False
     if max_stages is None:
         max_stages = network.m
 

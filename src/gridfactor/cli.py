@@ -257,14 +257,13 @@ def _cmd_verify(network, args) -> int:
             spectral_err = max(spectral_err, abs(algebraic - oracle))
 
     ptdf_err = 0.0
-    for line in network.edge_ids():
-        for other in network.edge_ids():
-            hat = network.edge_by_id(other)
-            oracle = forests_mod.ptdf_via_forests(network, line, hat.source, hat.target)
+    for line in network.ids:
+        for other, source, target in zip(network.ids, network.sources, network.targets):
+            oracle = forests_mod.ptdf_via_forests(network, line, source, target)
             ptdf_err = max(ptdf_err, abs(ptdf.entry(line, other) - oracle))
 
     lodf_err = 0.0
-    for outaged in network.edge_ids():
+    for outaged in network.ids:
         if outaged in network.decomposition.bridges:
             continue
         column = factors_mod.lodf_single(ptdf, outaged)

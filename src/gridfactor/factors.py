@@ -83,7 +83,8 @@ class OutageSet:
     """
 
     def __init__(self, network: Network, lines):
-        lines = sorted(set(int(v) for v in lines))
+        # Looked up as given, so an id that names no line (1.5) is refused, never truncated.
+        lines = sorted(set(map(network.ids.__getitem__, network.edge_positions(lines).tolist())))
         outaged_idx = network.edge_positions(lines)
         if not lines:
             raise ValidationError("outage set must be nonempty")

@@ -11,8 +11,9 @@ deletion, and every other family is read from that one list.  The trees
 avoiding a line are a filter of it.  The two-tree spanning forests are its
 trees less one line each: removing a line of a spanning tree leaves two
 trees, and every two-tree forest of a connected network grows back into a
-spanning tree by one line.  The enumeration lives as long as its network
-and no longer.
+spanning tree by one line.  The enumeration is the network's
+:attr:`~gridfactor.net_model.Network.oracle`, so it lives as long as its
+network and no longer.
 
 When every line susceptance is a ratio of small integers, the weight sums
 are accumulated in exact rational arithmetic, which removes rounding slack
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -196,15 +196,16 @@ class _Weighted:
 class _Oracle:
     """One network's spanning trees, and the two-tree forests read from them.
 
-    Keeps no reference to the network, so the memo holding it keeps none
-    alive.  Exact mode is decided once, over every line.  The tree count
-    checked against the cap is the determinant of the unit-weight factor.
+    Keeps no reference to the network, so a network that holds its oracle
+    is still freed by reference counting.  Exact mode is decided once, over
+    every line.  The tree count checked against the cap is the determinant
+    of the unit-weight factor.
     """
 
     def __init__(self, network: Network):
         if build_laplacian(network, np.ones(network.m)).reduced_determinant > MAX_MEMBERS:
             raise TooLargeError("estimated spanning-tree count exceeds the enumeration cap")
-        ids = network.edge_ids()
+        ids = network.ids
         source, target = (ends.tolist() for ends in network.endpoints)
         self.n = network.n
         self.ends = dict(zip(ids, zip(source, target)))
@@ -260,17 +261,6 @@ class _Oracle:
         return far
 
 
-#: Each live network's oracle; an entry goes when its network is collected.
-_ORACLES: weakref.WeakKeyDictionary[Network, _Oracle] = weakref.WeakKeyDictionary()
-
-
-def _oracle(network: Network) -> _Oracle:
-    oracle = _ORACLES.get(network)
-    if oracle is None:
-        oracle = _ORACLES[network] = _Oracle(network)
-    return oracle
-
-
 def _forest_sum(network: Network, group_a, group_b):
     """(members, float sum, exact sum) over forests separating the groups."""
     group_a = set(group_a)
@@ -279,7 +269,7 @@ def _forest_sum(network: Network, group_a, group_b):
         raise ValueError("node groups must be nonempty")
     if group_a & group_b:
         return (), 0.0, Fraction(0)
-    oracle = _oracle(network)
+    oracle = network.oracle
     a = oracle.far[:, [network.node_index(v) for v in group_a]]
     b = oracle.far[:, [network.node_index(v) for v in group_b]]
     # Each group sits whole in one of the two trees, and not in the same one.
@@ -301,7 +291,7 @@ def enumerate_spanning_trees(network: Network, allowed_edges=None) -> ForestFami
     if allowed_edges is not None:
         allowed = frozenset(allowed_edges)
         network.edge_positions(allowed)  # UnknownEdgeError naming every unknown id
-    members, total, total_exact = _oracle(network).trees_within(allowed)
+    members, total, total_exact = network.oracle.trees_within(allowed)
     return ForestFamily(
         kind="spanning_trees",
         members=members,
@@ -337,7 +327,7 @@ def a_entry_via_forests(network: Network, i: int, j: int) -> float:
     if i == network.reference or j == network.reference:
         return 0.0
     _, num, num_exact = _forest_sum(network, {i, j}, {network.reference})
-    _, den, den_exact = _oracle(network).trees_within(None)
+    _, den, den_exact = network.oracle.trees_within(None)
     return _ratio(num, num_exact, den, den_exact)
 
 
@@ -348,16 +338,16 @@ def ptdf_via_forests(network: Network, line: int, inject_at: int, withdraw_at: i
     {j, withdraw_at} against the opposite-orientation pairing; the
     denominator is the total spanning-tree weight.
     """
-    edge = network.edge_by_id(line)
+    k = network.edge_index(line)
     network.node_index(inject_at)
     network.node_index(withdraw_at)
-    i, j = edge.source, edge.target
+    i, j = network.sources[k], network.targets[k]
     _, pos, pos_exact = _forest_sum(network, {i, inject_at}, {j, withdraw_at})
     _, neg, neg_exact = _forest_sum(network, {i, withdraw_at}, {j, inject_at})
-    _, den, den_exact = _oracle(network).trees_within(None)
+    _, den, den_exact = network.oracle.trees_within(None)
     if pos_exact is not None and neg_exact is not None and den_exact:
-        return float(Fraction(edge.susceptance) * (pos_exact - neg_exact) / den_exact)
-    return edge.susceptance * (pos - neg) / den
+        return float(Fraction(network.b[k]) * (pos_exact - neg_exact) / den_exact)
+    return network.b[k] * (pos - neg) / den
 
 
 def lodf_via_forests(network: Network, line: int, outaged: int) -> float:
@@ -369,20 +359,19 @@ def lodf_via_forests(network: Network, line: int, outaged: int) -> float:
     """
     if line == outaged:
         raise ValueError("lines must be distinct")
-    edge = network.edge_by_id(line)
-    hat = network.edge_by_id(outaged)
-    i, j = edge.source, edge.target
+    k, hat = network.edge_index(line), network.edge_index(outaged)
+    i, j = network.sources[k], network.targets[k]
 
     allowed = frozenset(network.ids) - {outaged}
-    _, den, den_exact = _oracle(network).trees_within(allowed)
+    _, den, den_exact = network.oracle.trees_within(allowed)
     if den == 0.0:
         raise BridgeError(f"line {outaged} is a bridge; no spanning tree avoids it")
 
-    _, pos, pos_exact = _forest_sum(network, {i, hat.source}, {j, hat.target})
-    _, neg, neg_exact = _forest_sum(network, {i, hat.target}, {j, hat.source})
+    _, pos, pos_exact = _forest_sum(network, {i, network.sources[hat]}, {j, network.targets[hat]})
+    _, neg, neg_exact = _forest_sum(network, {i, network.targets[hat]}, {j, network.sources[hat]})
     if pos_exact is not None and neg_exact is not None and den_exact:
-        return float(Fraction(edge.susceptance) * (pos_exact - neg_exact) / den_exact)
-    return edge.susceptance * (pos - neg) / den
+        return float(Fraction(network.b[k]) * (pos_exact - neg_exact) / den_exact)
+    return network.b[k] * (pos - neg) / den
 
 
 def matrix_tree_check(network: Network, tolerance: float = RTOL) -> MatrixTreeReport:
@@ -393,7 +382,7 @@ def matrix_tree_check(network: Network, tolerance: float = RTOL) -> MatrixTreeRe
     against the signed weight of the matching two-tree family.
     """
     bundle = network.factor
-    oracle = _oracle(network)  # refuses a network past the cap before the dense L is read
+    oracle = network.oracle  # refuses a network past the cap before the dense L is read
     ref = network.reference_index()
     keep = [k for k in range(network.n) if k != ref]
     reduced = bundle.L[np.ix_(keep, keep)]
@@ -435,17 +424,17 @@ def effective_reactance(network: Network, line: int) -> ReactanceReport:
     the line; it vanishes exactly when the line is a bridge, in which case
     the effective reactance equals the line reactance.
     """
-    edge = network.edge_by_id(line)
-    _, num, num_exact = _forest_sum(network, {edge.source}, {edge.target})
-    _, den, den_exact = _oracle(network).trees_within(None)
+    k = network.edge_index(line)
+    _, num, num_exact = _forest_sum(network, {network.sources[k]}, {network.targets[k]})
+    _, den, den_exact = network.oracle.trees_within(None)
     effective = _ratio(num, num_exact, den, den_exact)
 
     allowed = frozenset(network.ids) - {line}
-    _, avoid, avoid_exact = _oracle(network).trees_within(allowed)
+    _, avoid, avoid_exact = network.oracle.trees_within(allowed)
     ratio = _ratio(avoid, avoid_exact, den, den_exact)
 
     return ReactanceReport(
         effective=effective,
-        line_reactance=1.0 / edge.susceptance,
+        line_reactance=1.0 / network.b[k],
         reduction_ratio=ratio,
     )

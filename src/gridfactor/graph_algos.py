@@ -9,7 +9,6 @@ answers the query without enumerating cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
@@ -24,15 +23,14 @@ class BlockDecomposition:
     """Edge partition into blocks, plus the bridges and cut vertices.
 
     ``blocks`` is ordered by first edge appearance (ascending smallest edge
-    id), which makes ``block_of`` deterministic for a given network.
-    ``block_at`` holds the same block index by edge position, read-only.
-    Both index maps follow from ``blocks``, so neither is compared or hashed.
+    id), which makes ``block_at`` deterministic for a given network.
+    ``block_at`` holds each line's block index by edge position, read-only;
+    it follows from ``blocks``, so it is not compared or hashed.
     """
 
     blocks: tuple[frozenset[int], ...]
     bridges: frozenset[int]
     cut_vertices: frozenset[int]
-    block_of: MappingProxyType = field(compare=False)
     block_at: np.ndarray = field(compare=False, repr=False)
 
 
@@ -44,11 +42,11 @@ def block_decomposition(network: Network) -> BlockDecomposition:
     DisconnectedError when the graph is not connected, found as the search
     needing a second root.  :attr:`Network.decomposition` keeps one per network.
     """
-    ids = network.edge_ids()
+    ids = network.ids
     adjacency = network._adjacency
     disc = [-1] * network.n
     low = [-1] * network.n
-    raw_blocks: list[frozenset[int]] = []
+    raw_blocks: list[list[int]] = []
     edge_stack: list[int] = []
     clock = 0
 
@@ -89,16 +87,18 @@ def block_decomposition(network: Network) -> BlockDecomposition:
                     members = []
                     while edge_stack:
                         popped = edge_stack.pop()
-                        members.append(ids[popped])
+                        members.append(popped)
                         if popped == parent_edge:
                             break
-                    raw_blocks.append(frozenset(members))
+                    raw_blocks.append(members)
 
     # Deterministic block order: ascending smallest edge id.
-    blocks = tuple(sorted(raw_blocks, key=min))
-    block_of = {edge_id: index for index, members in enumerate(blocks) for edge_id in members}
-    block_at = np.array([block_of[edge_id] for edge_id in ids], dtype=int)
+    raw_blocks.sort(key=lambda members: min(map(ids.__getitem__, members)))
+    block_at = np.full(network.m, -1)
+    for index, members in enumerate(raw_blocks):
+        block_at[members] = index
     block_at.flags.writeable = False
+    blocks = tuple(frozenset(map(ids.__getitem__, members)) for members in raw_blocks)
     bridges = frozenset(next(iter(b)) for b in blocks if len(b) == 1)
 
     touched: list[set[int]] = [set() for _ in network.nodes]
@@ -111,7 +111,6 @@ def block_decomposition(network: Network) -> BlockDecomposition:
         blocks=blocks,
         bridges=bridges,
         cut_vertices=cut_vertices,
-        block_of=MappingProxyType(block_of),
         block_at=block_at,
     )
 

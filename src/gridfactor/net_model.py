@@ -29,7 +29,6 @@ from scipy.sparse.csgraph import connected_components
 from .errors import ParseError, UnbalancedInjectionError, UnknownEdgeError, ValidationError
 
 __all__ = [
-    "Edge",
     "Network",
     "Finding",
     "ValidationReport",
@@ -61,21 +60,6 @@ def scaled_tolerance(scale: float) -> float:
 
 
 @dataclass(frozen=True)
-class Edge:
-    """A transmission line with orientation source -> target.
-
-    ``susceptance`` is the positive DC line weight; ``capacity`` is the
-    thermal limit (infinite when the line can never trip).
-    """
-
-    id: int
-    source: int
-    target: int
-    susceptance: float
-    capacity: float = math.inf
-
-
-@dataclass(frozen=True)
 class Network:
     """Immutable oriented graph held as per-line columns.
 
@@ -86,9 +70,9 @@ class Network:
     per-node real power vector aligned with ``nodes``.
 
     The topology index (id-to-position maps, endpoint positions, adjacency
-    lists, connectedness), the :attr:`edges` view, the :attr:`factor` and the
-    :attr:`decomposition` are built once per instance, on first use, and are
-    not part of equality, hashing or ``repr``.
+    lists, connectedness), the :attr:`factor`, the :attr:`decomposition` and
+    the forest :attr:`oracle` are built once per instance, on first use, and
+    are not part of equality, hashing or ``repr``.
     """
 
     nodes: tuple[int, ...]
@@ -107,11 +91,6 @@ class Network:
     @property
     def m(self) -> int:
         return len(self.ids)
-
-    @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        """The lines as :class:`Edge` records, in line order."""
-        return tuple(map(Edge, self.ids, self.sources, self.targets, self.b, self.cap))
 
     @cached_property
     def _node_lookup(self) -> dict[int, int]:
@@ -171,6 +150,18 @@ class Network:
 
         return graph_algos.block_decomposition(self)
 
+    @cached_property
+    def oracle(self):
+        """The spanning trees, enumerated once, and the two-tree forests read from them.
+
+        Built by :class:`gridfactor.forests._Oracle` on first read, which
+        keeps no reference to the network; a TooLargeError is raised again
+        on every read, as nothing is kept.
+        """
+        from . import forests  # forests imports this module
+
+        return forests._Oracle(self)
+
     def node_index(self, node: int) -> int:
         try:
             return self._node_lookup[node]
@@ -194,12 +185,6 @@ class Network:
         if missing:
             raise UnknownEdgeError(f"unknown edge ids {sorted(missing)}")
         return np.array([lookup[v] for v in ids], dtype=int)
-
-    def edge_by_id(self, edge_id: int) -> Edge:
-        return self.edges[self.edge_index(edge_id)]
-
-    def edge_ids(self) -> tuple[int, ...]:
-        return self.ids
 
     def susceptances(self) -> np.ndarray:
         return np.array(self.b, dtype=float)
@@ -389,7 +374,7 @@ def _document_from_csv(edges_path: Path) -> dict:
                     "b": row["b"],
                     "cap": row.get("cap"),
                 })
-    except (OSError, KeyError, csv.Error) as exc:
+    except (OSError, KeyError, ValueError, csv.Error) as exc:  # ValueError: bytes that are not text
         raise ParseError(f"cannot read edge table {edges_path}: {exc}") from None
 
     injections_path = edges_path.with_name("injections.csv")
@@ -399,7 +384,7 @@ def _document_from_csv(edges_path: Path) -> dict:
             with open(injections_path, newline="") as handle:
                 for row in csv.DictReader(handle):
                     injections[row["node"]] = row["p"]
-        except (OSError, KeyError, csv.Error) as exc:
+        except (OSError, KeyError, ValueError, csv.Error) as exc:
             raise ParseError(f"cannot read injection table {injections_path}: {exc}") from None
         doc["injections"] = injections
     return doc
@@ -430,14 +415,16 @@ def load_network(source, reference: int | None = None) -> Network:
                     doc = json.load(handle)
             except OSError as exc:
                 raise ParseError(f"cannot open {path}: {exc}") from None
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # no JSON, bytes that are not text, an int past the digit limit
                 raise ParseError(f"{path} is not valid JSON: {exc}") from None
 
-    network = _network_from_document(doc)
-    if reference is not None:
-        network = replace(network, reference=_parse_id(reference, "reference"))
-
-    report = validate(network)
+    try:
+        network = _network_from_document(doc)
+        if reference is not None:
+            network = replace(network, reference=_parse_id(reference, "reference"))
+        report = validate(network)
+    except ValueError as exc:  # a refusal naming an int past the digit limit cannot print it
+        raise ParseError(f"cannot read network document: {exc}") from None
     if not report.ok:
         raise ValidationError("; ".join(f"{f.code}: {f.detail}" for f in report.findings))
     return network

@@ -214,7 +214,7 @@ def random_balanced_injection(rng, n):
 
 def sample_non_cut_outage(rng, network, max_size=3, attempts=300):
     """A random non-cut line subset, or None when none was found."""
-    ids = list(network.edge_ids())
+    ids = list(network.ids)
     upper = min(max_size, len(ids) - 1)
     if upper < 1:
         return None
@@ -235,11 +235,11 @@ def connected_after_removal_oracle(network, outage):
     """BFS connectivity of the surviving graph over all nodes."""
     outage = set(outage)
     adj = {node: [] for node in network.nodes}
-    for edge in network.edges:
-        if edge.id in outage:
+    for eid, source, target in zip(network.ids, network.sources, network.targets):
+        if eid in outage:
             continue
-        adj[edge.source].append(edge.target)
-        adj[edge.target].append(edge.source)
+        adj[source].append(target)
+        adj[target].append(source)
     start = network.nodes[0]
     seen = {start}
     queue = [start]
@@ -259,15 +259,15 @@ def simple_cycle_oracle(network, line, other):
     the line itself; the oracle enumerates those paths and asks whether any
     uses the other line.
     """
-    edge = network.edge_by_id(line)
+    k = network.edge_index(line)
     adj = {node: [] for node in network.nodes}
-    for e in network.edges:
-        if e.id == line:
+    for eid, source, target in zip(network.ids, network.sources, network.targets):
+        if eid == line:
             continue
-        adj[e.source].append((e.target, e.id))
-        adj[e.target].append((e.source, e.id))
+        adj[source].append((target, eid))
+        adj[target].append((source, eid))
 
-    start, goal = edge.target, edge.source
+    start, goal = network.targets[k], network.sources[k]
     found = False
 
     def walk(node, visited, used_other):
@@ -293,9 +293,9 @@ def reference_separates_oracle(network, i, j):
     if i == j:
         return False
     adj = {node: [] for node in network.nodes}
-    for edge in network.edges:
-        adj[edge.source].append(edge.target)
-        adj[edge.target].append(edge.source)
+    for source, target in zip(network.sources, network.targets):
+        adj[source].append(target)
+        adj[target].append(source)
     seen = {i, network.reference}
     queue = [i]
     while queue:

@@ -110,15 +110,14 @@ def test_criterion_03_forest_factor_equivalence():
         bundle = build_laplacian(net)
         ptdf = ptdf_matrix(bundle, net)
         decomposition = block_decomposition(net)
-        for line in net.edge_ids():
-            for other in net.edge_ids():
-                hat = net.edge_by_id(other)
-                oracle = ptdf_via_forests(net, line, hat.source, hat.target)
+        for line in net.ids:
+            for other, source, target in zip(net.ids, net.sources, net.targets):
+                oracle = ptdf_via_forests(net, line, source, target)
                 value = ptdf.entry(line, other)
                 err = abs(value - oracle) / max(1.0, abs(value), abs(oracle))
                 worst = max(worst, err)
                 assert err <= 1e-9
-        for outaged in net.edge_ids():
+        for outaged in net.ids:
             if outaged in decomposition.bridges:
                 continue
             column = lodf_single(ptdf, outaged)
@@ -169,9 +168,9 @@ def test_criterion_06_almost_sure_converse():
     # Unperturbed: non-adjacent line pairs vanish by symmetry.
     column = lodf_single(ptdf, 1)
     disjoint = [
-        e.id
-        for e in k4.edges
-        if e.id != 1 and not ({e.source, e.target} & {1, 2})
+        line
+        for line, source, target in zip(k4.ids, k4.sources, k4.targets)
+        if line != 1 and not ({source, target} & {1, 2})
     ]
     assert disjoint
     for other in disjoint:
@@ -199,10 +198,9 @@ def test_criterion_07_triangle_ground_truth():
     assert abs(lodf_via_forests(triangle, 3, 1) - 1.0) < 1e-12
     assert abs(lodf_via_forests(triangle, 2, 1) + 1.0) < 1e-12
 
-    for line in triangle.edge_ids():
+    for line, source, target in zip(triangle.ids, triangle.sources, triangle.targets):
         assert abs(ptdf.entry(line, line) - 2.0 / 3.0) < 1e-12
-        hat = triangle.edge_by_id(line)
-        assert abs(ptdf_via_forests(triangle, line, hat.source, hat.target) - 2.0 / 3.0) < 1e-12
+        assert abs(ptdf_via_forests(triangle, line, source, target) - 2.0 / 3.0) < 1e-12
 
     report = effective_reactance(triangle, 1)
     assert abs(report.effective - 2.0 / 3.0) < 1e-12
@@ -232,7 +230,7 @@ def test_criterion_08_bridge_behavior():
             assert abs(ptdf.entry(bridge, bridge) - 1.0) < 1e-12
             with pytest.raises(BridgeOutageError):
                 lodf_single(ptdf, bridge)
-        ids = net.edge_ids()
+        ids = net.ids
         for size in (1, 2):
             if size >= net.m:
                 continue
@@ -265,7 +263,7 @@ def test_criterion_10_injection_independence():
     while instances < 30:
         net = random_network(rng, max_nodes=8, min_extra=1)
         decomposition = block_decomposition(net)
-        non_bridges = [e.id for e in net.edges if e.id not in decomposition.bridges]
+        non_bridges = [line for line in net.ids if line not in decomposition.bridges]
         if not non_bridges:
             continue
         tripped = int(rng.choice(non_bridges))

@@ -114,7 +114,7 @@ def test_flow_conservation_each_stage():
             seen |= stage.tripped
             if stage.flow is None:
                 continue
-            surviving = [k for k, e in enumerate(net.edges) if e.id not in seen]
+            surviving = [k for k, line in enumerate(net.ids) if line not in seen]
             residual = C[:, surviving] @ stage.flow.flows[surviving] - p
             assert np.max(np.abs(residual)) < 1e-9 * scale
         ran += 1
@@ -160,10 +160,10 @@ def test_influence_graph_never_crosses_blocks(fig2):
     ptdf = ptdf_matrix(bundle, fig2)
     decomposition = block_decomposition(fig2)
     pairs = influence_graph(ptdf, 0.0)
-    block_of = decomposition.block_of
+    block_at = decomposition.block_at
     assert pairs
     for a, b in pairs:
-        assert block_of[a] == block_of[b]
+        assert block_at[fig2.edge_index(a)] == block_at[fig2.edge_index(b)]
         assert a not in decomposition.bridges
         assert b not in decomposition.bridges
 
@@ -277,7 +277,7 @@ def test_stiff_stages_are_exact_or_re_solved():
         net = with_susceptances(net, 10.0 ** rng.uniform(-6, 6, net.m))
         p = random_balanced_injection(rng, net.n)
         bridges = block_decomposition(net).bridges
-        for k, line in enumerate(net.edge_ids()):
+        for k, line in enumerate(net.ids):
             if line in bridges:
                 continue
             try:

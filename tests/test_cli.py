@@ -448,6 +448,34 @@ def test_ints_past_float_range_are_parse_errors(capsys, tmp_path, change, item):
     assert out == "" and err == f"gridfactor: {refusal.value}\n"
 
 
+@pytest.mark.parametrize("change", [
+    pytest.param(_set_edge(1, "to", 10**5000), id="to"),
+    pytest.param(lambda doc: doc.update(reference=10**5000), id="reference"),
+    pytest.param(_set_edge(1, "cap", 10**5000), id="cap"),
+])
+def test_ints_past_the_digit_limit_are_parse_errors(change):
+    doc = triangle_doc()
+    change(doc)
+    with pytest.raises(ParseError, match=r"^cannot read network document: Exceeds the limit \(4300 digits\)"):
+        load_network(doc)
+
+
+@pytest.mark.parametrize("name, content", [
+    pytest.param("long_b.json", json.dumps(triangle_doc()).replace('"b": 1.0', '"b": 1' + "0" * 4999, 1).encode(),
+                 id="json-int-past-the-digit-limit"),
+    pytest.param("latin1.json", b"\xff" + json.dumps(triangle_doc()).encode(), id="json-not-utf8"),
+    pytest.param("edges.csv", b"from,to,b\n1,2,1.0\n2,3,1.0\n1,3,\xe9\n", id="csv-not-utf8"),
+])
+def test_unreadable_files_are_parse_errors(capsys, tmp_path, name, content):
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(ParseError):
+        load_network(path)
+    assert run(["flow", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("gridfactor: ") and err.count("\n") == 1
+
+
 def test_integral_values_and_their_text_load_as_ids(triangle):
     doc = triangle_doc()
     doc.update(reference="3", nodes=[1.0, "2", 3])

@@ -170,9 +170,9 @@ def test_quadratic_form_identity_between_pseudo_inverse_and_a():
         net = random_network(rng)
         bundle = build_laplacian(net)
         ldag, A = bundle.ldag, bundle.A
-        for edge in net.edges:
-            i = net.node_index(edge.source)
-            j = net.node_index(edge.target)
+        for source, target in zip(net.sources, net.targets):
+            i = net.node_index(source)
+            j = net.node_index(target)
             lhs = ldag[i, i] + ldag[j, j] - ldag[i, j] - ldag[j, i]
             rhs = A[i, i] + A[j, j] - A[i, j] - A[j, i]
             assert abs(lhs - rhs) < 1e-9
@@ -232,7 +232,7 @@ def _copied_network_flow(net, p, tripped_ids):
     surviving = without_edges(net, tripped_ids)
     state = solve_flow(build_laplacian(surviving), surviving, p)
     flows = np.zeros(net.m)
-    flows[[net.edge_index(edge.id) for edge in surviving.edges]] = state.flows
+    flows[[net.edge_index(line) for line in surviving.ids]] = state.flows
     return state.theta, flows
 
 
@@ -267,7 +267,7 @@ def test_ptdf_is_zero_across_blocks_and_its_columns_are_its_matrix(seed):
     net = random_network(rng, max_nodes=12, max_extra=10)
     bundle = build_laplacian(net)
     D = ptdf_matrix(bundle, net).matrix
-    block = np.array([block_decomposition(net).block_of[line] for line in net.edge_ids()])
+    block = block_decomposition(net).block_at
     across = block[:, None] != block[None, :]
     assert np.array_equal(D[across].view(np.int64), np.zeros(np.count_nonzero(across), dtype=np.int64))
     C = incidence_matrix(net)

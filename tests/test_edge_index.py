@@ -69,7 +69,8 @@ def test_a_network_that_read_its_factor_dies_with_its_last_reference():
         net = build(triangle_doc())
         run_cascade(net, net.injections, [1])
         net.decomposition
-        assert "factor" in vars(net) and "decomposition" in vars(net)
+        net.oracle
+        assert {"factor", "decomposition", "oracle"} <= vars(net).keys()
         ref = weakref.ref(net)
         del net
         assert ref() is None
@@ -104,6 +105,15 @@ def test_factor_is_kept_per_instance_outside_equality(triangle):
 def test_unknown_ids_are_all_named(triangle, call):
     with pytest.raises(UnknownEdgeError, match=r"unknown edge ids \[0, 7, 9\]"):
         call(triangle, [9, 1, 7, 0])
+
+
+def test_line_ids_are_looked_up_not_truncated(triangle):
+    for call in (lambda ids: OutageSet(triangle, ids), lambda ids: run_cascade(triangle, triangle.injections, ids)):
+        with pytest.raises(UnknownEdgeError, match=r"unknown edge ids \[1\.5\]"):
+            call([1.5])
+    outage = OutageSet(triangle, [np.int64(2), 1.0])
+    assert outage.outaged == (1, 2) and {type(line) for line in outage.outaged} == {int}
+    assert run_cascade(triangle, triangle.injections, [2.0]).initial_outage == {2}
 
 
 def test_screening_builds_no_surviving_network(monkeypatch):
@@ -141,8 +151,8 @@ def _loop_embedded(network, cumulative, p):
     surviving = without_edges(network, cumulative)
     state = solve_flow(build_laplacian(surviving), surviving, p)
     flows = np.zeros(network.m)
-    for k, edge in enumerate(surviving.edges):
-        flows[network.edge_index(edge.id)] = state.flows[k]
+    for k, line in enumerate(surviving.ids):
+        flows[network.edge_index(line)] = state.flows[k]
     return state.theta, flows
 
 
@@ -182,8 +192,8 @@ def test_positions_and_cascade_flows_match_per_id_loops(seed):
         for got, reference in ((stage.flow.theta, theta), (stage.flow.flows, flows)):
             assert np.max(np.abs(got - reference)) <= scaled_tolerance(float(np.max(np.abs(reference))))
         overloaded = {
-            edge.id for edge in armed.edges
-            if edge.id not in cumulative
-            and abs(flows[armed.edge_index(edge.id)]) > edge.capacity
+            line for line, capacity in zip(armed.ids, armed.cap)
+            if line not in cumulative
+            and abs(flows[armed.edge_index(line)]) > capacity
         }
         assert overloaded == (set() if following is None else set(following.tripped))

@@ -68,9 +68,9 @@ def test_ptdf_diagonal_range():
         bundle = build_laplacian(net)
         diag = np.diag(ptdf_matrix(bundle, net).matrix)
         bridges = block_decomposition(net).bridges
-        for edge in net.edges:
-            value = diag[net.edge_index(edge.id)]
-            if edge.id in bridges:
+        for line in net.ids:
+            value = diag[net.edge_index(line)]
+            if line in bridges:
                 assert value == pytest.approx(1.0, abs=1e-12)
             else:
                 assert 0.0 < value < 1.0
@@ -112,7 +112,7 @@ def test_lodf_single_equals_the_per_line_division():
     net = random_network(np.random.default_rng(29), max_nodes=9, min_extra=3)
     ptdf = ptdf_matrix(build_laplacian(net), net)
     decomposition = block_decomposition(net)
-    for tripped in set(net.edge_ids()) - set(decomposition.bridges):
+    for tripped in set(net.ids) - set(decomposition.bridges):
         col = net.edge_index(tripped)
         expected = {
             line: float(ptdf.matrix[k, col] / (1.0 - ptdf.matrix[col, col]))
@@ -251,9 +251,9 @@ def test_apply_outage_zero_tripped_flow_is_identity(four_cycle):
     p = np.array([1.0, -2.0, 1.0, 0.0])
     pre = solve_flow(bundle, four_cycle, p)
     zero_lines = [
-        edge.id
-        for edge in four_cycle.edges
-        if abs(pre.flows[four_cycle.edge_index(edge.id)]) < 1e-12
+        line
+        for line in four_cycle.ids
+        if abs(pre.flows[four_cycle.edge_index(line)]) < 1e-12
     ]
     if not zero_lines:
         pytest.skip("no zero-flow line in this configuration")
@@ -312,11 +312,11 @@ def test_characteristic_injection_equals_ptdf_column():
         net = random_network(rng)
         bundle = build_laplacian(net)
         ptdf = ptdf_matrix(bundle, net)
-        for edge in net.edges:
-            flows = characteristic_injection_flow(bundle, net, edge.id)
-            column = ptdf.matrix[:, net.edge_index(edge.id)]
+        for line in net.ids:
+            flows = characteristic_injection_flow(bundle, net, line)
+            column = ptdf.matrix[:, net.edge_index(line)]
             assert np.max(np.abs(flows - column)) < 1e-9
-            assert flows[net.edge_index(edge.id)] > 0.0
+            assert flows[net.edge_index(line)] > 0.0
 
 
 def test_detect_islanding_examples(triangle_setup, path3):
@@ -335,7 +335,7 @@ def test_detect_islanding_agrees_with_cut_set_check():
             continue
         bundle = build_laplacian(net)
         ptdf = ptdf_matrix(bundle, net)
-        ids = net.edge_ids()
+        ids = net.ids
         for size in (1, 2):
             if size >= net.m:
                 continue
@@ -353,7 +353,7 @@ def test_lodf_is_injection_independent():
         bundle = build_laplacian(net)
         ptdf = ptdf_matrix(bundle, net)
         decomposition = block_decomposition(net)
-        non_bridges = [e.id for e in net.edges if e.id not in decomposition.bridges]
+        non_bridges = [line for line in net.ids if line not in decomposition.bridges]
         if not non_bridges:
             continue
         tripped = non_bridges[0]

@@ -98,18 +98,18 @@ def test_ptdf_via_forests_matches_algebra_for_node_pairs():
     for _ in range(6):
         net = random_network(rng, max_nodes=6)
         bundle = build_laplacian(net)
-        for edge in net.edges:
-            i = net.node_index(edge.source)
-            j = net.node_index(edge.target)
+        for line, source, target, weight in zip(net.ids, net.sources, net.targets, net.b):
+            i = net.node_index(source)
+            j = net.node_index(target)
             for a in net.nodes:
                 for b in net.nodes:
                     if a == b:
                         continue
                     ia, ib = net.node_index(a), net.node_index(b)
-                    algebraic = edge.susceptance * (
+                    algebraic = weight * (
                         bundle.A[i, ia] + bundle.A[j, ib] - bundle.A[i, ib] - bundle.A[j, ia]
                     )
-                    oracle = ptdf_via_forests(net, edge.id, a, b)
+                    oracle = ptdf_via_forests(net, line, a, b)
                     assert abs(algebraic - oracle) < 1e-9 * max(1.0, abs(algebraic))
 
 
@@ -145,25 +145,26 @@ def test_adjacent_lines_have_definite_factor_sign():
     checked = 0
     for _ in range(10):
         net = random_network(rng, max_nodes=7, min_extra=1)
-        for hat in net.edges:
-            others = enumerate_spanning_trees(net, allowed_edges=set(net.edge_ids()) - {hat.id})
+        lines = list(zip(net.ids, net.sources, net.targets))
+        for hat, hat_source, hat_target in lines:
+            others = enumerate_spanning_trees(net, allowed_edges=set(net.ids) - {hat})
             if not others.members:
                 continue
-            for edge in net.edges:
-                if edge.id == hat.id:
+            for line, source, target in lines:
+                if line == hat:
                     continue
-                shared = {edge.source, edge.target} & {hat.source, hat.target}
+                shared = {source, target} & {hat_source, hat_target}
                 if not shared:
                     continue
                 fwd = enumerate_two_tree_forests(
-                    net, {edge.source, hat.source}, {edge.target, hat.target}
+                    net, {source, hat_source}, {target, hat_target}
                 )
                 rev = enumerate_two_tree_forests(
-                    net, {edge.source, hat.target}, {edge.target, hat.source}
+                    net, {source, hat_target}, {target, hat_source}
                 )
                 assert not fwd.members or not rev.members
-                value = lodf_via_forests(net, edge.id, hat.id)
-                same_slot = edge.source == hat.source or edge.target == hat.target
+                value = lodf_via_forests(net, line, hat)
+                same_slot = source == hat_source or target == hat_target
                 if same_slot:
                     assert value >= -1e-12
                 else:
@@ -176,15 +177,16 @@ def test_orientation_families_are_disjoint():
     rng = np.random.default_rng(61)
     for _ in range(8):
         net = random_network(rng, max_nodes=6)
-        for edge in net.edges:
-            for hat in net.edges:
-                if edge.id == hat.id:
+        lines = list(zip(net.ids, net.sources, net.targets))
+        for line, source, target in lines:
+            for hat, hat_source, hat_target in lines:
+                if line == hat:
                     continue
                 fwd = enumerate_two_tree_forests(
-                    net, {edge.source, hat.source}, {edge.target, hat.target}
+                    net, {source, hat_source}, {target, hat_target}
                 )
                 rev = enumerate_two_tree_forests(
-                    net, {edge.source, hat.target}, {edge.target, hat.source}
+                    net, {source, hat_target}, {target, hat_source}
                 )
                 assert not (set(fwd.members) & set(rev.members))
 
@@ -250,8 +252,8 @@ def test_effective_reactance_bounds():
     rng = np.random.default_rng(71)
     for _ in range(10):
         net = random_network(rng, max_nodes=7)
-        for edge in net.edges:
-            report = effective_reactance(net, edge.id)
+        for line in net.ids:
+            report = effective_reactance(net, line)
             assert 0.0 < report.effective <= report.line_reactance + 1e-12
 
 
@@ -260,10 +262,10 @@ def test_effective_reactance_matches_quadratic_form():
     for _ in range(8):
         net = random_network(rng, max_nodes=7)
         bundle = build_laplacian(net)
-        for edge in net.edges:
-            i, j = net.node_index(edge.source), net.node_index(edge.target)
+        for line, source, target in zip(net.ids, net.sources, net.targets):
+            i, j = net.node_index(source), net.node_index(target)
             quad = bundle.A[i, i] + bundle.A[j, j] - 2 * bundle.A[i, j]
-            assert effective_reactance(net, edge.id).effective == pytest.approx(quad, abs=1e-9)
+            assert effective_reactance(net, line).effective == pytest.approx(quad, abs=1e-9)
 
 
 def test_enumeration_deterministic(triangle):
@@ -313,15 +315,15 @@ def test_forest_lodf_matches_ptdf_route():
         bundle = build_laplacian(net)
         ptdf = ptdf_matrix(bundle, net)
         diag = np.diag(ptdf.matrix)
-        for hat in net.edges:
-            gap = 1.0 - diag[net.edge_index(hat.id)]
+        for hat in net.ids:
+            gap = 1.0 - diag[net.edge_index(hat)]
             if gap < 1e-9:
                 continue
-            for edge in net.edges:
-                if edge.id == hat.id:
+            for line in net.ids:
+                if line == hat:
                     continue
-                algebraic = ptdf.entry(edge.id, hat.id) / gap
-                oracle = lodf_via_forests(net, edge.id, hat.id)
+                algebraic = ptdf.entry(line, hat) / gap
+                oracle = lodf_via_forests(net, line, hat)
                 assert abs(algebraic - oracle) < 1e-9 * max(1.0, abs(algebraic))
 
 
@@ -333,7 +335,7 @@ def _scanned_forests(net):
     """
     index = {node: k for k, node in enumerate(net.nodes)}
     found = {}
-    for combo in itertools.combinations(net.edges, net.n - 2):
+    for combo in itertools.combinations(zip(net.ids, net.sources, net.targets), net.n - 2):
         parent = list(range(net.n))
 
         def find(x):
@@ -341,14 +343,14 @@ def _scanned_forests(net):
                 x = parent[x]
             return x
 
-        for edge in combo:
-            ru, rv = find(index[edge.source]), find(index[edge.target])
+        for _, source, target in combo:
+            ru, rv = find(index[source]), find(index[target])
             if ru == rv:
                 break
             parent[ru] = rv
         else:
             root = find(0)
-            found[tuple(sorted(edge.id for edge in combo))] = [find(k) != root for k in range(net.n)]
+            found[tuple(sorted(line for line, _, _ in combo))] = [find(k) != root for k in range(net.n)]
     return found
 
 
@@ -365,12 +367,12 @@ def test_derived_forests_match_the_subset_scan(seed, extra, exact):
     if exact:
         net = with_susceptances(net, np.round(net.susceptances() * 8) / 8)
     scanned = _scanned_forests(net)
-    oracle = forests._oracle(net)
+    oracle = net.oracle
     derived = oracle.forests
 
     assert derived.members == tuple(sorted(scanned))
     assert oracle.far.tolist() == [scanned[member] for member in derived.members]
-    weights = {edge.id: edge.susceptance for edge in net.edges}
+    weights = dict(zip(net.ids, net.b))
     for k, member in enumerate(derived.members):
         beta = 1.0
         for eid in member:
@@ -385,6 +387,23 @@ def test_derived_forests_match_the_subset_scan(seed, extra, exact):
             assert derived.numerators is None
 
 
+def test_equal_networks_enumerate_their_own_trees(monkeypatch):
+    calls = []
+    original = forests._enumerate_tree_sets
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(forests, "_enumerate_tree_sets", counted)
+    doc = grid_doc(3)
+    first, second = build(doc), build(doc)
+    assert first == second
+    assert enumerate_spanning_trees(first) == enumerate_spanning_trees(second)
+    assert len(calls) == 2 and first.oracle is not second.oracle
+    assert first.oracle is first.oracle and len(calls) == 2
+
+
 def test_verify_enumerates_the_spanning_trees_once(monkeypatch, tmp_path, capsys):
     calls = []
     original = forests._enumerate_tree_sets
@@ -394,9 +413,8 @@ def test_verify_enumerates_the_spanning_trees_once(monkeypatch, tmp_path, capsys
         return original(*args)
 
     monkeypatch.setattr(forests, "_enumerate_tree_sets", counted)
-    # Susceptance 1.25 keeps this grid apart from the networks other tests build.
     path = tmp_path / "grid.json"
-    path.write_text(json.dumps(grid_doc(3, b=1.25)))
+    path.write_text(json.dumps(grid_doc(3)))
     assert run(["verify", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
     assert len(calls) == 1

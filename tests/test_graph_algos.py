@@ -33,7 +33,7 @@ from conftest import (
 
 def test_fig2_decomposition(fig2):
     dec = block_decomposition(fig2)
-    by_pair = {frozenset((e.source, e.target)): e.id for e in fig2.edges}
+    by_pair = {frozenset(ends): line for line, *ends in zip(fig2.ids, fig2.sources, fig2.targets)}
     assert dec.cut_vertices == frozenset({2, 3, 7})
     assert dec.bridges == frozenset({by_pair[frozenset((2, 6))], by_pair[frozenset((3, 7))]})
     assert len(dec.blocks) == 4
@@ -62,7 +62,7 @@ def test_blocks_partition_the_edge_set():
         for block in dec.blocks:
             assert not (union & block)
             union |= block
-        assert union == set(net.edge_ids())
+        assert union == set(net.ids)
         assert all(len(b) == 1 for b in dec.blocks if next(iter(b)) in dec.bridges)
 
 
@@ -70,7 +70,7 @@ def test_block_of_is_deterministic(fig2):
     dec = block_decomposition(fig2)
     for index, members in enumerate(dec.blocks):
         for edge_id in members:
-            assert dec.block_of[edge_id] == index
+            assert dec.block_at[fig2.edge_index(edge_id)] == index
     # Blocks are ordered by their smallest edge id.
     mins = [min(b) for b in dec.blocks]
     assert mins == sorted(mins)
@@ -80,13 +80,13 @@ def test_decomposition_invariant_under_edge_reordering():
     doc = fig2_doc()
     base = load_network(doc)
     base_blocks = {
-        frozenset(frozenset((e.source, e.target)) for e in base.edges if e.id in block)
+        frozenset(frozenset(ends) for line, *ends in zip(base.ids, base.sources, base.targets) if line in block)
         for block in block_decomposition(base).blocks
     }
     reordered_doc = dict(doc, edges=list(reversed(doc["edges"])))
     other = load_network(reordered_doc)
     other_blocks = {
-        frozenset(frozenset((e.source, e.target)) for e in other.edges if e.id in block)
+        frozenset(frozenset(ends) for line, *ends in zip(other.ids, other.sources, other.targets) if line in block)
         for block in block_decomposition(other).blocks
     }
     assert base_blocks == other_blocks
@@ -150,7 +150,7 @@ def test_is_cut_set_matches_whole_network_oracle(seed, extra):
         return
     bundle = build_laplacian(net)
     ptdf = ptdf_matrix(bundle, net)
-    ids = net.edge_ids()
+    ids = net.ids
     for _ in range(6):
         size = int(rng.integers(1, min(4, net.m - 1) + 1))
         outage = sorted(int(v) for v in rng.choice(ids, size=size, replace=False))
@@ -171,10 +171,10 @@ def _splits_without(net, node):
     """True when the nodes other than ``node`` are not all joined once it is removed."""
     rest = [v for v in net.nodes if v != node]
     adjacency = {v: [] for v in rest}
-    for e in net.edges:
-        if node not in (e.source, e.target):
-            adjacency[e.source].append(e.target)
-            adjacency[e.target].append(e.source)
+    for source, target in zip(net.sources, net.targets):
+        if node not in (source, target):
+            adjacency[source].append(target)
+            adjacency[target].append(source)
     reached, stack = {rest[0]}, [rest[0]]
     while stack:
         for other in adjacency[stack.pop()]:
@@ -199,14 +199,15 @@ def test_cut_vertices_match_brute_force_and_the_cached_decomposition_is_fresh(se
     assert (cached.blocks, cached.bridges, cached.cut_vertices) == (
         fresh.blocks, fresh.bridges, fresh.cut_vertices)
     assert net.decomposition is cached
-    assert cached.block_at.tolist() == [cached.block_of[line] for line in net.edge_ids()]
+    assert cached.block_at.tolist() == [
+        next(k for k, block in enumerate(cached.blocks) if line in block) for line in net.ids]
 
 
 def test_is_cut_set_agrees_with_connectivity_oracle():
     rng = np.random.default_rng(13)
     for _ in range(15):
         net = random_network(rng, max_nodes=7)
-        ids = net.edge_ids()
+        ids = net.ids
         for size in (1, 2):
             for outage in itertools.combinations(ids, size):
                 assert is_cut_set(net, outage) == (
@@ -232,7 +233,7 @@ def test_shares_simple_cycle_agrees_with_search_oracle():
     rng = np.random.default_rng(23)
     for _ in range(12):
         net = random_network(rng, max_nodes=10)
-        for line, other in itertools.combinations(net.edge_ids(), 2):
+        for line, other in itertools.combinations(net.ids, 2):
             assert shares_simple_cycle(net, line, other) == simple_cycle_oracle(
                 net, line, other
             )

@@ -86,12 +86,12 @@ def test_criterion_soundness_on_random_graphs():
         net = random_network(rng, min_extra=1)
         bundle, ptdf = make_factors(net)
         decomposition = block_decomposition(net)
-        for hat in net.edges:
-            if hat.id in decomposition.bridges:
+        for hat in net.ids:
+            if hat in decomposition.bridges:
                 continue
-            column = lodf_single(ptdf, hat.id)
+            column = lodf_single(ptdf, hat)
             for line, factor in column.items():
-                if simple_cycle_criterion(net, line, hat.id) == "zero":
+                if simple_cycle_criterion(net, line, hat) == "zero":
                     assert abs(factor) < 1e-10
 
 
@@ -123,10 +123,10 @@ def test_block_structure_flow_deltas_stay_in_block(fig2):
     decomposition = block_decomposition(fig2)
     outage = OutageSet(fig2, [1, 6])
     result = glodf(bundle, ptdf, fig2, outage)
-    block_of = decomposition.block_of
+    block_at = decomposition.block_at
     for row, line in enumerate(outage.surviving):
         for col, tripped in enumerate(outage.outaged):
-            if block_of[line] != block_of[tripped]:
+            if block_at[fig2.edge_index(line)] != block_at[fig2.edge_index(tripped)]:
                 assert abs(result.k_matrix[row, col]) < 1e-10
 
 
@@ -149,10 +149,10 @@ def test_block_structure_report_random_instances():
             assert block.reassembly_err_direct < 1e-9 * scale
             assert block.reassembly_err_parts < 1e-9 * scale
         # The stacked single-line factors show the same cross-block zeros.
-        block_of = decomposition.block_of
+        block_at = decomposition.block_at
         for row, line in enumerate(outage.surviving):
             for col, tripped in enumerate(outage.outaged):
-                if block_of[line] != block_of[tripped]:
+                if block_at[net.edge_index(line)] != block_at[net.edge_index(tripped)]:
                     assert abs(result.k_stack[row, col]) < 1e-9 * scale
         tested += 1
 
@@ -223,7 +223,7 @@ def test_adversarial_capacity_triangle(triangle):
     # Post-outage: the target line, and only the target line, overloads.
     survived = without_edges(triangle, [1])
     post = solve_flow(build_laplacian(survived), survived, instance.injections)
-    flows = {edge.id: post.flows[k] for k, edge in enumerate(survived.edges)}
+    flows = {line: post.flows[k] for k, line in enumerate(survived.ids)}
     assert abs(flows[3]) > instance.capacities[2]
     assert abs(flows[2]) <= instance.capacities[1]
 
@@ -237,11 +237,11 @@ def test_adversarial_capacity_guarantee_random():
         bundle = build_laplacian(net)
         ptdf = ptdf_matrix(bundle, net)
         pairs = [
-            (hat.id, other.id)
-            for hat in net.edges
-            if hat.id not in decomposition.bridges
-            for other in net.edges
-            if other.id != hat.id
+            (hat, other)
+            for hat in net.ids
+            if hat not in decomposition.bridges
+            for other in net.ids
+            if other != hat
         ]
         hit = None
         for tripped, target in pairs:
@@ -257,9 +257,9 @@ def test_adversarial_capacity_guarantee_random():
         assert np.all(np.abs(pre.flows) <= instance.capacities + 1e-12)
         survived = without_edges(net, [tripped])
         post = solve_flow(build_laplacian(survived), survived, instance.injections)
-        for k, edge in enumerate(survived.edges):
-            cap = instance.capacities[net.edge_index(edge.id)]
-            if edge.id == target:
+        for k, line in enumerate(survived.ids):
+            cap = instance.capacities[net.edge_index(line)]
+            if line == target:
                 assert abs(post.flows[k]) > cap
             else:
                 assert abs(post.flows[k]) <= cap + 1e-12
@@ -297,12 +297,13 @@ def test_adversarial_capacity_unknown_target_is_named(triangle):
 
 def _dense_perturbation_counts(network, outage, spec):
     """Per-trial dense route: full PTDF of each perturbed network, then glodf."""
-    block_of = block_decomposition(network).block_of
+    block_at = block_decomposition(network).block_at
     base = network.susceptances()
     within, cross = {}, {}
     for line in outage.surviving:
         for tripped in outage.outaged:
-            (within if block_of[line] == block_of[tripped] else cross)[(line, tripped)] = 0
+            same = block_at[network.edge_index(line)] == block_at[network.edge_index(tripped)]
+            (within if same else cross)[(line, tripped)] = 0
     for trial in range(spec.trials):
         rng = np.random.default_rng([spec.seed, trial])
         omega = rng.uniform(-spec.relative_magnitude, spec.relative_magnitude, network.m)
@@ -389,7 +390,7 @@ def test_cross_block_max_reads_no_structural_zero(monkeypatch, fig2):
     columns = PtdfMatrix.columns
 
     def filled(self, positions):
-        block = np.array([block_decomposition(self.network).block_of[line] for line in self.line_ids])
+        block = block_decomposition(self.network).block_at
         d_cols = columns(self, positions)
         d_cols[block[:, None] != block[positions]] = 1.0
         return d_cols
@@ -493,10 +494,9 @@ def _adversarial_by_full_ptdf(bundle, net, tripped, target):
     flows = characteristic_injection_flow(bundle, net, tripped)
     capacities = np.full(net.m, (1.0 + k_norm) * float(np.max(np.abs(flows))))
     capacities[net.edge_index(target)] = abs(flows[net.edge_index(target)])
-    edge = net.edge_by_id(tripped)
     injections = np.zeros(net.n)
-    injections[net.node_index(edge.source)] = 1.0
-    injections[net.node_index(edge.target)] = -1.0
+    injections[net.node_index(net.sources[k])] = 1.0
+    injections[net.node_index(net.targets[k])] = -1.0
     return injections, capacities
 
 
@@ -505,7 +505,7 @@ def _adversarial_by_full_ptdf(bundle, net, tripped, target):
 def test_unit_injection_matches_the_full_ptdf_route(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, max_nodes=10, max_extra=8, min_extra=1)
-    ids = net.edge_ids()
+    ids = net.ids
     if net.m > 1:
         lines = rng.choice(ids, size=int(rng.integers(1, net.m)), replace=False).tolist()
         outage = OutageSet(net, lines)

@@ -27,7 +27,7 @@ def test_triangle_loads(triangle):
     assert triangle.n == 3
     assert triangle.m == 3
     assert triangle.reference == 3
-    assert triangle.edge_ids() == (1, 2, 3)
+    assert triangle.ids == (1, 2, 3)
 
 
 def test_path_loads(path3):
@@ -131,7 +131,7 @@ def test_round_trip_identity(triangle):
 
 
 def test_missing_capacity_is_infinite(triangle):
-    assert all(math.isinf(edge.capacity) for edge in triangle.edges)
+    assert all(math.isinf(capacity) for capacity in triangle.cap)
 
 
 def test_reference_override_at_load():
@@ -146,10 +146,10 @@ def test_csv_round_trip(tmp_path):
     (tmp_path / "injections.csv").write_text("node,p\n1,1.0\n2,-1.0\n3,0.0\n")
     net = load_network(tmp_path)
     assert net.n == 3 and net.m == 3
-    assert net.edges[0].capacity == 2.5
-    assert math.isinf(net.edges[1].capacity)
-    assert math.isinf(net.edges[2].capacity)
-    assert net.edges[2].susceptance == 0.5
+    assert net.cap[0] == 2.5
+    assert math.isinf(net.cap[1])
+    assert math.isinf(net.cap[2])
+    assert net.b[2] == 0.5
     assert net.injections == (1.0, -1.0, 0.0)
     # The same file addressed directly also loads.
     assert load_network(tmp_path / "edges.csv") == net
@@ -174,14 +174,14 @@ def test_injection_balance_tolerance_scales(triangle):
 
 def test_without_edges_preserves_ids(triangle):
     survived = without_edges(triangle, [2])
-    assert survived.edge_ids() == (1, 3)
+    assert survived.ids == (1, 3)
     assert survived.nodes == triangle.nodes
 
 
 def test_with_susceptances(triangle):
     scaled = with_susceptances(triangle, [2.0, 3.0, 4.0])
     assert scaled.susceptances().tolist() == [2.0, 3.0, 4.0]
-    assert scaled.edge_ids() == triangle.edge_ids()
+    assert scaled.ids == triangle.ids
 
 
 DEFECTS = (None, "self_loop", "duplicate_pair", "unknown_endpoint", "duplicate_node", "node_ids",
@@ -252,7 +252,7 @@ def test_json_number_document_builds_no_edge_and_calls_no_item_parser(monkeypatc
     def refuse(*args, **kwargs):
         raise AssertionError("a per-line object or a per-item parse")
 
-    for name in ("Edge", "_parse_id", "_parse_real", "_parse_capacity"):
+    for name in ("_parse_id", "_parse_real", "_parse_capacity"):
         monkeypatch.setattr(net_model, name, refuse)
     network = load_network(doc)
     monkeypatch.undo()

@@ -16,8 +16,9 @@ The corpus covers every subcommand and output format, all four ``glodf``
 methods, ``localize`` with and without ``--perturb``, bridge, cut-set and
 bad-input refusals (parallel lines and a malformed reference among them),
 one refusal per validation code and per loader parse error (integers past
-float range among them), documents whose ids are not JSON ints (float and
-text ids), one with bad values in two fields of two lines, usage and range
+float range among them), files the loader cannot read as text or as numbers
+(a JSON file and an ``edges.csv`` that are not UTF-8, a JSON ``b`` of 5000
+digits), documents whose ids are not JSON ints (float and text ids), one with bad values in two fields of two lines, usage and range
 errors, a connected network too stiff to factor, a line
 that is not a bridge yet too stiff for its outage factors (and a cascade
 from it, whose stage fails the GLODF update's certificate and is
@@ -39,6 +40,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import json
 import os
 import runpy
 import shlex
@@ -239,6 +241,12 @@ def outputs(src) -> Iterator[tuple[str, int, str, str]]:
         for name, (command, doc) in _loader_documents(conftest.triangle_doc()).items():
             gen.write(doc, Path(name))
             corpus.append([command, name])
+        triangle_text = json.dumps(conftest.triangle_doc())
+        Path("long_b.json").write_text(triangle_text.replace('"b": 1.0', '"b": 1' + "0" * 4999, 1))
+        Path("not_utf8.json").write_bytes(b"\xff" + triangle_text.encode())
+        Path("not_utf8_csv").mkdir()
+        Path("not_utf8_csv/edges.csv").write_bytes(b"from,to,b\n1,2,1.0\n2,3,1.0\n1,3,\xe9\n")
+        corpus += [["flow", "long_b.json"], ["flow", "not_utf8.json"], ["flow", "not_utf8_csv"]]
         corpus += [
             ["lodf", "stiff_triangle.json", "--line", "1"],
             ["glodf", "stiff_triangle.json", "--lines", "1", "--method", "post_contingency"],
