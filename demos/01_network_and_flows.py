@@ -13,7 +13,6 @@ from gridfactor import (
     injection_vector,
     load_network,
     network_to_document,
-    pseudo_inverse_flow,
     solve_flow,
     validate,
 )
@@ -38,10 +37,11 @@ print("validation findings:", validate(triangle).findings or "none")
 C = incidence_matrix(triangle)
 print("\nincidence matrix:\n", C)
 
-# The padded reduced-Laplacian inverse maps balanced injections to angles
-# with the reference angle pinned at zero.
+# The Laplacian is C B C^T.  The padded reduced-Laplacian inverse maps
+# balanced injections to angles with the reference angle pinned at zero.
+B = np.diag(triangle.susceptances())
 bundle = build_laplacian(triangle)
-print("\nLaplacian:\n", bundle.L)
+print("\nLaplacian (C B C^T):\n", C @ B @ C.T)
 print("padded inverse A:\n", bundle.A)
 
 p = injection_vector(triangle)
@@ -51,11 +51,13 @@ print("angles:    ", state.theta)
 print("flows:     ", state.flows, "(expected [2/3, -1/3, 1/3])")
 print("conservation residual:", np.max(np.abs(C @ state.flows - p)))
 
-# The pseudo-inverse route gives the same branch flows; only the angle
-# offset differs.
-floating = pseudo_inverse_flow(bundle, triangle, p)
-print("\npseudo-inverse flows match:", np.allclose(state.flows, floating.flows, atol=1e-12))
-print("angle shift (constant):", floating.theta - state.theta)
+# The pseudo-inverse of the Laplacian gives the same branch flows; its
+# angles sum to zero, so they differ from the pinned ones by minus their mean.
+floating = np.linalg.pinv(C @ B @ C.T) @ p
+print("\npseudo-inverse flows match:", np.allclose(state.flows, B @ C.T @ floating, atol=1e-12))
+shift = floating - state.theta
+print("angle shift is one constant:", np.allclose(shift, shift[0], atol=1e-12))
+print("it is minus the mean pinned angle:", np.isclose(shift[0], -state.theta.mean(), atol=1e-12))
 
 # Networks serialize back to the canonical document form losslessly.
 print("\nround-trip identical:", load_network(network_to_document(triangle)) == triangle)

@@ -12,7 +12,7 @@ The package is organized around an immutable network model:
 """
 
 from .cascade import CascadeTrace, Stage, influence_graph, run_cascade
-from .dcpf import FlowState, LaplacianBundle, build_laplacian, pseudo_inverse_flow, solve_flow
+from .dcpf import FlowState, LaplacianBundle, build_laplacian, solve_flow
 from .errors import (
     AnalysisError,
     BridgeError,

@@ -2,13 +2,13 @@
 
 The weighted Laplacian L = C B C^T is assembled edge by edge as sparse
 triplets, here and nowhere else.  The triplets off the reference row and
-column give the reduced Laplacian, factored once by a sparse LU (SuperLU);
-each DC solve is one pair of sparse triangular solves with a zero reference
-angle, and the sensitivity columns D[:, k] of D = B C^T A C are the one
-formula for D.  The dense L, the matrix A (the reduced inverse padded with a
-zero row and column at the reference; only ``verify`` reads it) and the
-pseudo-inverse are built only when a caller reads them, so a solve costs
-memory in the lines, not in the square of the buses.
+column give the reduced Laplacian, kept in CSC form and factored once by a
+sparse LU (SuperLU); each DC solve is one pair of sparse triangular solves
+with a zero reference angle, and the sensitivity columns D[:, k] of
+D = B C^T A C are the one formula for D.  The matrix A (the reduced inverse
+padded with a zero row and column at the reference; only ``verify`` reads
+it) is the one dense view, built only when read, so a solve costs memory in
+the lines, not in the square of the buses.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import scipy.sparse.linalg
 from .errors import SingularError, ValidationError
 from .net_model import PIVOT_RTOL, Network, incidence_columns, injection_vector
 
-__all__ = ["LaplacianBundle", "FlowState", "build_laplacian", "solve_flow", "pseudo_inverse_flow",
-           "surviving_flow"]
+__all__ = ["LaplacianBundle", "FlowState", "build_laplacian", "solve_flow", "surviving_flow"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,8 +31,7 @@ class FlowState:
     """Phase angles per node and signed branch flows per edge.
 
     ``theta`` follows the node order of the generating network and has a
-    zero entry at the reference node (except for pseudo-inverse angles,
-    which differ by a constant shift).  ``flows`` follows edge order and is
+    zero entry at the reference node.  ``flows`` follows edge order and is
     signed by edge orientation.
     """
 
@@ -42,10 +40,10 @@ class FlowState:
 
 
 class LaplacianBundle:
-    """Laplacian L, the sparse LU factor of its reduced form, and lazy dense views.
+    """The reduced Laplacian ``reduced`` (CSC, L less the reference row and column), its sparse LU factor.
 
     Immutable after construction; :meth:`solve` applies A without forming
-    it, and the dense L, A and pseudo-inverse are computed on first access.
+    it, and the dense A, the one dense view, is computed on first access.
     ``n`` is the network's node count; ``endpoints`` (``source``, ``target``)
     and ``b`` hold each edge's endpoint positions and weight: its susceptance,
     or ``susceptances`` when given (copied, shape ``(m,)``, finite, >= 0),
@@ -69,13 +67,11 @@ class LaplacianBundle:
         s, t, w = self.source[b > 0], self.target[b > 0], b[b > 0]  # a line that is out stores nothing
         values = np.concatenate([w, w, -w, -w])
         rows, cols = np.concatenate([s, t, s, t]), np.concatenate([s, t, t, s])
-        self._triplets = values, rows, cols
         ref = network.reference_index()
         self._keep = np.delete(np.arange(network.n), ref)
         kept = (rows != ref) & (cols != ref)  # reduced L: no reference row or column, later indices shift down
-        rows, cols = rows[kept], cols[kept]
-        reduced = scipy.sparse.csc_array((values[kept], (rows - (rows > ref), cols - (cols > ref))),
-                                         shape=(network.n - 1,) * 2)
+        rows, cols = (ends[kept] - (ends[kept] > ref) for ends in (rows, cols))
+        self.reduced = reduced = scipy.sparse.csc_array((values[kept], (rows, cols)), shape=(network.n - 1,) * 2)
         try:  # L is symmetric and diagonally dominant: a symmetric ordering, diagonal pivots
             self._factor = scipy.sparse.linalg.splu(
                 reduced, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
@@ -109,26 +105,13 @@ class LaplacianBundle:
         return self.branch_flows(self.solve(incidence_columns(self, positions)))
 
     @cached_property
-    def L(self) -> np.ndarray:
-        """Dense weighted Laplacian C B C^T, from the assembly's triplets."""
-        values, rows, cols = self._triplets
-        return scipy.sparse.csc_array((values, (rows, cols)), shape=(self.n,) * 2).toarray()
-
-    @cached_property
     def A(self) -> np.ndarray:
         """Reduced inverse padded with a zero row and column at the reference."""
         return self.solve(np.eye(self.n))
 
-    @cached_property
-    def ldag(self) -> np.ndarray:
-        """Moore-Penrose pseudo-inverse (L + J/n)^-1 - J/n with J = ones."""
-        n = self.n
-        ones = np.full((n, n), 1.0 / n)
-        return np.linalg.inv(self.L + ones) - ones
-
 
 def build_laplacian(network: Network, susceptances=None) -> LaplacianBundle:
-    """Assemble L and factor its reduced form, under ``susceptances`` if given."""
+    """Assemble the reduced Laplacian and factor it, under ``susceptances`` if given."""
     return LaplacianBundle(network, susceptances)
 
 
@@ -139,16 +122,6 @@ def solve_flow(bundle: LaplacianBundle, network: Network, p) -> FlowState:
     The injections must be balanced.
     """
     theta = bundle.solve(injection_vector(network, p))
-    return FlowState(theta=theta, flows=bundle.branch_flows(theta))
-
-
-def pseudo_inverse_flow(bundle: LaplacianBundle, network: Network, p) -> FlowState:
-    """DC power flow through the Laplacian pseudo-inverse.
-
-    Branch flows coincide with :func:`solve_flow`; the angle vector differs
-    from the reference-pinned one by a constant shift.
-    """
-    theta = bundle.ldag @ injection_vector(network, p)
     return FlowState(theta=theta, flows=bundle.branch_flows(theta))
 
 

@@ -80,20 +80,26 @@ class OutageSet:
 
     The outaged ids are kept in ascending order, fixing the column order of
     every derived factor matrix; the surviving ids are ascending as well.
+    ``disconnects`` is True when tripping the lines disconnects the network.
     """
 
     def __init__(self, network: Network, lines):
         # Looked up as given, so an id that names no line (1.5) is refused, never truncated.
-        lines = sorted(set(map(network.ids.__getitem__, network.edge_positions(lines).tolist())))
-        outaged_idx = network.edge_positions(lines)
-        if not lines:
+        outaged = sorted({network.ids[k]: k for k in network.edge_positions(lines).tolist()}.items())
+        if not outaged:
             raise ValidationError("outage set must be nonempty")
-        if len(lines) == network.m:
+        if len(outaged) == network.m:
             raise ValidationError("outage set must be a proper subset of the lines")
         self.network = network
-        self.outaged = tuple(lines)
-        self.outaged_idx = outaged_idx
-        self.surviving_idx = np.delete(np.arange(network.m), outaged_idx)
+        self.outaged, positions = zip(*outaged)
+        self.outaged_idx = np.array(positions)
+        self.surviving_idx = np.delete(np.arange(network.m), self.outaged_idx)
+        self.disconnects = network.disconnected_by(self.outaged_idx)  # decided once, near the tripped lines
+
+    def refuse_cut(self) -> None:
+        """Raise CutSetError when the outage disconnects the network; a bridge in it always does."""
+        if self.disconnects:
+            raise CutSetError(f"outage {self.outaged} disconnects the network")
 
     @cached_property
     def surviving(self) -> tuple[int, ...]:
@@ -213,15 +219,14 @@ def glodf(
       cross_check       all three, recording the max pairwise disagreement
 
     Raises CutSetError when the outage disconnects the grid; the inverse of
-    I - D_FF exists whenever it does not.  Islanding is decided near the
-    tripped lines (:meth:`Network.disconnected_by`); only
+    I - D_FF exists whenever it does not.  Islanding is the outage's own
+    verdict (:meth:`OutageSet.refuse_cut`); only
     ``post_contingency`` factors the network again, for its solve.  The other
     formulas read only the |F| outage columns of ``ptdf``, whose factor is ``bundle``.
     """
     if method not in GLODF_METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {GLODF_METHODS}")
-    if network.disconnected_by(outage.outaged_idx):
-        raise CutSetError(f"outage {outage.outaged} disconnects the network")
+    outage.refuse_cut()
 
     rows, cols = outage.surviving_idx, outage.outaged_idx
     d_cols = ptdf.columns(cols)
@@ -288,8 +293,7 @@ def apply_outage(
     length with zeros at the tripped lines.
     """
     p = injection_vector(network, p)
-    if network.disconnected_by(outage.outaged_idx):
-        raise CutSetError(f"outage {outage.outaged} disconnects the network")
+    outage.refuse_cut()
     pre = solve_flow(bundle, network, p)
     return pre, _outage_flow(bundle, network, p, pre, outage.outaged_idx)
 

@@ -382,11 +382,9 @@ def matrix_tree_check(network: Network, tolerance: float = RTOL) -> MatrixTreeRe
     against the signed weight of the matching two-tree family.
     """
     bundle = network.factor
-    oracle = network.oracle  # refuses a network past the cap before the dense L is read
-    ref = network.reference_index()
-    keep = [k for k in range(network.n) if k != ref]
-    reduced = bundle.L[np.ix_(keep, keep)]
-    non_ref_nodes = [network.nodes[k] for k in keep]
+    oracle = network.oracle  # refuses a network past the cap before the reduced L is made dense
+    reduced = bundle.reduced.toarray()
+    non_ref_nodes = [node for node in network.nodes if node != network.reference]
 
     _, tree_total, tree_total_exact = oracle.trees_within(None)
     forest_weight = float(tree_total_exact) if tree_total_exact is not None else tree_total
@@ -395,7 +393,7 @@ def matrix_tree_check(network: Network, tolerance: float = RTOL) -> MatrixTreeRe
     det_err = _rel_err(determinant, forest_weight)
 
     minor_max = 0.0
-    size = len(keep)
+    size = len(non_ref_nodes)
     for row in range(size):
         for col in range(size):
             sub = np.delete(np.delete(reduced, row, axis=0), col, axis=1)

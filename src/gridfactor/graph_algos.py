@@ -101,11 +101,10 @@ def block_decomposition(network: Network) -> BlockDecomposition:
     blocks = tuple(frozenset(map(ids.__getitem__, members)) for members in raw_blocks)
     bridges = frozenset(next(iter(b)) for b in blocks if len(b) == 1)
 
-    touched: list[set[int]] = [set() for _ in network.nodes]
-    for s, t, index in zip(*(ends.tolist() for ends in network.endpoints), block_at.tolist()):
-        touched[s].add(index)
-        touched[t].add(index)
-    cut_vertices = frozenset(node for node, owners in zip(network.nodes, touched) if len(owners) >= 2)
+    # A cut vertex touches two or more blocks: count the distinct (node, block) pairs per node.
+    pairs = np.unique(np.concatenate(network.endpoints) * network.m + np.tile(block_at, 2))
+    touched = np.bincount(pairs // network.m, minlength=network.n)
+    cut_vertices = frozenset(map(network.nodes.__getitem__, np.flatnonzero(touched >= 2).tolist()))
 
     return BlockDecomposition(
         blocks=blocks,

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dcpf import LaplacianBundle, build_laplacian
-from .errors import BridgeOutageError, CutSetError, ValidationError, ZeroFactorError
+from .errors import BridgeOutageError, ValidationError, ZeroFactorError
 from .factors import (OutageSet, PtdfMatrix, _glodf_kernel, _lodf_columns, _post_contingency_columns,
                       characteristic_injection_flow)
 from .graph_algos import shares_simple_cycle
@@ -97,8 +97,7 @@ def block_structure_report(ptdf: PtdfMatrix, outage: OutageSet) -> LocalizationR
     restricted to the block.
     """
     network = outage.network
-    if network.disconnected_by(outage.outaged_idx):
-        raise CutSetError(f"outage {outage.outaged} disconnects the network")
+    outage.refuse_cut()
 
     rows, cols = outage.surviving_idx, outage.outaged_idx
     whole = ptdf.bundle.sensitivity_columns(cols)
@@ -200,9 +199,7 @@ def almost_sure_nonzero_test(
     a given seed regardless of execution order.  A trial solves only the
     |F| outage columns of its perturbed network; it builds no PTDF.
     """
-    if network.disconnected_by(outage.outaged_idx):
-        # Any bridge in the outage also lands here: a bridge is a cut set.
-        raise CutSetError(f"outage {outage.outaged} disconnects the network")
+    outage.refuse_cut()
     _, _, same_block = _line_blocks(network, outage)
     rows, cols = outage.surviving_idx, outage.outaged_idx
     base = network.susceptances()

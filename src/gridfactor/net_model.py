@@ -422,6 +422,9 @@ def load_network(source, reference: int | None = None) -> Network:
         network = _network_from_document(doc)
         if reference is not None:
             network = replace(network, reference=_parse_id(reference, "reference"))
+        # An id past the int-to-text limit is refused as in a JSON file: str raises the ValueError caught here.
+        named = [network.reference, *network.nodes, *network.sources, *network.targets]
+        str(min(named)), str(max(named))
         report = validate(network)
     except ValueError as exc:  # a refusal naming an int past the digit limit cannot print it
         raise ParseError(f"cannot read network document: {exc}") from None
@@ -465,6 +468,15 @@ def incidence_columns(network: Network, positions) -> np.ndarray:
     return columns
 
 
+def _named(value):
+    """``value`` as a finding names it: an int too long to write in decimal, by its size."""
+    try:
+        str(value)
+    except ValueError:  # past the int-to-text conversion limit
+        return f"<an int of {value.bit_length()} bits>"
+    return value
+
+
 def _repeats(keys) -> np.ndarray:
     """Mask of the entries of a sequence that equal an earlier entry."""
     repeats = np.zeros(len(keys), dtype=bool)
@@ -496,26 +508,27 @@ def validate(network: Network) -> ValidationReport:
         findings.append(Finding("node_ids", "node ids must be 1..n"))
 
     if network.reference not in node_set:
-        findings.append(Finding("bad_reference", f"reference {network.reference} is not a node"))
+        findings.append(Finding("bad_reference", f"reference {_named(network.reference)} is not a node"))
 
     ids, sources, targets, m = network.ids, network.sources, network.targets, network.m
     source, target = network.endpoints  # equal ids, equal positions, known or not
     low, high = np.minimum(source, target), np.maximum(source, target)
     b, cap = network.susceptances(), network.capacities()
     checks = (
-        ("duplicate_edge_id", _repeats(ids), lambda k: f"edge id {ids[k]} repeats"),
-        ("self_loop", low == high, lambda k: f"edge {ids[k]} is a self-loop at node {sources[k]}"),
-        ("duplicate_edge", _repeats((low * (network.n + 2 * m) + high).tolist()), lambda k: (
-            f"edge {ids[k]} repeats endpoint pair {tuple(sorted({sources[k], targets[k]}))}"
-            " (in either orientation)")),
-        ("unknown_endpoint", source >= network.n, lambda k: f"edge {ids[k]} uses unknown node {sources[k]}"),
-        ("unknown_endpoint", target >= network.n, lambda k: f"edge {ids[k]} uses unknown node {targets[k]}"),
-        ("nonfinite_susceptance", ~np.isfinite(b), lambda k: f"edge {ids[k]} has b={network.b[k]}"),
-        ("nonpositive_susceptance", np.isfinite(b) & ~(b > 0), lambda k: f"edge {ids[k]} has b={network.b[k]}"),
-        ("nonpositive_capacity", ~(cap > 0), lambda k: f"edge {ids[k]} has cap={network.cap[k]}"),
+        ("duplicate_edge_id", _repeats(ids), "edge id {id} repeats"),
+        ("self_loop", low == high, "edge {id} is a self-loop at node {source}"),
+        ("duplicate_edge", _repeats((low * (network.n + 2 * m) + high).tolist()),
+         "edge {id} repeats endpoint pair {pair} (in either orientation)"),
+        ("unknown_endpoint", source >= network.n, "edge {id} uses unknown node {source}"),
+        ("unknown_endpoint", target >= network.n, "edge {id} uses unknown node {target}"),
+        ("nonfinite_susceptance", ~np.isfinite(b), "edge {id} has b={b}"),
+        ("nonpositive_susceptance", np.isfinite(b) & ~(b > 0), "edge {id} has b={b}"),
+        ("nonpositive_capacity", ~(cap > 0), "edge {id} has cap={cap}"),
     )
     for k in np.flatnonzero(np.any([mask for _, mask, _ in checks], axis=0)).tolist():
-        findings += [Finding(code, detail(k)) for code, mask, detail in checks if mask[k]]
+        line = dict(id=_named(ids[k]), source=_named(sources[k]), target=_named(targets[k]), b=network.b[k],
+                    cap=network.cap[k], pair=tuple(map(_named, sorted({sources[k], targets[k]}))))
+        findings += [Finding(code, detail.format_map(line)) for code, mask, detail in checks if mask[k]]
 
     if network.injections is not None and len(network.injections) != network.n:
         findings.append(Finding(

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -493,8 +494,7 @@ _BLOCK_TREE_RUNS = [["blocks"], ["flow"], ["ptdf"], *_COLUMN_RUNS, ["cascade", "
 
 
 @pytest.mark.parametrize("owner, dense, argvs", [
-    pytest.param(LaplacianBundle, ("L", "ldag"), _BLOCK_TREE_RUNS, id="L-ldag"),
-    pytest.param(LaplacianBundle, ("L", "ldag", "A"), _BLOCK_TREE_RUNS, id="L-ldag-A"),
+    pytest.param(LaplacianBundle, ("A",), _BLOCK_TREE_RUNS, id="A"),
     pytest.param(factors.PtdfMatrix, ("matrix",), _COLUMN_RUNS, id="ptdf-matrix"),
 ])
 def test_subcommands_build_no_dense_matrix_they_do_not_read(monkeypatch, capsys, tmp_path,
@@ -535,7 +535,8 @@ def test_verify_refuses_past_the_cap_before_building_a_dense_matrix(monkeypatch,
         raise AssertionError("a dense matrix was built")
 
     monkeypatch.setattr(factors.PtdfMatrix, "matrix", property(refuse))
-    monkeypatch.setattr(LaplacianBundle, "L", property(refuse))
+    monkeypatch.setattr(LaplacianBundle, "A", property(refuse))
+    monkeypatch.setattr(scipy.sparse.csc_array, "toarray", refuse)  # the matrix-tree check's dense reduced L
     path = tmp_path / "grid5.json"
     path.write_text(json.dumps(grid_doc(5)))  # 557,568,000 spanning trees
     assert run(["verify", str(path)]) == 2
@@ -557,6 +558,20 @@ def test_localize_computes_no_glodf(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(factors, "glodf", refuse)
     assert run(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_localize_perturb_decides_islanding_once(monkeypatch, capsys, fig2_path):
+    searched = []
+    disconnected_by = Network.disconnected_by
+
+    def counting(self, positions):
+        searched.append(np.asarray(positions).tolist())
+        return disconnected_by(self, positions)
+
+    monkeypatch.setattr(Network, "disconnected_by", counting)
+    assert run(["localize", fig2_path, "--lines", "1,7", "--perturb", "--trials", "3"]) == 0
+    capsys.readouterr()
+    assert searched == [[0, 6]]  # the report and the perturbation test share the outage's verdict
 
 
 _SPECIAL_TEXT = st.sampled_from([", ", "], [", '"', "\\", "é", "a, b", "\n"])

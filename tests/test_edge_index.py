@@ -175,7 +175,12 @@ def test_positions_and_cascade_flows_match_per_id_loops(seed):
     p = random_balanced_injection(rng, net.n)
     bundle = build_laplacian(net)
     C = incidence_matrix(net)
-    assert np.max(np.abs(bundle.L - C @ np.diag(net.susceptances()) @ C.T)) <= 1e-12
+    keep = np.delete(np.arange(net.n), net.reference_index())
+    weights = net.susceptances()
+    for zeroed in ([], split.outaged_idx[:1]):  # a zero weight is a line that is out
+        weights[zeroed] = 0.0
+        expected = (C @ np.diag(weights) @ C.T)[np.ix_(keep, keep)]
+        assert np.max(np.abs(build_laplacian(net, weights).reduced.toarray() - expected)) <= 1e-12
     state = solve_flow(bundle, net, p)
     dense = bundle.A @ p
     assert np.max(np.abs(state.theta - dense)) <= 1e-12 * max(1.0, np.max(np.abs(dense)))

@@ -115,6 +115,22 @@ def test_validate_reports_bad_reference_and_injection_length(triangle):
     assert report.findings[1].detail == "expected 3 injections, got 2"
 
 
+def test_validate_names_an_int_too_long_to_print_by_its_size():
+    huge = 10**5000  # past the int-to-text conversion limit
+    net = Network(nodes=(1, 2, 3), ids=(1, 2), sources=(1, 2), targets=(2, huge), b=(1.0, 1.0),
+                  cap=(1.0, 1.0), reference=3)
+    assert validate(net).findings[0].detail == "edge 2 uses unknown node <an int of 16610 bits>"
+    net = replace(net, ids=(huge, huge), sources=(2, 2), targets=(2, 2), reference=huge)
+    assert [(f.code, f.detail) for f in validate(net).findings] == [
+        ("bad_reference", "reference <an int of 16610 bits> is not a node"),
+        ("self_loop", "edge <an int of 16610 bits> is a self-loop at node 2"),
+        ("duplicate_edge_id", "edge id <an int of 16610 bits> repeats"),
+        ("self_loop", "edge <an int of 16610 bits> is a self-loop at node 2"),
+        ("duplicate_edge", "edge <an int of 16610 bits> repeats endpoint pair (2,) (in either orientation)"),
+        ("disconnected", "network is not connected"),
+    ]
+
+
 def test_validate_reports_degenerate_sizes():
     lonely = Network(nodes=(1,), ids=(), sources=(), targets=(), b=(), cap=(), reference=1)
     codes = validate(lonely).codes()

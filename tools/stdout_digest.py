@@ -29,7 +29,7 @@ oracle grids for seeds 2 and 7.  Runs share one process, as a caller of
 that holds ``--src`` (its ``demos`` directory, beside ``src``) then run in
 the same process through ``runpy``, so each tree runs the demos written
 for its own API; they reach library calls no CLI run makes
-(``pseudo_inverse_flow``, ``apply_outage``, ``adversarial_capacity``), and
+(``apply_outage``, ``adversarial_capacity``), and
 their exit code is 0, or 1 when one raises.
 """
 
