@@ -9,8 +9,10 @@ answers the query without enumerating cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
+from scipy.sparse.csgraph import depth_first_order
 
 from .errors import DisconnectedError
 from .net_model import Network
@@ -37,68 +39,40 @@ class BlockDecomposition:
 def block_decomposition(network: Network) -> BlockDecomposition:
     """Unique block decomposition of a connected network.
 
-    Iterative depth-first search with an edge stack (linear in nodes plus
-    edges) over the network's position-space adjacency.  Raises
-    DisconnectedError when the graph is not connected, found as the search
-    needing a second root.  :attr:`Network.decomposition` keeps one per network.
+    One depth-first search in C along the symmetric topology index gives the
+    tree; every line joins a node to an ancestor, giving the low points.  The
+    tree line into a node opens a block unless the node's low point reaches
+    above its parent, and every line joins the block of the tree line into
+    its deeper end.  A self-loop (which ``validate`` refuses) joins the block
+    of the tree line into its node, the first block at position 0, and a
+    bridge it joins is no longer one.  Raises DisconnectedError when the
+    search misses a node.  :attr:`Network.decomposition` keeps one per network.
     """
-    ids = network.ids
-    adjacency = network._adjacency
-    disc = [-1] * network.n
-    low = [-1] * network.n
-    raw_blocks: list[list[int]] = []
-    edge_stack: list[int] = []
-    clock = 0
+    ids, n = network.ids, network.n
+    order, parent = depth_first_order(network._graph, 0, directed=True, return_predecessors=True)
+    if len(order) < n:
+        raise DisconnectedError("block decomposition requires a connected network")
+    pre = np.argsort(order)  # each node's place in the preorder
+    source, target = network.endpoints
+    deep = np.where(pre[source] > pre[target], source, target)
+    shallow = source + target - deep
+    low = pre.copy()
+    np.minimum.at(low, deep, pre[shallow])  # a tree line lowers no low point below its parent
 
-    for root in range(network.n):
-        if disc[root] >= 0:
-            continue
-        if clock:
-            raise DisconnectedError("block decomposition requires a connected network")
-        # Each frame: (node, parent edge position, iterator over incident edges).
-        disc[root] = low[root] = clock
-        clock += 1
-        frames = [(root, -1, iter(adjacency[root]))]
-        while frames:
-            node, parent_edge, it = frames[-1]
-            advanced = False
-            for other, edge in it:
-                if edge == parent_edge:
-                    continue
-                if disc[other] < 0:
-                    disc[other] = low[other] = clock
-                    clock += 1
-                    edge_stack.append(edge)
-                    frames.append((other, edge, iter(adjacency[other])))
-                    advanced = True
-                    break
-                if disc[other] < disc[node]:
-                    # Back edge to an ancestor.
-                    edge_stack.append(edge)
-                    low[node] = min(low[node], disc[other])
-            if advanced:
-                continue
-            frames.pop()
-            if frames:
-                parent, _, _ = frames[-1]
-                low[parent] = min(low[parent], low[node])
-                if low[node] >= disc[parent]:
-                    # parent closes a block: pop edges up to the tree edge.
-                    members = []
-                    while edge_stack:
-                        popped = edge_stack.pop()
-                        members.append(popped)
-                        if popped == parent_edge:
-                            break
-                    raw_blocks.append(members)
+    order, parent, pre, low = order.tolist(), parent.tolist(), pre.tolist(), low.tolist()
+    for node in reversed(order[1:]):
+        low[parent[node]] = min(low[parent[node]], low[node])
+    opened, heads = [0] * n, count()  # the block of the tree line into each node
+    for node in order[1:]:
+        opened[node] = next(heads) if low[node] >= pre[parent[node]] else opened[parent[node]]
+    raw = np.array(opened)[deep]
 
     # Deterministic block order: ascending smallest edge id.
-    raw_blocks.sort(key=lambda members: min(map(ids.__getitem__, members)))
-    block_at = np.full(network.m, -1)
-    for index, members in enumerate(raw_blocks):
-        block_at[members] = index
+    first = np.unique(raw[sorted(range(network.m), key=ids.__getitem__)], return_index=True)[1]
+    block_at = np.argsort(np.argsort(first))[raw]
     block_at.flags.writeable = False
-    blocks = tuple(frozenset(map(ids.__getitem__, members)) for members in raw_blocks)
+    grouped = np.split(np.argsort(block_at, kind="stable"), np.bincount(block_at).cumsum())[:-1]
+    blocks = tuple(frozenset(map(ids.__getitem__, members.tolist())) for members in grouped)
     bridges = frozenset(next(iter(b)) for b in blocks if len(b) == 1)
 
     # A cut vertex touches two or more blocks: count the distinct (node, block) pairs per node.

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -69,10 +70,10 @@ class Network:
     the line indexing and orientation.  ``injections`` is the optional
     per-node real power vector aligned with ``nodes``.
 
-    The topology index (id-to-position maps, endpoint positions, adjacency
-    lists, connectedness), the :attr:`factor`, the :attr:`decomposition` and
-    the forest :attr:`oracle` are built once per instance, on first use, and
-    are not part of equality, hashing or ``repr``.
+    The topology index (id-to-position maps, endpoint positions, and one CSR
+    adjacency read for connectedness, blocks and islanding), the :attr:`factor`,
+    the :attr:`decomposition` and the forest :attr:`oracle` are built once per
+    instance, on first use, and are not part of equality, hashing or ``repr``.
     """
 
     nodes: tuple[int, ...]
@@ -113,20 +114,30 @@ class Network:
         return ends[:self.m], ends[self.m:]
 
     @cached_property
-    def _adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per node position, the (neighbour position, edge position) pairs."""
-        adjacency: list[list[tuple[int, int]]] = [[] for _ in self.nodes]
-        for k, (s, t) in enumerate(zip(*(ends.tolist() for ends in self.endpoints))):
-            adjacency[s].append((t, k))
-            adjacency[t].append((s, k))
-        return adjacency
+    def _graph(self) -> scipy.sparse.csr_array:
+        """The topology index: the symmetric adjacency over node positions, in CSR form.
+
+        One entry per line end (every end a node, parallel lines each their
+        own) holds the line position plus 1, so none is an explicit zero.
+        Float values and int32 indices let csgraph read it without a copy.
+        """
+        ends, others = np.concatenate(self.endpoints), np.concatenate(self.endpoints[::-1])
+        order = np.argsort(ends, kind="stable")
+        indptr = np.r_[0, np.bincount(ends, minlength=self.n).cumsum()].astype(np.int32)
+        lines = np.tile(np.arange(1.0, self.m + 1), 2)[order]
+        return scipy.sparse.csr_array((lines, others[order].astype(np.int32), indptr), shape=(self.n, self.n))
+
+    @cached_property
+    def _rows(self) -> list[list[tuple[int, int]]]:
+        """Per node position, the (neighbour position, line position) pairs of its row of the index."""
+        pairs = list(zip(self._graph.indices.tolist(), (self._graph.data.astype(int) - 1).tolist()))
+        bounds = self._graph.indptr.tolist()
+        return [pairs[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
     @cached_property
     def _connected(self) -> bool:
         """True when every node is reachable from every other; every line end must be a node."""
-        source, target = self.endpoints
-        graph = scipy.sparse.coo_array((np.ones(self.m), (source, target)), shape=(self.n, self.n))
-        return connected_components(graph, directed=False, return_labels=False) <= 1
+        return connected_components(self._graph, directed=False, return_labels=False) <= 1
 
     @cached_property
     def factor(self):
@@ -208,7 +219,7 @@ class Network:
         removed = set(np.asarray(positions, dtype=int).tolist())
         source, target = self.endpoints
         return not all(
-            _joined(self._adjacency, removed, int(source[k]), int(target[k])) for k in removed
+            _joined(self._rows, removed, int(source[k]), int(target[k])) for k in removed
         )
 
 
@@ -513,7 +524,11 @@ def validate(network: Network) -> ValidationReport:
     ids, sources, targets, m = network.ids, network.sources, network.targets, network.m
     source, target = network.endpoints  # equal ids, equal positions, known or not
     low, high = np.minimum(source, target), np.maximum(source, target)
-    b, cap = network.susceptances(), network.capacities()
+    try:
+        b, cap = network.susceptances(), network.capacities()
+    except OverflowError:  # an int past float range is no real, as the loader says: NaN, for a check to name
+        b, cap = (np.array([math.nan if abs(v) > sys.float_info.max else v for v in column], dtype=float)
+                  for column in (network.b, network.cap))
     checks = (
         ("duplicate_edge_id", _repeats(ids), "edge id {id} repeats"),
         ("self_loop", low == high, "edge {id} is a self-loop at node {source}"),
@@ -523,11 +538,13 @@ def validate(network: Network) -> ValidationReport:
         ("unknown_endpoint", target >= network.n, "edge {id} uses unknown node {target}"),
         ("nonfinite_susceptance", ~np.isfinite(b), "edge {id} has b={b}"),
         ("nonpositive_susceptance", np.isfinite(b) & ~(b > 0), "edge {id} has b={b}"),
-        ("nonpositive_capacity", ~(cap > 0), "edge {id} has cap={cap}"),
+        ("nonreal_capacity", np.isnan(cap), "edge {id} has cap={cap}"),
+        ("nonpositive_capacity", cap <= 0, "edge {id} has cap={cap}"),
     )
     for k in np.flatnonzero(np.any([mask for _, mask, _ in checks], axis=0)).tolist():
-        line = dict(id=_named(ids[k]), source=_named(sources[k]), target=_named(targets[k]), b=network.b[k],
-                    cap=network.cap[k], pair=tuple(map(_named, sorted({sources[k], targets[k]}))))
+        line = dict(id=_named(ids[k]), source=_named(sources[k]), target=_named(targets[k]),
+                    b=_named(network.b[k]), cap=_named(network.cap[k]),
+                    pair=tuple(map(_named, sorted({sources[k], targets[k]}))))
         findings += [Finding(code, detail.format_map(line)) for code, mask, detail in checks if mask[k]]
 
     if network.injections is not None and len(network.injections) != network.n:

@@ -139,12 +139,13 @@ def test_parameter_copies_share_the_topology_index(triangle):
     assert not is_cut_set(triangle, [1])
     for copy in (with_susceptances(triangle, [2.0, 3.0, 4.0]),
                  with_capacities(triangle, [1.0, 1.0, 1.0])):
-        for name in ("_node_lookup", "_edge_lookup", "_adjacency", "_connected"):
+        for name in ("_node_lookup", "_edge_lookup", "_rows", "_connected"):
             assert getattr(copy, name) == getattr(triangle, name)
         assert all(map(np.array_equal, copy.endpoints, triangle.endpoints))
+        assert (copy._graph != triangle._graph).nnz == 0
     reduced = without_edges(triangle, [1])
     assert reduced.endpoints is not triangle.endpoints
-    assert len(reduced._adjacency[0]) == 1
+    assert reduced._graph[[0]].nnz == 1
 
 
 def _loop_embedded(network, cumulative, p):

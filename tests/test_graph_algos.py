@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import depth_first_order
 
 from gridfactor import (
     CutSetError,
@@ -104,6 +105,48 @@ def test_disconnected_graph_rejected():
                   b=(1.0, 1.0), cap=(math.inf, math.inf), reference=4)
     with pytest.raises(DisconnectedError):
         block_decomposition(net)
+
+
+def test_parallel_pair_is_one_block_and_cut_only_together():
+    # validate refuses parallel lines, but a directly built network keeps each line end in the index.
+    net = Network(nodes=(1, 2, 3), ids=(1, 2, 3), sources=(1, 1, 2), targets=(2, 2, 3),
+                  b=(1.0, 1.0, 1.0), cap=(math.inf,) * 3, reference=3)
+    dec = block_decomposition(net)
+    assert dec.blocks == (frozenset({1, 2}), frozenset({3}))
+    assert dec.bridges == frozenset({3})
+    assert is_cut_set(net, [1, 2])
+    assert not is_cut_set(net, [1])
+
+
+def test_self_loops_join_their_node_block_and_cut_nothing():
+    # validate refuses self-loops; directly built ones at buses 2 and 1 (the search's root) of a
+    # triangle join the triangle's block.
+    net = Network(nodes=(1, 2, 3), ids=(1, 2, 3, 4, 5), sources=(1, 2, 1, 2, 1), targets=(2, 3, 3, 2, 1),
+                  b=(1.0,) * 5, cap=(math.inf,) * 5, reference=3)
+    dec = block_decomposition(net)
+    assert dec.blocks == (frozenset({1, 2, 3, 4, 5}),)
+    assert not dec.cut_vertices
+    assert dec.block_at.tolist() == [0] * 5
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 9))
+def test_the_search_is_depth_first_and_blocks_are_the_simple_cycle_classes(seed, chords):
+    net = random_network(np.random.default_rng(seed), max_nodes=12, max_extra=chords, min_extra=chords)
+    order, parent = depth_first_order(net._graph, 0, directed=True, return_predecessors=True)
+    assert sorted(order.tolist()) == list(range(net.n))
+
+    def ancestors(node):
+        while node >= 0:
+            yield node
+            node = parent[node]
+
+    # Every line joins a node to one of its ancestors, as a tree line does: the low points rest on this.
+    for s, t in zip(*net.endpoints):
+        assert s in ancestors(t) or t in ancestors(s)
+    block_at = net.decomposition.block_at
+    for (k, line), (j, other) in itertools.combinations(enumerate(net.ids), 2):
+        assert (block_at[k] == block_at[j]) == simple_cycle_oracle(net, line, other)
 
 
 def test_is_cut_set_examples(triangle, path3):

@@ -131,6 +131,15 @@ def test_validate_names_an_int_too_long_to_print_by_its_size():
     ]
 
 
+@pytest.mark.parametrize("column, code", [("b", "nonfinite_susceptance"), ("cap", "nonreal_capacity")])
+def test_validate_reports_an_int_past_float_range(column, code):
+    net = Network(nodes=(1, 2, 3), ids=(1, 2), sources=(1, 2), targets=(2, 3), b=(1.0, 1.0),
+                  cap=(1.0, 1.0), reference=3)
+    report = validate(replace(net, **{column: (1.0, 10**5000)}))
+    assert [(f.code, f.detail) for f in report.findings] == [
+        (code, f"edge 2 has {column}=<an int of 16610 bits>")]
+
+
 def test_validate_reports_degenerate_sizes():
     lonely = Network(nodes=(1,), ids=(), sources=(), targets=(), b=(), cap=(), reference=1)
     codes = validate(lonely).codes()

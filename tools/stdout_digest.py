@@ -23,14 +23,14 @@ errors, a connected network too stiff to factor, a line
 that is not a bridge yet too stiff for its outage factors (and a cascade
 from it, whose stage fails the GLODF update's certificate and is
 re-solved), cascades and ``verify``.  Its networks are the test fixtures
-of ``tests/conftest.py`` and the ``perfbench/gen.py`` block trees and
-oracle grids for seeds 2 and 7.  Runs share one process, as a caller of
-``gridfactor.cli.run`` would.  The ``demos/*.py`` scripts of the checkout
-that holds ``--src`` (its ``demos`` directory, beside ``src``) then run in
-the same process through ``runpy``, so each tree runs the demos written
-for its own API; they reach library calls no CLI run makes
-(``apply_outage``, ``adversarial_capacity``), and
-their exit code is 0, or 1 when one raises.
+of ``tests/conftest.py``, the ``perfbench/gen.py`` block trees and
+oracle grids for seeds 2 and 7, and its 30×30 grid for ``blocks``.  Runs
+share one process, as a caller of ``gridfactor.cli.run`` would.  The
+``demos/*.py`` scripts of the checkout that holds ``--src`` (its ``demos``
+directory, beside ``src``) then run in the same process through
+``runpy``, so each tree runs the demos written for its own API; they
+reach library calls no CLI run makes (``apply_outage``,
+``adversarial_capacity``), and their exit code is 0, or 1 when one raises.
 """
 
 from __future__ import annotations
@@ -238,6 +238,8 @@ def outputs(src) -> Iterator[tuple[str, int, str, str]]:
         gen.write(conftest.stiff_triangle_doc(), Path("stiff_triangle.json"))
         gen.write({**conftest.triangle_doc(), "reference": "x"}, Path("bad_reference.json"))
         corpus += [["flow", "stiff_leaf.json"], ["blocks", "parallel.json"], ["flow", "bad_reference.json"]]
+        gen.write(gen.grid(30, 2)[0], Path("grid30.json"))  # one block: a search far deeper than the block trees
+        corpus.append(["blocks", "grid30.json"])
         for name, (command, doc) in _loader_documents(conftest.triangle_doc()).items():
             gen.write(doc, Path(name))
             corpus.append([command, name])
