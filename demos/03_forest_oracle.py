@@ -32,7 +32,7 @@ net = load_network({
 trees = enumerate_spanning_trees(net)
 print(f"{len(trees)} spanning trees, total weight {trees.weight_sum}")
 print("first few members:", trees.members[:4])
-# Susceptances here are small rationals, so the weight sums are exact.
+# Weight sums are exact: each line weighs the exact value of its float susceptance.
 print("exact weight:", trees.weight_sum_exact)
 
 # det(reduced Laplacian) equals the total tree weight; all first minors

@@ -15,9 +15,10 @@ spanning tree by one line.  The enumeration is the network's
 :attr:`~gridfactor.net_model.Network.oracle`, so it lives as long as its
 network and no longer.
 
-When every line susceptance is a ratio of small integers, the weight sums
-are accumulated in exact rational arithmetic, which removes rounding slack
-from the identity checks.
+Every weight sum is exact: a line weighs the exact rational value of its
+float susceptance, and each answer is one exact ratio of such sums rounded
+once to the nearest float, so the identity checks carry no rounding slack
+from the oracle's side.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .dcpf import build_laplacian
-from .errors import BridgeError, TooLargeError
+from .errors import BridgeError, TooLargeError, ValidationError
 from .net_model import RTOL, Network
 
 __all__ = [
@@ -49,8 +50,6 @@ __all__ = [
 
 #: Hard cap on enumerated members.
 MAX_MEMBERS = 10**7
-#: Largest numerator/denominator for the exact rational weight mode.
-MAX_RATIONAL = 10**6
 
 
 @dataclass(frozen=True)
@@ -58,15 +57,18 @@ class ForestFamily:
     """An enumerated family of spanning trees or two-tree spanning forests.
 
     ``members`` holds each forest as an ascending tuple of edge ids, with
-    the list itself in lexicographic order.  ``weight_sum`` is the sum of
-    per-forest susceptance products; ``weight_sum_exact`` carries the same
-    sum as a Fraction when exact mode applies.
+    the list itself in lexicographic order.  ``weight_sum_exact`` is the sum
+    of per-forest susceptance products over the exact values of the float
+    susceptances; ``weight_sum`` is that sum rounded to the nearest float.
     """
 
     kind: str
     members: tuple[tuple[int, ...], ...]
-    weight_sum: float
-    weight_sum_exact: Fraction | None = None
+    weight_sum_exact: Fraction
+
+    @property
+    def weight_sum(self) -> float:
+        return float(self.weight_sum_exact)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -97,16 +99,6 @@ class ReactanceReport:
     effective: float
     line_reactance: float
     reduction_ratio: float
-
-
-def _nice_fraction(value: float) -> Fraction | None:
-    """Exact small-rational form of ``value``, or None."""
-    if not math.isfinite(value):
-        return None
-    frac = Fraction(value).limit_denominator(MAX_RATIONAL)
-    if float(frac) == value and abs(frac.numerator) <= MAX_RATIONAL:
-        return frac
-    return None
 
 
 def _rel_err(a: float, b: float) -> float:
@@ -172,68 +164,61 @@ def _enumerate_tree_sets(n: int, edge_list) -> list[frozenset[int]]:
 
 @dataclass(frozen=True)
 class _Weighted:
-    """Enumerated members in lexicographic order with their weight products.
+    """Enumerated members in lexicographic order with their exact weight products.
 
-    In exact mode member k weighs ``numerators[k] / denominator``: every
-    member has the same number of lines and every exact line weight is an
-    integer over one common denominator, so exact sums are integer sums.
+    Member k weighs ``numerators[k] / denominator``: every line weight is an
+    integer over one common power-of-two denominator and every member has
+    the same number of lines, so a weight sum is an integer sum.
     """
 
     members: tuple[tuple[int, ...], ...]
-    betas: np.ndarray
-    numerators: tuple[int, ...] | None
-    denominator: int = 1
+    numerators: tuple[int, ...]
+    denominator: int
 
-    def select(self, mask) -> tuple[tuple[tuple[int, ...], ...], float, Fraction | None]:
-        """(members, float sum, exact sum) over the members the mask keeps."""
-        mask = np.asarray(mask, dtype=bool)
-        exact = None
-        if self.numerators is not None:
-            exact = Fraction(sum(itertools.compress(self.numerators, mask)), self.denominator)
-        return tuple(itertools.compress(self.members, mask)), math.fsum(self.betas[mask]), exact
+    def total(self, mask) -> Fraction:
+        """The exact weight of the members the mask keeps."""
+        return Fraction(sum(itertools.compress(self.numerators, mask)), self.denominator)
 
 
 class _Oracle:
     """One network's spanning trees, and the two-tree forests read from them.
 
     Keeps no reference to the network, so a network that holds its oracle
-    is still freed by reference counting.  Exact mode is decided once, over
-    every line.  The tree count checked against the cap is the determinant
+    is still freed by reference counting.  A line weighs ``Fraction(b)``,
+    the exact value of its float susceptance; a non-finite one has none and
+    is refused.  The tree count checked against the cap is the determinant
     of the unit-weight factor.
     """
 
     def __init__(self, network: Network):
+        ids = network.ids
+        for eid, weight in zip(ids, network.b):
+            if not math.isfinite(weight):
+                raise ValidationError(f"susceptances must be finite; line {eid} has {weight}")
         if build_laplacian(network, np.ones(network.m)).reduced_determinant > MAX_MEMBERS:
             raise TooLargeError("estimated spanning-tree count exceeds the enumeration cap")
-        ids = network.ids
         source, target = (ends.tolist() for ends in network.endpoints)
         self.n = network.n
         self.ends = dict(zip(ids, zip(source, target)))
-        self.weights = dict(zip(ids, network.b))
-        exact = {eid: _nice_fraction(w) for eid, w in self.weights.items()}
-        self.scaled = None
-        if all(v is not None for v in exact.values()):
-            self.common = math.lcm(*(f.denominator for f in exact.values()))
-            self.scaled = {eid: f.numerator * (self.common // f.denominator) for eid, f in exact.items()}
+        exact = [Fraction(weight) for weight in network.b]
+        self.common = math.lcm(*(f.denominator for f in exact))  # a power of two: the floats are dyadic
+        self.scaled = {eid: f.numerator * (self.common // f.denominator) for eid, f in zip(ids, exact)}
         raw = _enumerate_tree_sets(network.n, list(zip(ids, source, target)))
         self.trees = self._weigh(sorted(tuple(sorted(tree)) for tree in raw))
 
     def _weigh(self, members) -> _Weighted:
         members = tuple(members)
-        # Float products run in ascending line id, the order of each member.
-        betas = np.array([math.prod(self.weights[e] for e in member) for member in members],
-                         dtype=float)
-        if self.scaled is None:
-            return _Weighted(members, betas, None)
-        numerators = tuple(math.prod(self.scaled[e] for e in member) for member in members)
-        size = len(members[0]) if members else 0
-        return _Weighted(members, betas, numerators, self.common**size)
+        numerators = tuple(math.prod(map(self.scaled.__getitem__, member)) for member in members)
+        return _Weighted(members, numerators, self.common ** (len(members[0]) if members else 0))
 
-    def trees_within(self, allowed: frozenset[int] | None):
-        """(members, float sum, exact sum) over the trees using only allowed lines."""
-        if allowed is None:
-            return self.trees.select(np.ones(len(self.trees.members), dtype=bool))
-        return self.trees.select([allowed.issuperset(tree) for tree in self.trees.members])
+    def trees_avoiding(self, line: int) -> Fraction:
+        """The exact weight of the trees without the line."""
+        return self.trees.total([line not in tree for tree in self.trees.members])
+
+    @cached_property
+    def tree_weight(self) -> Fraction:
+        """The exact total spanning-tree weight."""
+        return Fraction(sum(self.trees.numerators), self.trees.denominator)
 
     @cached_property
     def forests(self) -> _Weighted:
@@ -261,25 +246,40 @@ class _Oracle:
         return far
 
 
-def _forest_sum(network: Network, group_a, group_b):
-    """(members, float sum, exact sum) over forests separating the groups."""
+def _separating(network: Network, group_a, group_b) -> list[bool]:
+    """Mask of the two-tree forests separating the node groups, over ``network.oracle.forests``."""
     group_a = set(group_a)
     group_b = set(group_b)
     if not group_a or not group_b:
         raise ValueError("node groups must be nonempty")
     if group_a & group_b:
-        return (), 0.0, Fraction(0)
+        return []  # keeps no forest
     oracle = network.oracle
     a = oracle.far[:, [network.node_index(v) for v in group_a]]
     b = oracle.far[:, [network.node_index(v) for v in group_b]]
     # Each group sits whole in one of the two trees, and not in the same one.
-    return oracle.forests.select((a.all(axis=1) & ~b.any(axis=1)) | (b.all(axis=1) & ~a.any(axis=1)))
+    return ((a.all(axis=1) & ~b.any(axis=1)) | (b.all(axis=1) & ~a.any(axis=1))).tolist()
 
 
-def _ratio(num: float, num_exact, den: float, den_exact) -> float:
-    if num_exact is not None and den_exact is not None and den_exact != 0:
-        return float(num_exact / den_exact)
-    return num / den
+def _forest_sum(network: Network, group_a, group_b) -> Fraction:
+    """The exact weight of the two-tree forests separating the node groups."""
+    return network.oracle.forests.total(_separating(network, group_a, group_b))
+
+
+def _flow_share(network: Network, k: int, a: int, b: int, den: Fraction) -> float:
+    """b_k (pos - neg) / den for the line at position k, from i to j, and the buses a and b.
+
+    ``pos`` weighs the forests pairing {i, a} against {j, b}, ``neg`` the
+    opposite pairing {i, b} against {j, a}.
+    """
+    i, j = network.sources[k], network.targets[k]
+    pos = _forest_sum(network, {i, a}, {j, b})
+    neg = _forest_sum(network, {i, b}, {j, a})
+    return float(Fraction(network.b[k]) * (pos - neg) / den)
+
+
+def _family(kind: str, weighted: _Weighted, mask: list[bool]) -> ForestFamily:
+    return ForestFamily(kind, tuple(itertools.compress(weighted.members, mask)), weighted.total(mask))
 
 
 def enumerate_spanning_trees(network: Network, allowed_edges=None) -> ForestFamily:
@@ -287,17 +287,10 @@ def enumerate_spanning_trees(network: Network, allowed_edges=None) -> ForestFami
 
     Raises TooLargeError past the enumeration cap.
     """
-    allowed = None
-    if allowed_edges is not None:
-        allowed = frozenset(allowed_edges)
-        network.edge_positions(allowed)  # UnknownEdgeError naming every unknown id
-    members, total, total_exact = network.oracle.trees_within(allowed)
-    return ForestFamily(
-        kind="spanning_trees",
-        members=members,
-        weight_sum=total,
-        weight_sum_exact=total_exact,
-    )
+    allowed = frozenset(network.ids if allowed_edges is None else allowed_edges)
+    network.edge_positions(allowed)  # UnknownEdgeError naming every unknown id
+    trees = network.oracle.trees
+    return _family("spanning_trees", trees, [allowed.issuperset(tree) for tree in trees.members])
 
 
 def enumerate_two_tree_forests(network: Network, group_a, group_b) -> ForestFamily:
@@ -307,13 +300,8 @@ def enumerate_two_tree_forests(network: Network, group_a, group_b) -> ForestFami
     """
     for node in itertools.chain(group_a, group_b):
         network.node_index(node)
-    members, total, total_exact = _forest_sum(network, group_a, group_b)
-    return ForestFamily(
-        kind="two_tree_forests",
-        members=members,
-        weight_sum=total,
-        weight_sum_exact=total_exact,
-    )
+    mask = _separating(network, group_a, group_b)
+    return _family("two_tree_forests", network.oracle.forests, mask)
 
 
 def a_entry_via_forests(network: Network, i: int, j: int) -> float:
@@ -326,9 +314,7 @@ def a_entry_via_forests(network: Network, i: int, j: int) -> float:
     network.node_index(j)
     if i == network.reference or j == network.reference:
         return 0.0
-    _, num, num_exact = _forest_sum(network, {i, j}, {network.reference})
-    _, den, den_exact = network.oracle.trees_within(None)
-    return _ratio(num, num_exact, den, den_exact)
+    return float(_forest_sum(network, {i, j}, {network.reference}) / network.oracle.tree_weight)
 
 
 def ptdf_via_forests(network: Network, line: int, inject_at: int, withdraw_at: int) -> float:
@@ -341,13 +327,7 @@ def ptdf_via_forests(network: Network, line: int, inject_at: int, withdraw_at: i
     k = network.edge_index(line)
     network.node_index(inject_at)
     network.node_index(withdraw_at)
-    i, j = network.sources[k], network.targets[k]
-    _, pos, pos_exact = _forest_sum(network, {i, inject_at}, {j, withdraw_at})
-    _, neg, neg_exact = _forest_sum(network, {i, withdraw_at}, {j, inject_at})
-    _, den, den_exact = network.oracle.trees_within(None)
-    if pos_exact is not None and neg_exact is not None and den_exact:
-        return float(Fraction(network.b[k]) * (pos_exact - neg_exact) / den_exact)
-    return network.b[k] * (pos - neg) / den
+    return _flow_share(network, k, inject_at, withdraw_at, network.oracle.tree_weight)
 
 
 def lodf_via_forests(network: Network, line: int, outaged: int) -> float:
@@ -360,18 +340,10 @@ def lodf_via_forests(network: Network, line: int, outaged: int) -> float:
     if line == outaged:
         raise ValueError("lines must be distinct")
     k, hat = network.edge_index(line), network.edge_index(outaged)
-    i, j = network.sources[k], network.targets[k]
-
-    allowed = frozenset(network.ids) - {outaged}
-    _, den, den_exact = network.oracle.trees_within(allowed)
-    if den == 0.0:
+    den = network.oracle.trees_avoiding(outaged)
+    if not den:
         raise BridgeError(f"line {outaged} is a bridge; no spanning tree avoids it")
-
-    _, pos, pos_exact = _forest_sum(network, {i, network.sources[hat]}, {j, network.targets[hat]})
-    _, neg, neg_exact = _forest_sum(network, {i, network.targets[hat]}, {j, network.sources[hat]})
-    if pos_exact is not None and neg_exact is not None and den_exact:
-        return float(Fraction(network.b[k]) * (pos_exact - neg_exact) / den_exact)
-    return network.b[k] * (pos - neg) / den
+    return _flow_share(network, k, network.sources[hat], network.targets[hat], den)
 
 
 def matrix_tree_check(network: Network, tolerance: float = RTOL) -> MatrixTreeReport:
@@ -386,9 +358,7 @@ def matrix_tree_check(network: Network, tolerance: float = RTOL) -> MatrixTreeRe
     reduced = bundle.reduced.toarray()
     non_ref_nodes = [node for node in network.nodes if node != network.reference]
 
-    _, tree_total, tree_total_exact = oracle.trees_within(None)
-    forest_weight = float(tree_total_exact) if tree_total_exact is not None else tree_total
-
+    forest_weight = float(oracle.tree_weight)
     determinant = bundle.reduced_determinant
     det_err = _rel_err(determinant, forest_weight)
 
@@ -399,8 +369,7 @@ def matrix_tree_check(network: Network, tolerance: float = RTOL) -> MatrixTreeRe
             sub = np.delete(np.delete(reduced, row, axis=0), col, axis=1)
             minor = float(np.linalg.det(sub)) if sub.size else 1.0
             group = {non_ref_nodes[row], non_ref_nodes[col]}
-            _, total, total_exact = _forest_sum(network, group, {network.reference})
-            expected = float(total_exact) if total_exact is not None else total
+            expected = float(_forest_sum(network, group, {network.reference}))
             signed = expected if (row + col) % 2 == 0 else -expected
             minor_max = max(minor_max, _rel_err(minor, signed))
 
@@ -423,16 +392,10 @@ def effective_reactance(network: Network, line: int) -> ReactanceReport:
     the effective reactance equals the line reactance.
     """
     k = network.edge_index(line)
-    _, num, num_exact = _forest_sum(network, {network.sources[k]}, {network.targets[k]})
-    _, den, den_exact = network.oracle.trees_within(None)
-    effective = _ratio(num, num_exact, den, den_exact)
-
-    allowed = frozenset(network.ids) - {line}
-    _, avoid, avoid_exact = network.oracle.trees_within(allowed)
-    ratio = _ratio(avoid, avoid_exact, den, den_exact)
-
+    num = _forest_sum(network, {network.sources[k]}, {network.targets[k]})
+    oracle = network.oracle
     return ReactanceReport(
-        effective=effective,
+        effective=float(num / oracle.tree_weight),
         line_reactance=1.0 / network.b[k],
-        reduction_ratio=ratio,
+        reduction_ratio=float(oracle.trees_avoiding(line) / oracle.tree_weight),
     )

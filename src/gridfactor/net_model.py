@@ -166,8 +166,8 @@ class Network:
         """The spanning trees, enumerated once, and the two-tree forests read from them.
 
         Built by :class:`gridfactor.forests._Oracle` on first read, which
-        keeps no reference to the network; a TooLargeError is raised again
-        on every read, as nothing is kept.
+        keeps no reference to the network; its refusal (a TooLargeError, or a
+        ValidationError) is raised again on every read, as nothing is kept.
         """
         from . import forests  # forests imports this module
 

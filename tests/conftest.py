@@ -1,6 +1,7 @@
 """Shared fixtures: canonical small networks, random corpora, test oracles."""
 
 from dataclasses import replace
+from fractions import Fraction
 from itertools import compress
 
 import numpy as np
@@ -229,6 +230,44 @@ def sample_non_cut_outage(rng, network, max_size=3, attempts=300):
 # ---------------------------------------------------------------------------
 # Independent test oracles (deliberately naive; no gridfactor internals).
 # ---------------------------------------------------------------------------
+
+
+def exact_flows(network, p, weights=None):
+    """Branch flows of the injection ``p``, by elimination over the rationals, and det of the reduced L.
+
+    Reads ``p`` (by node position) and ``weights`` (by line position;
+    default the susceptances, a zero weight being a line that is out) as
+    the exact values of their floats.  Returns the flows, one Fraction per
+    line, and the determinant of the reduced Laplacian, a Fraction.
+    """
+    b = [Fraction(float(v)) for v in (network.b if weights is None else weights)]
+    ends = list(zip(*(e.tolist() for e in network.endpoints)))
+    keep = [k for k in range(network.n) if k != network.reference_index()]
+    row = {node: r for r, node in enumerate(keep)}
+    size = len(keep)
+    system = [[Fraction(0)] * size + [Fraction(float(p[node]))] for node in keep]
+    for weight, (s, t) in zip(b, ends):
+        for u, v in ((s, t), (t, s)):
+            if u in row:
+                system[row[u]][row[u]] += weight
+                if v in row:
+                    system[row[u]][row[v]] -= weight
+    determinant = Fraction(1)
+    for c in range(size):
+        pivot = next(r for r in range(c, size) if system[r][c])
+        if pivot != c:
+            system[c], system[pivot] = system[pivot], system[c]
+            determinant = -determinant
+        determinant *= system[c][c]
+        for r in range(c + 1, size):
+            if system[r][c]:
+                ratio = system[r][c] / system[c][c]
+                system[r] = [a - ratio * x for a, x in zip(system[r], system[c])]
+    theta = [Fraction(0)] * network.n
+    for c in reversed(range(size)):
+        tail = sum(system[c][j] * theta[keep[j]] for j in range(c + 1, size))
+        theta[keep[c]] = (system[c][size] - tail) / system[c][c]
+    return [w * (theta[s] - theta[t]) for w, (s, t) in zip(b, ends)], determinant
 
 
 def connected_after_removal_oracle(network, outage):

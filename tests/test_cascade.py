@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from gridfactor.net_model import RTOL, scaled_tolerance
 
 from conftest import (
     build,
+    exact_flows,
     k4_doc,
     random_balanced_injection,
     random_network,
@@ -239,35 +239,6 @@ def test_every_stage_balances_and_matches_the_re_solve(seed):
         assert np.array_equal(flows[out], np.zeros(len(out)))
 
 
-def _exact_flows(net, p, tripped: int) -> np.ndarray:
-    """Branch flows without the line at position ``tripped``, by elimination over the rationals."""
-    b = [Fraction(float(v)) for v in net.susceptances()]
-    b[tripped] = Fraction(0)
-    ends = list(zip(*(e.tolist() for e in net.endpoints)))
-    keep = [k for k in range(net.n) if k != net.reference_index()]
-    row = {node: r for r, node in enumerate(keep)}
-    size = len(keep)
-    system = [[Fraction(0)] * size + [Fraction(float(p[node]))] for node in keep]
-    for weight, (s, t) in zip(b, ends):
-        for u, v in ((s, t), (t, s)):
-            if u in row:
-                system[row[u]][row[u]] += weight
-                if v in row:
-                    system[row[u]][row[v]] -= weight
-    for c in range(size):
-        pivot = next(r for r in range(c, size) if system[r][c])
-        system[c], system[pivot] = system[pivot], system[c]
-        for r in range(c + 1, size):
-            if system[r][c]:
-                ratio = system[r][c] / system[c][c]
-                system[r] = [a - ratio * x for a, x in zip(system[r], system[c])]
-    theta = [Fraction(0)] * net.n
-    for c in reversed(range(size)):
-        tail = sum(system[c][j] * theta[keep[j]] for j in range(c + 1, size))
-        theta[keep[c]] = (system[c][size] - tail) / system[c][c]
-    return np.array([float(w * (theta[s] - theta[t])) for w, (s, t) in zip(b, ends)])
-
-
 def test_stiff_stages_are_exact_or_re_solved():
     """Log-uniform susceptances over 1e-6..1e6: the certificate lets no inexact update through."""
     rng = np.random.default_rng(0)
@@ -290,7 +261,8 @@ def test_stiff_stages_are_exact_or_re_solved():
             if np.array_equal(state.flows, reference.flows) and np.array_equal(state.theta, reference.theta):
                 re_solved += 1
                 continue
-            exact = _exact_flows(net, p, k)
+            tripped = [0.0 if j == k else b for j, b in enumerate(net.b)]
+            exact = np.array([float(flow) for flow in exact_flows(net, p, tripped)[0]])
             assert np.max(np.abs(state.flows - exact)) <= RTOL * max(1.0, float(np.max(np.abs(exact))))
             updated += 1
     assert updated and re_solved  # the sweep reaches both outcomes

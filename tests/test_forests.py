@@ -13,6 +13,7 @@ from gridfactor import (
     Network,
     SingularError,
     TooLargeError,
+    ValidationError,
     a_entry_via_forests,
     build_laplacian,
     effective_reactance,
@@ -26,7 +27,7 @@ from gridfactor import (
 from gridfactor import forests
 from gridfactor.cli import run
 
-from conftest import build, grid_doc, k4_doc, random_network, with_susceptances
+from conftest import build, exact_flows, grid_doc, k4_doc, random_network, with_susceptances
 
 
 def test_triangle_spanning_trees(triangle):
@@ -274,19 +275,76 @@ def test_enumeration_deterministic(triangle):
     assert first == second == tuple(sorted(first))
 
 
-def test_exact_mode_only_for_small_rationals():
-    nice = build({
-        "nodes": [1, 2, 3],
-        "edges": [
-            {"from": 1, "to": 2, "b": 0.5},
-            {"from": 2, "to": 3, "b": 1.5},
-            {"from": 1, "to": 3, "b": 2.0},
-        ],
-    })
-    assert enumerate_spanning_trees(nice).weight_sum_exact is not None
+def _exact_weight(net, members):
+    """The sum over the members of the product of their lines' exact susceptances."""
+    weights = {eid: Fraction(b) for eid, b in zip(net.ids, net.b)}
+    return sum((math.prod(weights[eid] for eid in member) for member in members), Fraction(0))
+
+
+def test_weight_sums_are_exact_for_every_float():
     rng = np.random.default_rng(79)
-    rough = random_network(rng, max_nodes=5)
-    assert enumerate_spanning_trees(rough).weight_sum_exact is None
+    for _ in range(6):
+        net = random_network(rng, max_nodes=6, min_extra=2)
+        rough = with_susceptances(net, 10.0 ** rng.uniform(-6, 6, net.m))
+        for family in (enumerate_spanning_trees(rough),
+                       enumerate_two_tree_forests(rough, {rough.nodes[0]}, {rough.nodes[-1]})):
+            assert len(family) > 0
+            assert family.weight_sum_exact == _exact_weight(rough, family.members)
+            assert family.weight_sum == float(family.weight_sum_exact)
+
+
+def _unit_transfer(net, a, b):
+    p = np.zeros(net.n)
+    p[net.node_index(a)], p[net.node_index(b)] = 1.0, -1.0
+    return p
+
+
+def test_stiff_forest_factors_are_the_exact_ones_rounded_once():
+    """Log-uniform susceptances over 1e-6..1e6: each factor is float() of its exact rational."""
+    rng = np.random.default_rng(89)
+    bridges = 0
+    for _ in range(12):
+        net = random_network(rng, max_nodes=6, max_extra=4)
+        net = with_susceptances(net, 10.0 ** rng.uniform(-6, 6, net.m))
+        for a, b in itertools.permutations(net.nodes[:3], 2):
+            flows, _ = exact_flows(net, _unit_transfer(net, a, b))
+            for line, flow in zip(net.ids, flows):
+                assert ptdf_via_forests(net, line, a, b) == float(flow)
+        for hat, source, target in zip(net.ids, net.sources, net.targets):
+            flows, _ = exact_flows(net, _unit_transfer(net, source, target))
+            gap = 1 - flows[net.edge_index(hat)]
+            for line, flow in zip(net.ids, flows):
+                if line == hat:
+                    continue
+                if not gap:
+                    with pytest.raises(BridgeError):
+                        lodf_via_forests(net, line, hat)
+                    bridges += 1
+                    continue
+                assert lodf_via_forests(net, line, hat) == float(flow / gap)
+    assert bridges  # the sweep reaches bridge outages too
+
+
+def test_tenths_grid_tree_weight_is_the_exact_determinant_rounded_once():
+    """Decimal tenths are not dyadic: the oracle sums the floats' exact values, not the decimals."""
+    lines = [(7, 8), (1, 8), (8, 2), (4, 9), (5, 6), (2, 3), (4, 1), (7, 6), (3, 5), (6, 9), (7, 4), (3, 7)]
+    tenths = [0.1, 0.2, 0.3, 0.7, 1.1, 0.9, 0.3, 0.6, 0.1, 0.4, 1.3, 0.7]
+    net = build({"nodes": list(range(1, 10)), "reference": 9,  # a 3x3 grid, its buses shuffled
+                 "edges": [{"from": a, "to": b, "b": w} for (a, b), w in zip(lines, tenths)]})
+    _, determinant = exact_flows(net, np.zeros(net.n))
+    report = matrix_tree_check(net)
+    assert report.passed
+    assert report.forest_weight == float(determinant) == 0.46675920000000004
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_susceptance_is_refused_naming_its_line(bad):
+    net = Network(nodes=(1, 2, 3), ids=(1, 2, 3), sources=(1, 2, 1), targets=(2, 3, 3),
+                  b=(1.0, bad, 1.0), cap=(math.inf,) * 3, reference=3)
+    with pytest.raises(ValidationError, match=f"line 2 has {bad}"):
+        enumerate_spanning_trees(net)
+    with pytest.raises(ValidationError, match=f"line 2 has {bad}"):
+        ptdf_via_forests(net, 1, 1, 2)
 
 
 def test_enumeration_cap():
@@ -358,13 +416,13 @@ def _scanned_forests(net):
 @given(
     st.integers(0, 2**32 - 1),
     st.sampled_from([(0, 0), (2, 0), (12, 4)]),  # trees, bridge-heavy, meshed
-    st.booleans(),
+    st.booleans(),  # weights rounded to eighths, or rough floats
 )
-def test_derived_forests_match_the_subset_scan(seed, extra, exact):
+def test_derived_forests_match_the_subset_scan(seed, extra, eighths):
     max_extra, min_extra = extra
     rng = np.random.default_rng(seed)
     net = random_network(rng, max_nodes=7, max_extra=max_extra, min_extra=min_extra)
-    if exact:
+    if eighths:
         net = with_susceptances(net, np.round(net.susceptances() * 8) / 8)
     scanned = _scanned_forests(net)
     oracle = net.oracle
@@ -372,19 +430,8 @@ def test_derived_forests_match_the_subset_scan(seed, extra, exact):
 
     assert derived.members == tuple(sorted(scanned))
     assert oracle.far.tolist() == [scanned[member] for member in derived.members]
-    weights = dict(zip(net.ids, net.b))
     for k, member in enumerate(derived.members):
-        beta = 1.0
-        for eid in member:
-            beta *= weights[eid]
-        assert derived.betas[k] == beta
-        if exact:
-            product = Fraction(1)
-            for eid in member:
-                product *= Fraction(weights[eid])
-            assert Fraction(derived.numerators[k], derived.denominator) == product
-        else:
-            assert derived.numerators is None
+        assert Fraction(derived.numerators[k], derived.denominator) == _exact_weight(net, [member])
 
 
 def test_equal_networks_enumerate_their_own_trees(monkeypatch):

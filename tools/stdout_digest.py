@@ -24,7 +24,10 @@ that is not a bridge yet too stiff for its outage factors (and a cascade
 from it, whose stage fails the GLODF update's certificate and is
 re-solved), cascades and ``verify``.  Its networks are the test fixtures
 of ``tests/conftest.py``, the ``perfbench/gen.py`` block trees and
-oracle grids for seeds 2 and 7, and its 30×30 grid for ``blocks``.  Runs
+oracle grids for seeds 2 and 7, and its 30×30 grid for ``blocks``; two
+more ``verify`` runs take the seed-2 oracle grid with weights that are
+decimal tenths and with rough floats (square roots), whose exact weight
+sums are not the sums of small dyadic rationals the other grids give.  Runs
 share one process, as a caller of ``gridfactor.cli.run`` would.  The
 ``demos/*.py`` scripts of the checkout that holds ``--src`` (its ``demos``
 directory, beside ``src``) then run in the same process through
@@ -41,6 +44,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import runpy
 import shlex
@@ -238,6 +242,12 @@ def outputs(src) -> Iterator[tuple[str, int, str, str]]:
         gen.write(conftest.stiff_triangle_doc(), Path("stiff_triangle.json"))
         gen.write({**conftest.triangle_doc(), "reference": "x"}, Path("bad_reference.json"))
         corpus += [["flow", "stiff_leaf.json"], ["blocks", "parallel.json"], ["flow", "bad_reference.json"]]
+        tenths = [0.1, 0.2, 0.3, 0.7, 1.1, 0.9, 0.3, 0.6, 0.1, 0.4, 1.3, 0.7]
+        for name, weights in (("tenths_grid.json", tenths), ("rough_grid.json", [math.sqrt(k + 2) for k in range(12)])):
+            doc = gen.oracle_grid(2)
+            doc["edges"] = [{**edge, "b": weight} for edge, weight in zip(doc["edges"], weights, strict=True)]
+            gen.write(doc, Path(name))
+            corpus.append(["verify", name])
         gen.write(gen.grid(30, 2)[0], Path("grid30.json"))  # one block: a search far deeper than the block trees
         corpus.append(["blocks", "grid30.json"])
         for name, (command, doc) in _loader_documents(conftest.triangle_doc()).items():
