@@ -13,7 +13,7 @@ the GLODF update of the cumulative outage F (Part I of the paper), |F|
 solves on the network's own factor (:attr:`Network.factor`, built once
 per instance and so shared by every cascade on it).  Each update is
 certified by its nodal imbalance; a stage whose certificate fails is
-re-solved on the surviving grid (:func:`surviving_flow`).
+re-solved on the surviving grid (:func:`dcpf.surviving_flow`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcpf import FlowState, solve_flow, surviving_flow
+from .dcpf import FlowState, solve_flow
 from .errors import MaxStagesError, SingularError, ValidationError
 from .factors import PtdfMatrix, _lodf_columns, _outage_flow
 from .net_model import Network, injection_vector
@@ -50,8 +50,9 @@ class CascadeTrace:
     ``status`` is ``converged`` when at least one propagation stage ran and
     the flows then settled, ``no_initial_overload`` when the initial outage
     alone overloads nothing, and ``islanded`` when the cumulative outage
-    became a cut set; ``islanded_at_stage`` gives the stage index at which
-    the islanding was detected.
+    became a cut set.  ``islanded_at_stage`` is 0 when the initial outage
+    islands, and otherwise the number of recorded stages, the islanded
+    stage's index plus 1 (stage 1 islanding gives 2).
     """
 
     stages: tuple[Stage, ...]
@@ -85,10 +86,10 @@ def run_cascade(
     tripped lines (:meth:`Network.disconnected_by` on the cumulative
     outage).  A connected stage's flow is the certified GLODF update of the
     base flow on ``network.factor`` (:func:`factors._outage_flow`), so the
-    network is factored once however many stages and cascades run on it;
-    a stage fails over to a re-solve of the surviving grid when its
-    certificate fails, and every stage does when the whole network is too
-    stiff to factor.
+    network is factored once however many stages and cascades run on it.
+    The update fails over to a re-solve of the surviving grid when its
+    certificate fails, and at every stage when the whole network is too
+    stiff to factor (no base state).
     """
     if max_stages is not None and max_stages < 1:
         raise ValidationError(f"max_stages must be at least 1, got {max_stages}")
@@ -105,7 +106,7 @@ def run_cascade(
     try:
         factor = network.factor
     except SingularError:  # the surviving grids may still factor
-        factor = None
+        factor = base = None
     else:
         base = solve_flow(factor, network, p)
     capacities = network.capacities()
@@ -124,10 +125,7 @@ def run_cascade(
                 islanded_at_stage=len(stages) if len(stages) > 1 else 0,
             )
 
-        if factor is None:
-            state = surviving_flow(network, p, out)
-        else:
-            state = _outage_flow(factor, network, p, base, out)
+        state = _outage_flow(factor, network, p, base, out)
         stages.append(Stage(tripped=tripped, flow=state))
         over = alive & (np.abs(state.flows) > capacities)
         tripped = frozenset(map(network.ids.__getitem__, np.flatnonzero(over).tolist()))

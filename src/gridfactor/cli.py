@@ -161,11 +161,9 @@ def _cmd_glodf(network, args) -> int:
 
 
 def _cmd_localize(network, args) -> int:
-    spec = None
-    if args.perturb:
-        spec = localization_mod.PerturbationSpec(
-            relative_magnitude=args.eps, trials=args.trials, seed=args.seed
-        )
+    spec = localization_mod.PerturbationSpec(  # refuses out-of-range flags even without --perturb
+        relative_magnitude=args.eps, trials=args.trials, seed=args.seed
+    )
     ptdf = factors_mod.PtdfMatrix(network.factor, network)
     outage = factors_mod.OutageSet(network, _parse_lines(args.lines))
     report = localization_mod.block_structure_report(ptdf, outage)
@@ -187,7 +185,7 @@ def _cmd_localize(network, args) -> int:
             for b in report.blocks
         ],
     }
-    if spec is not None:
+    if args.perturb:
         stats = localization_mod.almost_sure_nonzero_test(network, outage, spec)
         payload["perturbation"] = {
             "trials": stats.trials,

@@ -125,17 +125,21 @@ def solve_flow(bundle: LaplacianBundle, network: Network, p) -> FlowState:
     return FlowState(theta=theta, flows=bundle.branch_flows(theta))
 
 
+def surviving_factor(network: Network, tripped) -> LaplacianBundle:
+    """The network factored afresh with the weights at the ``tripped`` edge positions zeroed."""
+    b = network.susceptances()
+    b[tripped] = 0.0
+    return build_laplacian(network, b)
+
+
 def surviving_flow(network: Network, p, tripped) -> FlowState:
     """DC power flow on the network without the lines at the ``tripped`` edge positions.
 
-    The network is factored afresh with the tripped weights zeroed; the
-    surviving grid must be connected.  The flow vector keeps full length
-    with zeros at the tripped lines; the angles cover every node.  Outage
-    flows are GLODF updates on the network's own factor; this re-solve is
-    their fallback when an update fails its certificate, and their test oracle.
+    The solve is on :func:`surviving_factor`; the surviving grid must be connected.
+    The flow vector keeps full length with zeros at the tripped lines; the
+    angles cover every node.  Outage flows are GLODF updates on the network's
+    own factor; this re-solve is their one fallback, and their test oracle.
     """
-    b = network.susceptances()
-    b[tripped] = 0.0
-    state = solve_flow(build_laplacian(network, b), network, p)
+    state = solve_flow(surviving_factor(network, tripped), network, p)
     state.flows[tripped] = 0.0  # b = 0 leaves -0.0 where the angle difference is negative
     return state

@@ -17,10 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dcpf import LaplacianBundle, build_laplacian
+from .dcpf import LaplacianBundle, build_laplacian, surviving_factor
 from .errors import BridgeOutageError, ValidationError, ZeroFactorError
-from .factors import (OutageSet, PtdfMatrix, _glodf_kernel, _lodf_columns, _post_contingency_columns,
-                      characteristic_injection_flow)
+from .factors import OutageSet, PtdfMatrix, _glodf_kernel, _lodf_columns, characteristic_injection_flow
 from .graph_algos import shares_simple_cycle
 from .net_model import NONZERO_ATOL, Network, incidence_columns, scaled_tolerance
 
@@ -60,7 +59,7 @@ def _line_blocks(network: Network, outage: OutageSet):
 class BlockFactors:
     """Per-block factor submatrices and their reassembly residuals.
 
-    ``k_direct`` is the block kernel on the block's PTDF columns; ``k_from_parts``
+    ``k_direct`` is the block kernel on the block's own PTDF entries, which no mask writes; ``k_from_parts``
     the block of the post-contingency solve (the network factored afresh with
     the outage's weights zeroed), which reads neither the PTDF nor A.  Each
     reassembly error compares one of them with the whole-network K of the report.
@@ -90,11 +89,11 @@ def block_structure_report(ptdf: PtdfMatrix, outage: OutageSet) -> LocalizationR
     """Verify the block-diagonal structure of a simultaneous-outage factor.
 
     The report's K is the GLODF kernel on the outage columns of the factor of
-    ``ptdf``, solved without the PTDF's block mask, so ``cross_block_max``
-    (which the theory pins at zero) reads computed entries, never written
-    zeros.  For every block containing tripped lines, ``k_direct`` and
-    ``k_from_parts`` (see :class:`BlockFactors`) are compared against K
-    restricted to the block.
+    ``ptdf``, solved once and never masked, so ``cross_block_max`` (which the
+    theory pins at zero) reads computed entries, never written zeros; each
+    ``k_direct`` reads only its block's entries, where the mask writes nothing.
+    For every block containing tripped lines, ``k_direct`` and ``k_from_parts``
+    (see :class:`BlockFactors`) are compared against K restricted to the block.
     """
     network = outage.network
     outage.refuse_cut()
@@ -110,14 +109,13 @@ def block_structure_report(ptdf: PtdfMatrix, outage: OutageSet) -> LocalizationR
     cross_max = float(np.max(magnitude[~same_block], initial=0.0))
     zero_count = int(np.count_nonzero(magnitude[same_block] < tol))
 
-    d_cols = ptdf.masked(whole, cols)  # K above read its own copies of the rows
-    post = _post_contingency_columns(network, cols)
+    post = surviving_factor(network, cols).sensitivity_columns(cols)
     blocks = []
     for index in np.unique(col_block).tolist():
         full_rows = np.flatnonzero(row_block == index)
         full_cols = np.flatnonzero(col_block == index)
         block_rows, block_cols = rows[full_rows], cols[full_cols]
-        k_direct = _glodf_kernel(d_cols[np.ix_(block_rows, full_cols)], d_cols[np.ix_(block_cols, full_cols)])
+        k_direct = _glodf_kernel(whole[np.ix_(block_rows, full_cols)], whole[np.ix_(block_cols, full_cols)])
         k_parts = post[np.ix_(block_rows, full_cols)]
         restricted = K[np.ix_(full_rows, full_cols)]
         blocks.append(

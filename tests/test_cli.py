@@ -176,6 +176,14 @@ def test_verify_passes(capsys, triangle_path):
     assert payload["matrix_tree"]["pass"] is True
 
 
+def test_verify_fails_beyond_its_tolerance(capsys, triangle_path):
+    assert run(["verify", triangle_path, "--tol", "0"]) == 2
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["tolerance"] == 0.0 and payload["pass"] is False
+    assert err == "verify: identity checks failed\n"
+
+
 def test_two_bus_one_line_network(capsys, tmp_path):
     path = tmp_path / "two_bus.json"
     path.write_text(json.dumps({
@@ -291,9 +299,10 @@ def test_bad_perturbation_is_input_error(monkeypatch, capsys, triangle_path, fla
         raise AssertionError("the network was factored before the spec was checked")
 
     monkeypatch.setattr(dcpf, "build_laplacian", refuse)
-    assert run(["localize", triangle_path, "--lines", "1", "--perturb"] + flags) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("gridfactor: perturbation")
+    for perturb in (["--perturb"], []):  # out-of-range flags are refused whether or not they are read
+        assert run(["localize", triangle_path, "--lines", "1"] + perturb + flags) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("gridfactor: perturbation")
 
 
 def _set_b(doc, value):

@@ -426,7 +426,7 @@ def test_parts_come_from_the_post_contingency_factor_not_the_ptdf(fig2):
 
 
 def test_k_direct_is_the_kernel_on_the_masked_ptdf_columns(fig2):
-    """The report masks its whole-network columns in place of a second solve, with the same bits."""
+    """The report reads each block from its unmasked whole-network columns, with the PTDF's bits."""
     for net, lines in [(fig2, [1, 7]), (fig2, [2, 8]), *_multi_block_outages(20)]:
         bundle = build_laplacian(net)
         outage = OutageSet(net, lines)

@@ -13,7 +13,8 @@ by ``tools/stdout_compare.py``, which runs the same corpus through
 :func:`outputs`.
 
 The corpus covers every subcommand and output format, all four ``glodf``
-methods, ``localize`` with and without ``--perturb``, bridge, cut-set and
+methods, ``localize`` with and without ``--perturb`` (an out-of-range
+``--trials`` with and without it), bridge, cut-set and
 bad-input refusals (parallel lines and a malformed reference among them),
 one refusal per validation code and per loader parse error (integers past
 float range among them), files the loader cannot read as text or as numbers
@@ -117,6 +118,7 @@ def _runs(name: str, doc: dict, small: bool) -> list[list[str]]:
         ["localize", name, "--lines", two, "--perturb", "--trials", "5", "--seed", "3"],
         ["localize", name, "--lines", cut],
         ["localize", name, "--lines", one, "--perturb", "--trials", "0"],
+        ["localize", name, "--lines", one, "--trials", "0"],
         ["cascade", name, "--trip", one],
         ["cascade", name, "--trip", two, "--max-stages", "2"],
         ["cascade", name, "--trip", cut],
