@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -56,15 +56,30 @@ MAX_MEMBERS = 10**7
 class ForestFamily:
     """An enumerated family of spanning trees or two-tree spanning forests.
 
-    ``members`` holds each forest as an ascending tuple of edge ids, with
-    the list itself in lexicographic order.  ``weight_sum_exact`` is the sum
-    of per-forest susceptance products over the exact values of the float
-    susceptances; ``weight_sum`` is that sum rounded to the nearest float.
+    ``members`` holds each forest as an ascending tuple of edge ids, in
+    lexicographic order.  Member k weighs exactly ``numerators[k] /
+    denominator``, the product of its lines' exact susceptances: each line
+    weight is an integer over one power-of-two denominator, so a weight sum
+    is an integer sum.  The fraction is kept in lowest terms, so equality
+    compares kind, members and per-member weights.  ``weight_sum_exact`` is
+    the family's exact weight, ``weight_sum`` that weight rounded to the
+    nearest float.
     """
 
     kind: str
     members: tuple[tuple[int, ...], ...]
-    weight_sum_exact: Fraction
+    numerators: tuple[int, ...] = field(repr=False)
+    denominator: int = field(repr=False)
+
+    def __post_init__(self):
+        common = math.gcd(self.denominator, *self.numerators)
+        if common > 1:
+            object.__setattr__(self, "numerators", tuple(k // common for k in self.numerators))
+            object.__setattr__(self, "denominator", self.denominator // common)
+
+    @cached_property
+    def weight_sum_exact(self) -> Fraction:
+        return Fraction(sum(self.numerators), self.denominator)
 
     @property
     def weight_sum(self) -> float:
@@ -72,6 +87,16 @@ class ForestFamily:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    def total(self, mask) -> Fraction:
+        """The exact weight of the members the mask keeps."""
+        return Fraction(sum(itertools.compress(self.numerators, mask)), self.denominator)
+
+    def select(self, mask) -> ForestFamily:
+        """The members the mask keeps, as a family of the same kind."""
+        mask = list(mask)
+        return ForestFamily(self.kind, tuple(itertools.compress(self.members, mask)),
+                            tuple(itertools.compress(self.numerators, mask)), self.denominator)
 
 
 @dataclass(frozen=True)
@@ -115,8 +140,6 @@ def _enumerate_tree_sets(n: int, edge_list) -> list[frozenset[int]]:
     trees: list[frozenset[int]] = []
 
     def connected(vertices: frozenset[int], edges) -> bool:
-        if len(vertices) <= 1:
-            return True
         parent = {v: v for v in vertices}
 
         def find(x):
@@ -162,32 +185,15 @@ def _enumerate_tree_sets(n: int, edge_list) -> list[frozenset[int]]:
     return trees
 
 
-@dataclass(frozen=True)
-class _Weighted:
-    """Enumerated members in lexicographic order with their exact weight products.
-
-    Member k weighs ``numerators[k] / denominator``: every line weight is an
-    integer over one common power-of-two denominator and every member has
-    the same number of lines, so a weight sum is an integer sum.
-    """
-
-    members: tuple[tuple[int, ...], ...]
-    numerators: tuple[int, ...]
-    denominator: int
-
-    def total(self, mask) -> Fraction:
-        """The exact weight of the members the mask keeps."""
-        return Fraction(sum(itertools.compress(self.numerators, mask)), self.denominator)
-
-
 class _Oracle:
     """One network's spanning trees, and the two-tree forests read from them.
 
-    Keeps no reference to the network, so a network that holds its oracle
-    is still freed by reference counting.  A line weighs ``Fraction(b)``,
-    the exact value of its float susceptance; a non-finite one has none and
-    is refused.  The tree count checked against the cap is the determinant
-    of the unit-weight factor.
+    Both are :class:`ForestFamily` records: every query sums over them, and
+    the public enumerations select from them.  Keeps no reference to the
+    network, so a network that holds its oracle is still freed by reference
+    counting.  A line weighs ``Fraction(b)``, the exact value of its float
+    susceptance; a non-finite one has none and is refused.  The tree count
+    checked against the cap is the determinant of the unit-weight factor.
     """
 
     def __init__(self, network: Network):
@@ -204,27 +210,22 @@ class _Oracle:
         self.common = math.lcm(*(f.denominator for f in exact))  # a power of two: the floats are dyadic
         self.scaled = {eid: f.numerator * (self.common // f.denominator) for eid, f in zip(ids, exact)}
         raw = _enumerate_tree_sets(network.n, list(zip(ids, source, target)))
-        self.trees = self._weigh(sorted(tuple(sorted(tree)) for tree in raw))
+        self.trees = self._weigh("spanning_trees", sorted(tuple(sorted(tree)) for tree in raw))
 
-    def _weigh(self, members) -> _Weighted:
+    def _weigh(self, kind: str, members) -> ForestFamily:
         members = tuple(members)
         numerators = tuple(math.prod(map(self.scaled.__getitem__, member)) for member in members)
-        return _Weighted(members, numerators, self.common ** (len(members[0]) if members else 0))
+        return ForestFamily(kind, members, numerators, self.common ** (len(members[0]) if members else 0))
 
     def trees_avoiding(self, line: int) -> Fraction:
         """The exact weight of the trees without the line."""
         return self.trees.total([line not in tree for tree in self.trees.members])
 
     @cached_property
-    def tree_weight(self) -> Fraction:
-        """The exact total spanning-tree weight."""
-        return Fraction(sum(self.trees.numerators), self.trees.denominator)
-
-    @cached_property
-    def forests(self) -> _Weighted:
+    def forests(self) -> ForestFamily:
         """Every two-tree spanning forest: a spanning tree less one of its lines."""
-        return self._weigh(sorted({tree[:k] + tree[k + 1:]
-                                   for tree in self.trees.members for k in range(len(tree))}))
+        members = {tree[:k] + tree[k + 1:] for tree in self.trees.members for k in range(len(tree))}
+        return self._weigh("two_tree_forests", sorted(members))
 
     @cached_property
     def far(self) -> np.ndarray:
@@ -278,10 +279,6 @@ def _flow_share(network: Network, k: int, a: int, b: int, den: Fraction) -> floa
     return float(Fraction(network.b[k]) * (pos - neg) / den)
 
 
-def _family(kind: str, weighted: _Weighted, mask: list[bool]) -> ForestFamily:
-    return ForestFamily(kind, tuple(itertools.compress(weighted.members, mask)), weighted.total(mask))
-
-
 def enumerate_spanning_trees(network: Network, allowed_edges=None) -> ForestFamily:
     """All spanning trees drawing edges from ``allowed_edges`` (default: all).
 
@@ -290,7 +287,7 @@ def enumerate_spanning_trees(network: Network, allowed_edges=None) -> ForestFami
     allowed = frozenset(network.ids if allowed_edges is None else allowed_edges)
     network.edge_positions(allowed)  # UnknownEdgeError naming every unknown id
     trees = network.oracle.trees
-    return _family("spanning_trees", trees, [allowed.issuperset(tree) for tree in trees.members])
+    return trees.select(allowed.issuperset(tree) for tree in trees.members)
 
 
 def enumerate_two_tree_forests(network: Network, group_a, group_b) -> ForestFamily:
@@ -300,8 +297,7 @@ def enumerate_two_tree_forests(network: Network, group_a, group_b) -> ForestFami
     """
     for node in itertools.chain(group_a, group_b):
         network.node_index(node)
-    mask = _separating(network, group_a, group_b)
-    return _family("two_tree_forests", network.oracle.forests, mask)
+    return network.oracle.forests.select(_separating(network, group_a, group_b))
 
 
 def a_entry_via_forests(network: Network, i: int, j: int) -> float:
@@ -314,7 +310,7 @@ def a_entry_via_forests(network: Network, i: int, j: int) -> float:
     network.node_index(j)
     if i == network.reference or j == network.reference:
         return 0.0
-    return float(_forest_sum(network, {i, j}, {network.reference}) / network.oracle.tree_weight)
+    return float(_forest_sum(network, {i, j}, {network.reference}) / network.oracle.trees.weight_sum_exact)
 
 
 def ptdf_via_forests(network: Network, line: int, inject_at: int, withdraw_at: int) -> float:
@@ -327,7 +323,7 @@ def ptdf_via_forests(network: Network, line: int, inject_at: int, withdraw_at: i
     k = network.edge_index(line)
     network.node_index(inject_at)
     network.node_index(withdraw_at)
-    return _flow_share(network, k, inject_at, withdraw_at, network.oracle.tree_weight)
+    return _flow_share(network, k, inject_at, withdraw_at, network.oracle.trees.weight_sum_exact)
 
 
 def lodf_via_forests(network: Network, line: int, outaged: int) -> float:
@@ -358,7 +354,7 @@ def matrix_tree_check(network: Network, tolerance: float = RTOL) -> MatrixTreeRe
     reduced = bundle.reduced.toarray()
     non_ref_nodes = [node for node in network.nodes if node != network.reference]
 
-    forest_weight = float(oracle.tree_weight)
+    forest_weight = float(oracle.trees.weight_sum_exact)
     determinant = bundle.reduced_determinant
     det_err = _rel_err(determinant, forest_weight)
 
@@ -395,7 +391,7 @@ def effective_reactance(network: Network, line: int) -> ReactanceReport:
     num = _forest_sum(network, {network.sources[k]}, {network.targets[k]})
     oracle = network.oracle
     return ReactanceReport(
-        effective=float(num / oracle.tree_weight),
+        effective=float(num / oracle.trees.weight_sum_exact),
         line_reactance=1.0 / network.b[k],
-        reduction_ratio=float(oracle.trees_avoiding(line) / oracle.tree_weight),
+        reduction_ratio=float(oracle.trees_avoiding(line) / oracle.trees.weight_sum_exact),
     )

@@ -138,6 +138,16 @@ def test_lodf_via_forests_identical_lines(triangle):
         lodf_via_forests(triangle, 1, 1)
 
 
+def test_empty_node_group_is_refused(triangle):
+    with pytest.raises(ValueError, match="node groups must be nonempty"):
+        enumerate_two_tree_forests(triangle, [], [1])
+
+
+def test_unknown_node_is_refused(triangle):
+    with pytest.raises(ValidationError, match="unknown node 99"):
+        a_entry_via_forests(triangle, 99, 1)
+
+
 def test_adjacent_lines_have_definite_factor_sign():
     # Lines sharing a bus leave one orientation family empty, so the factor
     # sign is fixed: nonnegative when the shared bus occupies the same
@@ -291,6 +301,18 @@ def test_weight_sums_are_exact_for_every_float():
             assert len(family) > 0
             assert family.weight_sum_exact == _exact_weight(rough, family.members)
             assert family.weight_sum == float(family.weight_sum_exact)
+            assert len(family.numerators) == len(family.members)
+            for numerator, member in zip(family.numerators, family.members):
+                assert Fraction(numerator, family.denominator) == _exact_weight(rough, [member])
+
+
+def test_families_are_equal_when_their_members_weigh_the_same(path3, triangle):
+    """Equality compares kind, members and per-member weights: not the sum alone, nor the unit of weight."""
+    assert enumerate_spanning_trees(path3) == enumerate_spanning_trees(with_susceptances(path3, [2.0, 0.5]))
+    rising = enumerate_spanning_trees(with_susceptances(triangle, [1.0, 2.0, 3.0]))  # trees weigh 2, 3, 6
+    same_sum = enumerate_spanning_trees(with_susceptances(triangle, [1.0, 1.0, 5.0]))  # trees weigh 1, 5, 5
+    assert rising.weight_sum_exact == same_sum.weight_sum_exact
+    assert rising != same_sum
 
 
 def _unit_transfer(net, a, b):

@@ -228,6 +228,11 @@ def test_adversarial_capacity_triangle(triangle):
     assert abs(flows[2]) <= instance.capacities[1]
 
 
+def test_adversarial_capacity_refuses_one_line_as_both(triangle):
+    with pytest.raises(ValueError, match="lines must be distinct"):
+        adversarial_capacity(build_laplacian(triangle), triangle, 1, 1)
+
+
 def test_adversarial_capacity_guarantee_random():
     rng = np.random.default_rng(163)
     tested = 0

@@ -197,6 +197,37 @@ def test_injection_balance_tolerance_scales(triangle):
         injection_vector(triangle, [1e6, -1e6, 1.0])
 
 
+def _written(path, text):
+    path.write_text(text)
+    return path
+
+
+def _injection_table_without_p(folder):
+    _written(folder / "edges.csv", "from,to,b\n1,2,1.0\n")
+    _written(folder / "injections.csv", "node,q\n1,1.0\n2,-1.0\n")
+    return folder
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda tmp: load_network(_written(tmp / "list.json", "[]")),
+     ParseError, "network document must be a JSON object"),
+    (lambda tmp: load_network({"edges": {}}), ParseError, "'edges' must be a list"),
+    (lambda tmp: load_network({**triangle_doc(), "injections": []}),
+     ParseError, "'injections' must map node ids to reals"),
+    (lambda tmp: load_network(tmp / "absent.json"), ParseError, "cannot open "),
+    (lambda tmp: load_network(_injection_table_without_p(tmp)), ParseError, "cannot read injection table "),
+    (lambda tmp: injection_vector(build({"edges": [{"from": 1, "to": 2, "b": 1.0}]})),
+     ValidationError, "network document carries no injections"),
+    (lambda tmp: injection_vector(build(triangle_doc()), [1.0, -1.0]),
+     ValidationError, "expected 3 injections, got shape (2,)"),
+], ids=["list_document", "edges_object", "injections_list", "missing_file", "injection_table_without_p",
+        "no_injections", "short_injections"])
+def test_loader_refusals_name_their_defect(tmp_path, refused, error, message):
+    with pytest.raises(error) as caught:
+        refused(tmp_path)
+    assert str(caught.value).startswith(message)
+
+
 def test_without_edges_preserves_ids(triangle):
     survived = without_edges(triangle, [2])
     assert survived.ids == (1, 3)
