@@ -7,7 +7,7 @@ through ``_lodf_columns``, and a simultaneous non-cut outage couples the
 tripped lines through the inverse of I - D_FF.  Every simultaneous-outage
 factor, here and in the localization report and perturbation test, is one
 call of the GLODF kernel ``_glodf_kernel(numerator, D_FF) = numerator
-(I - D_FF)^-1``.
+(I - D_FF)^-1``: one |F|-by-|F| inverse and one product, O(rows |F|^2 + |F|^3).
 Three equivalent GLODF formulas are implemented; the cross-check mode
 evaluates all of them and records their disagreement.
 """
@@ -91,7 +91,9 @@ class OutageSet:
         self.network = network
         self.outaged, positions = zip(*outaged)
         self.outaged_idx = np.array(positions)
-        self.surviving_idx = np.delete(np.arange(network.m), self.outaged_idx)
+        keep = np.ones(network.m, dtype=bool)
+        keep[self.outaged_idx] = False
+        self.surviving_idx = np.flatnonzero(keep)
         self.disconnects = network.disconnected_by(self.outaged_idx)  # decided once, near the tripped lines
 
     def refuse_cut(self) -> None:
@@ -189,14 +191,14 @@ def _lodf_columns(d_cols: np.ndarray, d_kk) -> np.ndarray:
 
 
 def _glodf_kernel(numerator: np.ndarray, d_ff: np.ndarray) -> np.ndarray:
-    """numerator @ inv(I - d_ff) via a linear solve: the one GLODF solve.
+    """numerator (I - d_ff)^-1: one |F|-by-|F| inverse, then one product.
 
     With numerator = D_-F,F this is the simultaneous-outage factor of a
     non-cut outage F; any row subset of it (one block's lines) works too.
+    O(|F|^3 + rows |F|^2); a row of zeros comes out as +0.0.
     """
-    system = np.eye(d_ff.shape[0]) - d_ff
     try:
-        return np.linalg.solve(system.T, numerator.T).T
+        return numerator @ np.linalg.inv(np.eye(d_ff.shape[0]) - d_ff)
     except np.linalg.LinAlgError as exc:
         raise SingularError(f"I - D_FF is numerically singular: {exc}") from None
 

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfactor import (
     BridgeOutageError,
@@ -29,6 +31,7 @@ from gridfactor import (
 )
 
 from gridfactor import factors
+from gridfactor.net_model import scaled_tolerance
 
 from conftest import (
     build,
@@ -234,6 +237,51 @@ def test_glodf_methods_agree_on_random_instances():
         scale = max(1.0, float(np.max(np.abs(result.k_matrix))))
         assert max(result.residuals.values()) < 1e-9 * scale
         tested += 1
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_glodf_kernel_matches_the_solve_form(seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, min_extra=1)
+    lines = sample_non_cut_outage(rng, net)
+    if lines is None:
+        return
+    outage = OutageSet(net, lines)
+    d_cols = ptdf_matrix(build_laplacian(net), net).columns(outage.outaged_idx)
+    numerator, d_ff = d_cols[outage.surviving_idx], d_cols[outage.outaged_idx]
+    zeroed = rng.random(len(numerator)) < 0.3
+    numerator[zeroed] = rng.choice([0.0, -0.0], size=(int(zeroed.sum()), 1))
+    kernel = factors._glodf_kernel(numerator, d_ff)
+    solved = np.linalg.solve((np.eye(outage.size) - d_ff).T, numerator.T).T
+    assert np.max(np.abs(kernel - solved)) <= scaled_tolerance(float(np.max(np.abs(solved))))
+    # +0.0, never -0.0, so the JSON emit never prints "-0.0" for a line the outage cannot reach.
+    assert np.array_equal(kernel[zeroed], numerator[zeroed]) and not np.signbit(kernel[zeroed]).any()
+
+
+def test_pre_contingency_solves_only_the_outage_coupling(monkeypatch):
+    net = build(grid_doc(20))
+    bundle = build_laplacian(net)
+    ptdf = ptdf_matrix(bundle, net)
+    outage = OutageSet(net, [200, 571, 591])
+    shapes = []
+
+    def spy(name, call):
+        def recorded(*args, **kwargs):
+            shapes.extend(np.shape(arg) for arg in args if isinstance(arg, np.ndarray))
+            if name == "solve":
+                raise AssertionError("np.linalg.solve ran")
+            return call(*args, **kwargs)
+        return recorded
+
+    with monkeypatch.context() as patched:
+        for name in np.linalg.__all__:
+            call = getattr(np.linalg, name)
+            if callable(call) and not isinstance(call, type):
+                patched.setattr(factors.np.linalg, name, spy(name, call))
+        result = glodf(bundle, ptdf, net, outage, method="pre_contingency")
+    assert result.k_matrix.shape == (net.m - 3, 3)
+    assert shapes and set(shapes) == {(3, 3)}
 
 
 def test_apply_outage_triangle(triangle_setup):

@@ -25,7 +25,10 @@ that is not a bridge yet too stiff for its outage factors (and a cascade
 from it, whose stage fails the GLODF update's certificate and is
 re-solved), cascades and ``verify``.  Its networks are the test fixtures
 of ``tests/conftest.py``, the ``perfbench/gen.py`` block trees and
-oracle grids for seeds 2 and 7, and its 30×30 grid for ``blocks``; two
+oracle grids for seeds 2 and 7, its 30×30 grid for ``blocks`` and the
+20×20 grid of the ``screen_grid`` workload (``glodf`` ``pre_contingency`` and
+``cross_check`` and ``localize`` of one three-line outage, so the GLODF
+kernel runs on 757 rows); two
 more ``verify`` runs take the seed-2 oracle grid with weights that are
 decimal tenths and with rough floats (square roots), whose exact weight
 sums are not the sums of small dyadic rationals the other grids give.  Runs
@@ -63,6 +66,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (2, 7)
+#: A non-cut three-line outage of the 20×20 screening grid, ``gen.grid(20, 3)``.
+SCREEN_OUTAGE = "200,571,591"
 
 
 def _bridges(doc: dict) -> list[int]:
@@ -252,6 +257,10 @@ def outputs(src) -> Iterator[tuple[str, int, str, str]]:
             corpus.append(["verify", name])
         gen.write(gen.grid(30, 2)[0], Path("grid30.json"))  # one block: a search far deeper than the block trees
         corpus.append(["blocks", "grid30.json"])
+        gen.write(gen.grid(20, 3)[0], Path("screen.json"))  # screen_grid's network: the GLODF kernel at 757 rows
+        for method in ("pre_contingency", "cross_check"):
+            corpus.append(["glodf", "screen.json", "--lines", SCREEN_OUTAGE, "--method", method])
+        corpus.append(["localize", "screen.json", "--lines", SCREEN_OUTAGE])
         for name, (command, doc) in _loader_documents(conftest.triangle_doc()).items():
             gen.write(doc, Path(name))
             corpus.append([command, name])
