@@ -58,7 +58,7 @@ print("formula disagreement:", result.residuals)
 # The factors really do predict post-contingency flows: compare them with a
 # re-solve on the surviving grid, factored afresh.
 p = np.array([2.0, -1.0, 1.0, -2.0])
-pre, _ = apply_outage(bundle, k4, p, outage)
+pre, _ = apply_outage(p, outage)
 post = surviving_flow(k4, p, outage.outaged_idx)
 predicted = pre.flows[outage.surviving_idx] + result.k_matrix @ pre.flows[outage.outaged_idx]
 print("\npre-outage flows:      ", pre.flows)

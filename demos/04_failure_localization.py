@@ -53,7 +53,7 @@ result = glodf(bundle, ptdf, net, outage)
 np.set_printoptions(precision=4, suppress=True)
 print("\nGLODF (rows = surviving lines, cols = lines 1 and 6):\n", result.k_matrix)
 
-report = block_structure_report(ptdf, outage)
+report = block_structure_report(outage)
 print("\nmax cross-block magnitude:", report.cross_block_max)
 for block in report.blocks:
     print(f"block {block.block_index}: rows {block.row_ids} cols {block.col_ids} "
@@ -63,7 +63,7 @@ for block in report.blocks:
 # The converse: within a block the entries are nonzero almost surely.
 # Every random susceptance draw keeps cross-block entries at exactly zero.
 stats = almost_sure_nonzero_test(
-    net, OutageSet(net, [1]), PerturbationSpec(relative_magnitude=1e-3, trials=100, seed=1)
+    OutageSet(net, [1]), PerturbationSpec(relative_magnitude=1e-3, trials=100, seed=1)
 )
 print(f"\nperturbation trials: {stats.trials}")
 print("within-block nonzero counts:", stats.within_block)

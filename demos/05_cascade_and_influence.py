@@ -35,7 +35,7 @@ bundle = build_laplacian(triangle)
 
 # Capacities tight on line 3 and slack elsewhere, injections chosen so the
 # system is safe until line 1 trips.
-instance = adversarial_capacity(bundle, triangle, tripped=1, target=3)
+instance = adversarial_capacity(triangle, tripped=1, target=3)
 print("injections:", instance.injections)
 print("capacities:", instance.capacities)
 

@@ -104,11 +104,9 @@ def run_cascade(
         max_stages = network.m
 
     try:
-        factor = network.factor
+        base = solve_flow(network.factor, network, p)
     except SingularError:  # the surviving grids may still factor
-        factor = base = None
-    else:
-        base = solve_flow(factor, network, p)
+        base = None
     capacities = network.capacities()
     stages: list[Stage] = []
     tripped = initial
@@ -125,7 +123,7 @@ def run_cascade(
                 islanded_at_stage=len(stages) if len(stages) > 1 else 0,
             )
 
-        state = _outage_flow(factor, network, p, base, out)
+        state = _outage_flow(network, p, base, out)
         stages.append(Stage(tripped=tripped, flow=state))
         over = alive & (np.abs(state.flows) > capacities)
         tripped = frozenset(map(network.ids.__getitem__, np.flatnonzero(over).tolist()))

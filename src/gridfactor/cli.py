@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -164,9 +163,8 @@ def _cmd_localize(network, args) -> int:
     spec = localization_mod.PerturbationSpec(  # refuses out-of-range flags even without --perturb
         relative_magnitude=args.eps, trials=args.trials, seed=args.seed
     )
-    ptdf = factors_mod.PtdfMatrix(network.factor, network)
     outage = factors_mod.OutageSet(network, _parse_lines(args.lines))
-    report = localization_mod.block_structure_report(ptdf, outage)
+    report = localization_mod.block_structure_report(outage)
 
     payload = {
         "cross_block_max": report.cross_block_max,
@@ -186,7 +184,7 @@ def _cmd_localize(network, args) -> int:
         ],
     }
     if args.perturb:
-        stats = localization_mod.almost_sure_nonzero_test(network, outage, spec)
+        stats = localization_mod.almost_sure_nonzero_test(outage, spec)
         payload["perturbation"] = {
             "trials": stats.trials,
             "threshold": stats.threshold,
@@ -295,14 +293,8 @@ def _cmd_verify(network, args) -> int:
     return 0
 
 
-def _verify_tolerance(tol: float | None) -> float:
-    """``--tol``, else the ``GRIDFACTOR_TOL`` variable, else ``RTOL``; finite and nonnegative."""
-    if tol is None:
-        raw = os.environ.get("GRIDFACTOR_TOL", RTOL)
-        try:
-            tol = float(raw)
-        except ValueError:
-            raise InputError(f"bad GRIDFACTOR_TOL value {raw!r}; expected a real number") from None
+def _verify_tolerance(tol: float) -> float:
+    """``--tol`` (default ``RTOL``), refused unless finite and nonnegative."""
     if not 0.0 <= tol < math.inf:
         raise InputError(f"tolerance must be finite and nonnegative, got {tol}")
     return tol
@@ -369,8 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--tol",
         type=float,
-        default=None,
-        help="identity-check tolerance (env GRIDFACTOR_TOL; flag wins)",
+        default=RTOL,
+        help="identity-check tolerance",
     )
 
     return parser

@@ -120,9 +120,9 @@ class GlodfResult:
     first read unless the formula already did; they agree with ``k_matrix``
     only for singleton outages.
     ``residuals`` records the max entrywise disagreement between formula
-    pairs in cross-check mode.  The generating ptdf (and through it the
-    factor, ``ptdf.bundle``) rides along for downstream reports, and so do
-    the outage columns D[:, F] the factors were computed from.
+    pairs in cross-check mode.  The generating ``ptdf`` and the outage
+    columns D[:, F] the factors were computed from ride along for
+    ``k_stack``, their only reader.
     """
 
     outage: OutageSet
@@ -271,37 +271,33 @@ def glodf(
     return result
 
 
-def apply_outage(
-    bundle: LaplacianBundle,
-    network: Network,
-    p,
-    outage: OutageSet,
-) -> tuple[FlowState, FlowState]:
+def apply_outage(p, outage: OutageSet) -> tuple[FlowState, FlowState]:
     """Pre- and post-contingency DC solutions for a non-cut outage.
 
-    The post state is the GLODF update of the pre state on ``bundle``, the
-    network's factor (:func:`_outage_flow`); its flow vector keeps full
-    length with zeros at the tripped lines.
+    The pre state is solved on ``outage.network.factor``, and the post state is
+    its GLODF update on that factor (:func:`_outage_flow`); its flow vector keeps
+    full length with zeros at the tripped lines.
     """
+    network = outage.network
     p = injection_vector(network, p)
     outage.refuse_cut()
-    pre = solve_flow(bundle, network, p)
-    return pre, _outage_flow(bundle, network, p, pre, outage.outaged_idx)
+    pre = solve_flow(network.factor, network, p)
+    return pre, _outage_flow(network, p, pre, outage.outaged_idx)
 
 
-def _outage_flow(bundle: LaplacianBundle | None, network: Network, p, base: FlowState | None,
-                 tripped) -> FlowState:
+def _outage_flow(network: Network, p, base: FlowState | None, tripped) -> FlowState:
     """DC flow without the lines at the non-cut edge positions ``tripped``, updated from ``base``.
 
     theta' = theta + A C_F (I - D_FF)^-1 f_F (Part I of the paper) takes |F|
-    solves on ``bundle``, the factor ``base`` was solved on, and no new
+    solves on ``network.factor``, the factor ``base`` was solved on, and no new
     factorization.  The update is certified by its nodal imbalance r = C f' - p:
     f' is a potential flow on the surviving grid, so it is off the exact flow
     by at most ||r||_1 on every line.  The surviving grid is re-solved instead
     (:func:`surviving_flow`) when ||r||_1 exceeds ``scaled_tolerance(max|f'|)``, when
-    I - D_FF is singular, and when ``base`` and ``bundle`` are None (no whole-network factor).
+    I - D_FF is singular, and when ``base`` is None (no whole-network factor).
     """
     if base is not None:
+        bundle = network.factor
         x_f = bundle.solve(incidence_columns(network, tripped))
         try:
             theta = base.theta + _glodf_kernel(x_f, bundle.branch_flows(x_f)[tripped]) @ base.flows[tripped]
@@ -317,23 +313,26 @@ def _outage_flow(bundle: LaplacianBundle | None, network: Network, p, base: Flow
     return surviving_flow(network, p, tripped)
 
 
-def characteristic_injection_flow(bundle: LaplacianBundle, network: Network, line: int) -> np.ndarray:
+def characteristic_injection_flow(network: Network, line: int) -> np.ndarray:
     """Branch flows under a unit injection across a line's endpoints.
 
     Injecting +1 at the line's source and -1 at its target reproduces the
     line's sensitivity column: the flow on every line u equals D_u,line,
     and the flow on the line itself is positive.
     """
-    return bundle.sensitivity_columns([network.edge_index(line)])[:, 0]
+    return network.factor.sensitivity_columns([network.edge_index(line)])[:, 0]
 
 
 def detect_islanding(ptdf: PtdfMatrix, outage: OutageSet) -> bool:
-    """True when I - D_FF is numerically singular, signalling a cut set.
+    """True when I - D_FF is numerically singular, a numerical test for a cut set.
 
     The smallest singular value is compared against
     ``scaled_tolerance(largest singular value)``; its unit floor
     keeps one-line (1x1) bridge outages detectable, where both singular
-    values vanish together.
+    values vanish together.  It agrees with the graph test
+    (:attr:`OutageSet.disconnects`) except when the susceptances spread
+    widely: on a stiff triangle it calls a non-cut outage singular.  No
+    refusal in this package uses it; each reads ``disconnects``.
     """
     cols = outage.outaged_idx
     system = np.eye(outage.size) - ptdf.columns(cols)[cols]

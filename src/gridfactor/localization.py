@@ -17,9 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dcpf import LaplacianBundle, build_laplacian, surviving_factor
+from .dcpf import build_laplacian, surviving_factor
 from .errors import BridgeOutageError, ValidationError, ZeroFactorError
-from .factors import OutageSet, PtdfMatrix, _glodf_kernel, _lodf_columns, characteristic_injection_flow
+from .factors import OutageSet, _glodf_kernel, _lodf_columns, characteristic_injection_flow
 from .graph_algos import shares_simple_cycle
 from .net_model import NONZERO_ATOL, Network, incidence_columns, scaled_tolerance
 
@@ -85,21 +85,21 @@ class LocalizationReport:
     matrix_scale: float
 
 
-def block_structure_report(ptdf: PtdfMatrix, outage: OutageSet) -> LocalizationReport:
+def block_structure_report(outage: OutageSet) -> LocalizationReport:
     """Verify the block-diagonal structure of a simultaneous-outage factor.
 
-    The report's K is the GLODF kernel on the outage columns of the factor of
-    ``ptdf``, solved once and never masked, so ``cross_block_max`` (which the
-    theory pins at zero) reads computed entries, never written zeros; each
-    ``k_direct`` reads only its block's entries, where the mask writes nothing.
-    For every block containing tripped lines, ``k_direct`` and ``k_from_parts``
-    (see :class:`BlockFactors`) are compared against K restricted to the block.
+    The report's K is the GLODF kernel on the outage columns of ``outage.network.factor``,
+    solved once and never masked, so ``cross_block_max`` (which the theory pins at zero)
+    reads computed entries, never written zeros; each ``k_direct`` reads only its block's
+    entries, where the PTDF's mask writes nothing.  For every block containing tripped
+    lines, ``k_direct`` and ``k_from_parts`` (see :class:`BlockFactors`) are compared
+    against K restricted to the block.
     """
     network = outage.network
     outage.refuse_cut()
 
     rows, cols = outage.surviving_idx, outage.outaged_idx
-    whole = ptdf.bundle.sensitivity_columns(cols)
+    whole = network.factor.sensitivity_columns(cols)
     K = _glodf_kernel(whole[rows], whole[cols])
     magnitude = np.abs(K)
     scale = float(np.max(magnitude, initial=0.0))
@@ -145,8 +145,9 @@ class PerturbationSpec:
 
     Each trial rescales every susceptance by (1 + w) with w uniform on
     [-relative_magnitude, +relative_magnitude], which keeps susceptances
-    positive for any magnitude below one.  ValidationError unless
-    ``trials >= 1``, ``0 <= relative_magnitude < 1`` and ``seed >= 0``.
+    positive for any magnitude below one.  ValidationError unless ``trials``
+    and ``seed`` are integers (a bool is not), ``trials >= 1``,
+    ``0 <= relative_magnitude < 1`` and ``seed >= 0``.
     """
 
     relative_magnitude: float = 1e-3
@@ -154,6 +155,8 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(type(v) is int or isinstance(v, np.integer) for v in (self.trials, self.seed)):
+            raise ValidationError(f"perturbation trials and seed must be integers, not bools: {self}")
         if not (self.trials >= 1 and 0.0 <= self.relative_magnitude < 1.0 and self.seed >= 0):
             raise ValidationError(
                 f"perturbation needs trials >= 1, magnitude in [0, 1) and seed >= 0: {self}"
@@ -182,11 +185,8 @@ class PerturbationStats:
         return max(self.cross_block.values()) if self.cross_block else 0
 
 
-def almost_sure_nonzero_test(
-    network: Network,
-    outage: OutageSet,
-    spec: PerturbationSpec = PerturbationSpec(),
-) -> PerturbationStats:
+def almost_sure_nonzero_test(outage: OutageSet,
+                             spec: PerturbationSpec = PerturbationSpec()) -> PerturbationStats:
     """Count nonzero factor entries under random susceptance perturbations.
 
     Symmetry can make a within-block factor entry vanish, but the vanishing
@@ -197,6 +197,7 @@ def almost_sure_nonzero_test(
     a given seed regardless of execution order.  A trial solves only the
     |F| outage columns of its perturbed network; it builds no PTDF.
     """
+    network = outage.network
     outage.refuse_cut()
     _, _, same_block = _line_blocks(network, outage)
     rows, cols = outage.surviving_idx, outage.outaged_idx
@@ -230,12 +231,7 @@ class AdversarialInstance(NamedTuple):
     capacities: np.ndarray
 
 
-def adversarial_capacity(
-    bundle: LaplacianBundle,
-    network: Network,
-    tripped: int,
-    target: int,
-) -> AdversarialInstance:
+def adversarial_capacity(network: Network, tripped: int, target: int) -> AdversarialInstance:
     """Injection/capacity pair under which tripping one line overloads another.
 
     Uses the unit injection across the tripped line's endpoints and a
@@ -254,7 +250,7 @@ def adversarial_capacity(
     target_idx = network.edge_index(target)
     tripped_idx = network.edge_index(tripped)
     injections = incidence_columns(network, [tripped_idx])[:, 0]
-    flows = characteristic_injection_flow(bundle, network, tripped)
+    flows = characteristic_injection_flow(network, tripped)
     column = _lodf_columns(flows, flows[tripped_idx])
     k_norm = float(np.max(np.abs(np.delete(column, tripped_idx))))
     if abs(column[target_idx]) < scaled_tolerance(k_norm):

@@ -42,8 +42,7 @@ from conftest import (
 
 
 def armed_triangle(triangle):
-    bundle = build_laplacian(triangle)
-    instance = adversarial_capacity(bundle, triangle, 1, 3)
+    instance = adversarial_capacity(triangle, 1, 3)
     return with_capacities(triangle, instance.capacities), instance
 
 
@@ -318,5 +317,5 @@ def test_an_update_that_is_not_finite_is_re_solved(triangle):
     p = injection_vector(triangle)
     base = solve_flow(triangle.factor, triangle, p)
     broken = type(base)(theta=np.full(triangle.n, np.nan), flows=base.flows)
-    state = _outage_flow(triangle.factor, triangle, p, broken, np.array([0]))
+    state = _outage_flow(triangle, p, broken, np.array([0]))
     assert np.array_equal(state.flows, surviving_flow(triangle, p, [0]).flows)

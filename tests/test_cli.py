@@ -13,9 +13,10 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from gridfactor import (
     LaplacianBundle, Network, ParseError, SingularError, ValidationError, build_laplacian, cli,
-    dcpf, factors, load_network, validate,
+    dcpf, factors, load_network, localization, validate,
 )
 from gridfactor.cli import run
+from gridfactor.net_model import RTOL
 
 from conftest import fig2_doc, grid_doc, parallel_lines_doc, stiff_leaf_doc, triangle_doc
 
@@ -264,30 +265,19 @@ def test_reference_override(capsys, triangle_path):
     assert payload["flows"]["1"] == pytest.approx(2.0 / 3.0)
 
 
-def test_tol_env_override(monkeypatch, capsys, triangle_path):
-    monkeypatch.setenv("GRIDFACTOR_TOL", "1e-3")
+def test_tol_flag_sets_the_tolerance(capsys, triangle_path):
     assert run(["verify", triangle_path]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["tolerance"] == 1e-3
-    # The explicit flag wins over the environment variable.
-    assert run(["verify", triangle_path, "--tol", "1e-6"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["tolerance"] == 1e-6
+    assert json.loads(capsys.readouterr().out)["tolerance"] == RTOL
+    for value in (1e-3, 1e-6):
+        assert run(["verify", triangle_path, "--tol", repr(value)]) == 0
+        assert json.loads(capsys.readouterr().out)["tolerance"] == value
 
 
 @pytest.mark.parametrize("value", ["abc", "nan", "-1", "inf"])
-def test_bad_tol_is_input_error(monkeypatch, capsys, triangle_path, value):
-    monkeypatch.setenv("GRIDFACTOR_TOL", value)
-    assert run(["verify", triangle_path]) == 1
+def test_bad_tol_is_input_error(capsys, triangle_path, value):
+    assert run(["verify", triangle_path, "--tol", value]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err
-    # Only verify reads the variable.
-    assert run(["flow", triangle_path]) == 0
-    # The explicit flag still wins; the variable is not read.
-    assert run(["verify", triangle_path, "--tol", "1e-6"]) == 0
-    monkeypatch.delenv("GRIDFACTOR_TOL")
-    if value != "abc":
-        assert run(["verify", triangle_path, "--tol", value]) == 1
 
 
 @pytest.mark.parametrize("flags", [
@@ -303,6 +293,16 @@ def test_bad_perturbation_is_input_error(monkeypatch, capsys, triangle_path, fla
         assert run(["localize", triangle_path, "--lines", "1"] + perturb + flags) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("gridfactor: perturbation")
+
+
+@pytest.mark.parametrize("fields", [
+    {"trials": 2.5}, {"seed": 1.5}, {"seed": -0.0}, {"trials": 3.0}, {"trials": True}, {"seed": False},
+])
+def test_perturbation_spec_refuses_counts_that_are_not_ints(fields):
+    # The CLI's flags arrive as ints; a library caller can pass anything.
+    with pytest.raises(ValidationError, match="^perturbation"):
+        localization.PerturbationSpec(**fields)
+    assert localization.PerturbationSpec(trials=np.int64(2), seed=np.int64(0)).trials == 2
 
 
 def _set_b(doc, value):

@@ -95,7 +95,7 @@ def test_lodf_single_four_cycle(four_cycle):
     assert all(abs(abs(v) - 1.0) < 1e-12 for v in column.values())
     # Cross-check against a direct post-contingency re-solve.
     p = random_balanced_injection(np.random.default_rng(5), 4)
-    pre, post = apply_outage(bundle, four_cycle, p, OutageSet(four_cycle, [1]))
+    pre, post = apply_outage(p, OutageSet(four_cycle, [1]))
     tripped_flow = pre.flows[0]
     for line, factor in column.items():
         idx = four_cycle.edge_index(line)
@@ -166,7 +166,7 @@ def test_stiff_line_that_is_not_a_bridge_is_singular(caller):
         "lodf_single": lambda: lodf_single(ptdf, 1),
         "lodf_stack": lambda: lodf_stack(ptdf, OutageSet(net, [1])),
         "influence_graph": lambda: influence_graph(ptdf, 0.05),
-        "adversarial_capacity": lambda: adversarial_capacity(bundle, net, 1, 2),
+        "adversarial_capacity": lambda: adversarial_capacity(net, 1, 2),
     }[caller]
     with pytest.raises(SingularError, match="not a bridge"):
         call()
@@ -285,9 +285,9 @@ def test_pre_contingency_solves_only_the_outage_coupling(monkeypatch):
 
 
 def test_apply_outage_triangle(triangle_setup):
-    triangle, bundle, ptdf = triangle_setup
+    triangle, _, _ = triangle_setup
     outage = OutageSet(triangle, [1])
-    pre, post = apply_outage(bundle, triangle, injection_vector(triangle), outage)
+    pre, post = apply_outage(injection_vector(triangle), outage)
     assert np.max(np.abs(pre.flows - np.array([2 / 3, -1 / 3, 1 / 3]))) < 1e-12
     assert np.max(np.abs(post.flows - np.array([0.0, -1.0, 1.0]))) < 1e-12
 
@@ -306,7 +306,7 @@ def test_apply_outage_zero_tripped_flow_is_identity(four_cycle):
     if not zero_lines:
         pytest.skip("no zero-flow line in this configuration")
     outage = OutageSet(four_cycle, zero_lines[:1])
-    pre2, post = apply_outage(bundle, four_cycle, p, outage)
+    pre2, post = apply_outage(p, outage)
     surviving = outage.surviving_idx
     assert np.max(np.abs(post.flows[surviving] - pre2.flows[surviving])) < 1e-9
 
@@ -324,7 +324,7 @@ def test_apply_outage_matches_glodf_prediction():
         outage = OutageSet(net, outage_ids)
         result = glodf(bundle, ptdf, net, outage)
         p = random_balanced_injection(rng, net.n)
-        pre, post = apply_outage(bundle, net, p, outage)
+        pre, post = apply_outage(p, outage)
         predicted = pre.flows[outage.surviving_idx] + result.k_matrix @ pre.flows[outage.outaged_idx]
         scale = max(1.0, float(np.max(np.abs(pre.flows))))
         assert np.max(np.abs(post.flows[outage.surviving_idx] - predicted)) < 1e-9 * scale
@@ -337,20 +337,19 @@ def test_apply_outage_matches_glodf_prediction():
 
 
 def test_apply_outage_cut_set_raises(triangle_setup):
-    triangle, bundle, _ = triangle_setup
+    triangle, _, _ = triangle_setup
     with pytest.raises(CutSetError):
-        apply_outage(bundle, triangle, injection_vector(triangle), OutageSet(triangle, [1, 3]))
+        apply_outage(injection_vector(triangle), OutageSet(triangle, [1, 3]))
 
 
 def test_characteristic_injection_triangle(triangle_setup):
-    triangle, bundle, ptdf = triangle_setup
-    flows = characteristic_injection_flow(bundle, triangle, 1)
+    triangle, _, _ = triangle_setup
+    flows = characteristic_injection_flow(triangle, 1)
     assert flows[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_characteristic_injection_path(path3):
-    bundle = build_laplacian(path3)
-    flows = characteristic_injection_flow(bundle, path3, 1)
+    flows = characteristic_injection_flow(path3, 1)
     assert np.max(np.abs(flows - np.array([1.0, 0.0]))) < 1e-12
 
 
@@ -361,7 +360,7 @@ def test_characteristic_injection_equals_ptdf_column():
         bundle = build_laplacian(net)
         ptdf = ptdf_matrix(bundle, net)
         for line in net.ids:
-            flows = characteristic_injection_flow(bundle, net, line)
+            flows = characteristic_injection_flow(net, line)
             column = ptdf.matrix[:, net.edge_index(line)]
             assert np.max(np.abs(flows - column)) < 1e-9
             assert flows[net.edge_index(line)] > 0.0
@@ -409,7 +408,7 @@ def test_lodf_is_injection_independent():
         outage = OutageSet(net, [tripped])
         for _ in range(10):
             p = random_balanced_injection(rng, net.n)
-            pre, post = apply_outage(bundle, net, p, outage)
+            pre, post = apply_outage(p, outage)
             f_hat = pre.flows[net.edge_index(tripped)]
             if abs(f_hat) <= 1e-6:
                 continue

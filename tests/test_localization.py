@@ -99,7 +99,7 @@ def test_block_structure_report_fig2_singleton(fig2):
     bundle, ptdf = make_factors(fig2)
     outage = OutageSet(fig2, [1])
     result = glodf(bundle, ptdf, fig2, outage)
-    report = block_structure_report(result.ptdf, outage)
+    report = block_structure_report(outage)
 
     scale = max(1.0, report.matrix_scale)
     assert report.cross_block_max < 1e-9 * scale
@@ -142,7 +142,7 @@ def test_block_structure_report_random_instances():
         decomposition = block_decomposition(net)
         outage = OutageSet(net, outage_ids)
         result = glodf(bundle, ptdf, net, outage)
-        report = block_structure_report(result.ptdf, outage)
+        report = block_structure_report(outage)
         scale = max(1.0, report.matrix_scale)
         assert report.cross_block_max < 1e-9 * scale
         for block in report.blocks:
@@ -158,17 +158,14 @@ def test_block_structure_report_random_instances():
 
 
 def test_block_structure_cut_set_raises(triangle):
-    bundle, ptdf = make_factors(triangle)
-    outage = OutageSet(triangle, [1])
-    result = glodf(bundle, ptdf, triangle, outage)
     bad = OutageSet(triangle, [1, 2])
     with pytest.raises(CutSetError):
-        block_structure_report(result.ptdf, bad)
+        block_structure_report(bad)
 
 
 def test_perturbation_triangle_always_nonzero(triangle):
     stats = almost_sure_nonzero_test(
-        triangle, OutageSet(triangle, [1]), PerturbationSpec(trials=50, seed=3)
+        OutageSet(triangle, [1]), PerturbationSpec(trials=50, seed=3)
     )
     assert stats.trials == 50
     assert stats.min_within_count() == 50
@@ -182,14 +179,14 @@ def test_perturbation_k4_symmetry_breaking(k4):
     assert abs(column[6]) < 1e-12
 
     stats = almost_sure_nonzero_test(
-        k4, OutageSet(k4, [1]), PerturbationSpec(relative_magnitude=1e-3, trials=100, seed=42)
+        OutageSet(k4, [1]), PerturbationSpec(relative_magnitude=1e-3, trials=100, seed=42)
     )
     assert stats.min_within_count() == 100
 
 
 def test_perturbation_cross_block_stays_zero(fig2):
     stats = almost_sure_nonzero_test(
-        fig2, OutageSet(fig2, [1]), PerturbationSpec(trials=40, seed=9)
+        OutageSet(fig2, [1]), PerturbationSpec(trials=40, seed=9)
     )
     assert stats.max_cross_count() == 0
     assert stats.min_within_count() == 40
@@ -197,20 +194,20 @@ def test_perturbation_cross_block_stays_zero(fig2):
 
 def test_perturbation_deterministic_for_seed(k4):
     spec = PerturbationSpec(trials=20, seed=77)
-    first = almost_sure_nonzero_test(k4, OutageSet(k4, [1]), spec)
-    second = almost_sure_nonzero_test(k4, OutageSet(k4, [1]), spec)
+    first = almost_sure_nonzero_test(OutageSet(k4, [1]), spec)
+    second = almost_sure_nonzero_test(OutageSet(k4, [1]), spec)
     assert first.within_block == second.within_block
     assert first.cross_block == second.cross_block
 
 
 def test_perturbation_bridge_outage_is_a_cut_set(path3):
     with pytest.raises(CutSetError):
-        almost_sure_nonzero_test(path3, OutageSet(path3, [1]), PerturbationSpec(trials=1))
+        almost_sure_nonzero_test(OutageSet(path3, [1]), PerturbationSpec(trials=1))
 
 
 def test_adversarial_capacity_triangle(triangle):
     bundle = build_laplacian(triangle)
-    instance = adversarial_capacity(bundle, triangle, 1, 3)
+    instance = adversarial_capacity(triangle, 1, 3)
     assert np.array_equal(instance.injections, np.array([1.0, -1.0, 0.0]))
     assert instance.capacities[2] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert instance.capacities[0] == instance.capacities[1]
@@ -230,7 +227,7 @@ def test_adversarial_capacity_triangle(triangle):
 
 def test_adversarial_capacity_refuses_one_line_as_both(triangle):
     with pytest.raises(ValueError, match="lines must be distinct"):
-        adversarial_capacity(build_laplacian(triangle), triangle, 1, 1)
+        adversarial_capacity(triangle, 1, 1)
 
 
 def test_adversarial_capacity_guarantee_random():
@@ -257,7 +254,7 @@ def test_adversarial_capacity_guarantee_random():
         if hit is None:
             continue
         tripped, target = hit
-        instance = adversarial_capacity(bundle, net, tripped, target)
+        instance = adversarial_capacity(net, tripped, target)
         pre = solve_flow(bundle, net, instance.injections)
         assert np.all(np.abs(pre.flows) <= instance.capacities + 1e-12)
         survived = without_edges(net, [tripped])
@@ -272,22 +269,19 @@ def test_adversarial_capacity_guarantee_random():
 
 
 def test_adversarial_capacity_zero_factor_raises(fig2):
-    bundle = build_laplacian(fig2)
     decomposition = block_decomposition(fig2)
     blocks = [sorted(b) for b in decomposition.blocks if len(b) > 1]
     with pytest.raises(ZeroFactorError):
-        adversarial_capacity(bundle, fig2, blocks[0][0], blocks[1][0])
+        adversarial_capacity(fig2, blocks[0][0], blocks[1][0])
 
 
 def test_adversarial_capacity_bridge_raises(path3):
-    bundle = build_laplacian(path3)
     with pytest.raises(BridgeOutageError):
-        adversarial_capacity(bundle, path3, 1, 2)
+        adversarial_capacity(path3, 1, 2)
 
 
 def test_adversarial_instance_drives_cascade(triangle):
-    bundle = build_laplacian(triangle)
-    instance = adversarial_capacity(bundle, triangle, 1, 3)
+    instance = adversarial_capacity(triangle, 1, 3)
     armed = with_capacities(triangle, instance.capacities)
     trace = run_cascade(armed, instance.injections, [1])
     assert trace.status == "islanded"
@@ -295,9 +289,8 @@ def test_adversarial_instance_drives_cascade(triangle):
 
 
 def test_adversarial_capacity_unknown_target_is_named(triangle):
-    bundle = build_laplacian(triangle)
     with pytest.raises(UnknownEdgeError, match="99"):
-        adversarial_capacity(bundle, triangle, 1, 99)
+        adversarial_capacity(triangle, 1, 99)
 
 
 def _dense_perturbation_counts(network, outage, spec):
@@ -338,7 +331,7 @@ def test_perturbation_counts_match_dense_oracle(seed, magnitude):
     if outage is None:
         return
     spec = PerturbationSpec(relative_magnitude=magnitude, trials=4, seed=seed % 1000)
-    stats = almost_sure_nonzero_test(net, outage, spec)
+    stats = almost_sure_nonzero_test(outage, spec)
     within, cross = _dense_perturbation_counts(net, outage, spec)
     assert stats.within_block == within
     assert stats.cross_block == cross
@@ -348,12 +341,10 @@ def test_perturbation_counts_match_dense_oracle(seed, magnitude):
 @settings(max_examples=80, deadline=None, database=None)
 @given(st.integers(0, 2**32 - 1))
 def test_block_structure_report_property(seed):
-    _, net, outage = _random_non_cut_case(seed)
+    _, _, outage = _random_non_cut_case(seed)
     if outage is None:
         return
-    bundle, ptdf = make_factors(net)
-    result = glodf(bundle, ptdf, net, outage)
-    report = block_structure_report(result.ptdf, outage)
+    report = block_structure_report(outage)
     bound = 1e-9 * max(1.0, report.matrix_scale)
     assert report.cross_block_max <= bound
     assert sum(len(block.col_ids) for block in report.blocks) == outage.size
@@ -364,15 +355,13 @@ def test_block_structure_report_property(seed):
 
 
 def test_parts_are_solved_without_the_ptdf_or_a(monkeypatch, fig2):
-    bundle, ptdf = make_factors(fig2)
     outage = OutageSet(fig2, [1, 6])
-    result = glodf(bundle, ptdf, fig2, outage)
 
     def refuse(*args):
         raise AssertionError("k_from_parts read A")
 
     monkeypatch.setattr(LaplacianBundle, "A", property(refuse))
-    report = block_structure_report(result.ptdf, outage)
+    report = block_structure_report(outage)
     assert all(block.reassembly_err_parts <= 1e-9 for block in report.blocks)
 
 
@@ -402,10 +391,7 @@ def test_cross_block_max_reads_no_structural_zero(monkeypatch, fig2):
 
     monkeypatch.setattr(PtdfMatrix, "columns", filled)
     for net, lines in [(fig2, [1, 6]), *_multi_block_outages(20)]:
-        bundle = build_laplacian(net)
-        outage = OutageSet(net, lines)
-        result = glodf(bundle, PtdfMatrix(bundle, net), net, outage, method="post_contingency")
-        report = block_structure_report(result.ptdf, outage)
+        report = block_structure_report(OutageSet(net, lines))
         assert report.cross_block_max < 1e-9 * max(1.0, report.matrix_scale)
 
 
@@ -419,7 +405,7 @@ def test_parts_come_from_the_post_contingency_factor_not_the_ptdf(fig2):
         bundle, ptdf = make_factors(net)
         outage = OutageSet(net, lines)
         post = glodf(bundle, ptdf, net, outage, method="post_contingency")
-        report = block_structure_report(post.ptdf, outage)
+        report = block_structure_report(outage)
         for block in report.blocks:
             rows = [outage.surviving.index(line) for line in block.row_ids]
             cols = [outage.outaged.index(line) for line in block.col_ids]
@@ -436,13 +422,12 @@ def test_k_direct_is_the_kernel_on_the_masked_ptdf_columns(fig2):
         bundle = build_laplacian(net)
         outage = OutageSet(net, lines)
         d_cols = PtdfMatrix(bundle, net).columns(outage.outaged_idx)
-        for ptdf in (PtdfMatrix(bundle, net), ptdf_matrix(bundle, net)):
-            for block in block_structure_report(ptdf, outage).blocks:
-                full_cols = [outage.outaged.index(line) for line in block.col_ids]
-                rows, cols = net.edge_positions(block.row_ids), net.edge_positions(block.col_ids)
-                expected = factors._glodf_kernel(d_cols[np.ix_(rows, full_cols)],
-                                                 d_cols[np.ix_(cols, full_cols)])
-                assert _bitwise_equal(block.k_direct, expected)
+        for block in block_structure_report(outage).blocks:
+            full_cols = [outage.outaged.index(line) for line in block.col_ids]
+            rows, cols = net.edge_positions(block.row_ids), net.edge_positions(block.col_ids)
+            expected = factors._glodf_kernel(d_cols[np.ix_(rows, full_cols)],
+                                             d_cols[np.ix_(cols, full_cols)])
+            assert _bitwise_equal(block.k_direct, expected)
 
 
 def test_perturbation_never_builds_the_inverse(monkeypatch, fig2):
@@ -451,19 +436,17 @@ def test_perturbation_never_builds_the_inverse(monkeypatch, fig2):
 
     monkeypatch.setattr(LaplacianBundle, "A", property(refuse), raising=False)
     monkeypatch.setattr(factors, "ptdf_matrix", refuse)
-    stats = almost_sure_nonzero_test(fig2, OutageSet(fig2, [1, 6]), PerturbationSpec(trials=5))
+    stats = almost_sure_nonzero_test(OutageSet(fig2, [1, 6]), PerturbationSpec(trials=5))
     assert stats.min_within_count() == 5 and stats.max_cross_count() == 0
 
 
 def test_adversarial_capacity_builds_no_dense_matrix(monkeypatch, fig2):
-    bundle = build_laplacian(fig2)
-
     def refuse(*args):
         raise AssertionError("a dense inverse or full PTDF was built")
 
     monkeypatch.setattr(LaplacianBundle, "A", property(refuse), raising=False)
     monkeypatch.setattr(factors, "ptdf_matrix", refuse)
-    instance = adversarial_capacity(bundle, fig2, 1, 2)
+    instance = adversarial_capacity(fig2, 1, 2)
     assert instance.capacities.shape == (fig2.m,)
 
 
@@ -477,13 +460,13 @@ def test_one_network_builds_its_decomposition_once(monkeypatch):
 
     monkeypatch.setattr(graph_algos, "block_decomposition", counting)
     net = build(fig2_doc())
-    bundle, ptdf = make_factors(net)
+    _, ptdf = make_factors(net)
     outage = OutageSet(net, [1, 6])
     lodf_single(ptdf, 1)
     influence_graph(ptdf, 0.05)
-    block_structure_report(ptdf, outage)
-    almost_sure_nonzero_test(net, outage, PerturbationSpec(trials=2))
-    adversarial_capacity(bundle, net, 1, 2)
+    block_structure_report(outage)
+    almost_sure_nonzero_test(outage, PerturbationSpec(trials=2))
+    adversarial_capacity(net, 1, 2)
     assert simple_cycle_criterion(net, 2, 1) == "possibly_nonzero"
     assert len(built) == 1 and built[0] is net
 
@@ -496,7 +479,7 @@ def _adversarial_by_full_ptdf(bundle, net, tripped, target):
     k_norm = float(np.max(np.abs(np.delete(column, k))))
     if abs(column[net.edge_index(target)]) < RTOL * max(1.0, k_norm):
         return None
-    flows = characteristic_injection_flow(bundle, net, tripped)
+    flows = characteristic_injection_flow(net, tripped)
     capacities = np.full(net.m, (1.0 + k_norm) * float(np.max(np.abs(flows))))
     capacities[net.edge_index(target)] = abs(flows[net.edge_index(target)])
     injections = np.zeros(net.n)
@@ -526,8 +509,8 @@ def test_unit_injection_matches_the_full_ptdf_route(seed):
     expected = _adversarial_by_full_ptdf(bundle, net, tripped, target)
     if expected is None:
         with pytest.raises(ZeroFactorError):
-            adversarial_capacity(bundle, net, tripped, target)
+            adversarial_capacity(net, tripped, target)
         return
-    instance = adversarial_capacity(bundle, net, tripped, target)
+    instance = adversarial_capacity(net, tripped, target)
     assert np.array_equal(instance.injections, expected[0])
     np.testing.assert_allclose(instance.capacities, expected[1], rtol=1e-12, atol=0)

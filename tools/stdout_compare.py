@@ -10,8 +10,9 @@ prints every run whose exit code or text differs, then for each subcommand
 |parent - change| over a run's floats divided by max(1, max|value|) over both
 sides of that run, and how many of its runs differ at all.  It also counts,
 over the subcommand's runs, the floats that became exact zeros and the exact
-zeros that stopped being zero.  It exits 1 when some run's exit code or text
-differs, else 0.
+zeros that stopped being zero, and lists each such entry: its run, its index
+among that run's floats and both values as printed.  It exits 1 when some
+run's exit code or text differs, else 0.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ def main(argv=None) -> int:
     text_differs = 0
     # subcommand -> [worst drift, its run, runs whose floats differ, new zeros, lost zeros]
     worst: dict[str, list] = {}
+    zeros = []  # one line per float that became, or stopped being, an exact zero
     for (label, code_a, out_a, err_a), (_, code_b, out_b, err_b) in zip(parent, change):
         text_a, values_a = split(out_a + "\x00" + err_a)
         text_b, values_b = split(out_b + "\x00" + err_b)
@@ -83,14 +85,21 @@ def main(argv=None) -> int:
         if size > entry[0]:
             entry[:2] = size, label
         entry[2] += values_a != values_b
-        entry[3] += int(np.count_nonzero((a != 0.0) & (b == 0.0)))
-        entry[4] += int(np.count_nonzero((a == 0.0) & (b != 0.0)))
+        gained, lost = (a != 0.0) & (b == 0.0), (a == 0.0) & (b != 0.0)
+        entry[3] += int(np.count_nonzero(gained))
+        entry[4] += int(np.count_nonzero(lost))
+        for k in np.flatnonzero(gained | lost).tolist():
+            kind = "new zero" if gained[k] else "zero lost"
+            zeros.append(f"  {kind}: {label}: float {k}: {values_a[k]} -> {values_b[k]}")
 
     print(f"{len(parent)} runs; {text_differs} differ in exit code or text")
     print("worst numeric drift per subcommand, over the runs with equal text:")
     for group, (size, label, count, gained, lost) in sorted(worst.items()):
         print(f"  {group:32s} {size:.1e}  {count} runs differ  {gained} new zeros"
               f"  {lost} zeros lost  {label}")
+    if zeros:
+        print("every float that became, or stopped being, an exact zero (parent -> change):")
+        print("\n".join(zeros))
     return 1 if text_differs else 0
 
 
