@@ -82,11 +82,12 @@ def run_cascade(
     count, which the cascade can never exceed since every stage trips at
     least one line).  Exceeding it raises MaxStagesError carrying the
     stages simulated so far; a ``max_stages`` below one raises
-    ValidationError.  Islanding is decided at every stage near the
-    tripped lines (:meth:`Network.disconnected_by` on the cumulative
-    outage).  A connected stage's flow is the certified GLODF update of the
-    base flow on ``network.factor`` (:func:`factors._outage_flow`), so the
-    network is factored once however many stages and cascades run on it.
+    ValidationError.  Islanding is decided exactly at every stage from the
+    cumulative outage's own cycle labels (:meth:`Network.disconnected_by`:
+    the grid splits when they are linearly dependent over GF(2)).  A
+    connected stage's flow is the certified GLODF update of the base flow on
+    ``network.factor`` (:func:`factors._outage_flow`), so the network is
+    factored once however many stages and cascades run on it.
     The update fails over to a re-solve of the surviving grid when its
     certificate fails, and at every stage when the whole network is too
     stiff to factor (no base state).

@@ -5,10 +5,10 @@ triplets, here and nowhere else.  The triplets off the reference row and
 column give the reduced Laplacian, kept in CSC form and factored once by a
 sparse LU (SuperLU); each DC solve is one pair of sparse triangular solves
 with a zero reference angle, and the sensitivity columns D[:, k] of
-D = B C^T A C are the one formula for D.  The matrix A (the reduced inverse
-padded with a zero row and column at the reference; only ``verify`` reads
-it) is the one dense view, built only when read, so a solve costs memory in
-the lines, not in the square of the buses.
+D = B C^T A C, held column-major, are the one formula for D.  The matrix A
+(the reduced inverse padded with a zero row and column at the reference;
+only ``verify`` reads it) is the one dense view, built only when read, so a
+solve costs memory in the lines, not in the square of the buses.
 """
 
 from __future__ import annotations
@@ -96,9 +96,15 @@ class LaplacianBundle:
         return out
 
     def branch_flows(self, theta: np.ndarray) -> np.ndarray:
-        """f = B C^T theta, for one angle vector or a stack of angle columns."""
-        b = self.b if theta.ndim == 1 else self.b[:, None]
-        return b * (theta[self.source] - theta[self.target])
+        """f = B C^T theta, for one angle vector or a stack of angle columns.
+
+        A stack of columns comes back column-major, written so, not copied,
+        so a later read of some of its columns reads contiguous memory.
+        """
+        diff = theta[self.source] - theta[self.target]
+        if theta.ndim == 1:
+            return self.b * diff
+        return np.multiply(self.b[:, None], diff, order="F")
 
     def sensitivity_columns(self, positions) -> np.ndarray:
         """D[:, positions] of D = B C^T A C by |positions| solves, without A."""

@@ -1,7 +1,7 @@
 """PTDF, LODF, stacked LODF, and multi-line GLODF computation.
 
-The injection-shift sensitivity matrix D = B C^T A C is read by columns
-(:class:`PtdfMatrix`) and is zero across line blocks by construction.  Single-line
+The injection-shift sensitivity matrix D = B C^T A C is held column-major, read by
+columns (:class:`PtdfMatrix`), and is zero across line blocks by construction.  Single-line
 outage factors follow as K = D / (1 - D_ll) for non-bridge lines, always
 through ``_lodf_columns``, and a simultaneous non-cut outage couples the
 tripped lines through the inverse of I - D_FF.  Every simultaneous-outage
@@ -42,6 +42,9 @@ GLODF_METHODS = ("post_contingency", "pre_contingency", "via_stack", "cross_chec
 
 class PtdfMatrix:
     """The sensitivity D = B C^T A C of one factor, read by columns, indexed by line ids.
+
+    D is held column-major, as :meth:`LaplacianBundle.branch_flows` writes it,
+    so the columns of an outage are contiguous reads of :attr:`matrix`.
 
     A unit injection across a line's ends moves flow only inside that line's
     block (Part I of the paper), so D is block-diagonal in ``network.decomposition``.
@@ -94,7 +97,7 @@ class OutageSet:
         keep = np.ones(network.m, dtype=bool)
         keep[self.outaged_idx] = False
         self.surviving_idx = np.flatnonzero(keep)
-        self.disconnects = network.disconnected_by(self.outaged_idx)  # decided once, near the tripped lines
+        self.disconnects = network.disconnected_by(self.outaged_idx)  # decided once, from the tripped lines' labels
 
     def refuse_cut(self) -> None:
         """Raise CutSetError when the outage disconnects the network; a bridge in it always does."""
@@ -329,10 +332,12 @@ def detect_islanding(ptdf: PtdfMatrix, outage: OutageSet) -> bool:
     The smallest singular value is compared against
     ``scaled_tolerance(largest singular value)``; its unit floor
     keeps one-line (1x1) bridge outages detectable, where both singular
-    values vanish together.  It agrees with the graph test
-    (:attr:`OutageSet.disconnects`) except when the susceptances spread
-    widely: on a stiff triangle it calls a non-cut outage singular.  No
-    refusal in this package uses it; each reads ``disconnects``.
+    values vanish together.  Its exact twin is the graph test
+    (:attr:`OutageSet.disconnects`): the tripped lines' cycle labels are
+    linearly dependent over GF(2).  The two agree except when the
+    susceptances spread widely: on a stiff triangle this one calls a non-cut
+    outage singular.  No refusal in this package uses it; each reads
+    ``disconnects``.
     """
     cols = outage.outaged_idx
     system = np.eye(outage.size) - ptdf.columns(cols)[cols]

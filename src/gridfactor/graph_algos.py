@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from itertools import count
 
 import numpy as np
-from scipy.sparse.csgraph import depth_first_order
 
 from .errors import DisconnectedError
 from .net_model import Network
@@ -39,17 +38,18 @@ class BlockDecomposition:
 def block_decomposition(network: Network) -> BlockDecomposition:
     """Unique block decomposition of a connected network.
 
-    One depth-first search in C along the symmetric topology index gives the
-    tree; every line joins a node to an ancestor, giving the low points.  The
-    tree line into a node opens a block unless the node's low point reaches
-    above its parent, and every line joins the block of the tree line into
-    its deeper end.  A self-loop (which ``validate`` refuses) joins the block
+    The network's one depth-first search in C along the symmetric topology
+    index (the one its connectedness and cycle labels read) gives the tree;
+    every line joins a node to an ancestor, giving the low points.  The tree
+    line into a node opens a block unless the node's low point reaches above
+    its parent, and every line joins the block of the tree line into its
+    deeper end.  A self-loop (which ``validate`` refuses) joins the block
     of the tree line into its node, the first block at position 0, and a
     bridge it joins is no longer one.  Raises DisconnectedError when the
     search misses a node.  :attr:`Network.decomposition` keeps one per network.
     """
     ids, n = network.ids, network.n
-    order, parent = depth_first_order(network._graph, 0, directed=True, return_predecessors=True)
+    order, parent = network._dfs
     if len(order) < n:
         raise DisconnectedError("block decomposition requires a connected network")
     pre = np.argsort(order)  # each node's place in the preorder
@@ -91,10 +91,11 @@ def block_decomposition(network: Network) -> BlockDecomposition:
 def is_cut_set(network: Network, outage) -> bool:
     """True when removing the given lines disconnects the network.
 
-    Every node counts, so isolating a single bus is detected.  Decided near
-    the outage by :meth:`Network.disconnected_by`, which searches from both
-    ends of each removed line.  Raises UnknownEdgeError naming every id that
-    is not a line of the network.
+    Every node counts, so isolating a single bus is detected.  Decided
+    exactly by :meth:`Network.disconnected_by` from the removed lines' cycle
+    labels: the lines disconnect the network when their labels are linearly
+    dependent over GF(2), the graph's twin of "I - D_FF is singular".  Raises
+    UnknownEdgeError naming every id that is not a line of the network.
     """
     return network.disconnected_by(network.edge_positions(set(outage)))
 

@@ -12,6 +12,7 @@ injection/capacity pair that forces a chosen follow-on trip.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -146,8 +147,9 @@ class PerturbationSpec:
     Each trial rescales every susceptance by (1 + w) with w uniform on
     [-relative_magnitude, +relative_magnitude], which keeps susceptances
     positive for any magnitude below one.  ValidationError unless ``trials``
-    and ``seed`` are integers (a bool is not), ``trials >= 1``,
-    ``0 <= relative_magnitude < 1`` and ``seed >= 0``.
+    and ``seed`` are integers and ``relative_magnitude`` a real number (a
+    bool is neither), ``trials >= 1``, ``0 <= relative_magnitude < 1`` and
+    ``seed >= 0``.
     """
 
     relative_magnitude: float = 1e-3
@@ -157,6 +159,9 @@ class PerturbationSpec:
     def __post_init__(self):
         if not all(type(v) is int or isinstance(v, np.integer) for v in (self.trials, self.seed)):
             raise ValidationError(f"perturbation trials and seed must be integers, not bools: {self}")
+        magnitude = self.relative_magnitude
+        if not isinstance(magnitude, numbers.Real) or isinstance(magnitude, bool):
+            raise ValidationError(f"perturbation magnitude must be a real number, not a bool: {self}")
         if not (self.trials >= 1 and 0.0 <= self.relative_magnitude < 1.0 and self.seed >= 0):
             raise ValidationError(
                 f"perturbation needs trials >= 1, magnitude in [0, 1) and seed >= 0: {self}"

@@ -5,10 +5,13 @@ order the endpoints appear in the input document, so loading is fully
 deterministic.  The reference bus defaults to the highest-numbered node and
 can be overridden per document.
 
-Islanding is decided near the outage: a connected network stays connected
-without a set of lines exactly when the two ends of every removed line are
-still joined, which :meth:`Network.disconnected_by` checks by a search from
-both ends at once.  The whole-network pass runs once, in :func:`validate`.
+Islanding is decided from the outage's own lines.  One depth-first search
+per network fixes a spanning tree, and each line gets a cycle label: the
+set, as a bitset, of the fundamental cycles of that tree that hold it.  A
+connected network is disconnected by removing a set of lines exactly when
+their labels are linearly dependent over GF(2) (the cographic matroid), which
+:meth:`Network.disconnected_by` decides by elimination over those labels
+alone.  It is the exact twin of the numerical test "I - D_FF is singular".
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import csv
 import json
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import count, repeat
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import depth_first_order
 
 from .errors import ParseError, UnbalancedInjectionError, UnknownEdgeError, ValidationError
 
@@ -70,8 +72,9 @@ class Network:
     the line indexing and orientation.  ``injections`` is the optional
     per-node real power vector aligned with ``nodes``.
 
-    The topology index (id-to-position maps, endpoint positions, and one CSR
-    adjacency read for connectedness, blocks and islanding), the :attr:`factor`,
+    The topology index (id-to-position maps, endpoint positions, one CSR
+    adjacency, one depth-first search over it read for connectedness and
+    blocks, and the cycle labels read for islanding), the :attr:`factor`,
     the :attr:`decomposition` and the forest :attr:`oracle` are built once per
     instance, on first use, and are not part of equality, hashing or ``repr``.
     """
@@ -128,16 +131,52 @@ class Network:
         return scipy.sparse.csr_array((lines, others[order].astype(np.int32), indptr), shape=(self.n, self.n))
 
     @cached_property
-    def _rows(self) -> list[list[tuple[int, int]]]:
-        """Per node position, the (neighbour position, line position) pairs of its row of the index."""
-        pairs = list(zip(self._graph.indices.tolist(), (self._graph.data.astype(int) - 1).tolist()))
-        bounds = self._graph.indptr.tolist()
-        return [pairs[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    def _dfs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The depth-first preorder from node position 0 along the topology index, and each node's parent.
+
+        Read-only; a node the search misses is in no preorder and, like the
+        root, has parent -9999.  Needs at least one node.
+        """
+        order, parent = depth_first_order(self._graph, 0, directed=True, return_predecessors=True)
+        order.flags.writeable = parent.flags.writeable = False
+        return order, parent
 
     @cached_property
     def _connected(self) -> bool:
         """True when every node is reachable from every other; every line end must be a node."""
-        return connected_components(self._graph, directed=False, return_labels=False) <= 1
+        return self.n < 2 or len(self._dfs[0]) == self.n
+
+    @cached_property
+    def _cycle_labels(self) -> list[int]:
+        """Per line position, the fundamental cycles of the search tree that hold the line, as a bitset.
+
+        The c-th line off the tree (a chord), in line order, has the one bit 1 << c;
+        a tree line has the bits of the chords with exactly one end below it,
+        XOR-ed into each end's accumulator and summed up the reversed preorder.
+        A bridge gets 0, a self-loop's bit cancels at its node, and of parallel
+        lines all but one are chords.  The network must be connected.
+        """
+        order, parent = self._dfs
+        source, target = self.endpoints
+        # The tree line into a node is the first line joining it to its parent.
+        child = np.where(parent[source] == target, source, np.where(parent[target] == source, target, -1))
+        nodes, first = np.unique(child, return_index=True)
+        tree_line = dict(zip(nodes.tolist(), first.tolist()))
+        chord = np.ones(self.m, dtype=bool)
+        chord[first[nodes >= 0]] = False
+
+        labels = [0] * self.m
+        below = [0] * self.n  # per node, the XOR of the chord bits at it, then at it and below it
+        at = np.flatnonzero(chord)
+        for c, (j, u, v) in enumerate(zip(at.tolist(), source[at].tolist(), target[at].tolist())):
+            labels[j] = bit = 1 << c
+            below[u] ^= bit
+            below[v] ^= bit
+        parent = parent.tolist()
+        for node in reversed(order[1:].tolist()):
+            labels[tree_line[node]] = below[node]
+            below[parent[node]] ^= below[node]
+        return labels
 
     @cached_property
     def factor(self):
@@ -210,39 +249,27 @@ class Network:
         """True when removing the lines at these edge positions disconnects the network.
 
         Every node counts, so isolating a single bus is detected, and a
-        network disconnected to begin with always reports True.  The cost is
-        local to the outage when it is not a cut and bounded by the smaller
-        side when it is.
+        network disconnected to begin with always reports True.  Otherwise
+        the answer is exact and reads only the removed lines' cycle labels:
+        the lines disconnect the network exactly when their labels are
+        linearly dependent over GF(2), found by elimination keyed on each
+        basis vector's leading bit.
         """
         if not self._connected:
             return True
-        removed = set(np.asarray(positions, dtype=int).tolist())
-        source, target = self.endpoints
-        return not all(
-            _joined(self._rows, removed, int(source[k]), int(target[k])) for k in removed
-        )
-
-
-def _joined(adjacency, removed: set[int], u: int, v: int) -> bool:
-    """True when some path from u to v avoids the removed edge positions.
-
-    Grows the search that has reached fewer nodes, so a side that runs out
-    was the smaller one.  The two ends of a self-loop are joined.
-    """
-    seen = ({u}, {v})
-    queues = (deque([u]), deque([v]))
-    while queues[0] and queues[1]:
-        side = int(len(seen[0]) > len(seen[1]))
-        mine, theirs = seen[side], seen[1 - side]
-        queue = queues[side]
-        for other, k in adjacency[queue.popleft()]:
-            if k in removed or other in mine:
-                continue
-            if other in theirs:
+        labels = self._cycle_labels
+        basis: dict[int, int] = {}
+        for k in set(np.asarray(positions, dtype=int).tolist()):
+            label = labels[k]
+            while label:
+                lead = label.bit_length() - 1
+                if lead not in basis:
+                    basis[lead] = label
+                    break
+                label ^= basis[lead]
+            else:  # the label reduced to 0: these lines hold a cut
                 return True
-            mine.add(other)
-            queue.append(other)
-    return u == v
+        return False
 
 
 @dataclass(frozen=True)
@@ -503,8 +530,8 @@ def validate(network: Network) -> ValidationReport:
     Unlike :func:`load_network` this never raises; callers inspect the
     report.  An empty report means the network satisfies all invariants.
     Each per-line check is one mask over the line columns; findings come
-    per flagged line, in line order.  Connectivity is one
-    ``connected_components`` pass over the endpoint positions.
+    per flagged line, in line order.  Connectivity is read from the
+    network's one depth-first search over the endpoint positions.
     """
     findings: list[Finding] = []
     node_set = set(network.nodes)

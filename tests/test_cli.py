@@ -305,6 +305,14 @@ def test_perturbation_spec_refuses_counts_that_are_not_ints(fields):
     assert localization.PerturbationSpec(trials=np.int64(2), seed=np.int64(0)).trials == 2
 
 
+@pytest.mark.parametrize("magnitude", ["0.1", None, False, True, np.bool_(False)])
+def test_perturbation_spec_refuses_a_magnitude_that_is_not_real(magnitude):
+    with pytest.raises(ValidationError, match="^perturbation magnitude"):
+        localization.PerturbationSpec(relative_magnitude=magnitude)
+    for real in (0, 0.5, np.float32(0.25), np.int64(0)):
+        assert localization.PerturbationSpec(relative_magnitude=real).relative_magnitude == real
+
+
 def _set_b(doc, value):
     doc["edges"][0]["b"] = value
 

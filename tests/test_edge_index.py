@@ -124,7 +124,7 @@ def test_screening_builds_no_surviving_network(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a whole-network pass ran")
 
-    monkeypatch.setattr(net_model, "connected_components", refuse)
+    monkeypatch.setattr(net_model, "depth_first_order", refuse)
     monkeypatch.setattr(Network, "__init__", refuse)
     # Three of the four lines at the centre bus 211, then both lines at corner bus 1.
     outage = OutageSet(net, [200, 571, 591])
@@ -139,7 +139,7 @@ def test_parameter_copies_share_the_topology_index(triangle):
     assert not is_cut_set(triangle, [1])
     for copy in (with_susceptances(triangle, [2.0, 3.0, 4.0]),
                  with_capacities(triangle, [1.0, 1.0, 1.0])):
-        for name in ("_node_lookup", "_edge_lookup", "_rows", "_connected"):
+        for name in ("_node_lookup", "_edge_lookup", "_cycle_labels", "_connected"):
             assert getattr(copy, name) == getattr(triangle, name)
         assert all(map(np.array_equal, copy.endpoints, triangle.endpoints))
         assert (copy._graph != triangle._graph).nnz == 0

@@ -258,6 +258,33 @@ def test_is_cut_set_agrees_with_connectivity_oracle():
                 )
 
 
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(0, 0), (2, 0), (12, 4)]),  # trees, bridge-heavy, meshed
+    st.booleans(),
+)
+def test_is_cut_set_matches_the_oracle_at_every_outage_size(seed, extra, multigraph):
+    # Sizes 1 through m - 1, so large outages reach labels that reduce to 0 late in the elimination.
+    max_extra, min_extra = extra
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_nodes=10, max_extra=max_extra, min_extra=min_extra)
+    if multigraph:
+        # validate refuses these, so build directly: reversed copies of up to three lines and a
+        # self-loop, every line at a shuffled position.
+        copies = rng.choice(net.m, size=min(net.m, 3), replace=False).tolist()
+        loop = int(rng.choice(net.nodes))
+        pairs = [*zip(net.sources, net.targets), *((net.targets[k], net.sources[k]) for k in copies), (loop, loop)]
+        sources, targets = zip(*(pairs[k] for k in rng.permutation(len(pairs)).tolist()))
+        m = len(pairs)
+        net = Network(nodes=net.nodes, ids=tuple(range(1, m + 1)), sources=sources, targets=targets,
+                      b=(1.0,) * m, cap=(math.inf,) * m, reference=net.reference)
+    for size in range(1, net.m):
+        for _ in range(2):
+            outage = rng.choice(net.ids, size=size, replace=False).tolist()
+            assert is_cut_set(net, outage) == (not connected_after_removal_oracle(net, outage))
+
+
 def test_shares_simple_cycle_examples(triangle, path3, fig2):
     assert shares_simple_cycle(triangle, 1, 2)
     assert not shares_simple_cycle(path3, 1, 2)
