@@ -21,7 +21,6 @@ from .errors import (
     DisconnectedError,
     GridFactorError,
     InputError,
-    MaxStagesError,
     ParseError,
     SingularError,
     TooLargeError,

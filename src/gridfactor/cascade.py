@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcpf import FlowState, solve_flow
-from .errors import MaxStagesError, SingularError, ValidationError
+from .errors import SingularError, ValidationError
 from .factors import PtdfMatrix, _lodf_columns, _outage_flow
 from .net_model import Network, injection_vector
 
@@ -70,30 +70,20 @@ class CascadeTrace:
         return frozenset(out)
 
 
-def run_cascade(
-    network: Network,
-    p,
-    initial_outage,
-    max_stages: int | None = None,
-) -> CascadeTrace:
+def run_cascade(network: Network, p, initial_outage) -> CascadeTrace:
     """Simulate a cascade from an initial set of tripped lines.
 
-    ``max_stages`` bounds the number of recorded stages (default: the line
-    count, which the cascade can never exceed since every stage trips at
-    least one line).  Exceeding it raises MaxStagesError carrying the
-    stages simulated so far; a ``max_stages`` below one raises
-    ValidationError.  Islanding is decided exactly at every stage from the
-    cumulative outage's own cycle labels (:meth:`Network.disconnected_by`:
-    the grid splits when they are linearly dependent over GF(2)).  A
-    connected stage's flow is the certified GLODF update of the base flow on
-    ``network.factor`` (:func:`factors._outage_flow`), so the network is
-    factored once however many stages and cascades run on it.
-    The update fails over to a re-solve of the surviving grid when its
-    certificate fails, and at every stage when the whole network is too
-    stiff to factor (no base state).
+    Every stage after the first trips at least one line, so at most
+    m - |initial| + 1 stages are recorded.  Islanding is decided exactly at
+    every stage from the cumulative outage's own cycle labels
+    (:meth:`Network.disconnected_by`: the grid splits when they are linearly
+    dependent over GF(2)).  A connected stage's flow is the certified GLODF
+    update of the base flow on ``network.factor``
+    (:func:`factors._outage_flow`), so the network is factored once however
+    many stages and cascades run on it.  The update fails over to a re-solve
+    of the surviving grid when its certificate fails, and at every stage when
+    the whole network is too stiff to factor (no base state).
     """
-    if max_stages is not None and max_stages < 1:
-        raise ValidationError(f"max_stages must be at least 1, got {max_stages}")
     p = injection_vector(network, p)
     positions = network.edge_positions(initial_outage)  # an id that names no line is refused
     initial = frozenset(map(network.ids.__getitem__, positions.tolist()))
@@ -101,8 +91,6 @@ def run_cascade(
         raise ValidationError("initial outage must be nonempty")
     alive = np.ones(network.m, dtype=bool)
     alive[positions] = False
-    if max_stages is None:
-        max_stages = network.m
 
     try:
         base = solve_flow(network.factor, network, p)
@@ -136,10 +124,6 @@ def run_cascade(
                 initial_outage=initial,
             )
 
-        if len(stages) >= max_stages:
-            raise MaxStagesError(
-                f"cascade still propagating after {len(stages)} stages", stages=stages
-            )
         alive &= ~over
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -68,12 +67,12 @@ def _encode(value, pad: str = "\n") -> str:
 
 def _entry_rows(values: np.ndarray) -> list[list[str]]:
     """The JSON text of each entry of a 2-D float array, by row: "0.0" for +0.0, the rest C-encoded."""
-    flat, width = values.ravel(), values.shape[1]
+    flat, height = values.ravel(order="F"), values.shape[0]  # in D's own column-major order
     text = ["0.0"] * flat.size
     nonzero = np.flatnonzero((flat != 0) | np.signbit(flat))
     for k, entry in zip(nonzero.tolist(), json.dumps(flat[nonzero].tolist())[1:-1].split(", ")):
         text[k] = entry
-    return [text[k:k + width] for k in range(0, flat.size, width)]
+    return [text[i::height] for i in range(height)]
 
 
 def _emit_json(payload) -> None:
@@ -203,9 +202,7 @@ def _cmd_localize(network, args) -> int:
 
 def _cmd_cascade(network, args) -> int:
     p = injection_vector(network)
-    trace = cascade_mod.run_cascade(
-        network, p, _parse_lines(args.trip), max_stages=args.max_stages
-    )
+    trace = cascade_mod.run_cascade(network, p, _parse_lines(args.trip))
     payload = {
         "status": trace.status,
         "initial_outage": sorted(trace.initial_outage),
@@ -240,9 +237,8 @@ def _cmd_influence(network, args) -> int:
 
 
 def _cmd_verify(network, args) -> int:
-    tol = _verify_tolerance(args.tol)
     bundle = network.factor  # the factor matrix_tree_check reads too
-    tree_report = forests_mod.matrix_tree_check(network, tolerance=tol)  # refuses past the cap first
+    tree_report = forests_mod.matrix_tree_check(network)  # refuses past the cap first
     ptdf = factors_mod.ptdf_matrix(bundle, network)
 
     spectral_err = 0.0
@@ -269,12 +265,12 @@ def _cmd_verify(network, args) -> int:
 
     passed = (
         tree_report.passed
-        and spectral_err <= tol
-        and ptdf_err <= tol
-        and lodf_err <= tol
+        and spectral_err <= RTOL
+        and ptdf_err <= RTOL
+        and lodf_err <= RTOL
     )
     _emit_json({
-        "tolerance": tol,
+        "tolerance": RTOL,
         "matrix_tree": {
             "determinant": tree_report.determinant,
             "forest_weight": tree_report.forest_weight,
@@ -291,13 +287,6 @@ def _cmd_verify(network, args) -> int:
         print("verify: identity checks failed", file=sys.stderr)
         return 2
     return 0
-
-
-def _verify_tolerance(tol: float) -> float:
-    """``--tol`` (default ``RTOL``), refused unless finite and nonnegative."""
-    if not 0.0 <= tol < math.inf:
-        raise InputError(f"tolerance must be finite and nonnegative, got {tol}")
-    return tol
 
 
 class _Parser(argparse.ArgumentParser):
@@ -351,19 +340,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cascade = add_command("cascade", _cmd_cascade, "stage-wise cascading failure simulation")
     p_cascade.add_argument("--trip", required=True, help="comma-separated initial outage ids")
-    p_cascade.add_argument("--max-stages", type=int, default=None)
 
     p_influence = add_command("influence", _cmd_influence, "influence-graph pair list")
     p_influence.add_argument("--threshold", type=float, default=DEFAULT_INFLUENCE_THRESHOLD)
     p_influence.add_argument("--format", choices=("json", "dot"), default="json")
 
-    p_verify = add_command("verify", _cmd_verify, "forest-oracle identity checks")
-    p_verify.add_argument(
-        "--tol",
-        type=float,
-        default=RTOL,
-        help="identity-check tolerance",
-    )
+    add_command("verify", _cmd_verify, "forest-oracle identity checks")
 
     return parser
 

@@ -62,14 +62,3 @@ class CutSetError(AnalysisError):
 class ZeroFactorError(AnalysisError):
     """The requested construction needs a nonzero distribution factor."""
 
-
-class MaxStagesError(AnalysisError):
-    """Cascade simulation exceeded the stage limit.
-
-    Carries the stages simulated so far in ``stages`` so callers can inspect
-    how far the cascade progressed.
-    """
-
-    def __init__(self, message, stages=()):
-        super().__init__(message)
-        self.stages = tuple(stages)

@@ -123,21 +123,21 @@ class GlodfResult:
     first read unless the formula already did; they agree with ``k_matrix``
     only for singleton outages.
     ``residuals`` records the max entrywise disagreement between formula
-    pairs in cross-check mode.  The generating ``ptdf`` and the outage
-    columns D[:, F] the factors were computed from ride along for
-    ``k_stack``, their only reader.
+    pairs in cross-check mode.  The outage columns D[:, F] the factors were
+    computed from ride along for ``k_stack``, their only reader.
     """
 
     outage: OutageSet
     k_matrix: np.ndarray
     method: str
     residuals: dict | None
-    ptdf: PtdfMatrix = field(repr=False)
-    d_cols: np.ndarray | None = field(default=None, repr=False)
+    d_cols: np.ndarray = field(repr=False)
 
     @cached_property
     def k_stack(self) -> np.ndarray:
-        return lodf_stack(self.ptdf, self.outage, self.d_cols)
+        # glodf refused every cut, and a bridge alone is one: no bridge check here
+        return _lodf_columns(self.d_cols[self.outage.surviving_idx],
+                             np.diag(self.d_cols[self.outage.outaged_idx]))
 
 
 def ptdf_matrix(bundle: LaplacianBundle, network: Network) -> PtdfMatrix:
@@ -163,20 +163,18 @@ def lodf_single(ptdf: PtdfMatrix, outaged: int) -> dict[int, float]:
     return dict(zip(ids, np.delete(values, col).tolist()))
 
 
-def lodf_stack(ptdf: PtdfMatrix, outage: OutageSet, d_cols: np.ndarray | None = None) -> np.ndarray:
+def lodf_stack(ptdf: PtdfMatrix, outage: OutageSet) -> np.ndarray:
     """Stacked single-line outage factors K_-FF, one column per tripped line.
 
     Each column is the line's individual outage factor; this is not the
     simultaneous-outage sensitivity (see :func:`glodf`).  Bridges are
-    decided by the graph.  ``d_cols``, when given, is ``ptdf.columns`` of
-    the outaged lines, already solved by the caller.
+    decided by the graph.
     """
     rows, cols = outage.surviving_idx, outage.outaged_idx
     offenders = [line for line in outage.outaged if line in ptdf.network.decomposition.bridges]
     if offenders:
         raise BridgeOutageError(f"lines {offenders} are bridges; outage factors are undefined")
-    if d_cols is None:
-        d_cols = ptdf.columns(cols)
+    d_cols = ptdf.columns(cols)
     return _lodf_columns(d_cols[rows], d_cols[cols, np.arange(len(cols))])
 
 
@@ -246,7 +244,7 @@ def glodf(
 
     def via_stack():
         nonlocal stack
-        stack = lodf_stack(ptdf, outage, d_cols)
+        stack = _lodf_columns(d_cols[rows], np.diag(d_out_out))
         return _glodf_kernel(stack @ (np.eye(outage.size) - np.diag(np.diag(d_out_out))), d_out_out)
 
     formulas = {f.__name__: f for f in (pre_contingency, post_contingency, via_stack)}
@@ -266,7 +264,6 @@ def glodf(
         k_matrix=k_matrix,
         method=method,
         residuals=residuals,
-        ptdf=ptdf,
         d_cols=d_cols,
     )
     if stack is not None:

@@ -107,7 +107,6 @@ class MatrixTreeReport:
     forest_weight: float
     determinant_rel_err: float
     minor_max_rel_err: float
-    tolerance: float
     passed: bool
 
 
@@ -342,12 +341,12 @@ def lodf_via_forests(network: Network, line: int, outaged: int) -> float:
     return _flow_share(network, k, network.sources[hat], network.targets[hat], den)
 
 
-def matrix_tree_check(network: Network, tolerance: float = RTOL) -> MatrixTreeReport:
+def matrix_tree_check(network: Network) -> MatrixTreeReport:
     """Compare reduced-Laplacian determinants against forest weight sums.
 
     Checks the factor's determinant (:class:`LaplacianBundle`) against the
     total spanning-tree weight and every first minor of its reduced L
-    against the signed weight of the matching two-tree family.
+    against the signed weight of the matching two-tree family, at RTOL.
     """
     bundle = network.factor
     oracle = network.oracle  # refuses a network past the cap before the reduced L is made dense
@@ -369,13 +368,12 @@ def matrix_tree_check(network: Network, tolerance: float = RTOL) -> MatrixTreeRe
             signed = expected if (row + col) % 2 == 0 else -expected
             minor_max = max(minor_max, _rel_err(minor, signed))
 
-    passed = det_err <= tolerance and minor_max <= tolerance
+    passed = det_err <= RTOL and minor_max <= RTOL
     return MatrixTreeReport(
         determinant=determinant,
         forest_weight=forest_weight,
         determinant_rel_err=det_err,
         minor_max_rel_err=minor_max,
-        tolerance=tolerance,
         passed=passed,
     )
 

@@ -79,7 +79,7 @@ def outage_instances():
 def test_criterion_01_matrix_tree_identity(mtt_corpus):
     started = time.monotonic()
     for net in mtt_corpus:
-        report = matrix_tree_check(net, tolerance=1e-9)
+        report = matrix_tree_check(net)
         assert report.determinant_rel_err <= 1e-9
         assert report.minor_max_rel_err <= 1e-9
         assert report.passed

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from gridfactor import (
     LaplacianBundle, Network, ParseError, SingularError, ValidationError, build_laplacian, cli,
-    dcpf, factors, load_network, localization, validate,
+    dcpf, factors, forests, load_network, localization, validate,
 )
 from gridfactor.cli import run
 from gridfactor.net_model import RTOL
@@ -99,13 +99,13 @@ def test_glodf_cross_check(capsys, triangle_path):
 
 def test_glodf_cross_check_computes_the_stack_once(monkeypatch, capsys, triangle_path):
     calls = []
-    original = factors.lodf_stack
+    original = factors._lodf_columns
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(factors, "lodf_stack", counted)
+    monkeypatch.setattr(factors, "_lodf_columns", counted)
     assert run(["glodf", triangle_path, "--lines", "1", "--method", "cross_check"]) == 0
     assert len(calls) == 1
     assert len(json.loads(capsys.readouterr().out)["k_stack"]) == 2
@@ -173,15 +173,18 @@ def test_influence_dot(capsys, triangle_path):
 def test_verify_passes(capsys, triangle_path):
     assert run(["verify", triangle_path]) == 0
     payload = json.loads(capsys.readouterr().out)
+    assert payload["tolerance"] == RTOL
     assert payload["pass"] is True
     assert payload["matrix_tree"]["pass"] is True
 
 
-def test_verify_fails_beyond_its_tolerance(capsys, triangle_path):
-    assert run(["verify", triangle_path, "--tol", "0"]) == 2
+def test_verify_fails_beyond_its_tolerance(monkeypatch, capsys, triangle_path):
+    original = forests.a_entry_via_forests
+    monkeypatch.setattr(forests, "a_entry_via_forests", lambda *args: original(*args) + 1e-6)
+    assert run(["verify", triangle_path]) == 2
     out, err = capsys.readouterr()
     payload = json.loads(out)
-    assert payload["tolerance"] == 0.0 and payload["pass"] is False
+    assert payload["tolerance"] == RTOL and payload["pass"] is False
     assert err == "verify: identity checks failed\n"
 
 
@@ -265,21 +268,6 @@ def test_reference_override(capsys, triangle_path):
     assert payload["flows"]["1"] == pytest.approx(2.0 / 3.0)
 
 
-def test_tol_flag_sets_the_tolerance(capsys, triangle_path):
-    assert run(["verify", triangle_path]) == 0
-    assert json.loads(capsys.readouterr().out)["tolerance"] == RTOL
-    for value in (1e-3, 1e-6):
-        assert run(["verify", triangle_path, "--tol", repr(value)]) == 0
-        assert json.loads(capsys.readouterr().out)["tolerance"] == value
-
-
-@pytest.mark.parametrize("value", ["abc", "nan", "-1", "inf"])
-def test_bad_tol_is_input_error(capsys, triangle_path, value):
-    assert run(["verify", triangle_path, "--tol", value]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err
-
-
 @pytest.mark.parametrize("flags", [
     ["--trials", "-3"], ["--trials", "0"], ["--eps", "nan"], ["--eps", "-0.5"], ["--eps", "2"],
     ["--eps", "1"], ["--eps", "inf"], ["--seed", "-1"],
@@ -353,9 +341,9 @@ SUBCOMMAND_OPTIONS = {
     "lodf": {"--line"},
     "glodf": {"--lines", "--method", "--format"},
     "localize": {"--lines", "--perturb", "--trials", "--eps", "--seed"},
-    "cascade": {"--trip", "--max-stages"},
+    "cascade": {"--trip"},
     "influence": {"--threshold", "--format"},
-    "verify": {"--tol"},
+    "verify": set(),
 }
 
 
@@ -396,6 +384,7 @@ def test_each_subcommand_declares_only_the_options_it_reads(capsys, triangle_pat
     pytest.param(["influence", "--threshold", "nan"], id="threshold=nan"),
     pytest.param(["influence", "--threshold", "inf"], id="threshold=inf"),
     pytest.param(["cascade", "--trip", "1", "--max-stages", "0"], id="max-stages=0"),
+    pytest.param(["verify", "--tol", "1e-6"], id="verify-tol"),
     pytest.param(["glodf", "--lines", "1,x"], id="lines=1,x"),
 ])
 def test_usage_and_range_errors_exit_1(capsys, triangle_path, argv):

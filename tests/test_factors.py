@@ -426,10 +426,10 @@ def test_glodf_computes_the_stacked_factors_only_when_read(monkeypatch):
     outage = OutageSet(net, [200, 571, 591])
 
     def refuse(*args):
-        raise AssertionError("lodf_stack ran")
+        raise AssertionError("the stacked factors were computed")
 
     with monkeypatch.context() as patched:
-        patched.setattr(factors, "lodf_stack", refuse)
+        patched.setattr(factors, "_lodf_columns", refuse)
         result = glodf(bundle, ptdf, net, outage, method="pre_contingency")
     assert np.array_equal(result.k_stack, lodf_stack(ptdf, outage))
     assert result.k_stack is result.k_stack

@@ -21,9 +21,11 @@ float range among them), files the loader cannot read as text or as numbers
 (a JSON file and an ``edges.csv`` that are not UTF-8, a JSON ``b`` of 5000
 digits), documents whose ids are not JSON ints (float and text ids), one with bad values in two fields of two lines, usage and range
 errors, a connected network too stiff to factor, a line
-that is not a bridge yet too stiff for its outage factors (and a cascade
-from it, whose stage fails the GLODF update's certificate and is
-re-solved), cascades and ``verify``.  Its networks are the test fixtures
+that is not a bridge yet too stiff for its outage factors (its ``glodf``
+in JSON, which prints the stacked factors and is refused, and in CSV,
+which is not; its ``localize``; and a cascade from it, whose stage fails
+the GLODF update's certificate and is re-solved), cascades run to the end
+from one and two lines, and ``verify``.  Its networks are the test fixtures
 of ``tests/conftest.py``, the ``perfbench/gen.py`` block trees and
 oracle grids for seeds 2 and 7, its 30×30 grid for ``blocks`` and the
 20×20 grid of the ``screen_grid`` workload (``glodf`` ``pre_contingency`` and
@@ -102,7 +104,7 @@ def _isolating_lines(doc: dict) -> list[int]:
     return min(degree.values(), key=lambda lines: (len(lines), lines))
 
 
-def _runs(name: str, doc: dict, small: bool) -> list[list[str]]:
+def _runs(name: str, doc: dict) -> list[list[str]]:
     bridges = _bridges(doc)
     inner = [k for k in range(1, len(doc["edges"]) + 1) if k not in bridges]
     one = str(inner[0])
@@ -125,7 +127,7 @@ def _runs(name: str, doc: dict, small: bool) -> list[list[str]]:
         ["localize", name, "--lines", one, "--perturb", "--trials", "0"],
         ["localize", name, "--lines", one, "--trials", "0"],
         ["cascade", name, "--trip", one],
-        ["cascade", name, "--trip", two, "--max-stages", "2"],
+        ["cascade", name, "--trip", two],
         ["cascade", name, "--trip", cut],
         ["influence", name],
         ["influence", name, "--format", "dot", "--threshold", "0.05"],
@@ -138,8 +140,6 @@ def _runs(name: str, doc: dict, small: bool) -> list[list[str]]:
         runs.append(["lodf", name, "--line", str(bridges[0])])
         runs.append(["glodf", name, "--lines", str(bridges[0])])
     runs.append(["verify", name])
-    if small:  # small enough for the oracle to finish, so a strict --tol fails the check
-        runs.append(["verify", name, "--tol", "1e-30"])
     return runs
 
 
@@ -227,21 +227,21 @@ def outputs(src) -> Iterator[tuple[str, int, str, str]]:
     from gridfactor.cli import run
 
     networks = {
-        "triangle.json": (conftest.triangle_doc(), True),
-        "fig2.json": (conftest.fig2_doc(), True),
-        "k4.json": (conftest.k4_doc(), True),
-        "grid3.json": (conftest.grid_doc(3), True),
+        "triangle.json": conftest.triangle_doc(),
+        "fig2.json": conftest.fig2_doc(),
+        "k4.json": conftest.k4_doc(),
+        "grid3.json": conftest.grid_doc(3),
     }
     for seed in SEEDS:
-        networks[f"block_tree_{seed}.json"] = (gen.block_tree(seed)[0], False)
-        networks[f"oracle_grid_{seed}.json"] = (gen.oracle_grid(seed), True)
+        networks[f"block_tree_{seed}.json"] = gen.block_tree(seed)[0]
+        networks[f"oracle_grid_{seed}.json"] = gen.oracle_grid(seed)
 
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         corpus = []
-        for name, (doc, small) in networks.items():
+        for name, doc in networks.items():
             gen.write(doc, Path(name))
-            corpus += _runs(name, doc, small)
+            corpus += _runs(name, doc)
         _write_csv(conftest.triangle_doc(), Path("triangle_csv"))
         corpus += [["flow", "triangle_csv"], ["flow", "triangle_csv/edges.csv"], ["blocks", "missing.json"]]
         gen.write(conftest.stiff_leaf_doc(), Path("stiff_leaf.json"))
@@ -272,7 +272,12 @@ def outputs(src) -> Iterator[tuple[str, int, str, str]]:
         corpus += [["flow", "long_b.json"], ["flow", "not_utf8.json"], ["flow", "not_utf8_csv"]]
         corpus += [
             ["lodf", "stiff_triangle.json", "--line", "1"],
+            ["glodf", "stiff_triangle.json", "--lines", "1"],  # JSON reads k_stack: refused
+            ["glodf", "stiff_triangle.json", "--lines", "1", "--format", "csv"],
             ["glodf", "stiff_triangle.json", "--lines", "1", "--method", "post_contingency"],
+            ["glodf", "stiff_triangle.json", "--lines", "1", "--method", "post_contingency",
+             "--format", "csv"],
+            ["localize", "stiff_triangle.json", "--lines", "1"],
             ["influence", "stiff_triangle.json"],
             ["cascade", "stiff_triangle.json", "--trip", "1"],
         ]
