@@ -268,6 +268,14 @@ def test_reference_override(capsys, triangle_path):
     assert payload["flows"]["1"] == pytest.approx(2.0 / 3.0)
 
 
+@pytest.mark.parametrize("value", ["abc", "nan", "-1", "inf"])
+def test_bad_tol_is_input_error(capsys, triangle_path, value):
+    # verify takes no --tol: it always checks at RTOL, so any value is a usage error.
+    assert run(["verify", triangle_path, "--tol", value]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("gridfactor: ")
+
+
 @pytest.mark.parametrize("flags", [
     ["--trials", "-3"], ["--trials", "0"], ["--eps", "nan"], ["--eps", "-0.5"], ["--eps", "2"],
     ["--eps", "1"], ["--eps", "inf"], ["--seed", "-1"],
@@ -384,7 +392,6 @@ def test_each_subcommand_declares_only_the_options_it_reads(capsys, triangle_pat
     pytest.param(["influence", "--threshold", "nan"], id="threshold=nan"),
     pytest.param(["influence", "--threshold", "inf"], id="threshold=inf"),
     pytest.param(["cascade", "--trip", "1", "--max-stages", "0"], id="max-stages=0"),
-    pytest.param(["verify", "--tol", "1e-6"], id="verify-tol"),
     pytest.param(["glodf", "--lines", "1,x"], id="lines=1,x"),
 ])
 def test_usage_and_range_errors_exit_1(capsys, triangle_path, argv):
