@@ -236,32 +236,27 @@ def _cmd_influence(network, args) -> int:
     return 0
 
 
+def _max_abs_err(computed, oracle) -> float:
+    """max |computed - oracle| over whole arrays: a NaN on either side gives NaN, which fails ``<= RTOL``."""
+    return float(np.max(np.abs(np.subtract(computed, oracle)), initial=0.0))
+
+
 def _cmd_verify(network, args) -> int:
     bundle = network.factor  # the factor matrix_tree_check reads too
     tree_report = forests_mod.matrix_tree_check(network)  # refuses past the cap first
     ptdf = factors_mod.ptdf_matrix(bundle, network)
 
-    spectral_err = 0.0
-    for i in network.nodes:
-        for j in network.nodes:
-            algebraic = float(bundle.A[network.node_index(i), network.node_index(j)])
-            oracle = forests_mod.a_entry_via_forests(network, i, j)
-            spectral_err = max(spectral_err, abs(algebraic - oracle))
-
-    ptdf_err = 0.0
-    for line in network.ids:
-        for other, source, target in zip(network.ids, network.sources, network.targets):
-            oracle = forests_mod.ptdf_via_forests(network, line, source, target)
-            ptdf_err = max(ptdf_err, abs(ptdf.entry(line, other) - oracle))
-
-    lodf_err = 0.0
-    for outaged in network.ids:
-        if outaged in network.decomposition.bridges:
-            continue
-        column = factors_mod.lodf_single(ptdf, outaged)
-        for line, value in column.items():
-            oracle = forests_mod.lodf_via_forests(network, line, outaged)
-            lodf_err = max(lodf_err, abs(value - oracle))
+    nodes = network.nodes  # A is laid out by node position, D by line position
+    spectral_err = _max_abs_err(bundle.A, [[forests_mod.a_entry_via_forests(network, i, j) for j in nodes]
+                                           for i in nodes])
+    ptdf_err = _max_abs_err(ptdf.matrix, [[forests_mod.ptdf_via_forests(network, line, source, target)
+                                           for source, target in zip(network.sources, network.targets)]
+                                          for line in network.ids])
+    outaged = [line for line in network.ids if line not in network.decomposition.bridges]
+    columns = [factors_mod.lodf_single(ptdf, line) for line in outaged]
+    lodf_err = _max_abs_err([list(column.values()) for column in columns],
+                            [[forests_mod.lodf_via_forests(network, line, k) for line in column]
+                             for k, column in zip(outaged, columns)])
 
     passed = (
         tree_report.passed

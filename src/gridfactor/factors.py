@@ -4,12 +4,14 @@ The injection-shift sensitivity matrix D = B C^T A C is held column-major, read 
 columns (:class:`PtdfMatrix`), and is zero across line blocks by construction.  Single-line
 outage factors follow as K = D / (1 - D_ll) for non-bridge lines, always
 through ``_lodf_columns``, and a simultaneous non-cut outage couples the
-tripped lines through the inverse of I - D_FF.  Every simultaneous-outage
-factor, here and in the localization report and perturbation test, is one
-call of the GLODF kernel ``_glodf_kernel(numerator, D_FF) = numerator
-(I - D_FF)^-1``: one |F|-by-|F| inverse and one product, O(rows |F|^2 + |F|^3).
-Three equivalent GLODF formulas are implemented; the cross-check mode
-evaluates all of them and records their disagreement.
+tripped lines through the inverse of I - D_FF, in the GLODF kernel
+``_glodf_kernel(numerator, D_FF) = numerator (I - D_FF)^-1``: one |F|-by-|F|
+inverse and one product, O(rows |F|^2 + |F|^3).  Each simultaneous-outage
+formula is defined once, as a view of :class:`GlodfResult` over the outage
+columns D[:, F]: pre_contingency, post_contingency, via_stack and the stacked
+k_stack.  :func:`glodf`, :func:`lodf_stack`, the localization report and every
+perturbation trial read those views; the cross-check mode evaluates all three
+formulas and records their disagreement.
 """
 
 from __future__ import annotations
@@ -115,29 +117,55 @@ class OutageSet:
 
 @dataclass(frozen=True, eq=False)
 class GlodfResult:
-    """Simultaneous-outage factors plus the stacked single-line factors.
+    """The simultaneous-outage formulas of one outage, each a view of D[:, F] (``d_cols``) cached on first read.
 
-    ``k_matrix`` maps pre-outage flows on the tripped lines (columns, by
-    ascending id) to flow changes on the surviving lines (rows, ascending).
-    ``k_stack`` holds the single-outage columns for comparison, computed on
-    first read unless the formula already did; they agree with ``k_matrix``
-    only for singleton outages.
-    ``residuals`` records the max entrywise disagreement between formula
-    pairs in cross-check mode.  The outage columns D[:, F] the factors were
-    computed from ride along for ``k_stack``, their only reader.
+    Each maps pre-outage flows on the tripped lines (columns, ascending ids) to flow changes
+    on the surviving lines (rows, ascending):
+      pre_contingency   D_-FF (I - D_FF)^-1
+      post_contingency  B_-F C_-F^T A' C_F, solved on the surviving grid of ``outage.network``
+                        (:func:`surviving_factor`); it reads no ``d_cols``
+      via_stack         K_-FF (I - diag D_FF) (I - D_FF)^-1, on the k_stack view
+      k_stack           the stacked single-line factors K_-FF (equal to K only for one line)
+    ``k_matrix`` is the ``method``'s view, pre_contingency's under ``cross_check``, where
+    ``residuals`` holds the max disagreement of each pair of formulas (None otherwise).
     """
 
     outage: OutageSet
-    k_matrix: np.ndarray
     method: str
-    residuals: dict | None
     d_cols: np.ndarray = field(repr=False)
+
+    @cached_property
+    def pre_contingency(self) -> np.ndarray:
+        return _glodf_kernel(self.d_cols[self.outage.surviving_idx], self.d_cols[self.outage.outaged_idx])
+
+    @cached_property
+    def post_contingency(self) -> np.ndarray:
+        cols = self.outage.outaged_idx
+        return surviving_factor(self.outage.network, cols).sensitivity_columns(cols)[self.outage.surviving_idx]
+
+    @cached_property
+    def via_stack(self) -> np.ndarray:
+        d_ff = self.d_cols[self.outage.outaged_idx]
+        return _glodf_kernel(self.k_stack @ (np.eye(self.outage.size) - np.diag(np.diag(d_ff))), d_ff)
 
     @cached_property
     def k_stack(self) -> np.ndarray:
         # glodf refused every cut, and a bridge alone is one: no bridge check here
-        return _lodf_columns(self.d_cols[self.outage.surviving_idx],
-                             np.diag(self.d_cols[self.outage.outaged_idx]))
+        return _lodf_columns(self.d_cols[self.outage.surviving_idx], np.diag(self.d_cols[self.outage.outaged_idx]))
+
+    @cached_property
+    def residuals(self) -> dict | None:
+        if self.method != "cross_check":
+            return None
+        views = {name: getattr(self, name) for name in ("pre_contingency", "post_contingency", "via_stack")}
+        return {
+            f"{a}_vs_{b}": float(np.max(np.abs(views[a] - views[b])))
+            for a, b in itertools.combinations(sorted(views), 2)
+        }
+
+    @property
+    def k_matrix(self) -> np.ndarray:
+        return self.pre_contingency if self.method == "cross_check" else getattr(self, self.method)
 
 
 def ptdf_matrix(bundle: LaplacianBundle, network: Network) -> PtdfMatrix:
@@ -168,14 +196,12 @@ def lodf_stack(ptdf: PtdfMatrix, outage: OutageSet) -> np.ndarray:
 
     Each column is the line's individual outage factor; this is not the
     simultaneous-outage sensitivity (see :func:`glodf`).  Bridges are
-    decided by the graph.
+    decided by the graph.  The columns are :attr:`GlodfResult.k_stack`.
     """
-    rows, cols = outage.surviving_idx, outage.outaged_idx
     offenders = [line for line in outage.outaged if line in ptdf.network.decomposition.bridges]
     if offenders:
         raise BridgeOutageError(f"lines {offenders} are bridges; outage factors are undefined")
-    d_cols = ptdf.columns(cols)
-    return _lodf_columns(d_cols[rows], d_cols[cols, np.arange(len(cols))])
+    return GlodfResult(outage, "pre_contingency", ptdf.columns(outage.outaged_idx)).k_stack
 
 
 def _lodf_columns(d_cols: np.ndarray, d_kk) -> np.ndarray:
@@ -211,63 +237,20 @@ def glodf(
     outage: OutageSet,
     method: str = "pre_contingency",
 ) -> GlodfResult:
-    """Simultaneous-outage sensitivity K for a non-cut set of lines.
+    """Simultaneous-outage sensitivity K for a non-cut set of lines, by one of GLODF_METHODS.
 
-    Methods:
-      pre_contingency   D_-FF (I - D_FF)^-1, reusing the factored network
-      post_contingency  B_-F C_-F^T A' C_F, solving A' C_F with the tripped weights zeroed
-      via_stack         K_-FF (I - diag D_FF) (I - D_FF)^-1
-      cross_check       all three, recording the max pairwise disagreement
-
-    Raises CutSetError when the outage disconnects the grid; the inverse of
-    I - D_FF exists whenever it does not.  Islanding is the outage's own
-    verdict (:meth:`OutageSet.refuse_cut`); only
-    ``post_contingency`` factors the network again (:func:`surviving_factor`),
-    for its solve.  The other formulas read only the |F| outage columns of
-    ``ptdf``, on ``ptdf``'s own factor; ``bundle`` is accepted and not read.
+    The formulas are the :class:`GlodfResult` views of ``ptdf``'s outage columns
+    (``cross_check`` reads all three).  ``bundle`` and ``network`` are accepted
+    for the benchmark's call and not read: only post_contingency factors again,
+    ``outage.network``.  Raises CutSetError when the outage disconnects the grid
+    (:meth:`OutageSet.refuse_cut`); I - D_FF is invertible whenever it does not.
+    The method's factors are computed here, so a singular coupling raises here.
     """
     if method not in GLODF_METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {GLODF_METHODS}")
     outage.refuse_cut()
-
-    rows, cols = outage.surviving_idx, outage.outaged_idx
-    d_cols = ptdf.columns(cols)
-    d_out_out = d_cols[cols]
-
-    def pre_contingency():
-        return _glodf_kernel(d_cols[rows], d_out_out)
-
-    def post_contingency():
-        return surviving_factor(network, cols).sensitivity_columns(cols)[rows]
-
-    stack = None
-
-    def via_stack():
-        nonlocal stack
-        stack = _lodf_columns(d_cols[rows], np.diag(d_out_out))
-        return _glodf_kernel(stack @ (np.eye(outage.size) - np.diag(np.diag(d_out_out))), d_out_out)
-
-    formulas = {f.__name__: f for f in (pre_contingency, post_contingency, via_stack)}
-    residuals = None
-    if method == "cross_check":
-        candidates = {name: formula() for name, formula in formulas.items()}
-        residuals = {
-            f"{a}_vs_{b}": float(np.max(np.abs(candidates[a] - candidates[b])))
-            for a, b in itertools.combinations(sorted(candidates), 2)
-        }
-        k_matrix = candidates["pre_contingency"]
-    else:
-        k_matrix = formulas[method]()
-
-    result = GlodfResult(
-        outage=outage,
-        k_matrix=k_matrix,
-        method=method,
-        residuals=residuals,
-        d_cols=d_cols,
-    )
-    if stack is not None:
-        result.__dict__["k_stack"] = stack  # the formula's stack, so k_stack is not computed again
+    result = GlodfResult(outage, method, ptdf.columns(outage.outaged_idx))
+    result.residuals if method == "cross_check" else result.k_matrix  # computed now, so errors raise here
     return result
 
 

@@ -125,8 +125,9 @@ class ReactanceReport:
     reduction_ratio: float
 
 
-def _rel_err(a: float, b: float) -> float:
-    return abs(a - b) / max(1.0, abs(a), abs(b))
+def _rel_err(a, b):
+    """|a - b| / max(1, |a|, |b|), elementwise; NaN wherever a or b is NaN."""
+    return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
 def _enumerate_tree_sets(n: int, edge_list) -> list[frozenset[int]]:
@@ -355,18 +356,17 @@ def matrix_tree_check(network: Network) -> MatrixTreeReport:
 
     forest_weight = float(oracle.trees.weight_sum_exact)
     determinant = bundle.reduced_determinant
-    det_err = _rel_err(determinant, forest_weight)
+    det_err = float(_rel_err(determinant, forest_weight))
 
-    minor_max = 0.0
     size = len(non_ref_nodes)
-    for row in range(size):
-        for col in range(size):
-            sub = np.delete(np.delete(reduced, row, axis=0), col, axis=1)
-            minor = float(np.linalg.det(sub)) if sub.size else 1.0
-            group = {non_ref_nodes[row], non_ref_nodes[col]}
-            expected = float(_forest_sum(network, group, {network.reference}))
-            signed = expected if (row + col) % 2 == 0 else -expected
-            minor_max = max(minor_max, _rel_err(minor, signed))
+    minors, signed = np.ones((size, size)), np.empty((size, size))
+    for row, col in itertools.product(range(size), repeat=2):
+        sub = np.delete(np.delete(reduced, row, axis=0), col, axis=1)
+        if sub.size:
+            minors[row, col] = np.linalg.det(sub)
+        expected = float(_forest_sum(network, {non_ref_nodes[row], non_ref_nodes[col]}, {network.reference}))
+        signed[row, col] = expected if (row + col) % 2 == 0 else -expected
+    minor_max = float(np.max(_rel_err(minors, signed), initial=0.0))  # a NaN stays NaN and fails
 
     passed = det_err <= RTOL and minor_max <= RTOL
     return MatrixTreeReport(

@@ -18,9 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dcpf import build_laplacian, surviving_factor
+from .dcpf import build_laplacian
 from .errors import BridgeOutageError, ValidationError, ZeroFactorError
-from .factors import OutageSet, _glodf_kernel, _lodf_columns, characteristic_injection_flow
+from .factors import GlodfResult, OutageSet, _glodf_kernel, _lodf_columns, characteristic_injection_flow
 from .graph_algos import shares_simple_cycle
 from .net_model import NONZERO_ATOL, Network, incidence_columns, scaled_tolerance
 
@@ -61,8 +61,8 @@ class BlockFactors:
     """Per-block factor submatrices and their reassembly residuals.
 
     ``k_direct`` is the block kernel on the block's own PTDF entries, which no mask writes; ``k_from_parts``
-    the block of the post-contingency solve (the network factored afresh with
-    the outage's weights zeroed), which reads neither the PTDF nor A.  Each
+    the block of the post_contingency view (:class:`GlodfResult`: the network factored
+    afresh with the outage's weights zeroed), which reads neither the PTDF nor A.  Each
     reassembly error compares one of them with the whole-network K of the report.
     """
 
@@ -89,8 +89,8 @@ class LocalizationReport:
 def block_structure_report(outage: OutageSet) -> LocalizationReport:
     """Verify the block-diagonal structure of a simultaneous-outage factor.
 
-    The report's K is the GLODF kernel on the outage columns of ``outage.network.factor``,
-    solved once and never masked, so ``cross_block_max`` (which the theory pins at zero)
+    The report's K is the pre_contingency view (:class:`GlodfResult`) of the outage columns
+    of ``outage.network.factor``, solved once and never masked, so ``cross_block_max`` (which the theory pins at zero)
     reads computed entries, never written zeros; each ``k_direct`` reads only its block's
     entries, where the PTDF's mask writes nothing.  For every block containing tripped
     lines, ``k_direct`` and ``k_from_parts`` (see :class:`BlockFactors`) are compared
@@ -101,7 +101,8 @@ def block_structure_report(outage: OutageSet) -> LocalizationReport:
 
     rows, cols = outage.surviving_idx, outage.outaged_idx
     whole = network.factor.sensitivity_columns(cols)
-    K = _glodf_kernel(whole[rows], whole[cols])
+    result = GlodfResult(outage, "pre_contingency", whole)
+    K = result.pre_contingency
     magnitude = np.abs(K)
     scale = float(np.max(magnitude, initial=0.0))
     tol = scaled_tolerance(scale)
@@ -110,14 +111,14 @@ def block_structure_report(outage: OutageSet) -> LocalizationReport:
     cross_max = float(np.max(magnitude[~same_block], initial=0.0))
     zero_count = int(np.count_nonzero(magnitude[same_block] < tol))
 
-    post = surviving_factor(network, cols).sensitivity_columns(cols)
+    post = result.post_contingency
     blocks = []
     for index in np.unique(col_block).tolist():
         full_rows = np.flatnonzero(row_block == index)
         full_cols = np.flatnonzero(col_block == index)
         block_rows, block_cols = rows[full_rows], cols[full_cols]
         k_direct = _glodf_kernel(whole[np.ix_(block_rows, full_cols)], whole[np.ix_(block_cols, full_cols)])
-        k_parts = post[np.ix_(block_rows, full_cols)]
+        k_parts = post[np.ix_(full_rows, full_cols)]
         restricted = K[np.ix_(full_rows, full_cols)]
         blocks.append(
             BlockFactors(
@@ -199,13 +200,13 @@ def almost_sure_nonzero_test(outage: OutageSet,
     within-block entry nonzero in essentially every trial, while
     cross-block entries stay zero in all of them.  One independent random
     substream is derived per trial index, so results are reproducible for
-    a given seed regardless of execution order.  A trial solves only the
-    |F| outage columns of its perturbed network; it builds no PTDF.
+    a given seed regardless of execution order.  A trial reads the
+    pre_contingency view (:class:`GlodfResult`) of its perturbed network's
+    |F| outage columns; it builds no PTDF.
     """
     network = outage.network
     outage.refuse_cut()
     _, _, same_block = _line_blocks(network, outage)
-    rows, cols = outage.surviving_idx, outage.outaged_idx
     base = network.susceptances()
 
     counts = np.zeros(same_block.shape, dtype=int)
@@ -213,8 +214,8 @@ def almost_sure_nonzero_test(outage: OutageSet,
         rng = np.random.default_rng([spec.seed, trial])
         omega = rng.uniform(-spec.relative_magnitude, spec.relative_magnitude, network.m)
         b = base * (1.0 + omega)
-        d_cols = build_laplacian(network, b).sensitivity_columns(cols)
-        counts += np.abs(_glodf_kernel(d_cols[rows], d_cols[cols])) > NONZERO_ATOL
+        d_cols = build_laplacian(network, b).sensitivity_columns(outage.outaged_idx)
+        counts += np.abs(GlodfResult(outage, "pre_contingency", d_cols).pre_contingency) > NONZERO_ATOL
 
     within, cross = {}, {}
     pairs = itertools.product(outage.surviving, outage.outaged)

@@ -188,6 +188,16 @@ def test_verify_fails_beyond_its_tolerance(monkeypatch, capsys, triangle_path):
     assert err == "verify: identity checks failed\n"
 
 
+@pytest.mark.parametrize("oracle", ["a_entry_via_forests", "ptdf_via_forests", "lodf_via_forests"])
+def test_verify_fails_when_an_oracle_returns_nan(monkeypatch, capsys, triangle_path, oracle):
+    monkeypatch.setattr(forests, oracle, lambda *args: math.nan)
+    assert run(["verify", triangle_path]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pass"] is False
+    residual = {"a_entry_via_forests": "spectral", "ptdf_via_forests": "ptdf", "lodf_via_forests": "lodf"}[oracle]
+    assert math.isnan(payload[f"{residual}_max_abs_err"])
+
+
 def test_two_bus_one_line_network(capsys, tmp_path):
     path = tmp_path / "two_bus.json"
     path.write_text(json.dumps({

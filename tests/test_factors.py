@@ -433,3 +433,39 @@ def test_glodf_computes_the_stacked_factors_only_when_read(monkeypatch):
         result = glodf(bundle, ptdf, net, outage, method="pre_contingency")
     assert np.array_equal(result.k_stack, lodf_stack(ptdf, outage))
     assert result.k_stack is result.k_stack
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_each_method_is_its_view_of_a_cross_check(seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_nodes=10, max_extra=8)
+    lines = sample_non_cut_outage(rng, net)
+    if lines is None:
+        return
+    bundle = build_laplacian(net)
+    ptdf = ptdf_matrix(bundle, net)
+    outage = OutageSet(net, lines)
+    checked = glodf(bundle, ptdf, net, outage, method="cross_check")
+    for method in factors.GLODF_METHODS:
+        view = checked.k_matrix if method == "cross_check" else getattr(checked, method)
+        k_matrix = glodf(bundle, ptdf, net, outage, method=method).k_matrix
+        assert np.array_equal(k_matrix.view(np.int64), view.view(np.int64)), method
+
+
+@pytest.mark.parametrize("method", factors.GLODF_METHODS)
+def test_glodf_raises_a_singular_coupling_when_called(monkeypatch, method):
+    net = build(grid_doc(3))
+    bundle = build_laplacian(net)
+    ptdf = ptdf_matrix(bundle, net)
+    outage = OutageSet(net, [1, 12])
+
+    def singular(*args):
+        raise SingularError("I - D_FF is numerically singular")
+
+    monkeypatch.setattr(factors, "_glodf_kernel", singular)
+    if method == "post_contingency":  # the surviving grid's solve runs no kernel
+        assert glodf(bundle, ptdf, net, outage, method=method).k_matrix.shape == (net.m - 2, 2)
+    else:
+        with pytest.raises(SingularError):
+            glodf(bundle, ptdf, net, outage, method=method)

@@ -215,6 +215,13 @@ def test_matrix_tree_path(path3):
     assert report.determinant == pytest.approx(1.0)
 
 
+def test_matrix_tree_fails_when_a_minor_is_nan(monkeypatch, triangle):
+    monkeypatch.setattr(forests, "_forest_sum", lambda *args: math.nan)
+    report = matrix_tree_check(triangle)
+    assert report.passed is False
+    assert math.isnan(report.minor_max_rel_err) and report.determinant_rel_err == 0.0
+
+
 def test_matrix_tree_random_graphs():
     rng = np.random.default_rng(67)
     for _ in range(15):
