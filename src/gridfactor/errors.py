@@ -44,7 +44,7 @@ class SingularError(AnalysisError):
 
 
 class TooLargeError(AnalysisError):
-    """Exhaustive enumeration would exceed the configured cap."""
+    """Exhaustive enumeration would exceed the configured cap, or its weight sum float range."""
 
 
 class BridgeError(AnalysisError):

@@ -15,6 +15,13 @@ spanning tree by one line.  The enumeration is the network's
 :attr:`~gridfactor.net_model.Network.oracle`, so it lives as long as its
 network and no longer.
 
+Every query reads its forest sum from one matrix, summed once per network.
+With x_F the 0/1 side vector of two-tree forest F, the pairing matrix
+G = Σ_F w_F x_F x_Fᵀ gives Σ_F w_F (x_i − x_j)(x_a − x_b) = G_ia − G_ib − G_ja
++ G_jb: the forests separating {i, a} from {j, b} less those separating
+{i, b} from {j, a}.  The flow factors take i, j at a line's ends; an inverse
+entry (i, a) or first minor, j = b = the reference; a line's reactance, a = i, b = j.
+
 Every weight sum is exact: a line weighs the exact rational value of its
 float susceptance, and each answer is one exact ratio of such sums rounded
 once to the nearest float, so the identity checks carry no rounding slack
@@ -30,6 +37,8 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from .dcpf import build_laplacian
 from .errors import BridgeError, TooLargeError, ValidationError
@@ -50,6 +59,8 @@ __all__ = [
 
 #: Hard cap on enumerated members.
 MAX_MEMBERS = 10**7
+#: Forests per connected-components call while reading their sides.
+_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -87,10 +98,6 @@ class ForestFamily:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def total(self, mask) -> Fraction:
-        """The exact weight of the members the mask keeps."""
-        return Fraction(sum(itertools.compress(self.numerators, mask)), self.denominator)
 
     def select(self, mask) -> ForestFamily:
         """The members the mask keeps, as a family of the same kind."""
@@ -188,8 +195,10 @@ def _enumerate_tree_sets(n: int, edge_list) -> list[frozenset[int]]:
 class _Oracle:
     """One network's spanning trees, and the two-tree forests read from them.
 
-    Both are :class:`ForestFamily` records: every query sums over them, and
-    the public enumerations select from them.  Keeps no reference to the
+    Both are :class:`ForestFamily` records, which the public enumerations
+    select from.  A query reads its forest sum Σ_F w_F (x_i − x_j)(x_a − x_b)
+    from the :attr:`pairing` matrix G as G_ia − G_ib − G_ja + G_jb, and the
+    trees avoiding a line from per-line totals.  Keeps no reference to the
     network, so a network that holds its oracle is still freed by reference
     counting.  A line weighs ``Fraction(b)``, the exact value of its float
     susceptance; a non-finite one has none and is refused.  The tree count
@@ -203,12 +212,13 @@ class _Oracle:
                 raise ValidationError(f"susceptances must be finite; line {eid} has {weight}")
         if build_laplacian(network, np.ones(network.m)).reduced_determinant > MAX_MEMBERS:
             raise TooLargeError("estimated spanning-tree count exceeds the enumeration cap")
-        source, target = (ends.tolist() for ends in network.endpoints)
         self.n = network.n
-        self.ends = dict(zip(ids, zip(source, target)))
+        self.endpoints = network.endpoints  # read-only arrays: no reference to the network
+        self.position = dict(zip(ids, itertools.count()))
         exact = [Fraction(weight) for weight in network.b]
         self.common = math.lcm(*(f.denominator for f in exact))  # a power of two: the floats are dyadic
         self.scaled = {eid: f.numerator * (self.common // f.denominator) for eid, f in zip(ids, exact)}
+        source, target = (ends.tolist() for ends in self.endpoints)
         raw = _enumerate_tree_sets(network.n, list(zip(ids, source, target)))
         self.trees = self._weigh("spanning_trees", sorted(tuple(sorted(tree)) for tree in raw))
 
@@ -217,9 +227,14 @@ class _Oracle:
         numerators = tuple(math.prod(map(self.scaled.__getitem__, member)) for member in members)
         return ForestFamily(kind, members, numerators, self.common ** (len(members[0]) if members else 0))
 
-    def trees_avoiding(self, line: int) -> Fraction:
-        """The exact weight of the trees without the line."""
-        return self.trees.total([line not in tree for tree in self.trees.members])
+    @cached_property
+    def trees_avoiding(self) -> dict[int, Fraction]:
+        """Each line's exact weight of the trees without it, from one pass over the trees."""
+        held = dict.fromkeys(self.position, 0)
+        for member, numerator in zip(self.trees.members, self.trees.numerators):
+            for eid in member:
+                held[eid] += numerator
+        return {eid: self.trees.weight_sum_exact - Fraction(k, self.trees.denominator) for eid, k in held.items()}
 
     @cached_property
     def forests(self) -> ForestFamily:
@@ -229,54 +244,54 @@ class _Oracle:
 
     @cached_property
     def far(self) -> np.ndarray:
-        """Forest x node-position mask of the nodes outside the tree holding position 0."""
-        far = np.ones((len(self.forests.members), self.n), dtype=bool)
-        for row, member in zip(far, self.forests.members):
-            adjacency = [[] for _ in range(self.n)]
-            for eid in member:
-                u, v = self.ends[eid]
-                adjacency[u].append(v)
-                adjacency[v].append(u)
-            near, stack = {0}, [0]
-            while stack:
-                for other in adjacency[stack.pop()]:
-                    if other not in near:
-                        near.add(other)
-                        stack.append(other)
-            row[list(near)] = False
+        """Forest x node-position mask of the nodes outside the tree holding position 0.
+
+        One connected-components call per chunk, over its forests' disjoint union (node f * n + u).
+        """
+        members, n = self.forests.members, self.n
+        source, target = self.endpoints
+        far = np.empty((len(members), n), dtype=bool)
+        for start in range(0, len(members), _CHUNK):
+            chunk = members[start:start + _CHUNK]
+            at = np.fromiter(map(self.position.__getitem__, itertools.chain.from_iterable(chunk)), np.intp)
+            base = np.arange(len(chunk)).repeat(n - 2) * n
+            union = scipy.sparse.coo_array((np.ones(at.size), (base + source[at], base + target[at])),
+                                           shape=(len(chunk) * n,) * 2)
+            labels = connected_components(union)[1].reshape(len(chunk), n)
+            far[start:start + len(chunk)] = labels != labels[:, :1]
         return far
 
+    @cached_property
+    def pairing(self) -> np.ndarray:
+        """G[u, v] = Σ_F num_F x_F(u) x_F(v), exact ints over ``forests.denominator``; x_F is F's :attr:`far` row.
 
-def _separating(network: Network, group_a, group_b) -> list[bool]:
-    """Mask of the two-tree forests separating the node groups, over ``network.oracle.forests``."""
-    group_a = set(group_a)
-    group_b = set(group_b)
-    if not group_a or not group_b:
-        raise ValueError("node groups must be nonempty")
-    if group_a & group_b:
-        return []  # keeps no forest
+        Forests are grouped by that row (packed to bytes, which sort fast): each group adds its sum once.
+        """
+        packed = np.packbits(self.far, axis=1)
+        _, first, group = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True,
+                                    return_inverse=True)
+        sums = [0] * len(first)
+        for g, numerator in zip(group, self.forests.numerators):
+            sums[g] += numerator
+        x = self.far[first].astype(object)
+        return (x.T * np.array(sums, dtype=object)) @ x
+
+
+def _pairing(network: Network, i: int, j: int, a: int, b: int) -> Fraction:
+    """pos - neg = Σ_F w_F (x_i - x_j)(x_a - x_b) = G_ia - G_ib - G_ja + G_jb, for the buses i, j, a and b.
+
+    ``pos`` weighs the forests separating {i, a} from {j, b}, ``neg`` those separating {i, b} from {j, a}.
+    """
     oracle = network.oracle
-    a = oracle.far[:, [network.node_index(v) for v in group_a]]
-    b = oracle.far[:, [network.node_index(v) for v in group_b]]
-    # Each group sits whole in one of the two trees, and not in the same one.
-    return ((a.all(axis=1) & ~b.any(axis=1)) | (b.all(axis=1) & ~a.any(axis=1))).tolist()
-
-
-def _forest_sum(network: Network, group_a, group_b) -> Fraction:
-    """The exact weight of the two-tree forests separating the node groups."""
-    return network.oracle.forests.total(_separating(network, group_a, group_b))
+    g = oracle.pairing
+    i, j, a, b = map(network.node_index, (i, j, a, b))
+    return Fraction(g[i, a] - g[i, b] - g[j, a] + g[j, b], oracle.forests.denominator)
 
 
 def _flow_share(network: Network, k: int, a: int, b: int, den: Fraction) -> float:
-    """b_k (pos - neg) / den for the line at position k, from i to j, and the buses a and b.
-
-    ``pos`` weighs the forests pairing {i, a} against {j, b}, ``neg`` the
-    opposite pairing {i, b} against {j, a}.
-    """
-    i, j = network.sources[k], network.targets[k]
-    pos = _forest_sum(network, {i, a}, {j, b})
-    neg = _forest_sum(network, {i, b}, {j, a})
-    return float(Fraction(network.b[k]) * (pos - neg) / den)
+    """b_k (pos - neg) / den for the line at position k, from i to j, and the buses a and b."""
+    pairing = _pairing(network, network.sources[k], network.targets[k], a, b)
+    return float(Fraction(network.b[k]) * pairing / den)
 
 
 def enumerate_spanning_trees(network: Network, allowed_edges=None) -> ForestFamily:
@@ -295,9 +310,13 @@ def enumerate_two_tree_forests(network: Network, group_a, group_b) -> ForestFami
 
     The family is empty whenever the groups overlap.
     """
-    for node in itertools.chain(group_a, group_b):
-        network.node_index(node)
-    return network.oracle.forests.select(_separating(network, group_a, group_b))
+    a, b = ([network.node_index(v) for v in group] for group in (group_a, group_b))
+    if not a or not b:
+        raise ValueError("node groups must be nonempty")
+    oracle = network.oracle
+    a, b = oracle.far[:, a], oracle.far[:, b]
+    # Each group sits whole in one of the two trees, and not in the same one: so no node in both.
+    return oracle.forests.select((a.all(axis=1) & ~b.any(axis=1)) | (b.all(axis=1) & ~a.any(axis=1)))
 
 
 def a_entry_via_forests(network: Network, i: int, j: int) -> float:
@@ -308,9 +327,10 @@ def a_entry_via_forests(network: Network, i: int, j: int) -> float:
     """
     network.node_index(i)
     network.node_index(j)
-    if i == network.reference or j == network.reference:
+    r = network.reference
+    if r in (i, j):
         return 0.0
-    return float(_forest_sum(network, {i, j}, {network.reference}) / network.oracle.trees.weight_sum_exact)
+    return float(_pairing(network, i, r, j, r) / network.oracle.trees.weight_sum_exact)
 
 
 def ptdf_via_forests(network: Network, line: int, inject_at: int, withdraw_at: int) -> float:
@@ -336,7 +356,7 @@ def lodf_via_forests(network: Network, line: int, outaged: int) -> float:
     if line == outaged:
         raise ValueError("lines must be distinct")
     k, hat = network.edge_index(line), network.edge_index(outaged)
-    den = network.oracle.trees_avoiding(outaged)
+    den = network.oracle.trees_avoiding[outaged]
     if not den:
         raise BridgeError(f"line {outaged} is a bridge; no spanning tree avoids it")
     return _flow_share(network, k, network.sources[hat], network.targets[hat], den)
@@ -352,9 +372,13 @@ def matrix_tree_check(network: Network) -> MatrixTreeReport:
     bundle = network.factor
     oracle = network.oracle  # refuses a network past the cap before the reduced L is made dense
     reduced = bundle.reduced.toarray()
-    non_ref_nodes = [node for node in network.nodes if node != network.reference]
+    r = network.reference
+    non_ref_nodes = [node for node in network.nodes if node != r]
 
-    forest_weight = float(oracle.trees.weight_sum_exact)
+    try:
+        forest_weight = float(oracle.trees.weight_sum_exact)
+    except OverflowError:
+        raise TooLargeError("the spanning-tree weight exceeds float range") from None
     determinant = bundle.reduced_determinant
     det_err = float(_rel_err(determinant, forest_weight))
 
@@ -364,7 +388,7 @@ def matrix_tree_check(network: Network) -> MatrixTreeReport:
         sub = np.delete(np.delete(reduced, row, axis=0), col, axis=1)
         if sub.size:
             minors[row, col] = np.linalg.det(sub)
-        expected = float(_forest_sum(network, {non_ref_nodes[row], non_ref_nodes[col]}, {network.reference}))
+        expected = float(_pairing(network, non_ref_nodes[row], r, non_ref_nodes[col], r))
         signed[row, col] = expected if (row + col) % 2 == 0 else -expected
     minor_max = float(np.max(_rel_err(minors, signed), initial=0.0))  # a NaN stays NaN and fails
 
@@ -386,10 +410,11 @@ def effective_reactance(network: Network, line: int) -> ReactanceReport:
     the effective reactance equals the line reactance.
     """
     k = network.edge_index(line)
-    num = _forest_sum(network, {network.sources[k]}, {network.targets[k]})
+    i, j = network.sources[k], network.targets[k]
+    num = _pairing(network, i, j, i, j)
     oracle = network.oracle
     return ReactanceReport(
         effective=float(num / oracle.trees.weight_sum_exact),
         line_reactance=1.0 / network.b[k],
-        reduction_ratio=float(oracle.trees_avoiding(line) / oracle.trees.weight_sum_exact),
+        reduction_ratio=float(oracle.trees_avoiding[line] / oracle.trees.weight_sum_exact),
     )

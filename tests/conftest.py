@@ -158,6 +158,12 @@ def parallel_lines_doc(reverse=False):
     }
 
 
+def huge_weight_doc():
+    """Four buses and five lines of b=1e200: the spanning-tree weight, 8e600, is past float range."""
+    pairs = [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)]
+    return {"nodes": [1, 2, 3, 4], "edges": [{"from": a, "to": b, "b": 1e200} for a, b in pairs]}
+
+
 def grid_doc(k, b=1.0):
     """k-by-k grid graph with uniform susceptance b; buses numbered row by row."""
     node = lambda r, c: r * k + c + 1  # noqa: E731

@@ -18,7 +18,7 @@ from gridfactor import (
 from gridfactor.cli import run
 from gridfactor.net_model import RTOL
 
-from conftest import fig2_doc, grid_doc, parallel_lines_doc, stiff_leaf_doc, triangle_doc
+from conftest import fig2_doc, grid_doc, huge_weight_doc, parallel_lines_doc, stiff_leaf_doc, triangle_doc
 
 
 @pytest.fixture
@@ -566,6 +566,15 @@ def test_verify_refuses_past_the_cap_before_building_a_dense_matrix(monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "gridfactor: estimated spanning-tree count exceeds the enumeration cap\n"
+
+
+def test_verify_refuses_a_spanning_tree_weight_past_float_range(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(huge_weight_doc()))
+    assert run(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gridfactor: the spanning-tree weight exceeds float range\n"
 
 
 def test_localize_computes_no_glodf(monkeypatch, capsys, tmp_path):

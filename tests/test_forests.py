@@ -216,7 +216,7 @@ def test_matrix_tree_path(path3):
 
 
 def test_matrix_tree_fails_when_a_minor_is_nan(monkeypatch, triangle):
-    monkeypatch.setattr(forests, "_forest_sum", lambda *args: math.nan)
+    monkeypatch.setattr(forests, "_pairing", lambda *args: math.nan)
     report = matrix_tree_check(triangle)
     assert report.passed is False
     assert math.isnan(report.minor_max_rel_err) and report.determinant_rel_err == 0.0
@@ -461,6 +461,43 @@ def test_derived_forests_match_the_subset_scan(seed, extra, eighths):
     assert oracle.far.tolist() == [scanned[member] for member in derived.members]
     for k, member in enumerate(derived.members):
         assert Fraction(derived.numerators[k], derived.denominator) == _exact_weight(net, [member])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_pairing_matrix_gives_every_forest_pairing_exactly(seed, data):
+    """G_ia - G_ib - G_ja + G_jb is pos - neg of the enumerated two-tree forests, as exact rationals.
+
+    On random networks with parallel lines (either way round) and a random
+    reference, for random bus quadruples and their overlapping forms a == b,
+    a == j and i == a; and each line's trees_avoiding is the masked tree sum.
+    """
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_nodes=6, max_extra=3)
+    sources, targets, weights = list(net.sources), list(net.targets), list(net.b)
+    for k in rng.integers(0, net.m, size=int(rng.integers(1, 3))):  # validate refuses these: build directly
+        source, target = net.sources[k], net.targets[k]
+        if rng.integers(0, 2):
+            source, target = target, source
+        sources.append(source)
+        targets.append(target)
+        weights.append(float(rng.uniform(0.5, 2.0)))
+    nodes = st.sampled_from(net.nodes)
+    net = Network(nodes=net.nodes, ids=tuple(range(1, len(sources) + 1)), sources=tuple(sources),
+                  targets=tuple(targets), b=tuple(weights), cap=(math.inf,) * len(sources),
+                  reference=data.draw(nodes))
+
+    def brute(i, j, a, b):
+        pos = enumerate_two_tree_forests(net, {i, a}, {j, b}).weight_sum_exact
+        return pos - enumerate_two_tree_forests(net, {i, b}, {j, a}).weight_sum_exact
+
+    for _ in range(6):
+        i, j, a, b = data.draw(st.lists(nodes, min_size=4, max_size=4))
+        for quad in ((i, j, a, b), (i, j, a, a), (i, j, j, b), (i, j, i, b)):
+            assert forests._pairing(net, *quad) == brute(*quad)
+    for line in net.ids:
+        masked = enumerate_spanning_trees(net, set(net.ids) - {line}).weight_sum_exact
+        assert net.oracle.trees_avoiding[line] == masked
 
 
 def test_equal_networks_enumerate_their_own_trees(monkeypatch):

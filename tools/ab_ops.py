@@ -18,7 +18,10 @@ and at least MIN_PAIRS pairs are done.
 
 The report gives each side's median ms per op over its passes, and the
 median and quartiles of the paired ratio change / parent (below 1: the
-change is faster).  Nothing under ``perfbench/`` is written.
+change is faster).  When every pool item starts with its op kind, a string
+(``cli_blocktree``'s subcommand), the same ratio is also given per kind, over
+each pass's time in that kind's ops, so a report shows where a saving sits.
+Nothing under ``perfbench/`` is written.
 """
 
 from __future__ import annotations
@@ -58,16 +61,22 @@ def load(src: Path, name: str, folder: Path):
     return package
 
 
-def timed_pass(side: str, gf, workload, state, pool) -> float:
-    """Seconds per op over one pass of the pool; exits when a result fails its check."""
-    elapsed = 0.0
+def timed_pass(side: str, gf, workload, state, pool) -> list[float]:
+    """Seconds each op of one pass of the pool took; exits when a result fails its check."""
+    elapsed = []
     for item in pool:
         began = perf_counter()
         result = workload.op(gf, state, item)
-        elapsed += perf_counter() - began
+        elapsed.append(perf_counter() - began)
         if not workload.check(item, result):
             raise SystemExit(f"{side}: op failed its check: {item[:-1]}")
-    return elapsed / len(pool)
+    return elapsed
+
+
+def paired_ratios(times: dict[str, list[list[float]]], ops) -> list[float]:
+    """change / parent of the time each pair of passes spent in the ops at the positions ``ops``."""
+    return [sum(change[k] for k in ops) / sum(parent[k] for k in ops)
+            for parent, change in zip(times["parent"], times["change"])]
 
 
 def main(argv=None) -> int:
@@ -79,7 +88,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     workload = WORKLOADS[args.workload]
-    times: dict[str, list[float]] = {side: [] for side in SIDES}
+    times: dict[str, list[list[float]]] = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory(prefix="ab_ops-") as folder:
         folder = Path(folder)
         sys.path.insert(0, str(folder))
@@ -95,13 +104,20 @@ def main(argv=None) -> int:
                 gc.collect()
                 times[side].append(timed_pass(side, packages[side], workload, states[side], plan.pool))
 
-    ratios = [change / parent for parent, change in zip(times["parent"], times["change"])]
+    every = range(len(plan.pool))
+    ratios = paired_ratios(times, every)
     q1, median, q3 = statistics.quantiles(ratios, n=4)
     print(f"workload {args.workload}: seed {args.seed}, {len(ratios)} pairs of passes "
           f"of {len(plan.pool)} ops, every result checked")
     for side in SIDES:
-        print(f"{side}: median {statistics.median(times[side]) * 1e3:.4f} ms/op")
+        print(f"{side}: median {statistics.median(sum(p) for p in times[side]) / len(every) * 1e3:.4f} ms/op")
     print(f"change/parent ratio: median {median:.4f}, quartiles {q1:.4f} .. {q3:.4f}")
+    kinds = [item[0] for item in plan.pool]
+    if all(isinstance(kind, str) for kind in kinds):
+        for kind in sorted(set(kinds)):
+            ops = [k for k in every if kinds[k] == kind]
+            q1, median, q3 = statistics.quantiles(paired_ratios(times, ops), n=4)
+            print(f"  {kind} ({len(ops)} per pass): median {median:.4f}, quartiles {q1:.4f} .. {q3:.4f}")
     return 0
 
 

@@ -34,7 +34,10 @@ oracle grids for seeds 2 and 7, its 30×30 grid for ``blocks`` and the
 kernel runs on 757 rows); two
 more ``verify`` runs take the seed-2 oracle grid with weights that are
 decimal tenths and with rough floats (square roots), whose exact weight
-sums are not the sums of small dyadic rationals the other grids give.  Runs
+sums are not the sums of small dyadic rationals the other grids give.  Three
+more take the parallel-line triangle (which the loader refuses), the seed-2
+oracle grid with the centre bus as reference, and four buses whose lines all
+weigh 1e200, so that the spanning-tree weight is past float range.  Runs
 share one process, as a caller of ``gridfactor.cli.run`` would.  The
 ``demos/*.py`` scripts of the checkout that holds ``--src`` (its ``demos``
 directory, beside ``src``) then run in the same process through
@@ -256,6 +259,12 @@ def outputs(src) -> Iterator[tuple[str, int, str, str]]:
             doc["edges"] = [{**edge, "b": weight} for edge, weight in zip(doc["edges"], weights, strict=True)]
             gen.write(doc, Path(name))
             corpus.append(["verify", name])
+        gen.write(conftest.huge_weight_doc(), Path("huge_weight.json"))
+        corpus += [  # parallel lines (refused), another reference, a tree weight past float range
+            ["verify", "parallel.json"],
+            ["verify", "oracle_grid_2.json", "--reference", "5"],
+            ["verify", "huge_weight.json"],
+        ]
         gen.write(gen.grid(30, 2)[0], Path("grid30.json"))  # one block: a search far deeper than the block trees
         corpus.append(["blocks", "grid30.json"])
         gen.write(gen.grid(20, 3)[0], Path("screen.json"))  # screen_grid's network: the GLODF kernel at 757 rows
