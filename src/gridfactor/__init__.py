@@ -6,7 +6,7 @@ The package is organized around an immutable network model:
 - :mod:`gridfactor.graph_algos` provides blocks, bridges, and cut sets;
 - :mod:`gridfactor.dcpf` solves the DC power flow;
 - :mod:`gridfactor.factors` computes PTDF/LODF/GLODF matrices;
-- :mod:`gridfactor.forests` is the brute-force spanning-forest oracle;
+- :mod:`gridfactor.forests` is the exact spanning-forest oracle;
 - :mod:`gridfactor.localization` certifies block-diagonal factor structure;
 - :mod:`gridfactor.cascade` simulates stage-wise cascading failures.
 """

@@ -1,31 +1,30 @@
-"""Brute-force spanning-tree and two-tree-forest enumeration.
+"""The spanning-forest oracle: distribution factors as exact ratios of forest sums.
 
 This module is the independent oracle for the distribution-factor algebra:
-matrix entries, PTDF, LODF, and effective reactance are all recomputed here
-as ratios of weighted forest sums and compared against the dense
-linear-algebra routes elsewhere.  Enumeration is deliberately naive so that
-it is obviously correct, and capped to keep runtimes bounded.
+matrix entries, PTDF, LODF and effective reactance are recomputed here as
+ratios of weighted forest sums and compared against the dense linear-algebra
+routes elsewhere.
 
-Each network's spanning trees are enumerated once, by contraction and
-deletion, and every other family is read from that one list.  The trees
-avoiding a line are a filter of it.  The two-tree spanning forests are its
-trees less one line each: removing a line of a spanning tree leaves two
-trees, and every two-tree forest of a connected network grows back into a
-spanning tree by one line.  The enumeration is the network's
+Let x_F be the 0/1 side vector of two-tree spanning forest F, 1 on the side
+without the reference bus r.  The all-minors matrix-tree theorem (Chaiken,
+SIAM J. Alg. Disc. Meth. 3(3), 1982) makes G = Σ_F w_F x_F x_Fᵀ the adjugate
+of the reduced Laplacian L_r, padded with zeros at r, and the total
+spanning-tree weight T = det(L_r).  A query's forest sum Σ_F w_F (x_i − x_j)
+(x_a − x_b) is G_ia − G_ib − G_ja + G_jb: the forests separating {i, a} from
+{j, b} less those separating {i, b} from {j, a}.  The flow factors take i, j
+at a line's ends; an inverse entry (i, a) or first minor, j = b = r; a line's
+reactance, a = i and b = j, and the trees avoiding the line weigh T less b
+times that sum.
+
+A line weighs the exact rational value of its float susceptance, an integer
+over one power-of-two denominator, so fraction-free elimination (Bareiss,
+Math. Comp. 22, 1968) gives adj(L_r) and det(L_r) exactly, and each answer is
+one exact ratio rounded once to the nearest float: the identity checks carry
+no rounding slack from the oracle's side.  The spanning trees and two-tree
+forests are enumerated, by contraction and deletion, only to witness the
+theorem.  The oracle is the network's
 :attr:`~gridfactor.net_model.Network.oracle`, so it lives as long as its
 network and no longer.
-
-Every query reads its forest sum from one matrix, summed once per network.
-With x_F the 0/1 side vector of two-tree forest F, the pairing matrix
-G = Σ_F w_F x_F x_Fᵀ gives Σ_F w_F (x_i − x_j)(x_a − x_b) = G_ia − G_ib − G_ja
-+ G_jb: the forests separating {i, a} from {j, b} less those separating
-{i, b} from {j, a}.  The flow factors take i, j at a line's ends; an inverse
-entry (i, a) or first minor, j = b = the reference; a line's reactance, a = i, b = j.
-
-Every weight sum is exact: a line weighs the exact rational value of its
-float susceptance, and each answer is one exact ratio of such sums rounded
-once to the nearest float, so the identity checks carry no rounding slack
-from the oracle's side.
 """
 
 from __future__ import annotations
@@ -140,9 +139,9 @@ def _rel_err(a, b):
 def _enumerate_tree_sets(n: int, edge_list) -> list[frozenset[int]]:
     """All spanning trees of the graph given as (edge_id, u, v) triples.
 
-    Recursive contraction/deletion on the first remaining edge, pruning
-    branches whose residual graph is disconnected, so the work is
-    proportional to the output.
+    Contraction/deletion on the first remaining edge, depth first from a
+    stack of its own (a long path would overflow Python's), pruning branches
+    whose residual graph is disconnected: the work is proportional to the output.
     """
     trees: list[frozenset[int]] = []
 
@@ -165,14 +164,16 @@ def _enumerate_tree_sets(n: int, edge_list) -> list[frozenset[int]]:
                     return True
         return remaining == 1
 
-    def recurse(vertices: frozenset[int], edges, chosen: list[int]):
+    stack = [(frozenset(range(n)), list(edge_list), ())]
+    while stack:
+        vertices, edges, chosen = stack.pop()
         if len(vertices) == 1:
             trees.append(frozenset(chosen))
             if len(trees) > MAX_MEMBERS:
                 raise TooLargeError("spanning-tree enumeration exceeded the cap")
-            return
+            continue
         if not edges or not connected(vertices, edges):
-            return
+            continue
         eid, u, v = edges[0]
         # Keep the edge: contract v into u, dropping the self-loops that form.
         contracted = []
@@ -181,28 +182,19 @@ def _enumerate_tree_sets(n: int, edge_list) -> list[frozenset[int]]:
             b2 = u if b == v else b
             if a2 != b2:
                 contracted.append((other_id, a2, b2))
-        chosen.append(eid)
-        recurse(vertices - {v}, contracted, chosen)
-        chosen.pop()
-        # Drop the edge.
-        recurse(vertices, edges[1:], chosen)
-
-    vertices = frozenset(range(n))
-    recurse(vertices, list(edge_list), [])
+        stack.append((vertices, edges[1:], chosen))  # drop the edge, once the kept branch is done
+        stack.append((vertices - {v}, contracted, chosen + (eid,)))
     return trees
 
 
 class _Oracle:
-    """One network's spanning trees, and the two-tree forests read from them.
+    """One network's exact adjugate and tree weight, and the enumerations that witness them.
 
-    Both are :class:`ForestFamily` records, which the public enumerations
-    select from.  A query reads its forest sum Σ_F w_F (x_i − x_j)(x_a − x_b)
-    from the :attr:`pairing` matrix G as G_ia − G_ib − G_ja + G_jb, and the
-    trees avoiding a line from per-line totals.  Keeps no reference to the
-    network, so a network that holds its oracle is still freed by reference
-    counting.  A line weighs ``Fraction(b)``, the exact value of its float
-    susceptance; a non-finite one has none and is refused.  The tree count
-    checked against the cap is the determinant of the unit-weight factor.
+    Queries read the :attr:`adjugate` and :attr:`tree_weight`; only the enumerations read the
+    :attr:`trees`, the two-tree :attr:`forests` and their sides :attr:`far`.  A line weighs
+    ``Fraction(b) = scaled[eid] / common``; a non-finite one has none and is refused.  The tree count
+    checked against the cap is the determinant of the unit-weight factor.  Keeps no reference to the
+    network, so a network that holds its oracle is still freed.
     """
 
     def __init__(self, network: Network):
@@ -213,14 +205,12 @@ class _Oracle:
         if build_laplacian(network, np.ones(network.m)).reduced_determinant > MAX_MEMBERS:
             raise TooLargeError("estimated spanning-tree count exceeds the enumeration cap")
         self.n = network.n
+        self.reference = network.node_index(network.reference)
         self.endpoints = network.endpoints  # read-only arrays: no reference to the network
         self.position = dict(zip(ids, itertools.count()))
         exact = [Fraction(weight) for weight in network.b]
         self.common = math.lcm(*(f.denominator for f in exact))  # a power of two: the floats are dyadic
         self.scaled = {eid: f.numerator * (self.common // f.denominator) for eid, f in zip(ids, exact)}
-        source, target = (ends.tolist() for ends in self.endpoints)
-        raw = _enumerate_tree_sets(network.n, list(zip(ids, source, target)))
-        self.trees = self._weigh("spanning_trees", sorted(tuple(sorted(tree)) for tree in raw))
 
     def _weigh(self, kind: str, members) -> ForestFamily:
         members = tuple(members)
@@ -228,13 +218,45 @@ class _Oracle:
         return ForestFamily(kind, members, numerators, self.common ** (len(members[0]) if members else 0))
 
     @cached_property
-    def trees_avoiding(self) -> dict[int, Fraction]:
-        """Each line's exact weight of the trees without it, from one pass over the trees."""
-        held = dict.fromkeys(self.position, 0)
-        for member, numerator in zip(self.trees.members, self.trees.numerators):
-            for eid in member:
-                held[eid] += numerator
-        return {eid: self.trees.weight_sum_exact - Fraction(k, self.trees.denominator) for eid, k in held.items()}
+    def adjugate(self) -> tuple[np.ndarray, int]:
+        """adj(L_r), padded with zeros at the reference, and det(L_r), for L_r the reduced Laplacian of ``scaled``.
+
+        Fraction-free Gauss–Jordan (Bareiss) takes [L_r | I] to [det·I | adj] in place, column k of
+        the left half leaving as column k of the right.  Every division is exact, and no pivot is zero,
+        as L_r is positive definite.  The work is symmetric once its block of rows not yet pivoted by
+        columns pivoted changes sign, so only its upper triangle is held, entry (i, j) at ``at[i, j]``.
+        """
+        laplacian = np.zeros((self.n, self.n), dtype=object)
+        for eid, u, v in zip(self.position, *(ends.tolist() for ends in self.endpoints)):
+            laplacian[(u, v), (u, v)] += self.scaled[eid]  # parallel lines sum
+            laplacian[(u, v), (v, u)] -= self.scaled[eid]
+        keep = np.delete(np.arange(self.n), self.reference)
+        rows, cols = np.triu_indices(len(keep))
+        at = np.empty((len(keep),) * 2, dtype=np.intp)
+        at[rows, cols] = at[cols, rows] = np.arange(len(rows))
+        packed, det = laplacian[keep[rows], keep[cols]], 1
+        for k in range(len(keep)):
+            line = packed[at[k]]  # row k of the symmetric work
+            pivot, signed = line[k], line.copy()
+            signed[:k] = -signed[:k]  # row k of the work itself
+            packed = (pivot * packed - line[rows] * signed[cols]) // det
+            packed[at[k]] = signed  # row k stays, and column k leaves negated
+            packed[at[k, k]] = det
+            det = pivot
+        adjugate = np.zeros_like(laplacian)
+        adjugate[np.ix_(keep, keep)] = packed[at]
+        return adjugate, det
+
+    @cached_property
+    def tree_weight(self) -> Fraction:
+        """The exact total spanning-tree weight, det(L_r) / common^(n−1)."""
+        return Fraction(self.adjugate[1], self.common ** (self.n - 1))
+
+    @cached_property
+    def trees(self) -> ForestFamily:
+        """Every spanning tree, enumerated once."""
+        raw = _enumerate_tree_sets(self.n, list(zip(self.position, *(ends.tolist() for ends in self.endpoints))))
+        return self._weigh("spanning_trees", sorted(tuple(sorted(tree)) for tree in raw))
 
     @cached_property
     def forests(self) -> ForestFamily:
@@ -244,37 +266,19 @@ class _Oracle:
 
     @cached_property
     def far(self) -> np.ndarray:
-        """Forest x node-position mask of the nodes outside the tree holding position 0.
-
-        One connected-components call per chunk, over its forests' disjoint union (node f * n + u).
-        """
+        """Forest x node-position mask of the nodes outside the tree holding position 0, one chunk at a time."""
         members, n = self.forests.members, self.n
         source, target = self.endpoints
         far = np.empty((len(members), n), dtype=bool)
         for start in range(0, len(members), _CHUNK):
             chunk = members[start:start + _CHUNK]
             at = np.fromiter(map(self.position.__getitem__, itertools.chain.from_iterable(chunk)), np.intp)
-            base = np.arange(len(chunk)).repeat(n - 2) * n
+            base = np.arange(len(chunk)).repeat(n - 2) * n  # one graph per chunk: node u of forest f is f * n + u
             union = scipy.sparse.coo_array((np.ones(at.size), (base + source[at], base + target[at])),
                                            shape=(len(chunk) * n,) * 2)
             labels = connected_components(union)[1].reshape(len(chunk), n)
             far[start:start + len(chunk)] = labels != labels[:, :1]
         return far
-
-    @cached_property
-    def pairing(self) -> np.ndarray:
-        """G[u, v] = Σ_F num_F x_F(u) x_F(v), exact ints over ``forests.denominator``; x_F is F's :attr:`far` row.
-
-        Forests are grouped by that row (packed to bytes, which sort fast): each group adds its sum once.
-        """
-        packed = np.packbits(self.far, axis=1)
-        _, first, group = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True,
-                                    return_inverse=True)
-        sums = [0] * len(first)
-        for g, numerator in zip(group, self.forests.numerators):
-            sums[g] += numerator
-        x = self.far[first].astype(object)
-        return (x.T * np.array(sums, dtype=object)) @ x
 
 
 def _pairing(network: Network, i: int, j: int, a: int, b: int) -> Fraction:
@@ -282,10 +286,16 @@ def _pairing(network: Network, i: int, j: int, a: int, b: int) -> Fraction:
 
     ``pos`` weighs the forests separating {i, a} from {j, b}, ``neg`` those separating {i, b} from {j, a}.
     """
-    oracle = network.oracle
-    g = oracle.pairing
     i, j, a, b = map(network.node_index, (i, j, a, b))
-    return Fraction(g[i, a] - g[i, b] - g[j, a] + g[j, b], oracle.forests.denominator)
+    oracle = network.oracle
+    g = oracle.adjugate[0]
+    return Fraction(g[i, a] - g[i, b] - g[j, a] + g[j, b], oracle.common ** (oracle.n - 2))
+
+
+def _trees_avoiding(network: Network, k: int) -> Fraction:
+    """T - b_k Σ_F w_F (x_i - x_j)²: a tree through line position k is a forest separating its ends, plus k."""
+    i, j = network.sources[k], network.targets[k]
+    return network.oracle.tree_weight - Fraction(network.b[k]) * _pairing(network, i, j, i, j)
 
 
 def _flow_share(network: Network, k: int, a: int, b: int, den: Fraction) -> float:
@@ -325,12 +335,8 @@ def a_entry_via_forests(network: Network, i: int, j: int) -> float:
     Weighted share of two-tree forests joining i with j while the reference
     bus sits in the other tree; zero whenever i or j is the reference.
     """
-    network.node_index(i)
-    network.node_index(j)
     r = network.reference
-    if r in (i, j):
-        return 0.0
-    return float(_pairing(network, i, r, j, r) / network.oracle.trees.weight_sum_exact)
+    return float(_pairing(network, i, r, j, r) / network.oracle.tree_weight)
 
 
 def ptdf_via_forests(network: Network, line: int, inject_at: int, withdraw_at: int) -> float:
@@ -343,7 +349,7 @@ def ptdf_via_forests(network: Network, line: int, inject_at: int, withdraw_at: i
     k = network.edge_index(line)
     network.node_index(inject_at)
     network.node_index(withdraw_at)
-    return _flow_share(network, k, inject_at, withdraw_at, network.oracle.trees.weight_sum_exact)
+    return _flow_share(network, k, inject_at, withdraw_at, network.oracle.tree_weight)
 
 
 def lodf_via_forests(network: Network, line: int, outaged: int) -> float:
@@ -356,7 +362,7 @@ def lodf_via_forests(network: Network, line: int, outaged: int) -> float:
     if line == outaged:
         raise ValueError("lines must be distinct")
     k, hat = network.edge_index(line), network.edge_index(outaged)
-    den = network.oracle.trees_avoiding[outaged]
+    den = _trees_avoiding(network, hat)
     if not den:
         raise BridgeError(f"line {outaged} is a bridge; no spanning tree avoids it")
     return _flow_share(network, k, network.sources[hat], network.targets[hat], den)
@@ -376,7 +382,7 @@ def matrix_tree_check(network: Network) -> MatrixTreeReport:
     non_ref_nodes = [node for node in network.nodes if node != r]
 
     try:
-        forest_weight = float(oracle.trees.weight_sum_exact)
+        forest_weight = float(oracle.tree_weight)
     except OverflowError:
         raise TooLargeError("the spanning-tree weight exceeds float range") from None
     determinant = bundle.reduced_determinant
@@ -392,14 +398,8 @@ def matrix_tree_check(network: Network) -> MatrixTreeReport:
         signed[row, col] = expected if (row + col) % 2 == 0 else -expected
     minor_max = float(np.max(_rel_err(minors, signed), initial=0.0))  # a NaN stays NaN and fails
 
-    passed = det_err <= RTOL and minor_max <= RTOL
-    return MatrixTreeReport(
-        determinant=determinant,
-        forest_weight=forest_weight,
-        determinant_rel_err=det_err,
-        minor_max_rel_err=minor_max,
-        passed=passed,
-    )
+    return MatrixTreeReport(determinant=determinant, forest_weight=forest_weight, determinant_rel_err=det_err,
+                            minor_max_rel_err=minor_max, passed=det_err <= RTOL and minor_max <= RTOL)
 
 
 def effective_reactance(network: Network, line: int) -> ReactanceReport:
@@ -411,10 +411,8 @@ def effective_reactance(network: Network, line: int) -> ReactanceReport:
     """
     k = network.edge_index(line)
     i, j = network.sources[k], network.targets[k]
-    num = _pairing(network, i, j, i, j)
-    oracle = network.oracle
     return ReactanceReport(
-        effective=float(num / oracle.trees.weight_sum_exact),
+        effective=float(_pairing(network, i, j, i, j) / network.oracle.tree_weight),
         line_reactance=1.0 / network.b[k],
-        reduction_ratio=float(oracle.trees_avoiding[line] / oracle.trees.weight_sum_exact),
+        reduction_ratio=float(_trees_avoiding(network, k) / network.oracle.tree_weight),
     )

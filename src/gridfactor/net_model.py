@@ -202,7 +202,7 @@ class Network:
 
     @cached_property
     def oracle(self):
-        """The spanning trees, enumerated once, and the two-tree forests read from them.
+        """The exact adjugate and determinant of the reduced Laplacian, and the forest enumerations.
 
         Built by :class:`gridfactor.forests._Oracle` on first read, which
         keeps no reference to the network; its refusal (a TooLargeError, or a

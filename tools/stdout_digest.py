@@ -37,7 +37,11 @@ decimal tenths and with rough floats (square roots), whose exact weight
 sums are not the sums of small dyadic rationals the other grids give.  Three
 more take the parallel-line triangle (which the loader refuses), the seed-2
 oracle grid with the centre bus as reference, and four buses whose lines all
-weigh 1e200, so that the spanning-tree weight is past float range.  Runs
+weigh 1e200, so that the spanning-tree weight is past float range.  Four
+more take the 4×4 unit grid (100,352 spanning trees, the largest network
+the oracle takes), two buses joined by one line (a 1×1 reduced
+Laplacian), the stiff triangle (refused by ``lodf_single``, exit 2) and a
+40-bus ring with one chord (few trees, many buses).  Runs
 share one process, as a caller of ``gridfactor.cli.run`` would.  The
 ``demos/*.py`` scripts of the checkout that holds ``--src`` (its ``demos``
 directory, beside ``src``) then run in the same process through
@@ -56,6 +60,7 @@ import io
 import json
 import math
 import os
+import random
 import runpy
 import shlex
 import sys
@@ -106,6 +111,13 @@ def _isolating_lines(doc: dict) -> list[int]:
         for v in (int(e["from"]), int(e["to"])):
             degree.setdefault(v, []).append(k + 1)
     return min(degree.values(), key=lambda lines: (len(lines), lines))
+
+
+def _ring_with_chord(n: int, chord_to: int) -> dict:
+    """Line k runs from bus k to k % n + 1, its b drawn from ``random.Random(1)``; then a chord 1–``chord_to``."""
+    rng = random.Random(1)
+    edges = [{"from": k, "to": k % n + 1, "b": round(rng.uniform(0.5, 3), 4)} for k in range(1, n + 1)]
+    return {"nodes": list(range(1, n + 1)), "edges": edges + [{"from": 1, "to": chord_to, "b": 1.2345}]}
 
 
 def _runs(name: str, doc: dict) -> list[list[str]]:
@@ -265,6 +277,10 @@ def outputs(src) -> Iterator[tuple[str, int, str, str]]:
             ["verify", "oracle_grid_2.json", "--reference", "5"],
             ["verify", "huge_weight.json"],
         ]
+        gen.write(conftest.grid_doc(4), Path("grid4.json"))
+        gen.write({"edges": [{"from": 1, "to": 2, "b": 0.3}]}, Path("two_bus.json"))
+        gen.write(_ring_with_chord(40, 20), Path("ring40.json"))
+        corpus += [["verify", name] for name in ("grid4.json", "two_bus.json", "stiff_triangle.json", "ring40.json")]
         gen.write(gen.grid(30, 2)[0], Path("grid30.json"))  # one block: a search far deeper than the block trees
         corpus.append(["blocks", "grid30.json"])
         gen.write(gen.grid(20, 3)[0], Path("screen.json"))  # screen_grid's network: the GLODF kernel at 757 rows
