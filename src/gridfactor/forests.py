@@ -18,8 +18,10 @@ times that sum.
 
 A line weighs the exact rational value of its float susceptance, an integer
 over one power-of-two denominator, so fraction-free elimination (Bareiss,
-Math. Comp. 22, 1968) gives adj(L_r) and det(L_r) exactly, and each answer is
-one exact ratio rounded once to the nearest float: the identity checks carry
+Math. Comp. 22, 1968) over those integers gives adj(L_r) and det(L_r)
+exactly, and adj·C, C the incidence matrix, holds every line's sums.  The
+common denominators cancel, so each answer is one integer divided by
+another, correctly rounded to the nearest float: the identity checks carry
 no rounding slack from the oracle's side.  The spanning trees and two-tree
 forests are enumerated, by contraction and deletion, only to witness the
 theorem.  The oracle is the network's
@@ -136,17 +138,19 @@ def _rel_err(a, b):
     return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
-def _enumerate_tree_sets(n: int, edge_list) -> list[frozenset[int]]:
-    """All spanning trees of the graph given as (edge_id, u, v) triples.
+def _enumerate_tree_sets(n: int, edges: list) -> list[frozenset[int]]:
+    """All spanning trees of the graph given as a list of (edge_id, u, v) triples.
 
     Contraction/deletion on the first remaining edge, depth first from a
     stack of its own (a long path would overflow Python's), pruning branches
     whose residual graph is disconnected: the work is proportional to the output.
+    A pending branch holds a vertex count and an offset into its parent's edges,
+    and a contraction shares every edge tuple it does not move.
     """
     trees: list[frozenset[int]] = []
 
-    def connected(vertices: frozenset[int], edges) -> bool:
-        parent = {v: v for v in vertices}
+    def connected(count: int, edges, start: int) -> bool:
+        parent = list(range(n))
 
         def find(x):
             while parent[x] != x:
@@ -154,8 +158,8 @@ def _enumerate_tree_sets(n: int, edge_list) -> list[frozenset[int]]:
                 x = parent[x]
             return x
 
-        remaining = len(vertices)
-        for _, u, v in edges:
+        remaining = count
+        for _, u, v in itertools.islice(edges, start, None):
             ru, rv = find(u), find(v)
             if ru != rv:
                 parent[ru] = rv
@@ -164,37 +168,39 @@ def _enumerate_tree_sets(n: int, edge_list) -> list[frozenset[int]]:
                     return True
         return remaining == 1
 
-    stack = [(frozenset(range(n)), list(edge_list), ())]
+    # A contracted branch stays connected: only the root and each drop are checked, as they are pushed.
+    stack = [(n, edges, 0, ())] if connected(n, edges, 0) else []
     while stack:
-        vertices, edges, chosen = stack.pop()
-        if len(vertices) == 1:
+        count, edges, start, chosen = stack.pop()
+        if count == 1:
             trees.append(frozenset(chosen))
             if len(trees) > MAX_MEMBERS:
                 raise TooLargeError("spanning-tree enumeration exceeded the cap")
             continue
-        if not edges or not connected(vertices, edges):
-            continue
-        eid, u, v = edges[0]
+        eid, u, v = edges[start]
         # Keep the edge: contract v into u, dropping the self-loops that form.
         contracted = []
-        for other_id, a, b in edges[1:]:
-            a2 = u if a == v else a
-            b2 = u if b == v else b
-            if a2 != b2:
-                contracted.append((other_id, a2, b2))
-        stack.append((vertices, edges[1:], chosen))  # drop the edge, once the kept branch is done
-        stack.append((vertices - {v}, contracted, chosen + (eid,)))
+        for edge in itertools.islice(edges, start + 1, None):
+            other_id, a, b = edge
+            if v != a and v != b:
+                contracted.append(edge)
+            elif u != a and u != b:
+                contracted.append((other_id, u, b) if a == v else (other_id, a, u))
+        if connected(count, edges, start + 1):
+            stack.append((count, edges, start + 1, chosen))  # drop the edge, once the kept branch is done
+        stack.append((count - 1, contracted, 0, chosen + (eid,)))
     return trees
 
 
 class _Oracle:
-    """One network's exact adjugate and tree weight, and the enumerations that witness them.
+    """One network's exact adjugate and determinant, and the enumerations that witness them.
 
-    Queries read the :attr:`adjugate` and :attr:`tree_weight`; only the enumerations read the
-    :attr:`trees`, the two-tree :attr:`forests` and their sides :attr:`far`.  A line weighs
-    ``Fraction(b) = scaled[eid] / common``; a non-finite one has none and is refused.  The tree count
-    checked against the cap is the determinant of the unit-weight factor.  Keeps no reference to the
-    network, so a network that holds its oracle is still freed.
+    Line position k weighs exactly ``weights[k] / common``, an integer over a power of two; a
+    non-finite line has no such weight and is refused.  Queries read the :attr:`adjugate` and
+    :attr:`across`, as integers; only the enumerations read the :attr:`trees`, the two-tree
+    :attr:`forests` and their sides :attr:`far`.  The tree count checked against the cap is the
+    determinant of the unit-weight factor.  Keeps no reference to the network, so a network that
+    holds its oracle is still freed.
     """
 
     def __init__(self, network: Network):
@@ -208,18 +214,18 @@ class _Oracle:
         self.reference = network.node_index(network.reference)
         self.endpoints = network.endpoints  # read-only arrays: no reference to the network
         self.position = dict(zip(ids, itertools.count()))
-        exact = [Fraction(weight) for weight in network.b]
-        self.common = math.lcm(*(f.denominator for f in exact))  # a power of two: the floats are dyadic
-        self.scaled = {eid: f.numerator * (self.common // f.denominator) for eid, f in zip(ids, exact)}
+        exact = [weight.as_integer_ratio() for weight in network.b]
+        self.common = math.lcm(*(den for _, den in exact))  # a power of two: the floats are dyadic
+        self.weights = [num * (self.common // den) for num, den in exact]
 
     def _weigh(self, kind: str, members) -> ForestFamily:
         members = tuple(members)
-        numerators = tuple(math.prod(map(self.scaled.__getitem__, member)) for member in members)
+        numerators = tuple(math.prod(self.weights[self.position[eid]] for eid in member) for member in members)
         return ForestFamily(kind, members, numerators, self.common ** (len(members[0]) if members else 0))
 
     @cached_property
     def adjugate(self) -> tuple[np.ndarray, int]:
-        """adj(L_r), padded with zeros at the reference, and det(L_r), for L_r the reduced Laplacian of ``scaled``.
+        """adj(L_r), padded with zeros at the reference, and det(L_r), for L_r the reduced Laplacian of ``weights``.
 
         Fraction-free Gauss–Jordan (Bareiss) takes [L_r | I] to [det·I | adj] in place, column k of
         the left half leaving as column k of the right.  Every division is exact, and no pivot is zero,
@@ -227,9 +233,9 @@ class _Oracle:
         columns pivoted changes sign, so only its upper triangle is held, entry (i, j) at ``at[i, j]``.
         """
         laplacian = np.zeros((self.n, self.n), dtype=object)
-        for eid, u, v in zip(self.position, *(ends.tolist() for ends in self.endpoints)):
-            laplacian[(u, v), (u, v)] += self.scaled[eid]  # parallel lines sum
-            laplacian[(u, v), (v, u)] -= self.scaled[eid]
+        for weight, u, v in zip(self.weights, *(ends.tolist() for ends in self.endpoints)):
+            laplacian[(u, v), (u, v)] += weight  # parallel lines sum
+            laplacian[(u, v), (v, u)] -= weight
         keep = np.delete(np.arange(self.n), self.reference)
         rows, cols = np.triu_indices(len(keep))
         at = np.empty((len(keep),) * 2, dtype=np.intp)
@@ -248,14 +254,26 @@ class _Oracle:
         return adjugate, det
 
     @cached_property
-    def tree_weight(self) -> Fraction:
-        """The exact total spanning-tree weight, det(L_r) / common^(n−1)."""
-        return Fraction(self.adjugate[1], self.common ** (self.n - 1))
+    def across(self) -> np.ndarray:
+        """adj·C, n × m: column k is adj(e_i − e_j) for line position k from i to j."""
+        adjugate, (source, target) = self.adjugate[0], self.endpoints
+        return adjugate[:, source] - adjugate[:, target]
+
+    def pairing(self, k: int, a: int, b: int) -> int:
+        """G_ia − G_ib − G_ja + G_jb for line position k from i to j and node positions a and b: the
+        forests separating {i, a} from {j, b} less those separating {i, b} from {j, a}."""
+        return self.across[a, k] - self.across[b, k]
+
+    def avoiding(self, k: int) -> int:
+        """det − s_k·pairing(k, i, j), the trees avoiding line position k: a tree through it is a forest
+        separating its ends, plus the line."""
+        return self.adjugate[1] - self.weights[k] * self.pairing(k, *(ends[k] for ends in self.endpoints))
 
     @cached_property
     def trees(self) -> ForestFamily:
         """Every spanning tree, enumerated once."""
-        raw = _enumerate_tree_sets(self.n, list(zip(self.position, *(ends.tolist() for ends in self.endpoints))))
+        lines = zip(self.position, *(ends.tolist() for ends in self.endpoints))
+        raw = _enumerate_tree_sets(self.n, [(eid, u, v) for eid, u, v in lines if u != v])  # no tree holds a loop
         return self._weigh("spanning_trees", sorted(tuple(sorted(tree)) for tree in raw))
 
     @cached_property
@@ -279,29 +297,6 @@ class _Oracle:
             labels = connected_components(union)[1].reshape(len(chunk), n)
             far[start:start + len(chunk)] = labels != labels[:, :1]
         return far
-
-
-def _pairing(network: Network, i: int, j: int, a: int, b: int) -> Fraction:
-    """pos - neg = Σ_F w_F (x_i - x_j)(x_a - x_b) = G_ia - G_ib - G_ja + G_jb, for the buses i, j, a and b.
-
-    ``pos`` weighs the forests separating {i, a} from {j, b}, ``neg`` those separating {i, b} from {j, a}.
-    """
-    i, j, a, b = map(network.node_index, (i, j, a, b))
-    oracle = network.oracle
-    g = oracle.adjugate[0]
-    return Fraction(g[i, a] - g[i, b] - g[j, a] + g[j, b], oracle.common ** (oracle.n - 2))
-
-
-def _trees_avoiding(network: Network, k: int) -> Fraction:
-    """T - b_k Σ_F w_F (x_i - x_j)²: a tree through line position k is a forest separating its ends, plus k."""
-    i, j = network.sources[k], network.targets[k]
-    return network.oracle.tree_weight - Fraction(network.b[k]) * _pairing(network, i, j, i, j)
-
-
-def _flow_share(network: Network, k: int, a: int, b: int, den: Fraction) -> float:
-    """b_k (pos - neg) / den for the line at position k, from i to j, and the buses a and b."""
-    pairing = _pairing(network, network.sources[k], network.targets[k], a, b)
-    return float(Fraction(network.b[k]) * pairing / den)
 
 
 def enumerate_spanning_trees(network: Network, allowed_edges=None) -> ForestFamily:
@@ -335,8 +330,10 @@ def a_entry_via_forests(network: Network, i: int, j: int) -> float:
     Weighted share of two-tree forests joining i with j while the reference
     bus sits in the other tree; zero whenever i or j is the reference.
     """
-    r = network.reference
-    return float(_pairing(network, i, r, j, r) / network.oracle.tree_weight)
+    i, j = network.node_index(i), network.node_index(j)
+    oracle = network.oracle
+    adjugate, det = oracle.adjugate
+    return oracle.common * adjugate[i, j] / det
 
 
 def ptdf_via_forests(network: Network, line: int, inject_at: int, withdraw_at: int) -> float:
@@ -347,9 +344,9 @@ def ptdf_via_forests(network: Network, line: int, inject_at: int, withdraw_at: i
     denominator is the total spanning-tree weight.
     """
     k = network.edge_index(line)
-    network.node_index(inject_at)
-    network.node_index(withdraw_at)
-    return _flow_share(network, k, inject_at, withdraw_at, network.oracle.tree_weight)
+    a, b = network.node_index(inject_at), network.node_index(withdraw_at)
+    oracle = network.oracle
+    return oracle.weights[k] * oracle.pairing(k, a, b) / oracle.adjugate[1]
 
 
 def lodf_via_forests(network: Network, line: int, outaged: int) -> float:
@@ -362,10 +359,11 @@ def lodf_via_forests(network: Network, line: int, outaged: int) -> float:
     if line == outaged:
         raise ValueError("lines must be distinct")
     k, hat = network.edge_index(line), network.edge_index(outaged)
-    den = _trees_avoiding(network, hat)
+    oracle = network.oracle
+    den = oracle.avoiding(hat)
     if not den:
         raise BridgeError(f"line {outaged} is a bridge; no spanning tree avoids it")
-    return _flow_share(network, k, network.sources[hat], network.targets[hat], den)
+    return oracle.weights[k] * oracle.pairing(k, *(ends[hat] for ends in oracle.endpoints)) / den
 
 
 def matrix_tree_check(network: Network) -> MatrixTreeReport:
@@ -378,24 +376,24 @@ def matrix_tree_check(network: Network) -> MatrixTreeReport:
     bundle = network.factor
     oracle = network.oracle  # refuses a network past the cap before the reduced L is made dense
     reduced = bundle.reduced.toarray()
-    r = network.reference
-    non_ref_nodes = [node for node in network.nodes if node != r]
+    adjugate, det = oracle.adjugate
+    size = network.n - 1
 
     try:
-        forest_weight = float(oracle.tree_weight)
+        forest_weight = det / oracle.common ** size
     except OverflowError:
         raise TooLargeError("the spanning-tree weight exceeds float range") from None
     determinant = bundle.reduced_determinant
     det_err = float(_rel_err(determinant, forest_weight))
 
-    size = len(non_ref_nodes)
-    minors, signed = np.ones((size, size)), np.empty((size, size))
+    minors = np.ones((size, size))
     for row, col in itertools.product(range(size), repeat=2):
         sub = np.delete(np.delete(reduced, row, axis=0), col, axis=1)
         if sub.size:
             minors[row, col] = np.linalg.det(sub)
-        expected = float(_pairing(network, non_ref_nodes[row], r, non_ref_nodes[col], r))
-        signed[row, col] = expected if (row + col) % 2 == 0 else -expected
+    keep = np.delete(np.arange(network.n), oracle.reference)
+    expected = (adjugate[np.ix_(keep, keep)] / oracle.common ** (size - 1)).astype(float)
+    signed = np.where(np.indices((size, size)).sum(axis=0) % 2, -expected, expected)
     minor_max = float(np.max(_rel_err(minors, signed), initial=0.0))  # a NaN stays NaN and fails
 
     return MatrixTreeReport(determinant=determinant, forest_weight=forest_weight, determinant_rel_err=det_err,
@@ -410,9 +408,10 @@ def effective_reactance(network: Network, line: int) -> ReactanceReport:
     the effective reactance equals the line reactance.
     """
     k = network.edge_index(line)
-    i, j = network.sources[k], network.targets[k]
+    oracle = network.oracle
+    det = oracle.adjugate[1]
     return ReactanceReport(
-        effective=float(_pairing(network, i, j, i, j) / network.oracle.tree_weight),
+        effective=oracle.common * oracle.pairing(k, *(ends[k] for ends in oracle.endpoints)) / det,
         line_reactance=1.0 / network.b[k],
-        reduction_ratio=float(_trees_avoiding(network, k) / network.oracle.tree_weight),
+        reduction_ratio=oracle.avoiding(k) / det,
     )

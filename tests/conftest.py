@@ -238,13 +238,14 @@ def sample_non_cut_outage(rng, network, max_size=3, attempts=300):
 # ---------------------------------------------------------------------------
 
 
-def exact_flows(network, p, weights=None):
-    """Branch flows of the injection ``p``, by elimination over the rationals, and det of the reduced L.
+def exact_angles(network, p, weights=None):
+    """Bus angles of the injection ``p``, by elimination over the rationals, and det of the reduced L.
 
     Reads ``p`` (by node position) and ``weights`` (by line position;
     default the susceptances, a zero weight being a line that is out) as
-    the exact values of their floats.  Returns the flows, one Fraction per
-    line, and the determinant of the reduced Laplacian, a Fraction.
+    the exact values of their floats.  Returns the angles, one Fraction per
+    node position and zero at the reference, and the determinant of the
+    reduced Laplacian, a Fraction.
     """
     b = [Fraction(float(v)) for v in (network.b if weights is None else weights)]
     ends = list(zip(*(e.tolist() for e in network.endpoints)))
@@ -273,6 +274,15 @@ def exact_flows(network, p, weights=None):
     for c in reversed(range(size)):
         tail = sum(system[c][j] * theta[keep[j]] for j in range(c + 1, size))
         theta[keep[c]] = (system[c][size] - tail) / system[c][c]
+    return theta, determinant
+
+
+def exact_flows(network, p, weights=None):
+    """Branch flows of the injection ``p``, one Fraction per line, and det of the reduced L, as
+    :func:`exact_angles` reads them."""
+    theta, determinant = exact_angles(network, p, weights)
+    b = [Fraction(float(v)) for v in (network.b if weights is None else weights)]
+    ends = zip(*(e.tolist() for e in network.endpoints))
     return [w * (theta[s] - theta[t]) for w, (s, t) in zip(b, ends)], determinant
 
 

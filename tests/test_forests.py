@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +29,7 @@ from gridfactor import (
 from gridfactor import forests
 from gridfactor.cli import run
 
-from conftest import build, exact_flows, grid_doc, k4_doc, random_network, with_susceptances
+from conftest import build, exact_angles, exact_flows, grid_doc, k4_doc, random_network, with_susceptances
 
 
 def test_triangle_spanning_trees(triangle):
@@ -216,7 +218,9 @@ def test_matrix_tree_path(path3):
 
 
 def test_matrix_tree_fails_when_a_minor_is_nan(monkeypatch, triangle):
-    monkeypatch.setattr(forests, "_pairing", lambda *args: math.nan)
+    exact = forests._Oracle.adjugate.func
+    monkeypatch.setattr(forests._Oracle, "adjugate",
+                        property(lambda oracle: (np.full_like(exact(oracle)[0], math.nan), exact(oracle)[1])))
     report = matrix_tree_check(triangle)
     assert report.passed is False
     assert math.isnan(report.minor_max_rel_err) and report.determinant_rel_err == 0.0
@@ -226,7 +230,8 @@ def test_matrix_tree_random_graphs():
     rng = np.random.default_rng(67)
     for _ in range(15):
         net = random_network(rng, max_nodes=8)
-        assert matrix_tree_check(net).passed
+        for reference in net.nodes:  # a minor's sign follows its row and column in the reduced L
+            assert matrix_tree_check(replace(net, reference=reference)).passed
 
 
 def test_matrix_tree_determinant_is_the_factors(triangle):
@@ -339,7 +344,10 @@ def _unit_transfer(net, a, b):
 
 
 def test_stiff_forest_factors_are_the_exact_ones_rounded_once():
-    """Log-uniform susceptances over 1e-6..1e6: each factor is float() of its exact rational."""
+    """Log-uniform susceptances over 1e-6..1e6: each factor is float() of its exact rational.
+
+    So are the inverse's entries and each line's effective reactance and reduction ratio.
+    """
     rng = np.random.default_rng(89)
     bridges = 0
     for _ in range(12):
@@ -349,9 +357,16 @@ def test_stiff_forest_factors_are_the_exact_ones_rounded_once():
             flows, _ = exact_flows(net, _unit_transfer(net, a, b))
             for line, flow in zip(net.ids, flows):
                 assert ptdf_via_forests(net, line, a, b) == float(flow)
-        for hat, source, target in zip(net.ids, net.sources, net.targets):
+        for j in net.nodes:
+            column, _ = exact_angles(net, np.eye(net.n)[net.node_index(j)])  # the reference takes up the unit
+            for i, angle in zip(net.nodes, column):
+                assert a_entry_via_forests(net, i, j) == float(angle)
+        for hat, source, target, weight in zip(net.ids, net.sources, net.targets, net.b):
             flows, _ = exact_flows(net, _unit_transfer(net, source, target))
             gap = 1 - flows[net.edge_index(hat)]
+            report = effective_reactance(net, hat)
+            assert report.effective == float(flows[net.edge_index(hat)] / Fraction(weight))
+            assert report.reduction_ratio == float(gap)
             for line, flow in zip(net.ids, flows):
                 if line == hat:
                     continue
@@ -476,14 +491,17 @@ def test_derived_forests_match_the_subset_scan(seed, extra, eighths):
 @settings(max_examples=100, deadline=None, database=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.booleans(), st.data())
 def test_pairing_matrix_gives_every_forest_pairing_exactly(seed, max_nodes, rough, data):
-    """G_ia - G_ib - G_ja + G_jb is pos - neg of the enumerated two-tree forests, as exact rationals.
+    """G_ia - G_ib - G_ja + G_jb is pos - neg of the enumerated two-tree forests, exactly.
 
     On random networks of 2 to 6 buses (two buses: L_r is 1x1) with parallel
     lines (either way round) and a random reference, under weights uniform
     over 0.5..2 or log-uniform over 1e-6..1e6 (large power-of-two
     denominators), for random bus quadruples and their overlapping forms
-    a == b, a == j and i == a.  The oracle's tree weight is the enumerated
-    tree sum, and each line's trees-avoiding weight is the masked tree sum.
+    a == b, a == j and i == a, read from the integer adjugate, and for each
+    line's ends with random buses, read from adj·C.  The oracle's integers
+    carry common^(n-2) for a forest and common^(n-1) for a tree: its
+    determinant is the enumerated tree sum, and each line's trees-avoiding
+    weight is the masked tree sum.
     """
     rng = np.random.default_rng(seed)
     net = random_network(rng, max_nodes=max_nodes, max_extra=3)
@@ -506,14 +524,48 @@ def test_pairing_matrix_gives_every_forest_pairing_exactly(seed, max_nodes, roug
         pos = enumerate_two_tree_forests(net, {i, a}, {j, b}).weight_sum_exact
         return pos - enumerate_two_tree_forests(net, {i, b}, {j, a}).weight_sum_exact
 
-    assert net.oracle.tree_weight == enumerate_spanning_trees(net).weight_sum_exact
+    oracle = net.oracle
+    (adjugate, det), forest, tree = oracle.adjugate, oracle.common ** (net.n - 2), oracle.common ** (net.n - 1)
+
+    def paired(i, j, a, b):
+        i, j, a, b = map(net.node_index, (i, j, a, b))
+        return adjugate[i, a] - adjugate[i, b] - adjugate[j, a] + adjugate[j, b]
+
+    assert oracle.weights == [Fraction(weight) * oracle.common for weight in weights]
+    assert det == enumerate_spanning_trees(net).weight_sum_exact * tree
     for _ in range(6):
         i, j, a, b = data.draw(st.lists(nodes, min_size=4, max_size=4))
         for quad in ((i, j, a, b), (i, j, a, a), (i, j, j, b), (i, j, i, b)):
-            assert forests._pairing(net, *quad) == brute(*quad)
-    for k, line in enumerate(net.ids):
+            assert paired(*quad) == brute(*quad) * forest
+    for k, (line, i, j) in enumerate(zip(net.ids, net.sources, net.targets)):
+        a, b = data.draw(st.lists(nodes, min_size=2, max_size=2))
+        for pair in ((a, b), (i, j), (a, a)):
+            assert oracle.pairing(k, *map(net.node_index, pair)) == brute(i, j, *pair) * forest
         masked = enumerate_spanning_trees(net, set(net.ids) - {line}).weight_sum_exact
-        assert forests._trees_avoiding(net, k) == masked
+        assert oracle.avoiding(k) == masked * tree
+
+
+def test_a_self_loop_is_in_no_spanning_tree(triangle):
+    looped = replace(triangle, ids=(9, *triangle.ids), sources=(1, *triangle.sources), targets=(1, *triangle.targets),
+                     b=(1.0, *triangle.b), cap=(math.inf, *triangle.cap))  # validate refuses it: built directly
+    assert enumerate_spanning_trees(looped) == enumerate_spanning_trees(triangle)
+    assert ptdf_via_forests(looped, 1, 1, 3) == ptdf_via_forests(triangle, 1, 1, 3)
+
+
+def test_path_enumeration_holds_no_state_per_level():
+    """A 1200-bus path has one spanning tree, found 1199 levels deep: the branches pending
+    along the way hold no vertex set or edge list of their own."""
+    n = 1200
+    net = build({"nodes": list(range(1, n + 1)), "edges": [{"from": k, "to": k + 1, "b": 1.0} for k in range(1, n)]})
+    net.oracle  # the cap check's factor is traced apart
+    tracemalloc.start()
+    try:
+        family = enumerate_spanning_trees(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert family.members == (net.ids,)
+    assert peak < 4 * 2**20  # a vertex set and edge list per pending level would take about 90 MB
 
 
 def test_equal_networks_enumerate_their_own_trees(monkeypatch):
@@ -542,6 +594,22 @@ def test_verify_enumerates_no_spanning_tree(monkeypatch, tmp_path, capsys):
         return original(*args)
 
     monkeypatch.setattr(forests, "_enumerate_tree_sets", counted)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid_doc(3)))
+    assert run(["verify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert not calls
+
+
+def test_verify_makes_no_fraction(monkeypatch, tmp_path, capsys):
+    calls = []
+    original = forests.Fraction
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(forests, "Fraction", counted)
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(grid_doc(3)))
     assert run(["verify", str(path)]) == 0
