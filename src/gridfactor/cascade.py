@@ -11,9 +11,10 @@ and rebalancing of islands is out of scope.
 A connected stage is not factored again: its flow is the base flow plus
 the GLODF update of the cumulative outage F (Part I of the paper), |F|
 solves on the network's own factor (:attr:`Network.factor`, built once
-per instance and so shared by every cascade on it).  Each update is
-certified by its nodal imbalance; a stage whose certificate fails is
-re-solved on the surviving grid (:func:`dcpf.surviving_flow`).
+per instance), and the base flow is the network's kept base state
+(:meth:`Network.flow`), so cascades under one injection vector share both.
+Each update is certified by its nodal imbalance; a stage whose certificate
+fails is re-solved on the surviving grid (:func:`dcpf.surviving_flow`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcpf import FlowState, solve_flow
+from .dcpf import FlowState
 from .errors import SingularError, ValidationError
 from .factors import PtdfMatrix, _lodf_columns, _outage_flow
 from .net_model import Network, injection_vector
@@ -78,30 +79,28 @@ def run_cascade(network: Network, p, initial_outage) -> CascadeTrace:
     every stage from the cumulative outage's own cycle labels
     (:meth:`Network.disconnected_by`: the grid splits when they are linearly
     dependent over GF(2)).  A connected stage's flow is the certified GLODF
-    update of the base flow on ``network.factor``
-    (:func:`factors._outage_flow`), so the network is factored once however
-    many stages and cascades run on it.  The update fails over to a re-solve
-    of the surviving grid when its certificate fails, and at every stage when
-    the whole network is too stiff to factor (no base state).
+    update on ``network.factor`` (:func:`factors._outage_flow`) of the base
+    flow read from :meth:`Network.flow`, so the network is factored, and its
+    base solved, once for all the stages and cascades under one p.  The update
+    fails over to a re-solve of the surviving grid when its certificate fails,
+    and at every stage when the whole network is too stiff to factor (no base state).
     """
-    p = injection_vector(network, p)
+    try:
+        p, base = network.flow(p)
+    except SingularError:  # the surviving grids may still factor
+        p, base = injection_vector(network, p), None
     positions = network.edge_positions(initial_outage)  # an id that names no line is refused
     initial = frozenset(map(network.ids.__getitem__, positions.tolist()))
     if not initial:
         raise ValidationError("initial outage must be nonempty")
     alive = np.ones(network.m, dtype=bool)
     alive[positions] = False
-
-    try:
-        base = solve_flow(network.factor, network, p)
-    except SingularError:  # the surviving grids may still factor
-        base = None
     capacities = network.capacities()
     stages: list[Stage] = []
     tripped = initial
 
     while True:
-        out = np.flatnonzero(~alive)
+        out = (~alive).nonzero()[0]
         if network.disconnected_by(out):
             stages.append(Stage(tripped=tripped, flow=None))
             return CascadeTrace(
@@ -115,7 +114,7 @@ def run_cascade(network: Network, p, initial_outage) -> CascadeTrace:
         state = _outage_flow(network, p, base, out)
         stages.append(Stage(tripped=tripped, flow=state))
         over = alive & (np.abs(state.flows) > capacities)
-        tripped = frozenset(map(network.ids.__getitem__, np.flatnonzero(over).tolist()))
+        tripped = frozenset(map(network.ids.__getitem__, over.nonzero()[0].tolist()))
         if not tripped:
             status = "no_initial_overload" if len(stages) == 1 else "converged"
             return CascadeTrace(

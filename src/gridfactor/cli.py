@@ -19,7 +19,6 @@ from . import cascade as cascade_mod
 from . import factors as factors_mod
 from . import forests as forests_mod
 from . import localization as localization_mod
-from .dcpf import solve_flow
 from .errors import AnalysisError, GridFactorError, InputError
 from .net_model import RTOL, injection_vector, load_network
 
@@ -115,8 +114,7 @@ def _cmd_blocks(network, args) -> int:
 
 
 def _cmd_flow(network, args) -> int:
-    p = injection_vector(network)
-    state = solve_flow(network.factor, network, p)
+    _, state = network.flow()
     _emit_json(_flow_payload(network, state))
     return 0
 

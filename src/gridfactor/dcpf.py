@@ -95,16 +95,16 @@ class LaplacianBundle:
         out[self._keep] = self._factor.solve(rhs[self._keep])
         return out
 
-    def branch_flows(self, theta: np.ndarray) -> np.ndarray:
-        """f = B C^T theta, for one angle vector or a stack of angle columns.
+    def branch_flows(self, theta: np.ndarray, lines=slice(None)) -> np.ndarray:
+        """f = B C^T theta at the line positions ``lines`` (all), for one angle vector or a stack of columns.
 
         A stack of columns comes back column-major, written so, not copied,
         so a later read of some of its columns reads contiguous memory.
         """
-        diff = theta[self.source] - theta[self.target]
+        diff = theta[self.source[lines]] - theta[self.target[lines]]
         if theta.ndim == 1:
-            return self.b * diff
-        return np.multiply(self.b[:, None], diff, order="F")
+            return self.b[lines] * diff
+        return np.multiply(self.b[lines, None], diff, order="F")
 
     def sensitivity_columns(self, positions) -> np.ndarray:
         """D[:, positions] of D = B C^T A C by |positions| solves, without A."""

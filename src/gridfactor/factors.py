@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dcpf import FlowState, LaplacianBundle, solve_flow, surviving_factor, surviving_flow
+from .dcpf import FlowState, LaplacianBundle, surviving_factor, surviving_flow
 from .errors import BridgeOutageError, CutSetError, SingularError, ValidationError
 from .net_model import RTOL, Network, incidence_columns, injection_vector, scaled_tolerance
 
@@ -257,14 +257,14 @@ def glodf(
 def apply_outage(p, outage: OutageSet) -> tuple[FlowState, FlowState]:
     """Pre- and post-contingency DC solutions for a non-cut outage.
 
-    The pre state is solved on ``outage.network.factor``, and the post state is
-    its GLODF update on that factor (:func:`_outage_flow`); its flow vector keeps
-    full length with zeros at the tripped lines.
+    The pre state is the network's kept base state (:meth:`Network.flow`, read-only),
+    and the post state is its GLODF update on ``outage.network.factor``
+    (:func:`_outage_flow`); its flow vector keeps full length with zeros at the tripped lines.
     """
     network = outage.network
-    p = injection_vector(network, p)
+    injection_vector(network, p)  # a bad p is refused before a cut
     outage.refuse_cut()
-    pre = solve_flow(network.factor, network, p)
+    p, pre = network.flow(p)
     return pre, _outage_flow(network, p, pre, outage.outaged_idx)
 
 
@@ -283,7 +283,7 @@ def _outage_flow(network: Network, p, base: FlowState | None, tripped) -> FlowSt
         bundle = network.factor
         x_f = bundle.solve(incidence_columns(network, tripped))
         try:
-            theta = base.theta + _glodf_kernel(x_f, bundle.branch_flows(x_f)[tripped]) @ base.flows[tripped]
+            theta = base.theta + _glodf_kernel(x_f, bundle.branch_flows(x_f, tripped)) @ base.flows[tripped]
         except SingularError:  # I - D_FF is singular
             pass
         else:
@@ -291,7 +291,7 @@ def _outage_flow(network: Network, p, base: FlowState | None, tripped) -> FlowSt
             flows[tripped] = 0.0
             n = network.n
             imbalance = np.bincount(bundle.source, flows, n) - np.bincount(bundle.target, flows, n) - p
-            if np.abs(imbalance).sum() <= scaled_tolerance(float(np.max(np.abs(flows)))):  # NaN fails too
+            if np.abs(imbalance).sum() <= scaled_tolerance(float(np.abs(flows).max())):  # NaN fails too
                 return FlowState(theta=theta, flows=flows)
     return surviving_flow(network, p, tripped)
 

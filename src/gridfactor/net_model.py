@@ -74,9 +74,10 @@ class Network:
 
     The topology index (id-to-position maps, endpoint positions, one CSR
     adjacency, one depth-first search over it read for connectedness and
-    blocks, and the cycle labels read for islanding), the :attr:`factor`,
-    the :attr:`decomposition` and the forest :attr:`oracle` are built once per
-    instance, on first use, and are not part of equality, hashing or ``repr``.
+    blocks, and the cycle labels read for islanding), the float columns as
+    arrays, the :attr:`factor`, the :attr:`decomposition` and the forest :attr:`oracle`
+    are built once per instance, on first use; :meth:`flow` keeps its last state.
+    None of it is part of equality, hashing or ``repr``.
     """
 
     nodes: tuple[int, ...]
@@ -236,11 +237,39 @@ class Network:
             raise UnknownEdgeError(f"unknown edge ids {sorted(missing)}")
         return np.array([lookup[v] for v in ids], dtype=int)
 
+    @cached_property
+    def _reals(self) -> tuple[np.ndarray, np.ndarray]:
+        b, cap = np.array(self.b, dtype=float), np.array(self.cap, dtype=float)
+        b.flags.writeable = cap.flags.writeable = False
+        return b, cap
+
+    @cached_property
+    def _injections(self) -> np.ndarray:
+        p = np.array(self.injections, dtype=float)
+        p.flags.writeable = False
+        return p
+
     def susceptances(self) -> np.ndarray:
-        return np.array(self.b, dtype=float)
+        return self._reals[0].copy()
 
     def capacities(self) -> np.ndarray:
-        return np.array(self.cap, dtype=float)
+        return self._reals[1].copy()
+
+    def flow(self, p=None):
+        """The validated injections p (:func:`injection_vector`) and their DC state on :attr:`factor`.
+
+        The last pair is kept, read-only and keyed by p's bytes; a refused p or a SingularError keeps nothing.
+        """
+        from . import dcpf  # dcpf imports this module
+
+        p = injection_vector(self, p)
+        kept = self.__dict__.get("_flow")
+        if kept is None or kept[0].tobytes() != p.tobytes():
+            p = p.copy()  # the caller may write to its own array later
+            state = dcpf.solve_flow(self.factor, self, p)
+            p.flags.writeable = state.theta.flags.writeable = state.flows.flags.writeable = False
+            self.__dict__["_flow"] = kept = p, state
+        return kept
 
     def reference_index(self) -> int:
         return self.node_index(self.reference)
@@ -590,7 +619,8 @@ def validate(network: Network) -> ValidationReport:
 def injection_vector(network: Network, values=None) -> np.ndarray:
     """Validated balanced injection vector aligned with ``network.nodes``.
 
-    Uses ``network.injections`` when ``values`` is omitted.  Raises
+    Uses ``network.injections`` when ``values`` is omitted; that column is
+    converted once per network, and its array is read-only.  Raises
     ValidationError when an entry is NaN or infinite, and
     UnbalancedInjectionError when the entries do not sum to zero within
     ``scaled_tolerance(max|p|)``.
@@ -599,11 +629,11 @@ def injection_vector(network: Network, values=None) -> np.ndarray:
         if network.injections is None:
             raise ValidationError("network document carries no injections")
         values = network.injections
-    p = np.asarray(values, dtype=float)
+    p = network._injections if values is network.injections else np.asarray(values, dtype=float)
     if p.shape != (network.n,):
         raise ValidationError(f"expected {network.n} injections, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValidationError("injections must be finite")
-    if abs(float(p.sum())) > scaled_tolerance(float(np.max(np.abs(p), initial=0.0))):
+    if abs(float(p.sum())) > scaled_tolerance(float(np.abs(p).max(initial=0.0))):
         raise UnbalancedInjectionError(f"injections sum to {p.sum():.3e}, not zero")
     return p

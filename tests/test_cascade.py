@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from gridfactor import (
     LaplacianBundle,
     OutageSet,
     SingularError,
+    UnbalancedInjectionError,
     UnknownEdgeError,
     ValidationError,
     adversarial_capacity,
+    apply_outage,
     block_decomposition,
     build_laplacian,
     glodf,
@@ -22,10 +25,10 @@ from gridfactor import (
     run_cascade,
     solve_flow,
 )
-from gridfactor import factors
-from gridfactor.dcpf import surviving_flow
+from gridfactor import cascade, dcpf, factors
+from gridfactor.dcpf import FlowState, surviving_flow
 from gridfactor.factors import _outage_flow
-from gridfactor.net_model import RTOL, scaled_tolerance
+from gridfactor.net_model import RTOL, incidence_columns, scaled_tolerance
 
 from conftest import (
     build,
@@ -303,3 +306,110 @@ def test_an_update_that_is_not_finite_is_re_solved(triangle):
     broken = type(base)(theta=np.full(triangle.n, np.nan), flows=base.flows)
     state = _outage_flow(triangle, p, broken, np.array([0]))
     assert np.array_equal(state.flows, surviving_flow(triangle, p, [0]).flows)
+
+
+def same_bits(a: FlowState, b: FlowState) -> bool:
+    return a.theta.tobytes() == b.theta.tobytes() and a.flows.tobytes() == b.flows.tobytes()
+
+
+def test_a_sweep_under_one_injection_vector_solves_the_base_once(monkeypatch):
+    net = random_network(np.random.default_rng(5), max_nodes=10, max_extra=10, min_extra=4)
+    p = random_balanced_injection(np.random.default_rng(6), net.n)
+    base_solves = []
+    solve = dcpf.solve_flow
+
+    def counting(bundle, network, values):
+        base_solves.append(bundle is net.factor)  # a re-solve of a surviving grid has a factor of its own
+        return solve(bundle, network, values)
+
+    monkeypatch.setattr(dcpf, "solve_flow", counting)
+    bridges = block_decomposition(net).bridges
+    for line in net.ids:
+        run_cascade(net, p.tolist(), [line])  # a new list each time, the same bytes once validated
+        if line not in bridges:
+            apply_outage(p, OutageSet(net, [line]))
+    assert sum(base_solves) == 1
+    run_cascade(net, -p, [net.ids[0]])
+    assert sum(base_solves) == 2
+
+
+def test_alternating_injection_vectors_read_each_their_own_base(monkeypatch):
+    net = build(k4_doc())
+    rng = np.random.default_rng(8)
+    vectors = [random_balanced_injection(rng, net.n) for _ in range(2)]
+    bases = []
+
+    def recording(network, p, base, tripped):
+        bases.append(base)
+        return _outage_flow(network, p, base, tripped)
+
+    monkeypatch.setattr(cascade, "_outage_flow", recording)
+    p = np.empty(net.n)  # one array written over between calls: the kept state must not follow it
+    for step in range(6):
+        p[:] = vectors[step % 2]
+        fresh = solve_flow(net.factor, net, p.copy())
+        run_cascade(net, p, [1])
+        pre, post = apply_outage(p, OutageSet(net, [1]))
+        assert same_bits(bases[-1], fresh) and same_bits(pre, fresh)
+        assert bases[-1] is pre is net.flow(p)[1]
+        assert same_bits(post, _outage_flow(net, p, fresh, np.array([0])))
+
+
+def test_the_kept_base_state_is_read_only_and_outside_equality(triangle):
+    p, state = triangle.flow()
+    for kept in (p, state.theta, state.flows, *triangle._reals, injection_vector(triangle)):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 1.0
+    triangle.susceptances()[0] = triangle.capacities()[0] = 0.0  # copies, free to write
+    assert triangle.susceptances()[0] == triangle.b[0] and triangle.capacities()[0] == triangle.cap[0]
+    twin = replace(triangle)
+    assert twin == triangle and hash(twin) == hash(triangle) and repr(twin) == repr(triangle)
+    assert "_flow" in vars(triangle) and "_flow" not in vars(twin)
+
+
+def test_a_refused_injection_or_a_singular_factor_keeps_nothing(triangle):
+    kept = triangle.flow()
+    with pytest.raises(UnbalancedInjectionError):
+        triangle.flow([1.0, 0.0, 0.0])
+    assert triangle.flow() is kept
+    stiff = build({**stiff_triangle_doc(), "edges": [{"from": 1, "to": 2, "b": 1e13},
+                                                     {"from": 2, "to": 3, "b": 1.0},
+                                                     {"from": 1, "to": 3, "b": 1.0}]})
+    with pytest.raises(SingularError):
+        stiff.flow()
+    assert "_flow" not in vars(stiff)
+
+
+def outage_flow_by_all_rows(network, p, base, tripped):
+    """The outage flow with D_FF read from the branch flows on every line, then sliced to the tripped rows."""
+    bundle = network.factor
+    x_f = bundle.solve(incidence_columns(network, tripped))
+    try:
+        theta = base.theta + factors._glodf_kernel(x_f, bundle.branch_flows(x_f)[tripped]) @ base.flows[tripped]
+    except SingularError:
+        return surviving_flow(network, p, tripped)
+    flows = bundle.branch_flows(theta)
+    flows[tripped] = 0.0
+    n = network.n
+    imbalance = np.bincount(bundle.source, flows, n) - np.bincount(bundle.target, flows, n) - p
+    if np.abs(imbalance).sum() <= scaled_tolerance(float(np.max(np.abs(flows)))):
+        return FlowState(theta=theta, flows=flows)
+    return surviving_flow(network, p, tripped)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_outage_flow_reads_d_ff_from_the_tripped_rows_bit_for_bit(seed, spread):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_nodes=10, max_extra=10, min_extra=2)
+    if spread:  # log-uniform over 1e-6..1e6, where the certificate often fails and the re-solve runs
+        net = with_susceptances(net, 10.0 ** rng.uniform(-6, 6, net.m))
+    outage = sample_non_cut_outage(rng, net)
+    p = random_balanced_injection(rng, net.n)
+    try:
+        base = solve_flow(net.factor, net, p)
+        expected = outage_flow_by_all_rows(net, p, base, tripped := net.edge_positions(outage or []))
+    except SingularError:
+        return
+    if outage is not None:
+        assert same_bits(_outage_flow(net, p, base, tripped), expected)
