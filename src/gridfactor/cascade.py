@@ -132,9 +132,9 @@ def influence_graph(ptdf: PtdfMatrix, threshold: float) -> tuple[tuple[int, int]
     Pairs are drawn only from within non-bridge blocks, where the factors
     are defined in both directions; a pair qualifies when either direction
     reaches the threshold.  Cross-block factors are exactly zero, so the
-    result can never join two blocks, and each block reads only its own
-    PTDF columns.  ValidationError unless the threshold is finite and
-    nonnegative.
+    result can never join two blocks, and each block reads only its own rows
+    of its own PTDF columns, a batch at a time (:meth:`PtdfMatrix.batches`).
+    ValidationError unless the threshold is finite and nonnegative.
     """
     if not 0.0 <= threshold < np.inf:
         raise ValidationError(f"threshold must be finite and nonnegative, got {threshold}")
@@ -144,10 +144,14 @@ def influence_graph(ptdf: PtdfMatrix, threshold: float) -> tuple[tuple[int, int]
             continue
         ordered = np.array(sorted(members))
         positions = ptdf.network.edge_positions(ordered.tolist())
-        d_block = ptdf.columns(positions)[positions]
-        # factor[i, j]: flow change on line i per unit pre-outage flow on tripped line j.
-        factor = _lodf_columns(d_block, np.diag(d_block))
-        strong = np.maximum(np.abs(factor), np.abs(factor.T)) >= threshold
-        rows, cols = np.nonzero(np.triu(strong, 1))
-        pairs.extend(zip(ordered[rows].tolist(), ordered[cols].tolist()))
+        k, found = len(ordered), []
+        for start, d_rows in ptdf.batches(positions, positions):
+            cols = np.arange(d_rows.shape[1])
+            # factor[i, j]: flow change on line i per unit pre-outage flow on tripped line start + j.
+            factor = _lodf_columns(d_rows, d_rows[start + cols, cols])
+            i, j = np.nonzero(np.abs(factor) >= threshold)
+            j += start
+            found.append((np.minimum(i, j) * k + np.maximum(i, j))[i != j])
+        codes = np.unique(np.concatenate(found))  # each pair a < b once, as a * k + b, whichever direction found it
+        pairs.extend(zip(ordered[codes // k].tolist(), ordered[codes % k].tolist()))
     return tuple(sorted(pairs))

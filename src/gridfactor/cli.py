@@ -28,64 +28,78 @@ DEFAULT_INFLUENCE_THRESHOLD = 0.005
 
 
 _NUMBER = {int, float}  # by exact type: a bool is not written as a number
+_CHUNK = 1 << 12  # matrix entries encoded at a time, so no matrix's text is held whole
 
 
-def _encode(value, pad: str = "\n") -> str:
-    """The text of ``json.dumps(value, sort_keys=True, indent=2)``, every number from the C encoder.
+def _encode(value, pad: str = "\n"):
+    """Yield the text of ``json.dumps(value, sort_keys=True, indent=2)`` in pieces, every number from the C encoder.
 
     ``indent`` sends the json module to its pure-Python encoder, so number
     lists, lists of them and str-keyed number dicts are C-encoded whole and
-    re-indented, and a 2-D float array C-encodes only its entries that are
-    not +0.0.  ``pad`` is the newline and indent of the line ``value`` starts on.
+    re-indented, and a 2-D float array is written one row per piece
+    (:func:`_entry_rows`).  ``pad`` is the newline and indent of the line ``value`` starts on.
     """
     inner, deeper = pad + "  ", pad + "    "
-    if isinstance(value, (list, tuple, dict)) and not value:
-        return json.dumps(value)
+    if isinstance(value, np.ndarray) and not value.size:
+        value = value.tolist()
+    if not isinstance(value, (list, tuple, dict, np.ndarray)) or not len(value):
+        yield json.dumps(value)
+        return
     if isinstance(value, np.ndarray):  # 2-D float
-        if not value.size:
-            return _encode(value.tolist(), pad)
-        rows = ("[" + deeper + ("," + deeper).join(row) + inner + "]" for row in _entry_rows(value))
-        return "[" + inner + ("," + inner).join(rows) + pad + "]"
+        for i, row in enumerate(_entry_rows(value)):
+            yield ("," if i else "[") + inner + "[" + deeper + ("," + deeper).join(row) + inner + "]"
+        yield pad + "]"
+        return
     if isinstance(value, dict):
         if not all(isinstance(key, str) for key in value):
             raise TypeError("JSON object keys must be str")
         if {type(v) for v in value.values()} <= _NUMBER and not any(", " in key for key in value):
-            return "{" + inner + json.dumps(value, sort_keys=True)[1:-1].replace(", ", "," + inner) + pad + "}"
-        items = (json.dumps(key) + ": " + _encode(value[key], inner) for key in sorted(value))
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(value, (list, tuple)):
+            yield "{" + inner + json.dumps(value, sort_keys=True)[1:-1].replace(", ", "," + inner) + pad + "}"
+            return
+        brackets, items = "{}", ((json.dumps(key) + ": ", value[key]) for key in sorted(value))
+    else:
         kinds = {type(v) for v in value}
         if kinds <= _NUMBER:
-            return "[" + inner + json.dumps(value)[1:-1].replace(", ", "," + inner) + pad + "]"
+            yield "[" + inner + json.dumps(value)[1:-1].replace(", ", "," + inner) + pad + "]"
+            return
         if kinds <= {list, tuple} and all(value) and {type(x) for v in value for x in v} <= _NUMBER:
             body = json.dumps(value)[2:-2].replace("], [", inner + "]," + inner + "[" + deeper)
-            return "[" + inner + "[" + deeper + body.replace(", ", "," + deeper) + inner + "]" + pad + "]"
-        return "[" + inner + ("," + inner).join(_encode(v, inner) for v in value) + pad + "]"
-    return json.dumps(value)
+            yield "[" + inner + "[" + deeper + body.replace(", ", "," + deeper) + inner + "]" + pad + "]"
+            return
+        brackets, items = "[]", (("", v) for v in value)
+    for i, (key, v) in enumerate(items):
+        yield ("," if i else brackets[0]) + inner + key
+        yield from _encode(v, inner)
+    yield pad + brackets[1]
 
 
-def _entry_rows(values: np.ndarray) -> list[list[str]]:
-    """The JSON text of each entry of a 2-D float array, by row: "0.0" for +0.0, the rest C-encoded."""
-    flat, height = values.ravel(order="F"), values.shape[0]  # in D's own column-major order
-    text = ["0.0"] * flat.size
-    nonzero = np.flatnonzero((flat != 0) | np.signbit(flat))
-    for k, entry in zip(nonzero.tolist(), json.dumps(flat[nonzero].tolist())[1:-1].split(", ")):
-        text[k] = entry
-    return [text[i::height] for i in range(height)]
+def _entry_rows(values: np.ndarray, csv: bool = False):
+    """The text of each entry of a 2-D float array, row by row, encoded _CHUNK entries at a time.
+
+    "0.0" for +0.0 and the rest C-encoded as JSON, except nan and inf as Python spells them under ``csv``.
+    """
+    step = max(1, _CHUNK // max(1, values.shape[1]))
+    for top in range(0, values.shape[0], step):
+        chunk = values[top:top + step]
+        flat, height = chunk.ravel(order="F"), chunk.shape[0]  # in D's own column-major order
+        text = ["0.0"] * flat.size
+        nonzero = np.flatnonzero((flat != 0) | np.signbit(flat))
+        for k, entry in zip(nonzero.tolist(), json.dumps(flat[nonzero].tolist())[1:-1].split(", ")):
+            text[k] = entry
+        for k in np.flatnonzero(~np.isfinite(flat)).tolist() if csv else ():
+            text[k] = repr(float(flat[k]))
+        yield from (text[i::height] for i in range(height))
 
 
 def _emit_json(payload) -> None:
-    sys.stdout.write(_encode(payload))
+    sys.stdout.writelines(_encode(payload))
     sys.stdout.write("\n")
 
 
 def _emit_matrix_csv(rows, cols, values) -> None:
-    text = _entry_rows(values)
-    for i, j in zip(*np.nonzero(~np.isfinite(values))):
-        text[i][j] = repr(float(values[i, j]))  # nan and inf as Python spells them, not as JSON does
     out = sys.stdout
     out.write("line," + ",".join(str(c) for c in cols) + "\n")
-    for row_id, row in zip(rows, text):
+    for row_id, row in zip(rows, _entry_rows(values, csv=True)):
         out.write(str(row_id) + "," + ",".join(row) + "\n")
 
 

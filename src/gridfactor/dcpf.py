@@ -106,9 +106,9 @@ class LaplacianBundle:
             return self.b[lines] * diff
         return np.multiply(self.b[lines, None], diff, order="F")
 
-    def sensitivity_columns(self, positions) -> np.ndarray:
-        """D[:, positions] of D = B C^T A C by |positions| solves, without A."""
-        return self.branch_flows(self.solve(incidence_columns(self, positions)))
+    def sensitivity_columns(self, positions, lines=slice(None)) -> np.ndarray:
+        """D[lines, positions] of D = B C^T A C by |positions| solves, without A."""
+        return self.branch_flows(self.solve(incidence_columns(self, positions)), lines)
 
     @cached_property
     def A(self) -> np.ndarray:

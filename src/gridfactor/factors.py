@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 GLODF_METHODS = ("post_contingency", "pre_contingency", "via_stack", "cross_check")
+_BATCH = 32  # columns per solve: D is read in m x _BATCH slices, never as m x m temporaries
 
 
 class PtdfMatrix:
@@ -50,10 +51,11 @@ class PtdfMatrix:
 
     A unit injection across a line's ends moves flow only inside that line's
     block (Part I of the paper), so D is block-diagonal in ``network.decomposition``.
-    :meth:`columns` solves only the columns asked for, writes 0.0 in every row outside
-    each column's block, and slices :attr:`matrix` (all m columns) once it is built.  The
-    two agree to rounding, SuperLU's last bits depending on how many columns one solve takes:
-    bit for bit on the tests' networks and the block tree, to 1.3e-17 on the 40x40 grid.
+    Every read goes through :meth:`batches`: at most ``_BATCH`` columns per solve, with 0.0
+    written in every row outside each column's block, or a slice of :attr:`matrix` (all m
+    columns, filled batch by batch) once that is built.  SuperLU's last bits depend on how
+    many columns one solve takes only far above ``_BATCH`` (at 1737 on the 40x40 grid), so
+    :attr:`matrix` and :meth:`columns` agree bit for bit at every size.
     """
 
     def __init__(self, bundle: LaplacianBundle, network: Network):
@@ -62,20 +64,30 @@ class PtdfMatrix:
         self.line_ids = network.ids
         self._block = network.decomposition.block_at
 
+    def batches(self, positions, rows=slice(None)):
+        """(start, D[rows, positions[start:start + _BATCH]]) for each batch in turn, zero outside each column's block."""
+        held = "matrix" in self.__dict__  # then the mask finds its zeros already written
+        for start in range(0, len(positions), _BATCH):
+            batch = positions[start:start + _BATCH]
+            d = self.matrix[:, batch][rows] if held else self.bundle.sensitivity_columns(batch, rows)
+            d[self._block[rows, None] != self._block[batch]] = 0.0
+            yield start, d
+
     def columns(self, positions) -> np.ndarray:
-        """D[:, positions], with exact zeros outside each column's block."""
+        """D[:, positions], column-major, with exact zeros outside each column's block."""
         if "matrix" in self.__dict__:
             return self.matrix[:, positions]
-        whole = self.bundle.sensitivity_columns(positions)
-        whole[self._block[:, None] != self._block[positions]] = 0.0
-        return whole
+        out = np.empty((self.network.m, len(positions)), order="F")
+        for start, d in self.batches(positions):
+            out[:, start:start + d.shape[1]] = d
+        return out
 
     @cached_property
     def matrix(self) -> np.ndarray:
         return self.columns(np.arange(self.network.m))
 
     def entry(self, line: int, shifted: int) -> float:
-        return float(self.matrix[self.network.edge_index(line), self.network.edge_index(shifted)])
+        return float(self.columns([self.network.edge_index(shifted)])[self.network.edge_index(line), 0])
 
 
 class OutageSet:

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,12 +28,13 @@ from gridfactor import (
 )
 from gridfactor import cascade, dcpf, factors
 from gridfactor.dcpf import FlowState, surviving_flow
-from gridfactor.factors import _outage_flow
+from gridfactor.factors import PtdfMatrix, _outage_flow
 from gridfactor.net_model import RTOL, incidence_columns, scaled_tolerance
 
 from conftest import (
     build,
     exact_flows,
+    grid_doc,
     k4_doc,
     random_balanced_injection,
     random_network,
@@ -159,6 +161,48 @@ def test_influence_graph_threshold_zero_covers_all_block_pairs(k4):
     ptdf = ptdf_matrix(bundle, k4)
     pairs = influence_graph(ptdf, 0.0)
     assert len(pairs) == 15  # C(6, 2): every pair of K4 lines shares the block
+
+
+def _dense_ptdf(net):
+    """D = B C^T A C from the dense incidence matrix and np.linalg.inv of the reduced Laplacian."""
+    C, b = incidence_matrix(net), net.susceptances()
+    keep = np.delete(np.arange(net.n), net.reference_index())
+    A = np.zeros((net.n, net.n))
+    A[np.ix_(keep, keep)] = np.linalg.inv(((C * b) @ C.T)[np.ix_(keep, keep)])
+    return b[:, None] * (C.T @ A @ C)
+
+
+def _whole_block_pairs(net, D, threshold):
+    """Each block's pairs i < j with max(|K_ij|, |K_ji|) >= threshold, from the block's whole K and its transpose."""
+    pairs = []
+    for members in net.decomposition.blocks:
+        if len(members) < 2:
+            continue
+        ordered = sorted(members)
+        positions = net.edge_positions(ordered)
+        d = D[np.ix_(positions, positions)]
+        k = d / (1.0 - np.diag(d))
+        rows, cols = np.nonzero(np.triu(np.maximum(np.abs(k), np.abs(k.T)) >= threshold, 1))
+        pairs += [(ordered[i], ordered[j]) for i, j in zip(rows.tolist(), cols.tolist())]
+    return tuple(sorted(pairs))
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.005, 0.05, 0.2, 0.9])
+def test_influence_graph_in_batches_is_the_dense_pair_set(threshold):
+    net = build(grid_doc(20))  # one block of 760 lines: many column batches
+    assert len(net.decomposition.blocks) == 1 and net.m > 2 * factors._BATCH
+    reference = _whole_block_pairs(net, _dense_ptdf(net), threshold)
+    assert influence_graph(PtdfMatrix(net.factor, net), threshold) == reference
+    assert influence_graph(ptdf_matrix(net.factor, net), threshold) == reference  # sliced from the held matrix
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([0.0, 0.01, 0.1, 0.5]))
+def test_influence_graph_is_its_whole_block_rule_at_every_batch_size(seed, batch, threshold):
+    net = random_network(np.random.default_rng(seed), max_nodes=10, max_extra=8)
+    D = ptdf_matrix(net.factor, net).matrix
+    with mock.patch.object(factors, "_BATCH", batch):
+        assert influence_graph(PtdfMatrix(net.factor, net), threshold) == _whole_block_pairs(net, D, threshold)
 
 
 @pytest.fixture

@@ -3,6 +3,8 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -115,9 +117,9 @@ def test_glodf_cross_check_solves_the_outage_columns_once(monkeypatch, capsys, f
     factored = []
     original = LaplacianBundle.sensitivity_columns
 
-    def counted(self, positions):
+    def counted(self, *args):
         factored.append(self)
-        return original(self, positions)
+        return original(self, *args)
 
     monkeypatch.setattr(LaplacianBundle, "sensitivity_columns", counted)
     argv = ["glodf", fig2_path, "--lines", "1,7", "--method", "cross_check"]
@@ -134,9 +136,9 @@ def test_localize_solves_the_outage_columns_once_per_factor(monkeypatch, capsys,
     factored = []
     original = LaplacianBundle.sensitivity_columns
 
-    def counted(self, positions):
+    def counted(self, *args):
         factored.append(self)
-        return original(self, positions)
+        return original(self, *args)
 
     monkeypatch.setattr(LaplacianBundle, "sensitivity_columns", counted)
     argv = ["localize", fig2_path, "--lines", "1,7"]
@@ -630,27 +632,54 @@ def _plain(value):
     return value
 
 
+_CHUNKS = st.integers(1, 20)  # entries a matrix encodes at a time: one row, or several, per chunk
+
+
 @settings(max_examples=300, deadline=None, database=None)
-@given(_PAYLOADS)
-def test_encode_writes_the_stdlib_indented_text(payload):
-    assert cli._encode(payload) == json.dumps(_plain(payload), sort_keys=True, indent=2)
+@given(_PAYLOADS, _CHUNKS)
+def test_encode_writes_the_stdlib_indented_text(payload, chunk):
+    with mock.patch.object(cli, "_CHUNK", chunk):
+        assert "".join(cli._encode(payload)) == json.dumps(_plain(payload), sort_keys=True, indent=2)
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=4), elements=_FLOATS))
-def test_matrix_csv_writes_each_entry_as_its_repr(values):
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=4), elements=_FLOATS), _CHUNKS)
+def test_matrix_csv_writes_each_entry_as_its_repr(values, chunk):
     rows, cols = range(10, 10 + values.shape[0]), range(1, 1 + values.shape[1])
-    with contextlib.redirect_stdout(io.StringIO()) as out:
+    with contextlib.redirect_stdout(io.StringIO()) as out, mock.patch.object(cli, "_CHUNK", chunk):
         cli._emit_matrix_csv(rows, cols, values)
     expected = "line," + ",".join(map(str, cols)) + "\n" + "".join(
         f"{row_id}," + ",".join(repr(v) for v in row) + "\n" for row_id, row in zip(rows, values.tolist()))
     assert out.getvalue() == expected
 
 
+class _Discard(io.TextIOBase):
+    """A text stream that drops what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_ptdf_holds_little_beyond_the_matrix_while_it_writes(tmp_path, fmt):
+    path = tmp_path / "grid20.json"
+    path.write_text(json.dumps(grid_doc(20)))  # m = 760: a 4.6 MB matrix
+    matrix_bytes = 760 * 760 * 8
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            code = run(["ptdf", str(path), "--format", fmt])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * matrix_bytes  # the text is written a row at a time
+
+
 @pytest.mark.parametrize("payload", [{1: 2.0}, {"a": {None: 1}}, {"a": [{"b": 1, 2: "c"}]}])
 def test_encode_refuses_keys_that_are_not_str(payload):
     with pytest.raises(TypeError):
-        cli._encode(payload)
+        "".join(cli._encode(payload))
 
 
 def test_no_subcommand_reaches_the_pure_python_encoder(monkeypatch, capsys, tmp_path):

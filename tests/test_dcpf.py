@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from gridfactor import (
     run_cascade,
     solve_flow,
 )
+from gridfactor import factors
 from gridfactor.dcpf import surviving_flow
 from gridfactor.net_model import incidence_columns, scaled_tolerance
 
@@ -239,12 +241,15 @@ def test_zeroed_weights_match_the_copied_network(seed):
 
 
 @settings(max_examples=80, deadline=None, database=None)
-@given(st.integers(0, 2**32 - 1))
-def test_ptdf_is_zero_across_blocks_and_its_columns_are_its_matrix(seed):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_ptdf_is_zero_across_blocks_and_its_columns_are_its_matrix(seed, batch):
     rng = np.random.default_rng(seed)
     net = random_network(rng, max_nodes=12, max_extra=10)
     bundle = build_laplacian(net)
-    D = ptdf_matrix(bundle, net).matrix
+    with mock.patch.object(factors, "_BATCH", batch):  # the matrix filled a few columns per solve
+        D = ptdf_matrix(bundle, net).matrix
+    single = np.hstack([PtdfMatrix(bundle, net).columns([k]) for k in range(net.m)])
+    assert np.array_equal(D.view(np.int64), single.view(np.int64))
     block = block_decomposition(net).block_at
     across = block[:, None] != block[None, :]
     assert np.array_equal(D[across].view(np.int64), np.zeros(np.count_nonzero(across), dtype=np.int64))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,35 @@ def test_stiff_line_that_is_not_a_bridge_is_singular(caller):
     }[caller]
     with pytest.raises(SingularError, match="not a bridge"):
         call()
+
+
+def test_matrix_is_its_single_columns_bit_for_bit_across_batches():
+    net = build(grid_doc(20))  # m = 760: many column batches
+    assert net.m > 2 * factors._BATCH
+    matrix = ptdf_matrix(net.factor, net).matrix
+    reader = factors.PtdfMatrix(net.factor, net)
+    columns = np.hstack([reader.columns([k]) for k in range(net.m)])
+    assert matrix.flags.f_contiguous
+    assert np.array_equal(matrix.view(np.int64), columns.view(np.int64))
+
+
+def test_ptdf_matrix_holds_little_beyond_the_matrix():
+    net = build(grid_doc(20))
+    net.factor, net.decomposition  # built before tracing: only the matrix read is measured
+    tracemalloc.start()
+    try:
+        ptdf = ptdf_matrix(net.factor, net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ptdf.matrix.nbytes  # no m x m temporaries beside it
+
+
+def test_entry_reads_one_column(triangle_setup):
+    triangle, bundle, held = triangle_setup
+    ptdf = factors.PtdfMatrix(bundle, triangle)
+    assert ptdf.entry(3, 1) == held.entry(3, 1)
+    assert "matrix" not in ptdf.__dict__
 
 
 def test_outage_set_validation(triangle):

@@ -31,7 +31,9 @@ of ``tests/conftest.py``, the ``perfbench/gen.py`` block trees and
 oracle grids for seeds 2 and 7, its 30×30 grid for ``blocks`` and the
 20×20 grid of the ``screen_grid`` workload (``glodf`` ``pre_contingency`` and
 ``cross_check`` and ``localize`` of one three-line outage, so the GLODF
-kernel runs on 757 rows); two
+kernel runs on 757 rows; and, with m=760 lines in one block, more than one
+column batch of D: ``ptdf`` in JSON and CSV, ``glodf`` in CSV and
+``influence`` in JSON and dot, so a slip at a batch boundary moves a digest); two
 more ``verify`` runs take the seed-2 oracle grid with weights that are
 decimal tenths and with rough floats (square roots), whose exact weight
 sums are not the sums of small dyadic rationals the other grids give.  Three
@@ -287,6 +289,13 @@ def outputs(src) -> Iterator[tuple[str, int, str, str]]:
         for method in ("pre_contingency", "cross_check"):
             corpus.append(["glodf", "screen.json", "--lines", SCREEN_OUTAGE, "--method", method])
         corpus.append(["localize", "screen.json", "--lines", SCREEN_OUTAGE])
+        corpus += [  # D read in several column batches
+            ["ptdf", "screen.json"],
+            ["ptdf", "screen.json", "--format", "csv"],
+            ["glodf", "screen.json", "--lines", SCREEN_OUTAGE, "--format", "csv"],
+            ["influence", "screen.json"],
+            ["influence", "screen.json", "--format", "dot"],
+        ]
         for name, (command, doc) in _loader_documents(conftest.triangle_doc()).items():
             gen.write(doc, Path(name))
             corpus.append([command, name])
