@@ -9,10 +9,11 @@ is reported at the stage whose solve would have run on the split grid,
 and rebalancing of islands is out of scope.
 
 A connected stage is not factored again: its flow is the base flow plus
-the GLODF update of the cumulative outage F (Part I of the paper), |F|
-solves on the network's own factor (:attr:`Network.factor`, built once
-per instance), and the base flow is the network's kept base state
-(:meth:`Network.flow`), so cascades under one injection vector share both.
+the GLODF update of the cumulative outage F (Part I of the paper), one solve
+of |F| columns written straight into the rows of the network's own factor
+(:meth:`LaplacianBundle.line_solve` on :attr:`Network.factor`, built once per
+instance), and the base flow is the network's kept base state (:meth:`Network.flow`,
+its own injections validated once), so cascades under one injection vector share both.
 Each update is certified by its nodal imbalance; a stage whose certificate
 fails is re-solved on the surviving grid (:func:`dcpf.surviving_flow`).
 """
@@ -95,7 +96,7 @@ def run_cascade(network: Network, p, initial_outage) -> CascadeTrace:
         raise ValidationError("initial outage must be nonempty")
     alive = np.ones(network.m, dtype=bool)
     alive[positions] = False
-    capacities = network.capacities()
+    capacities = network._reals[1]  # read-only, read in place
     stages: list[Stage] = []
     tripped = initial
 

@@ -4,8 +4,9 @@ The weighted Laplacian L = C B C^T is assembled edge by edge as sparse
 triplets, here and nowhere else.  The triplets off the reference row and
 column give the reduced Laplacian, kept in CSC form and factored once by a
 sparse LU (SuperLU); each DC solve is one pair of sparse triangular solves
-with a zero reference angle, and the sensitivity columns D[:, k] of
-D = B C^T A C, held column-major, are the one formula for D.  The matrix A
+with a zero reference angle.  The sensitivity columns D[:, k] of
+D = B C^T A C, held column-major, are the one formula for D; they and an outage's
+A C_F take one solve of +1s and -1s written straight into the factor's rows.  The matrix A
 (the reduced inverse padded with a zero row and column at the reference;
 only ``verify`` reads it) is the one dense view, built only when read, so a
 solve costs memory in the lines, not in the square of the buses.
@@ -21,7 +22,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import SingularError, ValidationError
-from .net_model import PIVOT_RTOL, Network, incidence_columns, injection_vector
+from .net_model import PIVOT_RTOL, Network, injection_vector
 
 __all__ = ["LaplacianBundle", "FlowState", "build_laplacian", "solve_flow", "surviving_flow"]
 
@@ -50,6 +51,8 @@ class LaplacianBundle:
     where a zero weight is a line that is out.
     SingularError on a pivot below PIVOT_RTOL x max|reduced L| flags a
     disconnected network, or one whose susceptances spread too widely to factor.
+    ``node_row`` and ``end_rows`` (source, target) hold each node's and line end's row in the
+    factor, the reference's row n - 1, written and then dropped (:meth:`line_solve`).
     It keeps no reference to the network, so ``Network.factor`` makes no cycle.
     """
 
@@ -88,6 +91,8 @@ class LaplacianBundle:
             # det of the reduced Laplacian, which is positive definite on a
             # connected network: |product of pivots|; past float range, +inf.
             self.reduced_determinant = float(np.prod(pivots))
+        self.node_row = np.r_[:ref, self.n - 1, ref:self.n - 1]
+        self.end_rows = self.node_row[self.source], self.node_row[self.target]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A @ rhs, for one column or several, from the sparse LU factor."""
@@ -95,20 +100,27 @@ class LaplacianBundle:
         out[self._keep] = self._factor.solve(rhs[self._keep])
         return out
 
+    def line_solve(self, positions) -> np.ndarray:
+        """A C[:, positions] in node order by one solve, its right-hand side written straight into the factor's rows."""
+        x, cols = np.zeros((self.n, len(positions))), np.arange(len(positions))
+        x[self.end_rows[0][positions], cols], x[self.end_rows[1][positions], cols] = 1.0, -1.0
+        x[:-1], x[-1] = self._factor.solve(x[:-1]), 0.0
+        return x.take(self.node_row, 0)
+
     def branch_flows(self, theta: np.ndarray, lines=slice(None)) -> np.ndarray:
         """f = B C^T theta at the line positions ``lines`` (all), for one angle vector or a stack of columns.
 
         A stack of columns comes back column-major, written so, not copied,
         so a later read of some of its columns reads contiguous memory.
         """
-        diff = theta[self.source[lines]] - theta[self.target[lines]]
         if theta.ndim == 1:
-            return self.b[lines] * diff
-        return np.multiply(self.b[lines, None], diff, order="F")
+            return self.b[lines] * (theta[self.source[lines]] - theta[self.target[lines]])
+        diff = theta.take(self.source[lines], 0) - theta.take(self.target[lines], 0)  # take gathers rows faster
+        return np.multiply(self.b[lines][:, None], diff, order="F")
 
     def sensitivity_columns(self, positions, lines=slice(None)) -> np.ndarray:
-        """D[lines, positions] of D = B C^T A C by |positions| solves, without A."""
-        return self.branch_flows(self.solve(incidence_columns(self, positions)), lines)
+        """D[lines, positions] of D = B C^T A C by one solve of |positions| columns, without A."""
+        return self.branch_flows(self.line_solve(positions), lines)
 
     @cached_property
     def A(self) -> np.ndarray:

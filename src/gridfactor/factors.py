@@ -24,7 +24,7 @@ import numpy as np
 
 from .dcpf import FlowState, LaplacianBundle, surviving_factor, surviving_flow
 from .errors import BridgeOutageError, CutSetError, SingularError, ValidationError
-from .net_model import RTOL, Network, incidence_columns, injection_vector, scaled_tolerance
+from .net_model import RTOL, Network, injection_vector, scaled_tolerance
 
 __all__ = [
     "PtdfMatrix",
@@ -283,9 +283,9 @@ def apply_outage(p, outage: OutageSet) -> tuple[FlowState, FlowState]:
 def _outage_flow(network: Network, p, base: FlowState | None, tripped) -> FlowState:
     """DC flow without the lines at the non-cut edge positions ``tripped``, updated from ``base``.
 
-    theta' = theta + A C_F (I - D_FF)^-1 f_F (Part I of the paper) takes |F|
-    solves on ``network.factor``, the factor ``base`` was solved on, and no new
-    factorization.  The update is certified by its nodal imbalance r = C f' - p:
+    theta' = theta + A C_F (I - D_FF)^-1 f_F (Part I of the paper) takes one solve of
+    |F| columns (:meth:`LaplacianBundle.line_solve`) on ``network.factor``, the factor ``base`` was
+    solved on, and no new factorization.  The update is certified by its nodal imbalance r = C f' - p:
     f' is a potential flow on the surviving grid, so it is off the exact flow
     by at most ||r||_1 on every line.  The surviving grid is re-solved instead
     (:func:`surviving_flow`) when ||r||_1 exceeds ``scaled_tolerance(max|f'|)``, when
@@ -293,7 +293,7 @@ def _outage_flow(network: Network, p, base: FlowState | None, tripped) -> FlowSt
     """
     if base is not None:
         bundle = network.factor
-        x_f = bundle.solve(incidence_columns(network, tripped))
+        x_f = bundle.line_solve(tripped)
         try:
             theta = base.theta + _glodf_kernel(x_f, bundle.branch_flows(x_f, tripped)) @ base.flows[tripped]
         except SingularError:  # I - D_FF is singular

@@ -245,7 +245,7 @@ class Network:
 
     @cached_property
     def _injections(self) -> np.ndarray:
-        p = np.array(self.injections, dtype=float)
+        p = injection_vector(self, np.array(self.injections, dtype=float))  # validated once, kept uncopied
         p.flags.writeable = False
         return p
 
@@ -258,14 +258,14 @@ class Network:
     def flow(self, p=None):
         """The validated injections p (:func:`injection_vector`) and their DC state on :attr:`factor`.
 
-        The last pair is kept, read-only and keyed by p's bytes; a refused p or a SingularError keeps nothing.
+        The last pair is kept, read-only, keyed by p itself or its bytes; a refused p or a SingularError keeps nothing.
         """
         from . import dcpf  # dcpf imports this module
 
         p = injection_vector(self, p)
         kept = self.__dict__.get("_flow")
-        if kept is None or kept[0].tobytes() != p.tobytes():
-            p = p.copy()  # the caller may write to its own array later
+        if kept is None or kept[0] is not p and kept[0].tobytes() != p.tobytes():
+            p = p if p is self.__dict__.get("_injections") else p.copy()  # a caller may write to its own later
             state = dcpf.solve_flow(self.factor, self, p)
             p.flags.writeable = state.theta.flags.writeable = state.flows.flags.writeable = False
             self.__dict__["_flow"] = kept = p, state
@@ -524,10 +524,7 @@ def incidence_matrix(network: Network) -> np.ndarray:
 
 
 def incidence_columns(network: Network, positions) -> np.ndarray:
-    """Columns of C at the given edge positions: the unit injection across each of those lines.
-
-    Reads only ``network.n`` and ``network.endpoints``, which a ``LaplacianBundle`` also has.
-    """
+    """Columns of C at the given edge positions: the unit injection across each of those lines."""
     source, target = (ends[positions] for ends in network.endpoints)
     columns = np.zeros((network.n, len(source)))
     columns[source, np.arange(len(source))] = 1.0
@@ -620,7 +617,7 @@ def injection_vector(network: Network, values=None) -> np.ndarray:
     """Validated balanced injection vector aligned with ``network.nodes``.
 
     Uses ``network.injections`` when ``values`` is omitted; that column is
-    converted once per network, and its array is read-only.  Raises
+    converted and validated once per network, and its array is read-only.  Raises
     ValidationError when an entry is NaN or infinite, and
     UnbalancedInjectionError when the entries do not sum to zero within
     ``scaled_tolerance(max|p|)``.
@@ -629,7 +626,9 @@ def injection_vector(network: Network, values=None) -> np.ndarray:
         if network.injections is None:
             raise ValidationError("network document carries no injections")
         values = network.injections
-    p = network._injections if values is network.injections else np.asarray(values, dtype=float)
+    if values is network.injections:
+        return network._injections
+    p = np.asarray(values, dtype=float)
     if p.shape != (network.n,):
         raise ValidationError(f"expected {network.n} injections, got shape {p.shape}")
     if not np.isfinite(p).all():

@@ -26,7 +26,7 @@ from gridfactor import (
     run_cascade,
     solve_flow,
 )
-from gridfactor import cascade, dcpf, factors
+from gridfactor import cascade, dcpf, factors, net_model
 from gridfactor.dcpf import FlowState, surviving_flow
 from gridfactor.factors import PtdfMatrix, _outage_flow
 from gridfactor.net_model import RTOL, incidence_columns, scaled_tolerance
@@ -377,6 +377,38 @@ def test_a_sweep_under_one_injection_vector_solves_the_base_once(monkeypatch):
     assert sum(base_solves) == 2
 
 
+class CountingSolves:
+    """A stand-in for a factor's SuperLU object that counts its solves."""
+
+    def __init__(self, lu):
+        self.lu, self.calls = lu, 0
+
+    def solve(self, rhs):
+        self.calls += 1
+        return self.lu.solve(rhs)
+
+
+def test_a_connected_stage_costs_one_solve_on_the_network_factor(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a stage built a dense incidence block")
+
+    for module in (net_model, dcpf, factors):
+        monkeypatch.setattr(module, "incidence_columns", refuse, raising=False)
+    rng = np.random.default_rng(53)  # 10 buses, 15 lines: two bridges, and cascades of up to four stages
+    net = random_network(rng, max_nodes=12, max_extra=10, min_extra=4)
+    p = random_balanced_injection(rng, net.n)
+    base = solve_flow(build_laplacian(net), net, p).flows
+    net = replace(with_capacities(net, np.abs(base) * rng.uniform(1.0, 1.3, net.m) + 1e-3), injections=tuple(p))
+    net.factor._factor = counting = CountingSolves(net.factor._factor)
+    stages = []
+    for vector in (net.injections, -p):  # the network's own column, then an array of the caller's
+        for line in net.ids:
+            trace = run_cascade(net, vector, [line])
+            stages.append(sum(stage.flow is not None for stage in trace.stages))
+    assert max(stages) >= 3 and min(stages) == 0  # deep cascades, and bridges that island at once
+    assert counting.calls == sum(stages) + 2
+
+
 def test_alternating_injection_vectors_read_each_their_own_base(monkeypatch):
     net = build(k4_doc())
     rng = np.random.default_rng(8)
@@ -425,9 +457,15 @@ def test_a_refused_injection_or_a_singular_factor_keeps_nothing(triangle):
 
 
 def outage_flow_by_all_rows(network, p, base, tripped):
-    """The outage flow with D_FF read from the branch flows on every line, then sliced to the tripped rows."""
+    """The outage flow from the dense incidence block, D_FF read from the branch flows on every line.
+
+    A C_F is solved from C[:, F] gathered to the factor's n - 1 rows and scattered
+    back to node order, and D_FF is sliced from every line's flow to the tripped rows.
+    """
     bundle = network.factor
-    x_f = bundle.solve(incidence_columns(network, tripped))
+    keep = np.delete(np.arange(network.n), network.reference_index())
+    x_f = np.zeros((network.n, len(tripped)))
+    x_f[keep] = bundle._factor.solve(incidence_columns(network, tripped)[keep])
     try:
         theta = base.theta + factors._glodf_kernel(x_f, bundle.branch_flows(x_f)[tripped]) @ base.flows[tripped]
     except SingularError:
@@ -446,6 +484,7 @@ def outage_flow_by_all_rows(network, p, base, tripped):
 def test_outage_flow_reads_d_ff_from_the_tripped_rows_bit_for_bit(seed, spread):
     rng = np.random.default_rng(seed)
     net = random_network(rng, max_nodes=10, max_extra=10, min_extra=2)
+    net = replace(net, reference=int(rng.choice(net.nodes)))  # the reference's row anywhere in node order
     if spread:  # log-uniform over 1e-6..1e6, where the certificate often fails and the re-solve runs
         net = with_susceptances(net, 10.0 ** rng.uniform(-6, 6, net.m))
     outage = sample_non_cut_outage(rng, net)

@@ -221,6 +221,11 @@ def _copied_network_flow(net, p, tripped_ids):
 def test_zeroed_weights_match_the_copied_network(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, max_nodes=10, max_extra=8, min_extra=1)
+    net = replace(net, reference=int(rng.choice(net.nodes)))  # the reference's row anywhere in node order
+    bundle = build_laplacian(net)
+    columns = rng.permutation(net.m)[:rng.integers(1, net.m + 1)]
+    by_incidence = bundle.branch_flows(bundle.solve(incidence_columns(net, columns)))
+    assert by_incidence.tobytes() == bundle.sensitivity_columns(columns).tobytes()
     lines = sample_non_cut_outage(rng, net)
     if lines is None:
         return
@@ -233,7 +238,6 @@ def test_zeroed_weights_match_the_copied_network(seed):
     assert np.array_equal(state.flows, flows)
     assert not np.any(np.signbit(state.flows[outage.outaged_idx]))
 
-    bundle = build_laplacian(net)
     k_matrix = glodf(bundle, ptdf_matrix(bundle, net), net, outage, "post_contingency").k_matrix
     reduced = build_laplacian(without_edges(net, outage.outaged))
     c_out = incidence_columns(net, outage.outaged_idx)

@@ -190,6 +190,19 @@ def test_injection_vector_unbalanced(triangle):
         injection_vector(triangle, [1.0, 0.0, 0.5])
 
 
+@pytest.mark.parametrize("column, error", [((1.0, 0.0, 0.5), UnbalancedInjectionError),
+                                           ((1.0, math.nan, -1.0), ValidationError),
+                                           ((1.0, -1.0), ValidationError)], ids=["unbalanced", "nan", "short"])
+def test_the_network_own_injections_are_refused_on_every_read(triangle, column, error):
+    net = replace(triangle, injections=column)
+    for _ in range(2):  # a refused column is not kept, so the second read is refused again
+        for call in (lambda: injection_vector(net), lambda: injection_vector(net, net.injections), net.flow):
+            with pytest.raises(error):
+                call()
+    assert "_injections" not in vars(net) and "_flow" not in vars(net)
+    assert injection_vector(triangle) is injection_vector(triangle, triangle.injections) is triangle.flow()[0]
+
+
 def test_injection_balance_tolerance_scales(triangle):
     # Residual below 1e-9 * max|p| passes; a residual above it does not.
     injection_vector(triangle, [1e6, -1e6, 1e-4])

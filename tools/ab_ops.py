@@ -21,7 +21,10 @@ median and quartiles of the paired ratio change / parent (below 1: the
 change is faster).  When every pool item starts with its op kind, a string
 (``cli_blocktree``'s subcommand), the same ratio is also given per kind, over
 each pass's time in that kind's ops, so a report shows where a saving sits.
-Nothing under ``perfbench/`` is written.
+When the items carry no such kind but each ends in an expected cascade
+(``cascade_blocktree``), they are grouped by its number of connected stages
+(1, 2, 3+, read from ``expected["flows"]``), so a report shows whether a
+saving scales with the stages.  Nothing under ``perfbench/`` is written.
 """
 
 from __future__ import annotations
@@ -79,6 +82,16 @@ def paired_ratios(times: dict[str, list[list[float]]], ops) -> list[float]:
             for parent, change in zip(times["parent"], times["change"])]
 
 
+def op_kinds(pool) -> list[str] | None:
+    """Each item's op kind: its first entry, or its cascade's connected stages; None when items have neither."""
+    if all(isinstance(item[0], str) for item in pool):
+        return [item[0] for item in pool]
+    if all(isinstance(item[-1], dict) and "flows" in item[-1] for item in pool):
+        stages = [sum(flow is not None for flow in item[-1]["flows"]) for item in pool]
+        return [f"{k} stage{'s' * (k > 1)}" if k < 3 else "3+ stages" for k in stages]
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path, help="directory holding the parent's gridfactor package")
@@ -112,8 +125,8 @@ def main(argv=None) -> int:
     for side in SIDES:
         print(f"{side}: median {statistics.median(sum(p) for p in times[side]) / len(every) * 1e3:.4f} ms/op")
     print(f"change/parent ratio: median {median:.4f}, quartiles {q1:.4f} .. {q3:.4f}")
-    kinds = [item[0] for item in plan.pool]
-    if all(isinstance(kind, str) for kind in kinds):
+    kinds = op_kinds(plan.pool)
+    if kinds is not None:
         for kind in sorted(set(kinds)):
             ops = [k for k in every if kinds[k] == kind]
             q1, median, q3 = statistics.quantiles(paired_ratios(times, ops), n=4)

@@ -26,7 +26,8 @@ in JSON, which prints the stacked factors and is refused, and in CSV,
 which is not; its ``localize``; and a cascade from it, whose stage fails
 the GLODF update's certificate and is re-solved), cascades run to the end
 from one and two lines (two of them, on the seed-2 and seed-7 block trees,
-propagate and settle, ending ``converged`` after 2 and 3 stages), and ``verify``.  Its networks are the test fixtures
+propagate and settle, ending ``converged`` after 2 and 3 stages; they run
+again with bus 1, the first in node order, as reference), and ``verify``.  Its networks are the test fixtures
 of ``tests/conftest.py``, the ``perfbench/gen.py`` block trees and
 oracle grids for seeds 2 and 7, its 30×30 grid for ``blocks`` and the
 20×20 grid of the ``screen_grid`` workload (``glodf`` ``pre_contingency`` and
@@ -316,9 +317,12 @@ def outputs(src) -> Iterator[tuple[str, int, str, str]]:
             ["influence", "stiff_triangle.json"],
             ["cascade", "stiff_triangle.json", "--trip", "1"],
         ]
-        corpus += [  # cascades that propagate and settle: converged after 2 and after 3 stages
+        corpus += [  # cascades that propagate and settle: converged after 2 and after 3 stages,
             ["cascade", "block_tree_2.json", "--trip", "7"],
             ["cascade", "block_tree_7.json", "--trip", "130"],
+            # and the same two with bus 1, the first in node order, as the reference
+            ["cascade", "block_tree_2.json", "--trip", "7", "--reference", "1"],
+            ["cascade", "block_tree_7.json", "--trip", "130", "--reference", "1"],
         ]
         corpus += [  # options a subcommand does not take, and out-of-range values
             ["blocks", "triangle.json", "--format", "csv"],
