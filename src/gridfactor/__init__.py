@@ -42,13 +42,10 @@ from .factors import (
     ptdf_matrix,
 )
 from .forests import (
-    ForestFamily,
     MatrixTreeReport,
     ReactanceReport,
     a_entry_via_forests,
     effective_reactance,
-    enumerate_spanning_trees,
-    enumerate_two_tree_forests,
     lodf_via_forests,
     matrix_tree_check,
     ptdf_via_forests,

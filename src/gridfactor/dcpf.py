@@ -50,7 +50,8 @@ class LaplacianBundle:
     or ``susceptances`` when given (copied, shape ``(m,)``, finite, >= 0),
     where a zero weight is a line that is out.
     SingularError on a pivot below PIVOT_RTOL x max|reduced L| flags a
-    disconnected network, or one whose susceptances spread too widely to factor.
+    disconnected network, or one whose susceptances spread too widely to factor;
+    on a pivot that is not finite, one whose susceptances are too small to factor.
     ``node_row`` and ``end_rows`` (source, target) hold each node's and line end's row in the
     factor, the reference's row n - 1, written and then dropped (:meth:`line_solve`).
     It keeps no reference to the network, so ``Network.factor`` makes no cycle.
@@ -87,6 +88,8 @@ class LaplacianBundle:
                 f"reduced Laplacian is numerically singular: smallest pivot {smallest:.3e}"
                 f" is below {bound:.3e} (PIVOT_RTOL x max|reduced L|)"
             )
+        if not np.isfinite(pivots).all():
+            raise SingularError("reduced Laplacian cannot be factored in floating point: a pivot is not finite")
         with np.errstate(over="ignore"):
             # det of the reduced Laplacian, which is positive definite on a
             # connected network: |product of pivots|; past float range, +inf.

@@ -44,7 +44,7 @@ class SingularError(AnalysisError):
 
 
 class TooLargeError(AnalysisError):
-    """Exhaustive enumeration would exceed the configured cap, or its weight sum float range."""
+    """A network is past the forest oracle's spanning-tree cap, or an oracle answer past float range."""
 
 
 class BridgeError(AnalysisError):

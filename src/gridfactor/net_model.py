@@ -203,7 +203,7 @@ class Network:
 
     @cached_property
     def oracle(self):
-        """The exact adjugate and determinant of the reduced Laplacian, and the forest enumerations.
+        """The exact line weights, and the adjugate and determinant of the reduced Laplacian.
 
         Built by :class:`gridfactor.forests._Oracle` on first read, which
         keeps no reference to the network; its refusal (a TooLargeError, or a

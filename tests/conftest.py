@@ -1,8 +1,9 @@
 """Shared fixtures: canonical small networks, random corpora, test oracles."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
-from itertools import compress
+from itertools import combinations, compress
 
 import numpy as np
 import pytest
@@ -164,6 +165,11 @@ def huge_weight_doc():
     return {"nodes": [1, 2, 3, 4], "edges": [{"from": a, "to": b, "b": 1e200} for a, b in pairs]}
 
 
+def subnormal_triangle_doc():
+    """A triangle whose lines all weigh b=1e-310, a subnormal the loader takes: a pivot of its factor is -inf."""
+    return {"nodes": [1, 2, 3], "edges": [{"from": a, "to": b, "b": 1e-310} for a, b in [(1, 2), (2, 3), (1, 3)]]}
+
+
 def grid_doc(k, b=1.0):
     """k-by-k grid graph with uniform susceptance b; buses numbered row by row."""
     node = lambda r, c: r * k + c + 1  # noqa: E731
@@ -284,6 +290,41 @@ def exact_flows(network, p, weights=None):
     b = [Fraction(float(v)) for v in (network.b if weights is None else weights)]
     ends = zip(*(e.tolist() for e in network.endpoints))
     return [w * (theta[s] - theta[t]) for w, (s, t) in zip(b, ends)], determinant
+
+
+def scan(network, size):
+    """Every acyclic choice of ``size`` lines, found by scanning all such subsets.
+
+    Maps each choice (ascending line ids) to its node sides: True where a
+    node position is outside the tree holding position 0.  The spanning trees
+    are ``size = n - 1``, every side False; the two-tree spanning forests are
+    ``size = n - 2``.  A self-loop closes a cycle, so no choice holds one.
+    """
+    index = {node: k for k, node in enumerate(network.nodes)}
+    found = {}
+    for combo in combinations(zip(network.ids, network.sources, network.targets), size):
+        parent = list(range(network.n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        for _, source, target in combo:
+            ru, rv = find(index[source]), find(index[target])
+            if ru == rv:
+                break
+            parent[ru] = rv
+        else:
+            root = find(0)
+            found[tuple(sorted(line for line, _, _ in combo))] = [find(k) != root for k in range(network.n)]
+    return found
+
+
+def exact_weight(network, members):
+    """The sum over the members of the product of their lines' exact susceptances."""
+    weights = {eid: Fraction(b) for eid, b in zip(network.ids, network.b)}
+    return sum((math.prod(weights[eid] for eid in member) for member in members), Fraction(0))
 
 
 def connected_after_removal_oracle(network, outage):

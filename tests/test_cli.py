@@ -20,7 +20,9 @@ from gridfactor import (
 from gridfactor.cli import run
 from gridfactor.net_model import RTOL
 
-from conftest import fig2_doc, grid_doc, huge_weight_doc, parallel_lines_doc, stiff_leaf_doc, triangle_doc
+from conftest import (
+    fig2_doc, grid_doc, huge_weight_doc, parallel_lines_doc, stiff_leaf_doc, subnormal_triangle_doc, triangle_doc,
+)
 
 
 @pytest.fixture
@@ -235,6 +237,20 @@ def test_stiff_connected_network_is_not_called_disconnected(capsys, tmp_path):
     assert run(["flow", str(path)]) == 2
     err = capsys.readouterr().err
     assert "smallest pivot" in err and "disconnected" not in err
+
+
+@pytest.mark.parametrize("argv", [["lodf", "--line", "1"], ["ptdf"], ["verify"]])
+def test_a_non_finite_pivot_is_refused(capsys, tmp_path, argv):
+    """Lines of b=1e-310 load, but a pivot of their factor is -inf: exit 2, not NaN factors or a traceback."""
+    doc = subnormal_triangle_doc()
+    with pytest.raises(SingularError, match="a pivot is not finite"):
+        build_laplacian(load_network(doc))
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(doc))
+    assert run(argv[:1] + [str(path)] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gridfactor: reduced Laplacian cannot be factored in floating point: a pivot is not finite\n"
 
 
 @pytest.mark.parametrize("reverse", [False, True])

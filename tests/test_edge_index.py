@@ -17,7 +17,6 @@ from gridfactor import (
     a_entry_via_forests,
     build_laplacian,
     effective_reactance,
-    enumerate_two_tree_forests,
     glodf,
     incidence_matrix,
     is_cut_set,
@@ -52,7 +51,6 @@ def _use_and_forget(doc):
     run_cascade(net, net.injections, [1])
     a_entry_via_forests(net, 1, 2)
     lodf_via_forests(net, 2, 1)
-    enumerate_two_tree_forests(net, {1}, {3})
     effective_reactance(net, 1)
     return weakref.ref(net)
 

@@ -1,7 +1,5 @@
 import itertools
-import json
 import math
-import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -19,57 +17,74 @@ from gridfactor import (
     a_entry_via_forests,
     build_laplacian,
     effective_reactance,
-    enumerate_spanning_trees,
-    enumerate_two_tree_forests,
     lodf_via_forests,
     matrix_tree_check,
     ptdf_matrix,
     ptdf_via_forests,
 )
 from gridfactor import forests
-from gridfactor.cli import run
 
-from conftest import build, exact_angles, exact_flows, grid_doc, k4_doc, random_network, with_susceptances
+from conftest import (
+    build,
+    exact_angles,
+    exact_flows,
+    exact_weight,
+    grid_doc,
+    k4_doc,
+    random_network,
+    scan,
+    subnormal_triangle_doc,
+    with_susceptances,
+)
+
+
+def _separating(net, found, group_a, group_b):
+    """The scanned two-tree forests with ``group_a`` whole in one tree and ``group_b`` whole in the other."""
+    a, b = ([net.node_index(v) for v in group] for group in (group_a, group_b))
+    return [forest for forest, far in found.items() if len({far[k] for k in a} | {not far[k] for k in b}) == 1]
 
 
 def test_triangle_spanning_trees(triangle):
-    family = enumerate_spanning_trees(triangle)
-    assert family.members == ((1, 2), (1, 3), (2, 3))
-    assert family.weight_sum == 3.0
-    assert family.weight_sum_exact == 3
+    trees = scan(triangle, 2)
+    assert list(trees) == [(1, 2), (1, 3), (2, 3)]
+    assert exact_weight(triangle, trees) == 3 == triangle.oracle.adjugate[1]
+    assert matrix_tree_check(triangle).forest_weight == 3.0
 
 
 def test_triangle_trees_restricted(triangle):
-    family = enumerate_spanning_trees(triangle, allowed_edges={2, 3})
-    assert family.members == ((2, 3),)
+    assert [tree for tree in scan(triangle, 2) if 1 not in tree] == [(2, 3)]
+    assert triangle.oracle.avoiding(triangle.edge_index(1)) == 1
 
 
 def test_path_single_tree(path3):
-    family = enumerate_spanning_trees(path3)
-    assert family.members == ((1, 2),)
-    assert family.weight_sum == 1.0
+    trees = scan(path3, 2)
+    assert list(trees) == [(1, 2)]
+    assert exact_weight(path3, trees) == 1 == path3.oracle.adjugate[1]
 
 
 def test_two_tree_forests_triangle(triangle):
-    family = enumerate_two_tree_forests(triangle, {1}, {3})
-    assert family.members == ((1,), (2,))
-    family = enumerate_two_tree_forests(triangle, {1, 2}, {3})
-    assert family.members == ((1,),)
+    found = scan(triangle, 1)
+    assert _separating(triangle, found, {1}, {3}) == [(1,), (2,)]
+    assert _separating(triangle, found, {1, 2}, {3}) == [(1,)]
+    adjugate = triangle.oracle.adjugate[0]  # the reference is bus 3
+    assert adjugate[0, 0] == 2 and adjugate[0, 1] == 1
 
 
 def test_two_tree_forests_overlap_empty(triangle):
-    family = enumerate_two_tree_forests(triangle, {1}, {1})
-    assert family.members == ()
-    assert family.weight_sum == 0.0
+    found = scan(triangle, 1)
+    assert _separating(triangle, found, {1}, {1}) == _separating(triangle, found, {1, 2}, {2, 3}) == []
 
 
 def test_two_tree_forest_counts_match_structure():
+    """The forests separating two buses number the unit-weight G_ii - 2 G_ij + G_jj."""
     rng = np.random.default_rng(43)
     for _ in range(8):
         net = random_network(rng, max_nodes=6)
-        family = enumerate_two_tree_forests(net, {net.nodes[0]}, {net.nodes[-1]})
-        for member in family.members:
-            assert len(member) == net.n - 2
+        unit = with_susceptances(net, np.ones(net.m)).oracle
+        first, last = net.node_index(net.nodes[0]), net.node_index(net.nodes[-1])
+        separated = _separating(net, scan(net, net.n - 2), {net.nodes[0]}, {net.nodes[-1]})
+        adjugate = unit.adjugate[0]
+        assert len(separated) == adjugate[first, first] - 2 * adjugate[first, last] + adjugate[last, last]
 
 
 def test_a_entries_triangle(triangle):
@@ -140,11 +155,6 @@ def test_lodf_via_forests_identical_lines(triangle):
         lodf_via_forests(triangle, 1, 1)
 
 
-def test_empty_node_group_is_refused(triangle):
-    with pytest.raises(ValueError, match="node groups must be nonempty"):
-        enumerate_two_tree_forests(triangle, [], [1])
-
-
 def test_unknown_node_is_refused(triangle):
     with pytest.raises(ValidationError, match="unknown node 99"):
         a_entry_via_forests(triangle, 99, 1)
@@ -159,9 +169,9 @@ def test_adjacent_lines_have_definite_factor_sign():
     for _ in range(10):
         net = random_network(rng, max_nodes=7, min_extra=1)
         lines = list(zip(net.ids, net.sources, net.targets))
+        trees, found = scan(net, net.n - 1), scan(net, net.n - 2)
         for hat, hat_source, hat_target in lines:
-            others = enumerate_spanning_trees(net, allowed_edges=set(net.ids) - {hat})
-            if not others.members:
+            if all(hat in tree for tree in trees):
                 continue
             for line, source, target in lines:
                 if line == hat:
@@ -169,13 +179,9 @@ def test_adjacent_lines_have_definite_factor_sign():
                 shared = {source, target} & {hat_source, hat_target}
                 if not shared:
                     continue
-                fwd = enumerate_two_tree_forests(
-                    net, {source, hat_source}, {target, hat_target}
-                )
-                rev = enumerate_two_tree_forests(
-                    net, {source, hat_target}, {target, hat_source}
-                )
-                assert not fwd.members or not rev.members
+                fwd = _separating(net, found, {source, hat_source}, {target, hat_target})
+                rev = _separating(net, found, {source, hat_target}, {target, hat_source})
+                assert not fwd or not rev
                 value = lodf_via_forests(net, line, hat)
                 same_slot = source == hat_source or target == hat_target
                 if same_slot:
@@ -191,17 +197,14 @@ def test_orientation_families_are_disjoint():
     for _ in range(8):
         net = random_network(rng, max_nodes=6)
         lines = list(zip(net.ids, net.sources, net.targets))
+        found = scan(net, net.n - 2)
         for line, source, target in lines:
             for hat, hat_source, hat_target in lines:
                 if line == hat:
                     continue
-                fwd = enumerate_two_tree_forests(
-                    net, {source, hat_source}, {target, hat_target}
-                )
-                rev = enumerate_two_tree_forests(
-                    net, {source, hat_target}, {target, hat_source}
-                )
-                assert not (set(fwd.members) & set(rev.members))
+                fwd = _separating(net, found, {source, hat_source}, {target, hat_target})
+                rev = _separating(net, found, {source, hat_target}, {target, hat_source})
+                assert not (set(fwd) & set(rev))
 
 
 def test_matrix_tree_triangle(triangle):
@@ -246,14 +249,16 @@ def test_unit_weight_determinant_counts_the_spanning_trees(triangle):
     nets += [random_network(rng, max_nodes=8, max_extra=10) for _ in range(12)]
     for net in nets:
         count = build_laplacian(net, np.ones(net.m)).reduced_determinant
-        assert round(count) == len(enumerate_spanning_trees(net))
+        assert round(count) == len(scan(net, net.n - 1))
 
 
 def test_disconnected_network_is_refused_by_the_unit_weight_factor():
     net = Network(nodes=(1, 2, 3, 4), ids=(1, 2), sources=(1, 3), targets=(2, 4),
                   b=(1.0, 1.0), cap=(math.inf, math.inf), reference=4)
     with pytest.raises(SingularError):
-        enumerate_spanning_trees(net)
+        a_entry_via_forests(net, 1, 2)
+    with pytest.raises(SingularError):
+        effective_reactance(net, 1)
 
 
 def test_effective_reactance_triangle(triangle):
@@ -291,50 +296,21 @@ def test_effective_reactance_matches_quadratic_form():
             assert effective_reactance(net, line).effective == pytest.approx(quad, abs=1e-9)
 
 
-def test_long_path_is_enumerated_without_overflowing_the_stack():
-    """A 1200-bus path has one spanning tree, under the cap, but contraction goes 1199 lines deep."""
-    n = 1200
-    path = build({"nodes": list(range(1, n + 1)),
-                  "edges": [{"from": k, "to": k + 1, "b": 1.0} for k in range(1, n)]})
-    assert enumerate_spanning_trees(path).members == (tuple(range(1, n)),)
-    family = enumerate_two_tree_forests(path, {1}, {n})
-    assert len(family) == n - 1 and family.weight_sum_exact == n - 1
-
-
-def test_enumeration_deterministic(triangle):
-    first = enumerate_spanning_trees(triangle).members
-    second = enumerate_spanning_trees(triangle).members
-    assert first == second == tuple(sorted(first))
-
-
-def _exact_weight(net, members):
-    """The sum over the members of the product of their lines' exact susceptances."""
-    weights = {eid: Fraction(b) for eid, b in zip(net.ids, net.b)}
-    return sum((math.prod(weights[eid] for eid in member) for member in members), Fraction(0))
-
-
 def test_weight_sums_are_exact_for_every_float():
+    """On rough floats, det(L_r) is the scanned trees' exact weight and each adj(L_r) entry (i, j) that of
+    the scanned forests holding i and j in the tree without the reference."""
     rng = np.random.default_rng(79)
     for _ in range(6):
         net = random_network(rng, max_nodes=6, min_extra=2)
         rough = with_susceptances(net, 10.0 ** rng.uniform(-6, 6, net.m))
-        for family in (enumerate_spanning_trees(rough),
-                       enumerate_two_tree_forests(rough, {rough.nodes[0]}, {rough.nodes[-1]})):
-            assert len(family) > 0
-            assert family.weight_sum_exact == _exact_weight(rough, family.members)
-            assert family.weight_sum == float(family.weight_sum_exact)
-            assert len(family.numerators) == len(family.members)
-            for numerator, member in zip(family.numerators, family.members):
-                assert Fraction(numerator, family.denominator) == _exact_weight(rough, [member])
-
-
-def test_families_are_equal_when_their_members_weigh_the_same(path3, triangle):
-    """Equality compares kind, members and per-member weights: not the sum alone, nor the unit of weight."""
-    assert enumerate_spanning_trees(path3) == enumerate_spanning_trees(with_susceptances(path3, [2.0, 0.5]))
-    rising = enumerate_spanning_trees(with_susceptances(triangle, [1.0, 2.0, 3.0]))  # trees weigh 2, 3, 6
-    same_sum = enumerate_spanning_trees(with_susceptances(triangle, [1.0, 1.0, 5.0]))  # trees weigh 1, 5, 5
-    assert rising.weight_sum_exact == same_sum.weight_sum_exact
-    assert rising != same_sum
+        oracle, n = rough.oracle, rough.n
+        (adjugate, det), ref = oracle.adjugate, oracle.reference
+        trees, found = scan(rough, n - 1), scan(rough, n - 2)
+        assert det == exact_weight(rough, trees) * oracle.common ** (n - 1)
+        assert matrix_tree_check(rough).forest_weight == float(exact_weight(rough, trees))
+        for i, j in itertools.product(range(n), repeat=2):
+            joined = [forest for forest, far in found.items() if far[i] == far[j] != far[ref]]
+            assert adjugate[i, j] == exact_weight(rough, joined) * oracle.common ** (n - 2)
 
 
 def _unit_transfer(net, a, b):
@@ -396,7 +372,7 @@ def test_non_finite_susceptance_is_refused_naming_its_line(bad):
     net = Network(nodes=(1, 2, 3), ids=(1, 2, 3), sources=(1, 2, 1), targets=(2, 3, 3),
                   b=(1.0, bad, 1.0), cap=(math.inf,) * 3, reference=3)
     with pytest.raises(ValidationError, match=f"line 2 has {bad}"):
-        enumerate_spanning_trees(net)
+        effective_reactance(net, 1)
     with pytest.raises(ValidationError, match=f"line 2 has {bad}"):
         ptdf_via_forests(net, 1, 1, 2)
 
@@ -414,10 +390,10 @@ def test_enumeration_cap():
     }
     k10 = build(doc)
     assert build_laplacian(k10, np.ones(k10.m)).reduced_determinant == pytest.approx(1e8)
-    with pytest.raises(TooLargeError):
-        enumerate_spanning_trees(k10)
-    with pytest.raises(TooLargeError):
-        enumerate_two_tree_forests(k10, {1}, {10})
+    with pytest.raises(TooLargeError, match="estimated spanning-tree count exceeds the enumeration cap"):
+        ptdf_via_forests(k10, 1, 1, 10)
+    with pytest.raises(TooLargeError, match="estimated spanning-tree count exceeds the enumeration cap"):
+        matrix_tree_check(k10)
 
 
 def test_forest_lodf_matches_ptdf_route():
@@ -439,59 +415,10 @@ def test_forest_lodf_matches_ptdf_route():
                 assert abs(algebraic - oracle) < 1e-9 * max(1.0, abs(algebraic))
 
 
-def _scanned_forests(net):
-    """Every acyclic choice of n - 2 lines, found by scanning all such subsets.
-
-    Maps each forest (ascending line ids) to its node sides: True where a
-    node position is outside the tree holding position 0.
-    """
-    index = {node: k for k, node in enumerate(net.nodes)}
-    found = {}
-    for combo in itertools.combinations(zip(net.ids, net.sources, net.targets), net.n - 2):
-        parent = list(range(net.n))
-
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        for _, source, target in combo:
-            ru, rv = find(index[source]), find(index[target])
-            if ru == rv:
-                break
-            parent[ru] = rv
-        else:
-            root = find(0)
-            found[tuple(sorted(line for line, _, _ in combo))] = [find(k) != root for k in range(net.n)]
-    return found
-
-
-@settings(max_examples=120, deadline=None, database=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.sampled_from([(0, 0), (2, 0), (12, 4)]),  # trees, bridge-heavy, meshed
-    st.booleans(),  # weights rounded to eighths, or rough floats
-)
-def test_derived_forests_match_the_subset_scan(seed, extra, eighths):
-    max_extra, min_extra = extra
-    rng = np.random.default_rng(seed)
-    net = random_network(rng, max_nodes=7, max_extra=max_extra, min_extra=min_extra)
-    if eighths:
-        net = with_susceptances(net, np.round(net.susceptances() * 8) / 8)
-    scanned = _scanned_forests(net)
-    oracle = net.oracle
-    derived = oracle.forests
-
-    assert derived.members == tuple(sorted(scanned))
-    assert oracle.far.tolist() == [scanned[member] for member in derived.members]
-    for k, member in enumerate(derived.members):
-        assert Fraction(derived.numerators[k], derived.denominator) == _exact_weight(net, [member])
-
-
 @settings(max_examples=100, deadline=None, database=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.booleans(), st.data())
 def test_pairing_matrix_gives_every_forest_pairing_exactly(seed, max_nodes, rough, data):
-    """G_ia - G_ib - G_ja + G_jb is pos - neg of the enumerated two-tree forests, exactly.
+    """G_ia - G_ib - G_ja + G_jb is pos - neg of the scanned two-tree forests, exactly.
 
     On random networks of 2 to 6 buses (two buses: L_r is 1x1) with parallel
     lines (either way round) and a random reference, under weights uniform
@@ -500,8 +427,8 @@ def test_pairing_matrix_gives_every_forest_pairing_exactly(seed, max_nodes, roug
     a == b, a == j and i == a, read from the integer adjugate, and for each
     line's ends with random buses, read from adj·C.  The oracle's integers
     carry common^(n-2) for a forest and common^(n-1) for a tree: its
-    determinant is the enumerated tree sum, and each line's trees-avoiding
-    weight is the masked tree sum.
+    determinant is the scanned tree sum, and each line's trees-avoiding
+    weight is the sum of the scanned trees without the line.
     """
     rng = np.random.default_rng(seed)
     net = random_network(rng, max_nodes=max_nodes, max_extra=3)
@@ -520,9 +447,11 @@ def test_pairing_matrix_gives_every_forest_pairing_exactly(seed, max_nodes, roug
                   targets=tuple(targets), b=tuple(weights), cap=(math.inf,) * len(sources),
                   reference=data.draw(nodes))
 
+    trees, found = scan(net, net.n - 1), scan(net, net.n - 2)
+
     def brute(i, j, a, b):
-        pos = enumerate_two_tree_forests(net, {i, a}, {j, b}).weight_sum_exact
-        return pos - enumerate_two_tree_forests(net, {i, b}, {j, a}).weight_sum_exact
+        pos = exact_weight(net, _separating(net, found, {i, a}, {j, b}))
+        return pos - exact_weight(net, _separating(net, found, {i, b}, {j, a}))
 
     oracle = net.oracle
     (adjugate, det), forest, tree = oracle.adjugate, oracle.common ** (net.n - 2), oracle.common ** (net.n - 1)
@@ -532,7 +461,7 @@ def test_pairing_matrix_gives_every_forest_pairing_exactly(seed, max_nodes, roug
         return adjugate[i, a] - adjugate[i, b] - adjugate[j, a] + adjugate[j, b]
 
     assert oracle.weights == [Fraction(weight) * oracle.common for weight in weights]
-    assert det == enumerate_spanning_trees(net).weight_sum_exact * tree
+    assert det == exact_weight(net, trees) * tree
     for _ in range(6):
         i, j, a, b = data.draw(st.lists(nodes, min_size=4, max_size=4))
         for quad in ((i, j, a, b), (i, j, a, a), (i, j, j, b), (i, j, i, b)):
@@ -541,77 +470,41 @@ def test_pairing_matrix_gives_every_forest_pairing_exactly(seed, max_nodes, roug
         a, b = data.draw(st.lists(nodes, min_size=2, max_size=2))
         for pair in ((a, b), (i, j), (a, a)):
             assert oracle.pairing(k, *map(net.node_index, pair)) == brute(i, j, *pair) * forest
-        masked = enumerate_spanning_trees(net, set(net.ids) - {line}).weight_sum_exact
+        masked = exact_weight(net, [member for member in trees if line not in member])
         assert oracle.avoiding(k) == masked * tree
 
 
 def test_a_self_loop_is_in_no_spanning_tree(triangle):
     looped = replace(triangle, ids=(9, *triangle.ids), sources=(1, *triangle.sources), targets=(1, *triangle.targets),
                      b=(1.0, *triangle.b), cap=(math.inf, *triangle.cap))  # validate refuses it: built directly
-    assert enumerate_spanning_trees(looped) == enumerate_spanning_trees(triangle)
+    assert scan(looped, 2) == scan(triangle, 2)
+    assert looped.oracle.adjugate[1] == triangle.oracle.adjugate[1]
     assert ptdf_via_forests(looped, 1, 1, 3) == ptdf_via_forests(triangle, 1, 1, 3)
 
 
-def test_path_enumeration_holds_no_state_per_level():
-    """A 1200-bus path has one spanning tree, found 1199 levels deep: the branches pending
-    along the way hold no vertex set or edge list of their own."""
-    n = 1200
-    net = build({"nodes": list(range(1, n + 1)), "edges": [{"from": k, "to": k + 1, "b": 1.0} for k in range(1, n)]})
-    net.oracle  # the cap check's factor is traced apart
-    tracemalloc.start()
-    try:
-        family = enumerate_spanning_trees(net)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert family.members == (net.ids,)
-    assert peak < 4 * 2**20  # a vertex set and edge list per pending level would take about 90 MB
-
-
 def test_equal_networks_enumerate_their_own_trees(monkeypatch):
-    calls = []
-    original = forests._enumerate_tree_sets
+    """Equal networks build an oracle each, once: the oracle is the network's own, not shared by equality."""
+    built = []
+    original = forests._Oracle
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(network):
+        built.append(network)
+        return original(network)
 
-    monkeypatch.setattr(forests, "_enumerate_tree_sets", counted)
+    monkeypatch.setattr(forests, "_Oracle", counted)
     doc = grid_doc(3)
     first, second = build(doc), build(doc)
     assert first == second
-    assert enumerate_spanning_trees(first) == enumerate_spanning_trees(second)
-    assert len(calls) == 2 and first.oracle is not second.oracle
-    assert first.oracle is first.oracle and len(calls) == 2
+    assert ptdf_via_forests(first, 1, 1, 9) == ptdf_via_forests(second, 1, 1, 9)
+    assert len(built) == 2 and first.oracle is not second.oracle
+    assert first.oracle is first.oracle and len(built) == 2
 
 
-def test_verify_enumerates_no_spanning_tree(monkeypatch, tmp_path, capsys):
-    calls = []
-    original = forests._enumerate_tree_sets
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(forests, "_enumerate_tree_sets", counted)
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(grid_doc(3)))
-    assert run(["verify", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["pass"] is True
-    assert not calls
-
-
-def test_verify_makes_no_fraction(monkeypatch, tmp_path, capsys):
-    calls = []
-    original = forests.Fraction
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(forests, "Fraction", counted)
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(grid_doc(3)))
-    assert run(["verify", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["pass"] is True
-    assert not calls
+def test_oracle_answers_past_float_range_are_refused():
+    """On the b=1e-310 triangle an inverse entry and a line's effective reactance are 2e310/3."""
+    net = build(subnormal_triangle_doc())
+    with pytest.raises(TooLargeError, match="the inverse entry exceeds float range"):
+        a_entry_via_forests(net, 1, 1)
+    with pytest.raises(TooLargeError, match="the effective reactance exceeds float range"):
+        effective_reactance(net, 1)
+    assert lodf_via_forests(net, 2, 1) == -1.0 and ptdf_via_forests(net, 1, 1, 2) == 2 / 3

@@ -44,7 +44,9 @@ weigh 1e200, so that the spanning-tree weight is past float range.  Four
 more take the 4×4 unit grid (100,352 spanning trees, the largest network
 the oracle takes), two buses joined by one line (a 1×1 reduced
 Laplacian), the stiff triangle (refused by ``lodf_single``, exit 2) and a
-40-bus ring with one chord (few trees, many buses).  Runs
+40-bus ring with one chord (few trees, many buses).  The subnormal triangle,
+three lines of b=1e-310 that the loader takes but whose factor meets a pivot
+that is not finite, runs ``lodf --line 1``, ``ptdf`` and ``verify``.  Runs
 share one process, as a caller of ``gridfactor.cli.run`` would.  The
 ``demos/*.py`` scripts of the checkout that holds ``--src`` (its ``demos``
 directory, beside ``src``) then run in the same process through
@@ -316,6 +318,12 @@ def outputs(src) -> Iterator[tuple[str, int, str, str]]:
             ["localize", "stiff_triangle.json", "--lines", "1"],
             ["influence", "stiff_triangle.json"],
             ["cascade", "stiff_triangle.json", "--trip", "1"],
+        ]
+        gen.write(conftest.subnormal_triangle_doc(), Path("subnormal_triangle.json"))
+        corpus += [
+            ["lodf", "subnormal_triangle.json", "--line", "1"],
+            ["ptdf", "subnormal_triangle.json"],
+            ["verify", "subnormal_triangle.json"],
         ]
         corpus += [  # cascades that propagate and settle: converged after 2 and after 3 stages,
             ["cascade", "block_tree_2.json", "--trip", "7"],
