@@ -16,7 +16,6 @@ from gridfactor import (
     build_laplacian,
     influence_graph,
     load_network,
-    ptdf_matrix,
     run_cascade,
     solve_flow,
 )
@@ -52,8 +51,7 @@ for k, stage in enumerate(trace.stages):
     print(f"  stage {k}: tripped {sorted(stage.tripped)} flows {flows}")
 
 # The influence graph summarizes which outages can affect which lines.
-ptdf = ptdf_matrix(bundle, triangle)
-pairs = influence_graph(ptdf, threshold=0.005)
+pairs = influence_graph(triangle, threshold=0.005)
 print("\ninfluence pairs at threshold 0.005:", pairs)
 
 print("\nDOT export:")

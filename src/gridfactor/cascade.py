@@ -26,7 +26,7 @@ import numpy as np
 
 from .dcpf import FlowState
 from .errors import SingularError, ValidationError
-from .factors import PtdfMatrix, _lodf_columns, _outage_flow
+from .factors import _lodf_columns, _outage_flow
 from .net_model import Network, injection_vector
 
 __all__ = ["Stage", "CascadeTrace", "run_cascade", "influence_graph"]
@@ -127,24 +127,25 @@ def run_cascade(network: Network, p, initial_outage) -> CascadeTrace:
         alive &= ~over
 
 
-def influence_graph(ptdf: PtdfMatrix, threshold: float) -> tuple[tuple[int, int], ...]:
+def influence_graph(network: Network, threshold: float) -> tuple[tuple[int, int], ...]:
     """Unordered line pairs whose outage factor magnitude reaches the threshold.
 
     Pairs are drawn only from within non-bridge blocks, where the factors
     are defined in both directions; a pair qualifies when either direction
     reaches the threshold.  Cross-block factors are exactly zero, so the
     result can never join two blocks, and each block reads only its own rows
-    of its own PTDF columns, a batch at a time (:meth:`PtdfMatrix.batches`).
+    of its own columns of ``network.sensitivity``, a batch at a time (:meth:`PtdfMatrix.batches`).
     ValidationError unless the threshold is finite and nonnegative.
     """
+    ptdf = network.sensitivity
     if not 0.0 <= threshold < np.inf:
         raise ValidationError(f"threshold must be finite and nonnegative, got {threshold}")
     pairs = []
-    for members in ptdf.network.decomposition.blocks:
+    for members in network.decomposition.blocks:
         if len(members) < 2:
             continue
         ordered = np.array(sorted(members))
-        positions = ptdf.network.edge_positions(ordered.tolist())
+        positions = network.edge_positions(ordered.tolist())
         k, found = len(ordered), []
         for start, d_rows in ptdf.batches(positions, positions):
             cols = np.arange(d_rows.shape[1])

@@ -20,7 +20,7 @@ from . import factors as factors_mod
 from . import forests as forests_mod
 from . import localization as localization_mod
 from .errors import AnalysisError, GridFactorError, InputError
-from .net_model import RTOL, injection_vector, load_network
+from .net_model import RTOL, load_network
 
 __all__ = ["main", "run"]
 
@@ -134,17 +134,16 @@ def _cmd_flow(network, args) -> int:
 
 
 def _cmd_ptdf(network, args) -> int:
-    ptdf = factors_mod.ptdf_matrix(network.factor, network)
+    matrix = network.sensitivity.matrix
     if args.format == "csv":
-        _emit_matrix_csv(ptdf.line_ids, ptdf.line_ids, ptdf.matrix)
+        _emit_matrix_csv(network.ids, network.ids, matrix)
     else:
-        _emit_json({"rows": ptdf.line_ids, "cols": ptdf.line_ids, "values": ptdf.matrix})
+        _emit_json({"rows": network.ids, "cols": network.ids, "values": matrix})
     return 0
 
 
 def _cmd_lodf(network, args) -> int:
-    ptdf = factors_mod.PtdfMatrix(network.factor, network)
-    column = factors_mod.lodf_single(ptdf, args.line)
+    column = factors_mod.lodf_single(network, args.line)
     _emit_json({
         "outaged": args.line,
         "factors": {str(line): float(v) for line, v in column.items()},
@@ -153,9 +152,8 @@ def _cmd_lodf(network, args) -> int:
 
 
 def _cmd_glodf(network, args) -> int:
-    ptdf = factors_mod.PtdfMatrix(network.factor, network)
     outage = factors_mod.OutageSet(network, _parse_lines(args.lines))
-    result = factors_mod.glodf(network.factor, ptdf, network, outage, method=args.method)
+    result = factors_mod.glodf(None, None, None, outage, method=args.method)  # glodf reads only the last two
     if args.format == "csv":
         _emit_matrix_csv(outage.surviving, outage.outaged, result.k_matrix)
         return 0
@@ -213,8 +211,7 @@ def _cmd_localize(network, args) -> int:
 
 
 def _cmd_cascade(network, args) -> int:
-    p = injection_vector(network)
-    trace = cascade_mod.run_cascade(network, p, _parse_lines(args.trip))
+    trace = cascade_mod.run_cascade(network, network.injections, _parse_lines(args.trip))
     payload = {
         "status": trace.status,
         "initial_outage": sorted(trace.initial_outage),
@@ -232,8 +229,7 @@ def _cmd_cascade(network, args) -> int:
 
 
 def _cmd_influence(network, args) -> int:
-    ptdf = factors_mod.PtdfMatrix(network.factor, network)
-    pairs = cascade_mod.influence_graph(ptdf, args.threshold)
+    pairs = cascade_mod.influence_graph(network, args.threshold)
     if args.format == "dot":
         lines = ["graph influence {"]
         for a, b in pairs:
@@ -254,18 +250,17 @@ def _max_abs_err(computed, oracle) -> float:
 
 
 def _cmd_verify(network, args) -> int:
-    bundle = network.factor  # the factor matrix_tree_check reads too
     tree_report = forests_mod.matrix_tree_check(network)  # refuses past the cap first
-    ptdf = factors_mod.ptdf_matrix(bundle, network)
+    matrix = network.sensitivity.matrix  # built whole, so each lodf_single below slices it
 
     nodes = network.nodes  # A is laid out by node position, D by line position
-    spectral_err = _max_abs_err(bundle.A, [[forests_mod.a_entry_via_forests(network, i, j) for j in nodes]
-                                           for i in nodes])
-    ptdf_err = _max_abs_err(ptdf.matrix, [[forests_mod.ptdf_via_forests(network, line, source, target)
-                                           for source, target in zip(network.sources, network.targets)]
-                                          for line in network.ids])
+    spectral_err = _max_abs_err(network.factor.A, [[forests_mod.a_entry_via_forests(network, i, j) for j in nodes]
+                                                   for i in nodes])
+    ptdf_err = _max_abs_err(matrix, [[forests_mod.ptdf_via_forests(network, line, source, target)
+                                      for source, target in zip(network.sources, network.targets)]
+                                     for line in network.ids])
     outaged = [line for line in network.ids if line not in network.decomposition.bridges]
-    columns = [factors_mod.lodf_single(ptdf, line) for line in outaged]
+    columns = [factors_mod.lodf_single(network, line) for line in outaged]
     lodf_err = _max_abs_err([list(column.values()) for column in columns],
                             [[forests_mod.lodf_via_forests(network, line, k) for line in column]
                              for k, column in zip(outaged, columns)])

@@ -72,7 +72,6 @@ class LaplacianBundle:
         values = np.concatenate([w, w, -w, -w])
         rows, cols = np.concatenate([s, t, s, t]), np.concatenate([s, t, t, s])
         ref = network.reference_index()
-        self._keep = np.delete(np.arange(network.n), ref)
         kept = (rows != ref) & (cols != ref)  # reduced L: no reference row or column, later indices shift down
         rows, cols = (ends[kept] - (ends[kept] > ref) for ends in (rows, cols))
         self.reduced = reduced = scipy.sparse.csc_array((values[kept], (rows, cols)), shape=(network.n - 1,) * 2)
@@ -99,9 +98,10 @@ class LaplacianBundle:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A @ rhs, for one column or several, from the sparse LU factor."""
-        out = np.zeros(rhs.shape)
-        out[self._keep] = self._factor.solve(rhs[self._keep])
-        return out
+        x = np.empty(rhs.shape)
+        x[self.node_row] = rhs  # written into the factor's rows, as line_solve writes its own
+        x[:-1], x[-1] = self._factor.solve(x[:-1]), 0.0
+        return x.take(self.node_row, 0)
 
     def line_solve(self, positions) -> np.ndarray:
         """A C[:, positions] in node order by one solve, its right-hand side written straight into the factor's rows."""

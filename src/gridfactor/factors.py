@@ -1,9 +1,9 @@
 """PTDF, LODF, stacked LODF, and multi-line GLODF computation.
 
-The injection-shift sensitivity matrix D = B C^T A C is held column-major, read by
-columns (:class:`PtdfMatrix`), and is zero across line blocks by construction.  Single-line
-outage factors follow as K = D / (1 - D_ll) for non-bridge lines, always
-through ``_lodf_columns``, and a simultaneous non-cut outage couples the
+D = B C^T A C is a function of one network, its ``network.sensitivity`` (:class:`PtdfMatrix`, zero
+across line blocks); each reader takes the network or an outage of it, never a PTDF, so no answer
+can mix two networks.  Single-line outage factors follow as K = D / (1 - D_ll) for non-bridge lines,
+always through ``_lodf_columns``, and a simultaneous non-cut outage couples the
 tripped lines through the inverse of I - D_FF, in the GLODF kernel
 ``_glodf_kernel(numerator, D_FF) = numerator (I - D_FF)^-1``: one |F|-by-|F|
 inverse and one product, O(rows |F|^2 + |F|^3).  Each simultaneous-outage
@@ -22,8 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dcpf import FlowState, LaplacianBundle, surviving_factor, surviving_flow
-from .errors import BridgeOutageError, CutSetError, SingularError, ValidationError
+from .dcpf import FlowState, surviving_factor, surviving_flow
+from .errors import BridgeOutageError, CutSetError, SingularError, UnknownEdgeError, ValidationError
 from .net_model import RTOL, Network, injection_vector, scaled_tolerance
 
 __all__ = [
@@ -44,10 +44,11 @@ _BATCH = 32  # columns per solve: D is read in m x _BATCH slices, never as m x m
 
 
 class PtdfMatrix:
-    """The sensitivity D = B C^T A C of one factor, read by columns, indexed by line ids.
+    """The sensitivity D = B C^T A C of one network on its ``factor``, read by columns, indexed by line ``ids``.
 
-    D is held column-major, as :meth:`LaplacianBundle.branch_flows` writes it,
-    so the columns of an outage are contiguous reads of :attr:`matrix`.
+    :attr:`Network.sensitivity` is the one per network.  It keeps the ``factor``, ``ids``, ``block_at`` and the
+    id lookup but no reference to the network, so a network that holds it is freed by reference counting.  D is
+    held column-major, as :meth:`LaplacianBundle.branch_flows` writes it, so an outage's columns are contiguous.
 
     A unit injection across a line's ends moves flow only inside that line's
     block (Part I of the paper), so D is block-diagonal in ``network.decomposition``.
@@ -58,36 +59,40 @@ class PtdfMatrix:
     :attr:`matrix` and :meth:`columns` agree bit for bit at every size.
     """
 
-    def __init__(self, bundle: LaplacianBundle, network: Network):
-        self.bundle = bundle
-        self.network = network
-        self.line_ids = network.ids
-        self._block = network.decomposition.block_at
+    def __init__(self, network: Network):
+        self.factor = network.factor
+        self.ids = network.ids
+        self._position = network._edge_lookup
+        self.block_at = network.decomposition.block_at
 
     def batches(self, positions, rows=slice(None)):
         """(start, D[rows, positions[start:start + _BATCH]]) for each batch in turn, zero outside each column's block."""
         held = "matrix" in self.__dict__  # then the mask finds its zeros already written
         for start in range(0, len(positions), _BATCH):
             batch = positions[start:start + _BATCH]
-            d = self.matrix[:, batch][rows] if held else self.bundle.sensitivity_columns(batch, rows)
-            d[self._block[rows, None] != self._block[batch]] = 0.0
+            d = self.matrix[:, batch][rows] if held else self.factor.sensitivity_columns(batch, rows)
+            d[self.block_at[rows, None] != self.block_at[batch]] = 0.0
             yield start, d
 
     def columns(self, positions) -> np.ndarray:
         """D[:, positions], column-major, with exact zeros outside each column's block."""
         if "matrix" in self.__dict__:
             return self.matrix[:, positions]
-        out = np.empty((self.network.m, len(positions)), order="F")
+        out = np.empty((len(self.ids), len(positions)), order="F")
         for start, d in self.batches(positions):
             out[:, start:start + d.shape[1]] = d
         return out
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return self.columns(np.arange(self.network.m))
+        return self.columns(np.arange(len(self.ids)))
 
     def entry(self, line: int, shifted: int) -> float:
-        return float(self.columns([self.network.edge_index(shifted)])[self.network.edge_index(line), 0])
+        try:
+            col, row = self._position[shifted], self._position[line]
+        except KeyError as exc:
+            raise UnknownEdgeError(f"unknown edge id {exc.args[0]}") from None
+        return float(self.columns([col])[row, 0])
 
 
 class OutageSet:
@@ -180,40 +185,40 @@ class GlodfResult:
         return self.pre_contingency if self.method == "cross_check" else getattr(self, self.method)
 
 
-def ptdf_matrix(bundle: LaplacianBundle, network: Network) -> PtdfMatrix:
-    """The sensitivity D = B C^T A C with its full m-by-m ``matrix`` built up front."""
-    ptdf = PtdfMatrix(bundle, network)
-    ptdf.matrix  # callers that slice many column sets from one network read it
-    return ptdf
+def ptdf_matrix(bundle, network: Network) -> PtdfMatrix:
+    """``network.sensitivity`` with its m-by-m ``matrix`` built; ``bundle`` is the benchmark's call, unread."""
+    network.sensitivity.matrix  # callers that slice many column sets from one network read it
+    return network.sensitivity
 
 
-def lodf_single(ptdf: PtdfMatrix, outaged: int) -> dict[int, float]:
+def lodf_single(network: Network, outaged: int) -> dict[int, float]:
     """Single-line outage factors K for every surviving line.
 
     Raises BridgeOutageError when the outaged line is a bridge (the factor
     denominator 1 - D_ll vanishes exactly there), and SingularError when
     1 - D_ll is at most RTOL on a line that is not one.
     """
-    col = ptdf.network.edge_index(outaged)
-    if outaged in ptdf.network.decomposition.bridges:
+    ptdf = network.sensitivity
+    col = network.edge_index(outaged)
+    if outaged in network.decomposition.bridges:
         raise BridgeOutageError(f"line {outaged} is a bridge; outage factors are undefined")
     column = ptdf.columns([col])[:, 0]
     values = _lodf_columns(column, column[col])
-    ids = ptdf.line_ids[:col] + ptdf.line_ids[col + 1:]
+    ids = network.ids[:col] + network.ids[col + 1:]
     return dict(zip(ids, np.delete(values, col).tolist()))
 
 
-def lodf_stack(ptdf: PtdfMatrix, outage: OutageSet) -> np.ndarray:
+def lodf_stack(outage: OutageSet) -> np.ndarray:
     """Stacked single-line outage factors K_-FF, one column per tripped line.
 
     Each column is the line's individual outage factor; this is not the
     simultaneous-outage sensitivity (see :func:`glodf`).  Bridges are
     decided by the graph.  The columns are :attr:`GlodfResult.k_stack`.
     """
-    offenders = [line for line in outage.outaged if line in ptdf.network.decomposition.bridges]
+    offenders = [line for line in outage.outaged if line in outage.network.decomposition.bridges]
     if offenders:
         raise BridgeOutageError(f"lines {offenders} are bridges; outage factors are undefined")
-    return GlodfResult(outage, "pre_contingency", ptdf.columns(outage.outaged_idx)).k_stack
+    return GlodfResult(outage, "pre_contingency", outage.network.sensitivity.columns(outage.outaged_idx)).k_stack
 
 
 def _lodf_columns(d_cols: np.ndarray, d_kk) -> np.ndarray:
@@ -242,26 +247,20 @@ def _glodf_kernel(numerator: np.ndarray, d_ff: np.ndarray) -> np.ndarray:
         raise SingularError(f"I - D_FF is numerically singular: {exc}") from None
 
 
-def glodf(
-    bundle: LaplacianBundle,
-    ptdf: PtdfMatrix,
-    network: Network,
-    outage: OutageSet,
-    method: str = "pre_contingency",
-) -> GlodfResult:
+def glodf(bundle, ptdf, network, outage: OutageSet, method: str = "pre_contingency") -> GlodfResult:
     """Simultaneous-outage sensitivity K for a non-cut set of lines, by one of GLODF_METHODS.
 
-    The formulas are the :class:`GlodfResult` views of ``ptdf``'s outage columns
-    (``cross_check`` reads all three).  ``bundle`` and ``network`` are accepted
-    for the benchmark's call and not read: only post_contingency factors again,
-    ``outage.network``.  Raises CutSetError when the outage disconnects the grid
+    The formulas are the :class:`GlodfResult` views of the outage columns of
+    ``outage.network.sensitivity`` (``cross_check`` reads all three).  ``bundle``, ``ptdf``
+    and ``network`` are the benchmark's call and not read, so they cannot pair the outage
+    with another network's D.  Raises CutSetError when the outage disconnects the grid
     (:meth:`OutageSet.refuse_cut`); I - D_FF is invertible whenever it does not.
     The method's factors are computed here, so a singular coupling raises here.
     """
     if method not in GLODF_METHODS:
         raise ValueError(f"unknown method {method!r}; pick one of {GLODF_METHODS}")
     outage.refuse_cut()
-    result = GlodfResult(outage, method, ptdf.columns(outage.outaged_idx))
+    result = GlodfResult(outage, method, outage.network.sensitivity.columns(outage.outaged_idx))
     result.residuals if method == "cross_check" else result.k_matrix  # computed now, so errors raise here
     return result
 
@@ -318,20 +317,16 @@ def characteristic_injection_flow(network: Network, line: int) -> np.ndarray:
     return network.factor.sensitivity_columns([network.edge_index(line)])[:, 0]
 
 
-def detect_islanding(ptdf: PtdfMatrix, outage: OutageSet) -> bool:
+def detect_islanding(outage: OutageSet) -> bool:
     """True when I - D_FF is numerically singular, a numerical test for a cut set.
 
-    The smallest singular value is compared against
-    ``scaled_tolerance(largest singular value)``; its unit floor
-    keeps one-line (1x1) bridge outages detectable, where both singular
-    values vanish together.  Its exact twin is the graph test
-    (:attr:`OutageSet.disconnects`): the tripped lines' cycle labels are
-    linearly dependent over GF(2).  The two agree except when the
-    susceptances spread widely: on a stiff triangle this one calls a non-cut
-    outage singular.  No refusal in this package uses it; each reads
-    ``disconnects``.
+    The smallest singular value is compared against ``scaled_tolerance(largest singular value)``; its unit
+    floor keeps one-line (1x1) bridge outages detectable, where both singular values vanish together.  Its
+    exact twin is the graph test (:attr:`OutageSet.disconnects`): the tripped lines' cycle labels are linearly
+    dependent over GF(2).  The two agree except when the susceptances spread widely: on a stiff triangle this
+    one calls a non-cut outage singular.  No refusal in this package uses it; each reads ``disconnects``.
     """
     cols = outage.outaged_idx
-    system = np.eye(outage.size) - ptdf.columns(cols)[cols]
+    system = np.eye(outage.size) - outage.network.sensitivity.columns(cols)[cols]
     singular_values = np.linalg.svd(system, compute_uv=False)
     return float(singular_values[-1]) < scaled_tolerance(float(singular_values[0]))

@@ -158,7 +158,7 @@ class _Oracle:
 
 
 def _quotient(numerator: int, denominator: int, what: str) -> float:
-    """numerator / denominator, correctly rounded to the nearest float; TooLargeError past float range."""
+    """numerator / denominator (ints, or an array of them), correctly rounded; TooLargeError past float range."""
     try:
         return numerator / denominator
     except OverflowError:
@@ -221,6 +221,8 @@ def matrix_tree_check(network: Network) -> MatrixTreeReport:
     size = network.n - 1
 
     forest_weight = _quotient(det, oracle.common ** size, "the spanning-tree weight")
+    keep = np.delete(np.arange(network.n), oracle.reference)  # an exact minor past float range is refused first
+    expected = _quotient(adjugate[np.ix_(keep, keep)], oracle.common ** (size - 1), "a first minor").astype(float)
     determinant = bundle.reduced_determinant
     det_err = float(_rel_err(determinant, forest_weight))
 
@@ -229,8 +231,6 @@ def matrix_tree_check(network: Network) -> MatrixTreeReport:
         sub = np.delete(np.delete(reduced, row, axis=0), col, axis=1)
         if sub.size:
             minors[row, col] = np.linalg.det(sub)
-    keep = np.delete(np.arange(network.n), oracle.reference)
-    expected = (adjugate[np.ix_(keep, keep)] / oracle.common ** (size - 1)).astype(float)
     signed = np.where(np.indices((size, size)).sum(axis=0) % 2, -expected, expected)
     minor_max = float(np.max(_rel_err(minors, signed), initial=0.0))  # a NaN stays NaN and fails
 

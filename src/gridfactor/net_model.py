@@ -75,8 +75,8 @@ class Network:
     The topology index (id-to-position maps, endpoint positions, one CSR
     adjacency, one depth-first search over it read for connectedness and
     blocks, and the cycle labels read for islanding), the float columns as
-    arrays, the :attr:`factor`, the :attr:`decomposition` and the forest :attr:`oracle`
-    are built once per instance, on first use; :meth:`flow` keeps its last state.
+    arrays, the :attr:`factor`, its :attr:`sensitivity`, the :attr:`decomposition` and the
+    forest :attr:`oracle` are built once per instance, on first use; :meth:`flow` keeps its last state.
     None of it is part of equality, hashing or ``repr``.
     """
 
@@ -190,6 +190,13 @@ class Network:
         from . import dcpf  # dcpf imports this module
 
         return dcpf.build_laplacian(self)
+
+    @cached_property
+    def sensitivity(self):
+        """The network's one D = B C^T A C (:class:`gridfactor.factors.PtdfMatrix`), on :attr:`factor`; no cycle."""
+        from . import factors  # factors imports this module
+
+        return factors.PtdfMatrix(self)
 
     @cached_property
     def decomposition(self):

@@ -165,6 +165,12 @@ def huge_weight_doc():
     return {"nodes": [1, 2, 3, 4], "edges": [{"from": a, "to": b, "b": 1e200} for a, b in pairs]}
 
 
+def overflowing_minor_doc():
+    """A 54-bus path, 52 lines of b=1e6, then one of b=1e-5: its tree weight, 1e307, is a float, a first minor not."""
+    weights = [1e6] * 52 + [1e-5]
+    return {"nodes": list(range(1, 55)), "edges": [{"from": k, "to": k + 1, "b": b} for k, b in enumerate(weights, 1)]}
+
+
 def subnormal_triangle_doc():
     """A triangle whose lines all weigh b=1e-310, a subnormal the loader takes: a pivot of its factor is -inf."""
     return {"nodes": [1, 2, 3], "edges": [{"from": a, "to": b, "b": 1e-310} for a, b in [(1, 2), (2, 3), (1, 3)]]}

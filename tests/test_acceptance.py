@@ -30,7 +30,6 @@ from gridfactor import (
     lodf_single,
     lodf_via_forests,
     matrix_tree_check,
-    ptdf_matrix,
     ptdf_via_forests,
     run_cascade,
     solve_flow,
@@ -68,11 +67,9 @@ def outage_instances():
         outage_ids = sample_non_cut_outage(rng, net, max_size=3)
         if outage_ids is None:
             continue
-        bundle = build_laplacian(net)
-        ptdf = ptdf_matrix(bundle, net)
         outage = OutageSet(net, outage_ids)
-        result = glodf(bundle, ptdf, net, outage, method="cross_check")
-        instances.append((net, bundle, ptdf, outage, result))
+        result = glodf(None, None, None, outage, method="cross_check")
+        instances.append((net, outage, result))
     return instances
 
 
@@ -107,8 +104,7 @@ def test_criterion_03_forest_factor_equivalence():
     worst = 0.0
     for _ in range(25):
         net = random_network(rng, max_nodes=8)
-        bundle = build_laplacian(net)
-        ptdf = ptdf_matrix(bundle, net)
+        ptdf = net.sensitivity
         decomposition = block_decomposition(net)
         for line in net.ids:
             for other, source, target in zip(net.ids, net.sources, net.targets):
@@ -120,7 +116,7 @@ def test_criterion_03_forest_factor_equivalence():
         for outaged in net.ids:
             if outaged in decomposition.bridges:
                 continue
-            column = lodf_single(ptdf, outaged)
+            column = lodf_single(net, outaged)
             for line, value in column.items():
                 oracle = lodf_via_forests(net, line, outaged)
                 err = abs(value - oracle) / max(1.0, abs(value), abs(oracle))
@@ -132,7 +128,7 @@ def test_criterion_03_forest_factor_equivalence():
 def test_criterion_04_glodf_triple_agreement(outage_instances):
     worst = 0.0
     rng = np.random.default_rng(41104)
-    for net, bundle, ptdf, outage, result in outage_instances:
+    for net, outage, result in outage_instances:
         scale = max(1.0, float(np.max(np.abs(result.k_matrix))))
         residual = max(result.residuals.values())
         worst = max(worst, residual / scale)
@@ -150,7 +146,7 @@ def test_criterion_04_glodf_triple_agreement(outage_instances):
 
 
 def test_criterion_05_localization_zero_structure(outage_instances):
-    for net, bundle, ptdf, outage, result in outage_instances:
+    for net, outage, result in outage_instances:
         report = block_structure_report(outage)
         scale = max(1.0, report.matrix_scale)
         assert report.cross_block_max < 1e-9 * scale
@@ -162,11 +158,9 @@ def test_criterion_05_localization_zero_structure(outage_instances):
 
 def test_criterion_06_almost_sure_converse():
     k4 = build(k4_doc())
-    bundle = build_laplacian(k4)
-    ptdf = ptdf_matrix(bundle, k4)
 
     # Unperturbed: non-adjacent line pairs vanish by symmetry.
-    column = lodf_single(ptdf, 1)
+    column = lodf_single(k4, 1)
     disjoint = [
         line
         for line, source, target in zip(k4.ids, k4.sources, k4.targets)
@@ -188,10 +182,9 @@ def test_criterion_06_almost_sure_converse():
 
 def test_criterion_07_triangle_ground_truth():
     triangle = build(triangle_doc())
-    bundle = build_laplacian(triangle)
-    ptdf = ptdf_matrix(bundle, triangle)
+    ptdf = triangle.sensitivity
 
-    column = lodf_single(ptdf, 1)
+    column = lodf_single(triangle, 1)
     assert abs(column[3] - 1.0) < 1e-12
     assert abs(column[2] + 1.0) < 1e-12
     assert abs(lodf_via_forests(triangle, 3, 1) - 1.0) < 1e-12
@@ -222,19 +215,17 @@ def test_criterion_08_bridge_behavior():
             nets.append(net)
 
     for net in nets:
-        bundle = build_laplacian(net)
-        ptdf = ptdf_matrix(bundle, net)
         decomposition = block_decomposition(net)
         for bridge in decomposition.bridges:
-            assert abs(ptdf.entry(bridge, bridge) - 1.0) < 1e-12
+            assert abs(net.sensitivity.entry(bridge, bridge) - 1.0) < 1e-12
             with pytest.raises(BridgeOutageError):
-                lodf_single(ptdf, bridge)
+                lodf_single(net, bridge)
         ids = net.ids
         for size in (1, 2):
             if size >= net.m:
                 continue
             for subset in itertools.combinations(ids, size):
-                assert detect_islanding(ptdf, OutageSet(net, subset)) == is_cut_set(
+                assert detect_islanding(OutageSet(net, subset)) == is_cut_set(
                     net, subset
                 )
     print("criterion 8 (bridge diagonals, bridge errors, islanding detector): PASS")
@@ -266,9 +257,7 @@ def test_criterion_10_injection_independence():
         if not non_bridges:
             continue
         tripped = int(rng.choice(non_bridges))
-        bundle = build_laplacian(net)
-        ptdf = ptdf_matrix(bundle, net)
-        column = lodf_single(ptdf, tripped)
+        column = lodf_single(net, tripped)
         outage = OutageSet(net, [tripped])
         for _ in range(10):
             p = random_balanced_injection(rng, net.n)

@@ -22,13 +22,12 @@ from gridfactor import (
     incidence_matrix,
     influence_graph,
     injection_vector,
-    ptdf_matrix,
     run_cascade,
     solve_flow,
 )
 from gridfactor import cascade, dcpf, factors, net_model
 from gridfactor.dcpf import FlowState, surviving_flow
-from gridfactor.factors import PtdfMatrix, _outage_flow
+from gridfactor.factors import _outage_flow
 from gridfactor.net_model import RTOL, incidence_columns, scaled_tolerance
 
 from conftest import (
@@ -121,7 +120,7 @@ def test_first_stage_matches_glodf_prediction():
         base = solve_flow(bundle, net, p)
         trace = run_cascade(net, p, outage_ids)
         outage = OutageSet(net, outage_ids)
-        result = glodf(bundle, ptdf_matrix(bundle, net), net, outage)
+        result = glodf(None, None, None, outage)
         predicted = base.flows[outage.surviving_idx] + result.k_matrix @ base.flows[outage.outaged_idx]
         actual = trace.stages[0].flow.flows[outage.surviving_idx]
         scale = max(1.0, float(np.max(np.abs(base.flows))))
@@ -130,24 +129,19 @@ def test_first_stage_matches_glodf_prediction():
 
 
 def test_influence_graph_triangle(triangle):
-    bundle = build_laplacian(triangle)
-    ptdf = ptdf_matrix(bundle, triangle)
-    assert influence_graph(ptdf, 0.005) == ((1, 2), (1, 3), (2, 3))
-    assert influence_graph(ptdf, 2.0) == ()
+    assert influence_graph(triangle, 0.005) == ((1, 2), (1, 3), (2, 3))
+    assert influence_graph(triangle, 2.0) == ()
 
 
 @pytest.mark.parametrize("threshold", [-1.0, math.nan, math.inf])
 def test_influence_graph_refuses_bad_threshold(triangle, threshold):
-    ptdf = ptdf_matrix(build_laplacian(triangle), triangle)
     with pytest.raises(ValidationError, match="threshold"):
-        influence_graph(ptdf, threshold)
+        influence_graph(triangle, threshold)
 
 
 def test_influence_graph_never_crosses_blocks(fig2):
-    bundle = build_laplacian(fig2)
-    ptdf = ptdf_matrix(bundle, fig2)
     decomposition = block_decomposition(fig2)
-    pairs = influence_graph(ptdf, 0.0)
+    pairs = influence_graph(fig2, 0.0)
     block_at = decomposition.block_at
     assert pairs
     for a, b in pairs:
@@ -157,9 +151,7 @@ def test_influence_graph_never_crosses_blocks(fig2):
 
 
 def test_influence_graph_threshold_zero_covers_all_block_pairs(k4):
-    bundle = build_laplacian(k4)
-    ptdf = ptdf_matrix(bundle, k4)
-    pairs = influence_graph(ptdf, 0.0)
+    pairs = influence_graph(k4, 0.0)
     assert len(pairs) == 15  # C(6, 2): every pair of K4 lines shares the block
 
 
@@ -192,17 +184,18 @@ def test_influence_graph_in_batches_is_the_dense_pair_set(threshold):
     net = build(grid_doc(20))  # one block of 760 lines: many column batches
     assert len(net.decomposition.blocks) == 1 and net.m > 2 * factors._BATCH
     reference = _whole_block_pairs(net, _dense_ptdf(net), threshold)
-    assert influence_graph(PtdfMatrix(net.factor, net), threshold) == reference
-    assert influence_graph(ptdf_matrix(net.factor, net), threshold) == reference  # sliced from the held matrix
+    assert influence_graph(net, threshold) == reference
+    net.sensitivity.matrix
+    assert influence_graph(net, threshold) == reference  # sliced from the held matrix
 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([0.0, 0.01, 0.1, 0.5]))
 def test_influence_graph_is_its_whole_block_rule_at_every_batch_size(seed, batch, threshold):
     net = random_network(np.random.default_rng(seed), max_nodes=10, max_extra=8)
-    D = ptdf_matrix(net.factor, net).matrix
+    D = replace(net).sensitivity.matrix  # an equal network's: net's own D holds no matrix
     with mock.patch.object(factors, "_BATCH", batch):
-        assert influence_graph(PtdfMatrix(net.factor, net), threshold) == _whole_block_pairs(net, D, threshold)
+        assert influence_graph(net, threshold) == _whole_block_pairs(net, D, threshold)
 
 
 @pytest.fixture

@@ -21,7 +21,8 @@ from gridfactor.cli import run
 from gridfactor.net_model import RTOL
 
 from conftest import (
-    fig2_doc, grid_doc, huge_weight_doc, parallel_lines_doc, stiff_leaf_doc, subnormal_triangle_doc, triangle_doc,
+    fig2_doc, grid_doc, huge_weight_doc, overflowing_minor_doc, parallel_lines_doc, stiff_leaf_doc,
+    subnormal_triangle_doc, triangle_doc,
 )
 
 
@@ -165,6 +166,13 @@ def test_cascade(capsys, triangle_path):
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "no_initial_overload"
     assert payload["stages"][0]["tripped"] == [1]
+
+
+def test_cascade_without_injections_is_refused_before_its_trip_list(capsys, tmp_path):
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({key: value for key, value in triangle_doc().items() if key != "injections"}))
+    assert run(["cascade", str(path), "--trip", "9"]) == 1
+    assert capsys.readouterr() == ("", "gridfactor: network document carries no injections\n")
 
 
 def test_influence_dot(capsys, triangle_path):
@@ -593,6 +601,17 @@ def test_verify_refuses_a_spanning_tree_weight_past_float_range(capsys, tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "gridfactor: the spanning-tree weight exceeds float range\n"
+
+
+def test_verify_refuses_a_first_minor_past_float_range_before_any_float_compare(capsys, tmp_path):
+    # The factor's pivot product overflows to +inf here though the exact tree weight fits: the
+    # refusal comes before any comparison could warn (the suite makes a RuntimeWarning an error).
+    path = tmp_path / "path54.json"
+    path.write_text(json.dumps(overflowing_minor_doc()))
+    assert run(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gridfactor: a first minor exceeds float range\n"
 
 
 def test_localize_computes_no_glodf(monkeypatch, capsys, tmp_path):

@@ -14,7 +14,6 @@ from gridfactor import (
     Network,
     OutageSet,
     PerturbationSpec,
-    PtdfMatrix,
     SingularError,
     UnbalancedInjectionError,
     ValidationError,
@@ -25,7 +24,6 @@ from gridfactor import (
     glodf,
     incidence_matrix,
     injection_vector,
-    ptdf_matrix,
     run_cascade,
     solve_flow,
 )
@@ -192,7 +190,6 @@ def test_large_grid_builds_without_overflow_warning():
 
 def test_solves_never_build_the_inverse(monkeypatch, k4):
     bundle = build_laplacian(k4)
-    ptdf = ptdf_matrix(bundle, k4)
 
     def refuse(self):
         raise AssertionError("the dense inverse A was built")
@@ -202,7 +199,7 @@ def test_solves_never_build_the_inverse(monkeypatch, k4):
     outage = OutageSet(k4, [1, 2])
     solve_flow(bundle, k4, p)
     apply_outage(p, outage)
-    glodf(bundle, ptdf, k4, outage, method="post_contingency")
+    glodf(None, None, None, outage, method="post_contingency")
     # Trips line 2, then line 4, then settles: three re-solves.
     armed = with_capacities(k4, [0.3, 0.3, 1.0, 0.3, 0.6, 0.6])
     assert run_cascade(armed, p, [1]).tripped_by_stage() == ({1}, {2}, {4})
@@ -239,7 +236,7 @@ def test_zeroed_weights_match_the_copied_network(seed):
     assert np.array_equal(state.flows, flows)
     assert not np.any(np.signbit(state.flows[outage.outaged_idx]))
 
-    k_matrix = glodf(bundle, ptdf_matrix(bundle, net), net, outage, "post_contingency").k_matrix
+    k_matrix = glodf(None, None, None, outage, "post_contingency").k_matrix
     reduced = build_laplacian(without_edges(net, outage.outaged))
     c_out = incidence_columns(net, outage.outaged_idx)
     assert np.array_equal(k_matrix, reduced.branch_flows(reduced.solve(c_out)))
@@ -250,20 +247,21 @@ def test_zeroed_weights_match_the_copied_network(seed):
 def test_ptdf_is_zero_across_blocks_and_its_columns_are_its_matrix(seed, batch):
     rng = np.random.default_rng(seed)
     net = random_network(rng, max_nodes=12, max_extra=10)
-    bundle = build_laplacian(net)
+    twin = replace(net)  # an equal network whose D holds no matrix: its columns are solved
     with mock.patch.object(factors, "_BATCH", batch):  # the matrix filled a few columns per solve
-        D = ptdf_matrix(bundle, net).matrix
-    single = np.hstack([PtdfMatrix(bundle, net).columns([k]) for k in range(net.m)])
+        D = net.sensitivity.matrix
+    single = np.hstack([twin.sensitivity.columns([k]) for k in range(net.m)])
     assert np.array_equal(D.view(np.int64), single.view(np.int64))
     block = block_decomposition(net).block_at
     across = block[:, None] != block[None, :]
     assert np.array_equal(D[across].view(np.int64), np.zeros(np.count_nonzero(across), dtype=np.int64))
     C = incidence_matrix(net)
-    product = net.susceptances()[:, None] * (C.T @ bundle.A @ C)
+    product = net.susceptances()[:, None] * (C.T @ net.factor.A @ C)
     error = np.max(np.abs(D - product)[~across])
     assert error <= scaled_tolerance(float(np.max(np.abs(product))))
     positions = rng.integers(0, net.m, size=int(rng.integers(1, net.m + 1)))
-    columns = PtdfMatrix(bundle, net).columns(positions)
+    columns = twin.sensitivity.columns(positions)
+    assert "matrix" not in twin.sensitivity.__dict__
     assert np.array_equal(columns.view(np.int64), D[:, positions].view(np.int64))
 
 
@@ -288,8 +286,6 @@ def test_outage_paths_copy_no_network(monkeypatch):
     net = build(grid_doc(3))
     p = random_balanced_injection(np.random.default_rng(4), net.n)
     armed = with_capacities(net, np.abs(solve_flow(build_laplacian(net), net, p).flows) + 1e-3)
-    bundle = build_laplacian(armed)
-    ptdf = ptdf_matrix(bundle, armed)
     outage = OutageSet(armed, [1, 12])
 
     def refuse(*args, **kwargs):
@@ -300,7 +296,7 @@ def test_outage_paths_copy_no_network(monkeypatch):
     assert np.array_equal(post.flows[outage.outaged_idx], [0.0, 0.0])
     trace = run_cascade(armed, p, [1])
     assert len(trace.stages) > 1 and trace.stages[0].flow is not None
-    k_matrix = glodf(bundle, ptdf, armed, outage, method="post_contingency").k_matrix
+    k_matrix = glodf(None, None, None, outage, method="post_contingency").k_matrix
     assert k_matrix.shape == (armed.m - 2, 2)
     stats = almost_sure_nonzero_test(outage, PerturbationSpec(trials=3))
     assert stats.trials == 3

@@ -19,7 +19,6 @@ from gridfactor import (
     effective_reactance,
     lodf_via_forests,
     matrix_tree_check,
-    ptdf_matrix,
     ptdf_via_forests,
 )
 from gridfactor import forests
@@ -400,8 +399,7 @@ def test_forest_lodf_matches_ptdf_route():
     rng = np.random.default_rng(83)
     for _ in range(6):
         net = random_network(rng, max_nodes=6, min_extra=1)
-        bundle = build_laplacian(net)
-        ptdf = ptdf_matrix(bundle, net)
+        ptdf = net.sensitivity
         diag = np.diag(ptdf.matrix)
         for hat in net.ids:
             gap = 1.0 - diag[net.edge_index(hat)]

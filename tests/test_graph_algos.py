@@ -14,12 +14,10 @@ from gridfactor import (
     OutageSet,
     UnknownEdgeError,
     block_decomposition,
-    build_laplacian,
     detect_islanding,
     glodf,
     is_cut_set,
     load_network,
-    ptdf_matrix,
     run_cascade,
     shares_simple_cycle,
 )
@@ -191,8 +189,6 @@ def test_is_cut_set_matches_whole_network_oracle(seed, extra):
     net = random_network(rng, max_nodes=10, max_extra=max_extra, min_extra=min_extra)
     if net.m < 2:
         return
-    bundle = build_laplacian(net)
-    ptdf = ptdf_matrix(bundle, net)
     ids = net.ids
     for _ in range(6):
         size = int(rng.integers(1, min(4, net.m - 1) + 1))
@@ -200,12 +196,12 @@ def test_is_cut_set_matches_whole_network_oracle(seed, extra):
         cut = not connected_after_removal_oracle(net, outage)
         assert is_cut_set(net, outage) == cut
         split = OutageSet(net, outage)
-        assert detect_islanding(ptdf, split) == cut
+        assert detect_islanding(split) == cut
         if cut:
             with pytest.raises(CutSetError):
-                glodf(bundle, ptdf, net, split)
+                glodf(None, None, None, split)
         else:
-            glodf(bundle, ptdf, net, split)
+            glodf(None, None, None, split)
         trace = run_cascade(net, np.zeros(net.n), outage)
         assert (trace.status == "islanded") == cut
 

@@ -9,7 +9,6 @@ from gridfactor import (
     LaplacianBundle,
     OutageSet,
     PerturbationSpec,
-    PtdfMatrix,
     UnknownEdgeError,
     ZeroFactorError,
     adversarial_capacity,
@@ -22,7 +21,6 @@ from gridfactor import (
     incidence_matrix,
     influence_graph,
     lodf_single,
-    ptdf_matrix,
     run_cascade,
     simple_cycle_criterion,
     solve_flow,
@@ -42,25 +40,18 @@ from conftest import (
 )
 
 
-def make_factors(net):
-    bundle = build_laplacian(net)
-    return bundle, ptdf_matrix(bundle, net)
-
-
 def test_simple_cycle_criterion_fig2(fig2):
     decomposition = block_decomposition(fig2)
     blocks = [sorted(b) for b in decomposition.blocks if len(b) > 1]
     left, right = blocks[0], blocks[1]
     assert simple_cycle_criterion(fig2, right[0], left[0]) == "zero"
-    _, ptdf = make_factors(fig2)
-    factor = lodf_single(ptdf, left[0])[right[0]]
+    factor = lodf_single(fig2, left[0])[right[0]]
     assert abs(factor) < 1e-10
 
 
 def test_simple_cycle_criterion_triangle(triangle):
     assert simple_cycle_criterion(triangle, 2, 1) == "possibly_nonzero"
-    _, ptdf = make_factors(triangle)
-    column = lodf_single(ptdf, 1)
+    column = lodf_single(triangle, 1)
     assert abs(column[2]) > 0.5
 
 
@@ -84,21 +75,19 @@ def test_criterion_soundness_on_random_graphs():
     rng = np.random.default_rng(151)
     for _ in range(10):
         net = random_network(rng, min_extra=1)
-        bundle, ptdf = make_factors(net)
         decomposition = block_decomposition(net)
         for hat in net.ids:
             if hat in decomposition.bridges:
                 continue
-            column = lodf_single(ptdf, hat)
+            column = lodf_single(net, hat)
             for line, factor in column.items():
                 if simple_cycle_criterion(net, line, hat) == "zero":
                     assert abs(factor) < 1e-10
 
 
 def test_block_structure_report_fig2_singleton(fig2):
-    bundle, ptdf = make_factors(fig2)
     outage = OutageSet(fig2, [1])
-    result = glodf(bundle, ptdf, fig2, outage)
+    result = glodf(None, None, None, outage)
     report = block_structure_report(outage)
 
     scale = max(1.0, report.matrix_scale)
@@ -119,10 +108,9 @@ def test_block_structure_report_fig2_singleton(fig2):
 def test_block_structure_flow_deltas_stay_in_block(fig2):
     # One tripped line per block: surviving lines only react to the tripped
     # line of their own block.
-    bundle, ptdf = make_factors(fig2)
     decomposition = block_decomposition(fig2)
     outage = OutageSet(fig2, [1, 6])
-    result = glodf(bundle, ptdf, fig2, outage)
+    result = glodf(None, None, None, outage)
     block_at = decomposition.block_at
     for row, line in enumerate(outage.surviving):
         for col, tripped in enumerate(outage.outaged):
@@ -138,10 +126,9 @@ def test_block_structure_report_random_instances():
         outage_ids = sample_non_cut_outage(rng, net)
         if outage_ids is None:
             continue
-        bundle, ptdf = make_factors(net)
         decomposition = block_decomposition(net)
         outage = OutageSet(net, outage_ids)
-        result = glodf(bundle, ptdf, net, outage)
+        result = glodf(None, None, None, outage)
         report = block_structure_report(outage)
         scale = max(1.0, report.matrix_scale)
         assert report.cross_block_max < 1e-9 * scale
@@ -174,8 +161,7 @@ def test_perturbation_triangle_always_nonzero(triangle):
 
 def test_perturbation_k4_symmetry_breaking(k4):
     # Unperturbed: the factor between non-adjacent lines vanishes by symmetry.
-    bundle, ptdf = make_factors(k4)
-    column = lodf_single(ptdf, 1)
+    column = lodf_single(k4, 1)
     assert abs(column[6]) < 1e-12
 
     stats = almost_sure_nonzero_test(
@@ -237,7 +223,6 @@ def test_adversarial_capacity_guarantee_random():
         net = random_network(rng, min_extra=1)
         decomposition = block_decomposition(net)
         bundle = build_laplacian(net)
-        ptdf = ptdf_matrix(bundle, net)
         pairs = [
             (hat, other)
             for hat in net.ids
@@ -247,7 +232,7 @@ def test_adversarial_capacity_guarantee_random():
         ]
         hit = None
         for tripped, target in pairs:
-            factor = lodf_single(ptdf, tripped).get(target, 0.0)
+            factor = lodf_single(net, tripped).get(target, 0.0)
             if abs(factor) > 1e-6:
                 hit = (tripped, target)
                 break
@@ -306,9 +291,7 @@ def _dense_perturbation_counts(network, outage, spec):
         rng = np.random.default_rng([spec.seed, trial])
         omega = rng.uniform(-spec.relative_magnitude, spec.relative_magnitude, network.m)
         perturbed = with_susceptances(network, base * np.maximum(1.0 + omega, 1e-12))
-        bundle = build_laplacian(perturbed)
-        ptdf = ptdf_matrix(bundle, perturbed)
-        K = glodf(bundle, ptdf, perturbed, OutageSet(perturbed, outage.outaged)).k_matrix
+        K = glodf(None, None, None, OutageSet(perturbed, outage.outaged)).k_matrix
         for r, line in enumerate(outage.surviving):
             for c, tripped in enumerate(outage.outaged):
                 if abs(float(K[r, c])) > localization.NONZERO_ATOL:
@@ -381,15 +364,15 @@ def _multi_block_outages(count):
 
 
 def test_cross_block_max_reads_no_structural_zero(monkeypatch, fig2):
-    columns = PtdfMatrix.columns
+    columns = factors.PtdfMatrix.columns
 
     def filled(self, positions):
-        block = block_decomposition(self.network).block_at
+        block = self.block_at
         d_cols = columns(self, positions)
         d_cols[block[:, None] != block[positions]] = 1.0
         return d_cols
 
-    monkeypatch.setattr(PtdfMatrix, "columns", filled)
+    monkeypatch.setattr(factors.PtdfMatrix, "columns", filled)
     for net, lines in [(fig2, [1, 6]), *_multi_block_outages(20)]:
         report = block_structure_report(OutageSet(net, lines))
         assert report.cross_block_max < 1e-9 * max(1.0, report.matrix_scale)
@@ -402,9 +385,8 @@ def _bitwise_equal(a, b):
 def test_parts_come_from_the_post_contingency_factor_not_the_ptdf(fig2):
     fig2_outages = [(fig2, [line]) for line in (1, 2, 3, 6, 7, 8)] + [(fig2, [1, 6]), (fig2, [2, 8])]
     for net, lines in fig2_outages + list(_multi_block_outages(30)):
-        bundle, ptdf = make_factors(net)
         outage = OutageSet(net, lines)
-        post = glodf(bundle, ptdf, net, outage, method="post_contingency")
+        post = glodf(None, None, None, outage, method="post_contingency")
         report = block_structure_report(outage)
         for block in report.blocks:
             rows = [outage.surviving.index(line) for line in block.row_ids]
@@ -419,9 +401,8 @@ def test_parts_come_from_the_post_contingency_factor_not_the_ptdf(fig2):
 def test_k_direct_is_the_kernel_on_the_masked_ptdf_columns(fig2):
     """The report reads each block from its unmasked whole-network columns, with the PTDF's bits."""
     for net, lines in [(fig2, [1, 7]), (fig2, [2, 8]), *_multi_block_outages(20)]:
-        bundle = build_laplacian(net)
         outage = OutageSet(net, lines)
-        d_cols = PtdfMatrix(bundle, net).columns(outage.outaged_idx)
+        d_cols = net.sensitivity.columns(outage.outaged_idx)
         for block in block_structure_report(outage).blocks:
             full_cols = [outage.outaged.index(line) for line in block.col_ids]
             rows, cols = net.edge_positions(block.row_ids), net.edge_positions(block.col_ids)
@@ -435,7 +416,7 @@ def test_perturbation_never_builds_the_inverse(monkeypatch, fig2):
         raise AssertionError("a dense inverse or full PTDF was built")
 
     monkeypatch.setattr(LaplacianBundle, "A", property(refuse), raising=False)
-    monkeypatch.setattr(factors, "ptdf_matrix", refuse)
+    monkeypatch.setattr(factors.PtdfMatrix, "matrix", property(refuse))
     stats = almost_sure_nonzero_test(OutageSet(fig2, [1, 6]), PerturbationSpec(trials=5))
     assert stats.min_within_count() == 5 and stats.max_cross_count() == 0
 
@@ -445,7 +426,7 @@ def test_adversarial_capacity_builds_no_dense_matrix(monkeypatch, fig2):
         raise AssertionError("a dense inverse or full PTDF was built")
 
     monkeypatch.setattr(LaplacianBundle, "A", property(refuse), raising=False)
-    monkeypatch.setattr(factors, "ptdf_matrix", refuse)
+    monkeypatch.setattr(factors.PtdfMatrix, "matrix", property(refuse))
     instance = adversarial_capacity(fig2, 1, 2)
     assert instance.capacities.shape == (fig2.m,)
 
@@ -460,10 +441,9 @@ def test_one_network_builds_its_decomposition_once(monkeypatch):
 
     monkeypatch.setattr(graph_algos, "block_decomposition", counting)
     net = build(fig2_doc())
-    _, ptdf = make_factors(net)
     outage = OutageSet(net, [1, 6])
-    lodf_single(ptdf, 1)
-    influence_graph(ptdf, 0.05)
+    lodf_single(net, 1)
+    influence_graph(net, 0.05)
     block_structure_report(outage)
     almost_sure_nonzero_test(outage, PerturbationSpec(trials=2))
     adversarial_capacity(net, 1, 2)
@@ -471,9 +451,9 @@ def test_one_network_builds_its_decomposition_once(monkeypatch):
     assert len(built) == 1 and built[0] is net
 
 
-def _adversarial_by_full_ptdf(bundle, net, tripped, target):
+def _adversarial_by_full_ptdf(net, tripped, target):
     """The dense route: the full PTDF's outage column, then a second solve for the flows."""
-    D = ptdf_matrix(bundle, net).matrix
+    D = net.sensitivity.matrix
     k = net.edge_index(tripped)
     column = D[:, k] / (1.0 - D[k, k])
     k_norm = float(np.max(np.abs(np.delete(column, k))))
@@ -505,8 +485,7 @@ def test_unit_injection_matches_the_full_ptdf_route(seed):
         return
     tripped = int(rng.choice(inner))
     target = int(rng.choice([line for line in ids if line != tripped]))
-    bundle = build_laplacian(net)
-    expected = _adversarial_by_full_ptdf(bundle, net, tripped, target)
+    expected = _adversarial_by_full_ptdf(net, tripped, target)
     if expected is None:
         with pytest.raises(ZeroFactorError):
             adversarial_capacity(net, tripped, target)

@@ -20,7 +20,6 @@ from gridfactor import (
     block_structure_report,
     glodf,
     influence_graph,
-    ptdf_matrix,
     run_cascade,
     solve_flow,
 )
@@ -57,13 +56,13 @@ def _same_record(a, b) -> bool:
 
 def _factor_outputs(net, lines, p):
     """Every dimensionless output for one outage of ``net``, and the flow states with their angles."""
-    ptdf = ptdf_matrix(net.factor, net)
+    D = net.sensitivity.matrix
     outage = OutageSet(net, lines)
     pre, post = apply_outage(p, outage)
     return {
-        "ptdf": ptdf.matrix,
-        "influence": influence_graph(ptdf, 0.05),
-        "glodf": {method: glodf(net.factor, ptdf, net, outage, method) for method in GLODF_METHODS},
+        "ptdf": D,
+        "influence": influence_graph(net, 0.05),
+        "glodf": {method: glodf(None, None, None, outage, method) for method in GLODF_METHODS},
         "report": block_structure_report(outage),
         "perturbation": almost_sure_nonzero_test(outage, PerturbationSpec(trials=3, seed=5)),
         "states": (pre, post),  # pre is solve_flow on net.factor

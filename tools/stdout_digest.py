@@ -44,7 +44,8 @@ weigh 1e200, so that the spanning-tree weight is past float range.  Four
 more take the 4×4 unit grid (100,352 spanning trees, the largest network
 the oracle takes), two buses joined by one line (a 1×1 reduced
 Laplacian), the stiff triangle (refused by ``lodf_single``, exit 2) and a
-40-bus ring with one chord (few trees, many buses).  The subnormal triangle,
+40-bus ring with one chord (few trees, many buses).  One more takes a 54-bus
+path whose tree weight is a float but a first minor is not (refused, exit 2).  The subnormal triangle,
 three lines of b=1e-310 that the loader takes but whose factor meets a pivot
 that is not finite, runs ``lodf --line 1``, ``ptdf`` and ``verify``.  Runs
 share one process, as a caller of ``gridfactor.cli.run`` would.  The
@@ -286,6 +287,8 @@ def outputs(src) -> Iterator[tuple[str, int, str, str]]:
         gen.write({"edges": [{"from": 1, "to": 2, "b": 0.3}]}, Path("two_bus.json"))
         gen.write(_ring_with_chord(40, 20), Path("ring40.json"))
         corpus += [["verify", name] for name in ("grid4.json", "two_bus.json", "stiff_triangle.json", "ring40.json")]
+        gen.write(conftest.overflowing_minor_doc(), Path("path54.json"))
+        corpus.append(["verify", "path54.json"])
         gen.write(gen.grid(30, 2)[0], Path("grid30.json"))  # one block: a search far deeper than the block trees
         corpus.append(["blocks", "grid30.json"])
         gen.write(gen.grid(20, 3)[0], Path("screen.json"))  # screen_grid's network: the GLODF kernel at 757 rows
