@@ -9,14 +9,13 @@ import numpy as np
 
 from gridfactor import (
     build_laplacian,
-    incidence_matrix,
     injection_vector,
     load_network,
     network_to_document,
     solve_flow,
     validate,
 )
-from gridfactor.net_model import scaled_tolerance
+from gridfactor.net_model import incidence_columns, scaled_tolerance
 
 triangle = load_network({
     "nodes": [1, 2, 3],
@@ -35,7 +34,7 @@ print("validation findings:", validate(triangle).findings or "none")
 
 # Orientation lives in the incidence matrix: +1 at each source, -1 at each
 # target, so every column sums to zero.
-C = incidence_matrix(triangle)
+C = incidence_columns(triangle, np.arange(triangle.m))
 print("\nincidence matrix:\n", C)
 
 # The Laplacian is C B C^T.  The padded reduced-Laplacian inverse maps

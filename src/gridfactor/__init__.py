@@ -34,11 +34,8 @@ from .factors import (
     OutageSet,
     PtdfMatrix,
     apply_outage,
-    characteristic_injection_flow,
-    detect_islanding,
     glodf,
     lodf_single,
-    lodf_stack,
     ptdf_matrix,
 )
 from .forests import (
@@ -64,7 +61,6 @@ from .localization import (
 from .net_model import (
     Network,
     ValidationReport,
-    incidence_matrix,
     injection_vector,
     load_network,
     network_to_document,

@@ -62,15 +62,6 @@ class CascadeTrace:
     initial_outage: frozenset[int]
     islanded_at_stage: int | None = None
 
-    def tripped_by_stage(self) -> tuple[frozenset[int], ...]:
-        return tuple(stage.tripped for stage in self.stages)
-
-    def cumulative_outage(self) -> frozenset[int]:
-        out: set[int] = set()
-        for stage in self.stages:
-            out |= stage.tripped
-        return frozenset(out)
-
 
 def run_cascade(network: Network, p, initial_outage) -> CascadeTrace:
     """Simulate a cascade from an initial set of tripped lines.

@@ -9,7 +9,7 @@ tripped lines through the inverse of I - D_FF, in the GLODF kernel
 inverse and one product, O(rows |F|^2 + |F|^3).  Each simultaneous-outage
 formula is defined once, as a view of :class:`GlodfResult` over the outage
 columns D[:, F]: pre_contingency, post_contingency, via_stack and the stacked
-k_stack.  :func:`glodf`, :func:`lodf_stack`, the localization report and every
+k_stack.  :func:`glodf`, the localization report and every
 perturbation trial read those views; the cross-check mode evaluates all three
 formulas and records their disagreement.
 """
@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .dcpf import FlowState, surviving_factor, surviving_flow
-from .errors import BridgeOutageError, CutSetError, SingularError, UnknownEdgeError, ValidationError
+from .errors import BridgeOutageError, CutSetError, SingularError, ValidationError
 from .net_model import RTOL, Network, injection_vector, scaled_tolerance
 
 __all__ = [
@@ -32,11 +32,8 @@ __all__ = [
     "GlodfResult",
     "ptdf_matrix",
     "lodf_single",
-    "lodf_stack",
     "glodf",
     "apply_outage",
-    "characteristic_injection_flow",
-    "detect_islanding",
 ]
 
 GLODF_METHODS = ("post_contingency", "pre_contingency", "via_stack", "cross_check")
@@ -46,8 +43,8 @@ _BATCH = 32  # columns per solve: D is read in m x _BATCH slices, never as m x m
 class PtdfMatrix:
     """The sensitivity D = B C^T A C of one network on its ``factor``, read by columns, indexed by line ``ids``.
 
-    :attr:`Network.sensitivity` is the one per network.  It keeps the ``factor``, ``ids``, ``block_at`` and the
-    id lookup but no reference to the network, so a network that holds it is freed by reference counting.  D is
+    :attr:`Network.sensitivity` is the one per network.  It keeps the ``factor``, ``ids`` and ``block_at``
+    but no reference to the network, so a network that holds it is freed by reference counting.  D is
     held column-major, as :meth:`LaplacianBundle.branch_flows` writes it, so an outage's columns are contiguous.
 
     A unit injection across a line's ends moves flow only inside that line's
@@ -62,7 +59,6 @@ class PtdfMatrix:
     def __init__(self, network: Network):
         self.factor = network.factor
         self.ids = network.ids
-        self._position = network._edge_lookup
         self.block_at = network.decomposition.block_at
 
     def batches(self, positions, rows=slice(None)):
@@ -86,13 +82,6 @@ class PtdfMatrix:
     @cached_property
     def matrix(self) -> np.ndarray:
         return self.columns(np.arange(len(self.ids)))
-
-    def entry(self, line: int, shifted: int) -> float:
-        try:
-            col, row = self._position[shifted], self._position[line]
-        except KeyError as exc:
-            raise UnknownEdgeError(f"unknown edge id {exc.args[0]}") from None
-        return float(self.columns([col])[row, 0])
 
 
 class OutageSet:
@@ -208,19 +197,6 @@ def lodf_single(network: Network, outaged: int) -> dict[int, float]:
     return dict(zip(ids, np.delete(values, col).tolist()))
 
 
-def lodf_stack(outage: OutageSet) -> np.ndarray:
-    """Stacked single-line outage factors K_-FF, one column per tripped line.
-
-    Each column is the line's individual outage factor; this is not the
-    simultaneous-outage sensitivity (see :func:`glodf`).  Bridges are
-    decided by the graph.  The columns are :attr:`GlodfResult.k_stack`.
-    """
-    offenders = [line for line in outage.outaged if line in outage.network.decomposition.bridges]
-    if offenders:
-        raise BridgeOutageError(f"lines {offenders} are bridges; outage factors are undefined")
-    return GlodfResult(outage, "pre_contingency", outage.network.sensitivity.columns(outage.outaged_idx)).k_stack
-
-
 def _lodf_columns(d_cols: np.ndarray, d_kk) -> np.ndarray:
     """Single-line outage factors D[:, k] / (1 - D_kk) of sensitivity columns (any rows).
 
@@ -305,28 +281,3 @@ def _outage_flow(network: Network, p, base: FlowState | None, tripped) -> FlowSt
             if np.abs(imbalance).sum() <= scaled_tolerance(float(np.abs(flows).max())):  # NaN fails too
                 return FlowState(theta=theta, flows=flows)
     return surviving_flow(network, p, tripped)
-
-
-def characteristic_injection_flow(network: Network, line: int) -> np.ndarray:
-    """Branch flows under a unit injection across a line's endpoints.
-
-    Injecting +1 at the line's source and -1 at its target reproduces the
-    line's sensitivity column: the flow on every line u equals D_u,line,
-    and the flow on the line itself is positive.
-    """
-    return network.factor.sensitivity_columns([network.edge_index(line)])[:, 0]
-
-
-def detect_islanding(outage: OutageSet) -> bool:
-    """True when I - D_FF is numerically singular, a numerical test for a cut set.
-
-    The smallest singular value is compared against ``scaled_tolerance(largest singular value)``; its unit
-    floor keeps one-line (1x1) bridge outages detectable, where both singular values vanish together.  Its
-    exact twin is the graph test (:attr:`OutageSet.disconnects`): the tripped lines' cycle labels are linearly
-    dependent over GF(2).  The two agree except when the susceptances spread widely: on a stiff triangle this
-    one calls a non-cut outage singular.  No refusal in this package uses it; each reads ``disconnects``.
-    """
-    cols = outage.outaged_idx
-    system = np.eye(outage.size) - outage.network.sensitivity.columns(cols)[cols]
-    singular_values = np.linalg.svd(system, compute_uv=False)
-    return float(singular_values[-1]) < scaled_tolerance(float(singular_values[0]))

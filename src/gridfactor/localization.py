@@ -20,7 +20,7 @@ import numpy as np
 
 from .dcpf import build_laplacian
 from .errors import BridgeOutageError, ValidationError, ZeroFactorError
-from .factors import GlodfResult, OutageSet, _glodf_kernel, _lodf_columns, characteristic_injection_flow
+from .factors import GlodfResult, OutageSet, _glodf_kernel, _lodf_columns
 from .graph_algos import shares_simple_cycle
 from .net_model import NONZERO_ATOL, Network, incidence_columns, scaled_tolerance
 
@@ -184,12 +184,6 @@ class PerturbationStats:
     within_block: dict[tuple[int, int], int]
     cross_block: dict[tuple[int, int], int]
 
-    def min_within_count(self) -> int:
-        return min(self.within_block.values()) if self.within_block else 0
-
-    def max_cross_count(self) -> int:
-        return max(self.cross_block.values()) if self.cross_block else 0
-
 
 def almost_sure_nonzero_test(outage: OutageSet,
                              spec: PerturbationSpec = PerturbationSpec()) -> PerturbationStats:
@@ -256,7 +250,7 @@ def adversarial_capacity(network: Network, tripped: int, target: int) -> Adversa
     target_idx = network.edge_index(target)
     tripped_idx = network.edge_index(tripped)
     injections = incidence_columns(network, [tripped_idx])[:, 0]
-    flows = characteristic_injection_flow(network, tripped)
+    flows = network.factor.sensitivity_columns([tripped_idx])[:, 0]
     column = _lodf_columns(flows, flows[tripped_idx])
     k_norm = float(np.max(np.abs(np.delete(column, tripped_idx))))
     if abs(column[target_idx]) < scaled_tolerance(k_norm):

@@ -1,4 +1,4 @@
-"""Network data model, document ingestion, validation, and incidence matrix.
+"""Network data model, document ingestion and validation.
 
 A network is an oriented simple graph.  Edge orientation is taken from the
 order the endpoints appear in the input document, so loading is fully
@@ -37,7 +37,6 @@ __all__ = [
     "ValidationReport",
     "load_network",
     "network_to_document",
-    "incidence_matrix",
     "incidence_columns",
     "validate",
     "injection_vector",
@@ -324,9 +323,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.findings
 
-    def codes(self) -> tuple[str, ...]:
-        return tuple(f.code for f in self.findings)
-
 
 def _parse_real(raw, what: str) -> float:
     """A real number: a JSON number or the text of one, as CSV gives; never a boolean."""
@@ -523,11 +519,6 @@ def network_to_document(network: Network) -> dict:
     if network.injections is not None:
         doc["injections"] = {str(node): p for node, p in zip(network.nodes, network.injections)}
     return doc
-
-
-def incidence_matrix(network: Network) -> np.ndarray:
-    """Signed node-edge incidence matrix C (+1 at each source, -1 at each target)."""
-    return incidence_columns(network, np.arange(network.m))
 
 
 def incidence_columns(network: Network, positions) -> np.ndarray:

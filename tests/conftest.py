@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gridfactor import is_cut_set, load_network
+from gridfactor.net_model import incidence_columns, scaled_tolerance
 
 
 def build(doc, **kwargs):
@@ -243,6 +244,21 @@ def sample_non_cut_outage(rng, network, max_size=3, attempts=300):
         if not is_cut_set(network, chosen):
             return chosen
     return None
+
+
+def incidence_matrix(network):
+    """Signed node-edge incidence matrix C (+1 at each source, -1 at each target)."""
+    return incidence_columns(network, np.arange(network.m))
+
+
+def detect_islanding(outage):
+    """True when I - D_FF is numerically singular (smallest singular value below ``scaled_tolerance`` of the
+    largest): Part I's cut criterion in floating point.  The package refuses cuts by the exact GF(2) test,
+    ``OutageSet.disconnects``; this one also calls a non-cut outage of a stiff triangle singular."""
+    cols = outage.outaged_idx
+    system = np.eye(outage.size) - outage.network.sensitivity.columns(cols)[cols]
+    singular_values = np.linalg.svd(system, compute_uv=False)
+    return float(singular_values[-1]) < scaled_tolerance(float(singular_values[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from gridfactor import (
     block_decomposition,
     build_laplacian,
     glodf,
-    incidence_matrix,
     influence_graph,
     injection_vector,
     run_cascade,
@@ -34,6 +33,7 @@ from conftest import (
     build,
     exact_flows,
     grid_doc,
+    incidence_matrix,
     k4_doc,
     random_balanced_injection,
     random_network,
@@ -57,7 +57,7 @@ def test_adversarial_trace(triangle):
     assert [sorted(stage.tripped) for stage in trace.stages] == [[1], [3]]
     assert trace.stages[0].flow is not None
     assert trace.stages[1].flow is None
-    assert trace.cumulative_outage() == frozenset({1, 3})
+    assert frozenset().union(*(stage.tripped for stage in trace.stages)) == frozenset({1, 3})
 
 
 def test_infinite_capacities_stop_after_initial_outage(triangle):
@@ -216,9 +216,9 @@ def test_cascades_on_one_network_share_its_factor(count_factors):
     # Trips line 2, then line 4, then settles: three connected stages, none a cut.
     armed = with_capacities(build(k4_doc()), [0.3, 0.3, 1.0, 0.3, 0.6, 0.6])
     p = [1.0, 0.5, -0.5, -1.0]
-    assert run_cascade(armed, p, [1]).tripped_by_stage() == ({1}, {2}, {4})
+    assert [stage.tripped for stage in run_cascade(armed, p, [1]).stages] == [{1}, {2}, {4}]
     assert len(count_factors) == 1
-    assert run_cascade(armed, p, [1]).tripped_by_stage() == ({1}, {2}, {4})
+    assert [stage.tripped for stage in run_cascade(armed, p, [1]).stages] == [{1}, {2}, {4}]
     assert run_cascade(armed, p, [3]).stages[0].flow is not None
     assert len(count_factors) == 1 and count_factors[0] is armed.factor
 

@@ -268,7 +268,7 @@ def test_parallel_lines_are_refused(capsys, tmp_path, reverse):
     net = Network(nodes=(1, 2, 3), ids=(1, 2, 3, 4), sources=tuple(e["from"] for e in lines),
                   targets=tuple(e["to"] for e in lines), b=tuple(e["b"] for e in lines),
                   cap=(math.inf,) * 4, reference=3)
-    assert validate(net).codes() == ("duplicate_edge",)
+    assert [f.code for f in validate(net).findings] == ["duplicate_edge"]
     with pytest.raises(ValidationError, match="duplicate_edge"):
         load_network(doc)
     path = tmp_path / "parallel.json"

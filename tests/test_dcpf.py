@@ -22,7 +22,6 @@ from gridfactor import (
     block_decomposition,
     build_laplacian,
     glodf,
-    incidence_matrix,
     injection_vector,
     run_cascade,
     solve_flow,
@@ -35,6 +34,7 @@ from conftest import (
     build,
     exact_weight,
     grid_doc,
+    incidence_matrix,
     random_balanced_injection,
     random_network,
     reference_separates_oracle,
@@ -202,7 +202,7 @@ def test_solves_never_build_the_inverse(monkeypatch, k4):
     glodf(None, None, None, outage, method="post_contingency")
     # Trips line 2, then line 4, then settles: three re-solves.
     armed = with_capacities(k4, [0.3, 0.3, 1.0, 0.3, 0.6, 0.6])
-    assert run_cascade(armed, p, [1]).tripped_by_stage() == ({1}, {2}, {4})
+    assert [stage.tripped for stage in run_cascade(armed, p, [1]).stages] == [{1}, {2}, {4}]
 
 
 def _copied_network_flow(net, p, tripped_ids):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gridfactor import (
     BridgeOutageError,
     CutSetError,
+    GlodfResult,
     OutageSet,
     SingularError,
     UnknownEdgeError,
@@ -17,14 +18,11 @@ from gridfactor import (
     apply_outage,
     block_decomposition,
     build_laplacian,
-    characteristic_injection_flow,
-    detect_islanding,
     glodf,
     influence_graph,
     injection_vector,
     is_cut_set,
     lodf_single,
-    lodf_stack,
     lodf_via_forests,
     ptdf_matrix,
     ptdf_via_forests,
@@ -36,7 +34,9 @@ from gridfactor.net_model import scaled_tolerance
 
 from conftest import (
     build,
+    detect_islanding,
     grid_doc,
+    incidence_matrix,
     k4_doc,
     random_balanced_injection,
     random_network,
@@ -49,10 +49,9 @@ from conftest import (
 def test_ptdf_triangle_values(triangle):
     ptdf = triangle.sensitivity
     assert np.max(np.abs(np.diag(ptdf.matrix) - 2.0 / 3.0)) < 1e-12
-    assert ptdf.entry(3, 1) == pytest.approx(1.0 / 3.0, abs=1e-12)
-    assert ptdf.entry(3, 1) == pytest.approx(
-        ptdf_via_forests(triangle, 3, 1, 2), abs=1e-12
-    )
+    entry = ptdf.columns([triangle.edge_index(1)])[triangle.edge_index(3), 0]
+    assert entry == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert entry == pytest.approx(ptdf_via_forests(triangle, 3, 1, 2), abs=1e-12)
 
 
 def test_ptdf_path_is_identity(path3):
@@ -115,17 +114,21 @@ def test_lodf_single_equals_the_per_line_division():
         assert list(column) == list(expected) and column == expected
 
 
+def k_stack(outage):
+    return GlodfResult(outage, "pre_contingency", outage.network.sensitivity.columns(outage.outaged_idx)).k_stack
+
+
 def test_lodf_stack_singleton_matches_single(triangle):
     outage = OutageSet(triangle, [1])
-    stack = lodf_stack(outage)
+    stack = k_stack(outage)
     column = lodf_single(triangle, 1)
     for row, line in enumerate(outage.surviving):
         assert stack[row, 0] == pytest.approx(column[line], abs=1e-15)
 
 
 def test_lodf_stack_columns_are_single_line_factors(triangle):
-    outage = OutageSet(triangle, [1, 2])
-    stack = lodf_stack(outage)
+    outage = OutageSet(triangle, [1, 2])  # a cut, yet each tripped line alone is not a bridge
+    stack = k_stack(outage)
     assert stack.shape == (1, 2)
     for col, tripped in enumerate(outage.outaged):
         column = lodf_single(triangle, tripped)
@@ -135,7 +138,9 @@ def test_lodf_stack_columns_are_single_line_factors(triangle):
 
 def test_lodf_stack_bridge_raises(path3):
     with pytest.raises(BridgeOutageError):
-        lodf_stack(OutageSet(path3, [1]))
+        lodf_single(path3, 1)
+    with pytest.raises(CutSetError):
+        glodf(None, None, None, OutageSet(path3, [1]))
 
 
 @pytest.mark.parametrize("caller", ["lodf_single", "lodf_stack", "influence_graph",
@@ -147,7 +152,7 @@ def test_stiff_line_that_is_not_a_bridge_is_singular(caller):
     assert not decomposition.bridges
     call = {
         "lodf_single": lambda: lodf_single(net, 1),
-        "lodf_stack": lambda: lodf_stack(OutageSet(net, [1])),
+        "lodf_stack": lambda: glodf(None, None, None, OutageSet(net, [1]), method="post_contingency").k_stack,
         "influence_graph": lambda: influence_graph(net, 0.05),
         "adversarial_capacity": lambda: adversarial_capacity(net, 1, 2),
     }[caller]
@@ -182,10 +187,11 @@ def test_entry_reads_one_column(triangle):
     twin = build(triangle_doc())
     held = triangle.sensitivity
     held.matrix
-    assert twin == triangle and twin.sensitivity.entry(3, 1) == held.entry(3, 1)
+    col, row = triangle.edge_index(1), triangle.edge_index(3)
+    assert twin == triangle and twin.sensitivity.columns([col])[row, 0] == held.columns([col])[row, 0]
     assert "matrix" not in twin.sensitivity.__dict__
     with pytest.raises(UnknownEdgeError, match="unknown edge id 9"):
-        twin.sensitivity.entry(9, 1)
+        twin.sensitivity.columns([twin.edge_index(1)])[twin.edge_index(9), 0]
 
 
 def test_outage_set_validation(triangle):
@@ -346,8 +352,6 @@ def test_apply_outage_matches_glodf_prediction():
         scale = max(1.0, float(np.max(np.abs(pre.flows))))
         assert np.max(np.abs(post.flows[outage.surviving_idx] - predicted)) < 1e-9 * scale
         # Conservation on the surviving network.
-        from gridfactor import incidence_matrix
-
         C = incidence_matrix(net)
         assert np.max(np.abs(C[:, outage.surviving_idx] @ post.flows[outage.surviving_idx] - p)) < 1e-9 * scale
         tested += 1
@@ -359,12 +363,12 @@ def test_apply_outage_cut_set_raises(triangle):
 
 
 def test_characteristic_injection_triangle(triangle):
-    flows = characteristic_injection_flow(triangle, 1)
+    flows = solve_flow(triangle.factor, triangle, incidence_matrix(triangle)[:, 0]).flows
     assert flows[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_characteristic_injection_path(path3):
-    flows = characteristic_injection_flow(path3, 1)
+    flows = solve_flow(path3.factor, path3, incidence_matrix(path3)[:, 0]).flows
     assert np.max(np.abs(flows - np.array([1.0, 0.0]))) < 1e-12
 
 
@@ -373,7 +377,7 @@ def test_characteristic_injection_equals_ptdf_column():
     for _ in range(10):
         net = random_network(rng)
         for line in net.ids:
-            flows = characteristic_injection_flow(net, line)
+            flows = solve_flow(net.factor, net, incidence_matrix(net)[:, net.edge_index(line)]).flows
             column = net.sensitivity.matrix[:, net.edge_index(line)]
             assert np.max(np.abs(flows - column)) < 1e-9
             assert flows[net.edge_index(line)] > 0.0
@@ -436,7 +440,7 @@ def test_glodf_computes_the_stacked_factors_only_when_read(monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(factors, "_lodf_columns", refuse)
         result = glodf(None, None, None, outage, method="pre_contingency")
-    assert np.array_equal(result.k_stack, lodf_stack(outage))
+    assert np.array_equal(result.k_stack, k_stack(outage))
     assert result.k_stack is result.k_stack
 
 

@@ -408,7 +408,7 @@ def test_forest_lodf_matches_ptdf_route():
             for line in net.ids:
                 if line == hat:
                     continue
-                algebraic = ptdf.entry(line, hat) / gap
+                algebraic = ptdf.columns([net.edge_index(hat)])[net.edge_index(line), 0] / gap
                 oracle = lodf_via_forests(net, line, hat)
                 assert abs(algebraic - oracle) < 1e-9 * max(1.0, abs(algebraic))
 

@@ -14,7 +14,6 @@ from gridfactor import (
     OutageSet,
     UnknownEdgeError,
     block_decomposition,
-    detect_islanding,
     glodf,
     is_cut_set,
     load_network,
@@ -24,6 +23,7 @@ from gridfactor import (
 
 from conftest import (
     connected_after_removal_oracle,
+    detect_islanding,
     fig2_doc,
     random_network,
     simple_cycle_oracle,

@@ -16,9 +16,7 @@ from gridfactor import (
     block_decomposition,
     block_structure_report,
     build_laplacian,
-    characteristic_injection_flow,
     glodf,
-    incidence_matrix,
     influence_graph,
     lodf_single,
     run_cascade,
@@ -32,6 +30,7 @@ from gridfactor.net_model import RTOL, incidence_columns
 from conftest import (
     build,
     fig2_doc,
+    incidence_matrix,
     random_network,
     sample_non_cut_outage,
     with_capacities,
@@ -155,7 +154,7 @@ def test_perturbation_triangle_always_nonzero(triangle):
         OutageSet(triangle, [1]), PerturbationSpec(trials=50, seed=3)
     )
     assert stats.trials == 50
-    assert stats.min_within_count() == 50
+    assert min(stats.within_block.values()) == 50
     assert not stats.cross_block
 
 
@@ -167,15 +166,15 @@ def test_perturbation_k4_symmetry_breaking(k4):
     stats = almost_sure_nonzero_test(
         OutageSet(k4, [1]), PerturbationSpec(relative_magnitude=1e-3, trials=100, seed=42)
     )
-    assert stats.min_within_count() == 100
+    assert min(stats.within_block.values()) == 100
 
 
 def test_perturbation_cross_block_stays_zero(fig2):
     stats = almost_sure_nonzero_test(
         OutageSet(fig2, [1]), PerturbationSpec(trials=40, seed=9)
     )
-    assert stats.max_cross_count() == 0
-    assert stats.min_within_count() == 40
+    assert not any(stats.cross_block.values())
+    assert min(stats.within_block.values()) == 40
 
 
 def test_perturbation_deterministic_for_seed(k4):
@@ -318,7 +317,7 @@ def test_perturbation_counts_match_dense_oracle(seed, magnitude):
     within, cross = _dense_perturbation_counts(net, outage, spec)
     assert stats.within_block == within
     assert stats.cross_block == cross
-    assert stats.max_cross_count() == 0
+    assert not any(stats.cross_block.values())
 
 
 @settings(max_examples=80, deadline=None, database=None)
@@ -418,7 +417,7 @@ def test_perturbation_never_builds_the_inverse(monkeypatch, fig2):
     monkeypatch.setattr(LaplacianBundle, "A", property(refuse), raising=False)
     monkeypatch.setattr(factors.PtdfMatrix, "matrix", property(refuse))
     stats = almost_sure_nonzero_test(OutageSet(fig2, [1, 6]), PerturbationSpec(trials=5))
-    assert stats.min_within_count() == 5 and stats.max_cross_count() == 0
+    assert min(stats.within_block.values()) == 5 and not any(stats.cross_block.values())
 
 
 def test_adversarial_capacity_builds_no_dense_matrix(monkeypatch, fig2):
@@ -459,12 +458,12 @@ def _adversarial_by_full_ptdf(net, tripped, target):
     k_norm = float(np.max(np.abs(np.delete(column, k))))
     if abs(column[net.edge_index(target)]) < RTOL * max(1.0, k_norm):
         return None
-    flows = characteristic_injection_flow(net, tripped)
-    capacities = np.full(net.m, (1.0 + k_norm) * float(np.max(np.abs(flows))))
-    capacities[net.edge_index(target)] = abs(flows[net.edge_index(target)])
     injections = np.zeros(net.n)
     injections[net.node_index(net.sources[k])] = 1.0
     injections[net.node_index(net.targets[k])] = -1.0
+    flows = solve_flow(net.factor, net, injections).flows
+    capacities = np.full(net.m, (1.0 + k_norm) * float(np.max(np.abs(flows))))
+    capacities[net.edge_index(target)] = abs(flows[net.edge_index(target)])
     return injections, capacities
 
 

@@ -106,7 +106,7 @@ def test_scaling_b_by_a_power_of_two_moves_only_theta(seed, k):
 
     trace, twin = run_cascade(base, p, lines), run_cascade(scaled, p, lines)
     assert (trace.status, trace.islanded_at_stage) == (twin.status, twin.islanded_at_stage)
-    assert trace.tripped_by_stage() == twin.tripped_by_stage()
+    assert [s.tripped for s in trace.stages] == [s.tripped for s in twin.stages]
     for stage, other in zip(trace.stages, twin.stages):
         assert (stage.flow is None) == (other.flow is None)
         if stage.flow is not None:

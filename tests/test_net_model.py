@@ -1,4 +1,5 @@
 import math
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -6,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridfactor
 from gridfactor import (
     GridFactorError,
     Network,
     ParseError,
     UnbalancedInjectionError,
     ValidationError,
-    incidence_matrix,
     injection_vector,
     load_network,
     network_to_document,
@@ -20,7 +21,23 @@ from gridfactor import (
 )
 from gridfactor import net_model
 
-from conftest import build, random_network, triangle_doc, with_susceptances, without_edges
+from conftest import build, incidence_matrix, random_network, triangle_doc, with_susceptances, without_edges
+
+
+def test_the_public_surface_is_pinned():
+    # The package's names, modules aside: a change to the surface shows as a diff to this list.
+    public = sorted(name for name, value in vars(gridfactor).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert public == """
+        AdversarialInstance AnalysisError BlockDecomposition BridgeError BridgeOutageError CascadeTrace CutSetError
+        DisconnectedError FlowState GlodfResult GridFactorError InputError LaplacianBundle LocalizationReport
+        MatrixTreeReport Network OutageSet ParseError PerturbationSpec PerturbationStats PtdfMatrix ReactanceReport
+        SingularError Stage TooLargeError UnbalancedInjectionError UnknownEdgeError ValidationError ValidationReport
+        ZeroFactorError a_entry_via_forests adversarial_capacity almost_sure_nonzero_test apply_outage
+        block_decomposition block_structure_report build_laplacian effective_reactance glodf influence_graph
+        injection_vector is_cut_set load_network lodf_single lodf_via_forests matrix_tree_check network_to_document
+        ptdf_matrix ptdf_via_forests run_cascade shares_simple_cycle simple_cycle_criterion solve_flow validate
+    """.split()
 
 
 def test_triangle_loads(triangle):
@@ -100,17 +117,17 @@ def test_validate_clean_triangle(triangle):
 def test_validate_reports_disconnection():
     net = Network(nodes=(1, 2, 3, 4), ids=(1, 2), sources=(1, 3), targets=(2, 4),
                   b=(1.0, 1.0), cap=(math.inf, math.inf), reference=4)
-    assert "disconnected" in validate(net).codes()
+    assert "disconnected" in [f.code for f in validate(net).findings]
 
 
 def test_validate_reports_nonpositive_susceptance():
     net = Network(nodes=(1, 2), ids=(1,), sources=(1,), targets=(2,), b=(0.0,), cap=(math.inf,), reference=2)
-    assert "nonpositive_susceptance" in validate(net).codes()
+    assert "nonpositive_susceptance" in [f.code for f in validate(net).findings]
 
 
 def test_validate_reports_bad_reference_and_injection_length(triangle):
     report = validate(replace(triangle, reference=9, injections=(1.0, -1.0)))
-    assert report.codes() == ("bad_reference", "injection_length")
+    assert [f.code for f in report.findings] == ["bad_reference", "injection_length"]
     assert report.findings[0].detail == "reference 9 is not a node"
     assert report.findings[1].detail == "expected 3 injections, got 2"
 
@@ -142,7 +159,7 @@ def test_validate_reports_an_int_past_float_range(column, code):
 
 def test_validate_reports_degenerate_sizes():
     lonely = Network(nodes=(1,), ids=(), sources=(), targets=(), b=(), cap=(), reference=1)
-    codes = validate(lonely).codes()
+    codes = [f.code for f in validate(lonely).findings]
     assert "too_few_nodes" in codes
     assert "no_edges" in codes
 
