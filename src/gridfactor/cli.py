@@ -231,11 +231,9 @@ def _cmd_cascade(network, args) -> int:
 def _cmd_influence(network, args) -> int:
     pairs = cascade_mod.influence_graph(network, args.threshold)
     if args.format == "dot":
-        lines = ["graph influence {"]
-        for a, b in pairs:
-            lines.append(f'  "{a}" -- "{b}";')
-        lines.append("}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write("graph influence {\n")
+        sys.stdout.writelines(f'  "{a}" -- "{b}";\n' for a, b in pairs)
+        sys.stdout.write("}\n")
         return 0
     _emit_json({
         "threshold": args.threshold,

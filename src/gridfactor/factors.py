@@ -24,7 +24,7 @@ import numpy as np
 
 from .dcpf import FlowState, surviving_factor, surviving_flow
 from .errors import BridgeOutageError, CutSetError, SingularError, ValidationError
-from .net_model import RTOL, Network, injection_vector, scaled_tolerance
+from .net_model import RTOL, Network, scaled_tolerance
 
 __all__ = [
     "PtdfMatrix",
@@ -249,9 +249,8 @@ def apply_outage(p, outage: OutageSet) -> tuple[FlowState, FlowState]:
     (:func:`_outage_flow`); its flow vector keeps full length with zeros at the tripped lines.
     """
     network = outage.network
-    injection_vector(network, p)  # a bad p is refused before a cut
+    p, pre = network.flow(p)  # a bad p is refused before a cut
     outage.refuse_cut()
-    p, pre = network.flow(p)
     return pre, _outage_flow(network, p, pre, outage.outaged_idx)
 
 

@@ -177,9 +177,9 @@ def test_cascade_without_injections_is_refused_before_its_trip_list(capsys, tmp_
 
 def test_influence_dot(capsys, triangle_path):
     assert run(["influence", triangle_path, "--format", "dot"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("graph influence {")
-    assert '"1" -- "2";' in out
+    assert capsys.readouterr().out == 'graph influence {\n  "1" -- "2";\n  "1" -- "3";\n  "2" -- "3";\n}\n'
+    assert run(["influence", triangle_path, "--format", "dot", "--threshold", "1.5"]) == 0
+    assert capsys.readouterr().out == "graph influence {\n}\n"
 
 
 def test_verify_passes(capsys, triangle_path):

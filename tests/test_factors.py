@@ -12,6 +12,7 @@ from gridfactor import (
     GlodfResult,
     OutageSet,
     SingularError,
+    UnbalancedInjectionError,
     UnknownEdgeError,
     ValidationError,
     adversarial_capacity,
@@ -358,8 +359,11 @@ def test_apply_outage_matches_glodf_prediction():
 
 
 def test_apply_outage_cut_set_raises(triangle):
+    cut = OutageSet(triangle, [1, 3])
+    with pytest.raises(UnbalancedInjectionError):  # a bad p is refused before a cut
+        apply_outage([1.0, 0.0, 0.0], cut)
     with pytest.raises(CutSetError):
-        apply_outage(injection_vector(triangle), OutageSet(triangle, [1, 3]))
+        apply_outage(injection_vector(triangle), cut)
 
 
 def test_characteristic_injection_triangle(triangle):

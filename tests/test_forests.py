@@ -228,6 +228,35 @@ def test_matrix_tree_fails_when_a_minor_is_nan(monkeypatch, triangle):
     assert math.isnan(report.minor_max_rel_err) and report.determinant_rel_err == 0.0
 
 
+def test_matrix_tree_fails_on_a_planted_minor_error(monkeypatch):
+    exact = forests._Oracle.adjugate.func
+
+    def planted(oracle):
+        adjugate, det = exact(oracle)
+        adjugate = adjugate.copy()
+        adjugate[0, 2] = adjugate[2, 0] = adjugate[0, 2] * (1 + 1e-6)  # buses 1 and 3, either side of the reference
+        return adjugate, det
+
+    monkeypatch.setattr(forests._Oracle, "adjugate", property(planted))
+    report = matrix_tree_check(with_susceptances(build({**k4_doc(), "reference": 2}), [1.0, 2.0, 0.5, 3.0, 1.5, 0.25]))
+    assert report.passed is False
+    assert report.minor_max_rel_err >= 1e-7 and report.determinant_rel_err < 1e-15
+
+
+def test_matrix_tree_takes_one_dense_determinant_and_one_inverse(monkeypatch, k4):
+    det, inv, calls = np.linalg.det, np.linalg.inv, []
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append("det") or det(a))
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append("inv") or inv(a))
+    assert matrix_tree_check(k4).passed
+    assert sorted(calls) == ["det", "inv"]
+
+
+@pytest.mark.parametrize("b", [2.0, 49.0, 1e-3])
+def test_matrix_tree_two_buses(b):
+    report = matrix_tree_check(build({"nodes": [1, 2], "edges": [{"from": 1, "to": 2, "b": b}]}))
+    assert report.passed and report.forest_weight == b
+
+
 def test_matrix_tree_random_graphs():
     rng = np.random.default_rng(67)
     for _ in range(15):
