@@ -9,11 +9,11 @@ is reported at the stage whose solve would have run on the split grid,
 and rebalancing of islands is out of scope.
 
 A connected stage is not factored again: its flow is the base flow plus
-the GLODF update of the cumulative outage F (Part I of the paper), one solve
-of |F| columns written straight into the rows of the network's own factor
-(:meth:`LaplacianBundle.line_solve` on :attr:`Network.factor`, built once per
-instance), and the base flow is the network's kept base state (:meth:`Network.flow`,
-its own injections validated once), so cascades under one injection vector share both.
+the GLODF update of the cumulative outage F (Part I of the paper), a solve of only
+the lines the network's own factor, built once per instance, has not solved before
+(:meth:`LaplacianBundle.outage_columns` on :attr:`Network.factor`), and the base flow is the
+network's kept base state (:meth:`Network.flow`, its own injections validated once), so
+cascades under one injection vector share the factor, its solved columns and the base.
 Each update is certified by its nodal imbalance; a stage whose certificate
 fails is re-solved on the surviving grid (:func:`dcpf.surviving_flow`).
 """

@@ -5,15 +5,17 @@ triplets, here and nowhere else.  The triplets off the reference row and
 column give the reduced Laplacian, kept in CSC form and factored once by a
 sparse LU (SuperLU); each DC solve is one pair of sparse triangular solves
 with a zero reference angle.  The sensitivity columns D[:, k] of
-D = B C^T A C, held column-major, are the one formula for D; they and an outage's
-A C_F take one solve of +1s and -1s written straight into the factor's rows.  The matrix A
-(the reduced inverse padded with a zero row and column at the reference;
-only ``verify`` reads it) is the one dense view, built only when read, so a
-solve costs memory in the lines, not in the square of the buses.
+D = B C^T A C, held column-major, are the one formula for D, one solve of +1s and -1s
+written straight into the factor's rows; an outage's A C_F is a solve of only the lines the
+factor has not solved before (it keeps up to ``COLUMN_STORE_BYTES`` of them).  The matrix A
+(the reduced inverse padded with a zero row and column at the reference; only ``verify``
+reads it) is the one dense view, built only when read, so a solve costs memory in the
+lines, not in the square of the buses.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +27,8 @@ from .errors import SingularError, ValidationError
 from .net_model import PIVOT_RTOL, Network, injection_vector
 
 __all__ = ["LaplacianBundle", "FlowState", "build_laplacian", "solve_flow", "surviving_flow"]
+
+COLUMN_STORE_BYTES = 128 << 20  # outage columns one factor keeps (LaplacianBundle.outage_columns), 8 n each
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,6 +99,7 @@ class LaplacianBundle:
             self.reduced_determinant = float(np.prod(pivots))
         self.node_row = np.r_[:ref, self.n - 1, ref:self.n - 1]
         self.end_rows = self.node_row[self.source], self.node_row[self.target]
+        self._columns = OrderedDict()  # line position -> its read-only column of A C, least recently used first
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """A @ rhs, for one column or several, from the sparse LU factor."""
@@ -109,6 +114,22 @@ class LaplacianBundle:
         x[self.end_rows[0][positions], cols], x[self.end_rows[1][positions], cols] = 1.0, -1.0
         x[:-1], x[-1] = self._factor.solve(x[:-1]), 0.0
         return x.take(self.node_row, 0)
+
+    def outage_columns(self, positions) -> np.ndarray:
+        """:meth:`line_solve` of ``positions`` bit for bit, by one solve of only the lines not held, each kept
+        as its own read-only n-vector; past ``COLUMN_STORE_BYTES``, least recently used dropped once answered."""
+        held, keys = self._columns, np.asarray(positions).tolist()
+        new = [k for k in keys if k not in held]
+        for k, column in zip(new, self.line_solve(new).T if new else ()):
+            held[k] = column = column.copy()
+            column.flags.writeable = False
+        out = np.empty((self.n, len(keys)))
+        for j, k in enumerate(keys):
+            held.move_to_end(k)
+            out[:, j] = held[k]
+        while len(held) * 8 * self.n > COLUMN_STORE_BYTES:
+            held.popitem(last=False)
+        return out
 
     def branch_flows(self, theta: np.ndarray, lines=slice(None)) -> np.ndarray:
         """f = B C^T theta at the line positions ``lines`` (all), for one angle vector or a stack of columns.

@@ -257,17 +257,17 @@ def apply_outage(p, outage: OutageSet) -> tuple[FlowState, FlowState]:
 def _outage_flow(network: Network, p, base: FlowState | None, tripped) -> FlowState:
     """DC flow without the lines at the non-cut edge positions ``tripped``, updated from ``base``.
 
-    theta' = theta + A C_F (I - D_FF)^-1 f_F (Part I of the paper) takes one solve of
-    |F| columns (:meth:`LaplacianBundle.line_solve`) on ``network.factor``, the factor ``base`` was
-    solved on, and no new factorization.  The update is certified by its nodal imbalance r = C f' - p:
-    f' is a potential flow on the surviving grid, so it is off the exact flow
-    by at most ||r||_1 on every line.  The surviving grid is re-solved instead
+    theta' = theta + A C_F (I - D_FF)^-1 f_F (Part I of the paper) takes a solve of only the lines that
+    ``network.factor``, the factor ``base`` was solved on, has not solved before
+    (:meth:`LaplacianBundle.outage_columns`), and no new factorization.  The update is certified by
+    its nodal imbalance r = C f' - p: f' is a potential flow on the surviving grid, so it is off the
+    exact flow by at most ||r||_1 on every line.  The surviving grid is re-solved instead
     (:func:`surviving_flow`) when ||r||_1 exceeds ``scaled_tolerance(max|f'|)``, when
     I - D_FF is singular, and when ``base`` is None (no whole-network factor).
     """
     if base is not None:
         bundle = network.factor
-        x_f = bundle.line_solve(tripped)
+        x_f = bundle.outage_columns(tripped)
         try:
             theta = base.theta + _glodf_kernel(x_f, bundle.branch_flows(x_f, tripped)) @ base.flows[tripped]
         except SingularError:  # I - D_FF is singular

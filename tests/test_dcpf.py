@@ -26,7 +26,7 @@ from gridfactor import (
     run_cascade,
     solve_flow,
 )
-from gridfactor import factors
+from gridfactor import dcpf, factors
 from gridfactor.dcpf import surviving_flow
 from gridfactor.net_model import incidence_columns, scaled_tolerance
 
@@ -263,6 +263,38 @@ def test_ptdf_is_zero_across_blocks_and_its_columns_are_its_matrix(seed, batch):
     columns = twin.sensitivity.columns(positions)
     assert "matrix" not in twin.sensitivity.__dict__
     assert np.array_equal(columns.view(np.int64), D[:, positions].view(np.int64))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_stored_outage_columns_are_the_line_solve_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_nodes=12, max_extra=10)
+    net = replace(net, reference=int(rng.choice(net.nodes)))  # the reference's row anywhere in node order
+    bundle = net.factor
+    for _ in range(4):  # overlapping outages, each in an order of its own
+        tripped = rng.permutation(net.m)[:rng.integers(1, net.m + 1)]
+        stored, solved = bundle.outage_columns(tripped), bundle.line_solve(tripped)
+        assert stored.tobytes() == solved.tobytes() and stored.strides == solved.strides
+    for column in bundle._columns.values():  # each its own read-only n-vector
+        assert column.base is None and column.shape == (net.n,) and not column.flags.writeable
+
+
+def test_the_outage_column_store_drops_the_least_recently_used_past_its_budget(monkeypatch):
+    net = build(grid_doc(4))  # n = 16, m = 24
+    bundle, k, rng = net.factor, 3, np.random.default_rng(7)
+    monkeypatch.setattr(dcpf, "COLUMN_STORE_BYTES", k * 8 * net.n)
+    bundle.outage_columns([0, 1, 2])
+    bundle.outage_columns([0])
+    bundle.outage_columns([3])  # line 1 is the least recently used
+    assert list(bundle._columns) == [2, 0, 3]
+    model = [2, 0, 3]
+    for size in rng.integers(1, 2 * k + 1, 40):  # outages narrower and wider than the store
+        tripped = rng.choice(net.m, size, replace=False)
+        assert bundle.outage_columns(tripped).tobytes() == bundle.line_solve(tripped).tobytes()
+        model = [line for line in model if line not in tripped] + tripped.tolist()
+        assert list(bundle._columns) == model[-k:]
+        assert sum(column.nbytes for column in bundle._columns.values()) <= dcpf.COLUMN_STORE_BYTES
 
 
 @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), ()])

@@ -8,11 +8,13 @@ of a run's output, integers (ids, counts) included, is its text.  The report
 prints every run whose exit code or text differs, then for each subcommand
 (and each demo) the worst numeric drift of its runs: the largest
 |parent - change| over a run's floats divided by max(1, max|value|) over both
-sides of that run, and how many of its runs differ at all.  It also counts,
-over the subcommand's runs, the floats that became exact zeros and the exact
-zeros that stopped being zero, and lists each such entry: its run, its index
-among that run's floats and both values as printed.  It exits 1 when some
-run's exit code or text differs, else 0.
+sides of that run, and how many of its runs differ at all.  Beside that
+summary it lists every run whose floats differ: its drift, how many of its
+floats moved and its argv.  It also counts, over the subcommand's runs, the
+floats that became exact zeros and the exact zeros that stopped being zero,
+and lists each such entry: its run, its index among that run's floats and
+both values as printed.  It exits 1 when some run's exit code or text
+differs, else 0.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ def main(argv=None) -> int:
     text_differs = 0
     # subcommand -> [worst drift, its run, runs whose floats differ, new zeros, lost zeros]
     worst: dict[str, list] = {}
+    drifted = []  # one line per run whose floats differ
     zeros = []  # one line per float that became, or stopped being, an exact zero
     for (label, code_a, out_a, err_a), (_, code_b, out_b, err_b) in zip(parent, change):
         text_a, values_a = split(out_a + "\x00" + err_a)
@@ -84,7 +87,10 @@ def main(argv=None) -> int:
         size = drift(a, b)
         if size > entry[0]:
             entry[:2] = size, label
-        entry[2] += values_a != values_b
+        if values_a != values_b:
+            entry[2] += 1
+            moved = sum(x != y for x, y in zip(values_a, values_b))
+            drifted.append(f"  {size:.1e}  {moved} of {len(values_a)} floats  {label}")
         gained, lost = (a != 0.0) & (b == 0.0), (a == 0.0) & (b != 0.0)
         entry[3] += int(np.count_nonzero(gained))
         entry[4] += int(np.count_nonzero(lost))
@@ -97,6 +103,9 @@ def main(argv=None) -> int:
     for group, (size, label, count, gained, lost) in sorted(worst.items()):
         print(f"  {group:32s} {size:.1e}  {count} runs differ  {gained} new zeros"
               f"  {lost} zeros lost  {label}")
+    if drifted:
+        print("every run whose floats differ (drift, floats that moved, argv):")
+        print("\n".join(drifted))
     if zeros:
         print("every float that became, or stopped being, an exact zero (parent -> change):")
         print("\n".join(zeros))
