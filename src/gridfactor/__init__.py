@@ -3,7 +3,7 @@
 The package is organized around an immutable network model:
 
 - :mod:`gridfactor.net_model` loads and validates networks;
-- :mod:`gridfactor.graph_algos` provides blocks, bridges, and cut sets;
+- :mod:`gridfactor.graph_algos` provides blocks, bridges and cut vertices;
 - :mod:`gridfactor.dcpf` solves the DC power flow;
 - :mod:`gridfactor.factors` computes PTDF/LODF/GLODF matrices;
 - :mod:`gridfactor.forests` is the exact spanning-forest oracle;
@@ -16,7 +16,6 @@ from .dcpf import FlowState, LaplacianBundle, build_laplacian, solve_flow
 from .errors import (
     AnalysisError,
     BridgeError,
-    BridgeOutageError,
     CutSetError,
     DisconnectedError,
     GridFactorError,
@@ -47,7 +46,7 @@ from .forests import (
     matrix_tree_check,
     ptdf_via_forests,
 )
-from .graph_algos import BlockDecomposition, block_decomposition, is_cut_set, shares_simple_cycle
+from .graph_algos import BlockDecomposition, block_decomposition
 from .localization import (
     AdversarialInstance,
     LocalizationReport,

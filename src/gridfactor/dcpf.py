@@ -47,8 +47,9 @@ class FlowState:
 class LaplacianBundle:
     """The reduced Laplacian ``reduced`` (CSC, L less the reference row and column), its sparse LU factor.
 
-    Immutable after construction; :meth:`solve` applies A without forming
-    it, and the dense A, the one dense view, is computed on first access.
+    :meth:`solve` applies A without forming it, and the dense A, the one dense view, is computed on
+    first access.  The bundle's one mutable state is the store of solved columns that
+    :meth:`outage_columns` fills and evicts; no answer depends on it, bit for bit.
     ``n`` is the network's node count; ``endpoints`` (``source``, ``target``)
     and ``b`` hold each edge's endpoint positions and weight: its susceptance,
     or ``susceptances`` when given (copied, shape ``(m,)``, finite, >= 0),

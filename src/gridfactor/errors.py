@@ -48,11 +48,7 @@ class TooLargeError(AnalysisError):
 
 
 class BridgeError(AnalysisError):
-    """A forest-based factor is undefined because the outaged line is a bridge."""
-
-
-class BridgeOutageError(BridgeError):
-    """An outage distribution factor is undefined for a bridge outage."""
+    """An outage factor is undefined because the outaged line is a bridge."""
 
 
 class CutSetError(AnalysisError):

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .dcpf import FlowState, surviving_factor, surviving_flow
-from .errors import BridgeOutageError, CutSetError, SingularError, ValidationError
+from .errors import BridgeError, CutSetError, SingularError, ValidationError
 from .net_model import RTOL, Network, scaled_tolerance
 
 __all__ = [
@@ -183,14 +183,14 @@ def ptdf_matrix(bundle, network: Network) -> PtdfMatrix:
 def lodf_single(network: Network, outaged: int) -> dict[int, float]:
     """Single-line outage factors K for every surviving line.
 
-    Raises BridgeOutageError when the outaged line is a bridge (the factor
+    Raises BridgeError when the outaged line is a bridge (the factor
     denominator 1 - D_ll vanishes exactly there), and SingularError when
     1 - D_ll is at most RTOL on a line that is not one.
     """
     ptdf = network.sensitivity
     col = network.edge_index(outaged)
     if outaged in network.decomposition.bridges:
-        raise BridgeOutageError(f"line {outaged} is a bridge; outage factors are undefined")
+        raise BridgeError(f"line {outaged} is a bridge; outage factors are undefined")
     column = ptdf.columns([col])[:, 0]
     values = _lodf_columns(column, column[col])
     ids = network.ids[:col] + network.ids[col + 1:]

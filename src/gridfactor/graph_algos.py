@@ -1,9 +1,9 @@
-"""Block decomposition, cut-set detection, and simple-cycle coexistence.
+"""The block decomposition: the lines split into maximal 2-connected blocks.
 
-The block decomposition partitions the edge set into maximal 2-connected
-components.  Two distinct edges lie on a common simple cycle exactly when
-they share a non-bridge block, which is how :func:`shares_simple_cycle`
-answers the query without enumerating cycles.
+A bridge is a block of one line.  Two distinct lines lie on a common simple
+cycle exactly when they share a block, which is how
+:func:`gridfactor.localization.simple_cycle_criterion` answers without
+enumerating cycles; cut sets are :meth:`Network.disconnected_by`'s.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DisconnectedError
 from .net_model import Network
 
-__all__ = ["BlockDecomposition", "block_decomposition", "is_cut_set", "shares_simple_cycle"]
+__all__ = ["BlockDecomposition", "block_decomposition"]
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,13 @@ def block_decomposition(network: Network) -> BlockDecomposition:
     its parent, and every line joins the block of the tree line into its
     deeper end.  A self-loop (which ``validate`` refuses) joins the block
     of the tree line into its node, the first block at position 0, and a
-    bridge it joins is no longer one.  Raises DisconnectedError when the
-    search misses a node.  :attr:`Network.decomposition` keeps one per network.
+    bridge it joins is no longer one.  Raises DisconnectedError on a network
+    that is not connected.  :attr:`Network.decomposition` keeps one per network.
     """
+    if not network._connected:
+        raise DisconnectedError("block decomposition requires a connected network")
     ids, n = network.ids, network.n
     order, parent = network._dfs
-    if len(order) < n:
-        raise DisconnectedError("block decomposition requires a connected network")
     pre = np.argsort(order)  # each node's place in the preorder
     source, target = network.endpoints
     deep = np.where(pre[source] > pre[target], source, target)
@@ -87,27 +87,3 @@ def block_decomposition(network: Network) -> BlockDecomposition:
         block_at=block_at,
     )
 
-
-def is_cut_set(network: Network, outage) -> bool:
-    """True when removing the given lines disconnects the network.
-
-    Every node counts, so isolating a single bus is detected.  Decided
-    exactly by :meth:`Network.disconnected_by` from the removed lines' cycle
-    labels: the lines disconnect the network when their labels are linearly
-    dependent over GF(2), the graph's twin of "I - D_FF is singular".  Raises
-    UnknownEdgeError naming every id that is not a line of the network.
-    """
-    return network.disconnected_by(network.edge_positions(set(outage)))
-
-
-def shares_simple_cycle(network: Network, line: int, other: int) -> bool:
-    """True when some simple cycle contains both lines.
-
-    Answered through block equality on :attr:`Network.decomposition`: two distinct
-    edges lie on a common simple cycle exactly when they share a non-bridge block.
-    """
-    if line == other:
-        raise ValueError("lines must be distinct")
-    decomposition = network.decomposition
-    first, second = decomposition.block_at[network.edge_positions([line, other])]
-    return bool(first == second) and line not in decomposition.bridges

@@ -19,9 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .dcpf import build_laplacian
-from .errors import BridgeOutageError, ValidationError, ZeroFactorError
+from .errors import BridgeError, ValidationError, ZeroFactorError
 from .factors import GlodfResult, OutageSet, _glodf_kernel, _lodf_columns
-from .graph_algos import shares_simple_cycle
 from .net_model import NONZERO_ATOL, Network, incidence_columns, scaled_tolerance
 
 __all__ = [
@@ -42,11 +41,15 @@ def simple_cycle_criterion(network: Network, line: int, outaged: int) -> str:
 
     Returns ``"zero"`` when no simple cycle contains both lines (the factor
     is exactly zero) and ``"possibly_nonzero"`` otherwise; the latter is
-    certain only up to symmetry-induced cancellations.
+    certain only up to symmetry-induced cancellations.  Two distinct lines
+    share a simple cycle exactly when they share a block.
     """
     if outaged in network.decomposition.bridges:
-        raise BridgeOutageError(f"line {outaged} is a bridge; outage factors are undefined")
-    return "possibly_nonzero" if shares_simple_cycle(network, line, outaged) else "zero"
+        raise BridgeError(f"line {outaged} is a bridge; outage factors are undefined")
+    if line == outaged:
+        raise ValueError("lines must be distinct")
+    first, second = network.decomposition.block_at[network.edge_positions([line, outaged])]
+    return "possibly_nonzero" if first == second else "zero"
 
 
 def _line_blocks(network: Network, outage: OutageSet):
@@ -245,7 +248,7 @@ def adversarial_capacity(network: Network, tripped: int, target: int) -> Adversa
     if tripped == target:
         raise ValueError("lines must be distinct")
     if tripped in network.decomposition.bridges:
-        raise BridgeOutageError(f"line {tripped} is a bridge")
+        raise BridgeError(f"line {tripped} is a bridge")
 
     target_idx = network.edge_index(target)
     tripped_idx = network.edge_index(tripped)

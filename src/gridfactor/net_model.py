@@ -42,9 +42,9 @@ __all__ = [
     "injection_vector",
 ]
 
-#: The one relative tolerance.  Injection balance, islanding by I - D_FF and
-#: "zero" factor entries decide against :func:`scaled_tolerance`; the guard on
-#: 1 - D_ll of a line that is not a bridge and the identity checks use it unscaled.
+#: The one relative tolerance.  Injection balance, the outage-flow certificate, ``localize``'s zero
+#: count and ``adversarial_capacity``'s zero-factor refusal decide against :func:`scaled_tolerance`;
+#: the guard on 1 - D_ll of a line that is not a bridge and the identity checks use it unscaled.
 RTOL = 1e-9
 #: Factorization floor: a reduced-Laplacian pivot below this fraction of
 #: max|reduced L| is singular.  It sits below RTOL so that a connected network

@@ -8,12 +8,17 @@ from itertools import combinations, compress
 import numpy as np
 import pytest
 
-from gridfactor import is_cut_set, load_network
+from gridfactor import load_network
 from gridfactor.net_model import incidence_columns, scaled_tolerance
 
 
 def build(doc, **kwargs):
     return load_network(doc, **kwargs)
+
+
+def is_cut_set(network, lines):
+    """True when removing the given lines disconnects the network; UnknownEdgeError names every unknown id."""
+    return network.disconnected_by(network.edge_positions(set(lines)))
 
 
 def with_susceptances(network, values):

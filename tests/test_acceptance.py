@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gridfactor import (
-    BridgeOutageError,
+    BridgeError,
     OutageSet,
     PerturbationSpec,
     adversarial_capacity,
@@ -25,7 +25,6 @@ from gridfactor import (
     build_laplacian,
     effective_reactance,
     glodf,
-    is_cut_set,
     lodf_single,
     lodf_via_forests,
     matrix_tree_check,
@@ -38,6 +37,7 @@ from conftest import (
     build,
     detect_islanding,
     fig2_doc,
+    is_cut_set,
     k4_doc,
     random_balanced_injection,
     random_network,
@@ -218,7 +218,7 @@ def test_criterion_08_bridge_behavior():
         decomposition = block_decomposition(net)
         for bridge in decomposition.bridges:
             assert abs(net.sensitivity.columns([net.edge_index(bridge)])[net.edge_index(bridge), 0] - 1.0) < 1e-12
-            with pytest.raises(BridgeOutageError):
+            with pytest.raises(BridgeError):
                 lodf_single(net, bridge)
         ids = net.ids
         for size in (1, 2):

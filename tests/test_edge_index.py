@@ -18,7 +18,6 @@ from gridfactor import (
     build_laplacian,
     effective_reactance,
     glodf,
-    is_cut_set,
     lodf_via_forests,
     run_cascade,
     solve_flow,
@@ -31,6 +30,7 @@ from conftest import (
     build,
     grid_doc,
     incidence_matrix,
+    is_cut_set,
     random_balanced_injection,
     random_network,
     sample_non_cut_outage,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridfactor import (
-    BridgeOutageError,
+    BridgeError,
     CutSetError,
     GlodfResult,
     OutageSet,
@@ -22,7 +22,6 @@ from gridfactor import (
     glodf,
     influence_graph,
     injection_vector,
-    is_cut_set,
     lodf_single,
     lodf_via_forests,
     ptdf_matrix,
@@ -38,6 +37,7 @@ from conftest import (
     detect_islanding,
     grid_doc,
     incidence_matrix,
+    is_cut_set,
     k4_doc,
     random_balanced_injection,
     random_network,
@@ -96,7 +96,7 @@ def test_lodf_single_four_cycle(four_cycle):
 
 
 def test_lodf_single_bridge_raises(path3):
-    with pytest.raises(BridgeOutageError):
+    with pytest.raises(BridgeError):
         lodf_single(path3, 1)
 
 
@@ -138,7 +138,7 @@ def test_lodf_stack_columns_are_single_line_factors(triangle):
 
 
 def test_lodf_stack_bridge_raises(path3):
-    with pytest.raises(BridgeOutageError):
+    with pytest.raises(BridgeError):
         lodf_single(path3, 1)
     with pytest.raises(CutSetError):
         glodf(None, None, None, OutageSet(path3, [1]))

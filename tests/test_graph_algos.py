@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import depth_first_order
 
 from gridfactor import (
+    BridgeError,
     CutSetError,
     DisconnectedError,
     Network,
@@ -15,16 +16,16 @@ from gridfactor import (
     UnknownEdgeError,
     block_decomposition,
     glodf,
-    is_cut_set,
     load_network,
     run_cascade,
-    shares_simple_cycle,
+    simple_cycle_criterion,
 )
 
 from conftest import (
     connected_after_removal_oracle,
     detect_islanding,
     fig2_doc,
+    is_cut_set,
     random_network,
     simple_cycle_oracle,
 )
@@ -282,24 +283,32 @@ def test_is_cut_set_matches_the_oracle_at_every_outage_size(seed, extra, multigr
 
 
 def test_shares_simple_cycle_examples(triangle, path3, fig2):
-    assert shares_simple_cycle(triangle, 1, 2)
-    assert not shares_simple_cycle(path3, 1, 2)
+    assert simple_cycle_criterion(triangle, 1, 2) == "possibly_nonzero"
+    assert not simple_cycle_oracle(path3, 1, 2)
+    with pytest.raises(BridgeError):  # every line of a path is a bridge
+        simple_cycle_criterion(path3, 1, 2)
     dec = block_decomposition(fig2)
     bridge = min(dec.bridges)
     in_block = min(b for b in dec.blocks if len(b) > 1)
-    assert not shares_simple_cycle(fig2, min(in_block), bridge)
+    assert simple_cycle_criterion(fig2, bridge, min(in_block)) == "zero"
+    with pytest.raises(BridgeError):
+        simple_cycle_criterion(fig2, min(in_block), bridge)
 
 
 def test_shares_simple_cycle_identical_lines(triangle):
     with pytest.raises(ValueError):
-        shares_simple_cycle(triangle, 1, 1)
+        simple_cycle_criterion(triangle, 1, 1)
 
 
 def test_shares_simple_cycle_agrees_with_search_oracle():
     rng = np.random.default_rng(23)
     for _ in range(12):
         net = random_network(rng, max_nodes=10)
-        for line, other in itertools.combinations(net.ids, 2):
-            assert shares_simple_cycle(net, line, other) == simple_cycle_oracle(
-                net, line, other
-            )
+        for line, outaged in itertools.permutations(net.ids, 2):
+            shared = simple_cycle_oracle(net, line, outaged)
+            if outaged in net.decomposition.bridges:
+                assert not shared
+                with pytest.raises(BridgeError):
+                    simple_cycle_criterion(net, line, outaged)
+            else:
+                assert (simple_cycle_criterion(net, line, outaged) == "possibly_nonzero") == shared

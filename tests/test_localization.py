@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridfactor import (
-    BridgeOutageError,
+    BridgeError,
     CutSetError,
     LaplacianBundle,
     OutageSet,
@@ -66,7 +66,7 @@ def test_simple_cycle_criterion_bridge_vs_cycle():
         ],
     })
     assert simple_cycle_criterion(net, 4, 1) == "zero"
-    with pytest.raises(BridgeOutageError):
+    with pytest.raises(BridgeError):
         simple_cycle_criterion(net, 1, 4)
 
 
@@ -260,7 +260,7 @@ def test_adversarial_capacity_zero_factor_raises(fig2):
 
 
 def test_adversarial_capacity_bridge_raises(path3):
-    with pytest.raises(BridgeOutageError):
+    with pytest.raises(BridgeError):
         adversarial_capacity(path3, 1, 2)
 
 

@@ -24,6 +24,7 @@ from gridfactor import (
     solve_flow,
 )
 from gridfactor.factors import GLODF_METHODS
+from gridfactor.net_model import scaled_tolerance
 
 from conftest import (
     random_balanced_injection,
@@ -52,6 +53,16 @@ def _same_record(a, b) -> bool:
         if not same:
             return False
     return True
+
+
+def _assert_close(got, want):
+    """|got - want| within RTOL * max(1, max|want|), entry by entry."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= scaled_tolerance(float(np.max(np.abs(want), initial=0.0)))
+
+
+def _pre_contingency(outage):
+    return glodf(None, None, None, outage, "pre_contingency").pre_contingency
 
 
 def _factor_outputs(net, lines, p):
@@ -112,3 +123,55 @@ def test_scaling_b_by_a_power_of_two_moves_only_theta(seed, k):
         if stage.flow is not None:
             assert _same_bits(stage.flow.flows, other.flow.flows)
             assert _same_bits(np.ldexp(stage.flow.theta, -k), other.flow.theta)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_flipping_a_line_negates_its_row_and_column(seed):
+    """Reversing line k's orientation negates row k and column k of D and of a non-cut outage's K.
+
+    A flow on k, and a transfer across k's endpoints, each change sign;
+    D_kk, in both row and column, keeps it.
+    """
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_nodes=10, max_extra=8)
+    lines = sample_non_cut_outage(rng, net)
+    # Half the time one of the tripped lines, so K's columns are flipped as well as its rows.
+    pool = net.edge_positions(lines) if lines is not None and rng.integers(2) else np.arange(net.m)
+    k = int(rng.choice(pool))
+    sources, targets = list(net.sources), list(net.targets)
+    sources[k], targets[k] = targets[k], sources[k]
+    flipped = dataclasses.replace(net, sources=tuple(sources), targets=tuple(targets))
+    sign = np.ones(net.m)
+    sign[k] = -1.0
+
+    _assert_close(flipped.sensitivity.matrix, sign[:, None] * net.sensitivity.matrix * sign)
+    if lines is None:
+        return
+    outage = OutageSet(net, lines)
+    want = sign[outage.surviving_idx, None] * _pre_contingency(outage) * sign[outage.outaged_idx]
+    _assert_close(_pre_contingency(OutageSet(flipped, lines)), want)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_shuffling_the_lines_permutes_d_and_k(seed):
+    """Listing the lines in another order, each keeping its id, permutes D's rows and columns alike.
+
+    K's columns follow the outaged ids, so they stay; its rows follow the
+    surviving lines' positions, so they move with them.
+    """
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_nodes=10, max_extra=8)
+    order = rng.permutation(net.m)
+    shuffled = dataclasses.replace(net, **{name: tuple(np.asarray(getattr(net, name))[order].tolist())
+                                           for name in ("ids", "sources", "targets", "b", "cap")})
+
+    _assert_close(shuffled.sensitivity.matrix, net.sensitivity.matrix[np.ix_(order, order)])
+    lines = sample_non_cut_outage(rng, net)
+    if lines is None:
+        return
+    outage, twin = OutageSet(net, lines), OutageSet(shuffled, lines)
+    assert twin.outaged == outage.outaged
+    row = {line: r for r, line in enumerate(outage.surviving)}
+    _assert_close(_pre_contingency(twin), _pre_contingency(outage)[[row[line] for line in twin.surviving]])

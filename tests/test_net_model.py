@@ -1,4 +1,6 @@
+import importlib
 import math
+import pkgutil
 import types
 from dataclasses import replace
 
@@ -29,15 +31,23 @@ def test_the_public_surface_is_pinned():
     public = sorted(name for name, value in vars(gridfactor).items()
                     if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert public == """
-        AdversarialInstance AnalysisError BlockDecomposition BridgeError BridgeOutageError CascadeTrace CutSetError
+        AdversarialInstance AnalysisError BlockDecomposition BridgeError CascadeTrace CutSetError
         DisconnectedError FlowState GlodfResult GridFactorError InputError LaplacianBundle LocalizationReport
         MatrixTreeReport Network OutageSet ParseError PerturbationSpec PerturbationStats PtdfMatrix ReactanceReport
         SingularError Stage TooLargeError UnbalancedInjectionError UnknownEdgeError ValidationError ValidationReport
         ZeroFactorError a_entry_via_forests adversarial_capacity almost_sure_nonzero_test apply_outage
         block_decomposition block_structure_report build_laplacian effective_reactance glodf influence_graph
-        injection_vector is_cut_set load_network lodf_single lodf_via_forests matrix_tree_check network_to_document
-        ptdf_matrix ptdf_via_forests run_cascade shares_simple_cycle simple_cycle_criterion solve_flow validate
+        injection_vector load_network lodf_single lodf_via_forests matrix_tree_check network_to_document
+        ptdf_matrix ptdf_via_forests run_cascade simple_cycle_criterion solve_flow validate
     """.split()
+
+
+def test_every_name_in_a_modules_all_exists():
+    # A name deleted from a module but left in its __all__ would break ``from module import *``.
+    names = [info.name for info in pkgutil.iter_modules(gridfactor.__path__) if not info.name.startswith("_")]
+    assert "graph_algos" in names
+    for module in map(importlib.import_module, (f"gridfactor.{name}" for name in names)):
+        assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == [], module
 
 
 def test_triangle_loads(triangle):
