@@ -139,7 +139,7 @@ class LaplacianBundle:
         so a later read of some of its columns reads contiguous memory.
         """
         if theta.ndim == 1:
-            return self.b[lines] * (theta[self.source[lines]] - theta[self.target[lines]])
+            return self.b[lines] * (theta.take(self.source[lines]) - theta.take(self.target[lines]))
         diff = theta.take(self.source[lines], 0) - theta.take(self.target[lines], 0)  # take gathers rows faster
         return np.multiply(self.b[lines][:, None], diff, order="F")
 

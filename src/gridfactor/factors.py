@@ -5,11 +5,12 @@ across line blocks); each reader takes the network or an outage of it, never a P
 can mix two networks.  Single-line outage factors follow as K = D / (1 - D_ll) for non-bridge lines,
 always through ``_lodf_columns``, and a simultaneous non-cut outage couples the
 tripped lines through the inverse of I - D_FF, in the GLODF kernel
-``_glodf_kernel(numerator, D_FF) = numerator (I - D_FF)^-1``: one |F|-by-|F|
-inverse and one product, O(rows |F|^2 + |F|^3).  Each simultaneous-outage
-formula is defined once, as a view of :class:`GlodfResult` over the outage
-columns D[:, F]: pre_contingency, post_contingency, via_stack and the stacked
-k_stack.  :func:`glodf`, the localization report and every
+``_glodf_kernel(numerator, D_FF) = numerator (I - D_FF)^-1``: one LAPACK ``dgesv``
+of the |F|-by-|F| coupling and one product, O(rows |F|^2 + |F|^3), about 6 us at |F| = 3.
+Each simultaneous-outage formula is defined once, as a view of :class:`GlodfResult` over
+the outage columns D[:, F], its surviving rows taken by one strided gather
+(:meth:`OutageSet.surviving_rows`, 2 us for 757 rows): pre_contingency, post_contingency,
+via_stack and the stacked k_stack.  :func:`glodf`, the localization report and every
 perturbation trial read those views; the cross-check mode evaluates all three
 formulas and records their disagreement.
 """
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .dcpf import FlowState, surviving_factor, surviving_flow
 from .errors import BridgeError, CutSetError, SingularError, ValidationError
@@ -104,13 +106,17 @@ class OutageSet:
         self.outaged_idx = np.array(positions)
         keep = np.ones(network.m, dtype=bool)
         keep[self.outaged_idx] = False
-        self.surviving_idx = np.flatnonzero(keep)
+        self.surviving_idx = keep.nonzero()[0]
         self.disconnects = network.disconnected_by(self.outaged_idx)  # decided once, from the tripped lines' labels
 
     def refuse_cut(self) -> None:
         """Raise CutSetError when the outage disconnects the network; a bridge in it always does."""
         if self.disconnects:
             raise CutSetError(f"outage {self.outaged} disconnects the network")
+
+    def surviving_rows(self, cols: np.ndarray) -> np.ndarray:
+        """cols[surviving_idx] bit for bit, by one strided gather: column-major ``cols`` give column-major rows."""
+        return cols.T.take(self.surviving_idx, 1).T
 
     @cached_property
     def surviving(self) -> tuple[int, ...]:
@@ -142,12 +148,12 @@ class GlodfResult:
 
     @cached_property
     def pre_contingency(self) -> np.ndarray:
-        return _glodf_kernel(self.d_cols[self.outage.surviving_idx], self.d_cols[self.outage.outaged_idx])
+        return _glodf_kernel(self.outage.surviving_rows(self.d_cols), self.d_cols[self.outage.outaged_idx])
 
     @cached_property
     def post_contingency(self) -> np.ndarray:
         cols = self.outage.outaged_idx
-        return surviving_factor(self.outage.network, cols).sensitivity_columns(cols)[self.outage.surviving_idx]
+        return self.outage.surviving_rows(surviving_factor(self.outage.network, cols).sensitivity_columns(cols))
 
     @cached_property
     def via_stack(self) -> np.ndarray:
@@ -157,7 +163,7 @@ class GlodfResult:
     @cached_property
     def k_stack(self) -> np.ndarray:
         # glodf refused every cut, and a bridge alone is one: no bridge check here
-        return _lodf_columns(self.d_cols[self.outage.surviving_idx], np.diag(self.d_cols[self.outage.outaged_idx]))
+        return _lodf_columns(self.outage.surviving_rows(self.d_cols), np.diag(self.d_cols[self.outage.outaged_idx]))
 
     @cached_property
     def residuals(self) -> dict | None:
@@ -211,16 +217,20 @@ def _lodf_columns(d_cols: np.ndarray, d_kk) -> np.ndarray:
 
 
 def _glodf_kernel(numerator: np.ndarray, d_ff: np.ndarray) -> np.ndarray:
-    """numerator (I - d_ff)^-1: one |F|-by-|F| inverse, then one product.
+    """numerator (I - d_ff)^-1: one LAPACK ``dgesv`` of (I - d_ff) X = I, then one product.
 
     With numerator = D_-F,F this is the simultaneous-outage factor of a
     non-cut outage F; any row subset of it (one block's lines) works too.
-    O(|F|^3 + rows |F|^2); a row of zeros comes out as +0.0.
+    O(|F|^3 + rows |F|^2); a row of zeros comes out as +0.0.  ``dgesv`` is the routine ``np.linalg.inv``
+    calls, less its 3 us wrapper: about 6 us at |F| = 3 and 757 rows on one core of a 2-core box.
+    X is inv's bit for bit up to |F| = 5; from 6 x 6 on, scipy's and numpy's OpenBLAS can part in the last bits.
     """
-    try:
-        return numerator @ np.linalg.inv(np.eye(d_ff.shape[0]) - d_ff)
-    except np.linalg.LinAlgError as exc:
-        raise SingularError(f"I - D_FF is numerically singular: {exc}") from None
+    inverse = np.eye(len(d_ff))
+    if inverse.size:  # dgesv refuses an empty system, and the 0 x 0 identity is its own inverse
+        _, _, inverse, info = lapack.dgesv(inverse - d_ff, inverse)
+        if info > 0:
+            raise SingularError("I - D_FF is numerically singular: Singular matrix")
+    return numerator @ np.ascontiguousarray(inverse)  # row-major, as inv's: a column-major X sums in another order
 
 
 def glodf(bundle, ptdf, network, outage: OutageSet, method: str = "pre_contingency") -> GlodfResult:

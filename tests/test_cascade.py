@@ -306,7 +306,7 @@ def test_empty_initial_outage_is_refused(triangle):
 
 
 def test_a_stage_whose_update_is_singular_is_re_solved(monkeypatch):
-    # The kernel turns numpy's LinAlgError into the SingularError stubbed below.
+    # The kernel turns dgesv's zero pivot into the SingularError stubbed below.
     with pytest.raises(SingularError, match="I - D_FF is numerically singular"):
         factors._glodf_kernel(np.ones((2, 1)), np.ones((1, 1)))
     kernel_calls = []

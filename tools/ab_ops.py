@@ -13,8 +13,18 @@ side runs ``setup`` once and an untimed warm-up pass, and then timed passes
 over the whole pool alternate between the sides, the side that goes first
 swapping from one pair to the next, with a garbage collection before each
 pass.  Every result of every pass is checked with the workload's ``check``;
-a failed check exits 1.  Passes continue until ``--seconds`` have gone by
+a failed check exits 1.  After each op's check the tool runs one sample of
+``perfbench/calibrate.py``'s calibration unit, outside the op's time, as
+``perfbench/run.py`` does after every op, so each op starts from the caches
+the benchmark leaves it.  Passes continue until ``--seconds`` have gone by
 and at least MIN_PAIRS pairs are done.
+
+Without that unit between ops, the ops run back to back with warm caches and
+overstate a saving on a hot path: one change read 0.769 on ``screen_grid``
+(seed 3) without the unit, 0.866 with it, and 0.855 in ten separate-process
+``perfbench/run.py`` pairs (1 / the ops_per_s ratio).  The samples only touch
+the caches; no time is rescaled by them, since the pairs already share the
+machine's drift.
 
 The report gives each side's median ms per op over its passes, and the
 median and quartiles of the paired ratio change / parent (below 1: the
@@ -47,6 +57,7 @@ from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from calibrate import Calibrator  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SIDES = ("parent", "change")
@@ -64,8 +75,8 @@ def load(src: Path, name: str, folder: Path):
     return package
 
 
-def timed_pass(side: str, gf, workload, state, pool) -> list[float]:
-    """Seconds each op of one pass of the pool took; exits when a result fails its check."""
+def timed_pass(side: str, gf, workload, state, pool, calibrator: Calibrator) -> list[float]:
+    """Seconds each op of one pass took, a calibration unit run after each; exits when a result fails its check."""
     elapsed = []
     for item in pool:
         began = perf_counter()
@@ -73,6 +84,7 @@ def timed_pass(side: str, gf, workload, state, pool) -> list[float]:
         elapsed.append(perf_counter() - began)
         if not workload.check(item, result):
             raise SystemExit(f"{side}: op failed its check: {item[:-1]}")
+        calibrator.sample()
     return elapsed
 
 
@@ -109,19 +121,20 @@ def main(argv=None) -> int:
         packages = {side: load(src.resolve(), f"gridfactor_{side}", folder)
                     for side, src in zip(SIDES, (args.parent_src, args.change_src))}
         states = {side: workload.setup(gf, plan.files) for side, gf in packages.items()}
+        calibrator = Calibrator()
         for side in SIDES:
-            timed_pass(side, packages[side], workload, states[side], plan.pool)
+            timed_pass(side, packages[side], workload, states[side], plan.pool, calibrator)
         start = perf_counter()
         while len(times["change"]) < MIN_PAIRS or perf_counter() - start < args.seconds:
             for side in SIDES if len(times["change"]) % 2 == 0 else SIDES[::-1]:
                 gc.collect()
-                times[side].append(timed_pass(side, packages[side], workload, states[side], plan.pool))
+                times[side].append(timed_pass(side, packages[side], workload, states[side], plan.pool, calibrator))
 
     every = range(len(plan.pool))
     ratios = paired_ratios(times, every)
     q1, median, q3 = statistics.quantiles(ratios, n=4)
     print(f"workload {args.workload}: seed {args.seed}, {len(ratios)} pairs of passes "
-          f"of {len(plan.pool)} ops, every result checked")
+          f"of {len(plan.pool)} ops, every result checked, a calibration unit after each")
     for side in SIDES:
         print(f"{side}: median {statistics.median(sum(p) for p in times[side]) / len(every) * 1e3:.4f} ms/op")
     print(f"change/parent ratio: median {median:.4f}, quartiles {q1:.4f} .. {q3:.4f}")
