@@ -26,6 +26,7 @@ import numpy as np
 
 from .dcpf import FlowState
 from .errors import SingularError, ValidationError
+from . import factors
 from .factors import _lodf_columns, _outage_flow
 from .net_model import Network, injection_vector
 
@@ -124,21 +125,21 @@ def influence_graph(network: Network, threshold: float) -> tuple[tuple[int, int]
     Pairs are drawn only from within non-bridge blocks, where the factors
     are defined in both directions; a pair qualifies when either direction
     reaches the threshold.  Cross-block factors are exactly zero, so the
-    result can never join two blocks, and each block reads only its own rows
-    of its own columns of ``network.sensitivity``, a batch at a time (:meth:`PtdfMatrix.batches`).
+    result can never join two blocks.  Each block of ``network.decomposition.lines`` reads its own rows of
+    its own columns straight off ``network.factor``, ``factors._BATCH`` at a time: within it nothing is masked.
     ValidationError unless the threshold is finite and nonnegative.
     """
-    ptdf = network.sensitivity
     if not 0.0 <= threshold < np.inf:
         raise ValidationError(f"threshold must be finite and nonnegative, got {threshold}")
     pairs = []
-    for members in network.decomposition.blocks:
+    for members in network.decomposition.lines:
         if len(members) < 2:
             continue
-        ordered = np.array(sorted(members))
-        positions = network.edge_positions(ordered.tolist())
-        k, found = len(ordered), []
-        for start, d_rows in ptdf.batches(positions, positions):
+        by_id = sorted(members.tolist(), key=network.ids.__getitem__)  # so each pair is a < b
+        positions, ordered = np.array(by_id), np.array([network.ids[position] for position in by_id])
+        k, found = len(positions), []
+        for start in range(0, k, factors._BATCH):
+            d_rows = network.factor.sensitivity_columns(positions[start:start + factors._BATCH], positions)
             cols = np.arange(d_rows.shape[1])
             # factor[i, j]: flow change on line i per unit pre-outage flow on tripped line start + j.
             factor = _lodf_columns(d_rows, d_rows[start + cols, cols])

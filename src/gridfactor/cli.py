@@ -19,7 +19,7 @@ from . import cascade as cascade_mod
 from . import factors as factors_mod
 from . import forests as forests_mod
 from . import localization as localization_mod
-from .errors import AnalysisError, GridFactorError, InputError
+from .errors import GridFactorError, InputError
 from .net_model import RTOL, load_network
 
 __all__ = ["main", "run"]
@@ -362,10 +362,7 @@ def run(argv=None) -> int:
     except InputError as exc:
         print(f"gridfactor: {exc}", file=sys.stderr)
         return 1
-    except AnalysisError as exc:
-        print(f"gridfactor: {exc}", file=sys.stderr)
-        return 2
-    except GridFactorError as exc:  # pragma: no cover - safety net
+    except GridFactorError as exc:  # an AnalysisError, or any other error of the package
         print(f"gridfactor: {exc}", file=sys.stderr)
         return 2
 

@@ -103,17 +103,22 @@ class LaplacianBundle:
         self._columns = OrderedDict()  # line position -> its read-only column of A C, least recently used first
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """A @ rhs, for one column or several, from the sparse LU factor."""
+        """A @ rhs, for one column or several, from the sparse LU factor; SingularError unless it is finite."""
         x = np.empty(rhs.shape)
         x[self.node_row] = rhs  # written into the factor's rows, as line_solve writes its own
-        x[:-1], x[-1] = self._factor.solve(x[:-1]), 0.0
-        return x.take(self.node_row, 0)
+        return self._solved(x)
 
     def line_solve(self, positions) -> np.ndarray:
         """A C[:, positions] in node order by one solve, its right-hand side written straight into the factor's rows."""
         x, cols = np.zeros((self.n, len(positions))), np.arange(len(positions))
         x[self.end_rows[0][positions], cols], x[self.end_rows[1][positions], cols] = 1.0, -1.0
+        return self._solved(x)
+
+    def _solved(self, x: np.ndarray) -> np.ndarray:
+        """The triangular solves of ``x``, in the factor's rows, in node order; SingularError unless all finite."""
         x[:-1], x[-1] = self._factor.solve(x[:-1]), 0.0
+        if not np.isfinite(x).all():
+            raise SingularError("phase angles are not finite: the injections are too large for the susceptances")
         return x.take(self.node_row, 0)
 
     def outage_columns(self, positions) -> np.ndarray:

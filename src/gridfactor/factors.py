@@ -43,47 +43,39 @@ _BATCH = 32  # columns per solve: D is read in m x _BATCH slices, never as m x m
 
 
 class PtdfMatrix:
-    """The sensitivity D = B C^T A C of one network on its ``factor``, read by columns, indexed by line ``ids``.
+    """The sensitivity D = B C^T A C of one network on its ``factor``, read by columns.
 
-    :attr:`Network.sensitivity` is the one per network.  It keeps the ``factor``, ``ids`` and ``block_at``
+    :attr:`Network.sensitivity` is the one per network.  It keeps ``factor`` and the block view ``decomposition``
     but no reference to the network, so a network that holds it is freed by reference counting.  D is
     held column-major, as :meth:`LaplacianBundle.branch_flows` writes it, so an outage's columns are contiguous.
 
-    A unit injection across a line's ends moves flow only inside that line's
-    block (Part I of the paper), so D is block-diagonal in ``network.decomposition``.
-    Every read goes through :meth:`batches`: at most ``_BATCH`` columns per solve, with 0.0
-    written in every row outside each column's block, or a slice of :attr:`matrix` (all m
-    columns, filled batch by batch) once that is built.  SuperLU's last bits depend on how
-    many columns one solve takes only far above ``_BATCH`` (at 1737 on the 40x40 grid), so
-    :attr:`matrix` and :meth:`columns` agree bit for bit at every size.
+    A unit injection across a line's ends moves flow only inside that line's block (Part I of the
+    paper), so D is block-diagonal.  Every read goes through :meth:`columns`: at most ``_BATCH``
+    columns per solve, with 0.0 written wherever :meth:`BlockDecomposition.same_block` is False, or
+    a slice of :attr:`matrix` (all m columns, read the same way) once that is built.  SuperLU's last
+    bits depend on how many columns one solve takes only far above ``_BATCH`` (at 1737 on the 40x40
+    grid), so :attr:`matrix` and :meth:`columns` agree bit for bit at every size.
     """
 
     def __init__(self, network: Network):
         self.factor = network.factor
-        self.ids = network.ids
-        self.block_at = network.decomposition.block_at
-
-    def batches(self, positions, rows=slice(None)):
-        """(start, D[rows, positions[start:start + _BATCH]]) for each batch in turn, zero outside each column's block."""
-        held = "matrix" in self.__dict__  # then the mask finds its zeros already written
-        for start in range(0, len(positions), _BATCH):
-            batch = positions[start:start + _BATCH]
-            d = self.matrix[:, batch][rows] if held else self.factor.sensitivity_columns(batch, rows)
-            d[self.block_at[rows, None] != self.block_at[batch]] = 0.0
-            yield start, d
+        self.decomposition = network.decomposition
 
     def columns(self, positions) -> np.ndarray:
         """D[:, positions], column-major, with exact zeros outside each column's block."""
         if "matrix" in self.__dict__:
             return self.matrix[:, positions]
-        out = np.empty((len(self.ids), len(positions)), order="F")
-        for start, d in self.batches(positions):
+        out = np.empty((len(self.factor.b), len(positions)), order="F")
+        for start in range(0, len(positions), _BATCH):
+            batch = positions[start:start + _BATCH]
+            d = self.factor.sensitivity_columns(batch)
+            d[~self.decomposition.same_block(slice(None), batch)] = 0.0
             out[:, start:start + d.shape[1]] = d
         return out
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return self.columns(np.arange(len(self.ids)))
+        return self.columns(np.arange(len(self.factor.b)))
 
 
 class OutageSet:
@@ -193,14 +185,17 @@ def lodf_single(network: Network, outaged: int) -> dict[int, float]:
     denominator 1 - D_ll vanishes exactly there), and SingularError when
     1 - D_ll is at most RTOL on a line that is not one.
     """
-    ptdf = network.sensitivity
-    col = network.edge_index(outaged)
-    if outaged in network.decomposition.bridges:
-        raise BridgeError(f"line {outaged} is a bridge; outage factors are undefined")
-    column = ptdf.columns([col])[:, 0]
-    values = _lodf_columns(column, column[col])
-    ids = network.ids[:col] + network.ids[col + 1:]
-    return dict(zip(ids, np.delete(values, col).tolist()))
+    col, _, values = _line_outage(network, outaged)
+    return dict(zip(network.ids[:col] + network.ids[col + 1:], np.delete(values, col).tolist()))
+
+
+def _line_outage(network: Network, line: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The one single-line outage route: k, D[:, k] of ``network.sensitivity`` and K[:, k]; BridgeError on a bridge."""
+    k = network.edge_index(line)
+    if line in network.decomposition.bridges:
+        raise BridgeError(f"line {line} is a bridge; outage factors are undefined")
+    column = network.sensitivity.columns([k])[:, 0]
+    return k, column, _lodf_columns(column, column[k])
 
 
 def _lodf_columns(d_cols: np.ndarray, d_kk) -> np.ndarray:
@@ -272,8 +267,8 @@ def _outage_flow(network: Network, p, base: FlowState | None, tripped) -> FlowSt
     (:meth:`LaplacianBundle.outage_columns`), and no new factorization.  The update is certified by
     its nodal imbalance r = C f' - p: f' is a potential flow on the surviving grid, so it is off the
     exact flow by at most ||r||_1 on every line.  The surviving grid is re-solved instead
-    (:func:`surviving_flow`) when ||r||_1 exceeds ``scaled_tolerance(max|f'|)``, when
-    I - D_FF is singular, and when ``base`` is None (no whole-network factor).
+    (:func:`surviving_flow`) when ||r||_1 exceeds ``scaled_tolerance(max|f'|)`` or that is not finite,
+    when I - D_FF is singular, and when ``base`` is None (no whole-network factor).
     """
     if base is not None:
         bundle = network.factor
@@ -287,6 +282,6 @@ def _outage_flow(network: Network, p, base: FlowState | None, tripped) -> FlowSt
             flows[tripped] = 0.0
             n = network.n
             imbalance = np.bincount(bundle.source, flows, n) - np.bincount(bundle.target, flows, n) - p
-            if np.abs(imbalance).sum() <= scaled_tolerance(float(np.abs(flows).max())):  # NaN fails too
+            if np.abs(imbalance).sum() <= scaled_tolerance(float(np.abs(flows).max())) < np.inf:  # NaN fails too
                 return FlowState(theta=theta, flows=flows)
     return surviving_flow(network, p, tripped)

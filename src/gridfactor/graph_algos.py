@@ -1,9 +1,10 @@
-"""The block decomposition: the lines split into maximal 2-connected blocks.
+"""The block decomposition: the lines split into maximal 2-connected blocks, the network's one block view.
 
 A bridge is a block of one line.  Two distinct lines lie on a common simple
 cycle exactly when they share a block, which is how
 :func:`gridfactor.localization.simple_cycle_criterion` answers without
-enumerating cycles; cut sets are :meth:`Network.disconnected_by`'s.
+enumerating cycles; cut sets are :meth:`Network.disconnected_by`'s.  Every
+block-wise reader calls :meth:`BlockDecomposition.same_block`, Part I's rule, or reads its ``lines``.
 """
 
 from __future__ import annotations
@@ -25,14 +26,20 @@ class BlockDecomposition:
 
     ``blocks`` is ordered by first edge appearance (ascending smallest edge
     id), which makes ``block_at`` deterministic for a given network.
-    ``block_at`` holds each line's block index by edge position, read-only;
-    it follows from ``blocks``, so it is not compared or hashed.
+    ``block_at`` holds each line's block index by edge position, ``lines`` each
+    block's edge positions (ascending); both are read-only and follow from
+    ``blocks``, so they are not compared or hashed.
     """
 
     blocks: tuple[frozenset[int], ...]
     bridges: frozenset[int]
     cut_vertices: frozenset[int]
     block_at: np.ndarray = field(compare=False, repr=False)
+    lines: tuple[np.ndarray, ...] = field(compare=False, repr=False)
+
+    def same_block(self, rows, cols) -> np.ndarray:
+        """Part I's rule (D and K vanish across blocks): [i, j] is True when lines rows[i], cols[j] share a block."""
+        return self.block_at[rows, None] == self.block_at[cols]
 
 
 def block_decomposition(network: Network) -> BlockDecomposition:
@@ -70,9 +77,10 @@ def block_decomposition(network: Network) -> BlockDecomposition:
     # Deterministic block order: ascending smallest edge id.
     first = np.unique(raw[sorted(range(network.m), key=ids.__getitem__)], return_index=True)[1]
     block_at = np.argsort(np.argsort(first))[raw]
-    block_at.flags.writeable = False
-    grouped = np.split(np.argsort(block_at, kind="stable"), np.bincount(block_at).cumsum())[:-1]
-    blocks = tuple(frozenset(map(ids.__getitem__, members.tolist())) for members in grouped)
+    by_block = np.argsort(block_at, kind="stable")
+    block_at.flags.writeable = by_block.flags.writeable = False
+    lines = tuple(np.split(by_block, np.bincount(block_at).cumsum())[:-1])  # read-only views, one per block
+    blocks = tuple(frozenset(map(ids.__getitem__, members.tolist())) for members in lines)
     bridges = frozenset(next(iter(b)) for b in blocks if len(b) == 1)
 
     # A cut vertex touches two or more blocks: count the distinct (node, block) pairs per node.
@@ -85,5 +93,6 @@ def block_decomposition(network: Network) -> BlockDecomposition:
         bridges=bridges,
         cut_vertices=cut_vertices,
         block_at=block_at,
+        lines=lines,
     )
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dcpf import build_laplacian
 from .errors import BridgeError, ValidationError, ZeroFactorError
-from .factors import GlodfResult, OutageSet, _glodf_kernel, _lodf_columns
+from .factors import GlodfResult, OutageSet, _glodf_kernel, _line_outage
 from .net_model import NONZERO_ATOL, Network, incidence_columns, scaled_tolerance
 
 __all__ = [
@@ -48,15 +48,8 @@ def simple_cycle_criterion(network: Network, line: int, outaged: int) -> str:
         raise BridgeError(f"line {outaged} is a bridge; outage factors are undefined")
     if line == outaged:
         raise ValueError("lines must be distinct")
-    first, second = network.decomposition.block_at[network.edge_positions([line, outaged])]
-    return "possibly_nonzero" if first == second else "zero"
-
-
-def _line_blocks(network: Network, outage: OutageSet):
-    """Block ids of the surviving and tripped lines, and their same-block mask."""
-    block_at = network.decomposition.block_at
-    row_block, col_block = block_at[outage.surviving_idx], block_at[outage.outaged_idx]
-    return row_block, col_block, row_block[:, None] == col_block[None, :]
+    first, second = network.edge_positions([line, outaged])
+    return "possibly_nonzero" if network.decomposition.same_block(first, second) else "zero"
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,9 +88,9 @@ def block_structure_report(outage: OutageSet) -> LocalizationReport:
     The report's K is the pre_contingency view (:class:`GlodfResult`) of the outage columns
     of ``outage.network.factor``, solved once and never masked, so ``cross_block_max`` (which the theory pins at zero)
     reads computed entries, never written zeros; each ``k_direct`` reads only its block's
-    entries, where the PTDF's mask writes nothing.  For every block containing tripped
-    lines, ``k_direct`` and ``k_from_parts`` (see :class:`BlockFactors`) are compared
-    against K restricted to the block.
+    entries (so neither reads ``network.sensitivity``, whose zeros across blocks are written).
+    For every block containing tripped lines, grouped and indexed by the view's ``block_at``,
+    ``k_direct`` and ``k_from_parts`` (see :class:`BlockFactors`) are compared against K restricted to the block.
     """
     network = outage.network
     outage.refuse_cut()
@@ -110,11 +103,12 @@ def block_structure_report(outage: OutageSet) -> LocalizationReport:
     scale = float(np.max(magnitude, initial=0.0))
     tol = scaled_tolerance(scale)
 
-    row_block, col_block, same_block = _line_blocks(network, outage)
+    same_block = network.decomposition.same_block(rows, cols)
     cross_max = float(np.max(magnitude[~same_block], initial=0.0))
     zero_count = int(np.count_nonzero(magnitude[same_block] < tol))
 
     post = result.post_contingency
+    row_block, col_block = network.decomposition.block_at[rows], network.decomposition.block_at[cols]
     blocks = []
     for index in np.unique(col_block).tolist():
         full_rows = np.flatnonzero(row_block == index)
@@ -203,7 +197,7 @@ def almost_sure_nonzero_test(outage: OutageSet,
     """
     network = outage.network
     outage.refuse_cut()
-    _, _, same_block = _line_blocks(network, outage)
+    same_block = network.decomposition.same_block(outage.surviving_idx, outage.outaged_idx)
     base = network.susceptances()
 
     counts = np.zeros(same_block.shape, dtype=int)
@@ -241,20 +235,15 @@ def adversarial_capacity(network: Network, tripped: int, target: int) -> Adversa
     capacity vector that is exactly tight on the target line and generously
     slack elsewhere: the common slack level is (1 + max|K|) * max|f|, which
     the triangle-inequality bound on post-outage flows can never exceed.
-    Requires a nonzero outage factor between the two lines.  One solve of
-    the unit injection gives both the flows and the tripped line's
-    sensitivity column, from which its outage factors follow.
+    Requires a nonzero outage factor between the two lines.  The tripped
+    line's column of ``network.sensitivity`` is both the flows of the unit
+    injection and, by the one single-line outage route, its outage factors.
     """
     if tripped == target:
         raise ValueError("lines must be distinct")
-    if tripped in network.decomposition.bridges:
-        raise BridgeError(f"line {tripped} is a bridge")
-
+    tripped_idx, flows, column = _line_outage(network, tripped)
     target_idx = network.edge_index(target)
-    tripped_idx = network.edge_index(tripped)
     injections = incidence_columns(network, [tripped_idx])[:, 0]
-    flows = network.factor.sensitivity_columns([tripped_idx])[:, 0]
-    column = _lodf_columns(flows, flows[tripped_idx])
     k_norm = float(np.max(np.abs(np.delete(column, tripped_idx))))
     if abs(column[target_idx]) < scaled_tolerance(k_norm):
         raise ZeroFactorError(

@@ -190,6 +190,17 @@ def test_influence_graph_in_batches_is_the_dense_pair_set(threshold):
 
 
 @settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.01, 0.1]))
+def test_influence_graph_reads_ids_not_positions(seed, threshold):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_nodes=10, max_extra=8, min_extra=2)
+    relabel = dict(zip(net.ids, (int(v) for v in rng.permutation(net.ids))))
+    permuted = replace(net, ids=tuple(relabel[line] for line in net.ids))  # ids no longer ascend with position
+    expected = tuple(sorted(tuple(sorted((relabel[a], relabel[b]))) for a, b in influence_graph(net, threshold)))
+    assert influence_graph(permuted, threshold) == expected
+
+
+@settings(max_examples=60, deadline=None, database=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([0.0, 0.01, 0.1, 0.5]))
 def test_influence_graph_is_its_whole_block_rule_at_every_batch_size(seed, batch, threshold):
     net = random_network(np.random.default_rng(seed), max_nodes=10, max_extra=8)
@@ -342,6 +353,16 @@ def test_an_update_that_is_not_finite_is_re_solved(triangle):
     base = solve_flow(triangle.factor, triangle, p)
     broken = type(base)(theta=np.full(triangle.n, np.nan), flows=base.flows)
     state = _outage_flow(triangle, p, broken, np.array([0]))
+    assert np.array_equal(state.flows, surviving_flow(triangle, p, [0]).flows)
+
+
+def test_an_update_whose_bound_is_not_finite_is_re_solved(triangle):
+    # An angle of -inf gives flows of +-inf and an imbalance of +-inf with no NaN: only a finite bound refuses it.
+    p = injection_vector(triangle)
+    base = solve_flow(triangle.factor, triangle, p)
+    theta = base.theta.copy()
+    theta[triangle.node_index(2)] = -np.inf
+    state = _outage_flow(triangle, p, FlowState(theta=theta, flows=base.flows), np.array([0]))
     assert np.array_equal(state.flows, surviving_flow(triangle, p, [0]).flows)
 
 

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from gridfactor import (
-    LaplacianBundle, Network, ParseError, SingularError, ValidationError, build_laplacian, cli,
+    GridFactorError, LaplacianBundle, Network, ParseError, SingularError, ValidationError, build_laplacian, cli,
     dcpf, factors, forests, load_network, localization, validate,
 )
 from gridfactor.cli import run
@@ -259,6 +260,52 @@ def test_a_non_finite_pivot_is_refused(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "gridfactor: reduced Laplacian cannot be factored in floating point: a pivot is not finite\n"
+
+
+NOT_FINITE = {  # each document's exact answer is finite, but its phase angles overflow
+    "ptdf": ({"edges": [{"from": 1, "to": 2, "b": 1e-320}]}, []),
+    "flow": ({"edges": [{"from": 1, "to": 2, "b": 1e-30}], "injections": {"1": 6.1e299, "2": -6.1e299}}, []),
+    "cascade": ({"edges": [{"from": 1, "to": 2, "b": 1e6, "cap": 1}, {"from": 2, "to": 3, "b": 2, "cap": 1e300},
+                           {"from": 1, "to": 3, "b": 1e-6, "cap": 1e300}],
+                 "injections": {"1": -6.026936048772891e298, "2": -2.759421626123535e298,
+                                "3": 8.786357674896425e298}}, ["--trip", "2"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NOT_FINITE))
+def test_phase_angles_that_are_not_finite_are_refused(capsys, tmp_path, command):
+    doc, flags = NOT_FINITE[command]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert run([command, str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
+
+
+def test_any_other_package_error_exits_2(monkeypatch, capsys, triangle_path):
+    parse = cli._PARSER.parse_args
+
+    def parsed(argv):
+        args = parse(argv)
+        args.handler = raising
+        return args
+
+    def raising(network, args):
+        raise GridFactorError("x")
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", parsed)
+    assert run(["blocks", triangle_path]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "gridfactor: x\n")
+
+
+def test_main_exits_with_the_code_run_returns(monkeypatch, capsys, triangle_path):
+    monkeypatch.setattr(sys, "argv", ["gridfactor", "lodf", triangle_path, "--line", "42"])
+    with pytest.raises(SystemExit) as exited:
+        cli.main()
+    assert exited.value.code == 1
+    assert "42" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("reverse", [False, True])

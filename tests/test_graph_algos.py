@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,6 +147,27 @@ def test_the_search_is_depth_first_and_blocks_are_the_simple_cycle_classes(seed,
     block_at = net.decomposition.block_at
     for (k, line), (j, other) in itertools.combinations(enumerate(net.ids), 2):
         assert (block_at[k] == block_at[j]) == simple_cycle_oracle(net, line, other)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_the_view_partitions_the_lines_and_same_block_is_the_simple_cycle_rule(seed, parallel):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_nodes=9, max_extra=6)
+    if parallel:  # validate refuses parallel lines, but a directly built network keeps them
+        k = int(rng.integers(net.m))
+        net = replace(net, ids=(*net.ids, net.m + 1), sources=(*net.sources, net.targets[k]),
+                      targets=(*net.targets, net.sources[k]), b=(*net.b, 1.0), cap=(*net.cap, math.inf))
+    net = replace(net, ids=tuple(int(v) for v in rng.permutation(net.ids)))  # ids no longer ascend with position
+    dec = net.decomposition
+    assert np.array_equal(np.sort(np.concatenate(dec.lines)), np.arange(net.m))
+    for members, block in zip(dec.lines, dec.blocks, strict=True):
+        assert not members.flags.writeable and np.all(np.diff(members) > 0)
+        assert {net.ids[k] for k in members.tolist()} == block
+    positions = np.arange(net.m)
+    same = dec.same_block(positions, positions)
+    for (k, line), (j, other) in itertools.combinations(enumerate(net.ids), 2):
+        assert same[k, j] == same[j, k] == simple_cycle_oracle(net, line, other)
 
 
 def test_is_cut_set_examples(triangle, path3):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from gridfactor import (
 )
 
 from gridfactor import factors, graph_algos, localization
-from gridfactor.net_model import RTOL, incidence_columns
+from gridfactor.net_model import RTOL, incidence_columns, scaled_tolerance
 
 from conftest import (
     build,
@@ -259,9 +261,57 @@ def test_adversarial_capacity_zero_factor_raises(fig2):
         adversarial_capacity(fig2, blocks[0][0], blocks[1][0])
 
 
-def test_adversarial_capacity_bridge_raises(path3):
-    with pytest.raises(BridgeError):
-        adversarial_capacity(path3, 1, 2)
+def test_adversarial_capacity_bridge_raises(path3, fig2):
+    for net, bridge, target in [(path3, 1, 2), (fig2, 4, 1)]:  # refused in lodf_single's words
+        with pytest.raises(BridgeError) as single:
+            lodf_single(net, bridge)
+        with pytest.raises(BridgeError) as adversarial:
+            adversarial_capacity(net, bridge, target)
+        assert str(adversarial.value) == str(single.value) == f"line {bridge} is a bridge; outage factors are undefined"
+
+
+def _adversarial_on_the_raw_factor(net, tripped, target):
+    """The instance from the tripped line's unmasked column, solved on the factor; None where the factor vanishes."""
+    k, t = net.edge_index(tripped), net.edge_index(target)
+    flows = net.factor.sensitivity_columns([k])[:, 0]
+    column = flows / (1.0 - flows[k])
+    k_norm = float(np.max(np.abs(np.delete(column, k))))
+    if abs(column[t]) < scaled_tolerance(k_norm):
+        return None
+    capacities = np.full(net.m, (1.0 + k_norm) * float(np.max(np.abs(flows))))
+    capacities[t] = abs(flows[t])
+    return incidence_columns(net, [k])[:, 0], capacities
+
+
+def _same_instance_as_the_raw_factor(net, tripped, target):
+    expected = _adversarial_on_the_raw_factor(net, tripped, target)
+    if expected is None:
+        with pytest.raises(ZeroFactorError):
+            adversarial_capacity(net, tripped, target)
+        return
+    instance = adversarial_capacity(net, tripped, target)
+    assert instance.injections.tobytes() == expected[0].tobytes()
+    assert instance.capacities.tobytes() == expected[1].tobytes()
+
+
+def test_adversarial_capacity_is_the_raw_factor_route_bit_for_bit_on_fig2(fig2):
+    for tripped, target in itertools.permutations(fig2.ids, 2):
+        if tripped not in fig2.decomposition.bridges:
+            _same_instance_as_the_raw_factor(fig2, tripped, target)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_adversarial_capacity_is_the_raw_factor_route_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_nodes=10, max_extra=8, min_extra=1)
+    inner = [line for line in net.ids if line not in net.decomposition.bridges]
+    if not inner:  # two buses: no chord fits
+        return
+    tripped = int(rng.choice(inner))
+    for target in net.ids:
+        if target != tripped:
+            _same_instance_as_the_raw_factor(net, tripped, target)
 
 
 def test_adversarial_instance_drives_cascade(triangle):
@@ -366,9 +416,8 @@ def test_cross_block_max_reads_no_structural_zero(monkeypatch, fig2):
     columns = factors.PtdfMatrix.columns
 
     def filled(self, positions):
-        block = self.block_at
         d_cols = columns(self, positions)
-        d_cols[block[:, None] != block[positions]] = 1.0
+        d_cols[~self.decomposition.same_block(slice(None), positions)] = 1.0
         return d_cols
 
     monkeypatch.setattr(factors.PtdfMatrix, "columns", filled)

@@ -32,7 +32,9 @@ of ``tests/conftest.py``, the ``perfbench/gen.py`` block trees and
 oracle grids for seeds 2 and 7, its 30×30 grid for ``blocks`` and the
 20×20 grid of the ``screen_grid`` workload (``glodf`` ``pre_contingency`` and
 ``cross_check`` and ``localize`` of one three-line outage, so the GLODF
-kernel runs on 757 rows; and, with m=760 lines in one block, more than one
+kernel runs on 757 rows; ``glodf`` ``cross_check`` of one eight-line outage,
+so a change of the BLAS build that solves the kernel's 8×8 coupling shows as
+drift; and, with m=760 lines in one block, more than one
 column batch of D: ``ptdf`` in JSON and CSV, ``glodf`` in CSV and
 ``influence`` in JSON and dot, so a slip at a batch boundary moves a digest); two
 more ``verify`` runs take the seed-2 oracle grid with weights that are
@@ -85,6 +87,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (2, 7)
 #: A non-cut three-line outage of the 20×20 screening grid, ``gen.grid(20, 3)``.
 SCREEN_OUTAGE = "200,571,591"
+#: A non-cut eight-line outage of the same grid: an 8×8 coupling, where LAPACK builds can part in the last bits.
+WIDE_OUTAGE = "10,100,200,300,400,500,571,591"
 
 
 def _bridges(doc: dict) -> list[int]:
@@ -295,6 +299,7 @@ def outputs(src) -> Iterator[tuple[str, int, str, str]]:
         for method in ("pre_contingency", "cross_check"):
             corpus.append(["glodf", "screen.json", "--lines", SCREEN_OUTAGE, "--method", method])
         corpus.append(["localize", "screen.json", "--lines", SCREEN_OUTAGE])
+        corpus.append(["glodf", "screen.json", "--lines", WIDE_OUTAGE, "--method", "cross_check"])
         corpus += [  # D read in several column batches
             ["ptdf", "screen.json"],
             ["ptdf", "screen.json", "--format", "csv"],
