@@ -169,9 +169,8 @@ def _cmd_glodf(network, args) -> int:
 
 
 def _cmd_localize(network, args) -> int:
-    spec = localization_mod.PerturbationSpec(  # refuses out-of-range flags even without --perturb
-        relative_magnitude=args.eps, trials=args.trials, seed=args.seed
-    )
+    # refuses out-of-range flags even without --perturb
+    spec = localization_mod.PerturbationSpec(trials=args.trials, seed=args.seed)
     outage = factors_mod.OutageSet(network, _parse_lines(args.lines))
     report = localization_mod.block_structure_report(outage)
 
@@ -333,7 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_localize.add_argument("--perturb", action="store_true", help="add perturbation statistics")
     defaults = localization_mod.PerturbationSpec
     p_localize.add_argument("--trials", type=int, default=defaults.trials)
-    p_localize.add_argument("--eps", type=float, default=defaults.relative_magnitude)
     p_localize.add_argument(
         "--seed", type=int, default=defaults.seed, help="seed for the perturbation trials"
     )

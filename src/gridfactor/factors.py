@@ -81,8 +81,8 @@ class PtdfMatrix:
 class OutageSet:
     """A nonempty proper subset of lines to trip, with partition views.
 
-    The outaged ids are kept in ascending order, fixing the column order of
-    every derived factor matrix; the surviving ids are ascending as well.
+    Columns follow ascending id (``outaged``, and ``outaged_idx`` their positions); rows follow line
+    order (``surviving_idx`` ascends by position, so ``surviving`` ascends only where ids do with it).
     ``disconnects`` is True when tripping the lines disconnects the network.
     """
 
@@ -123,8 +123,8 @@ class OutageSet:
 class GlodfResult:
     """The simultaneous-outage formulas of one outage, each a view of D[:, F] (``d_cols``) cached on first read.
 
-    Each maps pre-outage flows on the tripped lines (columns, ascending ids) to flow changes
-    on the surviving lines (rows, ascending):
+    Each maps pre-outage flows on the tripped lines (columns, by ascending id) to flow changes
+    on the surviving lines (rows, in line order), as :class:`OutageSet` orders them:
       pre_contingency   D_-FF (I - D_FF)^-1
       post_contingency  B_-F C_-F^T A' C_F, solved on the surviving grid of ``outage.network``
                         (:func:`surviving_factor`); it reads no ``d_cols``
@@ -189,11 +189,16 @@ def lodf_single(network: Network, outaged: int) -> dict[int, float]:
     return dict(zip(network.ids[:col] + network.ids[col + 1:], np.delete(values, col).tolist()))
 
 
+def _refuse_bridge(network: Network, line: int) -> None:
+    """Raise BridgeError when ``line`` is a bridge: the one refusal of a single-line outage that disconnects."""
+    if line in network.decomposition.bridges:
+        raise BridgeError(f"line {line} is a bridge; outage factors are undefined")
+
+
 def _line_outage(network: Network, line: int) -> tuple[int, np.ndarray, np.ndarray]:
     """The one single-line outage route: k, D[:, k] of ``network.sensitivity`` and K[:, k]; BridgeError on a bridge."""
     k = network.edge_index(line)
-    if line in network.decomposition.bridges:
-        raise BridgeError(f"line {line} is a bridge; outage factors are undefined")
+    _refuse_bridge(network, line)
     column = network.sensitivity.columns([k])[:, 0]
     return k, column, _lodf_columns(column, column[k])
 

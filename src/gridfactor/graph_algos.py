@@ -24,8 +24,8 @@ __all__ = ["BlockDecomposition", "block_decomposition"]
 class BlockDecomposition:
     """Edge partition into blocks, plus the bridges and cut vertices.
 
-    ``blocks`` is ordered by first edge appearance (ascending smallest edge
-    id), which makes ``block_at`` deterministic for a given network.
+    ``blocks`` is ordered by each block's smallest line id, whatever the
+    lines' positions, which makes ``block_at`` deterministic for a given network.
     ``block_at`` holds each line's block index by edge position, ``lines`` each
     block's edge positions (ascending); both are read-only and follow from
     ``blocks``, so they are not compared or hashed.

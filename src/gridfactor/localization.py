@@ -12,16 +12,15 @@ injection/capacity pair that forces a chosen follow-on trip.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .dcpf import build_laplacian
-from .errors import BridgeError, ValidationError, ZeroFactorError
-from .factors import GlodfResult, OutageSet, _glodf_kernel, _line_outage
-from .net_model import NONZERO_ATOL, Network, incidence_columns, scaled_tolerance
+from .errors import ValidationError, ZeroFactorError
+from .factors import GlodfResult, OutageSet, _glodf_kernel, _line_outage, _refuse_bridge
+from .net_model import NONZERO_ATOL, PERTURBATION, Network, incidence_columns, scaled_tolerance
 
 __all__ = [
     "PerturbationSpec",
@@ -44,8 +43,7 @@ def simple_cycle_criterion(network: Network, line: int, outaged: int) -> str:
     certain only up to symmetry-induced cancellations.  Two distinct lines
     share a simple cycle exactly when they share a block.
     """
-    if outaged in network.decomposition.bridges:
-        raise BridgeError(f"line {outaged} is a bridge; outage factors are undefined")
+    _refuse_bridge(network, outaged)
     if line == outaged:
         raise ValueError("lines must be distinct")
     first, second = network.edge_positions([line, outaged])
@@ -140,30 +138,22 @@ def block_structure_report(outage: OutageSet) -> LocalizationReport:
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Randomized susceptance-perturbation settings.
+    """Randomized susceptance-perturbation settings: how many trials, and their seed.
 
     Each trial rescales every susceptance by (1 + w) with w uniform on
-    [-relative_magnitude, +relative_magnitude], which keeps susceptances
-    positive for any magnitude below one.  ValidationError unless ``trials``
-    and ``seed`` are integers and ``relative_magnitude`` a real number (a
-    bool is neither), ``trials >= 1``, ``0 <= relative_magnitude < 1`` and
-    ``seed >= 0``.
+    [-PERTURBATION, +PERTURBATION] (``net_model``), the one magnitude that
+    goes with ``NONZERO_ATOL``.  ValidationError unless ``trials`` and
+    ``seed`` are integers (a bool is not one), ``trials >= 1`` and ``seed >= 0``.
     """
 
-    relative_magnitude: float = 1e-3
     trials: int = 100
     seed: int = 0
 
     def __post_init__(self):
         if not all(type(v) is int or isinstance(v, np.integer) for v in (self.trials, self.seed)):
             raise ValidationError(f"perturbation trials and seed must be integers, not bools: {self}")
-        magnitude = self.relative_magnitude
-        if not isinstance(magnitude, numbers.Real) or isinstance(magnitude, bool):
-            raise ValidationError(f"perturbation magnitude must be a real number, not a bool: {self}")
-        if not (self.trials >= 1 and 0.0 <= self.relative_magnitude < 1.0 and self.seed >= 0):
-            raise ValidationError(
-                f"perturbation needs trials >= 1, magnitude in [0, 1) and seed >= 0: {self}"
-            )
+        if not (self.trials >= 1 and self.seed >= 0):
+            raise ValidationError(f"perturbation needs trials >= 1 and seed >= 0: {self}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,9 +177,10 @@ def almost_sure_nonzero_test(outage: OutageSet,
     """Count nonzero factor entries under random susceptance perturbations.
 
     Symmetry can make a within-block factor entry vanish, but the vanishing
-    set has measure zero; perturbed susceptances should make every
-    within-block entry nonzero in essentially every trial, while
-    cross-block entries stay zero in all of them.  One independent random
+    set has measure zero; susceptances perturbed by the relative
+    ``PERTURBATION`` should make every within-block entry exceed
+    ``NONZERO_ATOL`` in essentially every trial, while cross-block entries
+    stay zero in all of them.  One independent random
     substream is derived per trial index, so results are reproducible for
     a given seed regardless of execution order.  A trial reads the
     pre_contingency view (:class:`GlodfResult`) of its perturbed network's
@@ -203,7 +194,7 @@ def almost_sure_nonzero_test(outage: OutageSet,
     counts = np.zeros(same_block.shape, dtype=int)
     for trial in range(spec.trials):
         rng = np.random.default_rng([spec.seed, trial])
-        omega = rng.uniform(-spec.relative_magnitude, spec.relative_magnitude, network.m)
+        omega = rng.uniform(-PERTURBATION, PERTURBATION, network.m)
         b = base * (1.0 + omega)
         d_cols = build_laplacian(network, b).sensitivity_columns(outage.outaged_idx)
         counts += np.abs(GlodfResult(outage, "pre_contingency", d_cols).pre_contingency) > NONZERO_ATOL

@@ -54,6 +54,9 @@ PIVOT_RTOL = 1e-12
 #: Each trial's factor has its own scale; an absolute floor below RTOL counts
 #: small genuine entries and still rejects rounding noise on exact zeros.
 NONZERO_ATOL = 1e-12
+#: Relative size of each perturbation trial's draw (every b scaled by 1 + w, |w| <= PERTURBATION): it lifts
+#: an entry that symmetry zeroes far above NONZERO_ATOL (1e-15 leaves it below) and keeps every b positive.
+PERTURBATION = 1e-3
 
 
 def scaled_tolerance(scale: float) -> float:

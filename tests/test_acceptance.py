@@ -172,7 +172,7 @@ def test_criterion_06_almost_sure_converse():
 
     stats = almost_sure_nonzero_test(
         OutageSet(k4, [1]),
-        PerturbationSpec(relative_magnitude=1e-3, trials=100, seed=4242),
+        PerturbationSpec(trials=100, seed=4242),
     )
     assert stats.trials == 100
     assert min(stats.within_block.values()) == 100

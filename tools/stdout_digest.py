@@ -15,7 +15,8 @@ by ``tools/stdout_compare.py``, which runs the same corpus through
 The corpus covers every subcommand and output format, all four ``glodf``
 methods, ``localize`` with and without ``--perturb`` (an out-of-range
 ``--trials`` with and without it), bridge, cut-set and
-bad-input refusals (parallel lines and a malformed reference among them),
+bad-input refusals (parallel lines and a malformed reference among them, and
+``localize --eps``, a flag it does not take),
 one refusal per validation code and per loader parse error (integers past
 float range among them), files the loader cannot read as text or as numbers
 (a JSON file and an ``edges.csv`` that are not UTF-8, a JSON ``b`` of 5000
@@ -39,7 +40,9 @@ column batch of D: ``ptdf`` in JSON and CSV, ``glodf`` in CSV and
 ``influence`` in JSON and dot, so a slip at a batch boundary moves a digest); two
 more ``verify`` runs take the seed-2 oracle grid with weights that are
 decimal tenths and with rough floats (square roots), whose exact weight
-sums are not the sums of small dyadic rationals the other grids give.  Three
+sums are not the sums of small dyadic rationals the other grids give; a
+third takes it with every weight times 2^-30, whose A (entries of order 2^30)
+misses RTOL in absolute terms, so its identity checks fail (exit 2).  Three
 more take the parallel-line triangle (which the loader refuses), the seed-2
 oracle grid with the centre bus as reference, and four buses whose lines all
 weigh 1e200, so that the spanning-tree weight is past float range.  Four
@@ -281,6 +284,10 @@ def outputs(src) -> Iterator[tuple[str, int, str, str]]:
             doc["edges"] = [{**edge, "b": weight} for edge, weight in zip(doc["edges"], weights, strict=True)]
             gen.write(doc, Path(name))
             corpus.append(["verify", name])
+        doc = gen.oracle_grid(2)
+        doc["edges"] = [{**edge, "b": edge["b"] * 2.0**-30} for edge in doc["edges"]]
+        gen.write(doc, Path("tiny_grid.json"))  # A of order 2**30: its absolute error fails RTOL, exit 2
+        corpus.append(["verify", "tiny_grid.json"])
         gen.write(conftest.huge_weight_doc(), Path("huge_weight.json"))
         corpus += [  # parallel lines (refused), another reference, a tree weight past float range
             ["verify", "parallel.json"],
@@ -347,6 +354,7 @@ def outputs(src) -> Iterator[tuple[str, int, str, str]]:
             ["lodf", "triangle.json"],
             ["influence", "triangle.json", "--threshold", "-1"],
             ["cascade", "triangle.json", "--trip", "1", "--max-stages", "0"],
+            ["localize", "k4.json", "--lines", "1", "--perturb", "--eps", "0"],
         ]
 
         for run_argv in corpus:
