@@ -359,7 +359,11 @@ def test_bad_tol_is_input_error(capsys, triangle_path, value):
     assert out == "" and err.startswith("gridfactor: ")
 
 
-@pytest.mark.parametrize("flags", [["--trials", "-3"], ["--trials", "0"], ["--seed", "-1"]])
+@pytest.mark.parametrize("flags", [
+    ["--trials", "-3"], ["--trials", "0"], ["--trials", "-1"], ["--seed", "-2"],
+    ["--trials", "-3", "--seed", "-1"], ["--trials", "1", "--seed", "-1"], ["--trials", "0", "--seed", "5"],
+    ["--seed", "-1"],
+])
 def test_bad_perturbation_is_input_error(monkeypatch, capsys, triangle_path, flags):
     def refuse(*args):
         raise AssertionError("the network was factored before the spec was checked")
