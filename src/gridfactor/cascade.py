@@ -127,6 +127,7 @@ def influence_graph(network: Network, threshold: float) -> tuple[tuple[int, int]
     reaches the threshold.  Cross-block factors are exactly zero, so the
     result can never join two blocks.  Each block of ``network.decomposition.lines`` reads its own rows of
     its own columns straight off ``network.factor``, ``factors._BATCH`` at a time: within it nothing is masked.
+    Its lines come in ascending position, so each pair (a, b) of ids has a < b; the pairs are returned sorted.
     ValidationError unless the threshold is finite and nonnegative.
     """
     if not 0.0 <= threshold < np.inf:
@@ -135,11 +136,9 @@ def influence_graph(network: Network, threshold: float) -> tuple[tuple[int, int]
     for members in network.decomposition.lines:
         if len(members) < 2:
             continue
-        by_id = sorted(members.tolist(), key=network.ids.__getitem__)  # so each pair is a < b
-        positions, ordered = np.array(by_id), np.array([network.ids[position] for position in by_id])
-        k, found = len(positions), []
+        k, found = len(members), []
         for start in range(0, k, factors._BATCH):
-            d_rows = network.factor.sensitivity_columns(positions[start:start + factors._BATCH], positions)
+            d_rows = network.factor.sensitivity_columns(members[start:start + factors._BATCH], members)
             cols = np.arange(d_rows.shape[1])
             # factor[i, j]: flow change on line i per unit pre-outage flow on tripped line start + j.
             factor = _lodf_columns(d_rows, d_rows[start + cols, cols])
@@ -147,5 +146,5 @@ def influence_graph(network: Network, threshold: float) -> tuple[tuple[int, int]
             j += start
             found.append((np.minimum(i, j) * k + np.maximum(i, j))[i != j])
         codes = np.unique(np.concatenate(found))  # each pair a < b once, as a * k + b, whichever direction found it
-        pairs.extend(zip(ordered[codes // k].tolist(), ordered[codes % k].tolist()))
+        pairs.extend(zip((members[codes // k] + 1).tolist(), (members[codes % k] + 1).tolist()))
     return tuple(sorted(pairs))

@@ -72,7 +72,7 @@ class LaplacianBundle:
         bad = np.flatnonzero(~np.isfinite(b) | (b < 0))
         if bad.size:
             raise ValidationError(f"susceptances must be finite and non-negative;"
-                                  f" line {network.ids[bad[0]]} has {b[bad[0]]}")
+                                  f" line {bad[0] + 1} has {b[bad[0]]}")
         s, t, w = self.source[b > 0], self.target[b > 0], b[b > 0]  # a line that is out stores nothing
         values = np.concatenate([w, w, -w, -w])
         rows, cols = np.concatenate([s, t, s, t]), np.concatenate([s, t, t, s])

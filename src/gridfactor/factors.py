@@ -81,20 +81,20 @@ class PtdfMatrix:
 class OutageSet:
     """A nonempty proper subset of lines to trip, with partition views.
 
-    Columns follow ascending id (``outaged``, and ``outaged_idx`` their positions); rows follow line
-    order (``surviving_idx`` ascends by position, so ``surviving`` ascends only where ids do with it).
+    Columns and rows both follow line order: ``outaged_idx`` and ``surviving_idx`` ascend by
+    position, and ``outaged`` and ``surviving`` are those positions plus 1, the lines' ids.
     ``disconnects`` is True when tripping the lines disconnects the network.
     """
 
     def __init__(self, network: Network, lines):
         # Looked up as given, so an id that names no line (1.5) is refused, never truncated.
-        outaged = sorted({network.ids[k]: k for k in network.edge_positions(lines).tolist()}.items())
-        if not outaged:
+        positions = sorted(set(network.edge_positions(lines).tolist()))
+        if not positions:
             raise ValidationError("outage set must be nonempty")
-        if len(outaged) == network.m:
+        if len(positions) == network.m:
             raise ValidationError("outage set must be a proper subset of the lines")
         self.network = network
-        self.outaged, positions = zip(*outaged)
+        self.outaged = tuple(k + 1 for k in positions)
         self.outaged_idx = np.array(positions)
         keep = np.ones(network.m, dtype=bool)
         keep[self.outaged_idx] = False
@@ -112,7 +112,7 @@ class OutageSet:
 
     @cached_property
     def surviving(self) -> tuple[int, ...]:
-        return tuple(map(self.network.ids.__getitem__, self.surviving_idx.tolist()))
+        return tuple((self.surviving_idx + 1).tolist())
 
     @property
     def size(self) -> int:
@@ -123,8 +123,8 @@ class OutageSet:
 class GlodfResult:
     """The simultaneous-outage formulas of one outage, each a view of D[:, F] (``d_cols``) cached on first read.
 
-    Each maps pre-outage flows on the tripped lines (columns, by ascending id) to flow changes
-    on the surviving lines (rows, in line order), as :class:`OutageSet` orders them:
+    Each maps pre-outage flows on the tripped lines (columns) to flow changes on the surviving
+    lines (rows), both in line order, as :class:`OutageSet` orders them:
       pre_contingency   D_-FF (I - D_FF)^-1
       post_contingency  B_-F C_-F^T A' C_F, solved on the surviving grid of ``outage.network``
                         (:func:`surviving_factor`); it reads no ``d_cols``

@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .dcpf import build_laplacian
-from .errors import BridgeError, TooLargeError, ValidationError
+from .errors import BridgeError, SingularError, TooLargeError, ValidationError
 from .net_model import RTOL, Network
 
 __all__ = [
@@ -83,7 +83,7 @@ class ReactanceReport:
 
 
 def _rel_err(a, b):
-    """|a - b| / max(1, |a|, |b|), elementwise; NaN wherever a or b is NaN."""
+    """|a - b| / max(1, |a|, |b|), elementwise, of finite a and b."""
     return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
@@ -98,9 +98,9 @@ class _Oracle:
     """
 
     def __init__(self, network: Network):
-        for eid, weight in zip(network.ids, network.b):
+        for line, weight in enumerate(network.b, 1):
             if not math.isfinite(weight):
-                raise ValidationError(f"susceptances must be finite; line {eid} has {weight}")
+                raise ValidationError(f"susceptances must be finite; line {line} has {weight}")
         if build_laplacian(network, np.ones(network.m)).reduced_determinant > MAX_MEMBERS:
             raise TooLargeError("estimated spanning-tree count exceeds the enumeration cap")
         self.n = network.n
@@ -213,6 +213,7 @@ def matrix_tree_check(network: Network) -> MatrixTreeReport:
     The factor's determinant (:class:`LaplacianBundle`) is checked against the total spanning-tree
     weight, and adj(L_r) = det·L_r⁻¹, from one dense LAPACK inverse independent of SuperLU, entry by
     entry against the exact adjugate: each first minor against the weight of its two-tree family.
+    SingularError when that float determinant or adjugate is not finite.
     """
     bundle = network.factor
     oracle = network.oracle  # refuses a network past the cap before the reduced L is made dense
@@ -224,10 +225,13 @@ def matrix_tree_check(network: Network) -> MatrixTreeReport:
     keep = np.delete(np.arange(network.n), oracle.reference)  # an exact minor past float range is refused first
     expected = _quotient(adjugate[np.ix_(keep, keep)], oracle.common ** (size - 1), "a first minor").astype(float)
     determinant = bundle.reduced_determinant
-    det_err = float(_rel_err(determinant, forest_weight))
-
     adjugate_float = np.linalg.det(reduced) * np.linalg.inv(reduced)  # Cramer: adj = det·L_r⁻¹, one LAPACK inverse
-    minor_max = float(np.max(_rel_err(adjugate_float, expected), initial=0.0))  # a NaN stays NaN and fails
+    for what, value in (("determinant", determinant), ("adjugate", adjugate_float)):
+        if not np.isfinite(value).all():  # refused before any compare, which would divide inf by inf
+            raise SingularError(f"the float {what} of the reduced Laplacian is not finite")
+
+    det_err = float(_rel_err(determinant, forest_weight))
+    minor_max = float(np.max(_rel_err(adjugate_float, expected), initial=0.0))
 
     return MatrixTreeReport(determinant=determinant, forest_weight=forest_weight, determinant_rel_err=det_err,
                             minor_max_rel_err=minor_max, passed=det_err <= RTOL and minor_max <= RTOL)

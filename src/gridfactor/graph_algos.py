@@ -24,11 +24,11 @@ __all__ = ["BlockDecomposition", "block_decomposition"]
 class BlockDecomposition:
     """Edge partition into blocks, plus the bridges and cut vertices.
 
-    ``blocks`` is ordered by each block's smallest line id, whatever the
-    lines' positions, which makes ``block_at`` deterministic for a given network.
+    ``blocks`` holds each block's line ids and is ordered by each block's
+    first line, which makes ``block_at`` deterministic for a given network.
     ``block_at`` holds each line's block index by edge position, ``lines`` each
-    block's edge positions (ascending); both are read-only and follow from
-    ``blocks``, so they are not compared or hashed.
+    block's edge positions (ascending, its ids less 1); both are read-only and
+    follow from ``blocks``, so they are not compared or hashed.
     """
 
     blocks: tuple[frozenset[int], ...]
@@ -52,12 +52,14 @@ def block_decomposition(network: Network) -> BlockDecomposition:
     its parent, and every line joins the block of the tree line into its
     deeper end.  A self-loop (which ``validate`` refuses) joins the block
     of the tree line into its node, the first block at position 0, and a
-    bridge it joins is no longer one.  Raises DisconnectedError on a network
-    that is not connected.  :attr:`Network.decomposition` keeps one per network.
+    bridge it joins is no longer one.  Blocks come in the order of their
+    first lines, as :class:`BlockDecomposition` keeps them.  Raises
+    DisconnectedError on a network that is not connected.
+    :attr:`Network.decomposition` keeps one per network.
     """
     if not network._connected:
         raise DisconnectedError("block decomposition requires a connected network")
-    ids, n = network.ids, network.n
+    n = network.n
     order, parent = network._dfs
     pre = np.argsort(order)  # each node's place in the preorder
     source, target = network.endpoints
@@ -74,13 +76,13 @@ def block_decomposition(network: Network) -> BlockDecomposition:
         opened[node] = next(heads) if low[node] >= pre[parent[node]] else opened[parent[node]]
     raw = np.array(opened)[deep]
 
-    # Deterministic block order: ascending smallest edge id.
-    first = np.unique(raw[sorted(range(network.m), key=ids.__getitem__)], return_index=True)[1]
+    # Deterministic block order: each block's first line.
+    first = np.unique(raw, return_index=True)[1]
     block_at = np.argsort(np.argsort(first))[raw]
     by_block = np.argsort(block_at, kind="stable")
     block_at.flags.writeable = by_block.flags.writeable = False
     lines = tuple(np.split(by_block, np.bincount(block_at).cumsum())[:-1])  # read-only views, one per block
-    blocks = tuple(frozenset(map(ids.__getitem__, members.tolist())) for members in lines)
+    blocks = tuple(frozenset((members + 1).tolist()) for members in lines)
     bridges = frozenset(next(iter(b)) for b in blocks if len(b) == 1)
 
     # A cut vertex touches two or more blocks: count the distinct (node, block) pairs per node.

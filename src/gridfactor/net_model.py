@@ -68,13 +68,14 @@ def scaled_tolerance(scale: float) -> float:
 class Network:
     """Immutable oriented graph held as per-line columns.
 
-    ``nodes`` is kept in ascending order.  The line columns ``ids``,
-    ``sources``, ``targets``, ``b`` (susceptance) and ``cap`` (capacity,
-    infinite when the line can never trip) keep document order, which fixes
-    the line indexing and orientation.  ``injections`` is the optional
+    ``nodes`` is kept in ascending order.  The line columns ``sources``,
+    ``targets``, ``b`` (susceptance) and ``cap`` (capacity, infinite when the
+    line can never trip) keep document order, which fixes the line indexing
+    and orientation: a line's id is its position plus 1, so ``ids`` is
+    (1, ..., m), derived and not a field.  ``injections`` is the optional
     per-node real power vector aligned with ``nodes``.
 
-    The topology index (id-to-position maps, endpoint positions, one CSR
+    The topology index (the node-to-position map, endpoint positions, one CSR
     adjacency, one depth-first search over it read for connectedness and
     blocks, and the cycle labels read for islanding), the float columns as
     arrays, the :attr:`factor`, its :attr:`sensitivity`, the :attr:`decomposition` and the
@@ -83,7 +84,6 @@ class Network:
     """
 
     nodes: tuple[int, ...]
-    ids: tuple[int, ...]
     sources: tuple[int, ...]
     targets: tuple[int, ...]
     b: tuple[float, ...]
@@ -97,15 +97,16 @@ class Network:
 
     @property
     def m(self) -> int:
-        return len(self.ids)
+        return len(self.sources)
+
+    @cached_property
+    def ids(self) -> tuple[int, ...]:
+        """Each line's id, in line order: its position plus 1."""
+        return tuple(range(1, self.m + 1))
 
     @cached_property
     def _node_lookup(self) -> dict[int, int]:
         return dict(zip(self.nodes, range(self.n)))
-
-    @cached_property
-    def _edge_lookup(self) -> dict[int, int]:
-        return dict(zip(self.ids, range(self.m)))
 
     @cached_property
     def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +125,7 @@ class Network:
         """The topology index: the symmetric adjacency over node positions, in CSR form.
 
         One entry per line end (every end a node, parallel lines each their
-        own) holds the line position plus 1, so none is an explicit zero.
+        own) holds the line id, its position plus 1, so none is an explicit zero.
         Float values and int32 indices let csgraph read it without a copy.
         """
         ends, others = np.concatenate(self.endpoints), np.concatenate(self.endpoints[::-1])
@@ -229,22 +230,22 @@ class Network:
             raise ValidationError(f"unknown node {node}") from None
 
     def edge_index(self, edge_id: int) -> int:
-        try:
-            return self._edge_lookup[edge_id]
-        except KeyError:
-            raise UnknownEdgeError(f"unknown edge id {edge_id}") from None
+        """The position of the line whose id equals ``edge_id``: 2.0 is line 2, 1.5 is none."""
+        k = hash(edge_id)  # equal numbers hash alike, and an int k in 1..m hashes to k: the one candidate
+        if 0 < k <= len(self.sources) and k == edge_id:
+            return k - 1
+        raise UnknownEdgeError(f"unknown edge id {edge_id}")
 
     def edge_positions(self, edge_ids) -> np.ndarray:
-        """Positions of the given edge ids, in iteration order.
+        """Positions of the given edge ids, each read as :meth:`edge_index` reads it, in iteration order.
 
         Raises UnknownEdgeError naming every id that is not a line here.
         """
-        ids = list(edge_ids)
-        lookup = self._edge_lookup
-        missing = {v for v in ids if v not in lookup}
-        if missing:
-            raise UnknownEdgeError(f"unknown edge ids {sorted(missing)}")
-        return np.array([lookup[v] for v in ids], dtype=int)
+        ids, m = list(edge_ids), len(self.sources)
+        positions = [k - 1 if 0 < k <= m and k == v else -1 for v, k in zip(ids, map(hash, ids))]
+        if -1 in positions:
+            raise UnknownEdgeError(f"unknown edge ids {sorted({v for v, k in zip(ids, positions) if k < 0})}")
+        return np.array(positions, dtype=int)
 
     @cached_property
     def _reals(self) -> tuple[np.ndarray, np.ndarray]:
@@ -431,9 +432,8 @@ def _network_from_document(doc: dict) -> Network:
             raise ParseError(f"injections name unknown nodes {sorted(unknown)}")
         injections = tuple(map(by_node.get, nodes, repeat(0.0)))
 
-    return Network(nodes=nodes, ids=tuple(range(1, len(sources) + 1)), sources=tuple(sources),
-                   targets=tuple(targets), b=tuple(b), cap=tuple(cap), reference=reference,
-                   injections=injections)
+    return Network(nodes=nodes, sources=tuple(sources), targets=tuple(targets), b=tuple(b), cap=tuple(cap),
+                   reference=reference, injections=injections)
 
 
 def _document_from_csv(edges_path: Path) -> dict:
@@ -509,7 +509,8 @@ def load_network(source, reference: int | None = None) -> Network:
 def network_to_document(network: Network) -> dict:
     """Serialize a network to the canonical JSON document form.
 
-    Loading the returned document yields a network equal to the input.
+    The edges keep line order, so each line keeps its id (its position plus 1), and loading the
+    returned document yields a network equal to the input.
     """
     doc: dict = {
         "nodes": list(network.nodes),
@@ -542,23 +543,15 @@ def _named(value):
     return value
 
 
-def _repeats(keys) -> np.ndarray:
-    """Mask of the entries of a sequence that equal an earlier entry."""
-    repeats = np.zeros(len(keys), dtype=bool)
-    if len(set(keys)) < len(keys):
-        repeats[:] = True
-        repeats[np.unique(keys, return_index=True)[1]] = False
-    return repeats
-
-
 def validate(network: Network) -> ValidationReport:
     """Check every model invariant and report all violations.
 
     Unlike :func:`load_network` this never raises; callers inspect the
     report.  An empty report means the network satisfies all invariants.
     Each per-line check is one mask over the line columns; findings come
-    per flagged line, in line order.  Connectivity is read from the
-    network's one depth-first search over the endpoint positions.
+    per flagged line, in line order, each naming the line by its id.
+    Connectivity is read from the network's one depth-first search over the
+    endpoint positions.
     """
     findings: list[Finding] = []
     node_set = set(network.nodes)
@@ -575,19 +568,19 @@ def validate(network: Network) -> ValidationReport:
     if network.reference not in node_set:
         findings.append(Finding("bad_reference", f"reference {_named(network.reference)} is not a node"))
 
-    ids, sources, targets, m = network.ids, network.sources, network.targets, network.m
+    sources, targets, m = network.sources, network.targets, network.m
     source, target = network.endpoints  # equal ids, equal positions, known or not
     low, high = np.minimum(source, target), np.maximum(source, target)
+    repeated = np.ones(m, dtype=bool)  # a line whose endpoint pair an earlier line has
+    repeated[np.unique(low * (network.n + 2 * m) + high, return_index=True)[1]] = False
     try:
         b, cap = network.susceptances(), network.capacities()
     except OverflowError:  # an int past float range is no real, as the loader says: NaN, for a check to name
         b, cap = (np.array([math.nan if abs(v) > sys.float_info.max else v for v in column], dtype=float)
                   for column in (network.b, network.cap))
     checks = (
-        ("duplicate_edge_id", _repeats(ids), "edge id {id} repeats"),
         ("self_loop", low == high, "edge {id} is a self-loop at node {source}"),
-        ("duplicate_edge", _repeats((low * (network.n + 2 * m) + high).tolist()),
-         "edge {id} repeats endpoint pair {pair} (in either orientation)"),
+        ("duplicate_edge", repeated, "edge {id} repeats endpoint pair {pair} (in either orientation)"),
         ("unknown_endpoint", source >= network.n, "edge {id} uses unknown node {source}"),
         ("unknown_endpoint", target >= network.n, "edge {id} uses unknown node {target}"),
         ("nonfinite_susceptance", ~np.isfinite(b), "edge {id} has b={b}"),
@@ -596,7 +589,7 @@ def validate(network: Network) -> ValidationReport:
         ("nonpositive_capacity", cap <= 0, "edge {id} has cap={cap}"),
     )
     for k in np.flatnonzero(np.any([mask for _, mask, _ in checks], axis=0)).tolist():
-        line = dict(id=_named(ids[k]), source=_named(sources[k]), target=_named(targets[k]),
+        line = dict(id=k + 1, source=_named(sources[k]), target=_named(targets[k]),
                     b=_named(network.b[k]), cap=_named(network.cap[k]),
                     pair=tuple(map(_named, sorted({sources[k], targets[k]}))))
         findings += [Finding(code, detail.format_map(line)) for code, mask, detail in checks if mask[k]]

@@ -31,12 +31,18 @@ def with_capacities(network, values):
     return replace(network, cap=tuple(np.asarray(values, dtype=float).tolist()))
 
 
-def without_edges(network, edge_ids):
-    """Copy of the network without the given lines; the surviving lines keep their ids."""
+def kept_lines(network, edge_ids):
+    """Mask, by position, of the lines left when the given ones are removed."""
     keep = np.ones(network.m, dtype=bool)
     keep[network.edge_positions(set(edge_ids))] = False
+    return keep
+
+
+def without_edges(network, edge_ids):
+    """Copy of the network without the given lines: line k of the copy is the k-th line of ``kept_lines``."""
+    keep = kept_lines(network, edge_ids)
     return replace(network, **{name: tuple(compress(getattr(network, name), keep))
-                               for name in ("ids", "sources", "targets", "b", "cap")})
+                               for name in ("sources", "targets", "b", "cap")})
 
 
 def triangle_doc():

@@ -190,17 +190,6 @@ def test_influence_graph_in_batches_is_the_dense_pair_set(threshold):
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.01, 0.1]))
-def test_influence_graph_reads_ids_not_positions(seed, threshold):
-    rng = np.random.default_rng(seed)
-    net = random_network(rng, max_nodes=10, max_extra=8, min_extra=2)
-    relabel = dict(zip(net.ids, (int(v) for v in rng.permutation(net.ids))))
-    permuted = replace(net, ids=tuple(relabel[line] for line in net.ids))  # ids no longer ascend with position
-    expected = tuple(sorted(tuple(sorted((relabel[a], relabel[b]))) for a, b in influence_graph(net, threshold)))
-    assert influence_graph(permuted, threshold) == expected
-
-
-@settings(max_examples=60, deadline=None, database=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([0.0, 0.01, 0.1, 0.5]))
 def test_influence_graph_is_its_whole_block_rule_at_every_batch_size(seed, batch, threshold):
     net = random_network(np.random.default_rng(seed), max_nodes=10, max_extra=8)

@@ -312,7 +312,7 @@ def test_main_exits_with_the_code_run_returns(monkeypatch, capsys, triangle_path
 def test_parallel_lines_are_refused(capsys, tmp_path, reverse):
     doc = parallel_lines_doc(reverse)
     lines = doc["edges"]
-    net = Network(nodes=(1, 2, 3), ids=(1, 2, 3, 4), sources=tuple(e["from"] for e in lines),
+    net = Network(nodes=(1, 2, 3), sources=tuple(e["from"] for e in lines),
                   targets=tuple(e["to"] for e in lines), b=tuple(e["b"] for e in lines),
                   cap=(math.inf,) * 4, reference=3)
     assert [f.code for f in validate(net).findings] == ["duplicate_edge"]
@@ -661,6 +661,16 @@ def test_verify_refuses_a_first_minor_past_float_range_before_any_float_compare(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "gridfactor: a first minor exceeds float range\n"
+
+
+def test_verify_refuses_a_float_adjugate_that_is_not_finite_before_any_float_compare(capsys, tmp_path):
+    # L_r = [[1e-320]] factors, but its float inverse is inf: compared as it is, inf / inf would warn.
+    path = tmp_path / "subnormal_pair.json"
+    path.write_text(json.dumps({"nodes": [1, 2], "edges": [{"from": 2, "to": 1, "b": 1e-320}]}))
+    assert run(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gridfactor: the float adjugate of the reduced Laplacian is not finite\n"
 
 
 def test_localize_computes_no_glodf(monkeypatch, capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""The network's id-to-position index and the callers that rely on it."""
+"""The network's line ids (each line's position plus 1), its topology index and the callers that rely on them."""
 
 import gc
 import weakref
@@ -18,6 +18,7 @@ from gridfactor import (
     build_laplacian,
     effective_reactance,
     glodf,
+    lodf_single,
     lodf_via_forests,
     run_cascade,
     solve_flow,
@@ -31,6 +32,7 @@ from conftest import (
     grid_doc,
     incidence_matrix,
     is_cut_set,
+    kept_lines,
     random_balanced_injection,
     random_network,
     sample_non_cut_outage,
@@ -111,6 +113,13 @@ def test_line_ids_are_looked_up_not_truncated(triangle):
     outage = OutageSet(triangle, [np.int64(2), 1.0])
     assert outage.outaged == (1, 2) and {type(line) for line in outage.outaged} == {int}
     assert run_cascade(triangle, triangle.injections, [2.0]).initial_outage == {2}
+    for line in (2.0, np.int64(2)):
+        assert triangle.edge_index(line) == 1 and type(triangle.edge_index(line)) is int
+        assert lodf_single(triangle, line) == lodf_single(triangle, 2)
+    for bad in (1.5, 0, -1, triangle.m + 1, 2**61 + 1):  # the last hashes to 2, as line 2 does
+        for call in (triangle.edge_index, lambda line: lodf_single(triangle, line)):
+            with pytest.raises(UnknownEdgeError, match=rf"^unknown edge id {bad}$"):
+                call(bad)
 
 
 def test_screening_builds_no_surviving_network(monkeypatch):
@@ -135,7 +144,7 @@ def test_parameter_copies_share_the_topology_index(triangle):
     assert not is_cut_set(triangle, [1])
     for copy in (with_susceptances(triangle, [2.0, 3.0, 4.0]),
                  with_capacities(triangle, [1.0, 1.0, 1.0])):
-        for name in ("_node_lookup", "_edge_lookup", "_cycle_labels", "_connected"):
+        for name in ("_node_lookup", "_cycle_labels", "_connected"):
             assert getattr(copy, name) == getattr(triangle, name)
         assert all(map(np.array_equal, copy.endpoints, triangle.endpoints))
         assert (copy._graph != triangle._graph).nnz == 0
@@ -148,8 +157,8 @@ def _loop_embedded(network, cumulative, p):
     surviving = without_edges(network, cumulative)
     state = solve_flow(build_laplacian(surviving), surviving, p)
     flows = np.zeros(network.m)
-    for k, line in enumerate(surviving.ids):
-        flows[network.edge_index(line)] = state.flows[k]
+    for k, position in enumerate(np.flatnonzero(kept_lines(network, cumulative))):
+        flows[position] = state.flows[k]
     return state.theta, flows
 
 

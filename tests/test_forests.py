@@ -281,7 +281,7 @@ def test_unit_weight_determinant_counts_the_spanning_trees(triangle):
 
 
 def test_disconnected_network_is_refused_by_the_unit_weight_factor():
-    net = Network(nodes=(1, 2, 3, 4), ids=(1, 2), sources=(1, 3), targets=(2, 4),
+    net = Network(nodes=(1, 2, 3, 4), sources=(1, 3), targets=(2, 4),
                   b=(1.0, 1.0), cap=(math.inf, math.inf), reference=4)
     with pytest.raises(SingularError):
         a_entry_via_forests(net, 1, 2)
@@ -397,7 +397,7 @@ def test_tenths_grid_tree_weight_is_the_exact_determinant_rounded_once():
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_non_finite_susceptance_is_refused_naming_its_line(bad):
-    net = Network(nodes=(1, 2, 3), ids=(1, 2, 3), sources=(1, 2, 1), targets=(2, 3, 3),
+    net = Network(nodes=(1, 2, 3), sources=(1, 2, 1), targets=(2, 3, 3),
                   b=(1.0, bad, 1.0), cap=(math.inf,) * 3, reference=3)
     with pytest.raises(ValidationError, match=f"line 2 has {bad}"):
         effective_reactance(net, 1)
@@ -470,7 +470,7 @@ def test_pairing_matrix_gives_every_forest_pairing_exactly(seed, max_nodes, roug
     if rough:
         weights = (10.0 ** rng.uniform(-6, 6, len(weights))).tolist()
     nodes = st.sampled_from(net.nodes)
-    net = Network(nodes=net.nodes, ids=tuple(range(1, len(sources) + 1)), sources=tuple(sources),
+    net = Network(nodes=net.nodes, sources=tuple(sources),
                   targets=tuple(targets), b=tuple(weights), cap=(math.inf,) * len(sources),
                   reference=data.draw(nodes))
 
@@ -502,11 +502,12 @@ def test_pairing_matrix_gives_every_forest_pairing_exactly(seed, max_nodes, roug
 
 
 def test_a_self_loop_is_in_no_spanning_tree(triangle):
-    looped = replace(triangle, ids=(9, *triangle.ids), sources=(1, *triangle.sources), targets=(1, *triangle.targets),
-                     b=(1.0, *triangle.b), cap=(math.inf, *triangle.cap))  # validate refuses it: built directly
-    assert scan(looped, 2) == scan(triangle, 2)
+    # The loop is line 1, so the triangle's lines k are lines k + 1 here; validate refuses it: built directly.
+    looped = replace(triangle, sources=(1, *triangle.sources), targets=(1, *triangle.targets),
+                     b=(1.0, *triangle.b), cap=(math.inf, *triangle.cap))
+    assert scan(looped, 2) == {tuple(line + 1 for line in lines): sides for lines, sides in scan(triangle, 2).items()}
     assert looped.oracle.adjugate[1] == triangle.oracle.adjugate[1]
-    assert ptdf_via_forests(looped, 1, 1, 3) == ptdf_via_forests(triangle, 1, 1, 3)
+    assert ptdf_via_forests(looped, 2, 1, 3) == ptdf_via_forests(triangle, 1, 1, 3)
 
 
 def test_equal_networks_enumerate_their_own_trees(monkeypatch):

@@ -101,7 +101,7 @@ def test_equal_networks_have_equal_decompositions_with_equal_hashes():
 
 
 def test_disconnected_graph_rejected():
-    net = Network(nodes=(1, 2, 3, 4), ids=(1, 2), sources=(1, 3), targets=(2, 4),
+    net = Network(nodes=(1, 2, 3, 4), sources=(1, 3), targets=(2, 4),
                   b=(1.0, 1.0), cap=(math.inf, math.inf), reference=4)
     with pytest.raises(DisconnectedError):
         block_decomposition(net)
@@ -109,7 +109,7 @@ def test_disconnected_graph_rejected():
 
 def test_parallel_pair_is_one_block_and_cut_only_together():
     # validate refuses parallel lines, but a directly built network keeps each line end in the index.
-    net = Network(nodes=(1, 2, 3), ids=(1, 2, 3), sources=(1, 1, 2), targets=(2, 2, 3),
+    net = Network(nodes=(1, 2, 3), sources=(1, 1, 2), targets=(2, 2, 3),
                   b=(1.0, 1.0, 1.0), cap=(math.inf,) * 3, reference=3)
     dec = block_decomposition(net)
     assert dec.blocks == (frozenset({1, 2}), frozenset({3}))
@@ -121,7 +121,7 @@ def test_parallel_pair_is_one_block_and_cut_only_together():
 def test_self_loops_join_their_node_block_and_cut_nothing():
     # validate refuses self-loops; directly built ones at buses 2 and 1 (the search's root) of a
     # triangle join the triangle's block.
-    net = Network(nodes=(1, 2, 3), ids=(1, 2, 3, 4, 5), sources=(1, 2, 1, 2, 1), targets=(2, 3, 3, 2, 1),
+    net = Network(nodes=(1, 2, 3), sources=(1, 2, 1, 2, 1), targets=(2, 3, 3, 2, 1),
                   b=(1.0,) * 5, cap=(math.inf,) * 5, reference=3)
     dec = block_decomposition(net)
     assert dec.blocks == (frozenset({1, 2, 3, 4, 5}),)
@@ -156,9 +156,8 @@ def test_the_view_partitions_the_lines_and_same_block_is_the_simple_cycle_rule(s
     net = random_network(rng, max_nodes=9, max_extra=6)
     if parallel:  # validate refuses parallel lines, but a directly built network keeps them
         k = int(rng.integers(net.m))
-        net = replace(net, ids=(*net.ids, net.m + 1), sources=(*net.sources, net.targets[k]),
+        net = replace(net, sources=(*net.sources, net.targets[k]),
                       targets=(*net.targets, net.sources[k]), b=(*net.b, 1.0), cap=(*net.cap, math.inf))
-    net = replace(net, ids=tuple(int(v) for v in rng.permutation(net.ids)))  # ids no longer ascend with position
     dec = net.decomposition
     assert np.array_equal(np.sort(np.concatenate(dec.lines)), np.arange(net.m))
     for members, block in zip(dec.lines, dec.blocks, strict=True):
@@ -182,11 +181,11 @@ def test_is_cut_set_unknown_edge(triangle):
 
 
 def test_is_cut_set_on_directly_built_networks():
-    split = Network(nodes=(1, 2, 3, 4), ids=(1, 2), sources=(1, 3), targets=(2, 4),
+    split = Network(nodes=(1, 2, 3, 4), sources=(1, 3), targets=(2, 4),
                     b=(1.0, 1.0), cap=(math.inf, math.inf), reference=4)
     assert is_cut_set(split, {1})
     assert is_cut_set(split, {2})
-    ring = Network(nodes=(1, 2, 3), ids=(1, 2, 3), sources=(1, 2, 3), targets=(2, 3, 1),
+    ring = Network(nodes=(1, 2, 3), sources=(1, 2, 3), targets=(2, 3, 1),
                    b=(1.0, 1.0, 1.0), cap=(math.inf,) * 3, reference=3)
     assert not is_cut_set(ring, {2})
     assert is_cut_set(ring, {1, 2})
@@ -296,7 +295,7 @@ def test_is_cut_set_matches_the_oracle_at_every_outage_size(seed, extra, multigr
         pairs = [*zip(net.sources, net.targets), *((net.targets[k], net.sources[k]) for k in copies), (loop, loop)]
         sources, targets = zip(*(pairs[k] for k in rng.permutation(len(pairs)).tolist()))
         m = len(pairs)
-        net = Network(nodes=net.nodes, ids=tuple(range(1, m + 1)), sources=sources, targets=targets,
+        net = Network(nodes=net.nodes, sources=sources, targets=targets,
                       b=(1.0,) * m, cap=(math.inf,) * m, reference=net.reference)
     for size in range(1, net.m):
         for _ in range(2):

@@ -33,6 +33,7 @@ from conftest import (
     build,
     fig2_doc,
     incidence_matrix,
+    kept_lines,
     random_network,
     sample_non_cut_outage,
     with_capacities,
@@ -207,7 +208,7 @@ def test_adversarial_capacity_triangle(triangle):
     # Post-outage: the target line, and only the target line, overloads.
     survived = without_edges(triangle, [1])
     post = solve_flow(build_laplacian(survived), survived, instance.injections)
-    flows = {line: post.flows[k] for k, line in enumerate(survived.ids)}
+    flows = dict(zip((np.flatnonzero(kept_lines(triangle, [1])) + 1).tolist(), post.flows))
     assert abs(flows[3]) > instance.capacities[2]
     assert abs(flows[2]) <= instance.capacities[1]
 
@@ -245,9 +246,9 @@ def test_adversarial_capacity_guarantee_random():
         assert np.all(np.abs(pre.flows) <= instance.capacities + 1e-12)
         survived = without_edges(net, [tripped])
         post = solve_flow(build_laplacian(survived), survived, instance.injections)
-        for k, line in enumerate(survived.ids):
-            cap = instance.capacities[net.edge_index(line)]
-            if line == target:
+        for k, position in enumerate(np.flatnonzero(kept_lines(net, [tripped]))):
+            cap = instance.capacities[position]
+            if position + 1 == target:
                 assert abs(post.flows[k]) > cap
             else:
                 assert abs(post.flows[k]) <= cap + 1e-12

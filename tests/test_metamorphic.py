@@ -156,22 +156,24 @@ def test_flipping_a_line_negates_its_row_and_column(seed):
 @settings(max_examples=150, deadline=None, database=None)
 @given(st.integers(0, 2**32 - 1))
 def test_shuffling_the_lines_permutes_d_and_k(seed):
-    """Listing the lines in another order, each keeping its id, permutes D's rows and columns alike.
+    """Listing the lines in another order permutes D's rows and columns alike, and K's.
 
-    K's columns follow the outaged ids, so they stay; its rows follow the
-    surviving lines' positions, so they move with them.
+    Line k of the shuffled network is line order[k] of the original, so an
+    outage maps through the permutation; K's rows (the surviving lines) and
+    columns (the tripped ones) both follow line order, so both move.
     """
     rng = np.random.default_rng(seed)
     net = random_network(rng, max_nodes=10, max_extra=8)
     order = rng.permutation(net.m)
     shuffled = dataclasses.replace(net, **{name: tuple(np.asarray(getattr(net, name))[order].tolist())
-                                           for name in ("ids", "sources", "targets", "b", "cap")})
+                                           for name in ("sources", "targets", "b", "cap")})
 
     _assert_close(shuffled.sensitivity.matrix, net.sensitivity.matrix[np.ix_(order, order)])
     lines = sample_non_cut_outage(rng, net)
     if lines is None:
         return
-    outage, twin = OutageSet(net, lines), OutageSet(shuffled, lines)
-    assert twin.outaged == outage.outaged
-    row = {line: r for r, line in enumerate(outage.surviving)}
-    _assert_close(_pre_contingency(twin), _pre_contingency(outage)[[row[line] for line in twin.surviving]])
+    outage = OutageSet(net, lines)
+    twin = OutageSet(shuffled, (np.argsort(order)[outage.outaged_idx] + 1).tolist())
+    rows, cols = (np.searchsorted(mine, order[theirs]) for mine, theirs in
+                  ((outage.surviving_idx, twin.surviving_idx), (outage.outaged_idx, twin.outaged_idx)))
+    _assert_close(_pre_contingency(twin), _pre_contingency(outage)[np.ix_(rows, cols)])

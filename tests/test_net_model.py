@@ -2,7 +2,7 @@ import importlib
 import math
 import pkgutil
 import types
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -125,13 +125,13 @@ def test_validate_clean_triangle(triangle):
 
 
 def test_validate_reports_disconnection():
-    net = Network(nodes=(1, 2, 3, 4), ids=(1, 2), sources=(1, 3), targets=(2, 4),
+    net = Network(nodes=(1, 2, 3, 4), sources=(1, 3), targets=(2, 4),
                   b=(1.0, 1.0), cap=(math.inf, math.inf), reference=4)
     assert "disconnected" in [f.code for f in validate(net).findings]
 
 
 def test_validate_reports_nonpositive_susceptance():
-    net = Network(nodes=(1, 2), ids=(1,), sources=(1,), targets=(2,), b=(0.0,), cap=(math.inf,), reference=2)
+    net = Network(nodes=(1, 2), sources=(1,), targets=(2,), b=(0.0,), cap=(math.inf,), reference=2)
     assert "nonpositive_susceptance" in [f.code for f in validate(net).findings]
 
 
@@ -144,23 +144,22 @@ def test_validate_reports_bad_reference_and_injection_length(triangle):
 
 def test_validate_names_an_int_too_long_to_print_by_its_size():
     huge = 10**5000  # past the int-to-text conversion limit
-    net = Network(nodes=(1, 2, 3), ids=(1, 2), sources=(1, 2), targets=(2, huge), b=(1.0, 1.0),
+    net = Network(nodes=(1, 2, 3), sources=(1, 2), targets=(2, huge), b=(1.0, 1.0),
                   cap=(1.0, 1.0), reference=3)
     assert validate(net).findings[0].detail == "edge 2 uses unknown node <an int of 16610 bits>"
-    net = replace(net, ids=(huge, huge), sources=(2, 2), targets=(2, 2), reference=huge)
+    net = replace(net, sources=(2, 2), targets=(2, 2), reference=huge)
     assert [(f.code, f.detail) for f in validate(net).findings] == [
         ("bad_reference", "reference <an int of 16610 bits> is not a node"),
-        ("self_loop", "edge <an int of 16610 bits> is a self-loop at node 2"),
-        ("duplicate_edge_id", "edge id <an int of 16610 bits> repeats"),
-        ("self_loop", "edge <an int of 16610 bits> is a self-loop at node 2"),
-        ("duplicate_edge", "edge <an int of 16610 bits> repeats endpoint pair (2,) (in either orientation)"),
+        ("self_loop", "edge 1 is a self-loop at node 2"),
+        ("self_loop", "edge 2 is a self-loop at node 2"),
+        ("duplicate_edge", "edge 2 repeats endpoint pair (2,) (in either orientation)"),
         ("disconnected", "network is not connected"),
     ]
 
 
 @pytest.mark.parametrize("column, code", [("b", "nonfinite_susceptance"), ("cap", "nonreal_capacity")])
 def test_validate_reports_an_int_past_float_range(column, code):
-    net = Network(nodes=(1, 2, 3), ids=(1, 2), sources=(1, 2), targets=(2, 3), b=(1.0, 1.0),
+    net = Network(nodes=(1, 2, 3), sources=(1, 2), targets=(2, 3), b=(1.0, 1.0),
                   cap=(1.0, 1.0), reference=3)
     report = validate(replace(net, **{column: (1.0, 10**5000)}))
     assert [(f.code, f.detail) for f in report.findings] == [
@@ -168,7 +167,7 @@ def test_validate_reports_an_int_past_float_range(column, code):
 
 
 def test_validate_reports_degenerate_sizes():
-    lonely = Network(nodes=(1,), ids=(), sources=(), targets=(), b=(), cap=(), reference=1)
+    lonely = Network(nodes=(1,), sources=(), targets=(), b=(), cap=(), reference=1)
     codes = [f.code for f in validate(lonely).findings]
     assert "too_few_nodes" in codes
     assert "no_edges" in codes
@@ -180,6 +179,20 @@ def test_round_trip_identity(triangle):
     for _ in range(10):
         net = random_network(rng)
         assert load_network(network_to_document(net)) == net
+        # The same lines listed in another order, built through the constructor: each line's id is its new position.
+        order = rng.permutation(net.m)
+        shuffled = Network(nodes=net.nodes, reference=net.reference, injections=net.injections,
+                           **{name: tuple(np.asarray(getattr(net, name))[order].tolist())
+                              for name in ("sources", "targets", "b", "cap")})
+        assert load_network(network_to_document(shuffled)) == shuffled
+
+
+def test_line_ids_are_positions_plus_one_and_no_field(triangle):
+    assert len(fields(Network)) == 7 and triangle.ids == (1, 2, 3)
+    with pytest.raises(TypeError):
+        Network(nodes=(1, 2), ids=(1,), sources=(1,), targets=(2,), b=(1.0,), cap=(1.0,), reference=2)
+    with pytest.raises(TypeError):
+        replace(triangle, ids=(3, 2, 1))
 
 
 def test_missing_capacity_is_infinite(triangle):
@@ -269,8 +282,10 @@ def test_loader_refusals_name_their_defect(tmp_path, refused, error, message):
 
 
 def test_without_edges_preserves_ids(triangle):
+    # The surviving lines keep their order, numbered by their new positions: line 3 is line 2 of the copy.
     survived = without_edges(triangle, [2])
-    assert survived.ids == (1, 3)
+    assert survived.ids == (1, 2)
+    assert (survived.sources, survived.targets) == ((1, 1), (2, 3))
     assert survived.nodes == triangle.nodes
 
 

@@ -50,7 +50,9 @@ more take the 4×4 unit grid (100,352 spanning trees, the largest network
 the oracle takes), two buses joined by one line (a 1×1 reduced
 Laplacian), the stiff triangle (refused by ``lodf_single``, exit 2) and a
 40-bus ring with one chord (few trees, many buses).  One more takes a 54-bus
-path whose tree weight is a float but a first minor is not (refused, exit 2).  The subnormal triangle,
+path whose tree weight is a float but a first minor is not (refused, exit 2),
+and one two buses joined by a line of b=1e-320, whose 1×1 reduced Laplacian
+factors but has an infinite float inverse (refused, exit 2).  The subnormal triangle,
 three lines of b=1e-310 that the loader takes but whose factor meets a pivot
 that is not finite, runs ``lodf --line 1``, ``ptdf`` and ``verify``.  Runs
 share one process, as a caller of ``gridfactor.cli.run`` would.  The
@@ -300,6 +302,8 @@ def outputs(src) -> Iterator[tuple[str, int, str, str]]:
         corpus += [["verify", name] for name in ("grid4.json", "two_bus.json", "stiff_triangle.json", "ring40.json")]
         gen.write(conftest.overflowing_minor_doc(), Path("path54.json"))
         corpus.append(["verify", "path54.json"])
+        gen.write({"nodes": [1, 2], "edges": [{"from": 2, "to": 1, "b": 1e-320}]}, Path("subnormal_pair.json"))
+        corpus.append(["verify", "subnormal_pair.json"])  # its float inverse is inf: refused, exit 2
         gen.write(gen.grid(30, 2)[0], Path("grid30.json"))  # one block: a search far deeper than the block trees
         corpus.append(["blocks", "grid30.json"])
         gen.write(gen.grid(20, 3)[0], Path("screen.json"))  # screen_grid's network: the GLODF kernel at 757 rows
