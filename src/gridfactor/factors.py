@@ -285,8 +285,7 @@ def _outage_flow(network: Network, p, base: FlowState | None, tripped) -> FlowSt
         else:
             flows = bundle.branch_flows(theta)
             flows[tripped] = 0.0
-            n = network.n
-            imbalance = np.bincount(bundle.source, flows, n) - np.bincount(bundle.target, flows, n) - p
+            imbalance = bundle.injections(flows) - p
             if np.abs(imbalance).sum() <= scaled_tolerance(float(np.abs(flows).max())) < np.inf:  # NaN fails too
                 return FlowState(theta=theta, flows=flows)
     return surviving_flow(network, p, tripped)

@@ -51,11 +51,11 @@ RTOL = 1e-9
 #: whose susceptances spread over about nine decades still factors.
 PIVOT_RTOL = 1e-12
 #: Absolute floor above which a perturbed factor entry counts as nonzero.
-#: Each trial's factor has its own scale; an absolute floor below RTOL counts
+#: Each trial's columns have their own scale; an absolute floor below RTOL counts
 #: small genuine entries and still rejects rounding noise on exact zeros.
 NONZERO_ATOL = 1e-12
-#: Relative size of each perturbation trial's draw (every b scaled by 1 + w, |w| <= PERTURBATION): it lifts
-#: an entry that symmetry zeroes far above NONZERO_ATOL (1e-15 leaves it below) and keeps every b positive.
+#: Relative size of each perturbation trial's draw (every b scaled by 1 + w, |w| <= PERTURBATION): it lifts a
+#: symmetry zero far above NONZERO_ATOL (1e-15 does not), keeps b > 0 and shrinks each refinement step's error 1000x.
 PERTURBATION = 1e-3
 
 

@@ -8,7 +8,7 @@ from itertools import combinations, compress
 import numpy as np
 import pytest
 
-from gridfactor import load_network
+from gridfactor import LaplacianBundle, load_network
 from gridfactor.net_model import incidence_columns, scaled_tolerance
 
 
@@ -43,6 +43,20 @@ def without_edges(network, edge_ids):
     keep = kept_lines(network, edge_ids)
     return replace(network, **{name: tuple(compress(getattr(network, name), keep))
                                for name in ("sources", "targets", "b", "cap")})
+
+
+@pytest.fixture
+def count_factors(monkeypatch):
+    """A list whose length is the number of LaplacianBundle factors built since the fixture ran."""
+    built = []
+    init = LaplacianBundle.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LaplacianBundle, "__init__", counting)
+    return built
 
 
 def triangle_doc():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridfactor import (
-    LaplacianBundle,
     OutageSet,
     SingularError,
     UnbalancedInjectionError,
@@ -196,20 +195,6 @@ def test_influence_graph_is_its_whole_block_rule_at_every_batch_size(seed, batch
     D = replace(net).sensitivity.matrix  # an equal network's: net's own D holds no matrix
     with mock.patch.object(factors, "_BATCH", batch):
         assert influence_graph(net, threshold) == _whole_block_pairs(net, D, threshold)
-
-
-@pytest.fixture
-def count_factors(monkeypatch):
-    """A list whose length is the number of LaplacianBundle factors built since the fixture ran."""
-    built = []
-    init = LaplacianBundle.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(LaplacianBundle, "__init__", counting)
-    return built
 
 
 def test_cascades_on_one_network_share_its_factor(count_factors):

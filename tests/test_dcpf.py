@@ -28,7 +28,7 @@ from gridfactor import (
 )
 from gridfactor import dcpf, factors
 from gridfactor.dcpf import surviving_flow
-from gridfactor.net_model import incidence_columns, scaled_tolerance
+from gridfactor.net_model import PERTURBATION, RTOL, incidence_columns, scaled_tolerance
 
 from conftest import (
     build,
@@ -279,6 +279,30 @@ def test_stored_outage_columns_are_the_line_solve_bit_for_bit(seed):
         assert stored.tobytes() == solved.tobytes() and stored.strides == solved.strides
     for column in bundle._columns.values():  # each its own read-only n-vector
         assert column.base is None and column.shape == (net.n,) and not column.flags.writeable
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+def test_reweighted_columns_match_a_factor_of_the_perturbed_weights(seed, trials):
+    # up to 40 trials of up to 3 lines: 120 columns, several chunks of _BATCH
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, max_nodes=10, max_extra=8)
+    lines = rng.choice(net.m, int(rng.integers(1, min(3, net.m) + 1)), replace=False)
+    draws = [net.susceptances() * (1.0 + rng.uniform(-PERTURBATION, PERTURBATION, net.m)) for _ in range(trials)]
+    positions, weights = np.tile(lines, trials), np.repeat(np.column_stack(draws), len(lines), 1)
+    chunks = range(0, len(positions), factors._BATCH)
+    refined = np.hstack([net.factor.reweighted_columns(positions[start:start + factors._BATCH],
+                                                       weights[:, start:start + factors._BATCH])
+                         for start in chunks])
+    for trial, w in enumerate(draws):
+        got = refined[:, trial * len(lines):(trial + 1) * len(lines)]
+        want = build_laplacian(net, w).sensitivity_columns(lines)
+        assert np.max(np.abs(got - want)) <= RTOL * max(1.0, np.max(np.abs(want)))
+        alone = net.factor.reweighted_columns(lines, np.repeat(w[:, None], len(lines), 1))
+        assert got.tobytes() == alone.tobytes()  # a column's bits do not depend on its chunk
+    flows = refined[:, :len(lines)]
+    for j in range(len(lines)):  # the stack's nodal map is each column's, bit for bit
+        assert net.factor.injections(flows)[:, j].tobytes() == net.factor.injections(flows[:, j]).tobytes()
 
 
 def test_the_outage_column_store_drops_the_least_recently_used_past_its_budget(monkeypatch):

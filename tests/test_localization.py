@@ -473,6 +473,50 @@ def test_perturbation_never_builds_the_inverse(monkeypatch, fig2):
     assert min(stats.within_block.values()) == 5 and not any(stats.cross_block.values())
 
 
+@pytest.mark.parametrize("trials", [5, 100])
+def test_perturbation_trials_factor_nothing_once_the_network_has_its_factor(fig2, trials, count_factors):
+    outage = OutageSet(fig2, [1, 6])
+    factor = fig2.factor
+    stats = almost_sure_nonzero_test(outage, PerturbationSpec(trials=trials))
+    assert count_factors == [factor]  # the network's own, built above; no trial builds another
+    assert min(stats.within_block.values()) == trials and not any(stats.cross_block.values())
+
+
+def _solve_widths(monkeypatch):
+    """A list of the column count of every solve on any factor from now on."""
+    widths = []
+    solved = LaplacianBundle._solved
+
+    def counting(self, x):
+        widths.append(x.shape[1])
+        return solved(self, x)
+
+    monkeypatch.setattr(LaplacianBundle, "_solved", counting)
+    return widths
+
+
+def test_perturbation_trials_are_solved_in_chunks_of_at_most_batch_columns(monkeypatch, fig2):
+    outage = OutageSet(fig2, [1, 6])
+    fig2.factor
+    widths = _solve_widths(monkeypatch)
+    almost_sure_nonzero_test(outage, PerturbationSpec(trials=100))  # 200 columns
+    # 16 whole trials of 2 lines fill each of six chunks; the seventh takes the last 4 trials
+    assert max(widths) == factors._BATCH and widths.count(factors._BATCH) >= 6
+
+
+@pytest.mark.parametrize("batch", [1, 3, 5])
+def test_perturbation_counts_do_not_depend_on_the_chunk_width(monkeypatch, fig2, batch):
+    # batch 1 splits each trial of 2 lines over two solves; 3 and 5 hold one and two whole trials
+    outage = OutageSet(fig2, [1, 6])
+    spec = PerturbationSpec(trials=7, seed=2)
+    want = almost_sure_nonzero_test(outage, spec)
+    monkeypatch.setattr(localization, "_BATCH", batch)
+    widths = _solve_widths(monkeypatch)
+    got = almost_sure_nonzero_test(outage, spec)
+    assert max(widths) <= batch
+    assert got.within_block == want.within_block and got.cross_block == want.cross_block
+
+
 def test_adversarial_capacity_builds_no_dense_matrix(monkeypatch, fig2):
     def refuse(*args):
         raise AssertionError("a dense inverse or full PTDF was built")

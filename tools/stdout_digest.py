@@ -28,7 +28,10 @@ which is not; its ``localize``; and a cascade from it, whose stage fails
 the GLODF update's certificate and is re-solved), cascades run to the end
 from one and two lines (two of them, on the seed-2 and seed-7 block trees,
 propagate and settle, ending ``converged`` after 2 and 3 stages; they run
-again with bus 1, the first in node order, as reference), and ``verify``.  Its networks are the test fixtures
+again with bus 1, the first in node order, as reference), ``localize
+--perturb`` at its default 100 trials on a non-cut pair inside one meshed
+block of the seed-2 block tree (its refined trial columns span several
+solve chunks), and ``verify``.  Its networks are the test fixtures
 of ``tests/conftest.py``, the ``perfbench/gen.py`` block trees and
 oracle grids for seeds 2 and 7, its 30×30 grid for ``blocks`` and the
 20×20 grid of the ``screen_grid`` workload (``glodf`` ``pre_contingency`` and
@@ -351,6 +354,8 @@ def outputs(src) -> Iterator[tuple[str, int, str, str]]:
             ["cascade", "block_tree_2.json", "--trip", "7", "--reference", "1"],
             ["cascade", "block_tree_7.json", "--trip", "130", "--reference", "1"],
         ]
+        # the default 100 trials of a non-cut pair in one meshed block: 200 refined columns, seven solve chunks
+        corpus.append(["localize", "block_tree_2.json", "--lines", "2,9", "--perturb"])
         corpus += [  # options a subcommand does not take, and out-of-range values
             ["blocks", "triangle.json", "--format", "csv"],
             ["ptdf", "triangle.json", "--format", "dot"],
